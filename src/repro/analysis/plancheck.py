@@ -32,14 +32,14 @@ check-plan`` doubles as a plan inspector.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # import cycle: hw.config pulls in the compiler
     from ..graph import CSRGraph
     from ..hw.config import FlexMinerConfig
 
 from ..compiler.hints import cmap_needed_depths
-from ..compiler.plan import ExecutionPlan, MultiPlan, PlanNode
+from ..compiler.plan import ExecutionPlan, MultiPlan, PlanNode, VertexStep
 from .diagnostics import AnalysisReport, register_code
 
 __all__ = ["check_plan", "check_multi_plan", "plan_shape"]
@@ -150,8 +150,8 @@ FM153 = register_code(
 # -- FM17x: batch-frontier (level-synchronous) legality ----------------
 FM170 = register_code(
     "FM170", "plan is ineligible for batch-frontier execution", "info",
-    "patterns with fewer than three vertices (and multi-pattern trees) "
-    "run on the recursive path; batch_frontier=True is a silent no-op",
+    "plans with no interior level (fewer than three vertices) run on "
+    "the recursive path; batch_frontier=True is a silent no-op",
 )
 FM171 = register_code(
     "FM171", "leaf shape does not reduce to one varying operand",
@@ -168,11 +168,12 @@ FM172 = register_code(
     "the batch engine",
 )
 FM173 = register_code(
-    "FM173", "frontier row limit cannot engage the recursion fallback",
+    "FM173", "frontier row limit cannot admit a band",
     "error",
-    "frontier_row_limit must be a positive integer: the over-budget "
-    "bailout compares materialized rows against it, and a non-positive "
-    "limit makes the bit-identical fallback unreachable or permanent",
+    "frontier_row_limit must be a positive integer: it caps the "
+    "estimated size of a frontier band, and only a single row whose "
+    "own estimate exceeds it takes the bit-identical recursion "
+    "fallback; a non-positive limit sends every row there",
 )
 FM174 = register_code(
     "FM174", "frontier row limit overflows the segment key space",
@@ -183,9 +184,10 @@ FM174 = register_code(
 FM175 = register_code(
     "FM175", "multi-pattern plan is forced onto the recursive path",
     "info",
-    "the level-synchronous engine only runs single-pattern plans; the "
-    "multi-pattern tree executes recursively regardless of "
-    "batch_frontier",
+    "the frontier walker runs multi-pattern trees, but engines that "
+    "override candidate generation (supports_leaf_counting = False: "
+    "c-map, legacy) keep their per-embedding hooks; on those the tree "
+    "executes recursively regardless of batch_frontier",
 )
 
 # -- FM16x: multi-plan trees -------------------------------------------
@@ -642,6 +644,97 @@ def batch_leaf_shape(plan: ExecutionPlan) -> Optional[Tuple[str, Optional[int]]]
     return None
 
 
+def _resolve_row_limit(frontier_row_limit: Optional[int]) -> int:
+    return (
+        _FRONTIER_ROW_LIMIT_DEFAULT
+        if frontier_row_limit is None
+        else frontier_row_limit
+    )
+
+
+def _frontier_path_obligations(
+    steps: Sequence[VertexStep],
+    rep: AnalysisReport,
+    *,
+    graph: "Optional[CSRGraph]",
+    limit: int,
+    path: str = "",
+) -> Tuple[bool, Dict[str, object], Dict[str, object]]:
+    """FM172 + FM174 for one root-to-leaf chain of steps (a whole
+    single-pattern plan, or one path of a multi-pattern tree; ``path``
+    prefixes locations and details).  Returns ``(legal, fm172, fm174)``.
+    """
+    # the walker keeps a candidate store per interior depth >= 1 on the
+    # current path: a base_step of 0 (the root) can never be composed
+    bad_bases = [step.depth for step in steps if step.base_step == 0]
+    for depth in bad_bases:
+        rep.add(
+            FM172,
+            "base_step 0 points at the root, which has no level store "
+            "in batch execution",
+            location=f"{path}step {depth}",
+        )
+    fm172 = {
+        "code": FM172,
+        "status": "violated" if bad_bases else "proved",
+        "detail": path
+        + (
+            "all frontier bases reference stored levels"
+            if not bad_bases
+            else f"step(s) {bad_bases} compose on the root"
+        ),
+    }
+    if graph is None:
+        status, detail = "unverified", (
+            "segment-key overflow needs the graph's vertex count; "
+            "pass graph= to prove it"
+        )
+    else:
+        keyspace = max(1, graph.num_vertices)
+        overflow = limit >= 1 and limit * keyspace >= 1 << _SEGMENT_KEY_BITS
+        if overflow:
+            rep.add(
+                FM174,
+                f"frontier_row_limit={limit} times keyspace "
+                f"{keyspace} overflows the int64 segment keys",
+                location=f"{path}batch-frontier",
+            )
+        status = "violated" if overflow else "proved"
+        detail = (
+            f"{limit} * {keyspace} {'>=' if overflow else '<'} "
+            f"2**{_SEGMENT_KEY_BITS}"
+        )
+    fm174 = {"code": FM174, "status": status, "detail": path + detail}
+    return not bad_bases and status != "violated", fm172, fm174
+
+
+def _frontier_limit_obligation(
+    rep: AnalysisReport, graph: "Optional[CSRGraph]", limit: int
+) -> Dict[str, object]:
+    """FM173: the row limit must admit a band; with a graph, also say
+    whether the per-row recursion fallback is reachable on it."""
+    if limit < 1:
+        rep.add(
+            FM173,
+            f"frontier_row_limit={limit} can never admit a band; every "
+            "row would take the fallback before mining anything",
+            location="batch-frontier",
+        )
+        return {"code": FM173, "status": "violated", "detail": f"limit {limit}"}
+    detail = f"row limit {limit} caps each band"
+    if graph is not None:
+        # a row's estimate is one extender degree or one stored segment
+        # (itself a subset of an adjacency list): max degree bounds both
+        top = graph.max_degree()
+        detail += (
+            f"; a single row can exceed it (max degree {top}), so the "
+            "per-row fallback is reachable"
+            if top > limit
+            else f"; no row can exceed it (max degree {top}): bands only"
+        )
+    return {"code": FM173, "status": "proved", "detail": detail}
+
+
 def _check_batch_frontier(
     plan: ExecutionPlan,
     rep: AnalysisReport,
@@ -661,11 +754,7 @@ def _check_batch_frontier(
     engine flag.
     """
     leaf_depth = len(plan.steps)
-    limit = (
-        _FRONTIER_ROW_LIMIT_DEFAULT
-        if frontier_row_limit is None
-        else frontier_row_limit
-    )
+    limit = _resolve_row_limit(frontier_row_limit)
     obligations: List[Dict[str, object]] = []
     reasons: List[str] = []
 
@@ -711,92 +800,14 @@ def _check_batch_frontier(
                 }
             )
 
-    # level stores exist for depths >= 1 only: a base_step of 0 can
-    # never be composed level-synchronously (the root has no store)
-    bad_bases = [
-        step.depth for step in plan.steps if step.base_step == 0
-    ]
-    for depth in bad_bases:
-        rep.add(
-            FM172,
-            "base_step 0 points at the root, which has no level store "
-            "in batch execution",
-            location=f"step {depth}",
-        )
-    obligations.append(
-        {
-            "code": FM172,
-            "status": "violated" if bad_bases else "proved",
-            "detail": "all frontier bases reference stored levels"
-            if not bad_bases
-            else f"step(s) {bad_bases} compose on the root",
-        }
+    path_ok, fm172, fm174 = _frontier_path_obligations(
+        plan.steps, rep, graph=graph, limit=limit
     )
+    obligations += [
+        fm172, _frontier_limit_obligation(rep, graph, limit), fm174
+    ]
 
-    if limit < 1:
-        rep.add(
-            FM173,
-            f"frontier_row_limit={limit} can never admit a frontier; "
-            "every task would take the fallback before mining anything",
-            location="batch-frontier",
-        )
-        obligations.append(
-            {"code": FM173, "status": "violated", "detail": f"limit {limit}"}
-        )
-    else:
-        detail = f"row limit {limit}; fallback reachable"
-        if graph is not None:
-            from ..compiler.estimate import estimate_plan
-
-            over = [
-                lv.depth
-                for lv in estimate_plan(plan, graph)
-                if lv.nodes > limit
-            ]
-            detail += (
-                f"; estimate engages it first at depth {over[0]}"
-                if over
-                else "; estimates stay under the limit on this graph"
-            )
-        obligations.append(
-            {"code": FM173, "status": "proved", "detail": detail}
-        )
-
-    if graph is None:
-        obligations.append(
-            {
-                "code": FM174,
-                "status": "unverified",
-                "detail": "segment-key overflow needs the graph's "
-                "vertex count; pass graph= to prove it",
-            }
-        )
-    else:
-        keyspace = max(1, graph.num_vertices)
-        if limit >= 1 and limit * keyspace >= 1 << _SEGMENT_KEY_BITS:
-            rep.add(
-                FM174,
-                f"frontier_row_limit={limit} times keyspace "
-                f"{keyspace} overflows the int64 segment keys",
-                location="batch-frontier",
-            )
-            obligations.append(
-                {
-                    "code": FM174,
-                    "status": "violated",
-                    "detail": f"{limit} * {keyspace} >= 2**{_SEGMENT_KEY_BITS}",
-                }
-            )
-        else:
-            obligations.append(
-                {
-                    "code": FM174,
-                    "status": "proved",
-                    "detail": f"{limit} * {keyspace} < 2**{_SEGMENT_KEY_BITS}",
-                }
-            )
-
-    decision = "batch" if eligible and not bad_bases and limit >= 1 else "recursive"
+    decision = "batch" if eligible and path_ok and limit >= 1 else "recursive"
     if decision == "recursive" and eligible:
         reasons.append("an FM17x obligation is violated")
     rep.data["batch_frontier"] = {
@@ -867,8 +878,29 @@ def check_plan(
     return rep
 
 
+def _tree_paths(root: PlanNode) -> List[Tuple[int, Tuple[VertexStep, ...]]]:
+    """Every completing node as ``(pattern_index, root-to-leaf steps)``."""
+    paths = []
+
+    def walk(node: PlanNode, steps: Tuple[VertexStep, ...]) -> None:
+        if node.step is not None:
+            steps = steps + (node.step,)
+        if node.pattern_index is not None:
+            paths.append((node.pattern_index, steps))
+        for child in node.children:
+            walk(child, steps)
+
+    walk(root, ())
+    return paths
+
+
 def check_multi_plan(
-    plan: MultiPlan, *, batch_frontier: bool = False
+    plan: MultiPlan,
+    *,
+    graph: "Optional[CSRGraph]" = None,
+    frontier_row_limit: Optional[int] = None,
+    batch_frontier: bool = False,
+    supports_leaf_counting: bool = True,
 ) -> AnalysisReport:
     """Structural checks for a multi-pattern dependency tree.
 
@@ -876,31 +908,56 @@ def check_multi_plan(
     chain is checked when its single-pattern plan is compiled); here we
     verify the tree itself: depth continuity, one completing node per
     pattern, and that completing nodes are leaves (the count-only path
-    never descends past them).  The FM17x proof section records that a
-    multi-pattern tree is always routed recursively;
-    ``batch_frontier=True`` additionally surfaces that as an FM175
-    info diagnostic.
+    never descends past them).  The FM17x proof section mirrors
+    :func:`check_plan`'s: the frontier walker runs the tree, so every
+    root-to-leaf path carries its own FM172/FM174 obligation next to
+    the shared FM173 one.  ``supports_leaf_counting`` is the engine
+    class attribute of the same name: engines that turn it off route
+    trees recursively, which ``batch_frontier=True`` surfaces as an
+    FM175 info diagnostic.
     """
     rep = AnalysisReport(subject=f"multiplan:{plan.num_patterns}-patterns")
-    rep.data["batch_frontier"] = {
-        "eligible": False,
-        "decision": "recursive",
-        "leaf_shape": {"kind": None, "fixed_slot": None},
-        "row_limit": None,
-        "row_limit_default": None,
-        "reasons": [
-            f"{plan.num_patterns}-pattern tree: the level-synchronous "
-            "engine only runs single-pattern plans"
-        ],
-        "obligations": [],
-    }
-    if batch_frontier:
-        rep.add(
-            FM175,
-            f"{plan.num_patterns}-pattern tree executes recursively; "
-            "batch_frontier has no effect",
-            location="batch-frontier",
+    limit = _resolve_row_limit(frontier_row_limit)
+    eligible = plan.max_depth() >= 2
+    reasons: List[str] = []
+    if not eligible:
+        reasons.append("the tree has no interior level")
+        if batch_frontier:
+            rep.add(FM170, reasons[-1], location="batch-frontier")
+    obligations = [_frontier_limit_obligation(rep, graph, limit)]
+    legal = limit >= 1
+    for index, steps in _tree_paths(plan.root):
+        path_ok, fm172, fm174 = _frontier_path_obligations(
+            steps, rep, graph=graph, limit=limit,
+            path=f"pattern {index}: ",
         )
+        legal = legal and path_ok
+        obligations += [fm172, fm174]
+    if eligible and not legal:
+        reasons.append("an FM17x obligation is violated")
+    if not supports_leaf_counting:
+        reasons.append(
+            "the engine overrides candidate generation "
+            "(supports_leaf_counting = False)"
+        )
+        if batch_frontier:
+            rep.add(
+                FM175,
+                f"{plan.num_patterns}-pattern tree executes recursively "
+                "on this engine; batch_frontier has no effect",
+                location="batch-frontier",
+            )
+    rep.data["batch_frontier"] = {
+        "eligible": eligible,
+        "decision": "batch"
+        if eligible and legal and supports_leaf_counting
+        else "recursive",
+        "leaf_shape": {"kind": None, "fixed_slot": None},
+        "row_limit": limit,
+        "row_limit_default": frontier_row_limit is None,
+        "reasons": reasons,
+        "obligations": obligations,
+    }
     seen: Dict[int, int] = {}
 
     def walk(node: PlanNode, parent_depth: int) -> None:

@@ -30,7 +30,7 @@ from typing import List, Optional
 from . import __version__
 from .bench import cpu_time_seconds, render_table1
 from .compiler import compile_motifs, compile_pattern, emit_ir, emit_multi_ir
-from .engine import MinerPool, ParallelMiner, PatternAwareEngine, mine_multi
+from .engine import MinerPool, ParallelMiner, PatternAwareEngine
 from .graph import CSRGraph, load_dataset, load_graph
 from .hw import FlexMinerConfig, simulate
 from .obs import (
@@ -63,6 +63,17 @@ def _split_degree_arg(value: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {value!r}"
         ) from None
+
+
+def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--batch-frontier", action="store_true",
+        help="level-synchronous frontier expansion: walk the plan tree "
+        "over row bands of the frontier with segmented kernels instead "
+        "of one recursion per embedding (bit-identical counts and op "
+        "counters; bands keep memory bounded, only a single row over "
+        "the row limit is finished recursively)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,18 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
                 "(wall-clock option; merged op counters are inflated); "
                 "'auto' asks the cost model, requires --pool",
             )
-            p.add_argument(
-                "--batch-frontier", action="store_true",
-                help="level-synchronous frontier expansion: extend one "
-                "whole level at a time with segmented kernels "
-                "(bit-identical counts and op counters; falls back to "
-                "recursion past the frontier memory budget)",
-            )
+            _add_batch_frontier_flag(p)
 
     motifs_p = sub.add_parser("motifs", help="k-motif counting")
     motifs_p.add_argument("k", type=int)
     motifs_p.add_argument("--dataset", default="As")
     motifs_p.add_argument("--graph")
+    motifs_p.add_argument(
+        "--emit-json", action="store_true",
+        help="print a machine-readable run report instead of text",
+    )
+    _add_batch_frontier_flag(motifs_p)
 
     sub.add_parser("datasets", help="print Table I for the suite")
 
@@ -452,7 +462,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 compiled = case.compile()
                 if isinstance(compiled, MultiPlan):
                     rep = check_multi_plan(
-                        compiled, batch_frontier=args.batch_frontier
+                        compiled,
+                        frontier_row_limit=args.frontier_row_limit,
+                        batch_frontier=args.batch_frontier,
                     )
                 else:
                     rep = check_plan(
@@ -651,8 +663,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "motifs":
         graph = _load(args)
         plan = compile_motifs(args.k)
+        result = PatternAwareEngine(
+            graph, plan, batch_frontier=args.batch_frontier
+        ).run()
+        if args.emit_json:
+            run_meta = {
+                "command": "motifs",
+                "k": args.k,
+                "dataset": None if args.graph else args.dataset,
+                "graph_file": args.graph,
+                "batch_frontier": args.batch_frontier,
+                "version": __version__,
+            }
+            print(json.dumps(
+                make_report("mine", result.as_dict(), meta=run_meta),
+                indent=2, sort_keys=True,
+            ))
+            return 0
         print(emit_multi_ir(plan))
-        result = mine_multi(graph, plan)
         for pattern, count in zip(plan.patterns, result.counts):
             print(f"{pattern.name:<16s}{count:>12d}")
         return 0

@@ -47,6 +47,41 @@ def _multi_plan_labeled(plan: MultiPlan) -> bool:
     return walk(plan.root) or getattr(plan, "root_label", None) is not None
 
 
+def _chain_tree(plan: ExecutionPlan) -> PlanNode:
+    """A single-pattern plan as a one-child-per-level :class:`PlanNode`
+    tree, so the frontier walker runs chains and MultiPlans alike."""
+    node = PlanNode(plan.steps[-1], pattern_index=0)
+    for step in reversed(plan.steps[:-1]):
+        node = PlanNode(step, [node])
+    return PlanNode(None, [node])
+
+
+#: Frontier band size, in estimated materialized elements.  Large enough
+#: that numpy call overhead is amortized over thousands of rows; small
+#: enough that a band's int64 arrays (8 B x 2**14 = 128 KB) stay under
+#: glibc's mmap threshold, so the allocator reuses them instead of
+#: mapping, faulting in and unmapping fresh pages on every band.
+_FRONTIER_BAND_ELEMS = 1 << 14
+
+
+def _cut_bands(estimates: np.ndarray, target: int) -> List[Tuple[int, int]]:
+    """Cut rows into contiguous ``(lo, hi)`` bands covering every row
+    once, each summing to at most ``target`` unless it is a single row."""
+    n = len(estimates)
+    if n == 0:
+        return []
+    csum = np.cumsum(estimates, dtype=np.int64)
+    if csum[-1] <= target:
+        return [(0, n)]
+    bands, lo, base = [], 0, 0
+    while lo < n:
+        hi = int(np.searchsorted(csum, base + target, side="right"))
+        hi = max(hi, lo + 1)
+        bands.append((lo, hi))
+        lo, base = hi, int(csum[hi - 1])
+    return bands
+
+
 @dataclass
 class MiningResult:
     """Outcome of a mining run."""
@@ -104,22 +139,24 @@ class PatternAwareEngine:
         closed form; disable to measure the batching itself.
     batch_frontier:
         Level-synchronous execution: instead of one DFS recursion per
-        partial embedding, represent the whole depth-``d`` frontier as
-        an ``(n_emb, d)`` embedding matrix plus segmented candidate
-        arrays and expand one entire level per step with the segmented
-        kernels (the data-parallel G2Miner formulation), falling into
-        the batched leaf count at the last level.  Counts and counters
-        stay bit-identical to the recursive path — every level charges
-        the closed-form sum of what the per-embedding loop would have
-        charged.  Off by default; see ``frontier_row_limit`` for the
-        memory budget.
+        partial embedding, walk the plan tree (a chain for one pattern,
+        the merged dependency tree for a ``MultiPlan``) over ``(n_emb,
+        d)`` embedding matrices plus segmented candidate arrays, one
+        segmented kernel per plan operation (the data-parallel G2Miner
+        formulation).  The frontier is cut into contiguous row bands of
+        bounded estimated size and each band's subtree runs to
+        completion before the next — breadth-first inside a band,
+        depth-first across bands — so memory stays bounded however wide
+        a level is.  Counts and counters stay bit-identical to the
+        recursive path: every charge is a closed-form sum over rows.
+        Off by default.
     frontier_row_limit:
-        Memory budget for ``batch_frontier``: when expanding the next
-        level is estimated to materialize more than this many elements
-        (or the frontier already holds more rows), the engine falls
-        back to plain recursion for the remainder of that task.  The
-        fallback is charge-identical, so it only trades speed for
-        memory.
+        Per-band memory ceiling for ``batch_frontier``: bands never
+        exceed this many estimated elements (nor the engine's smaller
+        built-in band size).  Only a *single* frontier row whose own
+        expansion estimate (extender degree / memoized segment length)
+        exceeds it is finished by plain recursion; that fallback is
+        charge-identical, so it only trades speed for memory.
     tracer:
         Optional :class:`repro.obs.Tracer`; ``run()`` wraps the mining
         phase in a wall-clock span.  Defaults to the no-op tracer.
@@ -200,21 +237,21 @@ class PatternAwareEngine:
         self._leaf_depth = None if self._multi else plan.num_levels - 1
         self._steps = None if self._multi else plan.steps
         self._batch_leaf = self._batch_leaf_shape()
-        # Level-synchronous frontier mode: only meaningful for
-        # single-pattern plans with at least one interior level; engines
-        # that override candidate generation (legacy, c-map) must keep
-        # their per-embedding hooks, so they are routed to recursion.
+        # Level-synchronous frontier mode needs at least one interior
+        # level; engines that override candidate generation (legacy,
+        # c-map) must keep their per-embedding hooks, so they are routed
+        # to recursion.
         self._frontier_ok = (
             batch_frontier
-            and not self._multi
             and self.supports_leaf_counting
-            and self._leaf_depth is not None
-            and self._leaf_depth >= 2
+            and depth_limit >= 2
         )
+        self._tree = plan.root if self._multi else _chain_tree(plan)
         self._frontier_keyspace = max(1, self._work_graph.num_vertices)
         self._frontier_rows = 0
         self._frontier_peak = 0
         self._frontier_fallbacks = 0
+        self._frontier_bands = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -274,10 +311,10 @@ class PatternAwareEngine:
 
         The per-root :meth:`run_task` loop would hand the level kernels
         one tiny frontier per root; seeding a single ``(n_roots, 1)``
-        matrix instead lets each level run over the whole graph's
-        frontier at once (the G2Miner formulation).  Charges are
-        closed-form sums over frontier rows, so counts and counters are
-        bit-identical to the root-at-a-time walk.
+        matrix instead lets the walker cut full-sized bands across
+        roots (the G2Miner formulation).  Charges are closed-form sums
+        over frontier rows, so counts and counters are bit-identical to
+        the root-at-a-time walk.
         """
         root_arr = np.asarray(
             roots if isinstance(roots, np.ndarray) else list(roots),
@@ -288,7 +325,7 @@ class PatternAwareEngine:
         if len(root_arr) == 0:
             return
         self.counters.tasks += len(root_arr)
-        self._mine_frontier_from(root_arr[:, None])
+        self._mine_frontier(root_arr)
 
     def run_task(
         self, v0: int, *, chunk: Optional[Tuple[int, int]] = None
@@ -307,22 +344,25 @@ class PatternAwareEngine:
         self._chunk = chunk
         emb = [v0]
         self._on_descend(0, emb)
-        if self._multi:
+        if self._frontier_ok:
+            self._mine_frontier(np.array([v0], dtype=np.int64))
+        elif self._multi:
             self._extend_node(self.plan.root, emb)
-        elif self._frontier_ok:
-            self._mine_frontier(v0)
         else:
             self._extend(1, emb)
         self._on_backtrack(0, emb)
         self._chunk = None
 
     def frontier_stats(self) -> Dict[str, int]:
-        """Batch-frontier telemetry: rows expanded across all levels,
-        the widest frontier seen, and how often the memory budget forced
-        the recursion fallback.  Published as ``engine.frontier.*``
-        gauges by :meth:`run` when frontier mode is on."""
+        """Batch-frontier telemetry: rows expanded across all interior
+        plan nodes, the number of row bands run, the widest *band*
+        (rows), and how many single rows exceeded ``frontier_row_limit``
+        and took the recursion fallback.  Published as
+        ``engine.frontier.*`` gauges by :meth:`run` when frontier mode
+        is on."""
         return {
             "rows_expanded": self._frontier_rows,
+            "bands": self._frontier_bands,
             "peak_width": self._frontier_peak,
             "fallbacks": self._frontier_fallbacks,
         }
@@ -660,124 +700,115 @@ class PatternAwareEngine:
     # ------------------------------------------------------------------
     # Level-synchronous frontier execution (batch_frontier=True)
     # ------------------------------------------------------------------
-    def _mine_frontier(self, v0: int) -> None:
-        """Expand one root's search subtree a level at a time (the
-        per-task entry the pool/parallel workers call)."""
-        self._mine_frontier_from(np.full((1, 1), v0, dtype=np.int64))
+    def _mine_frontier(self, roots: np.ndarray) -> None:
+        """Walk the whole plan tree from a column of root vertices (all
+        of them for :meth:`run`, one for a pool/parallel task)."""
+        slots = len(self._raw_stack)
+        self._walk_frontier(
+            self._tree, roots[:, None], [None] * slots, [None] * slots
+        )
 
-    def _mine_frontier_from(self, emb: np.ndarray) -> None:
-        """Expand a whole frontier of partial embeddings level by level.
+    def _walk_frontier(self, node: PlanNode, emb, stores, origins) -> None:
+        """Run ``node``'s subtree over a frontier of partial embeddings.
 
         The frontier at depth ``d`` is an ``(n_emb, d)`` embedding
-        matrix; each level gathers every row's operand adjacency lists
-        into one segmented array and runs the segmented kernels once per
-        plan operation instead of once per embedding.  Raw candidate
-        lists are kept per level (``stores``) with a row→segment origin
-        map so deeper steps' frontier-memo composition reads the same
-        arrays the recursive ``_raw_stack`` would have held.  Counts and
-        counters are bit-identical to :meth:`_extend` — every charge
-        below is the closed-form sum of the per-embedding charges.
+        matrix; each child step gathers every row's operand adjacency
+        lists into one segmented array and runs the segmented kernels
+        once per plan operation instead of once per embedding.  Raw
+        candidate lists are kept per depth (``stores``) with a
+        row→segment map (``origins``) so deeper steps' frontier-memo
+        composition reads the same arrays the recursive ``_raw_stack``
+        would have held.  The recursion is over *plan nodes*: rows are
+        cut into contiguous bands of bounded estimated size and each
+        band finishes its whole subtree before the next starts, so a
+        band is just ``emb[lo:hi]`` + ``origins[t][lo:hi]`` over the
+        shared stores.  Counts and counters are bit-identical to
+        :meth:`_extend` / :meth:`_extend_node` — every charge below is
+        the closed-form sum of the per-embedding charges.
         """
-        leaf_depth = self._leaf_depth
-        stores: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
-            None
-        ] * (leaf_depth + 1)
-        origins: List[Optional[np.ndarray]] = [None] * (leaf_depth + 1)
-        for depth in range(emb.shape[1], leaf_depth):
-            step = self._steps[depth - 1]
-            if self._frontier_over_budget(step, emb, stores, origins):
-                self._frontier_fallbacks += 1
-                self._frontier_recurse(depth, emb, stores, origins)
-                return
-            raw_concat, raw_offsets = self._frontier_raw(
-                step, emb, stores, origins
-            )
-            stores[depth] = (raw_concat, raw_offsets)
-            f_concat, f_offsets = self._frontier_filter(
-                step, emb, raw_concat, raw_offsets
-            )
-            if depth == 1 and self._chunk is not None:
-                index, total = self._chunk
-                f_concat = np.array_split(f_concat, total)[index]
-                f_offsets = np.array([0, len(f_concat)], dtype=np.int64)
-            n_rows = len(f_concat)
-            self._frontier_rows += n_rows
-            if n_rows > self._frontier_peak:
-                self._frontier_peak = n_rows
-            if n_rows == 0:
-                return
-            parent = np.repeat(
-                np.arange(len(emb), dtype=np.int64), np.diff(f_offsets)
-            )
-            emb = np.concatenate(
-                [emb[parent], f_concat[:, None].astype(np.int64)], axis=1
-            )
-            for t in range(1, depth):
-                if origins[t] is not None:
-                    origins[t] = origins[t][parent]
-            origins[depth] = parent
-        step = self._steps[leaf_depth - 1]
-        if self._frontier_over_budget(step, emb, stores, origins):
-            self._frontier_fallbacks += 1
-            self._frontier_recurse(leaf_depth, emb, stores, origins)
-            return
-        if self._leaf_countable(step):
-            self._counts[0] += self._frontier_count_leaf(
-                step, emb, stores, origins
-            )
-            return
-        raw_concat, raw_offsets = self._frontier_raw(
-            step, emb, stores, origins
-        )
-        f_concat, f_offsets = self._frontier_filter(
-            step, emb, raw_concat, raw_offsets
-        )
-        self._counts[0] += len(f_concat)
-        if self.collect and len(f_concat):
-            parent = np.repeat(
-                np.arange(len(emb), dtype=np.int64), np.diff(f_offsets)
-            )
-            full = np.concatenate(
-                [emb[parent], f_concat[:, None].astype(np.int64)], axis=1
-            )
-            self._embeddings.extend(
-                tuple(int(x) for x in row) for row in full
-            )
-
-    def _frontier_over_budget(self, step, emb, stores, origins) -> bool:
-        """Memory budget: would expanding this level materialize more
-        than ``frontier_row_limit`` elements (or is the frontier itself
-        already wider)?  A pure size estimate from index arithmetic —
-        no counters are charged, so the fallback stays bit-identical."""
+        estimates = self._frontier_estimates(node, emb, stores, origins)
         limit = self.frontier_row_limit
-        if len(emb) > limit:
-            return True
-        if self.use_frontier_memo and step.base_step is not None:
-            s_concat, s_offsets = stores[step.base_step]
-            take = origins[step.base_step]
-            estimate = int(
-                (s_offsets[take + 1] - s_offsets[take]).sum()
+        for lo, hi in _cut_bands(estimates, min(_FRONTIER_BAND_ELEMS, limit)):
+            if hi - lo == 1 and estimates[lo] > limit:
+                self._frontier_fallbacks += 1
+                self._frontier_recurse(node, emb, stores, origins, lo)
+                continue
+            self._frontier_bands += 1
+            self._frontier_peak = max(self._frontier_peak, hi - lo)
+            band = [o if o is None else o[lo:hi] for o in origins]
+            for child in node.children:
+                self._frontier_child(child, emb[lo:hi], stores, band)
+
+    def _frontier_child(self, child: PlanNode, emb, stores, origins) -> None:
+        """One plan step over one band: a completing leaf adds to its
+        pattern's count, an interior step builds the child frontier and
+        walks on."""
+        step, index = child.step, child.pattern_index
+        if index is not None and self._leaf_countable(step):
+            self._counts[index] += self._frontier_count_leaf(
+                step, emb, stores, origins
             )
+            return
+        raw = self._frontier_raw(step, emb, stores, origins)
+        f_concat, f_offsets = self._frontier_filter(step, emb, *raw)
+        if step.depth == 1 and self._chunk is not None:
+            part, total = self._chunk
+            f_concat = np.array_split(f_concat, total)[part]
+            f_offsets = np.array([0, len(f_concat)], dtype=np.int64)
+        if index is None:
+            self._frontier_rows += len(f_concat)
         else:
-            degrees = self._work_graph.degrees()
-            estimate = int(degrees[emb[:, step.extender]].sum())
-        return estimate > limit
+            self._counts[index] += len(f_concat)
+        if len(f_concat) == 0 or (index is not None and not self.collect):
+            return
+        parent = np.repeat(
+            np.arange(len(emb), dtype=np.int64), np.diff(f_offsets)
+        )
+        rows = np.concatenate(
+            [emb[parent], f_concat[:, None].astype(np.int64)], axis=1
+        )
+        if index is not None:
+            self._embeddings.extend(map(tuple, rows.tolist()))
+            return
+        stores[step.depth] = raw
+        below = [o if o is None else o[parent] for o in origins]
+        below[step.depth] = parent
+        self._walk_frontier(child, rows, stores, below)
 
-    def _frontier_recurse(self, depth, emb, stores, origins) -> None:
-        """Fallback: finish every frontier row with plain recursion.
+    def _frontier_estimates(self, node, emb, stores, origins) -> np.ndarray:
+        """Per-row size estimate of expanding ``node``: the largest
+        operand any child step starts from (memoized segment length or
+        extender degree), at least 1 so a band never holds more rows
+        than its element budget.  Pure index arithmetic — no counters
+        are charged, so banding and the fallback stay bit-identical."""
+        estimates = np.ones(len(emb), dtype=np.int64)
+        for child in node.children:
+            step = child.step
+            if self.use_frontier_memo and step.base_step is not None:
+                s_offsets = stores[step.base_step][1]
+                take = origins[step.base_step]
+                size = s_offsets[take + 1] - s_offsets[take]
+            else:
+                size = self._work_graph.degrees()[emb[:, step.extender]]
+            np.maximum(estimates, size, out=estimates)
+        return estimates
 
-        Reconstructs the per-row ``_raw_stack`` slices from the level
-        stores so frontier-memo composition below ``depth`` behaves
-        exactly as if the whole path had been walked recursively."""
-        stored = [t for t in range(1, depth) if stores[t] is not None]
-        for r in range(len(emb)):
-            for t in stored:
-                s_concat, s_offsets = stores[t]
-                i = int(origins[t][r])
-                self._raw_stack[t] = s_concat[
-                    s_offsets[i] : s_offsets[i + 1]
-                ]
-            self._extend(depth, [int(x) for x in emb[r]])
+    def _frontier_recurse(self, node, emb, stores, origins, r) -> None:
+        """Fallback: finish over-limit frontier row ``r`` with plain
+        recursion.
+
+        Reconstructs the row's ``_raw_stack`` slices from the stores so
+        frontier-memo composition below ``node`` behaves exactly as if
+        the whole path had been walked recursively."""
+        for t in range(1, node.depth + 1):
+            s_concat, s_offsets = stores[t]
+            i = int(origins[t][r])
+            self._raw_stack[t] = s_concat[s_offsets[i] : s_offsets[i + 1]]
+        row = [int(x) for x in emb[r]]
+        if self._multi:
+            self._extend_node(node, row)
+        else:
+            self._extend(node.depth + 1, row)
 
     def _frontier_operands(self, step, emb, stores, origins):
         """Shared head of the raw-candidate chain: the starting

@@ -200,6 +200,7 @@ def publish_worker_metrics(
                 "rows_expanded": sum(
                     f["rows_expanded"] for f in frontier
                 ),
+                "bands": sum(f["bands"] for f in frontier),
                 "peak_width": max(f["peak_width"] for f in frontier),
                 "fallbacks": sum(f["fallbacks"] for f in frontier),
             },

@@ -464,12 +464,60 @@ class TestBatchFrontierProofs:
         assert not rep.ok
 
     def test_fm175_multi_pattern_forced_recursive(self):
+        # The frontier walker runs trees; FM175 is left for engines
+        # that really route them recursively (hooked candidate
+        # generation, supports_leaf_counting = False).
         plan = compile_motifs(3)
         assert check_multi_plan(plan).codes() == ()
         rep = check_multi_plan(plan, batch_frontier=True)
+        assert rep.codes() == ()
+        assert rep.data["batch_frontier"]["decision"] == "batch"
+        rep = check_multi_plan(
+            plan, batch_frontier=True, supports_leaf_counting=False
+        )
         assert rep.codes() == ("FM175",)
         assert rep.ok
         assert rep.data["batch_frontier"]["decision"] == "recursive"
+
+    def test_multi_plan_obligations_per_path(self):
+        from repro.graph import erdos_renyi
+
+        graph = erdos_renyi(40, 0.2, seed=1)
+        plan = compile_motifs(4)
+        proof = self._proof(check_multi_plan(plan, graph=graph))
+        by_code = {}
+        for ob in proof["obligations"]:
+            by_code.setdefault(ob["code"], []).append(ob)
+        assert len(by_code["FM173"]) == 1
+        for code in ("FM172", "FM174"):  # one per root-to-leaf path
+            assert len(by_code[code]) == plan.num_patterns
+            assert {o["status"] for o in by_code[code]} == {"proved"}
+        rep = check_multi_plan(
+            plan, graph=graph, frontier_row_limit=2 ** 62
+        )
+        assert set(rep.codes()) == {"FM174"} and not rep.ok
+        assert rep.data["batch_frontier"]["decision"] == "recursive"
+        assert check_multi_plan(plan, frontier_row_limit=0).codes() == (
+            "FM173",
+        )
+
+    def test_fm173_reports_single_row_fallback_reachability(self):
+        from repro.graph import erdos_renyi
+
+        graph = erdos_renyi(40, 0.2, seed=1)
+        plan = compile_pattern(triangle())
+
+        def detail(limit):
+            proof = self._proof(
+                check_plan(plan, graph=graph, frontier_row_limit=limit)
+            )
+            return next(
+                o["detail"] for o in proof["obligations"]
+                if o["code"] == "FM173"
+            )
+
+        assert "fallback is reachable" in detail(graph.max_degree() - 1)
+        assert "bands only" in detail(graph.max_degree())
 
     def test_decisions_match_engine_routing(self):
         # The proof's batch/recursive decision must agree with what the
@@ -479,6 +527,11 @@ class TestBatchFrontierProofs:
         from repro.patterns import edge
 
         graph = erdos_renyi(30, 0.2, seed=7)
+
+        def routed(plan, cls=PatternAwareEngine):
+            engine = cls(graph, plan, batch_frontier=True)
+            return "batch" if engine._frontier_ok else "recursive"
+
         for pattern, induced in [
             (triangle(), False),
             (four_cycle(), True),
@@ -488,9 +541,21 @@ class TestBatchFrontierProofs:
             plan = compile_pattern(pattern, induced=induced)
             rep = check_plan(plan, batch_frontier=True)
             decision = rep.data["batch_frontier"]["decision"]
-            engine = PatternAwareEngine(graph, plan, batch_frontier=True)
-            routed = "batch" if engine._frontier_ok else "recursive"
-            assert decision == routed, pattern
+            assert decision == routed(plan), pattern
+
+        class Hooked(PatternAwareEngine):
+            supports_leaf_counting = False
+
+        for k in (3, 4):
+            plan = compile_motifs(k)
+            for cls in (PatternAwareEngine, Hooked):
+                rep = check_multi_plan(
+                    plan,
+                    batch_frontier=True,
+                    supports_leaf_counting=cls.supports_leaf_counting,
+                )
+                decision = rep.data["batch_frontier"]["decision"]
+                assert decision == routed(plan, cls), (k, cls)
 
 
 class TestBatchFrontierFallbackParity:

@@ -298,19 +298,20 @@ class TestBatchFrontier:
         ).run()
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
+        assert snap["engine.frontier.bands"] > 0
         assert snap["engine.frontier.peak_width"] > 0
         assert snap["engine.frontier.fallbacks"] == 0
 
-    def test_multi_pattern_falls_back_to_recursion(self):
-        # MultiPlan mining keeps the node-walk path; batch_frontier is
-        # accepted but must not change anything.
+    def test_multi_pattern_walks_the_plan_tree(self):
+        # MultiPlans run through the same frontier walker as chains
+        # (tests/test_frontier_walker.py holds the full parity matrix).
         plan = compile_motifs(3)
-        frontier = PatternAwareEngine(
-            RANDOM, plan, batch_frontier=True
-        ).run()
+        engine = PatternAwareEngine(RANDOM, plan, batch_frontier=True)
+        frontier = engine.run()
         recursive = PatternAwareEngine(RANDOM, plan).run()
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
+        assert engine.frontier_stats()["bands"] > 0
 
 
 class TestCMapSoftwareEngine:

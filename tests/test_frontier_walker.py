@@ -1,0 +1,174 @@
+"""The banded frontier walker: one path for chains and MultiPlan trees.
+
+``batch_frontier=True`` must stay a pure value/counter drop-in for the
+recursive engine wherever the band boundaries fall, whichever tree depth
+the single-row fallback engages at, and however a task is chunked — and
+banding must actually bound the memory a wide level materializes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import compile_motifs, compile_pattern
+from repro.engine import PatternAwareEngine
+from repro.engine import explore
+from repro.graph import power_law_cluster, rmat
+from repro.patterns import diamond, four_cycle, k_clique, triangle
+from repro.verify import BACKENDS, VerifyCase
+
+#: Mixed degrees (3..12): a row limit of 6 lets some rows through and
+#: sends others to the fallback at every interior tree depth.
+SKEWED = power_law_cluster(48, 3, 0.5, seed=5)
+FALLBACK_LIMIT = 6
+
+PLANS = {
+    "TC": lambda: compile_pattern(triangle()),
+    "4-CL": lambda: compile_pattern(k_clique(4)),
+    "4-cycle": lambda: compile_pattern(four_cycle()),
+    "diamond": lambda: compile_pattern(diamond()),
+    "3-MC": lambda: compile_motifs(3),
+    "4-MC": lambda: compile_motifs(4),
+}
+
+
+def assert_same(got, ref):
+    assert got.counts == ref.counts
+    assert got.counters == ref.counters
+    if ref.embeddings is not None:
+        assert sorted(got.embeddings) == sorted(ref.embeddings)
+
+
+class TestMultiPlanParity:
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "nomemo"])
+    @pytest.mark.parametrize(
+        "limit", [None, FALLBACK_LIMIT], ids=["default", "fallback"]
+    )
+    @pytest.mark.parametrize("collect", [False, True], ids=["count", "collect"])
+    def test_matches_recursive_engine(self, k, memo, limit, collect):
+        plan = compile_motifs(k)
+        options = dict(use_frontier_memo=memo, collect=collect)
+        ref = PatternAwareEngine(SKEWED, plan, **options).run()
+        if limit is not None:
+            options["frontier_row_limit"] = limit
+        engine = PatternAwareEngine(
+            SKEWED, plan, batch_frontier=True, **options
+        )
+        fallback_depths = set()
+        recurse = engine._frontier_recurse
+
+        def spy(node, *args):
+            fallback_depths.add(node.depth)
+            recurse(node, *args)
+
+        engine._frontier_recurse = spy
+        assert_same(engine.run(), ref)
+        stats = engine.frontier_stats()
+        assert stats["bands"] > 0 and stats["rows_expanded"] > 0
+        if limit is None:
+            assert stats["fallbacks"] == 0
+        else:
+            # the fallback engaged below every interior tree depth
+            assert fallback_depths == set(range(k - 1))
+
+    def test_hooked_engines_still_route_trees_recursively(self):
+        # Engines that override candidate generation keep their
+        # per-embedding hooks: the walker must not run for them.
+        class Hooked(PatternAwareEngine):
+            supports_leaf_counting = False
+
+        plan = compile_motifs(3)
+        engine = Hooked(SKEWED, plan, batch_frontier=True)
+        assert_same(engine.run(), PatternAwareEngine(SKEWED, plan).run())
+        assert engine.frontier_stats()["bands"] == 0
+
+
+class TestBandBoundaries:
+    @pytest.mark.parametrize("band", [1, 7, 2 ** 30])
+    @pytest.mark.parametrize("name", list(PLANS))
+    def test_whole_graph_bit_identical(self, monkeypatch, band, name):
+        monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", band)
+        plan = PLANS[name]()
+        engine = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
+        assert_same(engine.run(), PatternAwareEngine(SKEWED, plan).run())
+        assert engine.frontier_stats()["fallbacks"] == 0
+        if band == 2 ** 30:
+            # one band per plan node visited: nothing was cut
+            assert engine.frontier_stats()["bands"] <= plan_nodes(plan)
+
+    @pytest.mark.parametrize("band", [1, 7, 2 ** 30])
+    @pytest.mark.parametrize("name", ["TC", "4-CL", "4-cycle", "diamond"])
+    def test_chunked_tasks_bit_identical(self, monkeypatch, band, name):
+        monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", band)
+        plan = PLANS[name]()
+        hub = int(np.argmax(SKEWED.degrees()))
+        batch = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
+        ref = PatternAwareEngine(SKEWED, plan)
+        for index in range(3):
+            batch.run_task(hub, chunk=(index, 3))
+            ref.run_task(hub, chunk=(index, 3))
+            assert batch.counts == ref.counts
+            assert batch.counters == ref.counters
+        whole = PatternAwareEngine(SKEWED, plan)
+        whole.run_task(hub)
+        assert batch.counts == whole.counts  # chunks tile the task
+
+
+def plan_nodes(plan) -> int:
+    return plan.node_count() if hasattr(plan, "root") else plan.num_levels
+
+
+class TestCutBands:
+    @given(
+        st.lists(st.integers(0, 50), max_size=60),
+        st.integers(1, 120),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bands_tile_rows_under_target(self, estimates, target):
+        est = np.asarray(estimates, dtype=np.int64)
+        bands = explore._cut_bands(est, target)
+        # contiguous slices, in order, covering every row exactly once
+        rows = [r for lo, hi in bands for r in range(lo, hi)]
+        assert rows == list(range(len(est)))
+        for lo, hi in bands:
+            assert hi > lo
+            assert hi - lo == 1 or est[lo:hi].sum() <= target
+
+
+class TestBoundedMemory:
+    #: numpy bytes the banded 4-CL walk may hold at once on rmat(10, 16);
+    #: the banded walk peaks near 1.3 MB, one unbanded level near 9 MB.
+    BUDGET = 4 << 20
+
+    def peak(self):
+        graph = rmat(10, 16, seed=1)
+        engine = PatternAwareEngine(
+            graph, compile_pattern(k_clique(4)), batch_frontier=True
+        )
+        tracemalloc.start()
+        try:
+            engine.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_banded_walk_stays_under_budget(self, monkeypatch):
+        assert self.peak() < self.BUDGET
+        monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", 2 ** 30)
+        assert self.peak() > self.BUDGET  # the budget is a real bound
+
+
+class TestPoolStream:
+    def test_pool_2_batch_motif_request_twice(self):
+        # The backend mines the same plan twice through one resident
+        # pool and raises on any drift between the two answers.
+        case = VerifyCase(graph=SKEWED, motif_k=3)
+        plan = case.compile()
+        counts, counters = BACKENDS["pool-2-batch"](case, plan)
+        ref = PatternAwareEngine(SKEWED, plan).run()
+        assert tuple(counts) == ref.counts
+        assert counters.as_dict() == ref.counters.as_dict()

@@ -249,6 +249,7 @@ class TestObservability:
         ).mine()
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
+        assert snap["engine.frontier.bands"] > 0
         assert snap["engine.frontier.peak_width"] > 0
 
     def test_tracer_span(self):

@@ -1,8 +1,8 @@
-"""Wall-clock bench for the CPU-engine kernel layer and parallel backend.
+"""Wall-clock bench for the CPU-engine kernel layer and process backend.
 
-Times the frozen pre-kernel engine (``LegacyEngine``) against the
-current serial engine, the multi-process ``ParallelMiner`` (per-call
-spawn) and the warmed persistent ``MinerPool``, plus a request-stream
+Times the materialize-everything ``ReferenceEngine`` against the
+current serial engine, a transient ``MinerPool`` per call (spawn cost
+included) and the warmed persistent ``MinerPool``, plus a request-stream
 cell separating steady-state throughput from cold-start and a
 ``frontier_sweep`` (recursive vs level-synchronous batch frontier at
 workers 1/2/4 with peak RSS); asserts
@@ -24,7 +24,8 @@ def _render(payload) -> str:
     ]
     for cell, entry in payload["cells"].items():
         lines.append(
-            f"  {cell}: legacy {entry['legacy_seconds'] * 1e3:8.2f} ms, "
+            f"  {cell}: reference "
+            f"{entry['reference_seconds'] * 1e3:8.2f} ms, "
             f"kernel {entry['kernel_seconds'] * 1e3:8.2f} ms "
             f"({entry['kernel_speedup']:.2f}x)"
         )
@@ -35,7 +36,7 @@ def _render(payload) -> str:
                 lines.append(
                     f"    {mode} x{workers}: "
                     f"{sub['seconds'] * 1e3:8.2f} ms "
-                    f"({sub['speedup_vs_legacy']:.2f}x vs legacy, "
+                    f"({sub['speedup_vs_reference']:.2f}x vs reference, "
                     f"{sub['speedup_vs_kernel']:.2f}x vs kernel)"
                 )
     for cell, sweep in payload["frontier_sweep"].items():
@@ -69,7 +70,7 @@ def _render(payload) -> str:
 
 
 def test_engine_kernel_bench(benchmark, harness, save_artifact):
-    """Kernel layer vs legacy engine vs parallel sweep, with parity."""
+    """Kernel layer vs reference engine vs pool sweep, with parity."""
     payload = benchmark.pedantic(
         lambda: engine_bench(harness), rounds=1, iterations=1
     )

@@ -4,7 +4,7 @@ Two checker families run on every function of a linted file:
 
 * **Resource lifecycle** (FM300–FM303, FM307, FM308) — a *must*
   analysis proving every locally created shared-memory segment
-  (``SharedMemory`` / ``SharedCSRBuffers`` / ``_OwnedBlock`` /
+  (``SharedMemory`` / ``SharedCSRBuffers`` / ``OwnedBlock`` /
   ``share_array``), ``MinerPool`` and pool lease
   (``pool.acquire()`` / ``lease()`` / ``_leased_entry()``) reaches its
   release calls on **all** paths out of the function — the normal exit
@@ -124,7 +124,7 @@ FLOW_CODES: Tuple[str, ...] = (
 Finding = Tuple[int, str]
 
 _SHM_CTORS = frozenset(
-    {"SharedMemory", "SharedCSRBuffers", "_OwnedBlock"}
+    {"SharedMemory", "SharedCSRBuffers", "OwnedBlock"}
 )
 _POOL_CTORS = frozenset({"MinerPool"})
 _LEASE_CALLS = frozenset({"lease", "_leased_entry"})

@@ -98,9 +98,9 @@ FM206 = register_code(
 FM207 = register_code(
     "FM207", "worker process constructed outside repro.engine.pool",
     "error",
-    "route worker lifecycles through repro.engine.pool (MinerPool, or "
-    "ParallelMiner's pool delegation); per-request Process/Pool spawns "
-    "re-pay the startup cost the persistent pool amortizes",
+    "route worker lifecycles through repro.engine.pool (a resident or "
+    "transient MinerPool); Process/Pool spawns elsewhere escape its "
+    "structured failure handling and shared-memory teardown",
 )
 
 FM208 = register_code(

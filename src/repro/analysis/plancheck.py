@@ -156,9 +156,11 @@ FM170 = register_code(
 FM171 = register_code(
     "FM171", "leaf shape does not reduce to one varying operand",
     "warning",
-    "the batch leaf kernel needs a single varying intersection or "
-    "difference at the last level; this plan falls back to per-vertex "
-    "leaf counting inside the level-synchronous engine",
+    "the recursive engine's batched leaf kernel (_count_leaf_batch) "
+    "needs a single varying intersection or difference at the last "
+    "level; without it the recursive path counts leaves one parent "
+    "vertex at a time.  The level-synchronous walker is unaffected: "
+    "it counts every leaf through _frontier_count_leaf",
 )
 FM172 = register_code(
     "FM172", "frontier base references a depth with no level store",
@@ -186,8 +188,8 @@ FM175 = register_code(
     "info",
     "the frontier walker runs multi-pattern trees, but engines that "
     "override candidate generation (supports_leaf_counting = False: "
-    "c-map, legacy) keep their per-embedding hooks; on those the tree "
-    "executes recursively regardless of batch_frontier",
+    "c-map, reference) keep their per-embedding hooks; on those the "
+    "tree executes recursively regardless of batch_frontier",
 )
 
 # -- FM16x: multi-plan trees -------------------------------------------
@@ -588,60 +590,12 @@ def _check_cmap_hints(
         )
 
 
-#: mirrors ``FrontierExplorer.frontier_row_limit``'s default budget.
+#: mirrors ``PatternAwareEngine.frontier_row_limit``'s default budget.
 _FRONTIER_ROW_LIMIT_DEFAULT = 1 << 22
 
 #: segmented kernels key (row, value) pairs as ``row*keyspace+value``
 #: in int64; the proof obligation is ``limit * keyspace < 2**63``.
 _SEGMENT_KEY_BITS = 63
-
-
-def batch_leaf_shape(plan: ExecutionPlan) -> Optional[Tuple[str, Optional[int]]]:
-    """Port of the engine's ``_batch_leaf_shape`` decision, statically.
-
-    Returns the ``(kind, fixed_slot)`` the level-synchronous engine
-    derives for the last level — ``("memo", None)``,
-    ``("memo-diff", None)``, ``("direct", i)``, ``("diff-fixed", i)``,
-    ``("diff-varying", i)`` — or ``None`` when the leaf op chain does
-    not reduce to a single varying intersection/difference and the
-    engine falls back to per-vertex leaf counting.  Must stay
-    expression-for-expression in sync with
-    ``repro.engine.explore.FrontierExplorer._batch_leaf_shape``; the
-    fuzz invariant in the test suite pins the two together.
-    """
-    leaf_depth = len(plan.steps)
-    if leaf_depth < 2:
-        return None
-    step = plan.steps[leaf_depth - 1]
-    if step.label is not None:
-        return None
-    d = leaf_depth - 1
-    if step.base_step is not None:
-        extra_c = tuple(step.extra_connected)
-        extra_d = tuple(step.extra_disconnected)
-        if extra_c == (d,) and not extra_d and step.covers_all_ancestors:
-            return ("memo", None)
-        if extra_d == (d,) and not extra_c:
-            return ("memo-diff", None)
-        return None
-    connected = tuple(step.connected)
-    disconnected = tuple(step.disconnected)
-    if not disconnected and step.covers_all_ancestors:
-        if (
-            step.extender == d
-            and len(connected) == 1
-            and connected[0] != d
-        ):
-            return ("direct", connected[0])
-        if step.extender != d and connected == (d,):
-            return ("direct", step.extender)
-        return None
-    if not connected and len(disconnected) == 1:
-        if step.extender != d and disconnected == (d,):
-            return ("diff-fixed", step.extender)
-        if step.extender == d and disconnected[0] != d:
-            return ("diff-varying", disconnected[0])
-    return None
 
 
 def _resolve_row_limit(frontier_row_limit: Optional[int]) -> int:
@@ -767,23 +721,23 @@ def _check_batch_frontier(
         if batch_frontier:
             rep.add(FM170, reasons[-1], location="batch-frontier")
 
-    shape = batch_leaf_shape(plan)
+    shape = plan.batch_leaf_shape()
     if eligible:
         if shape is None:
             obligations.append(
                 {
                     "code": FM171,
                     "status": "fallback",
-                    "detail": "leaf shape does not reduce; per-vertex "
-                    "leaf counting inside the level-synchronous engine",
+                    "detail": "leaf shape does not reduce; the "
+                    "recursive path counts leaves per parent vertex",
                 }
             )
             if batch_frontier:
                 rep.add(
                     FM171,
                     "leaf ops are not a single varying "
-                    "intersection/difference; the batch leaf kernel "
-                    "does not apply",
+                    "intersection/difference; the recursive engine's "
+                    "batch leaf kernel does not apply",
                     location=f"step {leaf_depth}",
                 )
         else:

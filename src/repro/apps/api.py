@@ -16,30 +16,36 @@ Engine backends return a :class:`~repro.engine.explore.MiningResult`;
 the simulator returns a :class:`~repro.hw.report.SimReport`.  Both expose
 ``counts``.
 
-The ``"engine"`` backend additionally accepts ``workers=N`` to mine with
-the multi-process :class:`~repro.engine.parallel.ParallelMiner` over a
-shared-memory copy of the graph, or ``pool=`` — a resident
-:class:`~repro.engine.pool.MinerPool` — to serve the request from
-already-forked workers (a caller answering many app requests creates
-the pool once and passes it to every call).
+The ``"engine"`` backend additionally accepts ``workers=N`` to mine
+through a transient multi-process :class:`~repro.engine.pool.MinerPool`
+over a shared-memory copy of the graph, or ``pool=`` — a resident
+``MinerPool`` — to serve the request from already-forked workers (a
+caller answering many app requests creates the pool once and passes it
+to every call), and ``batch_frontier=True`` to run the level-synchronous
+frontier walker instead of per-embedding recursion.
 
 ``service=`` goes one step further: pass a resident
 :class:`~repro.serve.MiningService` and the request routes through its
 graph registry and plan/result caches (the graph auto-registers on
 first use).  The return value is still a :class:`MiningResult`, bit-
 identical to the direct engine — see ``docs/serving.md``.
+
+Every app takes the same keyword options, spelled once on :func:`_run`:
+``backend="engine"``, ``config=None``, ``workers=1``, ``pool=None``,
+``service=None``, ``batch_frontier=False``, ``profiler=None``
+(:func:`subgraph_list` adds ``collect=False``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..compiler import compile_motifs, compile_pattern
 from ..engine import (
     CMapSoftwareEngine,
+    MinerPool,
     MiningResult,
     ObliviousEngine,
-    ParallelMiner,
     PatternAwareEngine,
 )
 from ..errors import ConfigError
@@ -61,58 +67,54 @@ Result = Union[MiningResult, SimReport]
 APP_NAMES = ("TC", "k-CL", "SL", "k-MC")
 
 
-def _served(
-    service,
-    graph,
-    *,
-    backend: str,
-    workers: int,
-    pool,
-    collect: bool = False,
-    batch_frontier: bool = False,
-    **request_fields,
-) -> MiningResult:
-    """Route one app call through a resident MiningService."""
-    if backend != "engine":
-        raise ConfigError(
-            "service= requires the 'engine' backend (the service mines "
-            "on PatternAwareEngine pool workers)"
-        )
-    if pool is not None or workers > 1:
-        raise ConfigError(
-            "service= owns its worker pools; drop workers=/pool="
-        )
-    if batch_frontier:
-        raise ConfigError(
-            "service= fixes engine options at construction; build the "
-            "MiningService with batch_frontier=True instead"
-        )
-    if collect:
-        raise ConfigError("the mining service does not collect embeddings")
-    response = service.request_for(graph, **request_fields)
-    return MiningResult(
-        counts=response.counts, counters=response.counters
-    )
-
-
 def _run(
     graph: CSRGraph,
-    plan,
-    patterns,
+    request: Dict[str, object],
+    build: Callable[[], Tuple[object, Sequence[Pattern], bool]],
+    collect: bool = False,
     *,
-    backend: str,
-    induced: bool,
-    config: Optional[FlexMinerConfig],
-    collect: bool,
+    backend: str = "engine",
+    config: Optional[FlexMinerConfig] = None,
     workers: int = 1,
     pool=None,
+    service=None,
     batch_frontier: bool = False,
     profiler=None,
 ) -> Result:
+    """Route one app call.
+
+    ``request`` holds the app's :class:`~repro.serve.MineRequest`
+    fields for the ``service=`` route; ``build`` returns ``(plan,
+    patterns, induced)`` for every other route (the service compiles
+    through its own plan cache, so the app must not).
+    """
+    if service is not None:
+        if backend != "engine":
+            raise ConfigError(
+                "service= requires the 'engine' backend (the service "
+                "mines on PatternAwareEngine pool workers)"
+            )
+        if pool is not None or workers > 1:
+            raise ConfigError(
+                "service= owns its worker pools; drop workers=/pool="
+            )
+        if batch_frontier:
+            raise ConfigError(
+                "service= fixes engine options at construction; build "
+                "the MiningService with batch_frontier=True instead"
+            )
+        if collect:
+            raise ConfigError(
+                "the mining service does not collect embeddings"
+            )
+        response = service.request_for(graph, **request)
+        return MiningResult(
+            counts=response.counts, counters=response.counters
+        )
     if (workers > 1 or pool is not None) and backend != "engine":
         raise ConfigError(
             "workers > 1 (and pool=) require the 'engine' backend (the "
-            "parallel miner runs PatternAwareEngine workers)"
+            "worker pool runs PatternAwareEngine workers)"
         )
     if batch_frontier and backend != "engine":
         raise ConfigError(
@@ -120,12 +122,11 @@ def _run(
             "level-synchronous frontier mode is a PatternAwareEngine "
             "feature)"
         )
+    plan, patterns, induced = build()
     if backend == "engine":
+        if (pool is not None or workers > 1) and collect:
+            raise ConfigError("the worker pool does not collect embeddings")
         if pool is not None:
-            if collect:
-                raise ConfigError(
-                    "the worker pool does not collect embeddings"
-                )
             if batch_frontier:
                 raise ConfigError(
                     "a resident pool fixes engine options at "
@@ -134,14 +135,11 @@ def _run(
                 )
             return pool.mine(plan)
         if workers > 1:
-            if collect:
-                raise ConfigError(
-                    "the parallel miner does not collect embeddings"
-                )
-            return ParallelMiner(
-                graph, plan, workers=workers,
-                batch_frontier=batch_frontier, profiler=profiler,
-            ).mine()
+            with MinerPool(
+                graph, workers=workers, batch_frontier=batch_frontier,
+                profiler=profiler,
+            ) as transient:
+                return transient.mine(plan)
         return PatternAwareEngine(
             graph, plan, collect=collect,
             batch_frontier=batch_frontier, profiler=profiler,
@@ -161,127 +159,42 @@ def _run(
     )
 
 
-def triangle_count(
-    graph: CSRGraph,
-    *,
-    backend: str = "engine",
-    config: Optional[FlexMinerConfig] = None,
-    workers: int = 1,
-    pool=None,
-    service=None,
-    batch_frontier: bool = False,
-    profiler=None,
-) -> Result:
+def triangle_count(graph: CSRGraph, **options) -> Result:
     """TC: count triangles (3-cliques, orientation-optimized)."""
-    return clique_count(
-        graph, 3, backend=backend, config=config, workers=workers,
-        pool=pool, service=service, batch_frontier=batch_frontier,
-        profiler=profiler,
-    )
+    return clique_count(graph, 3, **options)
 
 
-def clique_count(
-    graph: CSRGraph,
-    k: int,
-    *,
-    backend: str = "engine",
-    config: Optional[FlexMinerConfig] = None,
-    workers: int = 1,
-    pool=None,
-    service=None,
-    batch_frontier: bool = False,
-    profiler=None,
-) -> Result:
+def clique_count(graph: CSRGraph, k: int, **options) -> Result:
     """k-CL: count k-cliques using the orientation technique (§V-C)."""
-    if service is not None:
-        return _served(
-            service, graph, backend=backend, workers=workers, pool=pool,
-            batch_frontier=batch_frontier, app="k-CL", k=k,
-        )
     pattern = k_clique(k)
-    plan = compile_pattern(pattern)
     return _run(
         graph,
-        plan,
-        [pattern],
-        backend=backend,
-        induced=False,
-        config=config,
-        collect=False,
-        workers=workers,
-        pool=pool,
-        batch_frontier=batch_frontier,
-        profiler=profiler,
+        {"app": "k-CL", "k": k},
+        lambda: (compile_pattern(pattern), [pattern], False),
+        **options,
     )
 
 
 def subgraph_list(
-    graph: CSRGraph,
-    pattern: Pattern,
-    *,
-    backend: str = "engine",
-    config: Optional[FlexMinerConfig] = None,
-    collect: bool = False,
-    workers: int = 1,
-    pool=None,
-    service=None,
-    batch_frontier: bool = False,
-    profiler=None,
+    graph: CSRGraph, pattern: Pattern, *, collect: bool = False, **options
 ) -> Result:
     """SL: enumerate edge-induced matches of an arbitrary pattern."""
-    if service is not None:
-        return _served(
-            service, graph, backend=backend, workers=workers, pool=pool,
-            collect=collect, batch_frontier=batch_frontier,
-            pattern=pattern,
-        )
-    plan = compile_pattern(pattern, induced=False)
     return _run(
         graph,
-        plan,
-        [pattern],
-        backend=backend,
-        induced=False,
-        config=config,
-        collect=collect,
-        workers=workers,
-        pool=pool,
-        batch_frontier=batch_frontier,
-        profiler=profiler,
+        {"pattern": pattern},
+        lambda: (compile_pattern(pattern, induced=False), [pattern], False),
+        collect,
+        **options,
     )
 
 
-def motif_count(
-    graph: CSRGraph,
-    k: int,
-    *,
-    backend: str = "engine",
-    config: Optional[FlexMinerConfig] = None,
-    workers: int = 1,
-    pool=None,
-    service=None,
-    batch_frontier: bool = False,
-    profiler=None,
-) -> Result:
+def motif_count(graph: CSRGraph, k: int, **options) -> Result:
     """k-MC: count every k-vertex motif simultaneously (multi-pattern)."""
-    if service is not None:
-        return _served(
-            service, graph, backend=backend, workers=workers, pool=pool,
-            batch_frontier=batch_frontier, motif_k=k,
-        )
-    plan = compile_motifs(k)
     return _run(
         graph,
-        plan,
-        enumerate_motifs(k),
-        backend=backend,
-        induced=True,
-        config=config,
-        collect=False,
-        workers=workers,
-        pool=pool,
-        batch_frontier=batch_frontier,
-        profiler=profiler,
+        {"motif_k": k},
+        lambda: (compile_motifs(k), enumerate_motifs(k), True),
+        **options,
     )
 
 
@@ -291,39 +204,22 @@ def run_app(
     *,
     pattern: Optional[Pattern] = None,
     k: int = 3,
-    backend: str = "engine",
-    config: Optional[FlexMinerConfig] = None,
-    workers: int = 1,
-    pool=None,
-    service=None,
-    batch_frontier: bool = False,
-    profiler=None,
+    **options,
 ) -> Result:
-    """Dispatch by app name: 'TC', 'k-CL', 'SL' or 'k-MC'."""
+    """Dispatch by app name: 'TC', 'k-CL', 'SL' or 'k-MC'.
+
+    ``options`` are the shared keyword options (``backend``, ``config``,
+    ``workers``, ``pool``, ``service``, ``batch_frontier``,
+    ``profiler``) — see the module docstring.
+    """
     if app == "TC":
-        return triangle_count(
-            graph, backend=backend, config=config, workers=workers,
-            pool=pool, service=service, batch_frontier=batch_frontier,
-            profiler=profiler,
-        )
+        return triangle_count(graph, **options)
     if app == "k-CL":
-        return clique_count(
-            graph, k, backend=backend, config=config, workers=workers,
-            pool=pool, service=service, batch_frontier=batch_frontier,
-            profiler=profiler,
-        )
+        return clique_count(graph, k, **options)
     if app == "SL":
         if pattern is None:
             raise ConfigError("SL needs a pattern")
-        return subgraph_list(
-            graph, pattern, backend=backend, config=config,
-            workers=workers, pool=pool, service=service,
-            batch_frontier=batch_frontier, profiler=profiler,
-        )
+        return subgraph_list(graph, pattern, **options)
     if app == "k-MC":
-        return motif_count(
-            graph, k, backend=backend, config=config, workers=workers,
-            pool=pool, service=service, batch_frontier=batch_frontier,
-            profiler=profiler,
-        )
+        return motif_count(graph, k, **options)
     raise ConfigError(f"unknown app {app!r}; expected one of {APP_NAMES}")

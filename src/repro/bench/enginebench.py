@@ -1,40 +1,40 @@
-"""CPU-engine wall-clock bench: kernel layer and parallel backend.
+"""CPU-engine wall-clock bench: kernel layer and process backend.
 
 The simulator benches measure modeled cycles; this module measures real
 wall-clock of the *software* engine, because the set-op kernel layer
-(:mod:`repro.engine.kernels`) and the multi-process backend
-(:mod:`repro.engine.parallel`) exist to make the CPU reference faster
+(:mod:`repro.engine.kernels`) and the worker pool
+(:mod:`repro.engine.pool`) exist to make the CPU reference faster
 without changing what it computes.
 
 Four cell modes:
 
-* ``legacy`` — :class:`LegacyEngine`, a frozen replica of the pre-kernel
-  engine (generic ``np.intersect1d``/``np.setdiff1d``, per-element
-  injectivity loop, no count-only leaves).  This is the speedup
-  denominator, kept verbatim so the measured ratio tracks the shipped
-  optimizations rather than drifting with them.
+* ``reference`` — :class:`~repro.engine.reference.ReferenceEngine`
+  (generic ``np.intersect1d``/``np.setdiff1d``, per-element injectivity
+  loop, every leaf materialized).  This is the speedup denominator: it
+  never picks up a kernel optimization, so the measured ratio tracks
+  the shipped optimizations rather than drifting with them.
 * ``kernel`` — the current :class:`PatternAwareEngine` (size-adaptive
-  kernels, injectivity skip, count-only leaf path, batch frontier
-  leaves).
-* ``parallel`` — :class:`ParallelMiner` with N workers and the
-  harness's straggler-splitting degree.  Each sample pays the full
-  process spin-up (fork + shared-memory export), which is exactly what
-  it costs a one-shot caller.
-* ``pool`` — the persistent :class:`~repro.engine.pool.MinerPool`:
-  workers are forked and warmed *before* the timed region, so the cell
-  measures the steady-state request cost a mining *service* sees.
+  kernels, injectivity skip, count-only and batched leaves).
+* ``parallel`` — a *transient* :class:`~repro.engine.pool.MinerPool`
+  with N workers and the harness's straggler-splitting degree, opened
+  and closed inside every sample: each sample pays the full process
+  spin-up (fork + shared-memory export), which is exactly what it costs
+  a one-shot caller.
+* ``pool`` — the same pool kept resident: workers are forked and warmed
+  *before* the timed region, so the cell measures the steady-state
+  request cost a mining *service* sees.
 
 :func:`run_stream_cell` additionally drives a whole request stream
-through one resident pool vs. per-call spawning, separating
-steady-state throughput from cold-start — the old methodology timed
-only one-shot mines, burying the pool's advantage under spawn cost.
+through one resident pool vs. one transient pool per request,
+separating steady-state throughput from cold-start.
 
 Every cell must agree on counts, and the kernel cell must agree with
-legacy on *all* op counters (the bit-identical accounting contract).
-``write_engine_bench`` rolls the cells into ``BENCH_engine.json``; the
-speedup targets (kernel >= 1.3x, pooled 4 workers >= 2x on multi-core
-hosts, warm stream >= 3x spawn) are recorded in the payload, not
-asserted — machines differ, numbers are logged either way.
+the reference on *all* op counters (the bit-identical accounting
+contract).  ``write_engine_bench`` rolls the cells into
+``BENCH_engine.json``; the speedup targets (kernel >= 1.3x, pooled 4
+workers >= 2x on multi-core hosts, warm stream >= 3x spawn) are
+recorded in the payload, not asserted — machines differ, numbers are
+logged either way.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ import os
 import time
 from typing import Dict, Optional
 
-import numpy as np
-
-from ..engine import MinerPool, OpCounters, ParallelMiner, PatternAwareEngine
-from ..engine.setops import merge_iterations
+from ..engine import MinerPool, PatternAwareEngine, ReferenceEngine
 from ..obs import get_logger, make_report, write_report
 from .harness import Harness, get_harness, quick_mode
 
@@ -54,7 +51,6 @@ log = get_logger("bench.engine")
 
 __all__ = [
     "ENGINE_BENCH_CELLS",
-    "LegacyEngine",
     "STREAM_CELL",
     "engine_bench",
     "run_engine_cell",
@@ -80,84 +76,6 @@ STREAM_REQUESTS_QUICK = 5
 
 
 # ----------------------------------------------------------------------
-# Frozen pre-kernel engine (the speedup denominator)
-# ----------------------------------------------------------------------
-
-def _legacy_intersect(a, b, counters: OpCounters):
-    counters.set_intersections += 1
-    counters.setop_iterations += merge_iterations(len(a), len(b))
-    return np.intersect1d(a, b, assume_unique=True)
-
-
-def _legacy_difference(a, b, counters: OpCounters):
-    counters.set_differences += 1
-    counters.setop_iterations += merge_iterations(len(a), len(b))
-    return np.setdiff1d(a, b, assume_unique=True)
-
-
-def _legacy_remove_values(values, forbidden):
-    if not len(values):
-        return values
-    mask = None
-    for v in forbidden:
-        pos = int(np.searchsorted(values, v))
-        if pos < len(values) and values[pos] == v:
-            if mask is None:
-                mask = np.ones(len(values), dtype=bool)
-            mask[pos] = False
-    return values if mask is None else values[mask]
-
-
-class LegacyEngine(PatternAwareEngine):
-    """The engine exactly as it ran before the kernel layer landed.
-
-    Candidate generation uses the generic numpy primitives and the
-    per-element injectivity loop; every leaf list is materialized.  The
-    class exists only as a measurement baseline — counts and counters
-    must match the production engine bit for bit (the bench asserts it).
-    """
-
-    supports_leaf_counting = False
-
-    def _raw_candidates(self, step, emb):
-        if self.use_frontier_memo and step.base_step is not None:
-            self.counters.frontier_hits += 1
-            cands = self._raw_stack[step.base_step]
-            for d in step.extra_connected:
-                cands = _legacy_intersect(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-            for d in step.extra_disconnected:
-                cands = _legacy_difference(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-        else:
-            if step.base_step is not None:
-                self.counters.frontier_misses += 1
-            cands = self._load_adjacency(emb[step.extender])
-            for d in step.connected:
-                cands = _legacy_intersect(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-            for d in step.disconnected:
-                cands = _legacy_difference(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-        self._raw_stack[step.depth] = cands
-        return cands
-
-    def _filtered_candidates(self, step, emb):
-        cands = self._raw_candidates(step, emb)
-        self.counters.candidates_checked += len(cands)
-        if step.upper_bounds:
-            bound = min(emb[b] for b in step.upper_bounds)
-            cands = cands[: int(np.searchsorted(cands, bound))]
-        if step.label is not None:
-            cands = cands[self._labels[cands] == step.label]
-        return _legacy_remove_values(cands, emb)
-
-
-# ----------------------------------------------------------------------
 # Cell runner
 # ----------------------------------------------------------------------
 
@@ -176,7 +94,8 @@ def run_engine_cell(
     shared machines want a minimum, not a mean).  ``pool`` cells fork
     and warm the worker pool *before* the timed region, so their
     seconds are steady-state request cost; every other mode pays its
-    full setup inside the measurement.
+    full setup (for ``parallel``: pool fork and teardown) inside the
+    measurement.
     """
     if mode == "pool":
         return _run_pool_cell(
@@ -185,21 +104,16 @@ def run_engine_cell(
         )
 
     def once():
-        if mode == "legacy":
-            runner = LegacyEngine(graph, plan)
-            work = runner.run
+        start = time.perf_counter()
+        if mode == "reference":
+            result = ReferenceEngine(graph, plan).run()
         elif mode == "kernel":
-            runner = PatternAwareEngine(graph, plan)
-            work = runner.run
+            result = PatternAwareEngine(graph, plan).run()
         elif mode == "parallel":
-            runner = ParallelMiner(
-                graph, plan, workers=workers, split_degree=split_degree
-            )
-            work = runner.mine
+            with MinerPool(graph, workers=workers) as pool:
+                result = pool.mine(plan, split_degree=split_degree)
         else:
             raise ValueError(f"unknown engine bench mode {mode!r}")
-        start = time.perf_counter()
-        result = work()
         return time.perf_counter() - start, result
 
     best, result = once()
@@ -246,9 +160,9 @@ def run_frontier_cell(
     """Time one frontier-sweep configuration with peak RSS.
 
     ``batch=False`` is the recursive reference, ``batch=True`` the
-    level-synchronous frontier mode; ``workers > 1`` routes through
-    :class:`ParallelMiner` with no straggler splitting, so counts *and*
-    op counters stay comparable across every cell of the sweep.
+    level-synchronous frontier mode; ``workers > 1`` routes through a
+    transient :class:`MinerPool` with no straggler splitting, so counts
+    *and* op counters stay comparable across every cell of the sweep.
     Returns ``(seconds, peak_rss_kb, MiningResult)`` — seconds is the
     best of ``repeats``, peak RSS the max (RSS never shrinks within a
     process; the max is the honest high-water mark).
@@ -262,9 +176,10 @@ def run_frontier_cell(
         prof = PhaseProfiler()
         with prof.phase("mine"):
             if workers > 1:
-                run = ParallelMiner(
-                    graph, plan, workers=workers, batch_frontier=batch
-                ).mine()
+                with MinerPool(
+                    graph, workers=workers, batch_frontier=batch
+                ) as pool:
+                    run = pool.mine(plan)
             else:
                 run = PatternAwareEngine(
                     graph, plan, batch_frontier=batch
@@ -291,11 +206,11 @@ def run_stream_cell(
 
     Drives ``requests`` identical mine requests through one resident
     :class:`MinerPool` (fork + calibration + one warming request happen
-    before the timer) and then through ``requests`` fresh
-    :class:`ParallelMiner` instances (each paying fork + shared-memory
-    export, as a one-shot caller would).  The measured pool dispatch
-    overhead lands in the payload, giving the report envelope the
-    calibrated constant the cost-model split rule uses.
+    before the timer) and then through ``requests`` transient pools
+    (each paying fork + shared-memory export, as a one-shot caller
+    would).  The measured pool dispatch overhead lands in the payload,
+    giving the report envelope the calibrated constant the cost-model
+    split rule uses.
     """
     if requests is None:
         requests = STREAM_REQUESTS_QUICK if quick_mode() else STREAM_REQUESTS
@@ -310,7 +225,8 @@ def run_stream_cell(
         warm_seconds = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(requests):
-        result = ParallelMiner(graph, plan, workers=workers).mine()
+        with MinerPool(graph, workers=workers) as pool:
+            result = pool.mine(plan)
         if result.counts != expected.counts:  # pragma: no cover
             raise AssertionError("spawn request changed the counts")
     spawn_seconds = time.perf_counter() - start
@@ -399,52 +315,52 @@ def run_served_stream_cell(
 # Bench entry points
 # ----------------------------------------------------------------------
 
+def _require_parity(
+    cell: str, backend: str, want, got, *, counters: bool = False
+) -> None:
+    """Raise a structured mismatch unless ``got`` matches ``want`` on
+    counts and, with ``counters``, on every op counter."""
+    from ..verify.differential import Mismatch
+
+    if got.counts != want.counts:
+        raise AssertionError(str(Mismatch(
+            cell, backend, "count",
+            expected=list(want.counts), actual=list(got.counts),
+        )))
+    if not counters:
+        return
+    ref, new = want.counters.as_dict(), got.counters.as_dict()
+    if new != ref:
+        keys = sorted(k for k in ref if ref[k] != new[k])
+        raise AssertionError(str(Mismatch(
+            cell, backend, "counter-drift",
+            expected={k: ref[k] for k in keys},
+            actual={k: new[k] for k in keys},
+        )))
+
+
 def engine_bench(harness: Optional[Harness] = None) -> Dict[str, object]:
     """Measure every engine cell and return the JSON-able payload.
 
     Asserts count parity across all modes and full op-counter parity
-    between the legacy and kernel serial engines.
+    between the reference and kernel serial engines.
     """
-    from ..verify.differential import Mismatch
-
     h = harness or get_harness()
     cells: Dict[str, object] = {}
     for app, dataset in ENGINE_BENCH_CELLS:
-        legacy_s, legacy = h.engine_cell(app, dataset, mode="legacy")
+        ref_s, reference = h.engine_cell(
+            app, dataset, mode="reference"
+        )
         kernel_s, kernel = h.engine_cell(app, dataset, mode="kernel")
-        if kernel.counts != legacy.counts:
-            raise AssertionError(
-                str(
-                    Mismatch(
-                        f"{app}/{dataset}",
-                        "kernel",
-                        "count",
-                        expected=list(legacy.counts),
-                        actual=list(kernel.counts),
-                    )
-                )
-            )
-        if kernel.counters.as_dict() != legacy.counters.as_dict():
-            ref = legacy.counters.as_dict()
-            got = kernel.counters.as_dict()
-            keys = sorted(k for k in ref if ref[k] != got[k])
-            raise AssertionError(
-                str(
-                    Mismatch(
-                        f"{app}/{dataset}",
-                        "kernel",
-                        "counter-drift",
-                        expected={k: ref[k] for k in keys},
-                        actual={k: got[k] for k in keys},
-                        detail="drift vs legacy",
-                    )
-                )
-            )
+        cell_name = f"{app}/{dataset}"
+        _require_parity(
+            cell_name, "kernel", reference, kernel, counters=True
+        )
         entry: Dict[str, object] = {
-            "counts": list(legacy.counts),
-            "legacy_seconds": legacy_s,
+            "counts": list(reference.counts),
+            "reference_seconds": ref_s,
             "kernel_seconds": kernel_s,
-            "kernel_speedup": legacy_s / kernel_s if kernel_s else 0.0,
+            "kernel_speedup": ref_s / kernel_s if kernel_s else 0.0,
             "parallel": {},
         }
         entry["pool"] = {}
@@ -453,22 +369,13 @@ def engine_bench(harness: Optional[Harness] = None) -> Dict[str, object]:
                 cell_s, cell = h.engine_cell(
                     app, dataset, mode=mode, workers=workers
                 )
-                if cell.counts != legacy.counts:
-                    raise AssertionError(
-                        str(
-                            Mismatch(
-                                f"{app}/{dataset}",
-                                f"{mode}-{workers}",
-                                "count",
-                                expected=list(legacy.counts),
-                                actual=list(cell.counts),
-                            )
-                        )
-                    )
+                _require_parity(
+                    cell_name, f"{mode}-{workers}", reference, cell
+                )
                 entry[mode][str(workers)] = {
                     "seconds": cell_s,
-                    "speedup_vs_legacy": (
-                        legacy_s / cell_s if cell_s else 0.0
+                    "speedup_vs_reference": (
+                        ref_s / cell_s if cell_s else 0.0
                     ),
                     "speedup_vs_kernel": (
                         kernel_s / cell_s if cell_s else 0.0
@@ -476,8 +383,8 @@ def engine_bench(harness: Optional[Harness] = None) -> Dict[str, object]:
                 }
         cells[f"{app}_{dataset}"] = entry
         log.info(
-            "engine cell %s/%s: legacy %.1f ms, kernel %.1f ms (%.2fx)",
-            app, dataset, legacy_s * 1e3, kernel_s * 1e3,
+            "engine cell %s/%s: reference %.1f ms, kernel %.1f ms (%.2fx)",
+            app, dataset, ref_s * 1e3, kernel_s * 1e3,
             entry["kernel_speedup"],
         )
     frontier_sweep: Dict[str, object] = {}
@@ -492,34 +399,10 @@ def engine_bench(harness: Optional[Harness] = None) -> Dict[str, object]:
             bat_s, bat_rss, bat = run_frontier_cell(
                 graph, plan, batch=True, workers=workers
             )
-            if bat.counts != rec.counts:
-                raise AssertionError(
-                    str(
-                        Mismatch(
-                            f"{app}/{dataset}",
-                            f"frontier-{workers}",
-                            "count",
-                            expected=list(rec.counts),
-                            actual=list(bat.counts),
-                        )
-                    )
-                )
-            if bat.counters.as_dict() != rec.counters.as_dict():
-                ref = rec.counters.as_dict()
-                got = bat.counters.as_dict()
-                keys = sorted(k for k in ref if ref[k] != got[k])
-                raise AssertionError(
-                    str(
-                        Mismatch(
-                            f"{app}/{dataset}",
-                            f"frontier-{workers}",
-                            "counter-drift",
-                            expected={k: ref[k] for k in keys},
-                            actual={k: got[k] for k in keys},
-                            detail="drift vs recursive",
-                        )
-                    )
-                )
+            _require_parity(
+                f"{app}/{dataset}", f"frontier-{workers}", rec, bat,
+                counters=True,
+            )
             sweep[str(workers)] = {
                 "recursive_seconds": rec_s,
                 "batch_seconds": bat_s,
@@ -545,15 +428,8 @@ def engine_bench(harness: Optional[Harness] = None) -> Dict[str, object]:
     )
     if served["counts"] != stream["counts"]:  # pragma: no cover
         raise AssertionError(
-            str(
-                Mismatch(
-                    f"{stream_app}/{stream_dataset}",
-                    "served-stream",
-                    "count",
-                    expected=stream["counts"],
-                    actual=served["counts"],
-                )
-            )
+            f"served stream {stream_app}/{stream_dataset} counted "
+            f"{served['counts']}, the pool stream {stream['counts']}"
         )
     return {
         "quick_mode": quick_mode(),

@@ -397,14 +397,16 @@ class Harness:
     ) -> Tuple[float, MiningResult]:
         """Wall-clock software-engine run for one cell (memoized).
 
-        ``mode`` is ``"legacy"`` (frozen pre-kernel engine),
-        ``"kernel"`` (current serial engine), ``"parallel"``
-        (:class:`~repro.engine.parallel.ParallelMiner` with ``workers``
-        processes and :attr:`TASK_SPLIT_DEGREE` straggler splitting —
-        parallel cells therefore report real counts but inflated merged
-        op counters; parity asserts compare counts only) or ``"pool"``
-        (a warmed :class:`~repro.engine.pool.MinerPool`: forked and
-        warmed before the timer, measuring steady-state request cost).
+        ``mode`` is ``"reference"``
+        (:class:`~repro.engine.reference.ReferenceEngine`),
+        ``"kernel"`` (current serial engine), ``"parallel"`` (a
+        transient :class:`~repro.engine.pool.MinerPool` with ``workers``
+        processes, forked inside the timer, and
+        :attr:`TASK_SPLIT_DEGREE` straggler splitting — parallel cells
+        therefore report real counts but inflated merged op counters;
+        parity asserts compare counts only) or ``"pool"`` (the same
+        pool forked and warmed before the timer, measuring steady-state
+        request cost).
         """
         multi_process = mode in ("parallel", "pool")
         key = (app, dataset, mode, workers if multi_process else 1)
@@ -446,8 +448,8 @@ class Harness:
 
         Runs :func:`repro.bench.enginebench.run_stream_cell` — a stream
         of identical mine requests through one resident
-        :class:`~repro.engine.pool.MinerPool` vs per-call
-        :class:`~repro.engine.parallel.ParallelMiner` spawning — and
+        :class:`~repro.engine.pool.MinerPool` vs one transient pool
+        per request — and
         publishes the steady-state ``engine.stream_cells_per_s`` gauge
         (the warm-pool rate: what a mining service sustains once the
         pool is resident).

@@ -5,7 +5,7 @@ Examples::
     flexminer compile 4-cycle                 # print the execution-plan IR
     flexminer mine triangle --dataset Mi      # software mining
     flexminer mine 4-clique --dataset As --workers 4   # multi-process
-    flexminer mine 4-clique --dataset As --workers 4 --pool --split-degree auto
+    flexminer mine 4-clique --dataset As --workers 4 --split-degree auto
     flexminer sim diamond --dataset As --pes 20 --cmap-kb 8
     flexminer sim triangle --dataset Mi --trace t.json --emit-json
     flexminer profile mine 4-clique --dataset As --workers 4
@@ -30,7 +30,7 @@ from typing import List, Optional
 from . import __version__
 from .bench import cpu_time_seconds, render_table1
 from .compiler import compile_motifs, compile_pattern, emit_ir, emit_multi_ir
-from .engine import MinerPool, ParallelMiner, PatternAwareEngine
+from .engine import MinerPool, PatternAwareEngine
 from .graph import CSRGraph, load_dataset, load_graph
 from .hw import FlexMinerConfig, simulate
 from .obs import (
@@ -123,20 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mine":
             p.add_argument(
                 "--workers", type=int, default=1,
-                help="mining worker processes (shared-memory graph)",
-            )
-            p.add_argument(
-                "--pool", action="store_true",
-                help="serve the mine from a persistent MinerPool "
-                "(forked once, calibrated dispatch overhead recorded "
-                "in the report)",
+                help="mining worker processes (a MinerPool over a "
+                "shared-memory graph; its calibrated dispatch overhead "
+                "is recorded in the report)",
             )
             p.add_argument(
                 "--split-degree", type=_split_degree_arg, default=None,
                 metavar="N|auto",
                 help="chunk roots above this degree into depth-1 slices "
                 "(wall-clock option; merged op counters are inflated); "
-                "'auto' asks the cost model, requires --pool",
+                "'auto' asks the pool's cost model",
             )
             _add_batch_frontier_flag(p)
 
@@ -738,45 +734,25 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
 
     if args.command == "mine":
         run_meta["workers"] = args.workers
-        use_pool = getattr(args, "pool", False)
         split_degree = args.split_degree
         batch_frontier = getattr(args, "batch_frontier", False)
         if batch_frontier:
             run_meta["batch_frontier"] = True
-        if split_degree == "auto" and not use_pool:
-            print(
-                "--split-degree auto needs the calibrated pool; "
-                "pass --pool",
-                file=sys.stderr,
-            )
-            return 2
-        if use_pool:
-            run_meta["pool"] = True
+        if profile or args.workers > 1 or split_degree is not None:
+            # Profiling always routes through the pool so the trace
+            # carries worker lanes at any worker count (workers=1 runs
+            # in-process with identical results).
             with prof.phase("setup", workers=args.workers):
                 pool = MinerPool(
                     graph, workers=args.workers,
                     batch_frontier=batch_frontier, tracer=tracer,
                     profiler=prof,
                 )
-            try:
+            with pool:
                 result = pool.mine(plan, split_degree=split_degree)
                 # The calibrated constant the cost model prices chunks
                 # against; 0.0 for the in-process workers=1 pool.
                 run_meta["dispatch_overhead_s"] = pool.dispatch_overhead_s
-            finally:
-                pool.close()
-        elif profile or args.workers > 1 or split_degree is not None:
-            # Profiling always routes through the parallel miner so the
-            # trace carries worker lanes at any worker count (workers=1
-            # runs in-process with identical results).
-            with prof.phase("setup", workers=args.workers):
-                miner = ParallelMiner(
-                    graph, plan, workers=args.workers,
-                    split_degree=split_degree,
-                    batch_frontier=batch_frontier, tracer=tracer,
-                    profiler=prof,
-                )
-            result = miner.mine()
         else:
             with prof.phase("setup"):
                 engine = PatternAwareEngine(

@@ -1,16 +1,11 @@
-"""Software GPM engines: pattern-aware reference, c-map variant, oblivious baseline."""
+"""Software GPM engines: pattern-aware engine and its reference, c-map variant, oblivious baseline."""
 
 from .counters import OpCounters
 from .explore import MiningResult, PatternAwareEngine, mine, mine_multi
 from .cmap_sw import CMapSoftwareEngine, VectorCMap
-from .kernels import (
-    GALLOP_RATIO,
-    get_strategy,
-    set_strategy,
-    strategy as kernel_strategy,
-)
+from .kernels import GALLOP_RATIO
 from .oblivious import BudgetExceeded, ObliviousEngine, mine_oblivious
-from .parallel import ParallelMiner, mine_parallel, order_tasks
+from .parallel import order_tasks
 from .pool import MinerPool, PoolWorkerError, cost_model_split_degree
 from .partitioned import (
     PartitionedMiner,
@@ -19,12 +14,14 @@ from .partitioned import (
     mine_partitioned,
     partition_vertices,
 )
+from .reference import ReferenceEngine
 from .verify import check_consistency, count_all_ways
 
 __all__ = [
     "OpCounters",
     "MiningResult",
     "PatternAwareEngine",
+    "ReferenceEngine",
     "mine",
     "mine_multi",
     "CMapSoftwareEngine",
@@ -33,11 +30,6 @@ __all__ = [
     "BudgetExceeded",
     "mine_oblivious",
     "GALLOP_RATIO",
-    "get_strategy",
-    "set_strategy",
-    "kernel_strategy",
-    "ParallelMiner",
-    "mine_parallel",
     "order_tasks",
     "MinerPool",
     "PoolWorkerError",

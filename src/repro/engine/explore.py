@@ -124,32 +124,23 @@ class PatternAwareEngine:
         Honor the plan's frontier-memoization hints.  Disabled for the
         ablation bench; the paper keeps it always on "for a fair
         comparison with GraphZero".
-    count_leaves:
-        Use the count-only set-op fast path at the last plan level, so
-        leaf candidate lists are counted without being materialized.
-        Bit-identical on counts and counters; disable only to measure
-        the fast path itself (the engine bench's baseline mode).
-    batch_leaves:
-        When the leaf level is countable and its op chain reduces to a
-        single varying intersection or difference (cliques do, on every
-        oriented plan), process the whole parent frontier with one
-        vectorized segmented kernel instead of one count per Python-loop
-        iteration.  Counts and counters stay bit-identical — the batch
-        path charges the exact per-candidate merge-model amounts in
-        closed form; disable to measure the batching itself.
     batch_frontier:
-        Level-synchronous execution: instead of one DFS recursion per
-        partial embedding, walk the plan tree (a chain for one pattern,
-        the merged dependency tree for a ``MultiPlan``) over ``(n_emb,
-        d)`` embedding matrices plus segmented candidate arrays, one
-        segmented kernel per plan operation (the data-parallel G2Miner
-        formulation).  The frontier is cut into contiguous row bands of
-        bounded estimated size and each band's subtree runs to
-        completion before the next — breadth-first inside a band,
-        depth-first across bands — so memory stays bounded however wide
-        a level is.  Counts and counters stay bit-identical to the
-        recursive path: every charge is a closed-form sum over rows.
-        Off by default.
+        The execution-mode switch.  Off (the default) runs one DFS
+        recursion per partial embedding; leaves are counted without
+        being materialized whenever no caller needs the values
+        (:meth:`_leaf_countable`), a whole parent frontier per kernel
+        call when :meth:`ExecutionPlan.batch_leaf_shape` allows.  On
+        walks the plan tree (a chain for one pattern, the merged
+        dependency tree for a ``MultiPlan``) level-synchronously over
+        ``(n_emb, d)`` embedding matrices plus segmented candidate
+        arrays, one segmented kernel per plan operation (the
+        data-parallel G2Miner formulation).  The frontier is cut into
+        contiguous row bands of bounded estimated size and each band's
+        subtree runs to completion before the next — breadth-first
+        inside a band, depth-first across bands — so memory stays
+        bounded however wide a level is.  Counts and counters are
+        bit-identical in both modes: every batched charge is a
+        closed-form sum over rows.
     frontier_row_limit:
         Per-band memory ceiling for ``batch_frontier``: bands never
         exceed this many estimated elements (nor the engine's smaller
@@ -177,8 +168,6 @@ class PatternAwareEngine:
         *,
         collect: bool = False,
         use_frontier_memo: bool = True,
-        count_leaves: bool = True,
-        batch_leaves: bool = True,
         batch_frontier: bool = False,
         frontier_row_limit: int = 1 << 22,
         work_graph: Optional[CSRGraph] = None,
@@ -190,8 +179,6 @@ class PatternAwareEngine:
         self.plan = plan
         self.collect = collect
         self.use_frontier_memo = use_frontier_memo
-        self.count_leaves = count_leaves
-        self.batch_leaves = batch_leaves
         self.batch_frontier = batch_frontier
         self.frontier_row_limit = frontier_row_limit
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -236,9 +223,11 @@ class PatternAwareEngine:
         # DFS hot-loop caches (single-pattern plans only).
         self._leaf_depth = None if self._multi else plan.num_levels - 1
         self._steps = None if self._multi else plan.steps
-        self._batch_leaf = self._batch_leaf_shape()
+        self._batch_leaf = (
+            None if self._multi else plan.batch_leaf_shape(use_frontier_memo)
+        )
         # Level-synchronous frontier mode needs at least one interior
-        # level; engines that override candidate generation (legacy,
+        # level; engines that override candidate generation (reference,
         # c-map) must keep their per-embedding hooks, so they are routed
         # to recursion.
         self._frontier_ok = (
@@ -401,7 +390,6 @@ class PatternAwareEngine:
         if (
             depth + 1 == self._leaf_depth
             and self._batch_leaf is not None
-            and self.batch_leaves
             and len(cands)
             and self._leaf_countable(self._steps[depth])
         ):
@@ -464,7 +452,6 @@ class PatternAwareEngine:
         the candidate values)."""
         return (
             self.supports_leaf_counting
-            and self.count_leaves
             and not self.collect
             and step.label is None
         )
@@ -542,62 +529,6 @@ class PatternAwareEngine:
     # ------------------------------------------------------------------
     # Batch frontier leaf (one vectorized kernel per parent frontier)
     # ------------------------------------------------------------------
-    def _batch_leaf_shape(self):
-        """Static analysis: can the leaf be counted a frontier at a time?
-
-        The batch kernel handles leaves whose op chain reduces to one
-        intersection with a *varying* operand — the adjacency (or memo
-        base) indexed by the parent-frontier vertex at embedding slot
-        ``leaf_depth - 1`` — everything else fixed for the whole
-        frontier.  Oriented clique plans have exactly this shape at
-        every leaf (TC: adj(v) ∩ adj(v0); k-CL: memo base ∩ adj(v)).
-        Injectivity must be a provable no-op (``covers_all_ancestors``)
-        because the batch never materializes candidates to exclude from.
-
-        Difference-only leaves (one varying *difference* instead of one
-        varying intersection) batch too: those steps never cover all
-        ancestors, so the injectivity exclusions are folded into the
-        count the same way ``difference_count_below``'s ``exclude``
-        argument does on the scalar path.
-
-        Returns ``("memo", None)``, ``("direct", fixed_emb_index)``,
-        ``("memo-diff", None)``, ``("diff-fixed", fixed_emb_index)``,
-        ``("diff-varying", fixed_emb_index)`` or ``None`` (fall back to
-        the per-vertex leaf path).
-        """
-        if self._multi or self._leaf_depth is None or self._leaf_depth < 2:
-            return None
-        step = self._steps[self._leaf_depth - 1]
-        if step.label is not None:
-            return None
-        d = self._leaf_depth - 1
-        if self.use_frontier_memo and step.base_step is not None:
-            extra_c = tuple(step.extra_connected)
-            extra_d = tuple(step.extra_disconnected)
-            if extra_c == (d,) and not extra_d and step.covers_all_ancestors:
-                return ("memo", None)
-            if extra_d == (d,) and not extra_c:
-                return ("memo-diff", None)
-            return None
-        connected = tuple(step.connected)
-        disconnected = tuple(step.disconnected)
-        if not disconnected and step.covers_all_ancestors:
-            if (
-                step.extender == d
-                and len(connected) == 1
-                and connected[0] != d
-            ):
-                return ("direct", connected[0])
-            if step.extender != d and connected == (d,):
-                return ("direct", step.extender)
-            return None
-        if not connected and len(disconnected) == 1:
-            if step.extender != d and disconnected == (d,):
-                return ("diff-fixed", step.extender)
-            if step.extender == d and disconnected[0] != d:
-                return ("diff-varying", disconnected[0])
-        return None
-
     def _count_leaf_batch(self, emb: Sequence[int], cands: np.ndarray) -> int:
         """Count every leaf under the current frontier in one kernel call.
 

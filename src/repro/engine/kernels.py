@@ -19,8 +19,10 @@ Kernels
 * **gallop** — binary-search probe of the smaller operand into the
   larger (`searchsorted` over the whole small side at once).
   O(n log m), wins when ``len(small) << len(big)``.
-* **adaptive** (default) — pick per call: gallop when the larger side is
-  at least :data:`GALLOP_RATIO` times the smaller, merge otherwise.
+
+:func:`intersect_values` / :func:`difference_values` pick per call from
+the operand lengths alone: gallop when the larger side is at least
+:data:`GALLOP_RATIO` times the smaller, merge otherwise.
 
 Count-only variants (:func:`intersect_count`, :func:`difference_count`)
 never materialize the output; the engine uses them at the last plan
@@ -29,8 +31,7 @@ level, where the result is only ever counted.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "difference_count_below",
     "difference_values",
     "gather_segments",
-    "get_strategy",
     "intersect_count",
     "intersect_count_below",
     "intersect_multi",
@@ -56,8 +56,6 @@ __all__ = [
     "segmented_pair_count_below",
     "segmented_pair_difference",
     "segmented_pair_intersect",
-    "set_strategy",
-    "strategy",
 ]
 
 #: Length ratio beyond which the adaptive kernel switches from the
@@ -65,41 +63,6 @@ __all__ = [
 #: length is ~8-16, so below 8x the merge's sequential scan is at least
 #: competitive; above it the probe does strictly less work.
 GALLOP_RATIO = 8
-
-_STRATEGIES = ("adaptive", "merge", "gallop")
-_strategy = "adaptive"
-
-
-def get_strategy() -> str:
-    """Currently selected kernel strategy."""
-    return _strategy
-
-
-def set_strategy(name: str) -> None:
-    """Select the kernel strategy process-wide.
-
-    ``"merge"`` reproduces the generic numpy baseline exactly (used by
-    the engine bench to measure the kernel layer's speedup);
-    ``"gallop"`` forces the probe path (kernel unit tests);
-    ``"adaptive"`` is the production default.
-    """
-    global _strategy
-    if name not in _STRATEGIES:
-        raise ValueError(
-            f"unknown kernel strategy {name!r}; expected one of {_STRATEGIES}"
-        )
-    _strategy = name
-
-
-@contextmanager
-def strategy(name: str) -> Iterator[None]:
-    """Temporarily select a kernel strategy (restores on exit)."""
-    previous = get_strategy()
-    set_strategy(name)
-    try:
-        yield
-    finally:
-        set_strategy(previous)
 
 
 def _probe_mask(needles: np.ndarray, haystack: np.ndarray) -> np.ndarray:
@@ -129,28 +92,38 @@ def _gallop_wins(small: int, big: int) -> bool:
     return big >= GALLOP_RATIO * small
 
 
+def _merge_values(a: np.ndarray, b: np.ndarray, keep: bool) -> np.ndarray:
+    """Merge branch: ``a ∩ b`` (``keep``) or ``a \\ b`` via numpy's
+    sort-based primitives."""
+    if keep:
+        return np.intersect1d(a, b, assume_unique=True)
+    return np.setdiff1d(a, b, assume_unique=True)
+
+
+def _gallop_values(a: np.ndarray, b: np.ndarray, keep: bool) -> np.ndarray:
+    """Gallop branch: the elements of ``a`` found (``keep``) or not
+    found in ``b`` by one vectorized binary-search probe."""
+    hit = _probe_mask(a, b)
+    return a[hit] if keep else a[~hit]
+
+
 def intersect_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted intersection of two sorted unique arrays."""
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     if len(small) == 0:
         return small[:0]
-    if _strategy == "merge" or (
-        _strategy == "adaptive" and not _gallop_wins(len(small), len(big))
-    ):
-        return np.intersect1d(a, b, assume_unique=True)
-    return small[_probe_mask(small, big)]
+    if _gallop_wins(len(small), len(big)):
+        return _gallop_values(small, big, True)
+    return _merge_values(a, b, True)
 
 
 def difference_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted difference ``a \\ b`` of two sorted unique arrays."""
     if len(a) == 0 or len(b) == 0:
         return a
-    if _strategy == "merge" or (
-        _strategy == "adaptive"
-        and not _gallop_wins(min(len(a), len(b)), max(len(a), len(b)))
-    ):
-        return np.setdiff1d(a, b, assume_unique=True)
-    return a[~_probe_mask(a, b)]
+    if _gallop_wins(min(len(a), len(b)), max(len(a), len(b))):
+        return _gallop_values(a, b, False)
+    return _merge_values(a, b, False)
 
 
 def intersect_multi(arrays: Sequence[np.ndarray]) -> np.ndarray:

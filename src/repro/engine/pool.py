@@ -1,11 +1,12 @@
 """Persistent worker pool: fork once, mine an arbitrary request stream.
 
-:class:`~repro.engine.parallel.ParallelMiner` pays the full process
-spin-up bill — fork, shared-memory CSR export, queue construction — on
-*every* ``mine()`` call, which on the scaled benchmark inputs swamps
-the mining work itself (BENCH_engine.json records parallel-4 *slower*
-than the serial legacy engine on TC).  :class:`MinerPool` amortizes all
-of that over a stream of requests:
+:class:`MinerPool` is the repository's one multi-process mining
+backend.  Process spin-up — fork, shared-memory CSR export, queue
+construction — costs more than most mines on the scaled benchmark
+inputs, so the pool pays it once and amortizes it over a stream of
+requests; a one-shot caller (``run_app(workers=N)``, ``flexminer mine
+--workers N``) simply opens a transient ``with MinerPool(...)`` whose
+stream has length one.
 
 * **fork once** — N worker processes attach the
   :class:`~repro.graph.SharedCSRBuffers` CSR (plus labels and, lazily,
@@ -25,13 +26,12 @@ of that over a stream of requests:
   says a chunk carries several multiples of the measured dispatch
   overhead; light workloads run unsplit (and therefore keep the merged
   :class:`~repro.engine.counters.OpCounters` bit-identical to a serial
-  run, same contract as :class:`ParallelMiner`).
+  run).
 
 ``workers=1`` never forks: requests run in-process through the same
 task order, which is the exact-parity debugging configuration.  The
 pool is also the *only* place in ``repro.engine`` allowed to construct
-worker processes (fmlint FM207 polices this); ``ParallelMiner`` now
-routes its one-shot multi-process mining through a transient pool.
+worker processes (fmlint FM207 polices this).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from ..compiler.estimate import GraphProfile, estimate_plan
 from ..compiler.plan import MultiPlan
 from ..graph import (
     LabeledGraph,
+    OwnedBlock,
     SharedCSRBuffers,
     attach_shared_csr,
     orient_by_degree,
@@ -61,7 +62,6 @@ from .explore import MiningResult, PatternAwareEngine
 from .parallel import (
     Task,
     _build_worker_graph,
-    _OwnedBlock,
     _worker_summary,
     filter_roots,
     order_tasks,
@@ -215,7 +215,7 @@ def _pool_worker(
             if kind == "ping":
                 result_queue.put(("pong", message[1], worker_id, None))
                 continue
-            _, req_id, plan, work_spec, options, profile = message
+            _, req_id, plan, work_spec, batch_frontier, profile = message
             rec = LaneRecorder()
             with rec.span("attach-shm"):
                 work_graph = None
@@ -225,7 +225,8 @@ def _pool_worker(
                         work_graphs[key] = attach_shared_csr(work_spec)
                     work_graph = work_graphs[key]
                 engine = PatternAwareEngine(
-                    graph, plan, work_graph=work_graph, **options
+                    graph, plan, work_graph=work_graph,
+                    batch_frontier=batch_frontier,
                 )
             tasks_done = 0
             chunks_done = 0
@@ -267,16 +268,18 @@ class MinerPool:
     workers:
         Worker process count (default ``os.cpu_count()``).  ``1`` runs
         every request in-process — no fork, exact serial parity.
-    use_frontier_memo / count_leaves / batch_leaves / batch_frontier:
-        Forwarded to every worker engine, for every request.
-    oriented_graph:
-        Optional pre-computed degree-oriented DAG; computed lazily on
-        the first oriented request otherwise.
+    batch_frontier:
+        Execution mode of every worker engine, for every request (see
+        :class:`~repro.engine.explore.PatternAwareEngine`).
     tracer / metrics / profiler:
-        Parent-side observability (same semantics as
-        :class:`~repro.engine.parallel.ParallelMiner`); the pool adds
-        ``engine.pool.*`` gauges on top of the ``engine.parallel.*``
-        family.
+        Parent-side observability; workers run untraced and their
+        op-counter totals are merged into the parent registry
+        (``engine.parallel.*`` per-worker gauges plus ``engine.pool.*``).
+        With an enabled :class:`repro.obs.PhaseProfiler`, workers ship
+        their span streams back and each mine emits one wall-clock lane
+        per worker plus a coordinator lane, with setup/mine/merge phase
+        attribution.  Never changes counts or counters (tested
+        zero-drift).
 
     Requests are served strictly one at a time; the pool is not
     thread-safe.  Use as a context manager or call :meth:`close` —
@@ -288,11 +291,7 @@ class MinerPool:
         graph,
         *,
         workers: Optional[int] = None,
-        use_frontier_memo: bool = True,
-        count_leaves: bool = True,
-        batch_leaves: bool = True,
         batch_frontier: bool = False,
-        oriented_graph=None,
         tracer=None,
         metrics=None,
         profiler=None,
@@ -311,16 +310,12 @@ class MinerPool:
         #: pin the arithmetic with a fake stepped clock; None = the
         #: LaneRecorder default, ``time.perf_counter``).
         self._calibration_clock = calibration_clock
-        self._options = {
-            "use_frontier_memo": use_frontier_memo,
-            "count_leaves": count_leaves,
-            "batch_leaves": batch_leaves,
-            "batch_frontier": batch_frontier,
-        }
+        self.batch_frontier = batch_frontier
         self._topology = (
             graph.graph if isinstance(graph, LabeledGraph) else graph
         )
-        self._oriented = oriented_graph
+        #: Degree-oriented DAG, built on the first oriented request.
+        self._oriented = None
         self._shared: List = []
         self._procs: List = []
         self._ctrl: List = []
@@ -502,7 +497,7 @@ class MinerPool:
         labels = getattr(self.graph, "labels", None)
         if labels is not None:
             shm, self._labels_spec = share_array(np.asarray(labels))
-            self._shared.append(_OwnedBlock(shm))
+            self._shared.append(OwnedBlock(shm))
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
         self._ctrl = [ctx.Queue() for _ in range(self.workers)]
@@ -607,8 +602,9 @@ class MinerPool:
         """Serve one mining request against the resident workers.
 
         ``split_degree`` is ``None`` (whole-root tasks: merged counters
-        bit-identical to serial), an integer (as
-        :class:`ParallelMiner`), or ``"auto"`` — let
+        bit-identical to serial), an integer (chunk roots above that
+        degree into depth-1 slices; counts stay exact, counters
+        inflate; single-pattern plans only), or ``"auto"`` — let
         :meth:`auto_split_degree` decide from the cost model and the
         measured dispatch overhead.
 
@@ -674,11 +670,10 @@ class MinerPool:
     ) -> List[Tuple]:
         """Low-level entry: run explicit tasks, return worker summaries.
 
-        Used by :meth:`mine` and by :class:`ParallelMiner`'s one-shot
-        delegation; callers merge the ``(worker_id, summary)`` pairs
-        themselves.  ``timeout_s`` has :meth:`mine`'s semantics (and is
-        ignored by the in-process ``workers=1`` path, which cannot
-        wedge on a queue).
+        :meth:`mine` minus task ordering and the merge; callers merge
+        the ``(worker_id, summary)`` pairs themselves.  ``timeout_s``
+        has :meth:`mine`'s semantics (and is ignored by the in-process
+        ``workers=1`` path, which cannot wedge on a queue).
         """
         self._check_open()
         multi = isinstance(plan, MultiPlan)
@@ -694,7 +689,7 @@ class MinerPool:
                     plan,
                     tasks,
                     work_graph=work_graph,
-                    options=self._options,
+                    batch_frontier=self.batch_frontier,
                     profile=self.profiler.enabled,
                 )
             ]
@@ -709,7 +704,7 @@ class MinerPool:
                     req_id,
                     plan,
                     work_spec,
-                    self._options,
+                    self.batch_frontier,
                     self.profiler.enabled,
                 )
             )

@@ -7,10 +7,10 @@ a networkx-free brute-force enumerator on small graphs.  These helpers
 centralize that checking for tests and for users validating their own
 patterns.
 
-For the full backend matrix (count-only kernels, the legacy engine, the
-multi-process miner, the simulator), the oracle, seeded fuzzing, and
-shrinking, see the dedicated :mod:`repro.verify` subsystem — this module
-keeps the light in-process engine checks.
+For the full backend matrix (count-only kernels, the reference engine,
+the worker pool, the service, the simulator), the oracle, seeded
+fuzzing, and shrinking, see the dedicated :mod:`repro.verify` subsystem
+— this module keeps the light in-process engine checks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from ..patterns import Pattern, brute_force_count
 from .cmap_sw import CMapSoftwareEngine
 from .explore import PatternAwareEngine
 from .oblivious import ObliviousEngine
+from .reference import ReferenceEngine
 
 __all__ = ["count_all_ways", "check_consistency"]
 
@@ -46,9 +47,7 @@ def count_all_ways(
     probe.leaf_count_min_work = 0  # force the count-only probe kernels
     results = {
         "pattern_aware": PatternAwareEngine(graph, plan).run().counts[0],
-        "pattern_aware_materialize": PatternAwareEngine(
-            graph, plan, count_leaves=False
-        ).run().counts[0],
+        "reference": ReferenceEngine(graph, plan).run().counts[0],
         "pattern_aware_probe": probe.run().counts[0],
         "cmap_software": CMapSoftwareEngine(graph, plan).run().counts[0],
         "oblivious": ObliviousEngine(

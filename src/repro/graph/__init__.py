@@ -2,6 +2,7 @@
 
 from .csr import (
     CSRGraph,
+    OwnedBlock,
     SharedCSRBuffers,
     attach_array,
     attach_shared_csr,
@@ -27,6 +28,7 @@ from .labels import LabeledGraph, assign_degree_labels, assign_random_labels
 
 __all__ = [
     "CSRGraph",
+    "OwnedBlock",
     "SharedCSRBuffers",
     "attach_array",
     "attach_shared_csr",

@@ -21,6 +21,7 @@ from ..errors import GraphFormatError
 
 __all__ = [
     "CSRGraph",
+    "OwnedBlock",
     "SharedCSRBuffers",
     "attach_array",
     "attach_shared_csr",
@@ -364,6 +365,24 @@ def share_array(arr: np.ndarray):
             shm.unlink()
         raise
     return shm, spec
+
+
+class OwnedBlock:
+    """Close/unlink adapter so a bare :func:`share_array` handle matches
+    the :class:`SharedCSRBuffers` cleanup interface (one owner list,
+    one teardown loop)."""
+
+    def __init__(self, shm) -> None:
+        self._shm = shm
+
+    def close(self) -> None:
+        self._shm.close()
+
+    def unlink(self) -> None:
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
 
 def _attach_block(name: str):

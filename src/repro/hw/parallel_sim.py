@@ -29,7 +29,7 @@ This module splits them into a classic trace/replay pipeline:
 ``workers=1`` runs trace and replay in-process (no fork) through the
 same encode/decode path, which is what the differential harness uses to
 pin the machinery against the serial oracle.  Workers mirror the
-shared-memory transport of :class:`repro.engine.parallel.ParallelMiner`:
+shared-memory transport of :class:`repro.engine.pool.MinerPool`:
 the CSR arrays cross into workers via POSIX shared memory, never a pipe.
 
 Tracing (``repro.obs``) hooks into simulator internals that the trace
@@ -56,6 +56,7 @@ from ..errors import SimulationError
 from ..graph import (
     CSRGraph,
     LabeledGraph,
+    OwnedBlock,
     SharedCSRBuffers,
     attach_array,
     attach_shared_csr,
@@ -471,7 +472,7 @@ def _trace_in_processes(
         labels_spec = None
         if labels is not None:
             shm, labels_spec = share_array(np.asarray(labels))
-            shared.append(_OwnedBlock(shm))
+            shared.append(OwnedBlock(shm))
         work_spec = None
         if work_graph is not None and work_graph is not topology:
             work_buffers = SharedCSRBuffers(work_graph)
@@ -545,22 +546,6 @@ def _trace_in_processes(
         if failure is not None:  # pragma: no cover - cleanup
             raise failure
     return [shards[w] for w in range(workers)]
-
-
-class _OwnedBlock:
-    """Close/unlink adapter for a bare SharedMemory handle."""
-
-    def __init__(self, shm) -> None:
-        self._shm = shm
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
 
 
 def simulate_parallel(

@@ -352,8 +352,9 @@ class MiningService:
         Per-request bound on waiting for pool workers; a wedged worker
         surfaces as :class:`~repro.engine.pool.PoolWorkerError`
         (``reason="timeout"``) instead of a hang.
-    use_frontier_memo / count_leaves / batch_leaves / batch_frontier:
-        Engine options for every pool (the config fingerprint).
+    batch_frontier:
+        Execution mode of every pool's engines (the config
+        fingerprint).
     metrics:
         A :class:`~repro.obs.MetricsRegistry`; defaults to a private
         enabled registry so :meth:`stats` always has data.
@@ -370,9 +371,6 @@ class MiningService:
         result_cache: bool = True,
         result_cache_entries: int = 1024,
         request_timeout_s: Optional[float] = None,
-        use_frontier_memo: bool = True,
-        count_leaves: bool = True,
-        batch_leaves: bool = True,
         batch_frontier: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -384,12 +382,7 @@ class MiningService:
         self.workers = int(workers)
         self.max_active = int(max_active)
         self.request_timeout_s = request_timeout_s
-        self._options = {
-            "use_frontier_memo": use_frontier_memo,
-            "count_leaves": count_leaves,
-            "batch_leaves": batch_leaves,
-            "batch_frontier": batch_frontier,
-        }
+        self.batch_frontier = batch_frontier
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock if clock is not None else time.perf_counter
         self._plans = _SingleFlightCache()
@@ -467,7 +460,7 @@ class MiningService:
             graph,
             workers=self.workers,
             metrics=self.metrics,
-            **self._options,
+            batch_frontier=self.batch_frontier,
         )
         try:
             with self._registry_lock:
@@ -566,7 +559,7 @@ class MiningService:
     # ------------------------------------------------------------------
     def config_fingerprint(self) -> Tuple[object, ...]:
         """Engine-option fingerprint baked into every cache key."""
-        return tuple(sorted(self._options.items()))
+        return (("batch_frontier", self.batch_frontier),)
 
     @property
     def compiles(self) -> int:

@@ -1,9 +1,9 @@
 """Differential verification: oracle, backend matrix, fuzzer, corpus.
 
 The correctness contract of this repository is *cross-implementation
-count agreement*: the serial engine, its count-only and legacy kernel
-variants, the multi-process miner, and the cycle-level simulator must
-all agree — with each other, and with a brute-force oracle that never
+count agreement*: the serial engine in both execution modes, the
+materialize-everything reference engine, the worker pool, the serving
+layer and the cycle-level simulator must all agree — with each other, and with a brute-force oracle that never
 touches the compiler.  This package makes that contract continuously
 enforceable:
 

@@ -1,11 +1,10 @@
 """Differential runner: one case, every backend, structured mismatches.
 
-The repository produces a pattern count seven independent ways — serial
-:class:`~repro.engine.explore.PatternAwareEngine` (count-only leaves on
-or off, probe kernels forced on, and the level-synchronous
-``batch_frontier`` mode), the frozen pre-kernel
-:class:`~repro.bench.enginebench.LegacyEngine`, the multi-process
-:class:`~repro.engine.parallel.ParallelMiner`, the persistent
+The repository produces a pattern count six independent ways — serial
+:class:`~repro.engine.explore.PatternAwareEngine` (default recursion,
+probe kernels forced on, frontier memo off, and the level-synchronous
+``batch_frontier`` walker), the materialize-everything
+:class:`~repro.engine.reference.ReferenceEngine`, the persistent
 :class:`~repro.engine.pool.MinerPool` (each plan mined twice through
 one resident pool, so resident-worker state is exercised), the
 resident :class:`~repro.serve.MiningService` (two served requests, the
@@ -13,7 +12,7 @@ second answered through the plan cache — and, for ``serve-cached``,
 the result cache — must both be bit-identical), and the
 cycle-level FlexMiner simulator — the latter in three timing flavors:
 legacy per-element loops, vectorized kernels, and the trace/replay
-parallel runner at several worker counts.  The differential runner executes a
+parallel runner.  The differential runner executes a
 (graph, pattern) case through all of them, compares every per-pattern
 count against the compiler-independent :mod:`~repro.verify.oracle`, and
 checks two drift invariants: the **zero-drift op-counter invariant**
@@ -22,6 +21,10 @@ checks two drift invariants: the **zero-drift op-counter invariant**
 **bit-identical SimReport invariant** (every simulator flavor must
 produce the exact same cycles, per-PE stats and cache/NoC/DRAM
 counters as the legacy-kernel reference).
+
+Each backend owns one failure mode; a variant that only re-ran another
+backend's code at a different worker count was retired with its owner
+recorded next to :data:`BACKENDS`.
 
 Mismatches come back as structured :class:`Mismatch` records and are
 exported through :mod:`repro.obs` (``make_report("verify", ...)``
@@ -187,64 +190,20 @@ class DifferentialReport:
 # ----------------------------------------------------------------------
 # Backend matrix
 # ----------------------------------------------------------------------
-def _serial(case: VerifyCase, plan):
-    from ..engine import PatternAwareEngine
+def _engine(
+    engine: str = "PatternAwareEngine", *, probe: bool = False, **options
+) -> Backend:
+    """One serial run of a :mod:`repro.engine` class; ``options`` are
+    its keywords, ``probe`` forces the count-only probe kernels below
+    their size threshold."""
 
-    result = PatternAwareEngine(case.graph, plan).run()
-    return result.counts, result.counters
-
-
-def _materialize(case: VerifyCase, plan):
-    """Every leaf candidate list materialized (count-only path off)."""
-    from ..engine import PatternAwareEngine
-
-    result = PatternAwareEngine(case.graph, plan, count_leaves=False).run()
-    return result.counts, result.counters
-
-
-def _kernel_probe(case: VerifyCase, plan):
-    """Count-only probe kernels forced below the size threshold."""
-    from ..engine import PatternAwareEngine
-
-    engine = PatternAwareEngine(case.graph, plan)
-    engine.leaf_count_min_work = 0
-    result = engine.run()
-    return result.counts, result.counters
-
-
-def _legacy(case: VerifyCase, plan):
-    """The frozen pre-kernel engine the benches use as a denominator."""
-    from ..bench.enginebench import LegacyEngine
-
-    result = LegacyEngine(case.graph, plan).run()
-    return result.counts, result.counters
-
-
-def _no_memo(case: VerifyCase, plan):
-    """Frontier memoization disabled (different op chain, same counts)."""
-    from ..engine import PatternAwareEngine
-
-    result = PatternAwareEngine(case.graph, plan, use_frontier_memo=False).run()
-    return result.counts, result.counters
-
-
-def _frontier_batch(case: VerifyCase, plan):
-    """Level-synchronous frontier expansion (``batch_frontier=True``).
-
-    The vectorized engine charges OpCounters in closed form per batch,
-    so both counts and counters must stay bit-identical to ``serial``.
-    """
-    from ..engine import PatternAwareEngine
-
-    result = PatternAwareEngine(case.graph, plan, batch_frontier=True).run()
-    return result.counts, result.counters
-
-
-def _parallel(workers: int) -> Backend:
     def run(case: VerifyCase, plan):
-        from ..engine import ParallelMiner
+        from .. import engine as engines
 
-        result = ParallelMiner(case.graph, plan, workers=workers).mine()
+        miner = getattr(engines, engine)(case.graph, plan, **options)
+        if probe:
+            miner.leaf_count_min_work = 0
+        result = miner.run()
         return result.counts, result.counters
 
     return run
@@ -373,27 +332,29 @@ def _sim_parallel(workers: int) -> Backend:
     return run
 
 
-#: The full backend matrix, in reporting order.
+#: The full backend matrix, in reporting order: one backend per
+#: distinct failure mode.  Retired names and the survivor that owns
+#: what they checked: ``materialize`` and ``legacy`` -> ``reference``
+#: (every leaf materialized, no kernels); ``parallel-1`` ->
+#: ``serve-cached`` (in-process ``run_tasks_in_process``);
+#: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
+#: workers, shared-memory graph, worker-id-order merge);
+#: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``.
 BACKENDS: Dict[str, Backend] = {
-    "serial": _serial,
-    "materialize": _materialize,
-    "kernel-probe": _kernel_probe,
-    "legacy": _legacy,
-    "no-memo": _no_memo,
-    "frontier-batch": _frontier_batch,
-    "parallel-1": _parallel(1),
-    "parallel-2": _parallel(2),
-    "parallel-4": _parallel(4),
+    "serial": _engine(),
+    "kernel-probe": _engine(probe=True),
+    "reference": _engine("ReferenceEngine"),
+    # different op chain, same counts (outside the zero-drift set)
+    "no-memo": _engine(use_frontier_memo=False),
+    # closed-form batched charges must equal the per-embedding ones
+    "frontier-batch": _engine(batch_frontier=True),
     "pool-2": _pool(2),
-    "pool-4": _pool(4),
     "pool-2-batch": _pool(2, batch_frontier=True),
     "serve-pool-2": _serve(2, cached=False),
     "serve-cached": _serve(1, cached=True),
     "sim": _sim,
     "sim-fast": _sim_fast,
-    "sim-parallel-1": _sim_parallel(1),
     "sim-parallel-2": _sim_parallel(2),
-    "sim-parallel-4": _sim_parallel(4),
 }
 
 DEFAULT_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
@@ -403,15 +364,10 @@ DEFAULT_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
 #: so it is excluded; the simulator backends have their own drift set.
 ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
     "serial",
-    "materialize",
     "kernel-probe",
-    "legacy",
+    "reference",
     "frontier-batch",
-    "parallel-1",
-    "parallel-2",
-    "parallel-4",
     "pool-2",
-    "pool-4",
     "pool-2-batch",
     "serve-pool-2",
     "serve-cached",
@@ -420,13 +376,7 @@ ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
 #: Simulator backends whose *entire SimReport* must be bit-identical to
 #: ``sim``'s (the legacy-kernel reference): the vectorized kernels and
 #: the trace/replay parallel runner both claim exact timing parity.
-SIM_DRIFT_BACKENDS: Tuple[str, ...] = (
-    "sim",
-    "sim-fast",
-    "sim-parallel-1",
-    "sim-parallel-2",
-    "sim-parallel-4",
-)
+SIM_DRIFT_BACKENDS: Tuple[str, ...] = ("sim", "sim-fast", "sim-parallel-2")
 
 
 def resolve_backends(

@@ -78,8 +78,8 @@ class TestMineParallel:
         assert serial == parallel
 
     def test_split_degree_routes_to_parallel_miner(self, capsys):
-        # --split-degree alone (workers=1) must still take the
-        # ParallelMiner path and keep the counts right.
+        # --split-degree alone (workers=1) must still take the pool
+        # path (in-process at one worker) and keep the counts right.
         assert main(
             ["mine", "triangle", "--dataset", "As", "--split-degree", "8"]
         ) == 0
@@ -205,7 +205,7 @@ class TestVerify:
     def test_smoke_ok(self, capsys):
         assert main(
             ["verify", "--seed", "0", "--cases", "3",
-             "--backends", "serial,materialize"]
+             "--backends", "serial,reference"]
         ) == 0
         out = capsys.readouterr().out
         assert "verify: OK" in out

@@ -28,6 +28,7 @@ from repro.engine import (
     CMapSoftwareEngine,
     ObliviousEngine,
     PatternAwareEngine,
+    ReferenceEngine,
     check_consistency,
     mine,
     mine_multi,
@@ -190,7 +191,8 @@ class TestFrontierMemoization:
 
 
 class TestBatchLeaves:
-    """The batch-frontier leaf path is a pure value/counter drop-in."""
+    """The batched leaf path is a pure value/counter drop-in: it must
+    match the reference engine, which materializes every leaf."""
 
     PATTERNS = [
         triangle(),
@@ -208,10 +210,10 @@ class TestBatchLeaves:
     def test_counts_and_counters_bit_identical(self, pattern, memo):
         plan = compile_pattern(pattern)
         batched = PatternAwareEngine(
-            RANDOM, plan, use_frontier_memo=memo, batch_leaves=True
+            RANDOM, plan, use_frontier_memo=memo
         ).run()
-        looped = PatternAwareEngine(
-            RANDOM, plan, use_frontier_memo=memo, batch_leaves=False
+        looped = ReferenceEngine(
+            RANDOM, plan, use_frontier_memo=memo
         ).run()
         assert batched.counts == looped.counts
         assert batched.counters == looped.counters
@@ -222,14 +224,14 @@ class TestBatchLeaves:
         # shape, so the batched run must take it (same counters, but
         # the engine records a batch shape).
         plan = compile_pattern(k_clique(4))
-        engine = PatternAwareEngine(RANDOM, plan, batch_leaves=True)
+        engine = PatternAwareEngine(RANDOM, plan)
         assert engine._batch_leaf is not None
         engine.run()
 
     def test_closed_form_counts_survive_batching(self):
         g = complete_graph(9)
         plan = compile_pattern(k_clique(4))
-        got = PatternAwareEngine(g, plan, batch_leaves=True).run()
+        got = PatternAwareEngine(g, plan).run()
         assert got.counts[0] == comb(9, 4)
 
 

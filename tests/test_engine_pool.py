@@ -1,8 +1,7 @@
 """Tests for the persistent mining pool (repro.engine.pool).
 
-The contract extends :class:`ParallelMiner`'s: every request served by
-a resident pool returns counts *and* op counters bit-identical to a
-serial run (with chunking off), across the whole request stream and
+The contract: every request served by a resident pool returns counts
+*and* op counters bit-identical to a serial run (with chunking off), across the whole request stream and
 for every worker count.  On top of that the pool owns lifecycle edge
 cases — worker death surfaces as a structured error instead of a hang,
 close() is idempotent, shared-memory segments are unlinked on shutdown
@@ -444,7 +443,7 @@ class TestEntryPoints:
         for workers in ("1", "2", "4"):
             args = [
                 "mine", "triangle", "--dataset", "As",
-                "--workers", workers, "--pool",
+                "--workers", workers,
             ]
             assert main(args) == 0
             out = capsys.readouterr().out
@@ -455,12 +454,14 @@ class TestEntryPoints:
     def test_cli_pool_auto_split(self, capsys):
         args = [
             "mine", "4-clique", "--dataset", "As",
-            "--workers", "2", "--pool", "--split-degree", "auto",
+            "--workers", "2", "--split-degree", "auto",
         ]
         assert main(args) == 0
         assert "matches:" in capsys.readouterr().out
 
-    def test_cli_auto_split_requires_pool(self, capsys):
+    def test_cli_auto_split_in_process(self, capsys):
+        # One worker: the pool runs in-process and never auto-splits,
+        # so "auto" is accepted and changes nothing.
         args = ["mine", "triangle", "--dataset", "As", "--split-degree", "auto"]
-        assert main(args) == 2
-        assert "--pool" in capsys.readouterr().err
+        assert main(args) == 0
+        assert "matches:" in capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Unit and property tests for the set-op kernel layer.
 
 The kernels must agree with numpy's generic primitives on *every* input
-— they are pure drop-in value replacements — so each case runs under all
-three strategies (merge, gallop, adaptive).  The adversarial cases
-target the probe kernel's clamp-to-slot-0 trick and the prefix-cut
-bounded counts.
+— they are pure drop-in value replacements — so each case runs through
+both private branches (merge, gallop) directly and through the public
+size-adaptive dispatcher.  The adversarial cases target the probe
+kernel's clamp-to-slot-0 trick and the prefix-cut bounded counts.
 """
 
 import numpy as np
@@ -19,17 +19,27 @@ from repro.engine.kernels import (
     difference_count,
     difference_count_below,
     difference_values,
-    get_strategy,
     intersect_count,
     intersect_count_below,
     intersect_multi,
     intersect_values,
     members_mask,
-    set_strategy,
-    strategy,
 )
 
-STRATEGIES = ("merge", "gallop", "adaptive")
+#: name -> (intersect, difference): each private branch forced on every
+#: input, plus the dispatcher that picks between them by operand size.
+VALUE_KERNELS = {
+    "merge": (
+        lambda a, b: kernels._merge_values(a, b, True),
+        lambda a, b: kernels._merge_values(a, b, False),
+    ),
+    "gallop": (
+        lambda a, b: kernels._gallop_values(a, b, True),
+        lambda a, b: kernels._gallop_values(a, b, False),
+    ),
+    "adaptive": (intersect_values, difference_values),
+}
+STRATEGIES = tuple(VALUE_KERNELS)
 
 
 def arr(values):
@@ -61,20 +71,13 @@ CASES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _restore_strategy():
-    previous = get_strategy()
-    yield
-    set_strategy(previous)
-
-
 @pytest.mark.parametrize("name", STRATEGIES)
 @pytest.mark.parametrize("a,b", CASES)
 def test_value_kernels_match_numpy(name, a, b):
     a, b = arr(a), arr(b)
-    with strategy(name):
-        got_i = intersect_values(a, b)
-        got_d = difference_values(a, b)
+    intersect, difference = VALUE_KERNELS[name]
+    got_i = intersect(a, b)
+    got_d = difference(a, b)
     np.testing.assert_array_equal(
         got_i, np.intersect1d(a, b, assume_unique=True)
     )
@@ -145,31 +148,28 @@ def test_contains():
     assert not contains(arr([]), 1)
 
 
+#: Operand families steering the dispatcher inside ``intersect_multi``:
+#: comparable lengths keep every pairwise step on the merge branch, a
+#: 3-element seed against long lists keeps it on the gallop branch, and
+#: the mix crosses the ``GALLOP_RATIO`` threshold mid-chain.
+MULTI_OPERANDS = {
+    "merge": [range(0, 60, k) for k in (1, 2, 3, 4)],
+    "gallop": [[0, 12, 24]] + [range(0, 600, k) for k in (1, 2, 3)],
+    "adaptive": [range(0, 600, k) for k in (1, 2, 3)] + [range(0, 60, 4)],
+}
+
+
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_intersect_multi_smallest_first(name):
-    arrays = [arr(range(0, 60, k)) for k in (1, 2, 3, 4)]
+    arrays = [arr(values) for values in MULTI_OPERANDS[name]]
     want = arrays[0]
     for other in arrays[1:]:
         want = np.intersect1d(want, other, assume_unique=True)
-    with strategy(name):
-        np.testing.assert_array_equal(intersect_multi(arrays), want)
-        # An empty operand short-circuits to empty.
-        assert len(intersect_multi(arrays + [arr([])])) == 0
+    np.testing.assert_array_equal(intersect_multi(arrays), want)
+    # An empty operand short-circuits to empty.
+    assert len(intersect_multi(arrays + [arr([])])) == 0
     with pytest.raises(ValueError):
         intersect_multi([])
-
-
-def test_strategy_selection():
-    assert get_strategy() == "adaptive"
-    with strategy("merge"):
-        assert get_strategy() == "merge"
-        with strategy("gallop"):
-            assert get_strategy() == "gallop"
-        assert get_strategy() == "merge"
-    assert get_strategy() == "adaptive"
-    with pytest.raises(ValueError):
-        set_strategy("bogus")
-    assert get_strategy() == "adaptive"
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +183,9 @@ id_sets = st.sets(st.integers(min_value=0, max_value=200), max_size=60)
 @given(a=id_sets, b=id_sets, name=st.sampled_from(STRATEGIES))
 def test_property_value_kernels(a, b, name):
     a, b = arr(a), arr(b)
-    with strategy(name):
-        got_i = intersect_values(a, b)
-        got_d = difference_values(a, b)
+    intersect, difference = VALUE_KERNELS[name]
+    got_i = intersect(a, b)
+    got_d = difference(a, b)
     np.testing.assert_array_equal(
         got_i, np.intersect1d(a, b, assume_unique=True)
     )

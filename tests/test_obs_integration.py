@@ -154,15 +154,17 @@ class TestNoDrift:
     def test_parallel_identical_with_and_without_observability(
         self, graph, plan
     ):
-        from repro.engine import ParallelMiner
+        from repro.engine import MinerPool
 
         plain = PatternAwareEngine(graph, plan).run()
         tracer = Tracer()
         metrics = MetricsRegistry()
-        observed = ParallelMiner(
-            graph, plan, workers=2, tracer=tracer, metrics=metrics
-        ).mine()
-        bare = ParallelMiner(graph, plan, workers=2).mine()
+        with MinerPool(
+            graph, workers=2, tracer=tracer, metrics=metrics
+        ) as pool:
+            observed = pool.mine(plan)
+        with MinerPool(graph, workers=2) as pool:
+            bare = pool.mine(plan)
         assert observed.as_dict() == plain.as_dict()
         assert observed.as_dict() == bare.as_dict()
         snap = metrics.snapshot()

@@ -13,7 +13,7 @@ Pins the tentpole guarantees of the profiling layer:
 import pytest
 
 from repro.compiler import compile_pattern
-from repro.engine import ParallelMiner
+from repro.engine import MinerPool
 from repro.graph import erdos_renyi
 from repro.hw import FlexMinerConfig, simulate, simulate_parallel
 from repro.obs import (
@@ -268,10 +268,10 @@ def _mine_trace(workers, plan=PLAN):
     """Normalized task-event set of one profiled parallel mine."""
     tracer = Tracer()
     prof = PhaseProfiler(tracer=tracer)
-    miner = ParallelMiner(
-        ER, plan, workers=workers, tracer=tracer, profiler=prof
-    )
-    result = miner.mine()
+    with MinerPool(
+        ER, workers=workers, tracer=tracer, profiler=prof
+    ) as pool:
+        result = pool.mine(plan)
     return result, tracer.to_dict()
 
 
@@ -323,13 +323,14 @@ class TestMergedTraceDeterminism:
 class TestZeroDrift:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_mining_bit_identical_with_profiling(self, workers):
-        plain = ParallelMiner(ER, CLIQUE_PLAN, workers=workers).mine()
+        with MinerPool(ER, workers=workers) as pool:
+            plain = pool.mine(CLIQUE_PLAN)
         tracer = Tracer()
         prof = PhaseProfiler(tracer=tracer)
-        profiled = ParallelMiner(
-            ER, CLIQUE_PLAN, workers=workers,
-            tracer=tracer, profiler=prof,
-        ).mine()
+        with MinerPool(
+            ER, workers=workers, tracer=tracer, profiler=prof
+        ) as pool:
+            profiled = pool.mine(CLIQUE_PLAN)
         assert profiled.counts == plain.counts
         assert profiled.counters.as_dict() == plain.counters.as_dict()
 
@@ -359,7 +360,8 @@ class TestZeroDrift:
 class TestPhaseAttributionWiring:
     def test_parallel_miner_records_phases(self):
         prof = PhaseProfiler()
-        ParallelMiner(ER, PLAN, workers=2, profiler=prof).mine()
+        with MinerPool(ER, workers=2, profiler=prof) as pool:
+            pool.mine(PLAN)
         names = [p.name for p in prof.phases() if p.depth == 0]
         assert names.count("mine") == 1
         assert "setup" in names and "merge" in names

@@ -78,6 +78,36 @@ class TestPublicSurface:
                     assert obj.__doc__, f"{module_name}.{name} undocumented"
 
 
+def test_execution_mode_surface():
+    """One switch: ``batch_frontier`` is the only execution-mode keyword
+    that crosses a layer; the memo ablation and the row budget stay on
+    the engine, and the pool is the only process backend.  Every other
+    constructor keyword is listed here as *not* selecting how a plan
+    executes, so a new knob has to be classified to get past this pin."""
+    import inspect
+
+    from repro import engine
+    from repro.serve import MiningService
+
+    not_modes = {
+        "self", "graph", "plan", "collect", "work_graph", "workers",
+        "calibration_clock", "tracer", "metrics", "profiler",
+        "max_active", "threads", "result_cache", "result_cache_entries",
+        "request_timeout_s", "clock",
+    }
+
+    def mode_keywords(cls):
+        return set(inspect.signature(cls.__init__).parameters) - not_modes
+
+    assert mode_keywords(engine.PatternAwareEngine) == {
+        "use_frontier_memo", "batch_frontier", "frontier_row_limit",
+    }
+    assert mode_keywords(engine.MinerPool) == {"batch_frontier"}
+    assert mode_keywords(MiningService) == {"batch_frontier"}
+    assert not {"ParallelMiner", "mine_parallel"} & set(engine.__all__)
+    assert not hasattr(engine.kernels, "set_strategy")
+
+
 @pytest.mark.parametrize(
     "example",
     ["quickstart.py", "social_cliques.py"],

@@ -1,11 +1,13 @@
-"""Tests for the multi-process mining backend.
+"""Tests for one-shot multi-process mining (a transient ``MinerPool``).
 
-The contract: a :class:`ParallelMiner` run produces counts identical to
-the serial engine on every input, and — with chunking off — op counters
-identical too (every counter field is additive and the task partition is
-exact).  The shared-memory plumbing, the scheduler order, the
-observability wiring and the CLI/apps entry points are covered here;
-wall-clock behavior lives in the engine bench.
+The contract: a mine through a pool opened for one request produces
+counts identical to the serial engine on every input, and — with
+chunking off — op counters identical too (every counter field is
+additive and the task partition is exact).  The shared-memory plumbing,
+the scheduler order, the observability wiring and the CLI/apps entry
+points are covered here; resident-pool streams, lifecycle and the cost
+model live in ``test_engine_pool.py``, wall-clock behavior in the
+engine bench.
 """
 
 import numpy as np
@@ -15,13 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.compiler import compile_motifs, compile_pattern
-from repro.engine import (
-    ParallelMiner,
-    PatternAwareEngine,
-    mine_multi,
-    mine_parallel,
-    order_tasks,
-)
+from repro.engine import MinerPool, PatternAwareEngine, order_tasks
 from repro.graph import (
     CSRGraph,
     LabeledGraph,
@@ -50,6 +46,12 @@ PATTERNS = [triangle(), four_cycle(), diamond(), k_clique(4), house()]
 
 def serial(graph, plan, **kw):
     return PatternAwareEngine(graph, plan, **kw).run()
+
+
+def pool_mine(graph, plan, *, roots=None, split_degree=None, **kw):
+    """One mine through a pool opened (and closed) for this request."""
+    with MinerPool(graph, **kw) as pool:
+        return pool.mine(plan, roots=roots, split_degree=split_degree)
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +138,7 @@ class TestParity:
     def test_single_worker_counts_and_counters(self, graph, pattern):
         plan = compile_pattern(pattern)
         base = serial(graph, plan)
-        got = ParallelMiner(graph, plan, workers=1).mine()
-        assert got.counts == base.counts
-        assert got.counters.as_dict() == base.counters.as_dict()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_multi_process_counts_and_counters(self, workers):
-        plan = compile_pattern(k_clique(4))
-        base = serial(PL, plan)
-        got = ParallelMiner(PL, plan, workers=workers).mine()
+        got = pool_mine(graph, plan, workers=1)
         assert got.counts == base.counts
         assert got.counters.as_dict() == base.counters.as_dict()
 
@@ -154,7 +148,7 @@ class TestParity:
         # their full degrees and actually get split.
         plan = compile_pattern(four_cycle())
         base = serial(PL, plan)
-        got = mine_parallel(PL, plan, workers=2, split_degree=8)
+        got = pool_mine(PL, plan, workers=2, split_degree=8)
         assert got.counts == base.counts
         assert got.counters.tasks > base.counters.tasks
 
@@ -162,16 +156,7 @@ class TestParity:
     def test_batch_frontier_counts_and_counters(self, workers):
         plan = compile_pattern(k_clique(4))
         base = serial(PL, plan)
-        got = ParallelMiner(
-            PL, plan, workers=workers, batch_frontier=True
-        ).mine()
-        assert got.counts == base.counts
-        assert got.counters.as_dict() == base.counters.as_dict()
-
-    def test_multi_pattern(self):
-        plan = compile_motifs(3)
-        base = mine_multi(ER, plan)
-        got = ParallelMiner(ER, plan, workers=2).mine()
+        got = pool_mine(PL, plan, workers=workers, batch_frontier=True)
         assert got.counts == base.counts
         assert got.counters.as_dict() == base.counters.as_dict()
 
@@ -180,7 +165,7 @@ class TestParity:
         roots = list(range(0, ER.num_vertices, 3))
         base = serial(ER, plan, )
         sub = PatternAwareEngine(ER, plan)
-        got = ParallelMiner(ER, plan, workers=2).mine(roots=roots)
+        got = pool_mine(ER, plan, workers=2, roots=roots)
         want = sub.run(roots=np.asarray(roots))
         assert got.counts == want.counts
         assert sum(got.counts) <= sum(base.counts)
@@ -193,12 +178,12 @@ class TestParity:
         )
         plan = compile_pattern(pattern)
         base = serial(labeled, plan)
-        got = ParallelMiner(labeled, plan, workers=2).mine()
+        got = pool_mine(labeled, plan, workers=2)
         assert got.counts == base.counts
         assert got.counters.as_dict() == base.counters.as_dict()
         if plan.root_label is not None:
             with pytest.raises(ValueError, match="unlabeled"):
-                ParallelMiner(ER, plan, workers=1).mine()
+                pool_mine(ER, plan, workers=1)
 
 
 # ----------------------------------------------------------------------
@@ -206,29 +191,25 @@ class TestParity:
 # ----------------------------------------------------------------------
 class TestValidation:
     def test_worker_count(self):
-        plan = compile_pattern(triangle())
         with pytest.raises(ValueError):
-            ParallelMiner(ER, plan, workers=0)
+            MinerPool(ER, workers=0)
 
     def test_chunking_rejected_for_multi_plans(self):
         with pytest.raises(ValueError, match="single-pattern"):
-            ParallelMiner(ER, compile_motifs(3), split_degree=8)
+            pool_mine(ER, compile_motifs(3), workers=1, split_degree=8)
 
     def test_worker_failure_surfaces(self):
-        plan = compile_pattern(triangle())
-        miner = ParallelMiner(ER, plan, workers=2)
-        miner.plan = None  # poison: workers crash building the engine
-        with pytest.raises(RuntimeError, match="worker"):
-            miner._mine_processes(order_tasks(ER))
+        with MinerPool(ER, workers=2) as pool:
+            # poison: workers crash building the engine on a None plan
+            with pytest.raises(RuntimeError, match="worker"):
+                pool.run_tasks(None, order_tasks(ER))
 
 
 class TestObservability:
     def test_parallel_gauges(self):
         registry = MetricsRegistry()
         plan = compile_pattern(four_cycle())
-        ParallelMiner(
-            PL, plan, workers=2, split_degree=16, metrics=registry
-        ).mine()
+        pool_mine(PL, plan, workers=2, split_degree=16, metrics=registry)
         snap = registry.snapshot()
         assert snap["engine.parallel.workers"] == 2
         assert snap["engine.parallel.queue_depth"] > PL.num_vertices
@@ -244,9 +225,9 @@ class TestObservability:
     def test_frontier_gauges_aggregated(self):
         registry = MetricsRegistry()
         plan = compile_pattern(triangle())
-        ParallelMiner(
+        pool_mine(
             ER, plan, workers=2, batch_frontier=True, metrics=registry
-        ).mine()
+        )
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
         assert snap["engine.frontier.bands"] > 0
@@ -257,7 +238,7 @@ class TestObservability:
 
         tracer = Tracer()
         plan = compile_pattern(triangle())
-        ParallelMiner(ER, plan, workers=1, tracer=tracer).mine()
+        pool_mine(ER, plan, workers=1, tracer=tracer)
         names = [e["name"] for e in tracer.events()]
         assert "mine-parallel" in names
 
@@ -310,6 +291,6 @@ def random_graphs(draw):
 def test_property_parallel_parity(graph, use_clique):
     plan = compile_pattern(k_clique(4) if use_clique else four_cycle())
     base = serial(graph, plan)
-    got = ParallelMiner(graph, plan, workers=2).mine()
+    got = pool_mine(graph, plan, workers=2)
     assert got.counts == base.counts
     assert got.counters.as_dict() == base.counters.as_dict()

@@ -77,7 +77,7 @@ class TestMismatchDetection:
             VerifyCase(
                 graph=small_graph(), pattern=triangle(), expected=(10**9,)
             ),
-            backends=("serial", "materialize"),
+            backends=("serial", "reference"),
         )
         assert not report.ok
         # Truth stays the oracle, so the backends all agree with it and
@@ -113,13 +113,13 @@ class TestMismatchDetection:
             return counts, DriftedCounters(ctrs.as_dict())
 
         # The injected name must be one the zero-drift invariant covers.
-        assert "legacy" in ZERO_DRIFT_BACKENDS
+        assert "reference" in ZERO_DRIFT_BACKENDS
         report = run_case(
             VerifyCase(graph=small_graph(), pattern=triangle()),
-            backends={"serial": BACKENDS["serial"], "legacy": drifted},
+            backends={"serial": BACKENDS["serial"], "reference": drifted},
         )
         drift = [m for m in report.mismatches if m.kind == "counter-drift"]
-        assert drift and drift[0].backend == "legacy"
+        assert drift and drift[0].backend == "reference"
         assert "set_intersections" in str(drift[0])
         assert not [m for m in report.mismatches if m.kind == "count"]
 

@@ -70,7 +70,7 @@ class TestShrinking:
             pattern=triangle(),
         )
         with pytest.raises(ValueError):
-            shrink_case(case, backends=("serial", "materialize"))
+            shrink_case(case, backends=("serial", "reference"))
 
     def test_always_failing_backend_shrinks_to_nothing(self):
         def always_wrong(case, plan):
@@ -141,11 +141,11 @@ class TestFuzzLoop:
         report = fuzz(
             seed=1,
             cases=10,
-            backends=("serial", "materialize", "kernel-probe"),
+            backends=("serial", "reference", "kernel-probe"),
         )
         assert report.ok
         assert report.cases_run == 10
-        assert report.backends == ("serial", "materialize", "kernel-probe")
+        assert report.backends == ("serial", "reference", "kernel-probe")
         assert report.as_dict()["ok"] is True
 
     def test_deterministic_verdicts(self):

@@ -20,17 +20,9 @@ def harness():
     h = get_harness()
     yield h
     # When REPRO_BENCH_TELEMETRY is set, roll the session's cells into
-    # the cross-PR diffable BENCH_summary.json and append its timing
-    # cells to the longitudinal BENCH_history.jsonl (append-only: a
-    # rerun extends the trajectory, it never replaces it).
+    # BENCH_summary.json next to the per-cell reports.
     if h.telemetry_dir:
-        summary_path = h.write_summary()
-        from repro.obs import load_report
-        from repro.obs.trend import record_report
-
-        history = os.path.join(h.telemetry_dir, "BENCH_history.jsonl")
-        cells = record_report(history, load_report(summary_path))
-        print(f"[bench-trend] {cells} cell(s) appended to {history}")
+        h.write_summary()
 
 
 @pytest.fixture()

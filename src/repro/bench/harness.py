@@ -9,8 +9,8 @@ Set the ``REPRO_BENCH_QUICK`` environment variable to restrict every
 sweep to its cheapest cells — useful while iterating.  Set
 ``REPRO_BENCH_TELEMETRY`` to a directory (or pass ``telemetry_dir``) to
 write one machine-readable report per simulated cell plus a
-``BENCH_summary.json`` roll-up, making the perf trajectory diffable
-across PRs with ``flexminer stats``.
+``BENCH_summary.json`` roll-up that ``flexminer stats`` can render or
+diff against another run's.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class Harness:
     distributions; ``telemetry_dir`` (default: the
     ``REPRO_BENCH_TELEMETRY`` environment variable) makes every fresh
     simulation write a per-cell JSON report, with
-    :meth:`write_summary` producing the cross-PR ``BENCH_summary.json``.
+    :meth:`write_summary` producing the ``BENCH_summary.json`` roll-up.
     ``profiler`` (a :class:`repro.obs.PhaseProfiler`) attributes plan
     compilation, graph loads and fresh cell runs to phases; it is
     forwarded into the simulator and never changes any report.
@@ -160,9 +160,6 @@ class Harness:
         self._sim_cells = 0
         self._sim_cache: Dict[Tuple, SimReport] = {}
         self._cpu_cache: Dict[Tuple, Tuple[float, MiningResult]] = {}
-        self._engine_cache: Dict[Tuple, Tuple[float, MiningResult]] = {}
-        self._stream_cache: Dict[Tuple, Dict[str, object]] = {}
-        self._served_stream_cache: Dict[Tuple, Dict[str, object]] = {}
 
     def plan(self, app: str):
         if app not in self._plans:
@@ -281,7 +278,7 @@ class Harness:
         return {tuple(c): self._sim_cache[tuple(c)] for c in cells}
 
     def _account_sim_wall(self, seconds: float, *, cells: int) -> None:
-        """Track simulator wall-clock for the perf-trajectory gauges."""
+        """Track simulator wall-clock in the ``sim.*`` gauges."""
         self._sim_wall_s += seconds
         self._sim_cells += cells
         self.metrics.gauge("sim.wall_s").set(self._sim_wall_s)
@@ -339,35 +336,15 @@ class Harness:
             for (app, dataset, threads), (seconds, result)
             in self._cpu_cache.items()
         }
-        engine_cells = {
-            f"{app}_{dataset}_{mode}_w{workers}": {
-                "seconds": seconds,
-                "counts": list(result.counts),
-            }
-            for (app, dataset, mode, workers), (seconds, result)
-            in self._engine_cache.items()
-        }
-        stream_cells = {
-            f"{app}_{dataset}_stream_w{workers}": dict(entry)
-            for (app, dataset, workers), entry
-            in self._stream_cache.items()
-        }
-        stream_cells.update(
-            (f"{app}_{dataset}_served_w{workers}", dict(entry))
-            for (app, dataset, workers), entry
-            in self._served_stream_cache.items()
-        )
         return {
             "quick_mode": quick_mode(),
             "sim": sim_cells,
             "cpu": cpu_cells,
-            "engine": engine_cells,
-            "stream": stream_cells,
             "metrics": self.metrics.snapshot(),
         }
 
     def write_summary(self, path: Optional[str] = None) -> str:
-        """Write ``BENCH_summary.json`` (the cross-PR diffable artifact)."""
+        """Write the ``BENCH_summary.json`` roll-up of :meth:`telemetry`."""
         if path is None:
             base = self.telemetry_dir or "."
             os.makedirs(base, exist_ok=True)
@@ -391,130 +368,6 @@ class Harness:
                 threads=threads,
             )
         return self._cpu_cache[key]
-
-    def engine_cell(
-        self, app: str, dataset: str, *, mode: str = "kernel", workers: int = 1
-    ) -> Tuple[float, MiningResult]:
-        """Wall-clock software-engine run for one cell (memoized).
-
-        ``mode`` is ``"reference"``
-        (:class:`~repro.engine.reference.ReferenceEngine`),
-        ``"kernel"`` (current serial engine), ``"parallel"`` (a
-        transient :class:`~repro.engine.pool.MinerPool` with ``workers``
-        processes, forked inside the timer, and
-        :attr:`TASK_SPLIT_DEGREE` straggler splitting — parallel cells
-        therefore report real counts but inflated merged op counters;
-        parity asserts compare counts only) or ``"pool"`` (the same
-        pool forked and warmed before the timer, measuring steady-state
-        request cost).
-        """
-        multi_process = mode in ("parallel", "pool")
-        key = (app, dataset, mode, workers if multi_process else 1)
-        if key not in self._engine_cache:
-            from .enginebench import run_engine_cell
-
-            split = (
-                None if (not multi_process or app == "3-MC")
-                else self.TASK_SPLIT_DEGREE
-            )
-            log.debug(
-                "engine cell %s/%s mode=%s workers=%d",
-                app, dataset, mode, workers,
-            )
-            self.metrics.counter("bench.engine_runs").inc()
-            with self.profiler.phase(
-                "mine", app=app, dataset=dataset, mode=mode
-            ):
-                self._engine_cache[key] = run_engine_cell(
-                    self.graph(dataset),
-                    self.plan(app),
-                    mode=mode,
-                    workers=workers,
-                    split_degree=split,
-                )
-        else:
-            self.metrics.counter("bench.engine_cache_hits").inc()
-        return self._engine_cache[key]
-
-    def engine_stream(
-        self,
-        app: str,
-        dataset: str,
-        *,
-        workers: int = 4,
-        requests: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """Request-stream throughput for one cell (memoized).
-
-        Runs :func:`repro.bench.enginebench.run_stream_cell` — a stream
-        of identical mine requests through one resident
-        :class:`~repro.engine.pool.MinerPool` vs one transient pool
-        per request — and
-        publishes the steady-state ``engine.stream_cells_per_s`` gauge
-        (the warm-pool rate: what a mining service sustains once the
-        pool is resident).
-        """
-        key = (app, dataset, workers)
-        if key not in self._stream_cache:
-            from .enginebench import run_stream_cell
-
-            log.debug(
-                "engine stream %s/%s workers=%d", app, dataset, workers
-            )
-            self.metrics.counter("bench.engine_stream_runs").inc()
-            with self.profiler.phase(
-                "mine-stream", app=app, dataset=dataset, workers=workers
-            ):
-                entry = run_stream_cell(
-                    self.graph(dataset),
-                    self.plan(app),
-                    workers=workers,
-                    requests=requests,
-                )
-            self._stream_cache[key] = entry
-            self.metrics.gauge("engine.stream_cells_per_s").set(
-                entry["warm_cells_per_s"]
-            )
-        return self._stream_cache[key]
-
-    def engine_served_stream(
-        self,
-        app: str,
-        dataset: str,
-        *,
-        workers: int = 4,
-        requests: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """Served request-stream throughput for one cell (memoized).
-
-        Runs :func:`repro.bench.enginebench.run_served_stream_cell` —
-        the :func:`engine_stream` request stream one layer up, through
-        a resident :class:`~repro.serve.MiningService` — and publishes
-        the ``serve.stream_cells_per_s`` gauge (the warm-result-cache
-        rate: what the serving layer sustains on repeated traffic).
-        """
-        key = (app, dataset, workers)
-        if key not in self._served_stream_cache:
-            from .enginebench import run_served_stream_cell
-
-            log.debug(
-                "served stream %s/%s workers=%d", app, dataset, workers
-            )
-            self.metrics.counter("bench.served_stream_runs").inc()
-            with self.profiler.phase(
-                "serve-stream", app=app, dataset=dataset, workers=workers
-            ):
-                entry = run_served_stream_cell(
-                    self.graph(dataset),
-                    app=app,
-                    workers=workers,
-                    requests=requests,
-                )
-            self._served_stream_cache[key] = entry
-            self.metrics.gauge("serve.stream_cells_per_s").set(
-                entry["cached_cells_per_s"]
-            )
-        return self._served_stream_cache[key]
 
     def speedup(
         self,

@@ -10,7 +10,6 @@ Examples::
     flexminer sim triangle --dataset Mi --trace t.json --emit-json
     flexminer profile mine 4-clique --dataset As --workers 4
     flexminer stats old.json new.json         # diff two run reports
-    flexminer bench-trend --record telemetry/BENCH_summary.json
     flexminer motifs 3 --dataset As
     flexminer datasets                        # Table I for the suite
     flexminer verify --seed 0 --cases 50      # differential fuzz, all backends
@@ -42,11 +41,6 @@ from .obs import (
     make_report,
     render_diff,
     render_report,
-)
-from .obs.trend import (
-    DEFAULT_HISTORY,
-    DEFAULT_THRESHOLD_PCT,
-    DEFAULT_WINDOW,
 )
 from .patterns import from_name
 
@@ -275,44 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument(
         "rest", nargs=argparse.REMAINDER, metavar="command",
         help="the command to profile, e.g. mine 4-clique --workers 4",
-    )
-
-    trend_p = sub.add_parser(
-        "bench-trend",
-        help="append bench reports to BENCH_history.jsonl and flag "
-        "per-cell regressions vs recent history",
-    )
-    trend_p.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="FILE",
-        help=f"JSONL history file (default: {DEFAULT_HISTORY})",
-    )
-    trend_p.add_argument(
-        "--record", nargs="+", default=[], metavar="REPORT",
-        help="bench report JSONs to append before computing trends",
-    )
-    trend_p.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW,
-        help="prior samples the per-cell baseline median draws from",
-    )
-    trend_p.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD_PCT,
-        help="regression gate: max slowdown vs baseline, in percent",
-    )
-    trend_p.add_argument(
-        "--report-only", action="store_true",
-        help="always exit 0 (CI on pull requests)",
-    )
-    trend_p.add_argument(
-        "--json", action="store_true",
-        help="emit a flexminer.run/1 JSON report instead of text",
-    )
-    trend_p.add_argument(
-        "--sha", default=None,
-        help="record under this git sha (default: HEAD)",
-    )
-    trend_p.add_argument(
-        "--host", default=None,
-        help="record under (and restrict trends to) this host name",
     )
 
     serve_p = sub.add_parser(
@@ -684,9 +640,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _serve(args)
 
-    if args.command == "bench-trend":
-        return _bench_trend(args)
-
     if args.command == "profile":
         rest = list(args.rest)
         if rest and rest[0] == "--":
@@ -875,60 +828,6 @@ def _serve(args) -> int:
             )
     finally:
         service.close()
-    return 0
-
-
-def _bench_trend(args) -> int:
-    from .obs.trend import (
-        compute_trends,
-        load_history,
-        record_report,
-        regressions,
-        render_trends,
-    )
-
-    recorded = 0
-    for path in args.record:
-        try:
-            report = load_report(path)
-        except (OSError, ValueError) as exc:
-            print(
-                f"bench-trend: cannot read {path}: {exc}", file=sys.stderr
-            )
-            return 2
-        recorded += record_report(
-            args.history, report, sha=args.sha, host=args.host
-        )
-    if recorded:
-        print(
-            f"recorded {recorded} cell(s) into {args.history}",
-            file=sys.stderr,
-        )
-    entries = load_history(args.history)
-    trends = compute_trends(entries, window=args.window, host=args.host)
-    regressed = regressions(trends, threshold_pct=args.threshold)
-    if args.json:
-        payload = {
-            "trends": [t.as_dict() for t in trends],
-            "regressions": [t.as_dict() for t in regressed],
-            "threshold_pct": args.threshold,
-            "window": args.window,
-        }
-        print(json.dumps(
-            make_report("bench-trend", payload, meta={
-                "history": args.history, "version": __version__,
-            }),
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(render_trends(trends, threshold_pct=args.threshold))
-        if regressed:
-            print(
-                f"bench-trend: {len(regressed)} regression(s) above "
-                f"{args.threshold:.0f}%"
-            )
-    if regressed and not args.report_only:
-        return 1
     return 0
 
 

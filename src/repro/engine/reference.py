@@ -10,8 +10,8 @@ merge-model accounting with the production engine and nothing from
 leaves, no batched leaves, no frontier walker — so counts *and*
 :class:`~repro.engine.counters.OpCounters` that agree with it were not
 produced by a bug the fast paths share.  The differential matrix's
-``reference`` backend, :func:`repro.engine.verify.count_all_ways` and
-the engine bench's speedup denominator all run it.
+``reference`` backend and :func:`repro.engine.verify.count_all_ways`
+run it.
 """
 
 from __future__ import annotations

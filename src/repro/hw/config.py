@@ -84,8 +84,8 @@ class FlexMinerConfig:
     #: (c-map insert/delete probe math, cache line walks, NoC/DRAM line
     #: batches) with numpy.  Bit-identical to the legacy per-element
     #: loops — ``False`` keeps the original reference path for parity
-    #: checks and the BENCH_sim baseline.  ``cmap_exact=True`` always
-    #: simulates slots individually regardless of this switch.
+    #: checks.  ``cmap_exact=True`` always simulates slots individually
+    #: regardless of this switch.
     timing_kernels: bool = True
     dram: DramConfig = field(default_factory=DramConfig)
     noc: NocConfig = field(default_factory=NocConfig)

@@ -14,9 +14,7 @@ bench harness all report through:
   ``REPRO_LOG`` environment variable;
 * :mod:`repro.obs.prof` — cross-process profiling: phase attribution
   (wall/CPU/RSS) plus worker trace lanes merged into one Chrome trace
-  (the ``flexminer profile`` backend, ``NULL_PROFILER`` when disabled);
-* :mod:`repro.obs.trend` — append-only ``BENCH_history.jsonl`` recorder
-  and the ``flexminer bench-trend`` regression gate.
+  (the ``flexminer profile`` backend, ``NULL_PROFILER`` when disabled).
 """
 
 from .log import ENV_VAR, configure, get_logger
@@ -56,15 +54,6 @@ from .trace import (
     Tracer,
     validate_trace,
 )
-from .trend import (
-    CellTrend,
-    compute_trends,
-    extract_cells,
-    load_history,
-    record_report,
-    regressions,
-    render_trends,
-)
 
 __all__ = [
     "ENV_VAR",
@@ -98,11 +87,4 @@ __all__ = [
     "PhaseRecord",
     "event_key",
     "trace_event_set",
-    "CellTrend",
-    "compute_trends",
-    "extract_cells",
-    "load_history",
-    "record_report",
-    "regressions",
-    "render_trends",
 ]

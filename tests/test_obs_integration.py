@@ -228,6 +228,9 @@ class TestHarnessTelemetry:
         assert os.path.basename(summary_path) == "BENCH_summary.json"
         summary = json.loads(open(summary_path).read())
         assert summary["kind"] == "bench-summary"
+        assert set(summary["data"]) == {
+            "quick_mode", "sim", "cpu", "metrics",
+        }
         cells = summary["data"]["sim"]
         assert cells["TC_As_pes4_cmap1024"]["cycles"] == report.cycles
         metrics = summary["data"]["metrics"]

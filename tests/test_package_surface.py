@@ -6,6 +6,7 @@ the examples executing end to end.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,30 @@ def test_execution_mode_surface():
     assert mode_keywords(MiningService) == {"batch_frontier"}
     assert not {"ParallelMiner", "mine_parallel"} & set(engine.__all__)
     assert not hasattr(engine.kernels, "set_strategy")
+
+
+def test_single_measurement_surface(capsys):
+    """``benchmarks/e2e`` is the only yardstick: the wall-clock bench
+    modules, the trend recorder and the ``bench-trend`` verb stay gone
+    (the figure/table side of ``repro.bench`` is not measurement code)."""
+    from repro import bench, obs
+    from repro.cli import main
+
+    gone_from_obs = {
+        "trend", "compute_trends", "record_report", "load_history",
+    }
+    assert not gone_from_obs & (set(obs.__all__) | set(vars(obs)))
+    gone_from_bench = re.compile(
+        r"(engine|sim)_bench|run_\w+_cell|write_\w+_bench"
+    )
+    assert not [n for n in bench.__all__ if gone_from_bench.fullmatch(n)]
+    assert not {
+        "engine_cell", "engine_stream", "engine_served_stream",
+    } & set(vars(bench.Harness))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench-trend"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

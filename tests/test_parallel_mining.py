@@ -6,8 +6,8 @@ chunking off — op counters identical too (every counter field is
 additive and the task partition is exact).  The shared-memory plumbing,
 the scheduler order, the observability wiring and the CLI/apps entry
 points are covered here; resident-pool streams, lifecycle and the cost
-model live in ``test_engine_pool.py``, wall-clock behavior in the
-engine bench.
+model live in ``test_engine_pool.py``, wall-clock behavior in
+``benchmarks/e2e``.
 """
 
 import numpy as np
@@ -152,7 +152,7 @@ class TestParity:
         assert got.counts == base.counts
         assert got.counters.tasks > base.counters.tasks
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_batch_frontier_counts_and_counters(self, workers):
         plan = compile_pattern(k_clique(4))
         base = serial(PL, plan)

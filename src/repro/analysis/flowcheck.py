@@ -4,8 +4,8 @@ Two checker families run on every function of a linted file:
 
 * **Resource lifecycle** (FM300–FM303, FM307, FM308) — a *must*
   analysis proving every locally created shared-memory segment
-  (``SharedMemory`` / ``SharedCSRBuffers`` / ``OwnedBlock`` /
-  ``share_array``), ``MinerPool`` and pool lease
+  (``SharedMemory`` / ``SharedCSRBuffers`` / ``share_array``),
+  ``MinerPool`` and pool lease
   (``pool.acquire()`` / ``lease()`` / ``_leased_entry()``) reaches its
   release calls on **all** paths out of the function — the normal exit
   and the implicit raise exit.  Ownership hand-off (returning the
@@ -123,9 +123,7 @@ FLOW_CODES: Tuple[str, ...] = (
 
 Finding = Tuple[int, str]
 
-_SHM_CTORS = frozenset(
-    {"SharedMemory", "SharedCSRBuffers", "OwnedBlock"}
-)
+_SHM_CTORS = frozenset({"SharedMemory", "SharedCSRBuffers"})
 _POOL_CTORS = frozenset({"MinerPool"})
 _LEASE_CALLS = frozenset({"lease", "_leased_entry"})
 _MUTATING_METHODS = frozenset(

@@ -5,7 +5,7 @@ from .explore import MiningResult, PatternAwareEngine, mine, mine_multi
 from .cmap_sw import CMapSoftwareEngine, VectorCMap
 from .kernels import GALLOP_RATIO
 from .oblivious import BudgetExceeded, ObliviousEngine, mine_oblivious
-from .parallel import order_tasks
+from .parallel import filter_roots, order_tasks
 from .pool import MinerPool, PoolWorkerError, cost_model_split_degree
 from .partitioned import (
     PartitionedMiner,
@@ -30,6 +30,7 @@ __all__ = [
     "BudgetExceeded",
     "mine_oblivious",
     "GALLOP_RATIO",
+    "filter_roots",
     "order_tasks",
     "MinerPool",
     "PoolWorkerError",

@@ -35,7 +35,44 @@ from .setops import (
     remove_values,
 )
 
-__all__ = ["MiningResult", "PatternAwareEngine", "mine", "mine_multi"]
+__all__ = [
+    "MiningResult",
+    "PatternAwareEngine",
+    "filter_roots",
+    "mine",
+    "mine_multi",
+]
+
+
+def _root_array(graph, roots: Optional[Iterable[int]]) -> np.ndarray:
+    """``roots`` (``None`` = every vertex) as an int64 vector."""
+    if roots is None:
+        return np.arange(graph.num_vertices, dtype=np.int64)
+    if not isinstance(roots, (np.ndarray, range)):
+        roots = list(roots)  # generators have no length for asarray
+    return np.asarray(roots, dtype=np.int64)
+
+
+def filter_roots(graph, plan, roots: Optional[Iterable[int]] = None):
+    """Task roots after the plan's root-label constraint.
+
+    The one root filter of the engine, the pool and the simulator, so
+    all three schedule identical task sets.  ``roots`` comes back
+    unchanged (``None`` = every vertex) unless the plan labels its
+    root; then the surviving roots come back as a vector, in input
+    order.
+    """
+    root_label = getattr(plan, "root_label", None)  # MultiPlans have none
+    if root_label is None:
+        return roots
+    labels = getattr(graph, "labels", None)
+    if labels is None:
+        raise ValueError(
+            "plan carries label constraints but the graph is "
+            "unlabeled; wrap it in a LabeledGraph"
+        )
+    root_arr = _root_array(graph, roots)
+    return root_arr[labels[root_arr] == root_label]
 
 
 def _multi_plan_labeled(plan: MultiPlan) -> bool:
@@ -188,8 +225,9 @@ class PatternAwareEngine:
         self._multi = isinstance(plan, MultiPlan)
         oriented = (not self._multi) and plan.oriented
         if work_graph is not None:
-            # Pre-oriented graph injected by callers that share one DAG
-            # across many engines (e.g. one per simulated PE).
+            # A work graph the caller already holds: the DAG a pool
+            # worker attached from shared memory, a halo subgraph cut
+            # out of an already oriented graph.
             self._work_graph = work_graph
         else:
             self._work_graph = orient_by_degree(graph) if oriented else graph
@@ -257,9 +295,7 @@ class PatternAwareEngine:
 
     def run(self, roots: Optional[Iterable[int]] = None) -> MiningResult:
         """Mine the whole graph (or the given root vertices only)."""
-        if roots is None:
-            roots = self._work_graph.vertices()
-        root_label = None if self._multi else self.plan.root_label
+        roots = filter_roots(self.graph, self.plan, roots)
         # The profiler's phase mirrors into its own tracer, so exactly
         # one "mine" span lands in the trace either way.
         if self.profiler.enabled:
@@ -274,14 +310,11 @@ class PatternAwareEngine:
             )
         with span:
             if self._frontier_ok:
-                self._run_frontier_roots(roots, root_label)
+                self._run_frontier_roots(roots)
             else:
+                if roots is None:
+                    roots = self._work_graph.vertices()
                 for v0 in roots:
-                    if (
-                        root_label is not None
-                        and int(self._labels[int(v0)]) != root_label
-                    ):
-                        continue
                     self.run_task(int(v0))
         self.counters.matches = sum(self._counts)
         self.metrics.absorb(self.counters.as_dict(), prefix="engine.")
@@ -295,7 +328,7 @@ class PatternAwareEngine:
             embeddings=self._embeddings if self.collect else None,
         )
 
-    def _run_frontier_roots(self, roots, root_label) -> None:
+    def _run_frontier_roots(self, roots) -> None:
         """Serial batch-frontier entry: every root in ONE frontier.
 
         The per-root :meth:`run_task` loop would hand the level kernels
@@ -305,12 +338,7 @@ class PatternAwareEngine:
         over frontier rows, so counts and counters are bit-identical to
         the root-at-a-time walk.
         """
-        root_arr = np.asarray(
-            roots if isinstance(roots, np.ndarray) else list(roots),
-            dtype=np.int64,
-        )
-        if root_label is not None:
-            root_arr = root_arr[self._labels[root_arr] == root_label]
+        root_arr = _root_array(self._work_graph, roots)
         if len(root_arr) == 0:
             return
         self.counters.tasks += len(root_arr)

@@ -1,8 +1,10 @@
-"""Task ordering, in-process execution and worker telemetry for the pool.
+"""The task vocabulary, in-process execution and worker telemetry.
 
 The FlexMiner hardware mines one root-vertex task per PE with dynamic
-dispatch (paper §IV); :class:`~repro.engine.pool.MinerPool` is the
-CPU-side analogue, and this module holds the pieces of it that need no
+dispatch (paper §IV).  :class:`~repro.engine.pool.MinerPool` is the
+CPU-side analogue, and it and the simulator's scheduler
+(:mod:`repro.hw.scheduler`) dispatch the same :data:`Task` list, built
+here; the module also holds the pieces of the pool that need no
 processes:
 
 * **degree-descending dispatch** (:func:`order_tasks`) — expensive hubs
@@ -12,8 +14,7 @@ processes:
   engine's ``run_task(chunk=)`` support;
 * **the in-process runner** (:func:`run_tasks_in_process`) — the
   ``workers=1`` body of the pool and of every served request;
-* **the worker side of the shared-memory graph** and the summary /
-  gauge schema workers report through.
+* the summary / gauge schema workers report through.
 
 Determinism: per-worker results are merged sorted by worker id, and all
 :class:`~repro.engine.counters.OpCounters` fields are additive, so the
@@ -29,11 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import CSRGraph, LabeledGraph, attach_array, attach_shared_csr
-from ..compiler.plan import MultiPlan
+from ..graph import CSRGraph
 from ..obs.prof import LaneRecorder, task_label
 from .counters import OpCounters
-from .explore import PatternAwareEngine
+from .explore import PatternAwareEngine, _root_array, filter_roots
 
 __all__ = [
     "filter_roots",
@@ -52,50 +52,36 @@ def order_tasks(
     *,
     split_degree: Optional[int] = None,
 ) -> List[Task]:
-    """Degree-descending task list, optionally chunking heavy roots.
+    """Issue order: descending degree, ties by vertex id.
 
-    Mirrors the simulator scheduler's issue order: largest adjacency
-    first (ties broken by vertex id for determinism).  With
-    ``split_degree``, a root of degree d becomes ``ceil(d /
-    split_degree)`` chunk units so no single unit holds a whole hub.
+    The one task list both the pool and the simulator scheduler
+    dispatch.  With ``split_degree``, a root of degree d above it
+    becomes ``ceil(d / split_degree)`` chunk units, so one power-law
+    hub cannot serialize the tail of the schedule.
+
+    Sorting runs over the cached ``graph.degrees()`` vector (one
+    lexsort) rather than one ``graph.degree(v)`` call per key.
     """
-    degrees = graph.degrees()
-    if roots is None:
-        verts = np.arange(graph.num_vertices)
-    else:
-        verts = np.asarray(list(roots), dtype=np.int64)
-    order = verts[np.argsort(-degrees[verts], kind="stable")]
+    verts = _root_array(graph, roots)
+    if len(verts) == 0:
+        return []
+    degs = graph.degrees()[verts]
+    # Primary key descending degree, ties broken by vertex id —
+    # identical to sorted(key=lambda v: (-degree(v), v)).
+    order = np.lexsort((verts, -degs))
+    ordered = verts[order].tolist()
+    if split_degree is None:
+        return [(v, None) for v in ordered]
+    pieces_per_root = np.maximum(
+        1, np.ceil(degs[order] / split_degree).astype(np.int64)
+    ).tolist()
     tasks: List[Task] = []
-    for v in order.tolist():
-        d = int(degrees[v])
-        if split_degree is not None and d > split_degree:
-            pieces = -(-d // split_degree)  # ceil
-            tasks.extend((v, (i, pieces)) for i in range(pieces))
-        else:
+    for v, pieces in zip(ordered, pieces_per_root):
+        if pieces == 1:
             tasks.append((v, None))
+        else:
+            tasks.extend((v, (i, pieces)) for i in range(pieces))
     return tasks
-
-
-def filter_roots(
-    graph,
-    topology: CSRGraph,
-    plan,
-    roots: Optional[Sequence[int]] = None,
-) -> List[int]:
-    """Root list after the plan's root-label filter (parent side)."""
-    if roots is None:
-        roots = range(topology.num_vertices)
-    multi = isinstance(plan, MultiPlan)
-    root_label = None if multi else plan.root_label
-    if root_label is None:
-        return [int(v) for v in roots]
-    labels = getattr(graph, "labels", None)
-    if labels is None:
-        raise ValueError(
-            "plan carries label constraints but the graph is "
-            "unlabeled; wrap it in a LabeledGraph"
-        )
-    return [int(v) for v in roots if int(labels[int(v)]) == root_label]
 
 
 def run_tasks_in_process(
@@ -103,7 +89,6 @@ def run_tasks_in_process(
     plan,
     tasks: Sequence[Task],
     *,
-    work_graph=None,
     batch_frontier: bool = False,
     profile: bool = False,
 ):
@@ -115,8 +100,7 @@ def run_tasks_in_process(
     rec = LaneRecorder()
     with rec.span("attach-shm"):
         engine = PatternAwareEngine(
-            graph, plan, work_graph=work_graph,
-            batch_frontier=batch_frontier,
+            graph, plan, batch_frontier=batch_frontier
         )
     tasks_done = chunks_done = 0
     for root, chunk in tasks:
@@ -186,21 +170,6 @@ def publish_worker_metrics(
             },
             prefix="engine.frontier.",
         )
-
-
-def _build_worker_graph(
-    spec: Dict[str, object],
-    labels_spec: Optional[Dict[str, object]],
-):
-    """Attach the shared CSR (and labels) inside a worker process."""
-    graph = attach_shared_csr(spec)
-    if labels_spec is None:
-        return graph
-    labels, handle = attach_array(labels_spec)
-    labeled = LabeledGraph(graph, labels)
-    # Keep the mapping alive alongside the topology handles.
-    graph._shm = graph._shm + (handle,)
-    return labeled
 
 
 def _span_durations(spans, cat: str) -> List[float]:

@@ -8,13 +8,16 @@ requests; a one-shot caller (``run_app(workers=N)``, ``flexminer mine
 --workers N``) simply opens a transient ``with MinerPool(...)`` whose
 stream has length one.
 
-* **fork once** — N worker processes attach the
-  :class:`~repro.graph.SharedCSRBuffers` CSR (plus labels and, lazily,
-  the degree-oriented DAG) a single time and stay resident;
+* **fork once** — N worker processes attach the graph a single time
+  and stay resident.  One :class:`~repro.graph.SharedCSRBuffers` owns
+  everything exported — CSR, labels and, from the first oriented
+  request on, the degree-oriented DAG — and its whole lifecycle
+  (atomic creation, complete teardown); the pool only holds it;
 * **lightweight request protocol** — per request only the compiled plan
-  and (root, chunk) task ids cross the queues, plus one result summary
-  per worker on the way back; cooperative shutdown via per-worker
-  control messages;
+  and the (root, chunk) task ids of
+  :func:`~repro.engine.parallel.order_tasks` cross the queues, plus one
+  result summary per worker on the way back; cooperative shutdown via
+  per-worker control messages;
 * **measured dispatch overhead** — the pool calibrates a per-task
   round-trip cost with ping messages (timed through
   :class:`repro.obs.prof.LaneRecorder` — engine code never reads the
@@ -31,29 +34,26 @@ stream has length one.
 ``workers=1`` never forks: requests run in-process through the same
 task order, which is the exact-parity debugging configuration.  The
 pool is also the *only* place in ``repro.engine`` allowed to construct
-worker processes (fmlint FM207 polices this).
+worker processes (fmlint FM207 polices this); the context it forks them
+from is :func:`repro.graph.worker_context`, the transport's.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 import queue as queue_module
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..compiler.estimate import GraphProfile, estimate_plan
 from ..compiler.plan import MultiPlan
 from ..graph import (
     LabeledGraph,
-    OwnedBlock,
     SharedCSRBuffers,
     attach_shared_csr,
     orient_by_degree,
-    share_array,
+    worker_context,
 )
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from ..obs.prof import LaneRecorder, task_label
@@ -61,7 +61,6 @@ from .counters import OpCounters
 from .explore import MiningResult, PatternAwareEngine
 from .parallel import (
     Task,
-    _build_worker_graph,
     _worker_summary,
     filter_roots,
     order_tasks,
@@ -186,8 +185,7 @@ class _PoolLease:
 
 def _pool_worker(
     worker_id: int,
-    topo_spec: Dict[str, object],
-    labels_spec: Optional[Dict[str, object]],
+    graph_spec: Dict[str, object],
     ctrl_queue,
     task_queue,
     result_queue,
@@ -195,8 +193,8 @@ def _pool_worker(
     """Worker main loop: attach once, then serve mine/ping requests.
 
     The topology (and labels) attach exactly once, before the first
-    request; oriented work graphs attach on first use and are cached by
-    shared-memory name, so a stream of same-shaped requests touches no
+    request, and the graph's one oriented DAG on the first request that
+    names it, so a stream of same-shaped requests touches no
     graph-sized data after the first.  One ``None`` task sentinel per
     worker ends each request's drain; a ``("stop",)`` control message
     ends the worker.  Any exception is reported as a structured
@@ -205,8 +203,8 @@ def _pool_worker(
     """
     req_id = None
     try:
-        graph = _build_worker_graph(topo_spec, labels_spec)
-        work_graphs: Dict[str, object] = {}
+        graph = attach_shared_csr(graph_spec)
+        dag = None
         while True:
             message = ctrl_queue.get()
             kind = message[0]
@@ -218,14 +216,11 @@ def _pool_worker(
             _, req_id, plan, work_spec, batch_frontier, profile = message
             rec = LaneRecorder()
             with rec.span("attach-shm"):
-                work_graph = None
-                if work_spec is not None:
-                    key = str(work_spec["indptr"]["shm"])
-                    if key not in work_graphs:
-                        work_graphs[key] = attach_shared_csr(work_spec)
-                    work_graph = work_graphs[key]
+                if work_spec is not None and dag is None:
+                    dag = attach_shared_csr(work_spec)
                 engine = PatternAwareEngine(
-                    graph, plan, work_graph=work_graph,
+                    graph, plan,
+                    work_graph=None if work_spec is None else dag,
                     batch_frontier=batch_frontier,
                 )
             tasks_done = 0
@@ -314,16 +309,12 @@ class MinerPool:
         self._topology = (
             graph.graph if isinstance(graph, LabeledGraph) else graph
         )
-        #: Degree-oriented DAG, built on the first oriented request.
-        self._oriented = None
-        self._shared: List = []
+        #: Owner of every segment the workers map (set by ``_start``).
+        self._shared: Optional[SharedCSRBuffers] = None
         self._procs: List = []
         self._ctrl: List = []
         self._task_queue = None
         self._result_queue = None
-        self._topo_spec: Optional[Dict[str, object]] = None
-        self._labels_spec: Optional[Dict[str, object]] = None
-        self._work_spec: Optional[Dict[str, object]] = None
         self._closed = False
         self._broken = False
         self._dispatch_overhead: Optional[float] = None
@@ -436,8 +427,13 @@ class MinerPool:
             self._close_pending = True
             return
         self._closed = True
-        procs, self._procs = self._procs, []
-        if procs:
+        shared, self._shared = self._shared, None
+        if shared is None:  # never forked: no worker, nothing exported
+            return
+        # Leaving the block closes and unlinks every segment, also when
+        # stopping a worker raises (FM301).
+        with shared:
+            procs, self._procs = self._procs, []
             for ctrl in self._ctrl:
                 try:
                     ctrl.put_nowait(("stop",))
@@ -455,24 +451,6 @@ class MinerPool:
                     q.close()
             self._ctrl = []
             self._task_queue = self._result_queue = None
-        # Tear down every segment even when one close()/unlink() raises:
-        # bailing out mid-loop would leak the remaining segments past
-        # process exit (FM301).  The first failure re-raises at the end.
-        shared, self._shared = self._shared, []
-        failure: Optional[BaseException] = None
-        for owner in shared:
-            try:
-                owner.close()
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-            try:
-                owner.unlink()
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
 
     def _check_open(self) -> None:
         if self._closed:
@@ -484,20 +462,12 @@ class MinerPool:
             )
 
     def _start(self) -> None:
-        """Fork the workers and export the shared graph (first use only)."""
+        """Export the shared graph and fork the workers (first use only)."""
         if self._procs:
             return
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context("spawn")
-        topo_buffers = SharedCSRBuffers(self._topology)
-        self._shared.append(topo_buffers)
-        self._topo_spec = topo_buffers.spec
-        labels = getattr(self.graph, "labels", None)
-        if labels is not None:
-            shm, self._labels_spec = share_array(np.asarray(labels))
-            self._shared.append(OwnedBlock(shm))
+        if self._shared is None:
+            self._shared = SharedCSRBuffers(self.graph)
+        ctx = worker_context()
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
         self._ctrl = [ctx.Queue() for _ in range(self.workers)]
@@ -507,8 +477,7 @@ class MinerPool:
                     target=_pool_worker,
                     args=(
                         worker_id,
-                        self._topo_spec,
-                        self._labels_spec,
+                        self._shared.spec,
                         self._ctrl[worker_id],
                         self._task_queue,
                         self._result_queue,
@@ -517,21 +486,6 @@ class MinerPool:
                 )
                 proc.start()
                 self._procs.append(proc)
-
-    def _oriented_graph(self):
-        if self._oriented is None:
-            self._oriented = orient_by_degree(self._topology)
-        return self._oriented
-
-    def _work_spec_for(self, oriented: bool) -> Optional[Dict[str, object]]:
-        """Shared-memory spec of the oriented DAG (exported lazily)."""
-        if not oriented:
-            return None
-        if self._work_spec is None:
-            work_buffers = SharedCSRBuffers(self._oriented_graph())
-            self._shared.append(work_buffers)
-            self._work_spec = work_buffers.spec
-        return self._work_spec
 
     # ------------------------------------------------------------------
     # Dispatch overhead calibration + cost-model chunking
@@ -579,7 +533,9 @@ class MinerPool:
         if self.workers <= 1 or isinstance(plan, MultiPlan):
             return None
         work_graph = (
-            self._oriented_graph() if plan.oriented else self._topology
+            orient_by_degree(self._topology)
+            if plan.oriented
+            else self._topology
         )
         return cost_model_split_degree(
             work_graph,
@@ -622,11 +578,13 @@ class MinerPool:
         if split_degree is not None and multi:
             raise ValueError("task chunking requires a single-pattern plan")
         oriented = (not multi) and plan.oriented
-        work_graph = self._oriented_graph() if oriented else self._topology
+        work_graph = (
+            orient_by_degree(self._topology) if oriented else self._topology
+        )
         with self.profiler.phase("setup", workers=self.workers):
             tasks = order_tasks(
                 work_graph,
-                filter_roots(self.graph, self._topology, plan, roots),
+                filter_roots(self.graph, plan, roots),
                 split_degree=split_degree,
             )
         chunk_units = sum(1 for _, chunk in tasks if chunk is not None)
@@ -676,25 +634,24 @@ class MinerPool:
         ``workers=1`` path, which cannot wedge on a queue).
         """
         self._check_open()
-        multi = isinstance(plan, MultiPlan)
-        # getattr: a malformed plan must fail *in the worker* so the
-        # caller sees the structured PoolWorkerError, not a parent-side
-        # AttributeError.
-        oriented = (not multi) and bool(getattr(plan, "oriented", False))
         if self.workers == 1:
-            work_graph = self._oriented_graph() if oriented else None
             return [
                 run_tasks_in_process(
                     self.graph,
                     plan,
                     tasks,
-                    work_graph=work_graph,
                     batch_frontier=self.batch_frontier,
                     profile=self.profiler.enabled,
                 )
             ]
         self._start()
-        work_spec = self._work_spec_for(oriented)
+        # getattr: a malformed plan must fail *in the worker* so the
+        # caller sees the structured PoolWorkerError, not a parent-side
+        # AttributeError.
+        oriented = not isinstance(plan, MultiPlan) and getattr(
+            plan, "oriented", False
+        )
+        work_spec = self._shared.share_oriented() if oriented else None
         req_id = self._next_req
         self._next_req += 1
         for ctrl in self._ctrl:

@@ -2,11 +2,11 @@
 
 from .csr import (
     CSRGraph,
-    OwnedBlock,
     SharedCSRBuffers,
     attach_array,
     attach_shared_csr,
     share_array,
+    worker_context,
 )
 from .generators import (
     barbell_graph,
@@ -28,11 +28,11 @@ from .labels import LabeledGraph, assign_degree_labels, assign_random_labels
 
 __all__ = [
     "CSRGraph",
-    "OwnedBlock",
     "SharedCSRBuffers",
     "attach_array",
     "attach_shared_csr",
     "share_array",
+    "worker_context",
     "erdos_renyi",
     "rmat",
     "power_law_cluster",

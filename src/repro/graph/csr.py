@@ -21,11 +21,11 @@ from ..errors import GraphFormatError
 
 __all__ = [
     "CSRGraph",
-    "OwnedBlock",
     "SharedCSRBuffers",
     "attach_array",
     "attach_shared_csr",
     "share_array",
+    "worker_context",
 ]
 
 _INDEX_DTYPE = np.int64
@@ -56,7 +56,10 @@ class CSRGraph:
     handed out by :meth:`neighbors` cannot be mutated by accident.
     """
 
-    __slots__ = ("_indptr", "_indices", "_directed", "_name", "_degrees", "_shm")
+    __slots__ = (
+        "_indptr", "_indices", "_directed", "_name", "_degrees",
+        "_oriented", "_shm",
+    )
 
     def __init__(
         self,
@@ -78,6 +81,9 @@ class CSRGraph:
         self._directed = bool(directed)
         self._name = name
         self._degrees: Optional[np.ndarray] = None
+        #: Degree-oriented DAG of this graph, filled in by
+        #: :func:`repro.graph.orient_by_degree` on first use.
+        self._oriented: Optional["CSRGraph"] = None
         #: Shared-memory handles keeping attached buffers mapped for the
         #: lifetime of the graph (see :func:`attach_shared_csr`).
         self._shm: Tuple = ()
@@ -328,13 +334,28 @@ class CSRGraph:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory CSR (zero-copy views for multi-process mining)
+# Shared-memory graph transport (zero-copy views for worker processes)
 # ----------------------------------------------------------------------
 #
-# The parallel miner hands each worker process a *name*, not the arrays:
-# the parent copies ``indptr``/``indices`` into POSIX shared memory once
-# and workers map the same pages read-only.  Nothing graph-sized crosses
-# a pipe, so attach cost is independent of graph size.
+# Every multi-process runner (the mining pool, the parallel simulator)
+# hands each worker a *spec*, not the arrays: the parent copies the
+# graph into POSIX shared memory once and workers map the same pages
+# read-only.  Nothing graph-sized crosses a pipe, so attach cost is
+# independent of graph size.
+
+
+def worker_context():
+    """The ``multiprocessing`` context runners start their workers from.
+
+    ``fork`` wherever it exists: the children inherit the parent's
+    resource tracker, which :func:`_attach_block` relies on.
+    """
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context("spawn")
 
 
 def share_array(arr: np.ndarray):
@@ -367,24 +388,6 @@ def share_array(arr: np.ndarray):
     return shm, spec
 
 
-class OwnedBlock:
-    """Close/unlink adapter so a bare :func:`share_array` handle matches
-    the :class:`SharedCSRBuffers` cleanup interface (one owner list,
-    one teardown loop)."""
-
-    def __init__(self, shm) -> None:
-        self._shm = shm
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 def _attach_block(name: str):
     """Attach an existing shared-memory block without claiming ownership.
 
@@ -415,75 +418,132 @@ def attach_array(spec: Dict[str, object]):
     return arr, shm
 
 
-class SharedCSRBuffers:
-    """Parent-side owner of shared-memory copies of a graph's CSR arrays.
+def _release(shms: Sequence, *steps: str) -> None:
+    """Run ``steps`` (``"close"``, ``"unlink"``) on every segment.
 
-    Usage::
+    Every segment is visited even when one raises — bailing out would
+    strand the rest past process exit (FM301) — and the first failure
+    re-raises at the end.
+    """
+    failure: Optional[BaseException] = None
+    for shm in shms:
+        for step in steps:
+            try:
+                getattr(shm, step)()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+            except BaseException as exc:
+                if failure is None:
+                    failure = exc
+    if failure is not None:
+        raise failure
+
+
+class SharedCSRBuffers:
+    """Parent-side owner of everything a runner exports of one graph.
+
+    That is the topology's ``indptr``/``indices``, the label array when
+    ``graph`` is a :class:`~repro.graph.LabeledGraph`, and — added by
+    :meth:`share_oriented` when the first oriented plan arrives — the
+    degree-oriented DAG.  Usage::
 
         with SharedCSRBuffers(graph) as shared:
             start_workers(shared.spec)   # workers call attach_shared_csr
 
-    Exiting the ``with`` block closes and unlinks the segments; workers
+    Exiting the ``with`` block closes and unlinks every segment; workers
     that attached before then keep their mappings until they exit.
     """
 
-    def __init__(self, graph: "CSRGraph") -> None:
+    def __init__(self, graph) -> None:
         self._shms: List = []
-        indptr_spec = self._share(graph.indptr)
-        indices_spec = self._share(graph.indices)
-        self.spec: Dict[str, object] = {
+        self._topology: CSRGraph = getattr(graph, "graph", graph)
+        self.spec: Dict[str, object] = self._share_csr(
+            self._topology, getattr(graph, "labels", None)
+        )
+
+    def share_oriented(self) -> Dict[str, object]:
+        """Export the degree-oriented DAG (first call only).
+
+        Returns the DAG's own spec and records it as
+        ``spec["oriented"]``, so a graph attached from ``spec`` afterwards
+        answers :func:`~repro.graph.orient_by_degree` from shared memory.
+        """
+        if "oriented" not in self.spec:
+            from .orientation import orient_by_degree
+
+            self.spec["oriented"] = self._share_csr(
+                orient_by_degree(self._topology)
+            )
+        return self.spec["oriented"]  # type: ignore[return-value]
+
+    def _share_csr(
+        self, graph: CSRGraph, labels: Optional[np.ndarray] = None
+    ) -> Dict[str, object]:
+        """Export one CSR (plus labels) atomically: when a creation
+        fails, the segments this call already created are reaped."""
+        spec: Dict[str, object] = {
             "directed": graph.directed,
             "name": graph.name,
-            "indptr": indptr_spec,
-            "indices": indices_spec,
         }
-
-    def _share(self, arr: np.ndarray) -> Dict[str, object]:
-        shm, spec = share_array(arr)
-        self._shms.append(shm)
+        arrays = {"indptr": graph.indptr, "indices": graph.indices}
+        if labels is not None:
+            arrays["labels"] = labels
+        created: List = []
+        try:
+            for key, arr in arrays.items():
+                shm, spec[key] = share_array(arr)
+                created.append(shm)
+        except BaseException:
+            _release(created, "close", "unlink")
+            raise
+        self._shms += created
         return spec
 
     def close(self) -> None:
-        for shm in self._shms:
-            shm.close()
+        _release(self._shms, "close")
 
     def unlink(self) -> None:
-        for shm in self._shms:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        _release(self._shms, "unlink")
 
     def __enter__(self) -> "SharedCSRBuffers":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-        self.unlink()
+        _release(self._shms, "close", "unlink")
 
 
-def attach_shared_csr(spec: Dict[str, object]) -> CSRGraph:
-    """Rebuild a :class:`CSRGraph` over shared-memory buffers.
+def attach_shared_csr(spec: Dict[str, object]):
+    """Rebuild the exported graph over shared-memory buffers.
 
-    The returned graph holds the mapping handles internally, so it (and
-    every neighbor-list view it hands out) stays valid for the graph's
+    Returns a :class:`CSRGraph` — wrapped in a
+    :class:`~repro.graph.LabeledGraph` when the spec carries labels, and
+    with its oriented DAG already attached when the spec carries one.
+    The graph holds the mapping handles internally, so it (and every
+    neighbor-list view it hands out) stays valid for the graph's
     lifetime.  The arrays were validated when the source graph was
     built, so validation is skipped.
     """
+    arrays: Dict[str, np.ndarray] = {}
     handles: List = []
-    indptr, shm = attach_array(spec["indptr"])  # type: ignore[arg-type]
-    handles.append(shm)
-    indices, shm = attach_array(spec["indices"])  # type: ignore[arg-type]
-    handles.append(shm)
+    for key in ("indptr", "indices", "labels"):
+        if key in spec:
+            arrays[key], shm = attach_array(spec[key])  # type: ignore[arg-type]
+            handles.append(shm)
     graph = CSRGraph(
-        indptr,
-        indices,
+        arrays["indptr"],
+        arrays["indices"],
         directed=bool(spec["directed"]),
         name=str(spec["name"]),
         validate=False,
     )
     graph._shm = tuple(handles)
-    return graph
+    if "oriented" in spec:
+        graph._oriented = attach_shared_csr(spec["oriented"])  # type: ignore[arg-type]
+    if "labels" not in arrays:
+        return graph
+    from .labels import LabeledGraph
+
+    return LabeledGraph(graph, arrays["labels"])
 
 
 def _validate_csr(indptr: np.ndarray, indices: np.ndarray, directed: bool) -> None:

@@ -42,14 +42,23 @@ def orient_by_degree(graph: CSRGraph) -> CSRGraph:
     Each undirected edge (u, v) becomes a single arc from the lower-ranked
     endpoint to the higher-ranked one.  The result has
     ``num_directed_edges == graph.num_edges``.
+
+    Graphs are immutable, so the DAG is built once per graph and cached
+    on it beside ``degrees()`` — the paper's "reusable for any k-CL"
+    (§V-C): every engine, pool and simulator over one graph shares one
+    DAG object.  A :class:`~repro.graph.LabeledGraph` caches on its
+    topology (orientation keeps vertex ids, so labels still apply).
     """
-    rank = orientation_rank(graph)
-    edges = [
-        (u, v) for u, v in graph.edges() if rank[u] < rank[v]
-    ] + [(v, u) for u, v in graph.edges() if rank[v] < rank[u]]
-    return CSRGraph.from_edges(
-        edges,
-        num_vertices=graph.num_vertices,
-        directed=True,
-        name=graph.name + "-dag" if graph.name else "dag",
-    )
+    topology = getattr(graph, "graph", graph)
+    if topology._oriented is None:
+        rank = orientation_rank(topology)
+        edges = [
+            (u, v) for u, v in topology.edges() if rank[u] < rank[v]
+        ] + [(v, u) for u, v in topology.edges() if rank[v] < rank[u]]
+        topology._oriented = CSRGraph.from_edges(
+            edges,
+            num_vertices=topology.num_vertices,
+            directed=True,
+            name=topology.name + "-dag" if topology.name else "dag",
+        )
+    return topology._oriented

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .. import engine
 from ..compiler.plan import ExecutionPlan, MultiPlan
 from ..errors import SimulationError
 from ..graph import CSRGraph, orient_by_degree
@@ -22,27 +23,7 @@ from .pe import ProcessingElement
 from .report import SimReport
 from .scheduler import Scheduler
 
-__all__ = [
-    "FlexMinerAccelerator",
-    "build_report",
-    "filter_roots",
-    "simulate",
-]
-
-
-def filter_roots(plan, graph, work_graph, roots):
-    """Apply the plan's root-label constraint to the task roots.
-
-    Returns ``roots`` unchanged for unlabeled plans; otherwise the
-    filtered explicit root list.  Shared by the serial accelerator and
-    the parallel sweep runner so both schedule identical task sets.
-    """
-    root_label = getattr(plan, "root_label", None)
-    if root_label is None:
-        return roots
-    labels = graph.labels  # engine init validated presence
-    candidates = roots if roots is not None else work_graph.vertices()
-    return [v for v in candidates if int(labels[int(v)]) == root_label]
+__all__ = ["FlexMinerAccelerator", "build_report", "simulate"]
 
 
 def build_report(
@@ -163,7 +144,6 @@ class FlexMinerAccelerator:
                     plan,
                     self.config,
                     self.memsys,
-                    work_graph=self._work_graph,
                     tracer=self.tracer,
                 )
                 for i in range(self.config.num_pes)
@@ -189,9 +169,10 @@ class FlexMinerAccelerator:
             raise SimulationError(
                 "task splitting requires a single-pattern plan"
             )
-        roots = filter_roots(self.plan, self.graph, self._work_graph, roots)
         tasks = Scheduler.order_tasks(
-            self._work_graph, roots, split_degree=split
+            self._work_graph,
+            engine.filter_roots(self.graph, self.plan, roots),
+            split_degree=split,
         )
         # One "simulate" span either way: the profiler's phase mirrors
         # into its own tracer when it is enabled.

@@ -21,16 +21,20 @@ This module splits them into a classic trace/replay pipeline:
 
 2. **Replay phase (serial, cheap)** — the recorded streams drive the
    real scheduler heap, per-PE private caches / frontier allocators and
-   the shared memory system.  Every charge is applied individually in
-   the exact order the serial simulator would apply it, so float
-   accumulation order — and therefore every cycle count, stall, queue
-   delay and statistic — is preserved bit-for-bit.
+   the shared memory system through :class:`_ReplayPE`, which inherits
+   the PE's own timing hooks (:class:`~repro.hw.pe.PETiming`).  Every
+   charge is applied individually in the exact order the serial
+   simulator would apply it, so float accumulation order — and
+   therefore every cycle count, stall, queue delay and statistic — is
+   preserved bit-for-bit.
 
 ``workers=1`` runs trace and replay in-process (no fork) through the
 same encode/decode path, which is what the differential harness uses to
-pin the machinery against the serial oracle.  Workers mirror the
-shared-memory transport of :class:`repro.engine.pool.MinerPool`:
-the CSR arrays cross into workers via POSIX shared memory, never a pipe.
+pin the machinery against the serial oracle.  The task list is the one
+:func:`repro.engine.order_tasks` builds for the mining pool, and workers
+use the pool's transport, :class:`~repro.graph.SharedCSRBuffers`: the
+graph (labels and oriented DAG included) crosses into workers via POSIX
+shared memory, never a pipe.
 
 Tracing (``repro.obs``) hooks into simulator internals that the trace
 phase bypasses, so ``simulate_parallel`` does not accept a tracer;
@@ -45,34 +49,29 @@ the report (tested zero-drift).
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..compiler.plan import MultiPlan
+from ..engine.parallel import Task, filter_roots, order_tasks
 from ..errors import SimulationError
 from ..graph import (
     CSRGraph,
-    LabeledGraph,
-    OwnedBlock,
     SharedCSRBuffers,
-    attach_array,
     attach_shared_csr,
     orient_by_degree,
-    share_array,
+    worker_context,
 )
 from ..obs import NULL_PROFILER, NULL_REGISTRY
 from ..obs.prof import LaneRecorder, task_label
-from .accelerator import build_report, filter_roots
-from .cache import SetAssocCache
-from .cmap import HardwareCMap
+from .accelerator import build_report
 from .config import FlexMinerConfig
-from .mem import GraphLayout, MemorySystem
-from .pe import PEStats, ProcessingElement
+from .mem import MemorySystem
+from .pe import PETiming, ProcessingElement
 from .report import SimReport
-from .scheduler import Scheduler, Task
+from .scheduler import Scheduler
 
 __all__ = ["simulate_parallel"]
 
@@ -108,17 +107,6 @@ _CMAP_STAT_FIELDS = (
 )
 
 
-def _task_key(task: Task) -> Tuple:
-    return task if isinstance(task, tuple) else (int(task), None, None)
-
-
-def _task_parts(task: Task) -> Tuple[int, Optional[Tuple[int, int]]]:
-    """(root, chunk) view of a scheduler task for span labeling."""
-    if isinstance(task, tuple):
-        return int(task[0]), (int(task[1]), int(task[2]))
-    return int(task), None
-
-
 class _TracePE(ProcessingElement):
     """A PE whose timing hooks record events instead of applying them.
 
@@ -128,11 +116,8 @@ class _TracePE(ProcessingElement):
     the task — is deferred to replay.
     """
 
-    def __init__(self, graph, plan, config, *, work_graph=None) -> None:
-        super().__init__(
-            0, graph, plan, config, MemorySystem(config, graph),
-            work_graph=work_graph,
-        )
+    def __init__(self, graph, plan, config) -> None:
+        super().__init__(0, graph, plan, config, MemorySystem(config, graph))
         self._events: List[Tuple[int, int, int]] = []
 
     # -- timing hooks: record, don't apply -----------------------------
@@ -152,17 +137,12 @@ class _TracePE(ProcessingElement):
         self._frontier_table[depth] = (_FR_SENTINEL, depth)
 
     # -- per-task tracing ----------------------------------------------
-    def trace_task(self, task: Task):
+    def trace_task(self, root: int, chunk: Optional[Tuple[int, int]]):
         """Run one task functionally; returns (events, stats, counts).
 
-        Mirrors :meth:`ProcessingElement.execute_task` minus the
-        dispatch charge and task counter, which replay applies.
+        :meth:`ProcessingElement.execute_task` minus the dispatch
+        charge and task counter, which replay applies.
         """
-        if isinstance(task, tuple):
-            v0, chunk_index, total = task
-            chunk: Optional[Tuple[int, int]] = (chunk_index, total)
-        else:
-            v0, chunk = int(task), None
         if self.cmap is not None:
             self.cmap.reset()
         self._covered.clear()
@@ -174,7 +154,7 @@ class _TracePE(ProcessingElement):
             else None
         )
         counts_before = list(self._counts)
-        self.run_task(int(v0), chunk=chunk)
+        self.run_task(root, chunk=chunk)
         deltas = [
             int(getattr(self.stats, f)) - int(b)
             for f, b in zip(_PE_STAT_FIELDS, pe_before)
@@ -254,13 +234,12 @@ def _trace_shard(
     rec: Optional[LaneRecorder] = None,
 ):
     shard = _ShardTrace(num_patterns)
-    for task in tasks:
+    for root, chunk in tasks:
         if rec is not None:
-            root, chunk = _task_parts(task)
             with rec.span(task_label(root, chunk), cat="task"):
-                shard.add(*tracer_pe.trace_task(task))
+                shard.add(*tracer_pe.trace_task(root, chunk))
         else:
-            shard.add(*tracer_pe.trace_task(task))
+            shard.add(*tracer_pe.trace_task(root, chunk))
     shard.seal()
     return shard
 
@@ -268,8 +247,6 @@ def _trace_shard(
 def _trace_worker(
     worker_id: int,
     spec,
-    labels_spec,
-    work_spec,
     plan,
     config: FlexMinerConfig,
     tasks: Sequence[Task],
@@ -277,7 +254,7 @@ def _trace_worker(
     profile: bool,
     result_queue,
 ) -> None:
-    """Worker main: attach shared CSR buffers, trace the shard, report.
+    """Worker main: attach the shared graph, trace the shard, report.
 
     With ``profile`` the shard is accompanied by the worker's recorded
     span stream (shm attach plus one span per traced task); the spans
@@ -286,19 +263,7 @@ def _trace_worker(
     try:
         rec = LaneRecorder()
         with rec.span("attach-shm"):
-            graph = attach_shared_csr(spec)
-            if labels_spec is not None:
-                labels, handle = attach_array(labels_spec)
-                graph._shm = graph._shm + (handle,)
-                graph = LabeledGraph(graph, labels)
-            work_graph = (
-                attach_shared_csr(work_spec)
-                if work_spec is not None
-                else None
-            )
-            tracer_pe = _TracePE(
-                graph, plan, config, work_graph=work_graph
-            )
+            tracer_pe = _TracePE(attach_shared_csr(spec), plan, config)
         shard = _trace_shard(
             tracer_pe, tasks, num_patterns, rec if profile else None
         )
@@ -309,13 +274,14 @@ def _trace_worker(
         result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-class _ReplayPE:
+class _ReplayPE(PETiming):
     """Applies recorded event streams with real per-PE and shared state.
 
-    Re-implements exactly the timing surface of
-    :class:`~repro.hw.pe.ProcessingElement` — charge order, overlap
-    credit, frontier allocation, fast/legacy kernel selection — so the
-    resulting floats are bit-identical to the serial simulator's.
+    The timing surface — charge order, overlap credit, frontier
+    allocation, fast/legacy kernel selection — is the inherited
+    :class:`~repro.hw.pe.PETiming`, the very functions
+    :class:`~repro.hw.pe.ProcessingElement` runs, so the resulting
+    floats are bit-identical to the serial simulator's.
     """
 
     def __init__(
@@ -324,74 +290,11 @@ class _ReplayPE:
         config: FlexMinerConfig,
         memsys: MemorySystem,
         num_patterns: int,
-        traces: Dict[Tuple, Tuple],
+        traces: Dict[Task, Tuple],
     ) -> None:
-        self.pe_id = pe_id
-        self.config = config
-        self.memsys = memsys
-        self.time = 0.0
-        self._overlap_credit = 0.0
-        self.stats = PEStats()
-        self.private = SetAssocCache(
-            config.private_cache_bytes,
-            config.private_cache_assoc,
-            config.line_bytes,
-        )
-        self.cmap = HardwareCMap.from_config(config)
+        super().__init__(pe_id, config, memsys)
         self._counts = [0] * num_patterns
         self._traces = traces
-        self._fast = config.timing_kernels
-        self._frontier_table: Dict[int, Tuple[int, int]] = {}
-        base, stride = GraphLayout.frontier_region(pe_id)
-        self._frontier_base = base
-        self._frontier_limit = base + stride
-        self._frontier_ptr = base
-
-    @property
-    def counts(self) -> List[int]:
-        return self._counts
-
-    # -- identical timing primitives (see ProcessingElement) -----------
-    def _charge_busy(self, cycles: float) -> None:
-        self.time += cycles
-        self.stats.busy_cycles += cycles
-        self._overlap_credit += cycles
-
-    def _touch(self, base: int, size: int) -> None:
-        if self._fast:
-            _, missed = self.private.access_range_batch(base, size)
-        else:
-            _, missed = self.private.access_range(base, size)
-        if missed:
-            fetch = (
-                self.memsys.fetch_lines_batch
-                if self._fast
-                else self.memsys.fetch_lines
-            )
-            latency = fetch(self.pe_id, missed, self.time)
-            stall = max(0.0, latency - self._overlap_credit)
-            self._overlap_credit = 0.0
-            self.time += stall
-            self.stats.stall_cycles += stall
-
-    def _write_frontier(self, length: int, depth: int) -> None:
-        size = max(4 * length, 4)
-        if self._frontier_ptr + size > self._frontier_limit:
-            self._frontier_ptr = self._frontier_base
-        addr = self._frontier_ptr
-        line = self.config.line_bytes
-        self._frontier_ptr = (addr + size + line - 1) // line * line
-        if self._fast:
-            self.private.access_range_batch(addr, size)
-            self._charge_busy(
-                (addr + size - 1) // line - addr // line + 1
-            )
-        else:
-            lines = self.private.lines_of_range(addr, size)
-            for ln in lines:
-                self.private.access_line(int(ln))
-            self._charge_busy(len(lines))
-        self._frontier_table[depth] = (addr, size)
 
     # -- scheduler entry point ------------------------------------------
     def execute_task(
@@ -404,12 +307,7 @@ class _ReplayPE:
         self.time = max(self.time, dispatch_time)
         self._charge_busy(self.config.dispatch_cycles)
         self.stats.tasks += 1
-        key = (
-            (int(v0),) + tuple(chunk)
-            if chunk is not None
-            else (int(v0), None, None)
-        )
-        events, deltas, counts_delta = self._traces[key]
+        events, deltas, counts_delta = self._traces[v0, chunk]
         for code, a, b in events:
             if code == _EV_BUSY:
                 self._charge_busy(a)
@@ -439,17 +337,8 @@ class _ReplayPE:
             self._counts[i] += c
 
 
-def _fork_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return mp.get_context("spawn")
-
-
 def _trace_in_processes(
-    topology: CSRGraph,
-    labels,
-    work_graph: Optional[CSRGraph],
+    spec,
     plan,
     config: FlexMinerConfig,
     tasks: Sequence[Task],
@@ -459,26 +348,14 @@ def _trace_in_processes(
 ) -> List[Tuple[_ShardTrace, Optional[list]]]:
     """Fan the task shards out to worker processes; shards by worker id.
 
-    Returns one ``(shard, spans)`` pair per worker; spans are ``None``
-    unless the profiler is enabled.
+    ``spec`` names the shared graph the workers attach.  Returns one
+    ``(shard, spans)`` pair per worker; spans are ``None`` unless the
+    profiler is enabled.
     """
-    ctx = _fork_context()
-    shared: List = []
+    ctx = worker_context()
     shards: Dict[int, Tuple[_ShardTrace, Optional[list]]] = {}
     procs = []
     try:
-        topo_buffers = SharedCSRBuffers(topology)
-        shared.append(topo_buffers)
-        labels_spec = None
-        if labels is not None:
-            shm, labels_spec = share_array(np.asarray(labels))
-            shared.append(OwnedBlock(shm))
-        work_spec = None
-        if work_graph is not None and work_graph is not topology:
-            work_buffers = SharedCSRBuffers(work_graph)
-            shared.append(work_buffers)
-            work_spec = work_buffers.spec
-
         result_queue = ctx.Queue()
         with profiler.lane_span("spawn-workers"):
             for worker_id in range(workers):
@@ -486,9 +363,7 @@ def _trace_in_processes(
                     target=_trace_worker,
                     args=(
                         worker_id,
-                        topo_buffers.spec,
-                        labels_spec,
-                        work_spec,
+                        spec,
                         plan,
                         config,
                         list(tasks[worker_id::workers]),
@@ -529,22 +404,6 @@ def _trace_in_processes(
             if proc.is_alive():  # pragma: no cover - error cleanup
                 proc.terminate()
                 proc.join()
-        # a close() that raises must not strand the unlink or the
-        # remaining segments; capture the first error and keep reaping
-        failure = None
-        for owner in shared:
-            try:
-                owner.close()
-            except BaseException as exc:  # pragma: no cover - cleanup
-                if failure is None:
-                    failure = exc
-            try:
-                owner.unlink()
-            except BaseException as exc:  # pragma: no cover - cleanup
-                if failure is None:
-                    failure = exc
-        if failure is not None:  # pragma: no cover - cleanup
-            raise failure
     return [shards[w] for w in range(workers)]
 
 
@@ -584,13 +443,10 @@ def simulate_parallel(
             plan.num_patterns if isinstance(plan, MultiPlan) else 1
         )
         oriented = not isinstance(plan, MultiPlan) and plan.oriented
-        topology = (
-            graph.graph if isinstance(graph, LabeledGraph) else graph
-        )
-        work_graph = orient_by_degree(topology) if oriented else topology
-        roots = filter_roots(plan, graph, work_graph, roots)
-        tasks = Scheduler.order_tasks(
-            work_graph, roots, split_degree=split
+        tasks = order_tasks(
+            orient_by_degree(graph) if oriented else graph,
+            filter_roots(graph, plan, roots),
+            split_degree=split,
         )
 
     # Phase 1: trace.
@@ -598,9 +454,7 @@ def simulate_parallel(
         if workers == 1 or len(tasks) < 2:
             rec = LaneRecorder()
             with rec.span("attach-shm"):
-                tracer_pe = _TracePE(
-                    graph, plan, config, work_graph=work_graph
-                )
+                tracer_pe = _TracePE(graph, plan, config)
             shards = [
                 _trace_shard(
                     tracer_pe, tasks, num_patterns,
@@ -610,11 +464,15 @@ def simulate_parallel(
             shard_tasks = [tasks]
             lanes = [(0, rec.spans if profiler.enabled else None)]
         else:
-            labels = getattr(graph, "labels", None)
-            payloads = _trace_in_processes(
-                topology, labels, work_graph, plan, config, tasks,
-                num_patterns, workers, profiler=profiler,
-            )
+            # Segments outlive the workers and never the call: leaving
+            # the block closes and unlinks every one of them (FM301).
+            with SharedCSRBuffers(graph) as shared:
+                if oriented:
+                    shared.share_oriented()
+                payloads = _trace_in_processes(
+                    shared.spec, plan, config, tasks,
+                    num_patterns, workers, profiler=profiler,
+                )
             shards = [shard for shard, _spans in payloads]
             lanes = list(enumerate(spans for _shard, spans in payloads))
             shard_tasks = [tasks[w::workers] for w in range(workers)]
@@ -625,11 +483,11 @@ def simulate_parallel(
 
     # Phase 2: replay (serial; identical order to the serial simulator).
     with profiler.phase("replay", tasks=len(tasks)):
-        traces: Dict[Tuple, Tuple] = {}
+        traces: Dict[Task, Tuple] = {}
         for shard, assigned in zip(shards, shard_tasks):
             for i, task in enumerate(assigned):
-                traces[_task_key(task)] = shard.task(i)
-        memsys = MemorySystem(config, topology)
+                traces[task] = shard.task(i)
+        memsys = MemorySystem(config, graph)
         pes = [
             _ReplayPE(i, config, memsys, num_patterns, traces)
             for i in range(config.num_pes)

@@ -37,7 +37,7 @@ from .cmap import HardwareCMap
 from .config import FlexMinerConfig
 from .mem import GraphLayout, MemorySystem
 
-__all__ = ["PEStats", "ProcessingElement"]
+__all__ = ["PEStats", "PETiming", "ProcessingElement"]
 
 
 @dataclass
@@ -76,25 +76,22 @@ class PEStats:
         return out
 
 
-class ProcessingElement(PatternAwareEngine):
-    """One FlexMiner PE: the functional engine plus cycle accounting."""
+class PETiming:
+    """The timing surface of one PE: local clock, overlap credit,
+    statistics, private cache, c-map, the frontier bump allocator and
+    the three hooks every cycle charge goes through.
 
-    # Every candidate list must flow through the timed c-map/SIU pipeline
-    # below; the base engine's count-only leaf shortcut would skip it.
-    supports_leaf_counting = False
+    :class:`ProcessingElement` drives the hooks from the functional
+    walk, the parallel simulator's replay PE from a recorded event
+    stream.  Both *inherit* them — the hooks are the simulator's hottest
+    Python frames, so there is no delegation hop — which is what keeps
+    float accumulation, and therefore every report, bit-identical
+    between the two.
+    """
 
     def __init__(
-        self,
-        pe_id: int,
-        graph: CSRGraph,
-        plan,
-        config: FlexMinerConfig,
-        memsys: MemorySystem,
-        *,
-        work_graph: Optional[CSRGraph] = None,
-        tracer=None,
+        self, pe_id: int, config: FlexMinerConfig, memsys: MemorySystem
     ) -> None:
-        super().__init__(graph, plan, collect=False, work_graph=work_graph)
         self.pe_id = pe_id
         self.config = config
         self.memsys = memsys
@@ -106,22 +103,13 @@ class ProcessingElement(PatternAwareEngine):
         self.stats = PEStats()
         # Cycle-domain tracer: None when tracing is off, so hot paths pay
         # one identity check.  Timing/counters are never affected.
-        self._trace = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        self._trace = None
         self.private = SetAssocCache(
             config.private_cache_bytes,
             config.private_cache_assoc,
             config.line_bytes,
         )
         self.cmap: Optional[HardwareCMap] = HardwareCMap.from_config(config)
-        if self._trace is not None and self.cmap is not None:
-            self.cmap.attach_tracer(
-                self._trace, clock=lambda: self.time, tid=pe_id
-            )
-        self._insert_depths = set(plan.cmap_insert_depths)
-        self._insert_filter = getattr(plan, "cmap_insert_filter", {})
-        self._covered: Dict[int, bool] = {}
         # Frontier-list table: depth -> (spill address, bytes).
         self._frontier_table: Dict[int, Tuple[int, int]] = {}
         base, stride = GraphLayout.frontier_region(pe_id)
@@ -129,40 +117,9 @@ class ProcessingElement(PatternAwareEngine):
         self._frontier_limit = base + stride
         self._frontier_ptr = base
 
-    # ------------------------------------------------------------------
-    # Scheduler entry point
-    # ------------------------------------------------------------------
-    def execute_task(
-        self,
-        v0: int,
-        dispatch_time: float,
-        *,
-        chunk: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Run one task; ``dispatch_time`` is when the scheduler sent it.
-
-        ``chunk`` restricts the walk to a slice of the depth-1
-        candidates (fine-grained task splitting; see the scheduler).
-        """
-        self.time = max(self.time, dispatch_time)
-        start = self.time
-        self._charge_busy(self.config.dispatch_cycles)
-        if self.cmap is not None:
-            self.cmap.reset()
-        self._covered.clear()
-        self.stats.tasks += 1
-        self.run_task(v0, chunk=chunk)
-        if self._trace is not None:
-            args = {"root": int(v0)}
-            if chunk is not None:
-                args["chunk"] = list(chunk)
-            self._trace.complete(
-                f"task v{int(v0)}", start, self.time - start,
-                pid=SIM_PID, tid=self.pe_id, cat="task", args=args,
-            )
-
     @property
     def counts(self) -> List[int]:
+        """Per-pattern match counts (``_counts`` is the subclass's)."""
         return self._counts
 
     # ------------------------------------------------------------------
@@ -227,6 +184,68 @@ class ProcessingElement(PatternAwareEngine):
                 self.private.access_line(int(ln))
             self._charge_busy(len(lines))
         self._frontier_table[depth] = (addr, size)
+
+
+class ProcessingElement(PETiming, PatternAwareEngine):
+    """One FlexMiner PE: the functional engine plus cycle accounting."""
+
+    # Every candidate list must flow through the timed c-map/SIU pipeline
+    # below; the base engine's count-only leaf shortcut would skip it.
+    supports_leaf_counting = False
+
+    def __init__(
+        self,
+        pe_id: int,
+        graph: CSRGraph,
+        plan,
+        config: FlexMinerConfig,
+        memsys: MemorySystem,
+        *,
+        tracer=None,
+    ) -> None:
+        PatternAwareEngine.__init__(self, graph, plan, collect=False)
+        PETiming.__init__(self, pe_id, config, memsys)
+        if tracer is not None and tracer.enabled:
+            self._trace = tracer
+            if self.cmap is not None:
+                self.cmap.attach_tracer(
+                    tracer, clock=lambda: self.time, tid=pe_id
+                )
+        self._insert_depths = set(plan.cmap_insert_depths)
+        self._insert_filter = getattr(plan, "cmap_insert_filter", {})
+        self._covered: Dict[int, bool] = {}
+
+    # ------------------------------------------------------------------
+    # Scheduler entry point
+    # ------------------------------------------------------------------
+    def execute_task(
+        self,
+        v0: int,
+        dispatch_time: float,
+        *,
+        chunk: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Run one task; ``dispatch_time`` is when the scheduler sent it.
+
+        ``chunk`` restricts the walk to a slice of the depth-1
+        candidates (fine-grained task splitting; see the scheduler).
+        """
+        self.time = max(self.time, dispatch_time)
+        start = self.time
+        self._charge_busy(self.config.dispatch_cycles)
+        if self.cmap is not None:
+            self.cmap.reset()
+        self._covered.clear()
+        self.stats.tasks += 1
+        self.run_task(v0, chunk=chunk)
+        if self._trace is not None:
+            args = {"root": int(v0)}
+            if chunk is not None:
+                args["chunk"] = list(chunk)
+            self._trace.complete(
+                f"task v{int(v0)}", start, self.time - start,
+                pid=SIM_PID, tid=self.pe_id, cat="task", args=args,
+            )
 
     def _load_adjacency_timed(self, v: int) -> np.ndarray:
         """Fetch a neighbor list through the memory hierarchy."""

@@ -5,8 +5,10 @@ is independent, the hardware policy is simply "next task to the first PE
 that frees up"; the simulator realizes that with a min-heap on PE local
 time.  A task's dispatch costs a NoC message (``dispatch_cycles``).
 
-Tasks are issued in descending root-degree order, a standard
-longest-processing-time heuristic that mirrors what dynamic hardware
+The scheduler uses the mining pool's task list:
+:func:`repro.engine.order_tasks` builds the ``(root, chunk)`` tasks
+both dispatch, in descending root-degree order — a standard
+longest-processing-time heuristic that matches what dynamic hardware
 scheduling achieves on skewed graphs (big tasks don't straggle at the
 end).
 """
@@ -14,18 +16,12 @@ end).
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from ..graph import CSRGraph
+from ..engine.parallel import Task, order_tasks
 from .pe import ProcessingElement
 
 __all__ = ["Scheduler", "Task"]
-
-#: A task is a root vertex, optionally with a (chunk, total) slice of
-#: its depth-1 candidates (fine-grained splitting of straggler roots).
-Task = Union[int, Tuple[int, int, int]]
 
 
 class Scheduler:
@@ -37,61 +33,16 @@ class Scheduler:
         self.pes = list(pes)
         self.tasks_dispatched = 0
 
-    @staticmethod
-    def order_tasks(
-        graph: CSRGraph,
-        roots: Optional[Iterable[int]] = None,
-        *,
-        split_degree: Optional[int] = None,
-    ) -> List[Task]:
-        """Issue order: descending degree, ties by vertex id.
-
-        With ``split_degree`` set, roots whose degree exceeds it become
-        several ``(vertex, chunk, total)`` sub-tasks, so one power-law
-        hub cannot serialize the tail of the schedule.
-
-        Sorting runs over the cached ``graph.degrees()`` vector (one
-        lexsort) rather than one ``graph.degree(v)`` call per key.
-        """
-        degrees = graph.degrees()
-        if roots is None:
-            verts = np.arange(graph.num_vertices, dtype=np.int64)
-        else:
-            verts = np.asarray(list(roots), dtype=np.int64)
-        if len(verts) == 0:
-            return []
-        degs = degrees[verts]
-        # Primary key descending degree, ties broken by vertex id —
-        # identical to sorted(key=lambda v: (-degree(v), v)).
-        order = np.lexsort((verts, -degs))
-        ordered = verts[order].tolist()
-        if split_degree is None:
-            return ordered
-        pieces_per_root = np.maximum(
-            1, np.ceil(degs[order] / split_degree).astype(np.int64)
-        ).tolist()
-        tasks: List[Task] = []
-        for v, pieces in zip(ordered, pieces_per_root):
-            if pieces == 1:
-                tasks.append(v)
-            else:
-                tasks.extend((v, i, pieces) for i in range(pieces))
-        return tasks
+    order_tasks = staticmethod(order_tasks)
 
     def run(self, tasks: Iterable[Task]) -> float:
         """Dispatch every task; returns the makespan in cycles."""
         heap = [(pe.time, i) for i, pe in enumerate(self.pes)]
         heapq.heapify(heap)
-        for task in tasks:
+        for root, chunk in tasks:
             ready_time, index = heapq.heappop(heap)
             pe = self.pes[index]
-            if isinstance(task, tuple):
-                v0, chunk_index, total = task
-                pe.execute_task(
-                    int(v0), ready_time, chunk=(chunk_index, total)
-                )
-            else:
-                pe.execute_task(int(task), ready_time)
+            pe.execute_task(root, ready_time, chunk=chunk)
             self.tasks_dispatched += 1
             heapq.heappush(heap, (pe.time, index))
         return max(pe.time for pe in self.pes)

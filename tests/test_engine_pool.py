@@ -230,7 +230,8 @@ class TestLifecycle:
     def test_shared_segments_unlinked_on_close(self):
         pool = MinerPool(PL, workers=2)
         pool.mine(compile_pattern(triangle()))
-        specs = [pool._topo_spec, pool._work_spec, pool._labels_spec]
+        exported = pool._shared.spec
+        specs = [exported, exported.get("oriented")]
         names = [
             spec[key]["shm"]
             for spec in specs
@@ -252,7 +253,9 @@ class TestLifecycle:
         pool.mine(compile_pattern(triangle()))
         names = [
             spec[key]["shm"]
-            for spec in (pool._topo_spec, pool._work_spec)
+            for spec in (
+                pool._shared.spec, pool._shared.spec.get("oriented")
+            )
             if spec is not None
             for key in ("indptr", "indices")
             if key in spec
@@ -266,7 +269,7 @@ class TestLifecycle:
             def unlink(self):
                 raise OSError("unlink boom")
 
-        pool._shared.insert(0, _Boom())
+        pool._shared._shms.insert(0, _Boom())
         with pytest.raises(OSError, match="close boom"):
             pool.close()
         assert pool.closed

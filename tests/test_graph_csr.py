@@ -257,3 +257,65 @@ class TestSharedArrays:
         assert len(created) == 1
         with pytest.raises(FileNotFoundError):
             real_shm(name=created[0])
+
+    @pytest.mark.parametrize("runner", ["pool", "sim"])
+    def test_failed_export_leaves_no_segment_behind(self, monkeypatch, runner):
+        # A runner exports the topology's indptr and indices, the labels
+        # and — for an oriented plan — the DAG's indptr and indices.
+        # Whichever of the five creations fails (ENOSPC on /dev/shm),
+        # the error must propagate with every segment created so far
+        # reaped and no worker left, and a clean retry must be
+        # bit-identical to serial.  The fault goes in at share_array,
+        # the one place every export passes through.
+        import itertools
+        import multiprocessing
+        import os
+
+        from repro.compiler import compile_pattern
+        from repro.engine import MinerPool, PatternAwareEngine
+        from repro.graph import assign_degree_labels, csr, power_law_cluster
+        from repro.hw import FlexMinerConfig, simulate, simulate_parallel
+        from repro.patterns import k_clique
+
+        graph = assign_degree_labels(power_law_cluster(60, 3, 0.4, seed=3))
+        plan = compile_pattern(k_clique(4))
+        config = FlexMinerConfig(num_pes=4)
+        if runner == "pool":
+            result = PatternAwareEngine(graph, plan).run()
+            serial = (result.counts, result.counters)
+
+            def run():
+                with MinerPool(graph, workers=2) as pool:
+                    result = pool.mine(plan)
+                return result.counts, result.counters
+        else:
+            serial = simulate(graph, plan, config).as_dict()
+
+            def run():
+                return simulate_parallel(
+                    graph, plan, config, workers=2
+                ).as_dict()
+
+        real = csr.share_array
+        for fail_at in range(1, 6):
+            calls = itertools.count(1)
+            created = []
+
+            def failing(arr):
+                if next(calls) == fail_at:
+                    raise OSError(28, "No space left on device")
+                shm, spec = real(arr)
+                created.append(spec["shm"])
+                return shm, spec
+
+            monkeypatch.setattr(csr, "share_array", failing)
+            with pytest.raises(OSError, match="No space left"):
+                run()
+            assert len(created) == fail_at - 1
+            # by name, not by whole-directory listing: other test
+            # processes share /dev/shm
+            assert not set(created) & set(os.listdir("/dev/shm"))
+            assert not multiprocessing.active_children()
+        monkeypatch.setattr(csr, "share_array", real)
+        assert run() == serial
+        assert not multiprocessing.active_children()

@@ -139,7 +139,7 @@ class TestScheduler:
     def test_order_tasks_by_degree(self):
         g = star_graph(5)
         order = Scheduler.order_tasks(g)
-        assert order[0] == 0  # the hub first (LPT)
+        assert order[0][0] == 0  # the hub first (LPT)
 
     def test_empty_pe_list_rejected(self):
         with pytest.raises(ValueError):

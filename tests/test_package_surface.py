@@ -133,6 +133,32 @@ def test_single_measurement_surface(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_single_owner_surface():
+    """One owner per cross-stack invariant: the replay PE inherits the
+    PE's timing hooks instead of re-implementing them, the scheduler
+    issues the pool's task list, the root-label filter and the oriented
+    DAG exist once, and no internal signature takes a ``work_graph`` to
+    dodge a re-orientation any more."""
+    import inspect
+
+    from repro import engine
+    from repro.engine.parallel import run_tasks_in_process
+    from repro.graph import assign_degree_labels, cycle_graph, orient_by_degree
+    from repro.hw import ProcessingElement, Scheduler, accelerator
+    from repro.hw.parallel_sim import _ReplayPE, _TracePE
+
+    for hook in ("_charge_busy", "_touch", "_write_frontier"):
+        shared = getattr(ProcessingElement, hook)
+        assert getattr(_ReplayPE, hook) is shared, hook
+        assert getattr(_TracePE, hook) is not shared, hook
+    assert Scheduler.order_tasks is engine.order_tasks
+    assert not hasattr(accelerator, "filter_roots")
+    for graph in (cycle_graph(6), assign_degree_labels(cycle_graph(6))):
+        assert orient_by_degree(graph) is orient_by_degree(graph)
+    for func in (ProcessingElement.__init__, run_tasks_in_process):
+        assert "work_graph" not in inspect.signature(func).parameters
+
+
 @pytest.mark.parametrize(
     "example",
     ["quickstart.py", "social_cliques.py"],

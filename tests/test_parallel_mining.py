@@ -25,6 +25,7 @@ from repro.graph import (
     assign_random_labels,
     attach_array,
     attach_shared_csr,
+    cycle_graph,
     erdos_renyi,
     power_law_cluster,
     share_array,
@@ -99,7 +100,7 @@ class TestOrderTasks:
         roots = [v for v, _ in tasks]
         degs = PL.degrees()[roots]
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
-        # Equal degrees keep ascending vertex id (stable argsort).
+        # Equal degrees issue in ascending vertex id.
         for i in range(len(roots) - 1):
             if degs[i] == degs[i + 1]:
                 assert roots[i] < roots[i + 1]
@@ -125,6 +126,27 @@ class TestOrderTasks:
         subset = [3, 5, 8]
         tasks = order_tasks(ER, subset)
         assert sorted(v for v, _ in tasks) == subset
+        # Ties break by vertex id, not by the order the roots came in.
+        tasks = order_tasks(cycle_graph(8), [5, 2, 7, 1])
+        assert [v for v, _ in tasks] == [1, 2, 5, 7]
+
+    @pytest.mark.parametrize("split", [None, 4])
+    def test_pool_and_simulator_issue_one_order(self, split):
+        # One root set must never dispatch in two orders (or in two
+        # encodings): the scheduler's order *is* the pool's.
+        from repro.hw import Scheduler
+
+        hub = 8  # a star's hub on top of an 8-cycle of equal degrees
+        g = CSRGraph.from_edges(
+            [(i, (i + 1) % 8) for i in range(8)]
+            + [(hub, i) for i in range(8)]
+        )
+        roots = [5, 2, hub, 7, 1]
+        tasks = order_tasks(g, roots, split_degree=split)
+        assert Scheduler.order_tasks(g, roots, split_degree=split) == tasks
+        assert [v for v, c in tasks if c in (None, (0, 2))] == [
+            hub, 1, 2, 5, 7,
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -48,15 +48,15 @@ class TestSchedulerSplitting:
     def test_split_order_covers_all_chunks(self):
         g = star_graph(10)
         tasks = Scheduler.order_tasks(g, split_degree=4)
-        hub_chunks = [t for t in tasks if isinstance(t, tuple)]
+        hub_chunks = [chunk for _, chunk in tasks if chunk is not None]
         assert len(hub_chunks) == 3  # ceil(10 / 4)
-        assert {c[1] for c in hub_chunks} == {0, 1, 2}
+        assert set(hub_chunks) == {(0, 3), (1, 3), (2, 3)}
         # Leaves stay unsplit.
-        assert sum(1 for t in tasks if isinstance(t, int)) == 10
+        assert sum(1 for _, chunk in tasks if chunk is None) == 10
 
     def test_no_split_by_default(self):
         tasks = Scheduler.order_tasks(GRAPH)
-        assert all(isinstance(t, int) for t in tasks)
+        assert all(chunk is None for _, chunk in tasks)
 
 
 class TestSimulatorSplitting:

@@ -40,7 +40,9 @@ def best_of_3(graph, plan, **options):
 def test_frontier_beats_recursion_without_fallback(cell):
     make_graph, pattern = CELLS[cell]
     graph, plan = make_graph(), compile_pattern(pattern)
-    recursive_s, recursive, _ = best_of_3(graph, plan)
+    recursive_s, recursive, _ = best_of_3(
+        graph, plan, batch_frontier=False
+    )
     frontier_s, frontier, engine = best_of_3(
         graph, plan, batch_frontier=True
     )

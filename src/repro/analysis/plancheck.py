@@ -151,7 +151,7 @@ FM153 = register_code(
 FM170 = register_code(
     "FM170", "plan is ineligible for batch-frontier execution", "info",
     "plans with no interior level (fewer than three vertices) run on "
-    "the recursive path; batch_frontier=True is a silent no-op",
+    "the recursive path; the default batch_frontier=True does not apply",
 )
 FM171 = register_code(
     "FM171", "leaf shape does not reduce to one varying operand",
@@ -189,7 +189,7 @@ FM175 = register_code(
     "the frontier walker runs multi-pattern trees, but engines that "
     "override candidate generation (supports_leaf_counting = False: "
     "c-map, reference) keep their per-embedding hooks; on those the "
-    "tree executes recursively regardless of batch_frontier",
+    "tree executes recursively, default batch_frontier=True included",
 )
 
 # -- FM16x: multi-plan trees -------------------------------------------
@@ -697,15 +697,17 @@ def _check_batch_frontier(
     frontier_row_limit: Optional[int] = None,
     batch_frontier: bool = False,
 ) -> None:
-    """FM17x: prove (or refute) legality of ``batch_frontier=True``.
+    """FM17x: prove (or refute) legality of ``batch_frontier=True``,
+    the engine's default mode.
 
     Always attaches a ``data["batch_frontier"]`` proof section — the
     batch/recursive routing decision plus one entry per obligation.
     The decision-grade diagnostics (FM170/FM171) only fire when the
-    caller opted in with ``batch_frontier=True``; the hard errors
-    (FM172-FM174) fire whenever the obligation is outright violated,
-    because those plans crash or drift the moment anyone flips the
-    engine flag.
+    caller asks for them with ``batch_frontier=True`` (here the
+    parameter means "report a plan the walker will not run", not
+    "which engine runs"); the hard errors (FM172-FM174) fire whenever
+    the obligation is outright violated, because those plans crash or
+    drift on the default engine.
     """
     leaf_depth = len(plan.steps)
     limit = _resolve_row_limit(frontier_row_limit)
@@ -796,8 +798,8 @@ def check_plan(
     estimates from :func:`repro.compiler.estimate.estimate_plan` to the
     report's ``data`` and lets the FM17x pass prove the segment-key
     obligation.  ``frontier_row_limit`` overrides the engine-default
-    row budget the FM17x proofs assume; ``batch_frontier=True`` opts in
-    to the FM170/FM171 routing diagnostics (the proof section in
+    row budget the FM17x proofs assume; ``batch_frontier=True`` asks
+    for the FM170/FM171 routing diagnostics (the proof section in
     ``data["batch_frontier"]`` is always attached).
     """
     name = plan.pattern.name or f"pattern<{plan.pattern.num_vertices}>"
@@ -898,7 +900,8 @@ def check_multi_plan(
             rep.add(
                 FM175,
                 f"{plan.num_patterns}-pattern tree executes recursively "
-                "on this engine; batch_frontier has no effect",
+                "on this engine; the default batch_frontier=True does "
+                "not apply",
                 location="batch-frontier",
             )
     rep.data["batch_frontier"] = {

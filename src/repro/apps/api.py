@@ -21,8 +21,10 @@ through a transient multi-process :class:`~repro.engine.pool.MinerPool`
 over a shared-memory copy of the graph, or ``pool=`` — a resident
 ``MinerPool`` — to serve the request from already-forked workers (a
 caller answering many app requests creates the pool once and passes it
-to every call), and ``batch_frontier=True`` to run the level-synchronous
-frontier walker instead of per-embedding recursion.
+to every call).  It runs the level-synchronous frontier walker;
+``batch_frontier=False`` selects per-embedding recursion, the reference
+path (routes that cannot honour the switch — ``service=``, ``pool=``,
+other backends — refuse an explicit ``False``).
 
 ``service=`` goes one step further: pass a resident
 :class:`~repro.serve.MiningService` and the request routes through its
@@ -32,7 +34,7 @@ identical to the direct engine — see ``docs/serving.md``.
 
 Every app takes the same keyword options, spelled once on :func:`_run`:
 ``backend="engine"``, ``config=None``, ``workers=1``, ``pool=None``,
-``service=None``, ``batch_frontier=False``, ``profiler=None``
+``service=None``, ``batch_frontier=True``, ``profiler=None``
 (:func:`subgraph_list` adds ``collect=False``).
 """
 
@@ -78,7 +80,7 @@ def _run(
     workers: int = 1,
     pool=None,
     service=None,
-    batch_frontier: bool = False,
+    batch_frontier: bool = True,
     profiler=None,
 ) -> Result:
     """Route one app call.
@@ -98,10 +100,10 @@ def _run(
             raise ConfigError(
                 "service= owns its worker pools; drop workers=/pool="
             )
-        if batch_frontier:
+        if not batch_frontier:
             raise ConfigError(
                 "service= fixes engine options at construction; build "
-                "the MiningService with batch_frontier=True instead"
+                "the MiningService with batch_frontier=False instead"
             )
         if collect:
             raise ConfigError(
@@ -116,22 +118,21 @@ def _run(
             "workers > 1 (and pool=) require the 'engine' backend (the "
             "worker pool runs PatternAwareEngine workers)"
         )
-    if batch_frontier and backend != "engine":
+    if not batch_frontier and backend != "engine":
         raise ConfigError(
-            "batch_frontier=True requires the 'engine' backend (the "
-            "level-synchronous frontier mode is a PatternAwareEngine "
-            "feature)"
+            "batch_frontier=False requires the 'engine' backend (the "
+            "execution-mode switch is a PatternAwareEngine feature)"
         )
     plan, patterns, induced = build()
     if backend == "engine":
         if (pool is not None or workers > 1) and collect:
             raise ConfigError("the worker pool does not collect embeddings")
         if pool is not None:
-            if batch_frontier:
+            if not batch_frontier:
                 raise ConfigError(
                     "a resident pool fixes engine options at "
                     "construction; build the MinerPool with "
-                    "batch_frontier=True instead"
+                    "batch_frontier=False instead"
                 )
             return pool.mine(plan)
         if workers > 1:
@@ -204,14 +205,16 @@ def run_app(
     *,
     pattern: Optional[Pattern] = None,
     k: int = 3,
+    batch_frontier: bool = True,
     **options,
 ) -> Result:
     """Dispatch by app name: 'TC', 'k-CL', 'SL' or 'k-MC'.
 
-    ``options`` are the shared keyword options (``backend``, ``config``,
-    ``workers``, ``pool``, ``service``, ``batch_frontier``,
+    ``batch_frontier`` and ``options`` are the shared keyword options
+    (``backend``, ``config``, ``workers``, ``pool``, ``service``,
     ``profiler``) — see the module docstring.
     """
+    options["batch_frontier"] = batch_frontier
     if app == "TC":
         return triangle_count(graph, **options)
     if app == "k-CL":

@@ -4,6 +4,7 @@ Examples::
 
     flexminer compile 4-cycle                 # print the execution-plan IR
     flexminer mine triangle --dataset Mi      # software mining
+    flexminer mine triangle --dataset Mi --no-batch-frontier   # recursive
     flexminer mine 4-clique --dataset As --workers 4   # multi-process
     flexminer mine 4-clique --dataset As --workers 4 --split-degree auto
     flexminer sim diamond --dataset As --pes 20 --cmap-kb 8
@@ -61,12 +62,13 @@ def _split_degree_arg(value: str):
 
 def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--batch-frontier", action="store_true",
-        help="level-synchronous frontier expansion: walk the plan tree "
-        "over row bands of the frontier with segmented kernels instead "
-        "of one recursion per embedding (bit-identical counts and op "
-        "counters; bands keep memory bounded, only a single row over "
-        "the row limit is finished recursively)",
+        "--batch-frontier", action=argparse.BooleanOptionalAction,
+        default=True,
+        help="level-synchronous frontier expansion (the default): walk "
+        "the plan tree over row bands of the frontier with segmented "
+        "kernels; --no-batch-frontier runs one recursion per embedding "
+        "instead, the reference path (bit-identical counts and op "
+        "counters either way)",
     )
 
 
@@ -225,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument(
         "--batch-frontier", action="store_true",
-        help="prove batch-frontier legality as if the plan were run "
-        "with batch_frontier=True (FM170/FM171/FM175 opt-ins)",
+        help="report plans the default frontier walker cannot run "
+        "(they execute recursively) as diagnostics: FM170/FM171/FM175",
     )
     check_p.add_argument(
         "--frontier-row-limit", type=int, default=None, metavar="ROWS",
@@ -305,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-register a suite dataset (repeatable); bare DATASET "
         "registers under its own name",
     )
-    serve_p.add_argument(
-        "--batch-frontier", action="store_true",
-        help="run pool workers in level-synchronous frontier mode "
-        "(bit-identical results; see docs/performance.md)",
-    )
+    _add_batch_frontier_flag(serve_p)
     serve_p.add_argument(
         "--stats-report", metavar="FILE",
         help="write a final flexminer.run/1 service report on exit "
@@ -688,9 +686,7 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
     if args.command == "mine":
         run_meta["workers"] = args.workers
         split_degree = args.split_degree
-        batch_frontier = getattr(args, "batch_frontier", False)
-        if batch_frontier:
-            run_meta["batch_frontier"] = True
+        batch_frontier = run_meta["batch_frontier"] = args.batch_frontier
         if profile or args.workers > 1 or split_degree is not None:
             # Profiling always routes through the pool so the trace
             # carries worker lanes at any worker count (workers=1 runs

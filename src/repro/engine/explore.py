@@ -162,12 +162,8 @@ class PatternAwareEngine:
         ablation bench; the paper keeps it always on "for a fair
         comparison with GraphZero".
     batch_frontier:
-        The execution-mode switch.  Off (the default) runs one DFS
-        recursion per partial embedding; leaves are counted without
-        being materialized whenever no caller needs the values
-        (:meth:`_leaf_countable`), a whole parent frontier per kernel
-        call when :meth:`ExecutionPlan.batch_leaf_shape` allows.  On
-        walks the plan tree (a chain for one pattern, the merged
+        The execution-mode switch.  On (the default) walks the plan
+        tree (a chain for one pattern, the merged
         dependency tree for a ``MultiPlan``) level-synchronously over
         ``(n_emb, d)`` embedding matrices plus segmented candidate
         arrays, one segmented kernel per plan operation (the
@@ -175,9 +171,15 @@ class PatternAwareEngine:
         contiguous row bands of bounded estimated size and each band's
         subtree runs to completion before the next — breadth-first
         inside a band, depth-first across bands — so memory stays
-        bounded however wide a level is.  Counts and counters are
-        bit-identical in both modes: every batched charge is a
-        closed-form sum over rows.
+        bounded however wide a level is.  Off runs one DFS
+        recursion per partial embedding — the reference path (and the
+        one subclasses with ``supports_leaf_counting = False`` always
+        take); leaves are counted without being materialized whenever
+        no caller needs the values (:meth:`_leaf_countable`), a whole
+        parent frontier per kernel call when
+        :meth:`ExecutionPlan.batch_leaf_shape` allows.  Counts and
+        counters are bit-identical in both modes: every batched charge
+        is a closed-form sum over rows.
     frontier_row_limit:
         Per-band memory ceiling for ``batch_frontier``: bands never
         exceed this many estimated elements (nor the engine's smaller
@@ -205,7 +207,7 @@ class PatternAwareEngine:
         *,
         collect: bool = False,
         use_frontier_memo: bool = True,
-        batch_frontier: bool = False,
+        batch_frontier: bool = True,
         frontier_row_limit: int = 1 << 22,
         work_graph: Optional[CSRGraph] = None,
         tracer=None,
@@ -309,13 +311,7 @@ class PatternAwareEngine:
                 patterns=self._num_patterns,
             )
         with span:
-            if self._frontier_ok:
-                self._run_frontier_roots(roots)
-            else:
-                if roots is None:
-                    roots = self._work_graph.vertices()
-                for v0 in roots:
-                    self.run_task(int(v0))
+            self.run_roots(roots)
         self.counters.matches = sum(self._counts)
         self.metrics.absorb(self.counters.as_dict(), prefix="engine.")
         if self.batch_frontier:
@@ -328,21 +324,28 @@ class PatternAwareEngine:
             embeddings=self._embeddings if self.collect else None,
         )
 
-    def _run_frontier_roots(self, roots) -> None:
-        """Serial batch-frontier entry: every root in ONE frontier.
+    def run_roots(self, roots: Optional[Iterable[int]] = None) -> None:
+        """Process the search subtrees of a *set* of roots as one unit.
 
-        The per-root :meth:`run_task` loop would hand the level kernels
-        one tiny frontier per root; seeding a single ``(n_roots, 1)``
-        matrix instead lets the walker cut full-sized bands across
-        roots (the G2Miner formulation).  Charges are closed-form sums
-        over frontier rows, so counts and counters are bit-identical to
-        the root-at-a-time walk.
+        The task shape of :meth:`run`, the in-process runner and pool
+        workers.  In frontier mode the set seeds a single
+        ``(n_roots, 1)`` matrix so the walker cuts full-sized bands
+        across roots (the G2Miner formulation) instead of walking one
+        tiny frontier per root; charges are closed-form sums over
+        frontier rows, so counts and counters are bit-identical to the
+        root-at-a-time :meth:`run_task` loop recursion engines run.
         """
+        if self._chunk is not None:
+            # _frontier_child slices depth 1 by the chunk, which only
+            # means something under a single root.
+            raise ValueError("a root set cannot run under a task chunk")
         root_arr = _root_array(self._work_graph, roots)
-        if len(root_arr) == 0:
-            return
-        self.counters.tasks += len(root_arr)
-        self._mine_frontier(root_arr)
+        if not self._frontier_ok:
+            for v0 in root_arr.tolist():
+                self.run_task(v0)
+        elif len(root_arr):
+            self.counters.tasks += len(root_arr)
+            self._mine_frontier(root_arr)
 
     def run_task(
         self, v0: int, *, chunk: Optional[Tuple[int, int]] = None
@@ -660,8 +663,8 @@ class PatternAwareEngine:
     # Level-synchronous frontier execution (batch_frontier=True)
     # ------------------------------------------------------------------
     def _mine_frontier(self, roots: np.ndarray) -> None:
-        """Walk the whole plan tree from a column of root vertices (all
-        of them for :meth:`run`, one for a pool/parallel task)."""
+        """Walk the whole plan tree from a column of root vertices (a
+        root set for :meth:`run_roots`, one for a chunked task)."""
         slots = len(self._raw_stack)
         self._walk_frontier(
             self._tree, roots[:, None], [None] * slots, [None] * slots

@@ -12,8 +12,13 @@ processes:
 * **fine-grained chunking** — roots whose degree exceeds
   ``split_degree`` are split into several depth-1 slices via the
   engine's ``run_task(chunk=)`` support;
+* **the unit a worker runs** (:func:`run_task_slice`) — a contiguous
+  slice of the task list: its unchunked roots as one root-set walk
+  (wide enough to fill the frontier walker's lanes), its chunk tasks
+  one at a time;
 * **the in-process runner** (:func:`run_tasks_in_process`) — the
-  ``workers=1`` body of the pool and of every served request;
+  ``workers=1`` body of the pool and of every served request: the
+  whole task list as one slice;
 * the summary / gauge schema workers report through.
 
 Determinism: per-worker results are merged sorted by worker id, and all
@@ -31,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph import CSRGraph
-from ..obs.prof import LaneRecorder, task_label
+from ..obs.prof import LaneRecorder, slice_label, task_label
 from .counters import OpCounters
 from .explore import PatternAwareEngine, _root_array, filter_roots
 
@@ -39,6 +44,7 @@ __all__ = [
     "filter_roots",
     "order_tasks",
     "publish_worker_metrics",
+    "run_task_slice",
     "run_tasks_in_process",
 ]
 
@@ -84,32 +90,47 @@ def order_tasks(
     return tasks
 
 
+def run_task_slice(
+    engine: PatternAwareEngine, rec: LaneRecorder, tasks: Sequence[Task]
+) -> Tuple[int, int]:
+    """Run one slice of the task list; returns (roots, chunks) done.
+
+    The unchunked roots go through :meth:`PatternAwareEngine.run_roots`
+    as one set — one frontier walk, one ``task`` span naming the slice —
+    and ``(root, (i, n))`` chunk tasks through ``run_task(chunk=)``,
+    one span each.
+    """
+    roots = [root for root, chunk in tasks if chunk is None]
+    if roots:
+        with rec.span(slice_label(roots), cat="task"):
+            engine.run_roots(roots)
+    for root, chunk in tasks:
+        if chunk is not None:
+            with rec.span(task_label(root, chunk), cat="task"):
+                engine.run_task(root, chunk=chunk)
+    return len(roots), len(tasks) - len(roots)
+
+
 def run_tasks_in_process(
     graph,
     plan,
     tasks: Sequence[Task],
     *,
-    batch_frontier: bool = False,
+    batch_frontier: bool = True,
     profile: bool = False,
 ):
     """Run a task list in-process; returns one ``(0, summary)`` pair.
 
-    The ``workers=1`` body of the pool: same degree-descending task
-    order, no processes, exact parity with a plain engine run.
+    The ``workers=1`` body of the pool: the whole ordered list is one
+    slice (the walker cuts its own bands; pre-slicing only adds walks),
+    no processes, exact parity with a plain engine run.
     """
     rec = LaneRecorder()
     with rec.span("attach-shm"):
         engine = PatternAwareEngine(
             graph, plan, batch_frontier=batch_frontier
         )
-    tasks_done = chunks_done = 0
-    for root, chunk in tasks:
-        with rec.span(task_label(root, chunk), cat="task"):
-            engine.run_task(root, chunk=chunk)
-        if chunk is None:
-            tasks_done += 1
-        else:
-            chunks_done += 1
+    tasks_done, chunks_done = run_task_slice(engine, rec, tasks)
     return (
         0,
         _worker_summary(

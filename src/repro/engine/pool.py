@@ -15,9 +15,11 @@ stream has length one.
   (atomic creation, complete teardown); the pool only holds it;
 * **lightweight request protocol** — per request only the compiled plan
   and the (root, chunk) task ids of
-  :func:`~repro.engine.parallel.order_tasks` cross the queues, plus one
-  result summary per worker on the way back; cooperative shutdown via
-  per-worker control messages;
+  :func:`~repro.engine.parallel.order_tasks` cross the queues — the
+  unchunked roots as a few contiguous slices per worker, cut by
+  cumulative root degree, so each queue item is wide enough to fill
+  the frontier walker's lanes — plus one result summary per worker on
+  the way back; cooperative shutdown via per-worker control messages;
 * **measured dispatch overhead** — the pool calibrates a per-task
   round-trip cost with ping messages (timed through
   :class:`repro.obs.prof.LaneRecorder` — engine code never reads the
@@ -56,15 +58,21 @@ from ..graph import (
     worker_context,
 )
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
-from ..obs.prof import LaneRecorder, task_label
+from ..obs.prof import LaneRecorder
 from .counters import OpCounters
-from .explore import MiningResult, PatternAwareEngine
+from .explore import (
+    _FRONTIER_BAND_ELEMS,
+    MiningResult,
+    PatternAwareEngine,
+    _cut_bands,
+)
 from .parallel import (
     Task,
     _worker_summary,
     filter_roots,
     order_tasks,
     publish_worker_metrics,
+    run_task_slice,
     run_tasks_in_process,
 )
 
@@ -90,6 +98,11 @@ _DRAIN_POLL_S = 1.0
 #: *estimated* mining work must carry before auto-splitting engages.
 #: Below this, queue traffic costs more than the parallelism recovers.
 SPLIT_WORK_FACTOR = 4.0
+
+#: Root slices queued per worker: enough that a slow slice cannot leave
+#: the other workers idle for long, few enough that each stays a wide
+#: frontier walk.
+_SLICES_PER_WORKER = 4
 
 #: Finest auto-split chunk: splitting below a few dozen depth-1
 #: candidates re-runs candidate generation more often than it balances.
@@ -195,11 +208,12 @@ def _pool_worker(
     The topology (and labels) attach exactly once, before the first
     request, and the graph's one oriented DAG on the first request that
     names it, so a stream of same-shaped requests touches no
-    graph-sized data after the first.  One ``None`` task sentinel per
-    worker ends each request's drain; a ``("stop",)`` control message
-    ends the worker.  Any exception is reported as a structured
-    ``("error", ...)`` result and kills the worker — the parent turns it
-    into :class:`PoolWorkerError`.
+    graph-sized data after the first.  Queue items are slices of the
+    task list (:func:`~repro.engine.parallel.run_task_slice`); one
+    ``None`` sentinel per worker ends each request's drain; a
+    ``("stop",)`` control message ends the worker.  Any exception is
+    reported as a structured ``("error", ...)`` result and kills the
+    worker — the parent turns it into :class:`PoolWorkerError`.
     """
     req_id = None
     try:
@@ -227,16 +241,12 @@ def _pool_worker(
             chunks_done = 0
             while True:
                 with rec.span("queue-wait", cat="queue-wait"):
-                    task = task_queue.get()
-                if task is None:
+                    tasks = task_queue.get()
+                if tasks is None:
                     break
-                root, chunk = task
-                with rec.span(task_label(root, chunk), cat="task"):
-                    engine.run_task(root, chunk=chunk)
-                if chunk is None:
-                    tasks_done += 1
-                else:
-                    chunks_done += 1
+                roots, chunks = run_task_slice(engine, rec, tasks)
+                tasks_done += roots
+                chunks_done += chunks
             result_queue.put(
                 (
                     "done",
@@ -265,7 +275,8 @@ class MinerPool:
         every request in-process — no fork, exact serial parity.
     batch_frontier:
         Execution mode of every worker engine, for every request (see
-        :class:`~repro.engine.explore.PatternAwareEngine`).
+        :class:`~repro.engine.explore.PatternAwareEngine`): the frontier
+        walker by default, ``False`` for the recursive reference path.
     tracer / metrics / profiler:
         Parent-side observability; workers run untraced and their
         op-counter totals are merged into the parent registry
@@ -286,7 +297,7 @@ class MinerPool:
         graph,
         *,
         workers: Optional[int] = None,
-        batch_frontier: bool = False,
+        batch_frontier: bool = True,
         tracer=None,
         metrics=None,
         profiler=None,
@@ -532,13 +543,8 @@ class MinerPool:
         """Cost-model split degree for a plan on this pool's graph."""
         if self.workers <= 1 or isinstance(plan, MultiPlan):
             return None
-        work_graph = (
-            orient_by_degree(self._topology)
-            if plan.oriented
-            else self._topology
-        )
         return cost_model_split_degree(
-            work_graph,
+            self._work_graph(plan),
             plan,
             dispatch_overhead_s=self.dispatch_overhead_s,
             profile=profile,
@@ -547,6 +553,37 @@ class MinerPool:
     # ------------------------------------------------------------------
     # Mining
     # ------------------------------------------------------------------
+    def _work_graph(self, plan):
+        """The graph ``plan``'s tasks walk: the DAG for oriented plans."""
+        # getattr: a malformed plan must fail *in the worker* so the
+        # caller sees the structured PoolWorkerError, not a parent-side
+        # AttributeError.
+        if not isinstance(plan, MultiPlan) and getattr(
+            plan, "oriented", False
+        ):
+            return orient_by_degree(self._topology)
+        return self._topology
+
+    def _slice_tasks(
+        self, work_graph, tasks: Sequence[Task]
+    ) -> List[List[Task]]:
+        """The queue items of one request: every chunk task on its own,
+        then the unchunked roots as contiguous slices of the issue
+        order, cut by cumulative root degree (the walker's own root
+        estimate), about four per worker.  Under the walker none is
+        smaller than one band, so a tiny graph degrades to a single
+        slice rather than to per-root overhead; recursion has no lanes
+        to fill and keeps its parallelism."""
+        slices = [[task] for task in tasks if task[1] is not None]
+        whole = [task for task in tasks if task[1] is None]
+        degs = work_graph.degrees()[[root for root, _ in whole]]
+        share = -(-int(degs.sum()) // (_SLICES_PER_WORKER * self.workers))
+        floor = _FRONTIER_BAND_ELEMS if self.batch_frontier else 1
+        slices.extend(
+            whole[lo:hi] for lo, hi in _cut_bands(degs, max(floor, share))
+        )
+        return slices
+
     def mine(
         self,
         plan,
@@ -577,13 +614,9 @@ class MinerPool:
             split_degree = self.auto_split_degree(plan)
         if split_degree is not None and multi:
             raise ValueError("task chunking requires a single-pattern plan")
-        oriented = (not multi) and plan.oriented
-        work_graph = (
-            orient_by_degree(self._topology) if oriented else self._topology
-        )
         with self.profiler.phase("setup", workers=self.workers):
             tasks = order_tasks(
-                work_graph,
+                self._work_graph(plan),
                 filter_roots(self.graph, plan, roots),
                 split_degree=split_degree,
             )
@@ -645,13 +678,12 @@ class MinerPool:
                 )
             ]
         self._start()
-        # getattr: a malformed plan must fail *in the worker* so the
-        # caller sees the structured PoolWorkerError, not a parent-side
-        # AttributeError.
-        oriented = not isinstance(plan, MultiPlan) and getattr(
-            plan, "oriented", False
+        work_graph = self._work_graph(plan)
+        work_spec = (
+            None
+            if work_graph is self._topology
+            else self._shared.share_oriented()
         )
-        work_spec = self._shared.share_oriented() if oriented else None
         req_id = self._next_req
         self._next_req += 1
         for ctrl in self._ctrl:
@@ -666,8 +698,8 @@ class MinerPool:
                 )
             )
         with self.profiler.lane_span("enqueue-tasks"):
-            for task in tasks:
-                self._task_queue.put(task)
+            for tasks_slice in self._slice_tasks(work_graph, tasks):
+                self._task_queue.put(tasks_slice)
             for _ in self._procs:
                 self._task_queue.put(None)
         with self.profiler.lane_span("drain-results"):

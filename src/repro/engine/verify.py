@@ -43,8 +43,9 @@ def count_all_ways(
     ``include_brute_force=False``.
     """
     plan = compile_pattern(pattern, induced=induced)
-    probe = PatternAwareEngine(graph, plan)
-    probe.leaf_count_min_work = 0  # force the count-only probe kernels
+    # The count-only probe kernels live on the recursive leaf path.
+    probe = PatternAwareEngine(graph, plan, batch_frontier=False)
+    probe.leaf_count_min_work = 0  # force them below their threshold
     results = {
         "pattern_aware": PatternAwareEngine(graph, plan).run().counts[0],
         "reference": ReferenceEngine(graph, plan).run().counts[0],

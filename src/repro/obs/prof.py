@@ -60,6 +60,7 @@ __all__ = [
     "PhaseProfiler",
     "PhaseRecord",
     "event_key",
+    "slice_label",
     "task_label",
     "trace_event_set",
 ]
@@ -150,6 +151,12 @@ def task_label(root: int, chunk: Optional[Tuple[int, int]] = None) -> str:
     if chunk is None:
         return f"task v{int(root)}"
     return f"task v{int(root)} [{int(chunk[0])}/{int(chunk[1])}]"
+
+
+def slice_label(roots) -> str:
+    """Deterministic span name for one root-slice task unit: first
+    root, last root and size of a contiguous run of the task order."""
+    return f"tasks v{int(roots[0])}..v{int(roots[-1])} x{len(roots)}"
 
 
 @dataclass

@@ -354,7 +354,9 @@ class MiningService:
         (``reason="timeout"``) instead of a hang.
     batch_frontier:
         Execution mode of every pool's engines (the config
-        fingerprint).
+        fingerprint): the frontier walker by default — a miss runs one
+        walk over the request's whole root set — ``False`` for the
+        recursive reference path.
     metrics:
         A :class:`~repro.obs.MetricsRegistry`; defaults to a private
         enabled registry so :meth:`stats` always has data.
@@ -371,7 +373,7 @@ class MiningService:
         result_cache: bool = True,
         result_cache_entries: int = 1024,
         request_timeout_s: Optional[float] = None,
-        batch_frontier: bool = False,
+        batch_frontier: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:

@@ -1,9 +1,9 @@
 """Differential runner: one case, every backend, structured mismatches.
 
 The repository produces a pattern count six independent ways — serial
-:class:`~repro.engine.explore.PatternAwareEngine` (default recursion,
+:class:`~repro.engine.explore.PatternAwareEngine` (plain recursion,
 probe kernels forced on, frontier memo off, and the level-synchronous
-``batch_frontier`` walker), the materialize-everything
+``batch_frontier`` walker, the default), the materialize-everything
 :class:`~repro.engine.reference.ReferenceEngine`, the persistent
 :class:`~repro.engine.pool.MinerPool` (each plan mined twice through
 one resident pool, so resident-worker state is exercised), the
@@ -209,15 +209,15 @@ def _engine(
     return run
 
 
-def _pool(workers: int, *, batch_frontier: bool = False) -> Backend:
+def _pool(workers: int, *, batch_frontier: bool) -> Backend:
     """The persistent pool, exercised as a request *stream*.
 
     Mines the same plan twice through one resident pool and insists the
     repeat answer is bit-identical to the first (a stale per-request
     reset inside a resident worker would show up only on the second
-    request) before the usual oracle/zero-drift comparisons.  With
-    ``batch_frontier=True`` the resident workers run the
-    level-synchronous frontier mode instead of the recursive path.
+    request) before the usual oracle/zero-drift comparisons.
+    ``batch_frontier`` picks what the resident workers run: root
+    slices through the level-synchronous walker, or the recursive path.
     """
 
     def run(case: VerifyCase, plan):
@@ -340,15 +340,20 @@ def _sim_parallel(workers: int) -> Backend:
 #: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
 #: workers, shared-memory graph, worker-id-order merge);
 #: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``.
+#: Every engine and pool backend spells its execution mode out, so no
+#: name changes meaning with the engine default; ``serve-pool-2`` and
+#: ``serve-cached`` ride the service default and thereby own "what a
+#: user gets" (today: the frontier walker over root slices).
 BACKENDS: Dict[str, Backend] = {
-    "serial": _engine(),
-    "kernel-probe": _engine(probe=True),
+    "serial": _engine(batch_frontier=False),
+    # the probe kernels live on the recursive leaf path
+    "kernel-probe": _engine(probe=True, batch_frontier=False),
     "reference": _engine("ReferenceEngine"),
     # different op chain, same counts (outside the zero-drift set)
-    "no-memo": _engine(use_frontier_memo=False),
+    "no-memo": _engine(use_frontier_memo=False, batch_frontier=False),
     # closed-form batched charges must equal the per-embedding ones
     "frontier-batch": _engine(batch_frontier=True),
-    "pool-2": _pool(2),
+    "pool-2": _pool(2, batch_frontier=False),
     "pool-2-batch": _pool(2, batch_frontier=True),
     "serve-pool-2": _serve(2, cached=False),
     "serve-cached": _serve(1, cached=True),

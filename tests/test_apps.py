@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.graph import complete_graph, erdos_renyi
 from repro.hw import FlexMinerConfig, SimReport
-from repro.engine import MiningResult
+from repro.engine import MinerPool, MiningResult
 from repro.patterns import diamond, four_cycle
 from repro.apps import (
     APP_NAMES,
@@ -17,6 +17,7 @@ from repro.apps import (
     subgraph_list,
     triangle_count,
 )
+from repro.serve import MiningService
 
 GRAPH = erdos_renyi(30, 0.3, seed=21)
 SIM_CONFIG = FlexMinerConfig(num_pes=2)
@@ -112,17 +113,38 @@ class TestRunAppDispatch:
             run_app(GRAPH, "SL")
 
     def test_batch_frontier_bit_identical(self):
-        base = clique_count(GRAPH, 4)
-        got = clique_count(GRAPH, 4, batch_frontier=True)
-        assert got.counts == base.counts
-        assert got.counters.as_dict() == base.counters.as_dict()
+        base = clique_count(GRAPH, 4, batch_frontier=False)
+        for got in (
+            clique_count(GRAPH, 4),
+            clique_count(GRAPH, 4, batch_frontier=True),
+        ):
+            assert got.counts == base.counts
+            assert got.counters.as_dict() == base.counters.as_dict()
 
     def test_batch_frontier_requires_engine_backend(self):
+        # the switch is an engine feature: routes that cannot honour it
+        # refuse the non-default value, which is now the explicit False
         with pytest.raises(ConfigError):
             triangle_count(
                 GRAPH, backend="sim", config=SIM_CONFIG,
-                batch_frontier=True,
+                batch_frontier=False,
             )
+        with MinerPool(GRAPH, workers=1) as pool:
+            with pytest.raises(ConfigError):
+                triangle_count(GRAPH, pool=pool, batch_frontier=False)
+        with MiningService(workers=1) as svc:
+            with pytest.raises(ConfigError):
+                triangle_count(GRAPH, service=svc, batch_frontier=False)
+
+    def test_default_mode_is_accepted_on_every_route(self):
+        want = triangle_count(GRAPH).counts
+        sim = run_app(GRAPH, "TC", backend="sim", config=SIM_CONFIG)
+        assert tuple(sim.counts) == want
+        assert run_app(GRAPH, "TC", backend="cmap").counts == want
+        with MinerPool(GRAPH, workers=1) as pool:
+            assert run_app(GRAPH, "TC", pool=pool).counts == want
+        with MiningService(workers=1) as svc:
+            assert run_app(GRAPH, "TC", service=svc).counts == want
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

@@ -97,6 +97,38 @@ class TestMineParallel:
         assert report["meta"]["workers"] == 2
 
 
+class TestReportsNameTheMode:
+    """``meta.batch_frontier`` always records which engine ran."""
+
+    CASES = {
+        "mine": ["mine", "4-clique", "--dataset", "As"],
+        "profile-mine": ["profile", "mine", "4-clique", "--dataset", "As"],
+        "motifs": ["motifs", "3", "--dataset", "As"],
+    }
+
+    @pytest.mark.parametrize("verb", list(CASES))
+    def test_meta_records_the_mode(self, verb, tmp_path, capsys):
+        import json as jsonlib
+
+        argv = self.CASES[verb] + ["--emit-json"]
+        if verb == "profile-mine":
+            argv += ["--trace", str(tmp_path / "t.json")]
+        payloads = {}
+        for flag, want in (
+            (None, True),
+            ("--batch-frontier", True),  # old command lines keep working
+            ("--no-batch-frontier", False),
+        ):
+            assert main(argv + ([flag] if flag else [])) == 0
+            report = jsonlib.loads(capsys.readouterr().out)
+            assert report["meta"]["batch_frontier"] is want
+            payloads[flag] = (
+                report["data"]["counts"], report["data"]["counters"]
+            )
+        assert payloads[None] == payloads["--batch-frontier"]
+        assert payloads[None] == payloads["--no-batch-frontier"]
+
+
 class TestSimParallel:
     def test_workers_flag_matches_serial(self, capsys):
         assert main(

@@ -263,7 +263,7 @@ class TestBatchFrontier:
             RANDOM, plan, use_frontier_memo=memo, batch_frontier=True
         ).run()
         recursive = PatternAwareEngine(
-            RANDOM, plan, use_frontier_memo=memo
+            RANDOM, plan, use_frontier_memo=memo, batch_frontier=False
         ).run()
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
@@ -273,7 +273,9 @@ class TestBatchFrontier:
         frontier = PatternAwareEngine(
             RANDOM, plan, collect=True, batch_frontier=True
         ).run()
-        recursive = PatternAwareEngine(RANDOM, plan, collect=True).run()
+        recursive = PatternAwareEngine(
+            RANDOM, plan, collect=True, batch_frontier=False
+        ).run()
         assert frontier.embeddings == recursive.embeddings
 
     def test_row_limit_fallback_bit_identical(self):
@@ -286,7 +288,7 @@ class TestBatchFrontier:
         )
         got = engine.run()
         assert engine.frontier_stats()["fallbacks"] > 0
-        ref = PatternAwareEngine(RANDOM, plan).run()
+        ref = PatternAwareEngine(RANDOM, plan, batch_frontier=False).run()
         assert got.counts == ref.counts
         assert got.counters == ref.counters
 
@@ -310,7 +312,9 @@ class TestBatchFrontier:
         plan = compile_motifs(3)
         engine = PatternAwareEngine(RANDOM, plan, batch_frontier=True)
         frontier = engine.run()
-        recursive = PatternAwareEngine(RANDOM, plan).run()
+        recursive = PatternAwareEngine(
+            RANDOM, plan, batch_frontier=False
+        ).run()
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
         assert engine.frontier_stats()["bands"] > 0

@@ -25,6 +25,7 @@ from repro.engine import (
     mine_multi,
     order_tasks,
 )
+from repro.engine import pool as pool_module
 from repro.engine.pool import MIN_SPLIT_DEGREE
 from repro.graph import erdos_renyi, path_graph, power_law_cluster
 from repro.obs import MetricsRegistry
@@ -35,7 +36,8 @@ PL = power_law_cluster(200, 3, 0.4, seed=9, name="pl")
 
 
 def serial(graph, plan, **kw):
-    return PatternAwareEngine(graph, plan, **kw).run()
+    """The recursive reference every pool answer is held to."""
+    return PatternAwareEngine(graph, plan, batch_frontier=False, **kw).run()
 
 
 class SteppedClock:
@@ -92,6 +94,34 @@ class TestStreamParity:
         for got in (first, second):
             assert got.counts == base.counts
             assert got.counters == base.counters
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_root_slice_stream_bit_identical(self, monkeypatch, workers):
+        # Resident workers serve chain, tree and chunked requests back
+        # to back, several root slices each (the floor is lowered: the
+        # real one makes a graph this small a single slice), and every
+        # answer equals the default engine's and recursion's.
+        monkeypatch.setattr(pool_module, "_FRONTIER_BAND_ELEMS", 32)
+        plans = [
+            compile_pattern(k_clique(4)),
+            compile_motifs(3),
+            compile_pattern(four_cycle()),
+        ]
+        with MinerPool(PL, workers=workers) as pool:
+            for _ in range(2):
+                for plan in plans:
+                    walker = PatternAwareEngine(PL, plan).run()
+                    base = serial(PL, plan)
+                    got = pool.mine(plan)
+                    assert got.counts == walker.counts == base.counts
+                    assert got.counters == walker.counters == base.counters
+            chunked = pool.mine(plans[2], split_degree=4)
+            assert chunked.counts == base.counts
+            assert chunked.counters.tasks == len(
+                order_tasks(PL, split_degree=4)
+            )
+            after = pool.mine(plans[0])  # chunking left no residue
+            assert after.counters == serial(PL, plans[0]).counters
 
     def test_multi_pattern_request(self):
         plan = compile_motifs(3)

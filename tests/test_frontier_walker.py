@@ -42,6 +42,11 @@ def assert_same(got, ref):
         assert sorted(got.embeddings) == sorted(ref.embeddings)
 
 
+def recursive(plan) -> PatternAwareEngine:
+    """The reference every walker result is held to."""
+    return PatternAwareEngine(SKEWED, plan, batch_frontier=False)
+
+
 class TestMultiPlanParity:
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "nomemo"])
@@ -52,7 +57,9 @@ class TestMultiPlanParity:
     def test_matches_recursive_engine(self, k, memo, limit, collect):
         plan = compile_motifs(k)
         options = dict(use_frontier_memo=memo, collect=collect)
-        ref = PatternAwareEngine(SKEWED, plan, **options).run()
+        ref = PatternAwareEngine(
+            SKEWED, plan, batch_frontier=False, **options
+        ).run()
         if limit is not None:
             options["frontier_row_limit"] = limit
         engine = PatternAwareEngine(
@@ -83,7 +90,7 @@ class TestMultiPlanParity:
 
         plan = compile_motifs(3)
         engine = Hooked(SKEWED, plan, batch_frontier=True)
-        assert_same(engine.run(), PatternAwareEngine(SKEWED, plan).run())
+        assert_same(engine.run(), recursive(plan).run())
         assert engine.frontier_stats()["bands"] == 0
 
 
@@ -94,7 +101,7 @@ class TestBandBoundaries:
         monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", band)
         plan = PLANS[name]()
         engine = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
-        assert_same(engine.run(), PatternAwareEngine(SKEWED, plan).run())
+        assert_same(engine.run(), recursive(plan).run())
         assert engine.frontier_stats()["fallbacks"] == 0
         if band == 2 ** 30:
             # one band per plan node visited: nothing was cut
@@ -107,15 +114,41 @@ class TestBandBoundaries:
         plan = PLANS[name]()
         hub = int(np.argmax(SKEWED.degrees()))
         batch = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
-        ref = PatternAwareEngine(SKEWED, plan)
+        ref = recursive(plan)
         for index in range(3):
             batch.run_task(hub, chunk=(index, 3))
             ref.run_task(hub, chunk=(index, 3))
             assert batch.counts == ref.counts
             assert batch.counters == ref.counters
-        whole = PatternAwareEngine(SKEWED, plan)
+        whole = recursive(plan)
         whole.run_task(hub)
         assert batch.counts == whole.counts  # chunks tile the task
+
+
+class TestRootSets:
+    @pytest.mark.parametrize("name", list(PLANS))
+    def test_root_sets_accumulate_like_the_task_loop(self, name):
+        plan = PLANS[name]()
+        walker, ref = PatternAwareEngine(SKEWED, plan), recursive(plan)
+        for roots in ([40, 3, 17], range(20, 30), []):
+            walker.run_roots(roots)
+            for root in roots:
+                ref.run_task(root)
+            assert walker.counts == ref.counts
+            assert walker.counters == ref.counters
+        ref.run_roots([5, 6])  # recursion takes the same entry
+        walker.run_roots([5, 6])
+        assert walker.counts == ref.counts
+        assert walker.counters == ref.counters
+
+    def test_root_set_refuses_a_task_chunk(self):
+        # _frontier_child slices depth 1 by the chunk, which would
+        # silently cut a multi-root frontier in the wrong place.
+        engine = PatternAwareEngine(SKEWED, PLANS["4-cycle"]())
+        engine._chunk = (0, 2)
+        with pytest.raises(ValueError, match="chunk"):
+            engine.run_roots([0, 1, 2])
+        assert engine.counters.tasks == 0
 
 
 def plan_nodes(plan) -> int:
@@ -169,6 +202,6 @@ class TestPoolStream:
         case = VerifyCase(graph=SKEWED, motif_k=3)
         plan = case.compile()
         counts, counters = BACKENDS["pool-2-batch"](case, plan)
-        ref = PatternAwareEngine(SKEWED, plan).run()
+        ref = recursive(plan).run()
         assert tuple(counts) == ref.counts
         assert counters.as_dict() == ref.counters.as_dict()

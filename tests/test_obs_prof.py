@@ -4,17 +4,21 @@ Pins the tentpole guarantees of the profiling layer:
 
 * merged Chrome traces carry one lane per worker plus a coordinator
   lane, and validate structurally;
-* the normalized ``task`` event set is identical across worker counts
-  and across repeated runs (timestamps aside);
+* the normalized ``task`` event set is identical across repeated runs
+  (timestamps aside), and across worker counts the roots it names
+  always partition the root set;
 * profiling is zero-drift — counts, OpCounters and SimReports are
   bit-identical with profiling on or off at every worker count.
 """
 
+import re
+
 import pytest
 
 from repro.compiler import compile_pattern
-from repro.engine import MinerPool
-from repro.graph import erdos_renyi
+from repro.engine import MinerPool, order_tasks
+from repro.engine import pool as pool_module
+from repro.graph import erdos_renyi, orient_by_degree
 from repro.hw import FlexMinerConfig, simulate, simulate_parallel
 from repro.obs import (
     NULL_PROFILER,
@@ -25,7 +29,12 @@ from repro.obs import (
     trace_event_set,
     validate_trace,
 )
-from repro.obs.prof import LaneRecorder, NullProfiler, task_label
+from repro.obs.prof import (
+    LaneRecorder,
+    NullProfiler,
+    slice_label,
+    task_label,
+)
 from repro.patterns import four_clique, triangle
 
 ER = erdos_renyi(120, 0.07, seed=11, name="er")
@@ -81,6 +90,10 @@ class TestTaskLabel:
 
     def test_chunked(self):
         assert task_label(7, (1, 4)) == "task v7 [1/4]"
+
+    def test_root_slice(self):
+        assert slice_label([9, 4, 2]) == "tasks v9..v2 x3"
+        assert slice_label([5]) == "tasks v5..v5 x1"
 
 
 class TestPhaseProfiler:
@@ -288,16 +301,33 @@ class TestMergedTraceDeterminism:
         # coordinator rail (tid 0) plus every worker lane
         assert lanes == set(range(workers + 1))
 
-    def test_task_set_invariant_across_worker_counts(self):
-        result1, trace1 = _mine_trace(1)
-        result2, trace2 = _mine_trace(2)
-        result4, trace4 = _mine_trace(4)
-        assert result1.counts == result2.counts == result4.counts
-        set1 = trace_event_set(trace1, cats=("task",))
-        set2 = trace_event_set(trace2, cats=("task",))
-        set4 = trace_event_set(trace4, cats=("task",))
-        assert set1 == set2 == set4
-        assert len(set1) > 0
+    def test_task_set_invariant_across_worker_counts(self, monkeypatch):
+        # A task span names a root slice (first root, last root, size
+        # of a contiguous run of the issue order).  How the order is
+        # cut depends on the worker count; that the named roots
+        # partition the root set does not.
+        monkeypatch.setattr(pool_module, "_FRONTIER_BAND_ELEMS", 16)
+        order = [
+            root for root, _chunk in order_tasks(orient_by_degree(ER))
+        ]
+        results, slice_counts = [], []
+        for workers in (1, 2, 4):
+            result, trace = _mine_trace(workers)
+            results.append(result.counts)
+            spans = trace_event_set(trace, cats=("task",))
+            slice_counts.append(len(spans))
+            named = []
+            for key in spans:
+                first, last, size = map(int, re.fullmatch(
+                    r"tasks v(\d+)\.\.v(\d+) x(\d+)", key[0]
+                ).groups())
+                start = order.index(first)
+                assert order[start + size - 1] == last
+                named += order[start:start + size]
+            assert sorted(named) == sorted(order)  # each root once
+        assert results[0] == results[1] == results[2]
+        assert slice_counts[0] == 1  # in-process: one walk
+        assert 1 < slice_counts[1] < slice_counts[2]
 
     def test_full_set_stable_across_repeated_runs(self):
         _r1, trace_a = _mine_trace(2)

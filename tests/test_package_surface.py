@@ -159,6 +159,39 @@ def test_single_owner_surface():
         assert "work_graph" not in inspect.signature(func).parameters
 
 
+def test_walker_is_the_default():
+    """One default, on every layer that threads the switch: the frontier
+    walker.  Engines that override candidate generation still route
+    themselves to recursion."""
+    import inspect
+
+    from repro.apps import run_app
+    from repro.compiler import compile_pattern
+    from repro.engine import MinerPool, PatternAwareEngine
+    from repro.engine.parallel import run_tasks_in_process
+    from repro.graph import erdos_renyi
+    from repro.hw import FlexMinerConfig, MemorySystem, ProcessingElement
+    from repro.patterns import four_clique
+    from repro.serve import MiningService
+
+    for func in (
+        PatternAwareEngine, MinerPool, MiningService,
+        run_tasks_in_process, run_app,
+    ):
+        parameter = inspect.signature(func).parameters["batch_frontier"]
+        assert parameter.default is True, func
+    graph = erdos_renyi(40, 0.3, seed=2)
+    plan = compile_pattern(four_clique())
+    engine = PatternAwareEngine(graph, plan)
+    engine.run()
+    assert engine.frontier_stats()["bands"] > 0
+    config = FlexMinerConfig(num_pes=1)
+    pe = ProcessingElement(
+        0, graph, plan, config, MemorySystem(config, graph)
+    )
+    assert not pe._frontier_ok
+
+
 @pytest.mark.parametrize(
     "example",
     ["quickstart.py", "social_cliques.py"],

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.compiler import compile_motifs, compile_pattern
 from repro.engine import MinerPool, PatternAwareEngine, order_tasks
+from repro.engine import pool as pool_module
 from repro.graph import (
     CSRGraph,
     LabeledGraph,
@@ -46,7 +47,8 @@ PATTERNS = [triangle(), four_cycle(), diamond(), k_clique(4), house()]
 
 
 def serial(graph, plan, **kw):
-    return PatternAwareEngine(graph, plan, **kw).run()
+    """The recursive reference every pool answer is held to."""
+    return PatternAwareEngine(graph, plan, batch_frontier=False, **kw).run()
 
 
 def pool_mine(graph, plan, *, roots=None, split_degree=None, **kw):
@@ -206,6 +208,112 @@ class TestParity:
         if plan.root_label is not None:
             with pytest.raises(ValueError, match="unlabeled"):
                 pool_mine(ER, plan, workers=1)
+
+
+# ----------------------------------------------------------------------
+# Root-slice tasks: one walk in-process, a few slices per pool worker
+# ----------------------------------------------------------------------
+LABELED = assign_random_labels(ER, 3, seed=11)
+SLICE_CASES = {
+    # oriented chain
+    "4-clique": (PL, compile_pattern(k_clique(4))),
+    # edge-induced SL plan whose leaf reuses a memoized frontier
+    "diamond": (PL, compile_pattern(diamond(), induced=False)),
+    # merged dependency tree
+    "3-MC": (ER, compile_motifs(3)),
+    "labeled": (
+        LABELED,
+        compile_pattern(
+            Pattern(
+                3, [(0, 1), (0, 2), (1, 2)], labels=[1, 0, 2],
+                name="labeled-triangle",
+            )
+        ),
+    ),
+}
+
+
+class TestRootSliceTasks:
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        # Floor of the pool's slice cut only (the walker's own band
+        # size lives in repro.engine.explore): these graphs are far
+        # smaller than one real band and would ride a single slice.
+        monkeypatch.setattr(pool_module, "_FRONTIER_BAND_ELEMS", 32)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("case", list(SLICE_CASES))
+    def test_pool_matches_walker_and_recursion(self, case, workers):
+        graph, plan = SLICE_CASES[case]
+        walker = PatternAwareEngine(graph, plan)
+        want = walker.run()
+        ref = serial(graph, plan)
+        registry = MetricsRegistry()
+        got = pool_mine(graph, plan, workers=workers, metrics=registry)
+        assert got.counts == want.counts == ref.counts
+        assert (
+            got.counters.as_dict()
+            == want.counters.as_dict()
+            == ref.counters.as_dict()
+        )
+        rows = walker.frontier_stats()["rows_expanded"]
+        assert rows > 0
+        snap = registry.snapshot()
+        assert snap["engine.frontier.rows_expanded"] == rows
+
+    def test_slices_are_contiguous_runs_of_the_issue_order(self):
+        tasks = order_tasks(PL)
+        with MinerPool(PL, workers=2) as pool:
+            slices = pool._slice_tasks(PL, tasks)
+        assert len(slices) > 2
+        assert [task for part in slices for task in part] == tasks
+        with MinerPool(PL, workers=1) as pool:  # in-process: no slicing
+            (_, summary), = pool.run_tasks(SLICE_CASES["diamond"][1], tasks)
+        assert summary["tasks_done"] == len(tasks)
+
+    def test_graph_smaller_than_one_band_is_one_slice(self, monkeypatch):
+        monkeypatch.undo()  # the real floor
+        tasks = order_tasks(PL)
+        with MinerPool(PL, workers=4) as pool:
+            assert pool._slice_tasks(PL, tasks) == [tasks]
+        # recursion has no lanes to fill: it keeps its parallelism
+        with MinerPool(PL, workers=4, batch_frontier=False) as pool:
+            assert len(pool._slice_tasks(PL, tasks)) > 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unsorted_root_subset(self, workers):
+        graph, plan = SLICE_CASES["diamond"]
+        roots = [150, 3, 77, 12, 199, 4, 180, 41, 9, 120]
+        want = PatternAwareEngine(graph, plan).run(roots=roots)
+        ref = PatternAwareEngine(graph, plan, batch_frontier=False).run(
+            roots=roots
+        )
+        got = pool_mine(graph, plan, workers=workers, roots=roots)
+        assert got.counts == want.counts == ref.counts
+        assert got.counters.as_dict() == want.counters.as_dict()
+        assert got.counters.as_dict() == ref.counters.as_dict()
+        assert got.counters.tasks == len(roots)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_root_set(self, workers):
+        graph, plan = SLICE_CASES["4-clique"]
+        got = pool_mine(graph, plan, workers=workers, roots=[])
+        assert got.counts == (0,)
+        assert got.counters.tasks == 0
+        assert got.counters.setop_iterations == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chunk_tasks_and_root_slices_in_one_request(self, workers):
+        # 4-cycle plans are unoriented, so hubs keep their degree and
+        # split; the rest of the roots ride slices beside the chunks.
+        plan = compile_pattern(four_cycle())
+        tasks = order_tasks(PL, split_degree=4)
+        chunks = sum(1 for _root, chunk in tasks if chunk is not None)
+        assert 0 < chunks < len(tasks)
+        got = pool_mine(PL, plan, workers=workers, split_degree=4)
+        assert got.counts == serial(PL, plan).counts
+        # every unit, chunk or whole root, still counts as one task
+        assert got.counters.tasks == len(tasks)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,8 @@ PL = power_law_cluster(150, 3, 0.4, seed=5, name="pl")
 
 
 def serial(graph, plan):
-    return PatternAwareEngine(graph, plan).run()
+    """The recursive reference every served answer is held to."""
+    return PatternAwareEngine(graph, plan, batch_frontier=False).run()
 
 
 @pytest.fixture

@@ -180,8 +180,11 @@ FM173 = register_code(
 FM174 = register_code(
     "FM174", "frontier row limit overflows the segment key space",
     "error",
-    "segmented kernels key rows as row*num_vertices+value in int64; "
-    "keep frontier_row_limit * num_vertices below 2**63",
+    "past the arc-map size cap (num_vertices**2 > ARC_MAP_MAX_BYTES) "
+    "the segmented kernels key rows as row*num_vertices+value in "
+    "int64; keep frontier_row_limit * num_vertices below 2**63.  Under "
+    "the cap the walker indexes the arc map instead, and those keys "
+    "are bounded by num_vertices**2 <= the cap",
 )
 FM175 = register_code(
     "FM175", "multi-pattern plan is forced onto the recursive path",

@@ -171,7 +171,13 @@ class PatternAwareEngine:
         contiguous row bands of bounded estimated size and each band's
         subtree runs to completion before the next — breadth-first
         inside a band, depth-first across bands — so memory stays
-        bounded however wide a level is.  Off runs one DFS
+        bounded however wide a level is.  Only a step's first operand
+        is gathered: on graphs of up to 4096 vertices every further
+        set operation is a lookup in the work graph's
+        :meth:`~repro.graph.CSRGraph.arc_map` (the software c-map),
+        on larger ones a second gather and a keyed binary search (the
+        overflow -> SIU/SDU fallback) — chosen by graph size alone,
+        with identical charges.  Off runs one DFS
         recursion per partial embedding — the reference path (and the
         one subclasses with ``supports_leaf_counting = False`` always
         take); leaves are counted without being materialized whenever
@@ -281,6 +287,11 @@ class PatternAwareEngine:
         self._frontier_peak = 0
         self._frontier_fallbacks = 0
         self._frontier_bands = 0
+        self._elems_gathered = 0
+        self._arc_probes = 0
+        #: The work graph's arc map, fetched by the first frontier walk
+        #: (recursion never builds one); None past the size cap.
+        self._arcs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -376,8 +387,11 @@ class PatternAwareEngine:
     def frontier_stats(self) -> Dict[str, int]:
         """Batch-frontier telemetry: rows expanded across all interior
         plan nodes, the number of row bands run, the widest *band*
-        (rows), and how many single rows exceeded ``frontier_row_limit``
-        and took the recursion fallback.  Published as
+        (rows), how many single rows exceeded ``frontier_row_limit``
+        and took the recursion fallback — and the host's real traffic
+        next to the ``OpCounters`` model charge: elements the walker
+        materialized (adjacency gathers + memo re-gathers) and elements
+        the arc map answered instead.  Published as
         ``engine.frontier.*`` gauges by :meth:`run` when frontier mode
         is on."""
         return {
@@ -385,6 +399,8 @@ class PatternAwareEngine:
             "bands": self._frontier_bands,
             "peak_width": self._frontier_peak,
             "fallbacks": self._frontier_fallbacks,
+            "elems_gathered": self._elems_gathered,
+            "arc_probes": self._arc_probes,
         }
 
     # Hooks for subclasses (the software c-map engine maintains its map
@@ -666,6 +682,7 @@ class PatternAwareEngine:
         """Walk the whole plan tree from a column of root vertices (a
         root set for :meth:`run_roots`, one for a chunked task)."""
         slots = len(self._raw_stack)
+        self._arcs = self._work_graph.arc_map()
         self._walk_frontier(
             self._tree, roots[:, None], [None] * slots, [None] * slots
         )
@@ -785,6 +802,7 @@ class PatternAwareEngine:
             cands, offsets = kernels.gather_segments(
                 s_concat, s_offsets, origins[step.base_step]
             )
+            self._elems_gathered += len(cands)
             ops = [(True, d) for d in step.extra_connected] + [
                 (False, d) for d in step.extra_disconnected
             ]
@@ -799,16 +817,50 @@ class PatternAwareEngine:
             ]
         return cands, offsets, ops
 
+    def _charge_setops(self, rows, is_intersect, iterations) -> None:
+        """``rows`` per-row set operations costing ``iterations`` merge
+        steps in total (the sum of both operands' lengths)."""
+        if is_intersect:
+            self.counters.set_intersections += rows
+        else:
+            self.counters.set_differences += rows
+        self.counters.setop_iterations += iterations
+
+    def _frontier_probe(self, emb, cands, lengths, is_intersect, d):
+        """One set operation over the whole frontier as arc-map lookups:
+        the per-element mask of ``cands`` (row lengths ``lengths``) that
+        survive ``∩ N(emb[:, d])`` / ``\\ N(emb[:, d])``.
+
+        Charged exactly like ``len(emb)`` per-row counted merges — the
+        operand lengths come from ``degrees()`` — but no neighbor list
+        is gathered: the paper's c-map lookup in place of the SIU/SDU.
+        """
+        column = emb[:, d]
+        other_total = int(self._work_graph.degrees()[column].sum())
+        self.counters.adjacency_loads += len(emb)
+        self.counters.adjacency_bytes += 4 * other_total
+        self._charge_setops(
+            len(emb), is_intersect, len(cands) + other_total
+        )
+        self._arc_probes += len(cands)
+        keys = np.repeat(column * self._frontier_keyspace, lengths)
+        keys += cands
+        hit = self._arcs[keys]
+        return hit if is_intersect else np.logical_not(hit, out=hit)
+
     def _frontier_fold(self, emb, cands, offsets, is_intersect, d):
         """One segmented set operation over the whole frontier, charged
-        exactly like ``len(emb)`` per-row counted ops."""
+        exactly like ``len(emb)`` per-row counted ops: an arc-map probe,
+        or past the map's size cap a gather + keyed binary search."""
+        if self._arcs is not None:
+            keep = self._frontier_probe(
+                emb, cands, np.diff(offsets), is_intersect, d
+            )
+            return kernels.compress_segments(cands, offsets, keep)
         other, other_offsets = self._gather_adjacency(emb[:, d])
-        c = self.counters
-        if is_intersect:
-            c.set_intersections += len(emb)
-        else:
-            c.set_differences += len(emb)
-        c.setop_iterations += int(offsets[-1]) + int(other_offsets[-1])
+        self._charge_setops(
+            len(emb), is_intersect, int(offsets[-1]) + int(other_offsets[-1])
+        )
         op = (
             kernels.segmented_pair_intersect
             if is_intersect
@@ -835,29 +887,36 @@ class PatternAwareEngine:
         filter, and injectivity as per-element masks over the segmented
         candidate array."""
         self.counters.candidates_checked += len(cands)
+        lengths = np.diff(offsets)
         mask = None
         if step.upper_bounds:
             bounds = np.min(emb[:, list(step.upper_bounds)], axis=1)
-            mask = cands < np.repeat(bounds, np.diff(offsets))
+            mask = cands < np.repeat(bounds, lengths)
         if step.label is not None:
             label_ok = self._labels[cands] == step.label
             mask = label_ok if mask is None else mask & label_ok
         if not step.covers_all_ancestors:
-            keep = self._frontier_member_mask(emb, cands, offsets)
+            keep = self._frontier_member_mask(step, emb, cands, lengths)
             np.logical_not(keep, out=keep)
             mask = keep if mask is None else mask & keep
         if mask is None:
             return cands, offsets
-        csum = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-        return cands[mask], csum[offsets]
+        return kernels.compress_segments(cands, offsets, mask)
 
-    def _frontier_member_mask(self, emb, cands, offsets) -> np.ndarray:
+    def _frontier_member_mask(self, step, emb, cands, lengths) -> np.ndarray:
         """Per-element mask: candidate equals one of its own row's
-        embedding vertices (the injectivity exclusions)."""
-        rows = kernels.segment_ids(offsets)
+        embedding vertices (the injectivity exclusions).
+
+        Only ancestors the step does *not* connect to can match: a
+        surviving candidate neighbors every depth in
+        ``step.full_connected`` and no vertex neighbors itself, so the
+        mask is exact on the step's survivors — all any caller keeps.
+        """
         mask = np.zeros(len(cands), dtype=bool)
+        connected = step.full_connected
         for j in range(emb.shape[1]):
-            mask |= cands == emb[rows, j]
+            if j not in connected:
+                mask |= cands == np.repeat(emb[:, j], lengths)
         return mask
 
     def _frontier_count_leaf(self, step, emb, stores, origins) -> int:
@@ -877,20 +936,19 @@ class PatternAwareEngine:
             cands, offsets = self._frontier_fold(
                 emb, cands, offsets, is_intersect, d
             )
-        if ops:
+        lengths = np.diff(offsets)
+        if ops and self._arcs is None:
             is_intersect, d = ops[-1]
             other, other_offsets = self._gather_adjacency(emb[:, d])
-            if is_intersect:
-                c.set_intersections += len(emb)
-            else:
-                c.set_differences += len(emb)
-            c.setop_iterations += int(offsets[-1]) + int(
-                other_offsets[-1]
+            self._charge_setops(
+                len(emb),
+                is_intersect,
+                int(offsets[-1]) + int(other_offsets[-1]),
             )
             exclude_mask = (
                 None
                 if step.covers_all_ancestors
-                else self._frontier_member_mask(emb, cands, offsets)
+                else self._frontier_member_mask(step, emb, cands, lengths)
             )
             raw, below = kernels.segmented_pair_count_below(
                 cands,
@@ -904,14 +962,19 @@ class PatternAwareEngine:
             )
             c.candidates_checked += int(raw.sum())
             return int(below.sum())
-        # Pure memo reuse: no ops left, count the stored list under the
-        # bound/injectivity masks (the recursive epilogue, batched).
-        c.candidates_checked += len(cands)
-        mask = np.ones(len(cands), dtype=bool)
+        # The last op as an arc-map mask — or pure memo reuse, no ops
+        # left — then the recursive epilogue, batched: count under the
+        # bound/injectivity masks.
+        if ops:
+            mask = self._frontier_probe(emb, cands, lengths, *ops[-1])
+            c.candidates_checked += int(np.count_nonzero(mask))
+        else:
+            mask = np.ones(len(cands), dtype=bool)
+            c.candidates_checked += len(cands)
         if bounds is not None:
-            mask &= cands < np.repeat(bounds, np.diff(offsets))
+            mask &= cands < np.repeat(bounds, lengths)
         if not step.covers_all_ancestors:
-            mask &= ~self._frontier_member_mask(emb, cands, offsets)
+            mask &= ~self._frontier_member_mask(step, emb, cands, lengths)
         return int(np.count_nonzero(mask))
 
     def _gather_adjacency(self, vertices: np.ndarray):
@@ -920,6 +983,7 @@ class PatternAwareEngine:
         concat, offsets = self._work_graph.gather_neighbors(vertices)
         self.counters.adjacency_loads += len(vertices)
         self.counters.adjacency_bytes += 4 * int(offsets[-1])
+        self._elems_gathered += len(concat)
         return concat, offsets
 
     # ------------------------------------------------------------------

@@ -27,6 +27,13 @@ the operand lengths alone: gallop when the larger side is at least
 Count-only variants (:func:`intersect_count`, :func:`difference_count`)
 never materialize the output; the engine uses them at the last plan
 level, where the result is only ever counted.
+
+The row-wise ``segmented_pair_*`` kernels (both operands vary per row,
+keyed ``row * keyspace + value``) are the frontier walker's *large
+graph* path: up to 4096 vertices the walker answers every set operation
+after a step's first operand from :meth:`CSRGraph.arc_map` and never
+calls them; past that cap — the software analogue of the paper's c-map
+overflow -> SIU/SDU fallback — they run exactly as before.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "GALLOP_RATIO",
+    "compress_segments",
     "contains",
     "difference_count",
     "difference_count_below",
@@ -233,6 +241,15 @@ def segment_ids(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
 
 
+def compress_segments(
+    concat: np.ndarray, offsets: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Keep the ``keep``-masked elements of a segmented array: the
+    surviving values and their new offsets (segments may empty out)."""
+    csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+    return concat[keep], csum[offsets]
+
+
 def gather_segments(
     concat: np.ndarray, offsets: np.ndarray, take: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -374,8 +391,7 @@ def segmented_intersect(
     if len(concat) == 0 or len(base) == 0:
         return concat[:0], np.zeros(len(offsets), dtype=np.int64)
     hit = _probe_mask(concat, base)
-    csum = np.concatenate(([0], np.cumsum(hit, dtype=np.int64)))
-    return concat[hit], csum[offsets]
+    return compress_segments(concat, offsets, hit)
 
 
 def segmented_difference(
@@ -388,8 +404,7 @@ def segmented_difference(
     if len(base) == 0:
         return concat.copy(), offsets.copy()
     keep = ~_probe_mask(concat, base)
-    csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-    return concat[keep], csum[offsets]
+    return compress_segments(concat, offsets, keep)
 
 
 def _pair_hit(
@@ -428,8 +443,7 @@ def segmented_pair_intersect(
     if len(a_concat) == 0 or len(b_concat) == 0:
         return a_concat[:0], np.zeros(len(a_offsets), dtype=np.int64)
     hit = _pair_hit(a_concat, a_offsets, b_concat, b_offsets, keyspace)
-    csum = np.concatenate(([0], np.cumsum(hit, dtype=np.int64)))
-    return a_concat[hit], csum[a_offsets]
+    return compress_segments(a_concat, a_offsets, hit)
 
 
 def segmented_pair_difference(
@@ -446,8 +460,7 @@ def segmented_pair_difference(
     if len(b_concat) == 0:
         return a_concat.copy(), a_offsets.copy()
     keep = ~_pair_hit(a_concat, a_offsets, b_concat, b_offsets, keyspace)
-    csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-    return a_concat[keep], csum[a_offsets]
+    return compress_segments(a_concat, a_offsets, keep)
 
 
 def segmented_pair_count_below(

@@ -180,14 +180,14 @@ def publish_worker_metrics(
         s["frontier"] for _w, s in summaries if s.get("frontier")
     ]
     if frontier:
+        # Every frontier_stats() key is a per-worker total, except the
+        # widest band: a new stat merges here without being listed.
         metrics.absorb(
             {
-                "rows_expanded": sum(
-                    f["rows_expanded"] for f in frontier
-                ),
-                "bands": sum(f["bands"] for f in frontier),
-                "peak_width": max(f["peak_width"] for f in frontier),
-                "fallbacks": sum(f["fallbacks"] for f in frontier),
+                key: (max if key == "peak_width" else sum)(
+                    f[key] for f in frontier
+                )
+                for key in frontier[0]
             },
             prefix="engine.frontier.",
         )

@@ -52,13 +52,19 @@ def orient_by_degree(graph: CSRGraph) -> CSRGraph:
     topology = getattr(graph, "graph", graph)
     if topology._oriented is None:
         rank = orientation_rank(topology)
-        edges = [
-            (u, v) for u, v in topology.edges() if rank[u] < rank[v]
-        ] + [(v, u) for u, v in topology.edges() if rank[v] < rank[u]]
-        topology._oriented = CSRGraph.from_edges(
-            edges,
-            num_vertices=topology.num_vertices,
+        n = topology.num_vertices
+        # One mask over the CSR arrays: keep each arc whose source ranks
+        # below its target.  Rows stay sorted, so no re-sort or
+        # validation is needed (as in ``CSRGraph.from_edges``).
+        sources = np.repeat(np.arange(n), topology.degrees())
+        keep = rank[sources] < rank[topology.indices]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources[keep], minlength=n), out=indptr[1:])
+        topology._oriented = CSRGraph(
+            indptr,
+            topology.indices[keep],
             directed=True,
             name=topology.name + "-dag" if topology.name else "dag",
+            validate=False,
         )
     return topology._oriented

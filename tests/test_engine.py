@@ -305,6 +305,10 @@ class TestBatchFrontier:
         assert snap["engine.frontier.bands"] > 0
         assert snap["engine.frontier.peak_width"] > 0
         assert snap["engine.frontier.fallbacks"] == 0
+        # host traffic beside the model charge: what the walker
+        # gathered, and what the arc map answered instead
+        assert snap["engine.frontier.elems_gathered"] > 0
+        assert "engine.frontier.arc_probes" in snap
 
     def test_multi_pattern_walks_the_plan_tree(self):
         # MultiPlans run through the same frontier walker as chains

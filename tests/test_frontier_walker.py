@@ -6,6 +6,8 @@ the single-row fallback engages at, and however a task is chunked — and
 banding must actually bound the memory a wide level materializes.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,13 @@ from hypothesis import strategies as st
 from repro.compiler import compile_motifs, compile_pattern
 from repro.engine import PatternAwareEngine
 from repro.engine import explore
-from repro.graph import power_law_cluster, rmat
-from repro.patterns import diamond, four_cycle, k_clique, triangle
+from repro.graph import (
+    assign_random_labels, csr, erdos_renyi, orient_by_degree,
+    power_law_cluster, rmat,
+)
+from repro.patterns import (
+    Pattern, diamond, four_cycle, k_clique, tailed_triangle, triangle,
+)
 from repro.verify import BACKENDS, VerifyCase
 
 #: Mixed degrees (3..12): a row limit of 6 lets some rows through and
@@ -193,6 +200,129 @@ class TestBoundedMemory:
         assert self.peak() < self.BUDGET
         monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", 2 ** 30)
         assert self.peak() > self.BUDGET  # the budget is a real bound
+
+
+LABELED = assign_random_labels(SKEWED, 2, seed=3)
+
+#: name -> (graph, plan factory, engine options)
+ARC_CASES = {
+    "TC": (SKEWED, PLANS["TC"], {}),
+    "4-CL": (SKEWED, PLANS["4-CL"], {}),
+    "diamond-memo": (SKEWED, PLANS["diamond"], {}),
+    "4-cycle": (SKEWED, PLANS["4-cycle"], {}),
+    "tailed-triangle": (
+        SKEWED, lambda: compile_pattern(tailed_triangle()), {},
+    ),
+    "labeled": (
+        LABELED,
+        lambda: compile_pattern(
+            Pattern(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels=[0, 1, 0, 1])
+        ),
+        {},
+    ),
+    "3-MC": (SKEWED, PLANS["3-MC"], {}),
+    "4-MC": (SKEWED, PLANS["4-MC"], {}),
+    "collect": (SKEWED, PLANS["diamond"], {"collect": True}),
+    "nomemo": (SKEWED, PLANS["4-CL"], {"use_frontier_memo": False}),
+}
+
+
+class TestArcMapAndKeyedPaths:
+    """The arc map answers set operations by lookup; past its size cap
+    (patched to 0 here: every graph is "too large") the walker gathers
+    and binary-searches.  One charge stream, two ways of doing the host
+    work — both held to recursion."""
+
+    @pytest.mark.parametrize("name", list(ARC_CASES))
+    def test_same_results_less_gathering(self, monkeypatch, name):
+        graph, make_plan, options = ARC_CASES[name]
+        plan = make_plan()
+        ref = PatternAwareEngine(
+            graph, plan, batch_frontier=False, **options
+        ).run()
+        mapped = PatternAwareEngine(graph, plan, **options)
+        mapped_result = mapped.run()
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        keyed = PatternAwareEngine(graph, plan, **options)
+        keyed_result = keyed.run()
+        for got in (mapped_result, keyed_result):
+            assert got.counts == ref.counts
+            assert got.counters.as_dict() == ref.counters.as_dict()
+        if options.get("collect"):
+            # same band order, not just the same set
+            assert mapped_result.embeddings == keyed_result.embeddings
+            assert sorted(mapped_result.embeddings) == sorted(ref.embeddings)
+        with_map, without = mapped.frontier_stats(), keyed.frontier_stats()
+        for key in ("rows_expanded", "bands", "peak_width", "fallbacks"):
+            assert with_map[key] == without[key]
+        assert with_map["arc_probes"] > 0 and without["arc_probes"] == 0
+        assert with_map["elems_gathered"] < without["elems_gathered"]
+
+    @pytest.mark.parametrize("name", ["4-cycle", "diamond"])
+    def test_chunked_tasks(self, monkeypatch, name):
+        plan = PLANS[name]()
+        hub = int(np.argmax(SKEWED.degrees()))
+        mapped, ref = PatternAwareEngine(SKEWED, plan), recursive(plan)
+        for index in range(3):
+            mapped.run_task(hub, chunk=(index, 3))
+            ref.run_task(hub, chunk=(index, 3))
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        keyed = PatternAwareEngine(SKEWED, plan)
+        for index in range(3):
+            keyed.run_task(hub, chunk=(index, 3))
+        for engine in (mapped, keyed):
+            assert engine.counts == ref.counts
+            assert engine.counters == ref.counters
+        assert mapped.frontier_stats()["arc_probes"] > 0
+        assert keyed.frontier_stats()["arc_probes"] == 0
+
+    def test_graph_past_the_cap_falls_back_unpatched(self):
+        # 4100**2 > 1 << 24: no map, no patching — the rule real inputs
+        # meet.  Sparse enough that both engines finish in milliseconds.
+        graph = erdos_renyi(4100, 4 / 4100, seed=9)
+        assert graph.arc_map() is None
+        for name in ("TC", "4-cycle"):
+            plan = PLANS[name]()
+            engine = PatternAwareEngine(graph, plan)
+            ref = PatternAwareEngine(graph, plan, batch_frontier=False)
+            assert_same(engine.run(), ref.run())
+            stats = engine.frontier_stats()
+            assert stats["arc_probes"] == 0 and stats["elems_gathered"] > 0
+
+    def test_threads_race_the_lazy_build(self):
+        # The service's threads=2 executor can mine one fresh graph from
+        # several threads at once; whichever map each sees is complete.
+        graph = rmat(8, 8, seed=4)
+        plan = PLANS["4-CL"]()
+        ref = PatternAwareEngine(graph, plan, batch_frontier=False).run()
+        workers = 4  # more than the host's cores
+        barrier = threading.Barrier(workers, timeout=30)
+        results = [None] * workers
+
+        def mine(slot):
+            engine = PatternAwareEngine(graph, plan)
+            barrier.wait()
+            results[slot] = engine.run()
+
+        threads = [
+            threading.Thread(target=mine, args=(slot,), daemon=True)
+            for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert_same(got, ref)
+        dag_map = orient_by_degree(graph).arc_map()
+        assert not dag_map.flags.writeable
+        assert int(dag_map.sum()) == graph.num_edges
 
 
 class TestPoolStream:

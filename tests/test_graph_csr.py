@@ -200,6 +200,94 @@ class TestDegreesCachingAndEdgeCases:
         assert all((v, u) not in arcs for u, v in arcs)
 
 
+def dense_arcs(graph) -> np.ndarray:
+    """The ``(n, n)`` adjacency matrix ``neighbors()`` spells out."""
+    n = graph.num_vertices
+    dense = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        dense[u, graph.neighbors(u)] = True
+    return dense
+
+
+class TestArcMap:
+    def test_empty_and_single_vertex(self):
+        assert CSRGraph.from_edges([], num_vertices=0).arc_map().shape == (0,)
+        assert CSRGraph.from_edges([], num_vertices=1).arc_map().tolist() == [
+            False
+        ]
+
+    def test_symmetric_graph(self):
+        g = CSRGraph.from_edges(
+            [(0, 1), (1, 2), (0, 2), (2, 3)], num_vertices=6
+        )
+        arcs = g.arc_map()
+        assert arcs.dtype == np.bool_ and arcs.shape == (36,)
+        assert np.array_equal(arcs.reshape(6, 6), dense_arcs(g))
+        assert np.array_equal(arcs.reshape(6, 6), arcs.reshape(6, 6).T)
+        assert int(arcs.sum()) == g.num_directed_edges
+
+    def test_dag_map_is_asymmetric(self):
+        from repro.graph import orient_by_degree, rmat
+
+        g = rmat(6, 6, seed=3)
+        dag = orient_by_degree(g)
+        n = dag.num_vertices
+        arcs = dag.arc_map()
+        assert np.array_equal(arcs.reshape(n, n), dense_arcs(dag))
+        for u, v in dag.edges():
+            assert arcs[u * n + v] and not arcs[v * n + u]
+        assert dag.arc_map() is not g.arc_map()  # one map per work graph
+
+    def test_read_only_and_cached(self):
+        g = square()
+        arcs = g.arc_map()
+        assert g.arc_map() is arcs  # built once, then cached
+        with pytest.raises(ValueError):
+            arcs[0] = True
+
+    def test_labeled_graph_delegates(self):
+        from repro.graph import LabeledGraph
+
+        g = square()
+        labeled = LabeledGraph(g, np.array([0, 1, 0, 1]))
+        assert labeled.arc_map() is g.arc_map()
+
+    def test_attached_graph_builds_its_own(self):
+        from repro.graph import (
+            SharedCSRBuffers, attach_shared_csr, orient_by_degree,
+        )
+
+        g = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+        with SharedCSRBuffers(g) as shared:
+            shared.share_oriented()
+            attached = attach_shared_csr(shared.spec)
+            assert np.array_equal(attached.arc_map(), g.arc_map())
+            assert np.array_equal(
+                orient_by_degree(attached).arc_map(),
+                orient_by_degree(g).arc_map(),
+            )
+            assert attached.arc_map() is not g.arc_map()
+            del attached  # drop the mappings before the segments go
+
+    def test_size_cap_is_the_only_selector(self, monkeypatch):
+        from repro.graph import csr
+
+        g = square()  # n * n == 16
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 15)
+        assert g.arc_map() is None  # n * n == cap + 1
+        assert g._arc_map is None  # nothing was allocated
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 16)
+        assert g.arc_map() is not None  # n * n == cap
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        assert g.arc_map() is None  # the cap rules even over a built map
+        assert CSRGraph.from_edges([], num_vertices=0).arc_map() is not None
+
+    def test_default_cap_admits_4096_vertices(self):
+        from repro.graph import csr
+
+        assert csr.ARC_MAP_MAX_BYTES == 4096 * 4096
+
+
 class TestNetworkxInterop:
     def test_round_trip(self):
         g = square()

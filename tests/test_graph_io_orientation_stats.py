@@ -8,6 +8,7 @@ from repro.graph import (
     CSRGraph,
     DATASET_NAMES,
     degree_histogram,
+    erdos_renyi,
     graph_stats,
     load_dataset,
     load_edge_list,
@@ -15,6 +16,7 @@ from repro.graph import (
     load_mtx,
     orient_by_degree,
     orientation_rank,
+    power_law_cluster,
     rmat,
     save_edge_list,
     suite_stats,
@@ -99,6 +101,51 @@ class TestOrientation:
                 count += len(np.intersect1d(nbrs, vn))
         expected = sum(nx.triangles(g.to_networkx()).values()) // 3
         assert count == expected
+
+
+def orient_edge_by_edge(graph: CSRGraph) -> CSRGraph:
+    """The construction ``orient_by_degree`` replaced: a Python pass
+    over the edges and a ``from_edges`` re-sort."""
+    rank = orientation_rank(graph)
+    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in graph.edges()]
+    return CSRGraph.from_edges(
+        arcs,
+        num_vertices=graph.num_vertices,
+        directed=True,
+        name=graph.name + "-dag" if graph.name else "dag",
+    )
+
+
+def corpus_graphs():
+    import os
+
+    from repro.verify import load_corpus
+
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    for path, case in load_corpus(corpus):
+        yield os.path.basename(path), getattr(case.graph, "graph", case.graph)
+
+
+ORIENTATION_GRAPHS = dict(
+    corpus_graphs(),
+    rmat=rmat(8, 8.0, seed=12),
+    erdos_renyi=erdos_renyi(200, 0.05, seed=3),
+    power_law_cluster=power_law_cluster(150, 4, 0.5, seed=8),
+    isolated=CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=7),
+)
+
+
+class TestVectorizedOrientation:
+    @pytest.mark.parametrize("name", list(ORIENTATION_GRAPHS))
+    def test_byte_identical_to_edge_by_edge_construction(self, name):
+        graph = ORIENTATION_GRAPHS[name]
+        got, want = orient_by_degree(graph), orient_edge_by_edge(graph)
+        assert got.indptr.dtype == want.indptr.dtype
+        assert got.indices.dtype == want.indices.dtype
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert (got.name, got.directed) == (want.name, True)
+        assert not got.indices.flags.writeable
 
 
 class TestStatsAndDatasets:

@@ -256,10 +256,17 @@ class TestRootSliceTasks:
             == want.counters.as_dict()
             == ref.counters.as_dict()
         )
-        rows = walker.frontier_stats()["rows_expanded"]
-        assert rows > 0
+        stats = walker.frontier_stats()
         snap = registry.snapshot()
-        assert snap["engine.frontier.rows_expanded"] == rows
+        # per-row sums: however the roots were sliced over workers, the
+        # merged gauges add up to the single walk's
+        assert stats["rows_expanded"] > 0
+        for key in ("rows_expanded", "elems_gathered", "arc_probes"):
+            assert snap[f"engine.frontier.{key}"] == stats[key]
+        assert set(stats) == {
+            key.split(".")[-1] for key in snap
+            if key.startswith("engine.frontier.")
+        }
 
     def test_slices_are_contiguous_runs_of_the_issue_order(self):
         tasks = order_tasks(PL)

@@ -137,6 +137,23 @@ class TestCorpusReplay:
                 f"{path}: " + "; ".join(str(m) for m in report.mismatches)
             )
 
+    def test_replay_walker_without_the_arc_map(self, monkeypatch):
+        """Every corpus graph fits the arc map, so the full-matrix
+        replay only proves the lookup path; this one sends the default
+        walker down the gather + keyed-search path it takes past the
+        map's size cap, against the same recursive reference."""
+        from repro.graph import csr
+
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        replayed = replay_corpus(
+            CORPUS_DIR, backends=("serial", "frontier-batch")
+        )
+        assert replayed
+        for path, report in replayed:
+            assert report.ok, (
+                f"{path}: " + "; ".join(str(m) for m in report.mismatches)
+            )
+
     def test_kernel_leaf_parity_case_is_meaningful(self):
         """The frozen negative result must keep exercising what it
         claims: adjacency lists past the count-only threshold."""

@@ -1,4 +1,5 @@
-"""Pinned regressions for the determinism-lint audit (fmlint satellite).
+"""Pinned regressions for the determinism-lint audit (fmlint satellite)
+and literal simulator outputs.
 
 The audit declared PEStats' unit breakdowns ``int`` (busy/stall stay
 float for fractional issue gaps) because the parallel simulator ships
@@ -6,14 +7,37 @@ them as per-task integer deltas that must re-group exactly.  These pins
 fail if any producer starts charging fractional unit cycles again —
 the drift fmlint FM202 guards against syntactically, asserted here on
 a real simulation.
+
+:class:`TestSimReportPins` pins whole ``SimReport.as_dict()`` payloads
+(match counts, makespan and a digest of every field) for seven plans
+crossed with four accelerator configs, under both timing paths, plus
+the cycle-domain Chrome trace of one overflowing cell.  Any change to
+how the simulator walks, traces or replays a search tree must leave
+every one of them untouched.
 """
 
-from repro.compiler import compile_pattern
-from repro.graph import erdos_renyi
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+from repro.compiler import compile_motifs, compile_pattern
+from repro.errors import SimulationError
+from repro.graph import assign_random_labels, erdos_renyi
 from repro.hw import FlexMinerConfig, simulate
-from repro.patterns import four_cycle, triangle
+from repro.obs import Tracer
+from repro.obs.trace import HOST_PID
+from repro.patterns import (
+    Pattern,
+    diamond,
+    four_cycle,
+    k_clique,
+    triangle,
+)
 
 GRAPH = erdos_renyi(40, 0.25, seed=9)
+LABELED = assign_random_labels(GRAPH, 2, seed=5)
 
 
 def _sim(pattern, **overrides):
@@ -66,3 +90,169 @@ class TestIntegerCycleDomains:
         data = json.loads(report.to_json())
         assert isinstance(data["setop_cycles"], int)
         assert isinstance(data["cmap_cycles"], int)
+
+
+def _pin_plans():
+    """The pinned plans: name -> (graph, plan)."""
+    labeled_triangle = Pattern(
+        3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 1],
+        name="labeled-triangle",
+    )
+    return {
+        "TC": (GRAPH, compile_pattern(triangle())),
+        "4-CL": (GRAPH, compile_pattern(k_clique(4))),
+        "4-cycle": (GRAPH, compile_pattern(four_cycle())),
+        "diamond": (
+            GRAPH, compile_pattern(diamond(), use_orientation=False)
+        ),
+        "3-MC": (GRAPH, compile_motifs(3)),
+        "4-MC": (GRAPH, compile_motifs(4)),
+        "labeled-TC": (LABELED, compile_pattern(labeled_triangle)),
+    }
+
+
+PIN_PLANS = _pin_plans()
+
+#: Default 8 kB c-map; a 64 B one (12 entries: most inserts overflow and
+#: their checks fall back to the SIU/SDU); no c-map; task splitting.
+PIN_CONFIGS = {
+    "cmap-8k": FlexMinerConfig(num_pes=4),
+    "cmap-64B": FlexMinerConfig(num_pes=4, cmap_bytes=64),
+    "no-cmap": FlexMinerConfig(num_pes=4, cmap_bytes=0),
+    "split-4": FlexMinerConfig(num_pes=4, task_split_degree=4),
+}
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
+def _report_pin(plan_name, config_name, timing_kernels=True):
+    """``(counts, cycles, digest of as_dict())`` or ``"raises"``."""
+    import dataclasses
+
+    graph, plan = PIN_PLANS[plan_name]
+    config = dataclasses.replace(
+        PIN_CONFIGS[config_name], timing_kernels=timing_kernels
+    )
+    try:
+        report = simulate(graph, plan, config)
+    except SimulationError:
+        return "raises"
+    payload = report.as_dict()
+    return (tuple(report.counts), report.cycles, _digest(payload))
+
+
+def _sim_trace_pin(plan_name="3-MC", config_name="cmap-64B"):
+    """Digest and per-name event counts (task spans counted under one
+    name) of the cycle-domain Chrome trace: the host-pid wall-clock
+    spans are left out, they are not deterministic."""
+    graph, plan = PIN_PLANS[plan_name]
+    tracer = Tracer()
+    simulate(graph, plan, PIN_CONFIGS[config_name], tracer=tracer)
+    events = [e for e in tracer.events() if e.get("pid") != HOST_PID]
+    names = Counter(e["name"].split(" ")[0] for e in events)
+    return _digest(events), dict(sorted(names.items()))
+
+
+#: (plan, config) -> (counts, makespan cycles, as_dict() digest).
+SIM_REPORT_PINS = {
+    ("TC", "cmap-8k"): ((132,), 1075.0, "d87de046c654237f3096"),
+    ("TC", "cmap-64B"): ((132,), 1075.0, "d87de046c654237f3096"),
+    ("TC", "no-cmap"): ((132,), 1103.6, "3629a0ffd130852ca172"),
+    ("TC", "split-4"): ((132,), 1104.1, "bcca3b3616ac8a15a4fd"),
+    ("4-CL", "cmap-8k"): ((16,), 1128.75, "2d45f436b8c66310630a"),
+    ("4-CL", "cmap-64B"): ((16,), 1128.75, "2d45f436b8c66310630a"),
+    ("4-CL", "no-cmap"): ((16,), 1263.625, "11ea00da86fa5826db8f"),
+    ("4-CL", "split-4"): ((16,), 1280.5, "2ba66d8bff1c425bf6f1"),
+    ("4-cycle", "cmap-8k"): ((919,), 3617.2, "547b7d4ba81173bf5880"),
+    ("4-cycle", "cmap-64B"): ((919,), 3975.35, "30ba81bd13772a532a1a"),
+    ("4-cycle", "no-cmap"): ((919,), 4590.2, "34776be19a5ff2210339"),
+    ("4-cycle", "split-4"): ((919,), 4000.55, "9f306a5645688162516d"),
+    ("diamond", "cmap-8k"): ((404,), 1856.0, "aee4e5239fbe0f6bf25d"),
+    ("diamond", "cmap-64B"): ((404,), 1981.1, "71dc076a50cdca676ba5"),
+    ("diamond", "no-cmap"): ((404,), 2098.225, "b82fe28a16ce7786d589"),
+    ("diamond", "split-4"): ((404,), 2431.875, "4b8a9853eccdc9289f8d"),
+    ("3-MC", "cmap-8k"): ((1348, 132), 4264.575, "cdf29462891906562c42"),
+    ("3-MC", "cmap-64B"): ((1348, 132), 4471.125, "6d9a8f71576ba82fd249"),
+    ("3-MC", "no-cmap"): ((1348, 132), 4580.025, "9b7a12623352c809bca7"),
+    ("3-MC", "split-4"): "raises",
+    ("4-MC", "cmap-8k"): (
+        (2417, 6971, 2167, 563, 308, 16),
+        37959.925,
+        "5ba7521f89bd5be66d54",
+    ),
+    ("4-MC", "cmap-64B"): (
+        (2417, 6971, 2167, 563, 308, 16),
+        43949.3,
+        "d4e7ea10c2ecab8170e2",
+    ),
+    ("4-MC", "no-cmap"): (
+        (2417, 6971, 2167, 563, 308, 16),
+        44166.525,
+        "acbaac630e0a752f4262",
+    ),
+    ("4-MC", "split-4"): "raises",
+    ("labeled-TC", "cmap-8k"): ((35,), 1278.125, "890a8fdb2dff85df0a98"),
+    ("labeled-TC", "cmap-64B"): (
+        (35,),
+        1311.5499999999997,
+        "c2daf5c37cfea33a45d4",
+    ),
+    ("labeled-TC", "no-cmap"): ((35,), 1329.625, "7468f9718c81556fee53"),
+    ("labeled-TC", "split-4"): ((35,), 1508.05, "8a8ce367dc21d358921e"),
+}
+
+#: plan -> (digest, per-name counts) of the 64 B c-map cell's trace.
+SIM_TRACE_PINS = {
+    "4-cycle": (
+        "55df1a5b0585d15034ce",
+        {
+            "cmap-insert": 152,
+            "cmap-overflow": 31,
+            "cmap-query": 439,
+            "l2": 1,
+            "noc": 1,
+            "process_name": 1,
+            "run": 1,
+            "siu": 147,
+            "stall": 43,
+            "task": 40,
+            "thread_name": 5,
+        },
+    ),
+    "3-MC": (
+        "ae62efb2e96ebb53994b",
+        {
+            "cmap-insert": 22,
+            "cmap-overflow": 18,
+            "cmap-query": 93,
+            "noc": 1,
+            "process_name": 1,
+            "run": 1,
+            "sdu": 378,
+            "siu": 96,
+            "stall": 52,
+            "task": 40,
+            "thread_name": 5,
+        },
+    ),
+}
+
+
+class TestSimReportPins:
+    """Literal simulator outputs, under both timing paths."""
+
+    @pytest.mark.parametrize("timing_kernels", [True, False])
+    @pytest.mark.parametrize(
+        "plan_name,config_name", sorted(SIM_REPORT_PINS),
+        ids=lambda x: str(x),
+    )
+    def test_report_pinned(self, plan_name, config_name, timing_kernels):
+        got = _report_pin(plan_name, config_name, timing_kernels)
+        assert got == SIM_REPORT_PINS[plan_name, config_name]
+
+    @pytest.mark.parametrize("plan_name", sorted(SIM_TRACE_PINS))
+    def test_cycle_domain_trace_pinned(self, plan_name):
+        assert _sim_trace_pin(plan_name) == SIM_TRACE_PINS[plan_name]

@@ -192,7 +192,7 @@ class Harness:
 
         ``parallel`` spreads the trace phase of a fresh simulation over
         that many worker processes
-        (:func:`repro.hw.parallel_sim.simulate_parallel`); the report —
+        (:func:`repro.hw.simulate_parallel`); the report —
         and therefore the memo cache — is bit-identical either way, so
         the cache key ignores it.
         """
@@ -206,7 +206,7 @@ class Harness:
             self.metrics.counter("bench.sim_runs").inc()
             start = time.perf_counter()
             if parallel is not None and parallel > 1:
-                from ..hw.parallel_sim import simulate_parallel
+                from ..hw import simulate_parallel
 
                 report = simulate_parallel(
                     self.graph(dataset), self.plan(app), config,

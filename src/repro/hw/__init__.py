@@ -10,8 +10,7 @@ from .mem import GraphLayout, MemorySystem
 from .pe import PEStats, ProcessingElement
 from .scheduler import Scheduler
 from .report import SimReport
-from .accelerator import FlexMinerAccelerator, simulate
-from .parallel_sim import simulate_parallel
+from .accelerator import FlexMinerAccelerator, simulate, simulate_parallel
 from .area import (
     PE_AREA_MM2,
     SKYLAKE_CORE_AREA_MM2,

@@ -102,6 +102,9 @@ class InsertOutcome:
 class HardwareCMap:
     """One PE's banked linear-probing connectivity map."""
 
+    #: Cycles a rejected level insert costs: the footprint check alone.
+    REJECT_CYCLES = 1
+
     def __init__(
         self,
         capacity_entries: int,
@@ -131,45 +134,8 @@ class HardwareCMap:
         self._occupancy = 0
         # Per-depth stack of (depth, ids actually written) for cleanup.
         self._level_stack: List[Tuple[int, np.ndarray]] = []
-        # Observability: set by attach_tracer; None means no emission.
-        self._trace = None
-        self._clock = None
-        self._trace_tid = 0
         if exact:
             self._slots = np.full(capacity_entries, -1, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer, *, clock, tid: int = 0) -> None:
-        """Emit cycle-domain instants for rare c-map incidents.
-
-        ``clock`` supplies the owning PE's local time (the c-map itself
-        is timeless); overflows and capacity rejections become ``instant``
-        events on the PE's trace thread.
-        """
-        self._trace = tracer if tracer is not None and tracer.enabled else None
-        self._clock = clock
-        self._trace_tid = tid
-
-    def _trace_overflow(self, depth: int, incoming: int) -> None:
-        if self._trace is None:
-            return
-        from ..obs.trace import SIM_PID
-
-        self._trace.instant(
-            "cmap-overflow",
-            self._clock(),
-            pid=SIM_PID,
-            tid=self._trace_tid,
-            cat="cmap",
-            args={
-                "depth": depth,
-                "incoming": incoming,
-                "occupancy": self.occupancy,
-                "capacity": self.capacity,
-            },
-        )
 
     # ------------------------------------------------------------------
     # Occupancy / footprint estimation (§VI-B)
@@ -218,13 +184,11 @@ class HardwareCMap:
             # Beyond the value width the c-map simply cannot represent
             # the level (paper §VII-D); treat like an overflow.
             self.stats.overflows += 1
-            self._trace_overflow(depth, len(ids))
-            return InsertOutcome(accepted=False, cycles=1)
+            return InsertOutcome(accepted=False, cycles=self.REJECT_CYCLES)
         ids = np.asarray(ids, dtype=np.int64)
         if not self.fits(len(ids)):
             self.stats.overflows += 1
-            self._trace_overflow(depth, len(ids))
-            return InsertOutcome(accepted=False, cycles=1)
+            return InsertOutcome(accepted=False, cycles=self.REJECT_CYCLES)
 
         bit = 1 << depth
         if self.kernels:
@@ -329,17 +293,31 @@ class HardwareCMap:
         grown[: self._values.size] = self._values
         self._values = grown
 
+    @staticmethod
+    def probe_groups(
+        occupancies: np.ndarray, capacity: int, banks: int
+    ) -> np.ndarray:
+        """Expected probe cycles per access at each given occupancy.
+
+        Elementwise this is exactly :meth:`_expected_probe_groups`: same
+        division, same clamp, same bank split — so callers that ceil
+        and sum it (a level's inserts or deletes) or scale it (a query
+        batch) are bit-identical to the per-key formula.  A static
+        method because the walker-emitted trace prices whole frontiers
+        of c-map operations without a live map.
+        """
+        rho = np.minimum(occupancies / capacity, 0.95)
+        probes = 0.5 * (1.0 + 1.0 / (1.0 - rho))
+        return np.maximum(1.0, probes / banks)
+
     def _batch_cycles(self, occupancies: np.ndarray) -> int:
         """Probe cycles for a batch, one closed-form pass.
 
-        ``occupancies[i]`` is the occupancy the i-th access observes.
-        Elementwise this is exactly ``_probe_cycles``: same divisions,
-        same clamp, same ceil — so the sum is bit-identical to the
-        legacy per-key loop.
+        ``occupancies[i]`` is the occupancy the i-th access observes;
+        each access costs the ceiling of its expected probe groups,
+        exactly like ``_probe_cycles``.
         """
-        rho = np.minimum(occupancies / self.capacity, 0.95)
-        probes = 0.5 * (1.0 + 1.0 / (1.0 - rho))
-        groups = np.maximum(1.0, probes / self.banks)
+        groups = self.probe_groups(occupancies, self.capacity, self.banks)
         return int(np.ceil(groups).astype(np.int64).sum())
 
     #: Below this batch length the numpy fixed costs (fancy indexing,

@@ -15,9 +15,13 @@ component:
 * **memory** — edgelist and frontier reads go through the private cache;
   misses stall the PE for the NoC + L2 (+ DRAM) round trip.
 
-Functionally the PE *is* a :class:`~repro.engine.explore.PatternAwareEngine`
-subclass, so its match counts are the verified reference computation; the
-overrides only add timing and hardware state.
+The simulator is trace-driven (:mod:`repro.hw.parallel_sim`): a task's
+walk is a stream of :mod:`repro.hw.events`, and a replaying PE applies
+it to its :class:`PETiming`.  :class:`ProcessingElement` is the
+per-embedding walk that emits such a stream — functionally a
+:class:`~repro.engine.explore.PatternAwareEngine` subclass, so its
+match counts are the verified reference computation — and the base of
+the recursive tracer.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ from ..obs.trace import SIM_PID
 from .cache import SetAssocCache
 from .cmap import HardwareCMap
 from .config import FlexMinerConfig
+from .events import (
+    EV_INSERT,
+    EV_OVERFLOW,
+    EV_QUERY,
+    EV_SDU,
+    EV_SIU,
+    insert_arg,
+    overflow_arg,
+    unpack_insert,
+    unpack_overflow,
+)
 from .mem import GraphLayout, MemorySystem
 
 __all__ = ["PEStats", "PETiming", "ProcessingElement"]
@@ -79,14 +94,16 @@ class PEStats:
 class PETiming:
     """The timing surface of one PE: local clock, overlap credit,
     statistics, private cache, c-map, the frontier bump allocator and
-    the three hooks every cycle charge goes through.
+    the four hooks every cycle charge goes through.
 
-    :class:`ProcessingElement` drives the hooks from the functional
-    walk, the parallel simulator's replay PE from a recorded event
-    stream.  Both *inherit* them — the hooks are the simulator's hottest
-    Python frames, so there is no delegation hop — which is what keeps
-    float accumulation, and therefore every report, bit-identical
-    between the two.
+    :class:`ProcessingElement` calls the hooks from the functional
+    walk (the recursive tracer overrides them to record events), the
+    replay PE from a recorded event stream — the hooks are the
+    simulator's hottest Python frames, so they are inherited, never
+    delegated to.  With a cycle-domain tracer attached, the hooks also
+    emit the per-PE spans: ``stall`` from :meth:`_touch`, the c-map and
+    SIU/SDU intervals and ``cmap-overflow`` instants from
+    :meth:`_charge`.
     """
 
     def __init__(
@@ -131,6 +148,41 @@ class PETiming:
         # Compute executed since the last fetch gives the decoupled
         # fetch pipeline that much run-ahead to hide the next miss.
         self._overlap_credit += cycles
+
+    def _charge(self, code: int, cycles: int, arg: int) -> None:
+        """Busy cycles a named unit spent (``EV_QUERY`` ... ``EV_OVERFLOW``
+        and their argument): timed like :meth:`_charge_busy`, traced as
+        that unit's interval — or, for a rejected insert, an instant at
+        the moment of rejection."""
+        trace = self._trace
+        if code == EV_OVERFLOW and trace is not None:
+            occupancy, incoming, depth = unpack_overflow(arg)
+            trace.instant(
+                "cmap-overflow", self.time,
+                pid=SIM_PID, tid=self.pe_id, cat="cmap",
+                args={
+                    "depth": depth,
+                    "incoming": incoming,
+                    "occupancy": occupancy,
+                    "capacity": self.cmap.capacity,
+                },
+            )
+        self._charge_busy(cycles)
+        if trace is None or cycles <= 0 or code == EV_OVERFLOW:
+            return
+        if code == EV_QUERY:
+            name, cat, args = "cmap-query", "cmap", {"candidates": arg}
+        elif code == EV_INSERT:
+            entries, depth = unpack_insert(arg)
+            name, cat = "cmap-insert", "cmap"
+            args = {"depth": depth, "entries": entries}
+        else:
+            name = "siu" if code == EV_SIU else "sdu"
+            cat, args = "setop", {"iterations": cycles}
+        trace.complete(
+            name, self.time - cycles, cycles,
+            pid=SIM_PID, tid=self.pe_id, cat=cat, args=args,
+        )
 
     def _touch(self, base: int, size: int) -> None:
         """Read a byte range through the private cache.
@@ -187,7 +239,8 @@ class PETiming:
 
 
 class ProcessingElement(PETiming, PatternAwareEngine):
-    """One FlexMiner PE: the functional engine plus cycle accounting."""
+    """One FlexMiner PE walking its tasks one embedding at a time: the
+    functional engine plus the cycle charges of every step."""
 
     # Every candidate list must flow through the timed c-map/SIU pipeline
     # below; the base engine's count-only leaf shortcut would skip it.
@@ -200,52 +253,12 @@ class ProcessingElement(PETiming, PatternAwareEngine):
         plan,
         config: FlexMinerConfig,
         memsys: MemorySystem,
-        *,
-        tracer=None,
     ) -> None:
         PatternAwareEngine.__init__(self, graph, plan, collect=False)
         PETiming.__init__(self, pe_id, config, memsys)
-        if tracer is not None and tracer.enabled:
-            self._trace = tracer
-            if self.cmap is not None:
-                self.cmap.attach_tracer(
-                    tracer, clock=lambda: self.time, tid=pe_id
-                )
         self._insert_depths = set(plan.cmap_insert_depths)
         self._insert_filter = getattr(plan, "cmap_insert_filter", {})
         self._covered: Dict[int, bool] = {}
-
-    # ------------------------------------------------------------------
-    # Scheduler entry point
-    # ------------------------------------------------------------------
-    def execute_task(
-        self,
-        v0: int,
-        dispatch_time: float,
-        *,
-        chunk: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Run one task; ``dispatch_time`` is when the scheduler sent it.
-
-        ``chunk`` restricts the walk to a slice of the depth-1
-        candidates (fine-grained task splitting; see the scheduler).
-        """
-        self.time = max(self.time, dispatch_time)
-        start = self.time
-        self._charge_busy(self.config.dispatch_cycles)
-        if self.cmap is not None:
-            self.cmap.reset()
-        self._covered.clear()
-        self.stats.tasks += 1
-        self.run_task(v0, chunk=chunk)
-        if self._trace is not None:
-            args = {"root": int(v0)}
-            if chunk is not None:
-                args["chunk"] = list(chunk)
-            self._trace.complete(
-                f"task v{int(v0)}", start, self.time - start,
-                pid=SIM_PID, tid=self.pe_id, cat="task", args=args,
-            )
 
     def _load_adjacency_timed(self, v: int) -> np.ndarray:
         """Fetch a neighbor list through the memory hierarchy."""
@@ -266,6 +279,7 @@ class ProcessingElement(PETiming, PatternAwareEngine):
             cands = self._raw_stack[step.base_step]
             self.counters.frontier_hits += 1
             self.stats.frontier_reads += 1
+            # Only memoized lists are in the table (plancheck FM140).
             entry = self._frontier_table.get(step.base_step)
             if entry is not None:
                 self._touch(*entry)
@@ -278,15 +292,9 @@ class ProcessingElement(PETiming, PatternAwareEngine):
         if checks:
             if self._cmap_ready(checks):
                 cycles = self.cmap.query_batch(len(cands))
-                self._charge_busy(cycles)
+                self._charge(EV_QUERY, cycles, len(cands))
                 self.stats.cmap_cycles += cycles
                 self.stats.cmap_resolved_checks += len(checks)
-                if self._trace is not None and cycles > 0:
-                    self._trace.complete(
-                        "cmap-query", self.time - cycles, cycles,
-                        pid=SIM_PID, tid=self.pe_id, cat="cmap",
-                        args={"candidates": len(cands)},
-                    )
                 # Values come from the verified functional computation.
                 for d in conn:
                     cands = intersect(
@@ -303,16 +311,14 @@ class ProcessingElement(PETiming, PatternAwareEngine):
                 for d in conn:
                     other = self._load_adjacency_timed(emb[d])
                     cycles = merge_iterations(len(cands), len(other))
-                    self._charge_busy(cycles)
+                    self._charge(EV_SIU, cycles, 0)
                     self.stats.setop_cycles += cycles
-                    self._trace_setop("siu", cycles)
                     cands = intersect(cands, other, self.counters)
                 for d in disc:
                     other = self._load_adjacency_timed(emb[d])
                     cycles = merge_iterations(len(cands), len(other))
-                    self._charge_busy(cycles)
+                    self._charge(EV_SDU, cycles, 0)
                     self.stats.setop_cycles += cycles
-                    self._trace_setop("sdu", cycles)
                     cands = difference(cands, other, self.counters)
 
         # Pruner scan: one candidate per cycle for bound + injectivity.
@@ -323,15 +329,6 @@ class ProcessingElement(PETiming, PatternAwareEngine):
         if step.memoize_frontier:
             self._write_frontier(len(cands), step.depth)
         return cands
-
-    def _trace_setop(self, unit: str, cycles: float) -> None:
-        """Record one SIU/SDU merge interval ending at the current time."""
-        if self._trace is not None and cycles > 0:
-            self._trace.complete(
-                unit, self.time - cycles, cycles,
-                pid=SIM_PID, tid=self.pe_id, cat="setop",
-                args={"iterations": cycles},
-            )
 
     def _cmap_ready(self, checks: Tuple[int, ...]) -> bool:
         """Can every check be answered from the c-map right now?"""
@@ -351,19 +348,22 @@ class ProcessingElement(PETiming, PatternAwareEngine):
             neighbors = bound_below(neighbors, emb[flt])
         # The degree is known from indptr before the list is brought in,
         # so the footprint estimate precedes the data fetch (§VI-B).
+        occupancy = self.cmap.occupancy
         outcome = self.cmap.try_insert(neighbors, depth)
-        self._charge_busy(outcome.cycles)
         self.stats.cmap_cycles += outcome.cycles
-        if self._trace is not None and outcome.accepted and outcome.cycles > 0:
-            self._trace.complete(
-                "cmap-insert", self.time - outcome.cycles, outcome.cycles,
-                pid=SIM_PID, tid=self.pe_id, cat="cmap",
-                args={"depth": depth, "entries": len(neighbors)},
-            )
         if outcome.accepted:
+            self._charge(
+                EV_INSERT, outcome.cycles, insert_arg(len(neighbors), depth)
+            )
             layout = self.memsys.layout
             start = int(self._work_graph.indptr[emb[depth]])
             self._touch(*layout.indices_range(start, len(neighbors)))
+        else:
+            self._charge(
+                EV_OVERFLOW,
+                outcome.cycles,
+                overflow_arg(occupancy, len(neighbors), depth),
+            )
         self._covered[depth] = outcome.accepted
 
     def _on_backtrack(self, depth: int, emb: List[int]) -> None:

@@ -19,7 +19,6 @@ import heapq
 from typing import Iterable, Sequence
 
 from ..engine.parallel import Task, order_tasks
-from .pe import ProcessingElement
 
 __all__ = ["Scheduler", "Task"]
 
@@ -27,7 +26,7 @@ __all__ = ["Scheduler", "Task"]
 class Scheduler:
     """Greedy earliest-available-PE task scheduler."""
 
-    def __init__(self, pes: Sequence[ProcessingElement]) -> None:
+    def __init__(self, pes: Sequence) -> None:
         if not pes:
             raise ValueError("scheduler needs at least one PE")
         self.pes = list(pes)

@@ -154,15 +154,34 @@ class TestSimParallel:
         report = jsonlib.loads(capsys.readouterr().out)
         assert report["meta"]["workers"] == 2
 
-    def test_trace_forces_serial(self, tmp_path, capsys):
-        trace = tmp_path / "t.json"
-        assert main(
-            ["sim", "triangle", "--dataset", "As", "--pes", "2",
-             "--workers", "2", "--trace", str(trace)]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "running serial" in err
-        assert trace.exists()
+    def test_trace_at_two_workers_matches_one(self, tmp_path, capsys):
+        # Replay runs in the parent at any worker count, so --trace
+        # works with --workers 2: a valid trace, the same cycle-domain
+        # events and a report equal to the --workers 1 run's.
+        import json as jsonlib
+
+        from repro.obs import SIM_PID, validate_trace
+
+        runs = {}
+        for workers in (1, 2):
+            trace = tmp_path / f"t{workers}.json"
+            assert main(
+                ["sim", "triangle", "--dataset", "As", "--pes", "2",
+                 "--workers", str(workers), "--trace", str(trace),
+                 "--emit-json"]
+            ) == 0
+            out = capsys.readouterr()
+            assert "running serial" not in out.err
+            report = jsonlib.loads(out.out)
+            with open(trace) as f:
+                events = jsonlib.load(f)
+            assert validate_trace(events) == []
+            cycle_domain = [
+                e for e in events["traceEvents"] if e.get("pid") == SIM_PID
+            ]
+            assert any(e.get("cat") == "task" for e in cycle_domain)
+            runs[workers] = (report["data"], cycle_domain)
+        assert runs[2] == runs[1]
 
 
 class TestProfile:

@@ -28,25 +28,32 @@ class TestEngineVsSimulatorWork:
         ids=lambda x: getattr(x, "name", str(x)),
     )
     def test_identical_algorithmic_work(self, pattern, kwargs):
-        """The PE executes the same search tree as the engine, so the
-        SIU-mode op counters must agree exactly when the c-map is off."""
+        """The PE executes the same search tree as the engine: with the
+        c-map off every check is an SIU/SDU merge (one iteration per
+        cycle) and the pruner scans every raw candidate once, so the
+        simulated unit cycles equal the engine's op counters — under
+        either tracer."""
         plan = compile_pattern(pattern, **kwargs)
         engine = PatternAwareEngine(GRAPH, plan)
         engine.run()
-        accel = FlexMinerAccelerator(
-            GRAPH, plan, FlexMinerConfig(num_pes=1, cmap_bytes=0)
-        )
-        accel.run()
-        pe = accel.pes[0]
-        assert (
-            pe.counters.setop_iterations
-            == engine.counters.setop_iterations
-        )
-        assert (
-            pe.counters.candidates_checked
-            == engine.counters.candidates_checked
-        )
-        assert pe.counters.tasks == engine.counters.tasks
+        for timing_kernels in (True, False):
+            accel = FlexMinerAccelerator(
+                GRAPH, plan, FlexMinerConfig(
+                    num_pes=1, cmap_bytes=0, timing_kernels=timing_kernels
+                ),
+            )
+            report = accel.run()
+            pe = accel.pes[0]
+            assert (
+                report.setop_cycles
+                == pe.stats.setop_cycles
+                == engine.counters.setop_iterations
+            )
+            assert (
+                report.pruner_cycles
+                == engine.counters.candidates_checked
+            )
+            assert report.tasks == engine.counters.tasks
 
     def test_cmap_eliminates_siu_iterations(self):
         plan = compile_pattern(four_cycle())
@@ -59,8 +66,8 @@ class TestEngineVsSimulatorWork:
         with_cmap.run()
         without.run()
         assert (
-            with_cmap.pes[0].counters.setop_iterations
-            < without.pes[0].counters.setop_iterations
+            with_cmap.pes[0].stats.setop_cycles
+            < without.pes[0].stats.setop_cycles
         )
         assert with_cmap.pes[0].cmap.stats.queries > 0
 
@@ -74,8 +81,8 @@ class TestEngineVsSimulatorWork:
         )
         single.run()
         many.run()
-        total = sum(pe.counters.setop_iterations for pe in many.pes)
-        assert total == single.pes[0].counters.setop_iterations
+        total = sum(pe.stats.setop_cycles for pe in many.pes)
+        assert total == single.pes[0].stats.setop_cycles
 
 
 class TestCounterInvariants:

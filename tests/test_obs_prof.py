@@ -335,7 +335,13 @@ class TestMergedTraceDeterminism:
         assert trace_event_set(trace_a) == trace_event_set(trace_b)
 
     def test_sim_task_set_invariant_across_worker_counts(self):
-        sets = []
+        # A sim lane's task span names one traced root slice; how the
+        # order is cut depends on the worker count, that the named
+        # slices partition the task order does not.
+        order = [
+            root for root, _chunk in order_tasks(orient_by_degree(ER))
+        ]
+        slice_counts = []
         for workers in (1, 2):
             tracer = Tracer()
             prof = PhaseProfiler(tracer=tracer)
@@ -345,9 +351,19 @@ class TestMergedTraceDeterminism:
             )
             trace = tracer.to_dict()
             assert validate_trace(trace) == []
-            sets.append(trace_event_set(trace, cats=("task",)))
-        assert sets[0] == sets[1]
-        assert len(sets[0]) > 0
+            spans = trace_event_set(trace, cats=("task",))
+            slice_counts.append(len(spans))
+            named = []
+            for key in spans:
+                first, last, size = map(int, re.fullmatch(
+                    r"tasks v(\d+)\.\.v(\d+) x(\d+)", key[0]
+                ).groups())
+                start = order.index(first)
+                assert order[start + size - 1] == last
+                named += order[start:start + size]
+            assert sorted(named) == sorted(order)  # each root once
+        assert slice_counts[0] == 1  # in-process: one slice
+        assert slice_counts[1] > 1
 
 
 class TestZeroDrift:
@@ -382,8 +398,11 @@ class TestZeroDrift:
         profiled = simulate(ER, PLAN, config, profiler=prof)
         assert profiled.as_dict() == plain.as_dict()
         assert {p.name for p in prof.phases()} >= {
-            "sim-setup",
+            "setup",
             "simulate",
+            "trace",
+            "replay",
+            "merge",
         }
 
 

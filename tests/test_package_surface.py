@@ -135,10 +135,11 @@ def test_single_measurement_surface(capsys):
 
 def test_single_owner_surface():
     """One owner per cross-stack invariant: the replay PE inherits the
-    PE's timing hooks instead of re-implementing them, the scheduler
-    issues the pool's task list, the root-label filter and the oriented
-    DAG exist once, and no internal signature takes a ``work_graph`` to
-    dodge a re-orientation any more."""
+    PE's timing hooks instead of re-implementing them (the recursive
+    tracer overrides them to record), the scheduler issues the pool's
+    task list, the root-label filter and the oriented DAG exist once,
+    and no internal signature takes a ``work_graph`` to dodge a
+    re-orientation any more."""
     import inspect
 
     from repro import engine
@@ -147,7 +148,7 @@ def test_single_owner_surface():
     from repro.hw import ProcessingElement, Scheduler, accelerator
     from repro.hw.parallel_sim import _ReplayPE, _TracePE
 
-    for hook in ("_charge_busy", "_touch", "_write_frontier"):
+    for hook in ("_charge_busy", "_charge", "_touch", "_write_frontier"):
         shared = getattr(ProcessingElement, hook)
         assert getattr(_ReplayPE, hook) is shared, hook
         assert getattr(_TracePE, hook) is not shared, hook

@@ -230,7 +230,7 @@ class PhaseProfiler:
         Optional :class:`repro.obs.Tracer`.  When given, every phase is
         mirrored as a host span (pid 0) and worker lanes materialize on
         :data:`WORKERS_PID`, so one Chrome trace carries phases, lanes
-        and — for the serial simulator — the cycle domain side by side.
+        and — for the simulator — the cycle domain side by side.
     enabled:
         ``False`` keeps tracer spans flowing (so ``--trace`` works
         unchanged) but records no phases; pair with ``NULL_TRACER`` for

@@ -49,15 +49,19 @@ __all__ = ["main", "build_parser"]
 
 
 def _split_degree_arg(value: str):
-    """``--split-degree`` accepts an integer or the literal ``auto``."""
+    """``--split-degree`` accepts an integer >= 1 or the literal
+    ``auto``."""
     if value == "auto":
         return "auto"
     try:
-        return int(value)
+        degree = int(value)
     except ValueError:
+        degree = 0
+    if degree < 1:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
+            f"expected an integer >= 1 or 'auto', got {value!r}"
+        )
+    return degree
 
 
 def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:

@@ -68,6 +68,8 @@ def order_tasks(
     Sorting runs over the cached ``graph.degrees()`` vector (one
     lexsort) rather than one ``graph.degree(v)`` call per key.
     """
+    if split_degree is not None and split_degree < 1:
+        raise ValueError(f"split_degree must be >= 1, got {split_degree}")
     verts = _root_array(graph, roots)
     if len(verts) == 0:
         return []

@@ -5,14 +5,17 @@ is a "standard cycle-accurate non-inclusive cache model"; non-inclusive
 means we simply model each level independently).  Only line presence and
 LRU state are tracked — the simulator routes data values separately — so
 one model serves reads, writes and frontier-list spills.
+
+:meth:`SetAssocCache.access_line` is the per-line reference; the range
+and line-batch walks the PEs and the L2 use make exactly its state
+transitions, one line at a time, with the per-line call overhead hoisted
+out of the loop (``tests/test_property_hw.py`` checks them against it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -73,14 +76,6 @@ class SetAssocCache:
     def line_of(self, addr: int) -> int:
         return addr // self.line_bytes
 
-    def lines_of_range(self, base: int, size: int) -> np.ndarray:
-        """Distinct line ids covering [base, base + size)."""
-        if size <= 0:
-            return np.empty(0, dtype=np.int64)
-        first = base // self.line_bytes
-        last = (base + size - 1) // self.line_bytes
-        return np.arange(first, last + 1, dtype=np.int64)
-
     def access_line(self, line: int) -> bool:
         """Touch one line; returns True on hit (allocates on miss)."""
         self._tick += 1
@@ -99,30 +94,13 @@ class SetAssocCache:
         return False
 
     def access_range(self, base: int, size: int) -> Tuple[int, List[int]]:
-        """Touch every line of a byte range.
+        """Touch every line of a byte range, in address order.
 
         Returns ``(hits, missed_lines)`` so the caller can forward the
-        misses to the next memory level.
-        """
-        hits = 0
-        missed: List[int] = []
-        for line in self.lines_of_range(base, size):
-            if self.access_line(int(line)):
-                hits += 1
-            else:
-                missed.append(int(line))
-        return hits, missed
-
-    # ------------------------------------------------------------------
-    # Batch kernels (FlexMinerConfig.timing_kernels path)
-    # ------------------------------------------------------------------
-    def access_range_batch(self, base: int, size: int) -> Tuple[int, List[int]]:
-        """Batch form of :meth:`access_range`.
-
-        Decision-identical — same hits, misses, evictions, LRU ticks and
-        missed-line order — with the per-line dispatch overhead (method
-        calls, array materialization, scalar casts) hoisted out of the
-        loop.
+        misses to the next memory level.  The same hits, misses,
+        evictions, LRU ticks and missed-line order as one
+        :meth:`access_line` per line, with the per-line dispatch
+        overhead hoisted out of the loop.
         """
         if size <= 0:
             return 0, []

@@ -11,26 +11,21 @@ The model tracks *exact* occupancy and per-depth insertion lists so the
 compiler's dynamic footprint estimation and the overflow fall-back of
 §VI-B behave like the hardware.  Probe timing has two modes:
 
-* ``exact=True`` — slots are simulated individually (hash = id mod
-  capacity, banked linear probing); probe cycle counts are exact.  Used
-  by unit tests and small runs.
-* ``exact=False`` (default) — keys live in a dict and probe cycles use
-  the standard expected-probe formula for linear probing at the current
-  load factor, divided by the bank width.  Orders of magnitude faster
-  with the same first-order behaviour ("most accesses take only a single
-  cycle" below 75 % occupancy).
-
-The analytic mode itself has two implementations selected by
-``kernels``:
-
-* ``kernels=False`` — the legacy per-key Python loop (the reference
-  path kept alive by ``FlexMinerConfig.timing_kernels=False``);
-* ``kernels=True`` (default) — vectorized batch accounting: values live
-  in a dense numpy array indexed by vertex id and a whole level's probe
-  cycles come from one closed-form pass (exclusive-cumsum occupancy into
-  the expected-probe formula).  Because the per-key formula is evaluated
-  elementwise in the same IEEE-754 order, the cycle counts — and every
-  statistic — are bit-identical to the legacy loop.
+* ``exact=False`` (default, the simulator's) — probe cycles use the
+  standard expected-probe formula for linear probing at the current
+  load factor, divided by the bank width ("most accesses take only a
+  single cycle" below 75 % occupancy).  Values live in a dense numpy
+  array indexed by vertex id, and a whole level's probe cycles come
+  from one closed-form pass (exclusive-cumsum occupancy into the
+  formula, :meth:`HardwareCMap.probe_groups`); short batches take a
+  scalar pass over the same array.  Both evaluate the per-key formula
+  in the same IEEE-754 order, so their cycle counts and statistics are
+  identical (``tests/test_property_hw.py`` checks them against each
+  other).
+* ``exact=True`` — keys live in a dict and slots are simulated
+  individually (hash = id mod capacity, banked linear probing), one key
+  at a time; probe cycle counts are exact.  Used by unit tests and the
+  banking ablation.
 """
 
 from __future__ import annotations
@@ -113,7 +108,6 @@ class HardwareCMap:
         occupancy_threshold: float = 0.75,
         exact: bool = False,
         value_bits: int = 8,
-        kernels: bool = True,
     ) -> None:
         if capacity_entries < 1:
             raise SimulationError("c-map needs at least one entry")
@@ -122,13 +116,10 @@ class HardwareCMap:
         self.threshold = occupancy_threshold
         self.exact = exact
         self.value_bits = value_bits
-        # Exact slot simulation is inherently per-key; the batch kernels
-        # only apply to the analytic probe model.
-        self.kernels = bool(kernels) and not exact
         self.stats = CMapStats()
-        # Functional state: key -> depth bitset.  The legacy path keeps
-        # a dict; the kernel path keeps a dense value array indexed by
-        # vertex id (grown on demand) plus an occupancy counter.
+        # Functional state: key -> depth bitset.  The exact mode keeps a
+        # dict; the analytic mode a dense value array indexed by vertex
+        # id (grown on demand) plus an occupancy counter.
         self._table: Dict[int, int] = {}
         self._values = np.zeros(0, dtype=np.uint32)
         self._occupancy = 0
@@ -142,7 +133,7 @@ class HardwareCMap:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return self._occupancy if self.kernels else len(self._table)
+        return len(self._table) if self.exact else self._occupancy
 
     @property
     def load_factor(self) -> float:
@@ -166,8 +157,6 @@ class HardwareCMap:
             config.cmap_entries,
             banks=config.cmap_banks,
             occupancy_threshold=config.cmap_occupancy_threshold,
-            exact=config.cmap_exact,
-            kernels=config.timing_kernels,
         )
 
     # ------------------------------------------------------------------
@@ -191,7 +180,7 @@ class HardwareCMap:
             return InsertOutcome(accepted=False, cycles=self.REJECT_CYCLES)
 
         bit = 1 << depth
-        if self.kernels:
+        if not self.exact:
             cycles, new_entries = self._insert_kernel(ids, bit)
         else:
             cycles = 0
@@ -227,7 +216,7 @@ class HardwareCMap:
                 f"got {depth}"
             )
         bit = 1 << depth
-        if self.kernels:
+        if not self.exact:
             cycles = self._remove_kernel(ids, bit)
         else:
             cycles = 0
@@ -242,8 +231,7 @@ class HardwareCMap:
                     self._table[key] = value
                 else:
                     del self._table[key]
-                    if self.exact:
-                        self._free_slot(key)
+                    self._free_slot(key)
                 self.stats.deletes += 1
         self.stats.delete_cycles += cycles
         return cycles
@@ -252,11 +240,9 @@ class HardwareCMap:
         """Connectivity bitset for a vertex (0 when absent)."""
         self.stats.queries += 1
         self.stats.query_cycles += self._probe_cycles(key, insert=False)
-        if self.kernels:
-            return (
-                int(self._values[key]) if key < self._values.size else 0
-            )
-        return self._table.get(key, 0)
+        if self.exact:
+            return self._table.get(key, 0)
+        return int(self._values[key]) if key < self._values.size else 0
 
     def query_batch(self, n: int) -> int:
         """Cycle cost of n pipelined queries (values come from the
@@ -268,21 +254,20 @@ class HardwareCMap:
 
     def reset(self) -> None:
         """Invalidate everything (end of task, paper §VI)."""
-        if self.kernels:
+        if self.exact:
+            self._table.clear()
+            self._slots.fill(-1)
+        else:
             # Only keys named by outstanding levels can be live, so a
             # stack walk clears the dense array without a full zero.
             for _, ids in self._level_stack:
                 if len(ids):
                     self._values[ids] = 0
             self._occupancy = 0
-        else:
-            self._table.clear()
         self._level_stack.clear()
-        if self.exact:
-            self._slots.fill(-1)
 
     # ------------------------------------------------------------------
-    # Vectorized batch kernels (kernels=True)
+    # Analytic-mode batch kernels (exact=False)
     # ------------------------------------------------------------------
     def _ensure_capacity(self, max_key: int) -> None:
         if max_key < self._values.size:
@@ -367,9 +352,9 @@ class HardwareCMap:
             return 0, 0
         if n < self.VECTOR_MIN or not bool(np.all(ids[1:] > ids[:-1])):
             # Short, duplicate-carrying, or unsorted batches: the scalar
-            # pass replays the legacy per-key semantics over the dense
-            # array (a key's observed occupancy depends on earlier keys
-            # in the same batch).
+            # pass applies the per-key semantics over the dense array (a
+            # key's observed occupancy depends on earlier keys in the
+            # same batch).
             return self._insert_scalar(ids.tolist(), bit)
         if int(ids[0]) < 0:
             raise SimulationError("c-map keys must be non-negative ids")
@@ -381,7 +366,7 @@ class HardwareCMap:
         # Occupancy observed by the i-th key: entries present before the
         # batch plus the new entries earlier keys created (exclusive
         # cumulative sum) — the "compute the statistics once per batch"
-        # form of the legacy per-key re-derivation.
+        # form of the scalar pass's per-key re-derivation.
         steps = np.cumsum(new)
         cycles = self._batch_cycles(self._occupancy + steps - new)
         values[ids] = vals | np.uint32(bit)
@@ -400,8 +385,9 @@ class HardwareCMap:
         for i, key in enumerate(keys):
             value = values.item(key)
             if value == 0:
-                # Mirror the legacy mid-loop raise: earlier keys stay
-                # deleted and counted, the failing key charges nothing.
+                # Mirror the exact mode's mid-loop raise: earlier keys
+                # stay deleted and counted, the failing key charges
+                # nothing.
                 self._occupancy = occupancy
                 self.stats.deletes += i
                 raise SimulationError(

@@ -78,15 +78,6 @@ class FlexMinerConfig:
     cmap_banks: int = 4
     cmap_entry_bytes: int = 5
     cmap_occupancy_threshold: float = 0.75
-    #: Exact (per-entry) linear-probe simulation vs analytic probe costs.
-    cmap_exact: bool = False
-    #: Vectorized timing kernels: batch the per-element cycle accounting
-    #: (c-map insert/delete probe math, cache line walks, NoC/DRAM line
-    #: batches) with numpy.  Bit-identical to the legacy per-element
-    #: loops — ``False`` keeps the original reference path for parity
-    #: checks.  ``cmap_exact=True`` always simulates slots individually
-    #: regardless of this switch.
-    timing_kernels: bool = True
     dram: DramConfig = field(default_factory=DramConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     #: Scheduler task-dispatch latency (NoC message to an idle PE).
@@ -117,6 +108,10 @@ class FlexMinerConfig:
             raise ConfigError("occupancy threshold must be in (0, 1]")
         if self.cmap_banks < 1:
             raise ConfigError("c-map needs at least one bank")
+        if self.dispatch_cycles < 0:
+            raise ConfigError("dispatch_cycles must be >= 0")
+        if self.task_split_degree is not None and self.task_split_degree < 1:
+            raise ConfigError("task_split_degree must be >= 1")
 
     # Convenience derived values -------------------------------------
     @property

@@ -3,12 +3,12 @@
 Simulation is trace → replay (:mod:`repro.hw.parallel_sim`).  The trace
 half turns each ``(root, chunk)`` task into the ordered stream of
 ``(code, a, b)`` events its search-tree walk charges; the replay half
-applies every stream, in schedule order, to a PE's
-:class:`~repro.hw.pe.PETiming`.  A stream depends only on the task —
-the c-map resets per task, graph addresses are global, and frontier
-lists are named by depth (the replaying PE's bump allocator assigns
-their addresses) — so it can be produced anywhere, by either tracer,
-and then shipped as a :class:`ShardTrace`.
+applies every stream, in schedule order, to a
+:class:`~repro.hw.pe.ProcessingElement`.  A stream depends only on the
+task — the c-map resets per task, graph addresses are global, and
+frontier lists are named by depth (the replaying PE's bump allocator
+assigns their addresses) — so it can be produced anywhere, by either
+tracer, and then shipped as a :class:`ShardTrace`.
 """
 
 from __future__ import annotations

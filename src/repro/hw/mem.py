@@ -91,11 +91,14 @@ class MemorySystem:
     def fetch_lines(
         self, pe_id: int, lines: List[int], now: float
     ) -> float:
-        """Service a batch of private-cache misses; returns stall cycles.
+        """Service a batch of private-cache misses, one line at a time;
+        returns stall cycles.
 
         Each line costs a NoC round trip plus the L2 hit latency; an L2
         miss adds the DRAM access (frontier spill addresses always hit in
         L2 by construction — they were written there, never to DRAM).
+        This is the per-line reference, and what :meth:`fetch_lines_batch`
+        runs for short batches.
         """
         if not lines:
             return 0.0
@@ -121,13 +124,14 @@ class MemorySystem:
     def fetch_lines_batch(
         self, pe_id: int, lines: List[int], now: float
     ) -> float:
-        """Batch form of :meth:`fetch_lines` (timing-kernels path).
+        """Batch form of :meth:`fetch_lines`: what a PE's misses go
+        through.
 
         The NoC latencies for the whole batch are computed in one pass
         and the L2 lookups in another; because the NoC bucket, the L2
         LRU state and the DRAM models are mutually independent, every
-        per-line latency — and every counter — is bit-identical to the
-        per-line reference loop.
+        per-line latency — and every counter — is bit-identical to
+        :meth:`fetch_lines`.
         """
         count = len(lines)
         if count < 4:

@@ -7,21 +7,22 @@ models, cycle charges — cheap but strictly order-dependent, because the
 shared L2/NoC/DRAM state and every float accumulation depend on the
 global task order).  Every simulation splits them:
 
-1. **Trace** — a tracer turns a list of ``(root, chunk)`` tasks into a
-   :class:`~repro.hw.events.ShardTrace`: per task, the ordered events
-   its walk charges (busy cycles by unit, private-cache touches,
-   frontier writes/reads).  A stream is independent of which PE
-   eventually executes the task: the c-map resets per task, graph
-   addresses are global, and frontier entries are resolved symbolically
-   (by depth) so the replaying PE's bump allocator assigns the real
-   addresses.  :func:`tracer_for` picks the tracer.
+1. **Trace** — the frontier walker
+   (:class:`~repro.hw.walktrace.WalkTracer`) turns a list of
+   ``(root, chunk)`` tasks into a :class:`~repro.hw.events.ShardTrace`:
+   per task, the ordered events its walk charges (busy cycles by unit,
+   private-cache touches, frontier writes/reads).  A stream is
+   independent of which PE eventually executes the task: the c-map
+   resets per task, graph addresses are global, and frontier entries are
+   named by depth so the replaying PE's bump allocator assigns the real
+   addresses.  :class:`_TracePE`, one recursion per embedding, is the
+   reference the walker's streams are checked against.
 
 2. **Replay** — the streams drive the real scheduler heap, per-PE
    private caches / frontier allocators and the shared memory system
-   through :class:`_ReplayPE`, which applies every charge in task order
-   with the timing hooks of :class:`~repro.hw.pe.PETiming` — and, when
-   a cycle-domain tracer is attached, emits the task, stall, c-map,
-   SIU/SDU and overflow events.
+   through :class:`~repro.hw.pe.ProcessingElement`, which applies every
+   charge in task order — and, when a cycle-domain tracer is attached,
+   emits the task, stall, c-map, SIU/SDU and overflow events.
 
 The task order is cut into root slices (:func:`slice_tasks`).
 In-process each slice is replayed as soon as it is traced, so memory is
@@ -36,13 +37,14 @@ simulation runs (:class:`repro.hw.FlexMinerAccelerator` holds one).
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.explore import _cut_bands
+from ..compiler.plan import VertexStep
+from ..engine.explore import PatternAwareEngine, _cut_bands
 from ..engine.parallel import Task
-from ..errors import SimulationError
+from ..engine.setops import bound_below, difference, intersect, merge_iterations
 from ..graph import (
     SharedCSRBuffers,
     attach_shared_csr,
@@ -51,49 +53,33 @@ from ..graph import (
 )
 from ..obs import NULL_PROFILER
 from ..obs.prof import LaneRecorder, slice_label
-from ..obs.trace import SIM_PID
+from .cmap import HardwareCMap
 from .config import FlexMinerConfig
 from .events import (
     CMAP_STAT_FIELDS,
     EV_BUSY,
     EV_FREAD,
     EV_FWRITE,
+    EV_INSERT,
+    EV_OVERFLOW,
+    EV_QUERY,
+    EV_SDU,
+    EV_SIU,
     EV_TOUCH,
     PE_STAT_FIELDS,
     ShardTrace,
+    insert_arg,
+    overflow_arg,
 )
-from .mem import MemorySystem
-from .pe import PETiming, ProcessingElement
+from .mem import GraphLayout, MemorySystem
+from .pe import PEStats, ProcessingElement
 from .scheduler import Scheduler
 
-__all__ = ["TraceReplay", "slice_tasks", "tracer_for"]
+__all__ = ["TraceReplay", "slice_tasks"]
 
 #: Root-slice budget, in summed squared root degrees of the work graph
 #: (a task's trace grows with its first two levels; hubs dominate).
 _SLICE_WORK = 1 << 13
-
-#: Sentinel base address marking a frontier read in _TracePE's table
-#: (real addresses are assigned by the replaying PE's allocator).
-_FR_SENTINEL = -1
-
-
-def tracer_for(graph, plan, config: FlexMinerConfig):
-    """The one rule choosing a tracer.
-
-    Exact c-map slots are inherently per key, and the legacy per-element
-    timing path is the reference the walker is checked against, so
-    ``cmap_exact`` or ``timing_kernels=False`` trace recursively
-    (:class:`_TracePE`); every other config is traced by the frontier
-    walker (:class:`~repro.hw.walktrace.WalkTracer`).  Both produce the
-    same :class:`~repro.hw.events.ShardTrace`, element for element.
-    """
-    if config.cmap_exact or not config.timing_kernels:
-        return _TracePE(graph, plan, config)
-    # Imported on first use: every CLI verb imports repro.hw, and only
-    # a simulation needs the walker compiled.
-    from .walktrace import WalkTracer
-
-    return WalkTracer(graph, plan, config)
 
 
 def slice_tasks(
@@ -120,38 +106,32 @@ def slice_tasks(
     return [list(tasks[lo:hi]) for lo, hi in _cut_bands(sizes, budget)]
 
 
-class _TracePE(ProcessingElement):
-    """The recursive tracer: a PE whose timing hooks record events
-    instead of applying them.
+class _TracePE(PatternAwareEngine):
+    """The reference tracer: one recursion per embedding, appending the
+    events each step charges.
 
-    The functional walk (and the per-task c-map timing, which resets at
-    every task boundary) runs for real; private-cache / memory-system /
-    frontier-address state — everything that depends on which PE runs
-    the task — is deferred to replay.
+    The functional walk runs for real, and so does the per-task c-map
+    (it resets at every task boundary); private-cache, memory-system
+    and frontier-address state — everything that depends on which PE
+    runs the task — is replay's.  :meth:`trace` is the interface the
+    walker shares.
     """
 
-    def __init__(self, graph, plan, config) -> None:
-        super().__init__(0, graph, plan, config, MemorySystem(config, graph))
+    # Every candidate list must flow through the c-map/SIU charges
+    # below; the base engine's count-only leaf shortcut would skip it.
+    supports_leaf_counting = False
+
+    def __init__(self, graph, plan, config: FlexMinerConfig) -> None:
+        super().__init__(graph, plan)
+        self.cmap: Optional[HardwareCMap] = HardwareCMap.from_config(config)
+        self.stats = PEStats()
+        self._layout = GraphLayout(graph.num_vertices)
+        self._insert_depths = set(plan.cmap_insert_depths)
+        self._insert_filter = getattr(plan, "cmap_insert_filter", {})
+        self._covered: Dict[int, bool] = {}
+        #: Depths whose candidate list the current task memoized.
+        self._memoized: Set[int] = set()
         self._events: List[Tuple[int, int, int]] = []
-
-    # -- timing hooks: record, don't apply -----------------------------
-    def _charge_busy(self, cycles) -> None:
-        self._events.append((EV_BUSY, cycles, 0))
-
-    def _charge(self, code: int, cycles: int, arg: int) -> None:
-        self._events.append((code, cycles, arg))
-
-    def _touch(self, base: int, size: int) -> None:
-        if base == _FR_SENTINEL:
-            self._events.append((EV_FREAD, size, 0))
-        else:
-            self._events.append((EV_TOUCH, base, size))
-
-    def _write_frontier(self, length: int, depth: int) -> None:
-        self._events.append((EV_FWRITE, length, depth))
-        # Symbolic entry: replay resolves the spill address; reads via
-        # _touch(*entry) become (_FR_SENTINEL, depth) and are re-coded.
-        self._frontier_table[depth] = (_FR_SENTINEL, depth)
 
     # -- tracing ---------------------------------------------------------
     def trace(self, tasks: Sequence[Task]) -> ShardTrace:
@@ -168,7 +148,7 @@ class _TracePE(ProcessingElement):
             self.cmap.reset()
         self._covered.clear()
         # A task reads back only the lists it memoized itself.
-        self._frontier_table.clear()
+        self._memoized.clear()
         self._events = []
         before = self._stat_values()
         counts_before = list(self._counts)
@@ -183,83 +163,111 @@ class _TracePE(ProcessingElement):
             return values + [0] * len(CMAP_STAT_FIELDS)
         return values + [getattr(self.cmap.stats, f) for f in CMAP_STAT_FIELDS]
 
+    # -- the walk --------------------------------------------------------
+    def _fetch(self, v: int) -> np.ndarray:
+        """A neighbor list: the functional read plus the touches of its
+        ``indptr`` pair and ``indices`` slice."""
+        nbrs = self._load_adjacency(v)  # functional read + op counters
+        start = int(self._work_graph.indptr[v])
+        self._events += [
+            (EV_TOUCH, *self._layout.indptr_range(v)),
+            (EV_TOUCH, *self._layout.indices_range(start, len(nbrs))),
+        ]
+        return nbrs
 
-class _ReplayPE(PETiming):
-    """Applies recorded event streams with real per-PE and shared state.
+    def _raw_candidates(
+        self, step: VertexStep, emb: Sequence[int]
+    ) -> np.ndarray:
+        events = self._events
+        if step.base_step is not None:
+            cands = self._raw_stack[step.base_step]
+            self.counters.frontier_hits += 1
+            self.stats.frontier_reads += 1
+            # Only memoized lists are in the table (plancheck FM140).
+            if step.base_step in self._memoized:
+                events.append((EV_FREAD, step.base_step, 0))
+            conn, disc = step.extra_connected, step.extra_disconnected
+        else:
+            cands = self._fetch(emb[step.extender])
+            conn, disc = step.connected, step.disconnected
 
-    The timing surface — charge order, overlap credit, frontier
-    allocation, fast/legacy kernel selection, cycle-domain trace
-    emission — is the inherited :class:`~repro.hw.pe.PETiming`.
-    ``traces`` maps each task to its ``(shard, index)``; the pipeline
-    fills it a slice at a time.
-    """
-
-    def __init__(
-        self,
-        pe_id: int,
-        config: FlexMinerConfig,
-        memsys: MemorySystem,
-        num_patterns: int,
-        traces: Dict[Task, Tuple[ShardTrace, int]],
-    ) -> None:
-        super().__init__(pe_id, config, memsys)
-        self._counts = [0] * num_patterns
-        self._traces = traces
-
-    # -- scheduler entry point ------------------------------------------
-    def execute_task(
-        self,
-        v0: int,
-        dispatch_time: float,
-        *,
-        chunk: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Replay one task; ``dispatch_time`` is when the scheduler sent
-        it."""
-        self.time = max(self.time, dispatch_time)
-        start = self.time
-        self._charge_busy(self.config.dispatch_cycles)
-        self.stats.tasks += 1
-        shard, index = self._traces[v0, chunk]
-        codes, arg_a, arg_b, deltas, counts = shard.task(index)
-        trace = self._trace
-        for code, a, b in zip(codes, arg_a, arg_b):
-            if code == EV_TOUCH:
-                self._touch(a, b)
-            elif code == EV_FWRITE:
-                self._write_frontier(a, b)
-            elif code == EV_FREAD:
-                entry = self._frontier_table.get(a)
-                if entry is None:  # pragma: no cover - invariant guard
-                    raise SimulationError(
-                        "frontier read before any write at depth "
-                        f"{a} during replay"
+        checks = conn + disc
+        if checks:
+            if self.cmap is not None and all(
+                self._covered.get(d, False) for d in checks
+            ):
+                cycles = self.cmap.query_batch(len(cands))
+                events.append((EV_QUERY, cycles, len(cands)))
+                self.stats.cmap_cycles += cycles
+                self.stats.cmap_resolved_checks += len(checks)
+                # Values come from the verified functional computation.
+                for d in conn:
+                    cands = intersect(
+                        cands, self._work_graph.neighbors(emb[d]), None
                     )
-                self._touch(*entry)
-            elif code == EV_BUSY or trace is None:
-                self._charge_busy(a)
+                for d in disc:
+                    cands = difference(
+                        cands, self._work_graph.neighbors(emb[d]), None
+                    )
             else:
-                self._charge(code, a, b)
-        n_pe = len(PE_STAT_FIELDS)
-        for name, delta in zip(PE_STAT_FIELDS, deltas[:n_pe]):
-            setattr(self.stats, name, getattr(self.stats, name) + delta)
-        if self.cmap is not None:
-            for name, delta in zip(CMAP_STAT_FIELDS, deltas[n_pe:]):
-                setattr(
-                    self.cmap.stats,
-                    name,
-                    getattr(self.cmap.stats, name) + delta,
-                )
-        for i, c in enumerate(counts):
-            self._counts[i] += c
-        if trace is not None:
-            args = {"root": int(v0)}
-            if chunk is not None:
-                args["chunk"] = list(chunk)
-            trace.complete(
-                f"task v{int(v0)}", start, self.time - start,
-                pid=SIM_PID, tid=self.pe_id, cat="task", args=args,
-            )
+                if self.cmap is not None:
+                    self.stats.cmap_fallbacks += 1
+                self.stats.siu_resolved_checks += len(checks)
+                for d in conn:
+                    other = self._fetch(emb[d])
+                    cycles = merge_iterations(len(cands), len(other))
+                    events.append((EV_SIU, cycles, 0))
+                    self.stats.setop_cycles += cycles
+                    cands = intersect(cands, other, self.counters)
+                for d in disc:
+                    other = self._fetch(emb[d])
+                    cycles = merge_iterations(len(cands), len(other))
+                    events.append((EV_SDU, cycles, 0))
+                    self.stats.setop_cycles += cycles
+                    cands = difference(cands, other, self.counters)
+
+        # Pruner scan: one candidate per cycle for bound + injectivity.
+        events.append((EV_BUSY, len(cands), 0))
+        self.stats.pruner_cycles += len(cands)
+
+        self._raw_stack[step.depth] = cands
+        if step.memoize_frontier:
+            events.append((EV_FWRITE, len(cands), step.depth))
+            self._memoized.add(step.depth)
+        return cands
+
+    # -- c-map maintenance on DFS moves (Fig. 12) -------------------------
+    def _on_descend(self, depth: int, emb: List[int]) -> None:
+        if self.cmap is None or depth not in self._insert_depths:
+            return
+        neighbors = self._work_graph.neighbors(emb[depth])
+        flt = self._insert_filter.get(depth)
+        if flt is not None:
+            neighbors = bound_below(neighbors, emb[flt])
+        # The degree is known from indptr before the list is brought in,
+        # so the footprint estimate precedes the data fetch (§VI-B).
+        occupancy = self.cmap.occupancy
+        outcome = self.cmap.try_insert(neighbors, depth)
+        self.stats.cmap_cycles += outcome.cycles
+        if outcome.accepted:
+            start = int(self._work_graph.indptr[emb[depth]])
+            self._events += [
+                (EV_INSERT, outcome.cycles, insert_arg(len(neighbors), depth)),
+                (EV_TOUCH, *self._layout.indices_range(start, len(neighbors))),
+            ]
+        else:
+            self._events.append((
+                EV_OVERFLOW,
+                outcome.cycles,
+                overflow_arg(occupancy, len(neighbors), depth),
+            ))
+        self._covered[depth] = outcome.accepted
+
+    def _on_backtrack(self, depth: int, emb: List[int]) -> None:
+        if self._covered.pop(depth, False):
+            cycles = self.cmap.remove_level(depth)
+            self._events.append((EV_BUSY, cycles, 0))
+            self.stats.cmap_cycles += cycles
 
 
 def _trace_slice(tracer, tasks: Sequence[Task], rec: LaneRecorder):
@@ -279,9 +287,11 @@ def _trace_worker(
     """Worker main: attach the shared graph, trace the slices, report
     the shards and the recorded span stream."""
     try:
+        from .walktrace import WalkTracer
+
         rec = LaneRecorder()
         with rec.span("attach-shm"):
-            tracer = tracer_for(attach_shared_csr(spec), plan, config)
+            tracer = WalkTracer(attach_shared_csr(spec), plan, config)
         shards = [_trace_slice(tracer, tasks, rec) for tasks in slices]
         result_queue.put(("done", worker_id, (shards, rec.spans)))
     except BaseException:  # pragma: no cover - exercised via error path
@@ -379,7 +389,7 @@ class TraceReplay:
         #: The replay feed: task -> (its slice's shard, index).
         self._traces: Dict[Task, Tuple[ShardTrace, int]] = {}
         self.pes = [
-            _ReplayPE(i, config, memsys, num_patterns, self._traces)
+            ProcessingElement(i, config, memsys, num_patterns, self._traces)
             for i in range(config.num_pes)
         ]
         self.scheduler = Scheduler(self.pes)
@@ -405,9 +415,13 @@ class TraceReplay:
     def _in_process(self, slices, profiler) -> list:
         """Trace each slice and replay it straight away; returns the
         lane's recorded spans."""
+        # Imported on first use: every CLI verb imports repro.hw, and
+        # only a simulation needs the walker compiled.
+        from .walktrace import WalkTracer
+
         rec = LaneRecorder()
         with rec.span("attach-shm"):
-            tracer = tracer_for(self.graph, self.plan, self.config)
+            tracer = WalkTracer(self.graph, self.plan, self.config)
         for tasks in slices:
             with profiler.phase("trace", tasks=len(tasks)):
                 shard = _trace_slice(tracer, tasks, rec)

@@ -15,44 +15,42 @@ component:
 * **memory** — edgelist and frontier reads go through the private cache;
   misses stall the PE for the NoC + L2 (+ DRAM) round trip.
 
-The simulator is trace-driven (:mod:`repro.hw.parallel_sim`): a task's
-walk is a stream of :mod:`repro.hw.events`, and a replaying PE applies
-it to its :class:`PETiming`.  :class:`ProcessingElement` is the
-per-embedding walk that emits such a stream — functionally a
-:class:`~repro.engine.explore.PatternAwareEngine` subclass, so its
-match counts are the verified reference computation — and the base of
-the recursive tracer.
+The simulator is trace-driven (:mod:`repro.hw.parallel_sim`): a tracer
+turns each task's walk into a stream of :mod:`repro.hw.events`, and
+:class:`ProcessingElement` — the PE the scheduler dispatches to —
+applies it to its clock, private cache, c-map statistics and frontier
+allocator and to the shared memory system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from ..compiler.plan import VertexStep
-from ..engine.explore import PatternAwareEngine
-from ..engine.setops import bound_below, difference, intersect, merge_iterations
-from ..graph import CSRGraph
+from ..engine.parallel import Task
+from ..errors import SimulationError
 from ..obs.trace import SIM_PID
 from .cache import SetAssocCache
 from .cmap import HardwareCMap
 from .config import FlexMinerConfig
 from .events import (
+    CMAP_STAT_FIELDS,
+    EV_BUSY,
+    EV_FREAD,
+    EV_FWRITE,
     EV_INSERT,
     EV_OVERFLOW,
     EV_QUERY,
-    EV_SDU,
     EV_SIU,
-    insert_arg,
-    overflow_arg,
+    EV_TOUCH,
+    PE_STAT_FIELDS,
+    ShardTrace,
     unpack_insert,
     unpack_overflow,
 )
 from .mem import GraphLayout, MemorySystem
 
-__all__ = ["PEStats", "PETiming", "ProcessingElement"]
+__all__ = ["PEStats", "ProcessingElement"]
 
 
 @dataclass
@@ -91,33 +89,39 @@ class PEStats:
         return out
 
 
-class PETiming:
-    """The timing surface of one PE: local clock, overlap credit,
-    statistics, private cache, c-map, the frontier bump allocator and
-    the four hooks every cycle charge goes through.
+class ProcessingElement:
+    """One PE: local clock, overlap credit, statistics, private cache,
+    c-map statistics, the frontier bump allocator and the four hooks
+    every cycle charge goes through, driven by the scheduler through
+    :meth:`execute_task`.
 
-    :class:`ProcessingElement` calls the hooks from the functional
-    walk (the recursive tracer overrides them to record events), the
-    replay PE from a recorded event stream — the hooks are the
-    simulator's hottest Python frames, so they are inherited, never
-    delegated to.  With a cycle-domain tracer attached, the hooks also
-    emit the per-PE spans: ``stall`` from :meth:`_touch`, the c-map and
-    SIU/SDU intervals and ``cmap-overflow`` instants from
-    :meth:`_charge`.
+    A task's charges come from its traced event stream: ``traces`` maps
+    each task to its ``(shard, index)`` and the pipeline fills it a
+    slice at a time.  The hooks are the simulator's hottest Python
+    frames, so replay calls them directly.  With a cycle-domain tracer
+    attached they also emit the per-PE spans: ``stall`` from
+    :meth:`_touch`, the c-map and SIU/SDU intervals and
+    ``cmap-overflow`` instants from :meth:`_charge`, the task span from
+    :meth:`execute_task`.
     """
 
     def __init__(
-        self, pe_id: int, config: FlexMinerConfig, memsys: MemorySystem
+        self,
+        pe_id: int,
+        config: FlexMinerConfig,
+        memsys: MemorySystem,
+        num_patterns: int,
+        traces: Dict[Task, Tuple[ShardTrace, int]],
     ) -> None:
         self.pe_id = pe_id
         self.config = config
         self.memsys = memsys
-        # Vectorized timing kernels (batch cache walks + batch fetch);
-        # bit-identical to the legacy per-element loops.
-        self._fast = config.timing_kernels
         self.time = 0.0
         self._overlap_credit = 0.0
         self.stats = PEStats()
+        #: Per-pattern match counts of the tasks this PE ran.
+        self.counts = [0] * num_patterns
+        self._traces = traces
         # Cycle-domain tracer: None when tracing is off, so hot paths pay
         # one identity check.  Timing/counters are never affected.
         self._trace = None
@@ -126,6 +130,8 @@ class PETiming:
             config.private_cache_assoc,
             config.line_bytes,
         )
+        # The c-map's statistics (replay never probes it: costs are in
+        # the trace) and its capacity for the overflow instants.
         self.cmap: Optional[HardwareCMap] = HardwareCMap.from_config(config)
         # Frontier-list table: depth -> (spill address, bytes).
         self._frontier_table: Dict[int, Tuple[int, int]] = {}
@@ -134,13 +140,65 @@ class PETiming:
         self._frontier_limit = base + stride
         self._frontier_ptr = base
 
-    @property
-    def counts(self) -> List[int]:
-        """Per-pattern match counts (``_counts`` is the subclass's)."""
-        return self._counts
+    # ------------------------------------------------------------------
+    # Scheduler entry point
+    # ------------------------------------------------------------------
+    def execute_task(
+        self,
+        v0: int,
+        dispatch_time: float,
+        *,
+        chunk: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Replay one task; ``dispatch_time`` is when the scheduler sent
+        it."""
+        self.time = max(self.time, dispatch_time)
+        start = self.time
+        self._charge_busy(self.config.dispatch_cycles)
+        self.stats.tasks += 1
+        shard, index = self._traces[v0, chunk]
+        codes, arg_a, arg_b, deltas, counts = shard.task(index)
+        trace = self._trace
+        for code, a, b in zip(codes, arg_a, arg_b):
+            if code == EV_TOUCH:
+                self._touch(a, b)
+            elif code == EV_FWRITE:
+                self._write_frontier(a, b)
+            elif code == EV_FREAD:
+                entry = self._frontier_table.get(a)
+                if entry is None:  # pragma: no cover - invariant guard
+                    raise SimulationError(
+                        "frontier read before any write at depth "
+                        f"{a} during replay"
+                    )
+                self._touch(*entry)
+            elif code == EV_BUSY or trace is None:
+                self._charge_busy(a)
+            else:
+                self._charge(code, a, b)
+        n_pe = len(PE_STAT_FIELDS)
+        for name, delta in zip(PE_STAT_FIELDS, deltas[:n_pe]):
+            setattr(self.stats, name, getattr(self.stats, name) + delta)
+        if self.cmap is not None:
+            for name, delta in zip(CMAP_STAT_FIELDS, deltas[n_pe:]):
+                setattr(
+                    self.cmap.stats,
+                    name,
+                    getattr(self.cmap.stats, name) + delta,
+                )
+        for i, c in enumerate(counts):
+            self.counts[i] += c
+        if trace is not None:
+            args = {"root": int(v0)}
+            if chunk is not None:
+                args["chunk"] = list(chunk)
+            trace.complete(
+                f"task v{int(v0)}", start, self.time - start,
+                pid=SIM_PID, tid=self.pe_id, cat="task", args=args,
+            )
 
     # ------------------------------------------------------------------
-    # Cycle charging helpers
+    # Cycle charging hooks
     # ------------------------------------------------------------------
     def _charge_busy(self, cycles: float) -> None:
         self.time += cycles
@@ -193,17 +251,11 @@ class PETiming:
         cycles charged since the previous fetch.  Only the uncovered
         remainder stalls the PE.
         """
-        if self._fast:
-            _, missed = self.private.access_range_batch(base, size)
-        else:
-            _, missed = self.private.access_range(base, size)
+        _, missed = self.private.access_range(base, size)
         if missed:
-            fetch = (
-                self.memsys.fetch_lines_batch
-                if self._fast
-                else self.memsys.fetch_lines
+            latency = self.memsys.fetch_lines_batch(
+                self.pe_id, missed, self.time
             )
-            latency = fetch(self.pe_id, missed, self.time)
             stall = max(0.0, latency - self._overlap_credit)
             self._overlap_credit = 0.0
             self.time += stall
@@ -225,151 +277,6 @@ class PETiming:
         self._frontier_ptr = (addr + size + line - 1) // line * line
         # Write-allocate without fetch: lines become resident; one store
         # cycle per line.
-        if self._fast:
-            self.private.access_range_batch(addr, size)
-            self._charge_busy(
-                (addr + size - 1) // line - addr // line + 1
-            )
-        else:
-            lines = self.private.lines_of_range(addr, size)
-            for ln in lines:
-                self.private.access_line(int(ln))
-            self._charge_busy(len(lines))
+        self.private.access_range(addr, size)
+        self._charge_busy((addr + size - 1) // line - addr // line + 1)
         self._frontier_table[depth] = (addr, size)
-
-
-class ProcessingElement(PETiming, PatternAwareEngine):
-    """One FlexMiner PE walking its tasks one embedding at a time: the
-    functional engine plus the cycle charges of every step."""
-
-    # Every candidate list must flow through the timed c-map/SIU pipeline
-    # below; the base engine's count-only leaf shortcut would skip it.
-    supports_leaf_counting = False
-
-    def __init__(
-        self,
-        pe_id: int,
-        graph: CSRGraph,
-        plan,
-        config: FlexMinerConfig,
-        memsys: MemorySystem,
-    ) -> None:
-        PatternAwareEngine.__init__(self, graph, plan, collect=False)
-        PETiming.__init__(self, pe_id, config, memsys)
-        self._insert_depths = set(plan.cmap_insert_depths)
-        self._insert_filter = getattr(plan, "cmap_insert_filter", {})
-        self._covered: Dict[int, bool] = {}
-
-    def _load_adjacency_timed(self, v: int) -> np.ndarray:
-        """Fetch a neighbor list through the memory hierarchy."""
-        nbrs = self._load_adjacency(v)  # functional read + op counters
-        layout = self.memsys.layout
-        self._touch(*layout.indptr_range(v))
-        start = int(self._work_graph.indptr[v])
-        self._touch(*layout.indices_range(start, len(nbrs)))
-        return nbrs
-
-    # ------------------------------------------------------------------
-    # Candidate generation with hardware timing
-    # ------------------------------------------------------------------
-    def _raw_candidates(
-        self, step: VertexStep, emb: Sequence[int]
-    ) -> np.ndarray:
-        if step.base_step is not None:
-            cands = self._raw_stack[step.base_step]
-            self.counters.frontier_hits += 1
-            self.stats.frontier_reads += 1
-            # Only memoized lists are in the table (plancheck FM140).
-            entry = self._frontier_table.get(step.base_step)
-            if entry is not None:
-                self._touch(*entry)
-            conn, disc = step.extra_connected, step.extra_disconnected
-        else:
-            cands = self._load_adjacency_timed(emb[step.extender])
-            conn, disc = step.connected, step.disconnected
-
-        checks = conn + disc
-        if checks:
-            if self._cmap_ready(checks):
-                cycles = self.cmap.query_batch(len(cands))
-                self._charge(EV_QUERY, cycles, len(cands))
-                self.stats.cmap_cycles += cycles
-                self.stats.cmap_resolved_checks += len(checks)
-                # Values come from the verified functional computation.
-                for d in conn:
-                    cands = intersect(
-                        cands, self._work_graph.neighbors(emb[d]), None
-                    )
-                for d in disc:
-                    cands = difference(
-                        cands, self._work_graph.neighbors(emb[d]), None
-                    )
-            else:
-                if self.cmap is not None:
-                    self.stats.cmap_fallbacks += 1
-                self.stats.siu_resolved_checks += len(checks)
-                for d in conn:
-                    other = self._load_adjacency_timed(emb[d])
-                    cycles = merge_iterations(len(cands), len(other))
-                    self._charge(EV_SIU, cycles, 0)
-                    self.stats.setop_cycles += cycles
-                    cands = intersect(cands, other, self.counters)
-                for d in disc:
-                    other = self._load_adjacency_timed(emb[d])
-                    cycles = merge_iterations(len(cands), len(other))
-                    self._charge(EV_SDU, cycles, 0)
-                    self.stats.setop_cycles += cycles
-                    cands = difference(cands, other, self.counters)
-
-        # Pruner scan: one candidate per cycle for bound + injectivity.
-        self._charge_busy(len(cands))
-        self.stats.pruner_cycles += len(cands)
-
-        self._raw_stack[step.depth] = cands
-        if step.memoize_frontier:
-            self._write_frontier(len(cands), step.depth)
-        return cands
-
-    def _cmap_ready(self, checks: Tuple[int, ...]) -> bool:
-        """Can every check be answered from the c-map right now?"""
-        if self.cmap is None:
-            return False
-        return all(self._covered.get(d, False) for d in checks)
-
-    # ------------------------------------------------------------------
-    # c-map maintenance on DFS moves (Fig. 12)
-    # ------------------------------------------------------------------
-    def _on_descend(self, depth: int, emb: List[int]) -> None:
-        if self.cmap is None or depth not in self._insert_depths:
-            return
-        neighbors = self._work_graph.neighbors(emb[depth])
-        flt = self._insert_filter.get(depth)
-        if flt is not None:
-            neighbors = bound_below(neighbors, emb[flt])
-        # The degree is known from indptr before the list is brought in,
-        # so the footprint estimate precedes the data fetch (§VI-B).
-        occupancy = self.cmap.occupancy
-        outcome = self.cmap.try_insert(neighbors, depth)
-        self.stats.cmap_cycles += outcome.cycles
-        if outcome.accepted:
-            self._charge(
-                EV_INSERT, outcome.cycles, insert_arg(len(neighbors), depth)
-            )
-            layout = self.memsys.layout
-            start = int(self._work_graph.indptr[emb[depth]])
-            self._touch(*layout.indices_range(start, len(neighbors)))
-        else:
-            self._charge(
-                EV_OVERFLOW,
-                outcome.cycles,
-                overflow_arg(occupancy, len(neighbors), depth),
-            )
-        self._covered[depth] = outcome.accepted
-
-    def _on_backtrack(self, depth: int, emb: List[int]) -> None:
-        if self.cmap is None or depth not in self._insert_depths:
-            return
-        if self._covered.pop(depth, False):
-            cycles = self.cmap.remove_level(depth)
-            self._charge_busy(cycles)
-            self.stats.cmap_cycles += cycles

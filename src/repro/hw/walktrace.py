@@ -1,4 +1,4 @@
-"""Walker-emitted simulator traces: the default trace half.
+"""Walker-emitted simulator traces: the trace half of every simulation.
 
 A task's event stream (:mod:`repro.hw.events`) is a deterministic
 function of its search tree, and every quantity in it — operand
@@ -8,8 +8,9 @@ lengths — is a per-row column the banded frontier walker
 level-synchronous formulation) already computes for a whole band of
 partial embeddings at once.  :class:`WalkTracer` is that walker, run
 over a list of ``(root, chunk)`` tasks, emitting per frontier row the
-exact events the recursive :class:`~repro.hw.pe.ProcessingElement`
-would:
+exact events the recursive reference tracer
+(:class:`repro.hw.parallel_sim._TracePE`, one recursion per embedding)
+does:
 
 * the c-map insert of the row's newest vertex (or the overflow that
   rejects it) and, on backtrack, the removal of that level;
@@ -28,10 +29,9 @@ Events are laid out in DFS preorder without a sort: each level returns
 its rows' streams as segmented arrays, and a parent interleaves, row by
 row, its own events with its children's (scatters over exclusive
 cumulative sums of per-row event counts).  The result is
-element-for-element the recursive tracer's :class:`ShardTrace`; only the
-analytic, vectorised c-map model is expressible this way, so
-``cmap_exact`` and ``timing_kernels=False`` keep recursive tracing
-(:func:`repro.hw.parallel_sim.tracer_for`).
+element-for-element the reference tracer's :class:`ShardTrace`
+(``tests/test_sim_trace_walk.py``, and the ``sim`` differential
+backend on every verify case).
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class _Rows:
 class WalkTracer(PatternAwareEngine):
     """Traces task lists with the banded frontier walker (module doc).
 
-    :meth:`trace` is the whole interface, shared with the recursive
+    :meth:`trace` is the whole interface, shared with the reference
     tracer; one instance traces any number of lists.
     """
 

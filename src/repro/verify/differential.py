@@ -10,17 +10,17 @@ one resident pool, so resident-worker state is exercised), the
 resident :class:`~repro.serve.MiningService` (two served requests, the
 second answered through the plan cache — and, for ``serve-cached``,
 the result cache — must both be bit-identical), and the
-cycle-level FlexMiner simulator — the latter in three timing flavors:
-legacy per-element loops, vectorized kernels, and the trace/replay
-parallel runner.  The differential runner executes a
+cycle-level FlexMiner simulator — the latter in process (where the
+walker's trace is also checked against the recursive reference
+tracer's) and with two trace workers.  The differential runner executes a
 (graph, pattern) case through all of them, compares every per-pattern
 count against the compiler-independent :mod:`~repro.verify.oracle`, and
 checks two drift invariants: the **zero-drift op-counter invariant**
 (with chunking off, each engine-side backend must report
 *bit-identical* :class:`~repro.engine.counters.OpCounters`) and the
-**bit-identical SimReport invariant** (every simulator flavor must
+**bit-identical SimReport invariant** (the parallel simulator must
 produce the exact same cycles, per-PE stats and cache/NoC/DRAM
-counters as the legacy-kernel reference).
+counters as the in-process one).
 
 Each backend owns one failure mode; a variant that only re-ran another
 backend's code at a different worker count was retired with its owner
@@ -301,22 +301,35 @@ class _SimReportCounters:
 
 
 def _sim(case: VerifyCase, plan):
-    """The legacy-kernel simulator, traced recursively: the timing
-    reference."""
+    """The default simulation, plus its trace checked against the
+    reference: the case's task order traced by the recursive
+    ``_TracePE`` and by the frontier walker must agree in every
+    :class:`~repro.hw.events.ShardTrace` field."""
+    import numpy as np
+
+    from ..engine import filter_roots, order_tasks
+    from ..graph import orient_by_degree
     from ..hw import FlexMinerConfig, simulate
+    from ..hw.events import ShardTrace
+    from ..hw.parallel_sim import _TracePE
+    from ..hw.walktrace import WalkTracer
 
-    config = FlexMinerConfig.small(timing_kernels=False)
+    config = FlexMinerConfig.small()
     report = simulate(case.graph, plan, config)
-    return tuple(report.counts), _SimReportCounters(report)
-
-
-def _sim_fast(case: VerifyCase, plan):
-    """Vectorized timing kernels, traced by the frontier walker (the
-    default simulator path)."""
-    from ..hw import FlexMinerConfig, simulate
-
-    config = FlexMinerConfig.small(timing_kernels=True)
-    report = simulate(case.graph, plan, config)
+    graph = case.graph
+    oriented = getattr(plan, "oriented", False)
+    work = orient_by_degree(graph) if oriented else graph
+    tasks = order_tasks(work, filter_roots(graph, plan, None))
+    want = _TracePE(graph, plan, config).trace(tasks)
+    got = WalkTracer(graph, plan, config).trace(tasks)
+    drift = [
+        name for name in ShardTrace.__slots__
+        if not np.array_equal(getattr(want, name), getattr(got, name))
+    ]
+    if drift:
+        raise AssertionError(
+            f"walker trace drifted from the reference tracer on {drift}"
+        )
     return tuple(report.counts), _SimReportCounters(report)
 
 
@@ -324,7 +337,7 @@ def _sim_parallel(workers: int) -> Backend:
     def run(case: VerifyCase, plan):
         from ..hw import FlexMinerConfig, simulate_parallel
 
-        config = FlexMinerConfig.small(timing_kernels=True)
+        config = FlexMinerConfig.small()
         report = simulate_parallel(
             case.graph, plan, config, workers=workers
         )
@@ -340,7 +353,10 @@ def _sim_parallel(workers: int) -> Backend:
 #: ``serve-cached`` (in-process ``run_tasks_in_process``);
 #: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
 #: workers, shared-memory graph, worker-id-order merge);
-#: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``.
+#: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``; the
+#: ``-fast`` twin of ``sim`` (walker trace, batched timing kernels) ->
+#: ``sim``, which now runs that default simulation and checks its trace
+#: against the recursive reference tracer's.
 #: Every engine and pool backend spells its execution mode out, so no
 #: name changes meaning with the engine default; ``serve-pool-2`` and
 #: ``serve-cached`` ride the service default and thereby own "what a
@@ -359,7 +375,6 @@ BACKENDS: Dict[str, Backend] = {
     "serve-pool-2": _serve(2, cached=False),
     "serve-cached": _serve(1, cached=True),
     "sim": _sim,
-    "sim-fast": _sim_fast,
     "sim-parallel-2": _sim_parallel(2),
 }
 
@@ -380,9 +395,8 @@ ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
 )
 
 #: Simulator backends whose *entire SimReport* must be bit-identical to
-#: ``sim``'s (the legacy-kernel reference): the vectorized kernels and
-#: the trace/replay parallel runner both claim exact timing parity.
-SIM_DRIFT_BACKENDS: Tuple[str, ...] = ("sim", "sim-fast", "sim-parallel-2")
+#: ``sim``'s: the parallel runner claims exact timing parity.
+SIM_DRIFT_BACKENDS: Tuple[str, ...] = ("sim", "sim-parallel-2")
 
 
 def resolve_backends(

@@ -86,6 +86,16 @@ class TestMineParallel:
         out = capsys.readouterr().out
         assert "matches:" in out
 
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_split_degree_below_one_rejected(self, degree, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["mine", "triangle", "--dataset", "As", "--workers", "2",
+                 "--split-degree", degree]
+            )
+        assert exc.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
+
     def test_workers_json_report_records_workers(self, capsys):
         import json as jsonlib
 

@@ -10,8 +10,9 @@ a real simulation.
 
 :class:`TestSimReportPins` pins whole ``SimReport.as_dict()`` payloads
 (match counts, makespan and a digest of every field) for seven plans
-crossed with four accelerator configs, under both timing paths, plus
-the cycle-domain Chrome trace of one overflowing cell.  Any change to
+crossed with four accelerator configs, under both tracers (the
+frontier walker and the recursive reference), plus the cycle-domain
+Chrome trace of two overflowing cells.  Any change to
 how the simulator walks, traces or replays a search tree must leave
 every one of them untouched.
 """
@@ -25,7 +26,8 @@ import pytest
 from repro.compiler import compile_motifs, compile_pattern
 from repro.errors import SimulationError
 from repro.graph import assign_random_labels, erdos_renyi
-from repro.hw import FlexMinerConfig, simulate
+from repro.hw import FlexMinerConfig, simulate, walktrace
+from repro.hw.parallel_sim import _TracePE
 from repro.obs import Tracer
 from repro.obs.trace import HOST_PID
 from repro.patterns import (
@@ -59,12 +61,14 @@ class TestIntegerCycleDomains:
         )
         assert charged > 0
 
-    def test_int_under_both_timing_paths(self):
-        # The vectorized kernels and the legacy per-element loops must
-        # both stay in the integer domain (and agree, as test_hw_*
-        # already pins); a float literal in either drifts the re-group.
-        fast = _sim(triangle(), timing_kernels=True)
-        slow = _sim(triangle(), timing_kernels=False)
+    def test_int_under_both_timing_paths(self, monkeypatch):
+        # Streams from the walker and from the recursive reference
+        # tracer must both stay in the integer domain (and agree, as
+        # test_sim_trace_walk pins); a float literal in either drifts
+        # the re-group.  TraceReplay imports WalkTracer on use.
+        fast = _sim(triangle())
+        monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
+        slow = _sim(triangle())
         for report in (fast, slow):
             assert type(report.pruner_cycles) is int
             assert type(report.setop_cycles) is int
@@ -128,16 +132,11 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def _report_pin(plan_name, config_name, timing_kernels=True):
+def _report_pin(plan_name, config_name):
     """``(counts, cycles, digest of as_dict())`` or ``"raises"``."""
-    import dataclasses
-
     graph, plan = PIN_PLANS[plan_name]
-    config = dataclasses.replace(
-        PIN_CONFIGS[config_name], timing_kernels=timing_kernels
-    )
     try:
-        report = simulate(graph, plan, config)
+        report = simulate(graph, plan, PIN_CONFIGS[config_name])
     except SimulationError:
         return "raises"
     payload = report.as_dict()
@@ -242,15 +241,22 @@ SIM_TRACE_PINS = {
 
 
 class TestSimReportPins:
-    """Literal simulator outputs, under both timing paths."""
+    """Literal simulator outputs, under both tracers."""
 
-    @pytest.mark.parametrize("timing_kernels", [True, False])
+    @pytest.mark.parametrize("walker", [True, False])
     @pytest.mark.parametrize(
         "plan_name,config_name", sorted(SIM_REPORT_PINS),
         ids=lambda x: str(x),
     )
-    def test_report_pinned(self, plan_name, config_name, timing_kernels):
-        got = _report_pin(plan_name, config_name, timing_kernels)
+    def test_report_pinned(
+        self, plan_name, config_name, walker, monkeypatch
+    ):
+        # walker=False is the recursive column: the same literals, with
+        # every slice traced by the reference tracer instead
+        # (TraceReplay imports WalkTracer on use).
+        if not walker:
+            monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
+        got = _report_pin(plan_name, config_name)
         assert got == SIM_REPORT_PINS[plan_name, config_name]
 
     @pytest.mark.parametrize("plan_name", sorted(SIM_TRACE_PINS))

@@ -10,7 +10,9 @@ import pytest
 from repro.compiler import compile_pattern
 from repro.engine import PatternAwareEngine
 from repro.graph import erdos_renyi
-from repro.hw import FlexMinerAccelerator, FlexMinerConfig
+from repro.hw import FlexMinerAccelerator, FlexMinerConfig, walktrace
+from repro.hw.parallel_sim import _TracePE
+from repro.hw.walktrace import WalkTracer
 from repro.patterns import diamond, four_cycle, k_clique, triangle
 
 GRAPH = erdos_renyi(40, 0.3, seed=71)
@@ -27,20 +29,19 @@ class TestEngineVsSimulatorWork:
         ],
         ids=lambda x: getattr(x, "name", str(x)),
     )
-    def test_identical_algorithmic_work(self, pattern, kwargs):
+    def test_identical_algorithmic_work(self, pattern, kwargs, monkeypatch):
         """The PE executes the same search tree as the engine: with the
         c-map off every check is an SIU/SDU merge (one iteration per
         cycle) and the pruner scans every raw candidate once, so the
         simulated unit cycles equal the engine's op counters — under
-        either tracer."""
+        either tracer (TraceReplay imports WalkTracer on use)."""
         plan = compile_pattern(pattern, **kwargs)
         engine = PatternAwareEngine(GRAPH, plan)
         engine.run()
-        for timing_kernels in (True, False):
+        for tracer in (WalkTracer, _TracePE):
+            monkeypatch.setattr(walktrace, "WalkTracer", tracer)
             accel = FlexMinerAccelerator(
-                GRAPH, plan, FlexMinerConfig(
-                    num_pes=1, cmap_bytes=0, timing_kernels=timing_kernels
-                ),
+                GRAPH, plan, FlexMinerConfig(num_pes=1, cmap_bytes=0)
             )
             report = accel.run()
             pe = accel.pes[0]

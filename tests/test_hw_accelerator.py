@@ -62,15 +62,6 @@ class TestFunctionalEquivalence:
         }
         assert len(counts) == 1
 
-    def test_exact_cmap_counts_match(self):
-        plan = compile_pattern(four_cycle())
-        exact = simulate(
-            GRAPH,
-            plan,
-            FlexMinerConfig(num_pes=2, cmap_bytes=2048, cmap_exact=True),
-        )
-        assert exact.counts == mine(GRAPH, plan).counts
-
     def test_roots_subset(self):
         plan = compile_pattern(triangle(), use_orientation=False)
         full = simulate(GRAPH, plan, SMALL_CONFIG)
@@ -170,6 +161,19 @@ class TestConfigValidation:
             FlexMinerConfig(cmap_occupancy_threshold=0.0)
         with pytest.raises(ConfigError):
             FlexMinerConfig(cmap_bytes=3)
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_rejects_split_degree_below_one(self, degree):
+        # A split degree below 1 used to skip splitting silently (with
+        # numpy RuntimeWarnings for 0).
+        with pytest.raises(ConfigError, match="task_split_degree"):
+            FlexMinerConfig(task_split_degree=degree)
+
+    def test_rejects_negative_dispatch_cycles(self):
+        # ... which would charge negative busy cycles per task.
+        with pytest.raises(ConfigError, match="dispatch_cycles"):
+            FlexMinerConfig(dispatch_cycles=-5)
+        assert FlexMinerConfig(dispatch_cycles=0).dispatch_cycles == 0
 
     def test_with_helpers(self):
         config = FlexMinerConfig()

@@ -6,8 +6,6 @@ cycles, per-PE stats, cache/NoC/DRAM counters, derived rates) to the
 serial simulator on the same inputs.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.compiler import compile_motifs, compile_pattern
@@ -45,15 +43,6 @@ class TestBitIdentical:
         plan = compile_motifs(3)
         serial = simulate(GRAPH, plan, CONFIG)
         parallel = simulate_parallel(GRAPH, plan, CONFIG, workers=workers)
-        _assert_identical(parallel, serial)
-
-    def test_legacy_timing_path_through_replay(self):
-        # The replay PEs honor timing_kernels=False too: the parallel
-        # runner must reproduce the *legacy* reference bit for bit.
-        plan = compile_pattern(four_cycle())
-        config = dataclasses.replace(CONFIG, timing_kernels=False)
-        serial = simulate(GRAPH, plan, config)
-        parallel = simulate_parallel(GRAPH, plan, config, workers=2)
         _assert_identical(parallel, serial)
 
     def test_chunked_tasks(self):

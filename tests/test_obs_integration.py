@@ -111,26 +111,27 @@ class TestNoDrift:
         assert len(tracer) > 0
         assert metrics.snapshot()["sim.cycles"] == plain.cycles
 
-    def test_cmap_overflow_instants_identical_across_timing_kernels(
-        self, graph
+    def test_cmap_overflow_instants_identical_across_tracers(
+        self, graph, monkeypatch
     ):
-        # The batched c-map kernels compute occupancy/probe statistics
-        # once per insert instead of per key; the rare-incident trace
-        # instants (overflows) must still fire at the same cycle
-        # timestamps with the same payloads as the legacy loops.
+        # The walker prices a whole frontier's c-map levels from row
+        # columns instead of one live map per task; the rare-incident
+        # trace instants (overflows) must still fire at the same cycle
+        # timestamps with the same payloads as under the recursive
+        # reference tracer (TraceReplay imports WalkTracer on use).
+        from repro.hw import walktrace
+        from repro.hw.parallel_sim import _TracePE
+
         plan = compile_pattern(four_cycle())
-        configs = {
-            kernels: FlexMinerConfig(
-                num_pes=2, cmap_bytes=64, timing_kernels=kernels
-            )
-            for kernels in (False, True)
-        }
+        config = FlexMinerConfig(num_pes=2, cmap_bytes=64)
         events = {}
         reports = {}
-        for kernels, config in configs.items():
+        for walker in (True, False):
+            if not walker:
+                monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
             tracer = Tracer()
-            reports[kernels] = simulate(graph, plan, config, tracer=tracer)
-            events[kernels] = [
+            reports[walker] = simulate(graph, plan, config, tracer=tracer)
+            events[walker] = [
                 (e["ts"], e["args"])
                 for e in tracer.events()
                 if e["name"] == "cmap-overflow"

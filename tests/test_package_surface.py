@@ -134,30 +134,54 @@ def test_single_measurement_surface(capsys):
 
 
 def test_single_owner_surface():
-    """One owner per cross-stack invariant: the replay PE inherits the
-    PE's timing hooks instead of re-implementing them (the recursive
-    tracer overrides them to record), the scheduler issues the pool's
-    task list, the root-label filter and the oriented DAG exist once,
-    and no internal signature takes a ``work_graph`` to dodge a
-    re-orientation any more."""
+    """One owner per cross-stack invariant: the PE the scheduler
+    dispatches to owns the timing hooks (the reference tracer records
+    events and has none), the scheduler issues the pool's task list,
+    the root-label filter and the oriented DAG exist once, and no
+    internal signature takes a ``work_graph`` to dodge a re-orientation
+    any more."""
     import inspect
 
     from repro import engine
     from repro.engine.parallel import run_tasks_in_process
     from repro.graph import assign_degree_labels, cycle_graph, orient_by_degree
     from repro.hw import ProcessingElement, Scheduler, accelerator
-    from repro.hw.parallel_sim import _ReplayPE, _TracePE
+    from repro.hw.parallel_sim import _TracePE
 
     for hook in ("_charge_busy", "_charge", "_touch", "_write_frontier"):
-        shared = getattr(ProcessingElement, hook)
-        assert getattr(_ReplayPE, hook) is shared, hook
-        assert getattr(_TracePE, hook) is not shared, hook
+        assert hook in vars(ProcessingElement), hook
+        assert not hasattr(_TracePE, hook), hook
     assert Scheduler.order_tasks is engine.order_tasks
     assert not hasattr(accelerator, "filter_roots")
     for graph in (cycle_graph(6), assign_degree_labels(cycle_graph(6))):
         assert orient_by_degree(graph) is orient_by_degree(graph)
-    for func in (ProcessingElement.__init__, run_tasks_in_process):
+    for func in (
+        ProcessingElement.__init__, _TracePE.__init__, run_tasks_in_process
+    ):
         assert "work_graph" not in inspect.signature(func).parameters
+
+
+def test_one_simulator_model():
+    """One simulator model: no timing-kernel or exact-c-map switch on
+    the config, no tracer rule, one replay PE and one reference tracer
+    that is an engine, not a PE, and no second in-process sim backend."""
+    import dataclasses
+    import inspect
+
+    from repro.hw import (
+        FlexMinerConfig, HardwareCMap, ProcessingElement, parallel_sim,
+    )
+    from repro.verify import BACKENDS
+
+    fields = {f.name for f in dataclasses.fields(FlexMinerConfig)}
+    assert not {"timing_kernels", "cmap_exact"} & fields
+    with pytest.raises(TypeError):
+        FlexMinerConfig(timing_kernels=False)
+    assert "kernels" not in inspect.signature(HardwareCMap).parameters
+    for name in ("tracer_for", "_ReplayPE", "PETiming"):
+        assert not hasattr(parallel_sim, name), name
+    assert not issubclass(parallel_sim._TracePE, ProcessingElement)
+    assert "sim-fast" not in BACKENDS
 
 
 def test_walker_is_the_default():
@@ -171,7 +195,8 @@ def test_walker_is_the_default():
     from repro.engine import MinerPool, PatternAwareEngine
     from repro.engine.parallel import run_tasks_in_process
     from repro.graph import erdos_renyi
-    from repro.hw import FlexMinerConfig, MemorySystem, ProcessingElement
+    from repro.hw import FlexMinerConfig
+    from repro.hw.parallel_sim import _TracePE
     from repro.patterns import four_clique
     from repro.serve import MiningService
 
@@ -186,11 +211,8 @@ def test_walker_is_the_default():
     engine = PatternAwareEngine(graph, plan)
     engine.run()
     assert engine.frontier_stats()["bands"] > 0
-    config = FlexMinerConfig(num_pes=1)
-    pe = ProcessingElement(
-        0, graph, plan, config, MemorySystem(config, graph)
-    )
-    assert not pe._frontier_ok
+    tracer = _TracePE(graph, plan, FlexMinerConfig(num_pes=1))
+    assert not tracer._frontier_ok
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,14 @@ class TestOrderTasks:
             hub, 1, 2, 5, 7,
         ]
 
+    @pytest.mark.parametrize("split", [0, -1])
+    def test_split_degree_below_one_rejected(self, split):
+        # The one owner for the pool and the simulator: a degree below
+        # 1 used to skip splitting silently (0 with numpy warnings).
+        for roots in (None, []):
+            with pytest.raises(ValueError, match="split_degree"):
+                order_tasks(PL, roots, split_degree=split)
+
 
 # ----------------------------------------------------------------------
 # Parity with the serial engine

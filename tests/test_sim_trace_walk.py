@@ -10,7 +10,6 @@ none, and task splitting.  Replay is shared, so equal traces are equal
 ``SimReport``s.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -28,8 +27,8 @@ from repro.graph import (
     power_law_cluster,
     rmat,
 )
-from repro.hw import FlexMinerConfig, HardwareCMap, simulate
-from repro.hw.parallel_sim import _TracePE, tracer_for
+from repro.hw import FlexMinerConfig, HardwareCMap, simulate, walktrace
+from repro.hw.parallel_sim import _TracePE
 from repro.hw.walktrace import WalkTracer
 from repro.patterns import (
     Pattern,
@@ -81,20 +80,6 @@ def assert_same_trace(graph, plan, config, tasks=None):
 
 def _simulable(plan, config):
     return config.task_split_degree is None or not hasattr(plan, "root")
-
-
-class TestTracerRule:
-    def test_one_rule_picks_the_tracer(self):
-        graph = erdos_renyi(20, 0.3, seed=1)
-        plan = compile_pattern(triangle())
-        assert isinstance(
-            tracer_for(graph, plan, FlexMinerConfig()), WalkTracer
-        )
-        for config in (
-            FlexMinerConfig(timing_kernels=False),
-            FlexMinerConfig(cmap_exact=True),
-        ):
-            assert isinstance(tracer_for(graph, plan, config), _TracePE)
 
 
 class TestCorpus:
@@ -183,13 +168,15 @@ class TestPlansAndConfigs:
         assert_same_trace(GRAPH, plan, CONFIGS["cmap-8k"])
 
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_reports_match_the_reference_tracer(self, config_name):
+    def test_reports_match_the_reference_tracer(
+        self, config_name, monkeypatch
+    ):
         config = CONFIGS[config_name]
         plan = compile_pattern(diamond())
         walked = simulate(HUBS, plan, config)
-        recursive = simulate(
-            HUBS, plan, dataclasses.replace(config, timing_kernels=False)
-        )
+        # TraceReplay imports WalkTracer on use.
+        monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
+        recursive = simulate(HUBS, plan, config)
         assert walked.as_dict() == recursive.as_dict()
 
 

@@ -100,17 +100,22 @@ class TestSimulatorSplitting:
                 FlexMinerConfig(num_pes=2, task_split_degree=4),
             )
 
-    @pytest.mark.parametrize("kernels", [False, True], ids=["legacy", "fast"])
-    def test_split_schedule_parity(self, kernels):
+    @pytest.mark.parametrize("walker", [False, True], ids=["legacy", "fast"])
+    def test_split_schedule_parity(self, walker, monkeypatch):
         # Chunked-task parity contract: the split schedule must mine
         # the exact same matches, and its task total must equal the
         # scheduler's (root, chunk) enumeration — no task dropped,
-        # duplicated, or double-counted on either timing path.
+        # duplicated, or double-counted under either tracer ("legacy"
+        # is the recursive reference; TraceReplay imports WalkTracer
+        # on use).
+        if not walker:
+            from repro.hw import walktrace
+            from repro.hw.parallel_sim import _TracePE
+
+            monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
         plan = compile_pattern(four_cycle())
-        base_cfg = FlexMinerConfig(num_pes=4, timing_kernels=kernels)
-        split_cfg = FlexMinerConfig(
-            num_pes=4, task_split_degree=4, timing_kernels=kernels
-        )
+        base_cfg = FlexMinerConfig(num_pes=4)
+        split_cfg = FlexMinerConfig(num_pes=4, task_split_degree=4)
         base = simulate(GRAPH, plan, base_cfg)
         split = simulate(GRAPH, plan, split_cfg)
 

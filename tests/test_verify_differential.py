@@ -140,19 +140,19 @@ class TestMismatchDetection:
             return counts, DriftedReport(report.as_dict())
 
         # The injected name must be one the sim-drift invariant covers.
-        assert "sim-fast" in SIM_DRIFT_BACKENDS
+        assert "sim-parallel-2" in SIM_DRIFT_BACKENDS
         report = run_case(
             VerifyCase(graph=small_graph(), pattern=triangle()),
             backends={
                 "serial": BACKENDS["serial"],
                 "sim": BACKENDS["sim"],
-                "sim-fast": drifted_sim,
+                "sim-parallel-2": drifted_sim,
             },
         )
         drift = [
             m for m in report.mismatches if m.kind == "sim-report-drift"
         ]
-        assert drift and drift[0].backend == "sim-fast"
+        assert drift and drift[0].backend == "sim-parallel-2"
         assert "cycles" in str(drift[0])
         assert not [m for m in report.mismatches if m.kind == "count"]
 

@@ -35,7 +35,7 @@ import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # import cycle: hw.config pulls in the compiler
-    from ..graph import CSRGraph
+    from ..graph.csr import CSRGraph
     from ..hw.config import FlexMinerConfig
 
 from ..compiler.hints import cmap_needed_depths

@@ -42,16 +42,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from ..compiler import compile_motifs, compile_pattern
-from ..engine import (
-    CMapSoftwareEngine,
-    MinerPool,
-    MiningResult,
-    ObliviousEngine,
-    PatternAwareEngine,
-)
+from ..compiler.compiler import compile_motifs, compile_pattern
+from ..engine.cmap_sw import CMapSoftwareEngine
+from ..engine.explore import MiningResult, PatternAwareEngine
+from ..engine.oblivious import ObliviousEngine
+from ..engine.pool import MinerPool
 from ..errors import ConfigError
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from ..hw import FlexMinerConfig, SimReport, simulate
 from ..patterns import Pattern, enumerate_motifs, k_clique
 

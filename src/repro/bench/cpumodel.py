@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..compiler.plan import ExecutionPlan
-from ..engine import OpCounters, PatternAwareEngine
-from ..graph import CSRGraph
+from ..engine.counters import OpCounters
+from ..engine.explore import PatternAwareEngine
+from ..graph.csr import CSRGraph
 
 __all__ = [
     "CpuModelConfig",

@@ -19,9 +19,10 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler import compile_motifs, compile_pattern
-from ..engine import MiningResult
-from ..graph import CSRGraph, load_dataset
+from ..compiler.compiler import compile_motifs, compile_pattern
+from ..engine.explore import MiningResult
+from ..graph.csr import CSRGraph
+from ..graph.datasets import load_dataset
 from ..hw import FlexMinerConfig, SimReport, simulate
 from ..obs import (
     MetricsRegistry,

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler import compile_pattern
-from ..engine import ObliviousEngine, PatternAwareEngine
-from ..graph import CSRGraph, load_dataset, random_vertex_sample, suite_stats
+from ..compiler.compiler import compile_pattern
+from ..engine.explore import PatternAwareEngine
+from ..engine.oblivious import ObliviousEngine
+from ..graph.csr import CSRGraph
+from ..graph.datasets import load_dataset, suite_stats
+from ..graph.sample import random_vertex_sample
 from ..patterns import enumerate_motifs, k_clique, triangle
 from .cpumodel import (
     CpuModelConfig,

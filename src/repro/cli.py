@@ -25,14 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
+# Module top holds only what every mining verb needs; each verb imports
+# the rest in its own body, so `mine` never loads the simulator, the
+# pool or the bench harness (tests/test_package_surface.py pins this).
 from . import __version__
-from .bench import cpu_time_seconds, render_table1
-from .compiler import compile_motifs, compile_pattern, emit_ir, emit_multi_ir
-from .engine import MinerPool, PatternAwareEngine
-from .graph import CSRGraph, load_dataset, load_graph
-from .hw import FlexMinerConfig, simulate
+from .compiler.compiler import compile_motifs, compile_pattern
+from .engine.explore import PatternAwareEngine
 from .obs import (
     NULL_TRACER,
     PhaseProfiler,
@@ -43,25 +43,31 @@ from .obs import (
     render_diff,
     render_report,
 )
-from .patterns import from_name
+from .patterns import NUM_MOTIFS, from_name
+
+if TYPE_CHECKING:
+    from .graph.csr import CSRGraph
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(value: str) -> int:
+    """``--workers`` accepts an integer >= 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {value!r}"
+        )
+    return number
 
 
 def _split_degree_arg(value: str):
     """``--split-degree`` accepts an integer >= 1 or the literal
     ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        degree = int(value)
-    except ValueError:
-        degree = 0
-    if degree < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 or 'auto', got {value!r}"
-        )
-    return degree
+    return "auto" if value == "auto" else _positive_int(value)
 
 
 def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:
@@ -115,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pes", type=int, default=64)
             p.add_argument("--cmap-kb", type=int, default=8)
             p.add_argument(
-                "--workers", type=int, default=1,
+                "--workers", type=_positive_int, default=1,
                 help="trace-phase worker processes; the report and the "
                 "--trace output are bit-identical at any worker count",
             )
         if name == "mine":
             p.add_argument(
-                "--workers", type=int, default=1,
+                "--workers", type=_positive_int, default=1,
                 help="mining worker processes (a MinerPool over a "
                 "shared-memory graph; its calibrated dispatch overhead "
                 "is recorded in the report)",
@@ -136,7 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
             _add_batch_frontier_flag(p)
 
     motifs_p = sub.add_parser("motifs", help="k-motif counting")
-    motifs_p.add_argument("k", type=int)
+    # The sizes a k-MC plan exists for: k=1 has no edges to compile and
+    # enumerate_motifs refuses k > 5 (its walk is 2^C(k,2) subsets).
+    motifs_p.add_argument(
+        "k", type=int, choices=range(2, max(NUM_MOTIFS) + 1), metavar="k"
+    )
     motifs_p.add_argument("--dataset", default="As")
     motifs_p.add_argument("--graph")
     motifs_p.add_argument(
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "one JSON response per line on stdout (see docs/serving.md)",
     )
     serve_p.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes per registered graph's pool (1 = "
         "in-process, exact serial parity)",
     )
@@ -332,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> CSRGraph:
     if getattr(args, "graph", None):
+        from .graph.io import load_graph
+
         return load_graph(args.graph)
+    from .graph.datasets import load_dataset
+
     return load_dataset(args.dataset)
 
 
@@ -340,6 +354,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "datasets":
+        from .bench.tables import render_table1
+
         print(render_table1())
         return 0
 
@@ -353,12 +369,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "compile":
+        from .compiler.ir import emit_ir
+
         plan = compile_pattern(from_name(args.pattern), induced=args.induced)
         print(emit_ir(plan), end="")
         return 0
 
     if args.command == "validate":
-        from .compiler import parse_ir, validate_plan
+        from .compiler.ir import parse_ir
+        from .compiler.validate import validate_plan
 
         with open(args.ir_file) as f:
             plan = parse_ir(f.read())
@@ -370,7 +389,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         from .analysis import check_multi_plan, check_plan, merge_reports
-        from .compiler import MultiPlan, parse_ir
+        from .compiler.ir import parse_ir
+        from .compiler.plan import MultiPlan
+        from .hw.config import FlexMinerConfig
 
         if not args.targets and not args.corpus:
             print(
@@ -596,7 +617,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if ok else 1
 
     if args.command == "estimate":
-        from .compiler import estimate_plan, measure_levels
+        from .compiler.estimate import estimate_plan, measure_levels
 
         graph = _load(args)
         plan = compile_pattern(from_name(args.pattern))
@@ -633,6 +654,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 indent=2, sort_keys=True,
             ))
             return 0
+        from .compiler.ir import emit_multi_ir
+
         print(emit_multi_ir(plan))
         for pattern, count in zip(plan.patterns, result.counts):
             print(f"{pattern.name:<16s}{count:>12d}")
@@ -687,6 +710,8 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
     }
 
     if args.command == "mine":
+        from .bench.cpumodel import cpu_time_seconds
+
         run_meta["workers"] = args.workers
         split_degree = args.split_degree
         batch_frontier = run_meta["batch_frontier"] = args.batch_frontier
@@ -694,6 +719,8 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
             # Profiling always routes through the pool so the trace
             # carries worker lanes at any worker count (workers=1 runs
             # in-process with identical results).
+            from .engine.pool import MinerPool
+
             with prof.phase("setup", workers=args.workers):
                 pool = MinerPool(
                     graph, workers=args.workers,
@@ -735,14 +762,14 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
         return 0
 
     if args.command == "sim":
+        from .hw import FlexMinerConfig, simulate, simulate_parallel
+
         config = FlexMinerConfig(
             num_pes=args.pes, cmap_bytes=args.cmap_kb * 1024
         )
         run_meta.update(num_pes=args.pes, cmap_bytes=args.cmap_kb * 1024)
         workers = args.workers
         if workers > 1:
-            from .hw import simulate_parallel
-
             run_meta["workers"] = workers
             report = simulate_parallel(
                 graph, plan, config, workers=workers, tracer=tracer,
@@ -789,6 +816,7 @@ def _freeze_profile(prof, profile: bool):
 
 def _serve(args) -> int:
     """``flexminer serve``: JSON-lines loop over a resident service."""
+    from .graph.datasets import load_dataset
     from .obs import write_report
     from .serve import MiningService, serve_stream
 

@@ -1,50 +1,37 @@
-"""The FlexMiner compiler: pattern analysis and execution-plan generation."""
+"""The FlexMiner compiler: pattern analysis and execution-plan generation.
 
-from .matching_order import (
-    choose_matching_order,
-    connected_ancestors,
-    enumerate_matching_orders,
-    score_matching_order,
-)
-from .symmetry import symmetry_conditions, transitive_reduction
-from .plan import ExecutionPlan, MultiPlan, PlanNode, VertexStep
-from .hints import assign_frontier_hints, cmap_insert_hints, cmap_needed_depths
-from .compiler import compile_motifs, compile_multi, compile_pattern
-from .estimate import (
-    GraphProfile,
-    LevelEstimate,
-    choose_matching_order_for_graph,
-    estimate_plan,
-    measure_levels,
-)
-from .ir import emit_ir, emit_multi_ir, parse_ir
-from .validate import PlanValidation, validate_plan
+The surface is lazy (:mod:`repro._lazy`): a name's submodule is
+imported on first use, so compiling a plan does not load the estimator
+or the validator.  Code inside ``repro`` imports from the defining
+submodule, which also keeps its annotations visible to mypy.
+"""
 
-__all__ = [
-    "choose_matching_order",
-    "connected_ancestors",
-    "enumerate_matching_orders",
-    "score_matching_order",
-    "symmetry_conditions",
-    "transitive_reduction",
-    "ExecutionPlan",
-    "MultiPlan",
-    "PlanNode",
-    "VertexStep",
-    "assign_frontier_hints",
-    "cmap_insert_hints",
-    "cmap_needed_depths",
-    "compile_pattern",
-    "compile_multi",
-    "compile_motifs",
-    "emit_ir",
-    "emit_multi_ir",
-    "parse_ir",
-    "GraphProfile",
-    "LevelEstimate",
-    "estimate_plan",
-    "measure_levels",
-    "choose_matching_order_for_graph",
-    "PlanValidation",
-    "validate_plan",
-]
+from .._lazy import lazy_surface
+
+_EXPORTS = {
+    "matching_order": (
+        "choose_matching_order",
+        "connected_ancestors",
+        "enumerate_matching_orders",
+        "score_matching_order",
+    ),
+    "symmetry": ("symmetry_conditions", "transitive_reduction"),
+    "plan": ("ExecutionPlan", "MultiPlan", "PlanNode", "VertexStep"),
+    "hints": (
+        "assign_frontier_hints",
+        "cmap_insert_hints",
+        "cmap_needed_depths",
+    ),
+    "compiler": ("compile_pattern", "compile_multi", "compile_motifs"),
+    "ir": ("emit_ir", "emit_multi_ir", "parse_ir"),
+    "estimate": (
+        "GraphProfile",
+        "LevelEstimate",
+        "estimate_plan",
+        "measure_levels",
+        "choose_matching_order_for_graph",
+    ),
+    "validate": ("PlanValidation", "validate_plan"),
+}
+
+__all__, __getattr__ = lazy_surface(__name__, _EXPORTS)

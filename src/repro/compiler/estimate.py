@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from ..patterns import Pattern
 from .matching_order import enumerate_matching_orders
 from .plan import ExecutionPlan, VertexStep
@@ -145,7 +145,7 @@ def measure_levels(
     seed: int = 0,
 ) -> List[LevelEstimate]:
     """Exact (or root-sampled) per-level tree sizes, for validation."""
-    from ..engine import PatternAwareEngine
+    from ..engine.explore import PatternAwareEngine
 
     roots: Sequence[int]
     scale = 1.0
@@ -194,7 +194,7 @@ def choose_matching_order_for_graph(
     profile and returns the cheapest.  Falls back to the static choice
     for cliques (all orders equivalent).
     """
-    from .compiler import compile_pattern
+    from ..compiler.compiler import compile_pattern
 
     if pattern.is_clique():
         return tuple(pattern.vertices())

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from .plan import ExecutionPlan
 
 __all__ = ["PlanValidation", "validate_plan"]
@@ -76,7 +76,7 @@ def validate_plan(
     differential runner flags (the ``static-dynamic`` invariant).
     """
     from ..analysis import check_plan
-    from ..engine import PatternAwareEngine
+    from ..engine.explore import PatternAwareEngine
     from ..graph.labels import LabeledGraph
     from ..verify.oracle import oracle_count
 

@@ -1,45 +1,29 @@
-"""Software GPM engines: pattern-aware engine and its reference, c-map variant, oblivious baseline."""
+"""Software GPM engines: pattern-aware engine and its reference, c-map variant, oblivious baseline.
 
-from .counters import OpCounters
-from .explore import MiningResult, PatternAwareEngine, mine, mine_multi
-from .cmap_sw import CMapSoftwareEngine, VectorCMap
-from .kernels import GALLOP_RATIO
-from .oblivious import BudgetExceeded, ObliviousEngine, mine_oblivious
-from .parallel import filter_roots, order_tasks
-from .pool import MinerPool, PoolWorkerError, cost_model_split_degree
-from .partitioned import (
-    PartitionedMiner,
-    PartitionStats,
-    halo_ball,
-    mine_partitioned,
-    partition_vertices,
-)
-from .reference import ReferenceEngine
-from .verify import check_consistency, count_all_ways
+The surface is lazy (:mod:`repro._lazy`): a name's submodule is
+imported on first use, so mining never loads the pool or the other
+engines.  Code inside ``repro`` imports from the defining submodule.
+"""
 
-__all__ = [
-    "OpCounters",
-    "MiningResult",
-    "PatternAwareEngine",
-    "ReferenceEngine",
-    "mine",
-    "mine_multi",
-    "CMapSoftwareEngine",
-    "VectorCMap",
-    "ObliviousEngine",
-    "BudgetExceeded",
-    "mine_oblivious",
-    "GALLOP_RATIO",
-    "filter_roots",
-    "order_tasks",
-    "MinerPool",
-    "PoolWorkerError",
-    "cost_model_split_degree",
-    "check_consistency",
-    "count_all_ways",
-    "PartitionedMiner",
-    "PartitionStats",
-    "halo_ball",
-    "mine_partitioned",
-    "partition_vertices",
-]
+from .._lazy import lazy_surface
+
+_EXPORTS = {
+    "counters": ("OpCounters",),
+    "explore": ("MiningResult", "PatternAwareEngine", "mine", "mine_multi"),
+    "reference": ("ReferenceEngine",),
+    "cmap_sw": ("CMapSoftwareEngine", "VectorCMap"),
+    "oblivious": ("ObliviousEngine", "BudgetExceeded", "mine_oblivious"),
+    "kernels": ("GALLOP_RATIO",),
+    "parallel": ("filter_roots", "order_tasks"),
+    "pool": ("MinerPool", "PoolWorkerError", "cost_model_split_degree"),
+    "verify": ("check_consistency", "count_all_ways"),
+    "partitioned": (
+        "PartitionedMiner",
+        "PartitionStats",
+        "halo_ball",
+        "mine_partitioned",
+        "partition_vertices",
+    ),
+}
+
+__all__, __getattr__ = lazy_surface(__name__, _EXPORTS)

@@ -23,7 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..compiler.plan import VertexStep
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from .explore import PatternAwareEngine
 from .setops import bound_below, difference, intersect
 

@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compiler.plan import ExecutionPlan, MultiPlan, PlanNode, VertexStep
-from ..graph import CSRGraph, orient_by_degree
+from ..graph.csr import CSRGraph
+from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from . import kernels
 from .counters import OpCounters

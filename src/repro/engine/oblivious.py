@@ -18,7 +18,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from ..patterns import Pattern
 from .counters import OpCounters
 from .explore import MiningResult

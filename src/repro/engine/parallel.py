@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from ..obs.prof import LaneRecorder, slice_label, task_label
 from .counters import OpCounters
 from .explore import PatternAwareEngine, _root_array, filter_roots

@@ -28,7 +28,9 @@ import numpy as np
 
 from ..compiler.plan import ExecutionPlan, MultiPlan
 from ..errors import ReproError
-from ..graph import CSRGraph, induced_subgraph, orient_by_degree
+from ..graph.csr import CSRGraph
+from ..graph.orientation import orient_by_degree
+from ..graph.sample import induced_subgraph
 from .counters import OpCounters
 from .explore import MiningResult, PatternAwareEngine
 

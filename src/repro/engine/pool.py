@@ -50,13 +50,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.estimate import GraphProfile, estimate_plan
 from ..compiler.plan import MultiPlan
-from ..graph import (
-    LabeledGraph,
-    SharedCSRBuffers,
-    attach_shared_csr,
-    orient_by_degree,
-    worker_context,
-)
+from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
+from ..graph.labels import LabeledGraph
+from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from ..obs.prof import LaneRecorder
 from .counters import OpCounters

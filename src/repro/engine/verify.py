@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..compiler import compile_pattern
-from ..graph import CSRGraph
+from ..compiler.compiler import compile_pattern
+from ..graph.csr import CSRGraph
 from ..patterns import Pattern, brute_force_count
 from .cmap_sw import CMapSoftwareEngine
 from .explore import PatternAwareEngine

@@ -1,65 +1,54 @@
-"""Graph substrate: CSR graphs, generators, orientation, IO, statistics."""
+"""Graph substrate: CSR graphs, generators, orientation, IO, statistics.
 
-from .csr import (
-    CSRGraph,
-    SharedCSRBuffers,
-    attach_array,
-    attach_shared_csr,
-    share_array,
-    worker_context,
-)
-from .generators import (
-    barbell_graph,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    grid_graph,
-    path_graph,
-    power_law_cluster,
-    rmat,
-    star_graph,
-)
-from .io import load_edge_list, load_graph, load_mtx, save_edge_list
-from .orientation import orient_by_degree, orientation_rank
-from .stats import GraphStats, degree_histogram, graph_stats, power_law_exponent
-from .datasets import DATASET_NAMES, SMALL_SUITE, load_dataset, load_suite, suite_stats
-from .sample import induced_subgraph, random_vertex_sample
-from .labels import LabeledGraph, assign_degree_labels, assign_random_labels
+The surface is lazy (:mod:`repro._lazy`): a name's submodule is
+imported on first use, so loading an edge list does not load the
+generators or the dataset suite.  Code inside ``repro`` imports from the
+defining submodule.
+"""
 
-__all__ = [
-    "CSRGraph",
-    "SharedCSRBuffers",
-    "attach_array",
-    "attach_shared_csr",
-    "share_array",
-    "worker_context",
-    "erdos_renyi",
-    "rmat",
-    "power_law_cluster",
-    "complete_graph",
-    "star_graph",
-    "cycle_graph",
-    "path_graph",
-    "grid_graph",
-    "barbell_graph",
-    "load_edge_list",
-    "save_edge_list",
-    "load_mtx",
-    "load_graph",
-    "orient_by_degree",
-    "orientation_rank",
-    "GraphStats",
-    "graph_stats",
-    "degree_histogram",
-    "power_law_exponent",
-    "DATASET_NAMES",
-    "SMALL_SUITE",
-    "load_dataset",
-    "load_suite",
-    "suite_stats",
-    "induced_subgraph",
-    "random_vertex_sample",
-    "LabeledGraph",
-    "assign_random_labels",
-    "assign_degree_labels",
-]
+from .._lazy import lazy_surface
+
+_EXPORTS = {
+    "csr": (
+        "CSRGraph",
+        "SharedCSRBuffers",
+        "attach_array",
+        "attach_shared_csr",
+        "share_array",
+        "worker_context",
+    ),
+    "generators": (
+        "erdos_renyi",
+        "rmat",
+        "power_law_cluster",
+        "complete_graph",
+        "star_graph",
+        "cycle_graph",
+        "path_graph",
+        "grid_graph",
+        "barbell_graph",
+    ),
+    "io": ("load_edge_list", "save_edge_list", "load_mtx", "load_graph"),
+    "orientation": ("orient_by_degree", "orientation_rank"),
+    "stats": (
+        "GraphStats",
+        "graph_stats",
+        "degree_histogram",
+        "power_law_exponent",
+    ),
+    "datasets": (
+        "DATASET_NAMES",
+        "SMALL_SUITE",
+        "load_dataset",
+        "load_suite",
+        "suite_stats",
+    ),
+    "sample": ("induced_subgraph", "random_vertex_sample"),
+    "labels": (
+        "LabeledGraph",
+        "assign_random_labels",
+        "assign_degree_labels",
+    ),
+}
+
+__all__, __getattr__ = lazy_surface(__name__, _EXPORTS)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .. import engine
 from ..compiler.plan import ExecutionPlan, MultiPlan
 from ..errors import SimulationError
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from ..obs.trace import SIM_PID
 from .config import FlexMinerConfig
@@ -168,6 +167,10 @@ class FlexMinerAccelerator:
     def _simulate(self, roots, workers: int) -> SimReport:
         """:meth:`run` with the trace half on ``workers`` processes —
         what :func:`simulate` and :func:`simulate_parallel` both call."""
+        # Local: the root filter has one owner in repro.engine, and this
+        # module must not re-export it.
+        from ..engine.parallel import filter_roots
+
         split = self.config.task_split_degree
         if split is not None and isinstance(self.plan, MultiPlan):
             raise SimulationError(
@@ -175,7 +178,7 @@ class FlexMinerAccelerator:
             )
         tasks = Scheduler.order_tasks(
             self._pipeline.work_graph,
-            engine.filter_roots(self.graph, self.plan, roots),
+            filter_roots(self.graph, self.plan, roots),
             split_degree=split,
         )
         # One "simulate" span either way: the profiler's phase mirrors

@@ -27,7 +27,8 @@ import numpy as np
 
 from ..compiler.plan import ExecutionPlan
 from ..engine.setops import bound_below, difference, intersect, remove_values
-from ..graph import CSRGraph, orient_by_degree
+from ..graph.csr import CSRGraph
+from ..graph.orientation import orient_by_degree
 
 __all__ = ["PEState", "ExtenderFSM"]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..graph import CSRGraph
+from ..graph.csr import CSRGraph
 from .cache import SetAssocCache
 from .config import FlexMinerConfig
 from .dram import DramModel

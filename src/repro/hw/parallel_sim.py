@@ -45,12 +45,8 @@ from ..compiler.plan import VertexStep
 from ..engine.explore import PatternAwareEngine, _cut_bands
 from ..engine.parallel import Task
 from ..engine.setops import bound_below, difference, intersect, merge_iterations
-from ..graph import (
-    SharedCSRBuffers,
-    attach_shared_csr,
-    orient_by_degree,
-    worker_context,
-)
+from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
+from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER
 from ..obs.prof import LaneRecorder, slice_label
 from .cmap import HardwareCMap

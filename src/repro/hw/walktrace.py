@@ -40,11 +40,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..engine import kernels
 from ..engine.explore import (
     _FRONTIER_BAND_ELEMS,
     PatternAwareEngine,
     _cut_bands,
+)
+from ..engine.kernels import (
+    compress_segments,
+    members_mask,
+    segment_ids,
+    segment_sums,
 )
 from ..engine.parallel import Task
 from .cmap import HardwareCMap
@@ -353,7 +358,7 @@ class WalkTracer(PatternAwareEngine):
             held = self._adjacent(emb[:, a], ids, offsets)
             _, held = self._insert_filtered(emb, a, ids, offsets, held)
             new &= ~(held & np.repeat(covered, size))
-        fresh = kernels.segment_sums(new, offsets)
+        fresh = segment_sums(new, offsets)
         csum = np.concatenate(([0], np.cumsum(new, dtype=np.int64)))
         earlier = csum[:-1] - np.repeat(csum[offsets[:-1]], size)
         observed = np.repeat(rows.occupancy, size) + earlier
@@ -396,14 +401,14 @@ class WalkTracer(PatternAwareEngine):
         below = ids < np.repeat(emb[:, flt], np.diff(offsets))
         if mask is not None:
             return None, mask & below
-        return kernels.compress_segments(ids, offsets, below)
+        return compress_segments(ids, offsets, below)
 
     def _probe_cycles(self, observed, offsets) -> np.ndarray:
         """Per-row sums of one probe each at the observed occupancies."""
         groups = HardwareCMap.probe_groups(
             observed, self._cmap.capacity, self._cmap.banks
         )
-        return kernels.segment_sums(
+        return segment_sums(
             np.ceil(groups).astype(np.int64), offsets
         )
 
@@ -415,9 +420,9 @@ class WalkTracer(PatternAwareEngine):
             return self._arcs[keys + values]
         other, other_offsets = self._work_graph.gather_neighbors(column)
         space = np.int64(self._frontier_keyspace)
-        return kernels.members_mask(
-            kernels.segment_ids(offsets) * space + values,
-            kernels.segment_ids(other_offsets) * space + other,
+        return members_mask(
+            segment_ids(offsets) * space + values,
+            segment_ids(other_offsets) * space + other,
         )
 
     def _ready(self, checks, rows) -> np.ndarray:
@@ -453,7 +458,7 @@ class WalkTracer(PatternAwareEngine):
         hi = lo + quotient + (part < remainder)
         pos = np.arange(len(values)) - np.repeat(offsets[:-1], size)
         keep = (pos >= np.repeat(lo, size)) & (pos < np.repeat(hi, size))
-        return kernels.compress_segments(values, offsets, keep)
+        return compress_segments(values, offsets, keep)
 
     def _tally(self, rows, mask, **fields) -> None:
         """Add per-row stat contributions (where ``mask``) to the

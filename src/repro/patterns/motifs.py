@@ -26,11 +26,19 @@ def enumerate_motifs(k: int) -> List[Pattern]:
     Returns patterns sorted by (edge count, canonical form) so the order
     is deterministic: for k=3 this yields [wedge, triangle]; for k=4 the
     six motifs of Fig. 3 from sparsest (3-path) to densest (4-clique).
+
+    ``k`` is bounded by :data:`NUM_MOTIFS` (1..5): the walk visits all
+    2^C(k,2) edge subsets, so k=6 already takes a minute and k=7 is 2M
+    subsets.  Every caller (CLI, apps, service, fuzzer) gets the same
+    ``ValueError`` instead of a hang.
     """
+    if k not in NUM_MOTIFS:
+        raise ValueError(
+            f"motif size k must be in {min(NUM_MOTIFS)}..{max(NUM_MOTIFS)}, "
+            f"got {k}"
+        )
     if k in _CACHE:
         return list(_CACHE[k])
-    if k < 1:
-        raise ValueError("k must be >= 1")
 
     possible_edges = list(itertools.combinations(range(k), 2))
     seen = set()

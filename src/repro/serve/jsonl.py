@@ -29,7 +29,8 @@ import json
 from typing import Dict, Iterable, Optional, TextIO
 
 from ..errors import ReproError, ServiceOverloaded
-from ..graph import load_dataset, load_graph
+from ..graph.datasets import load_dataset
+from ..graph.io import load_graph
 from ..patterns import from_name
 from .service import MineRequest, MiningService
 

@@ -57,8 +57,9 @@ from typing import (
     Union,
 )
 
-from ..compiler import compile_motifs, compile_pattern
-from ..engine import MinerPool, MiningResult
+from ..compiler.compiler import compile_motifs, compile_pattern
+from ..engine.explore import MiningResult
+from ..engine.pool import MinerPool
 from ..errors import (
     ConfigError,
     GraphNotRegistered,
@@ -377,6 +378,8 @@ class MiningService:
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        if workers < 1:
+            raise ConfigError("workers must be >= 1")
         if max_active < 1:
             raise ConfigError("max_active must be >= 1")
         if threads < 1:

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..graph import CSRGraph, LabeledGraph
+from ..graph.csr import CSRGraph
+from ..graph.labels import LabeledGraph
 from ..patterns import Pattern
 from .differential import DifferentialReport, VerifyCase, run_case
 

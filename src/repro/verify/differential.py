@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis import check_multi_plan, check_plan
-from ..compiler import MultiPlan, compile_motifs, compile_pattern
+from ..compiler.compiler import compile_motifs, compile_pattern
+from ..compiler.plan import MultiPlan
 from ..obs import NULL_REGISTRY, get_logger, make_report
 from ..patterns import Pattern
 from .oracle import oracle_count
@@ -221,7 +222,7 @@ def _pool(workers: int, *, batch_frontier: bool) -> Backend:
     """
 
     def run(case: VerifyCase, plan):
-        from ..engine import MinerPool
+        from ..engine.pool import MinerPool
 
         with MinerPool(
             case.graph, workers=workers, batch_frontier=batch_frontier
@@ -307,8 +308,8 @@ def _sim(case: VerifyCase, plan):
     :class:`~repro.hw.events.ShardTrace` field."""
     import numpy as np
 
-    from ..engine import filter_roots, order_tasks
-    from ..graph import orient_by_degree
+    from ..engine.parallel import filter_roots, order_tasks
+    from ..graph.orientation import orient_by_degree
     from ..hw import FlexMinerConfig, simulate
     from ..hw.events import ShardTrace
     from ..hw.parallel_sim import _TracePE

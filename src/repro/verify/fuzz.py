@@ -21,14 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compiler import enumerate_matching_orders
-from ..graph import (
-    CSRGraph,
-    LabeledGraph,
-    erdos_renyi,
-    power_law_cluster,
-    rmat,
-)
+from ..compiler.matching_order import enumerate_matching_orders
+from ..graph.csr import CSRGraph
+from ..graph.generators import erdos_renyi, power_law_cluster, rmat
+from ..graph.labels import LabeledGraph
 from ..obs import get_logger
 from ..patterns import Pattern, enumerate_motifs
 from ..patterns import edge as edge_pattern

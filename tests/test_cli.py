@@ -381,3 +381,41 @@ class TestValidateAndEstimate:
             ["estimate", "triangle", "--dataset", "As", "--measure"]
         ) == 0
         assert "measured" in capsys.readouterr().out
+
+
+class TestArgumentBounds:
+    """Out-of-range sizes and worker counts are usage errors (exit 2),
+    rejected before any graph is loaded."""
+
+    @pytest.mark.parametrize("k", ["9", "1", "0", "six"])
+    def test_motif_size_outside_2_to_5(self, k, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["motifs", k])
+        assert exc.value.code == 2
+        assert "argument k: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_mine_workers_below_one(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "triangle", "--workers", workers])
+        assert exc.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
+
+    def test_sim_workers_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "triangle", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
+
+    def test_serve_workers_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
+
+    def test_service_workers_below_one(self):
+        from repro.errors import ConfigError
+        from repro.serve import MiningService
+
+        with pytest.raises(ConfigError, match="workers"):
+            MiningService(workers=0)

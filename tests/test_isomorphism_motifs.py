@@ -95,6 +95,13 @@ class TestMotifEnumeration:
         a.append(None)
         assert len(enumerate_motifs(3)) == 2
 
+    @pytest.mark.parametrize("k", [-1, 0, 6, 9])
+    def test_size_outside_table_raises(self, k):
+        # 2^C(k,2) edge subsets: k=6 already takes a minute, k=9 never
+        # finishes, so the bound is checked before any enumeration.
+        with pytest.raises(ValueError, match="motif size"):
+            enumerate_motifs(k)
+
 
 class TestBruteForce:
     def test_triangles_in_k4(self):

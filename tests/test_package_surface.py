@@ -5,6 +5,7 @@ the public ``__all__`` exports actually resolving, version metadata, and
 the examples executing end to end.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -213,6 +214,90 @@ def test_walker_is_the_default():
     assert engine.frontier_stats()["bands"] > 0
     tracer = _TracePE(graph, plan, FlexMinerConfig(num_pes=1))
     assert not tracer._frontier_ok
+
+
+LAZY_PACKAGES = ("repro.engine", "repro.bench", "repro.compiler", "repro.graph")
+
+#: What a cold ``flexminer mine`` / ``motifs`` must not load: the
+#: simulator, the service, the other engines, the bench harness, the
+#: estimator, the generators and any process machinery.
+NOT_ON_THE_MINE_PATH = (
+    "repro.hw", "repro.serve", "repro.apps", "repro.analysis",
+    "repro.verify", "repro.engine.pool", "repro.engine.partitioned",
+    "repro.engine.cmap_sw", "repro.bench.harness", "repro.compiler.estimate",
+    "repro.graph.generators", "multiprocessing",
+)
+
+
+def _cli_modules(argv):
+    """``sys.modules`` after ``python -m repro.cli *argv`` in a fresh
+    interpreter."""
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = ['flexminer'] + json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('repro.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_mine_imports_only_what_it_mines(tmp_path):
+    """The cold-start pin: a mining verb loads the walker, the compiler
+    and the graph reader, and nothing it does not run; the pool arrives
+    only when ``--workers`` asks for it."""
+    graph = tmp_path / "g.el"
+    graph.write_text("0 1\n1 2\n2 0\n2 3\n3 0\n3 4\n")
+    for argv in (
+        ["mine", "triangle", "--graph", str(graph)],
+        ["motifs", "3", "--graph", str(graph)],
+    ):
+        loaded = _cli_modules(argv)
+        assert "repro.engine.explore" in loaded, argv
+        assert not set(NOT_ON_THE_MINE_PATH) & loaded, argv
+    pooled = _cli_modules(
+        ["mine", "triangle", "--graph", str(graph), "--workers", "2"]
+    )
+    assert "repro.engine.pool" in pooled
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_surface(package):
+    """One export table per lazy package: ``__all__`` is its names, each
+    name resolves to the defining submodule's object, and an unknown
+    name is an ``AttributeError`` (so ``hasattr`` and ``from ... import``
+    fail as they did for the eager packages)."""
+    import importlib
+
+    module = importlib.import_module(package)
+    table = module._EXPORTS
+    names = [name for owned in table.values() for name in owned]
+    assert module.__all__ == names
+    assert len(set(names)) == len(names)
+    for submodule, owned in table.items():
+        defining = importlib.import_module(f"{package}.{submodule}")
+        for name in owned:
+            assert getattr(module, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name", {})
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,27 @@ class TestHandleRequest:
             assert not response["ok"], payload
             assert response["kind"] == kind, payload
 
+    def test_oversized_motif_request_fails_promptly(self, service):
+        # k=9 would enumerate 2^36 edge subsets; the compiler refuses it
+        # before any work, and neither the service thread nor the plan
+        # key's single-flight slot stays held: the repeat fails the same
+        # way and the next request is served.
+        import time
+
+        payload = {"op": "mine", "graph": "er", "app": "k-MC", "k": 9}
+        started = time.perf_counter()
+        for _ in range(2):
+            response = handle_request(service, payload)
+            assert not response["ok"]
+            assert response["kind"] == "ValueError"
+            assert "motif size" in response["error"]
+        assert time.perf_counter() - started < 5.0
+        ok = handle_request(
+            service, {"op": "mine", "graph": "er", "app": "k-MC", "k": 3}
+        )
+        assert ok["ok"]
+        assert service.stats()["active"] == 0
+
     def test_overload_is_retryable(self, service):
         entry = service._graphs["er"]
         with entry.mine_lock:

@@ -26,6 +26,12 @@ to every call).  It runs the level-synchronous frontier walker;
 path (routes that cannot honour the switch — ``service=``, ``pool=``,
 other backends — refuse an explicit ``False``).
 
+``motif_count`` on the ``"engine"`` backend counts k = 3 and 4 on an
+undirected graph by decomposition (:mod:`repro.engine.motifs`): the
+sparse motifs in closed form, only the 4-cycle and the 4-clique chain
+plans through the route's runner.  Counts are the ``MultiPlan``'s;
+counters are the chain plans' (none for k = 3).
+
 ``service=`` goes one step further: pass a resident
 :class:`~repro.serve.MiningService` and the request routes through its
 graph registry and plan/result caches (the graph auto-registers on
@@ -45,6 +51,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 from ..compiler.compiler import compile_motifs, compile_pattern
 from ..engine.cmap_sw import CMapSoftwareEngine
 from ..engine.explore import MiningResult, PatternAwareEngine
+from ..engine.motifs import MotifCountPlan, count_motifs, motif_count_plan
 from ..engine.oblivious import ObliviousEngine
 from ..engine.pool import MinerPool
 from ..errors import ConfigError
@@ -131,17 +138,19 @@ def _run(
                     "construction; build the MinerPool with "
                     "batch_frontier=False instead"
                 )
-            return pool.mine(plan)
+            return _engine_mine(graph, plan, pool.mine)
         if workers > 1:
             with MinerPool(
                 graph, workers=workers, batch_frontier=batch_frontier,
                 profiler=profiler,
             ) as transient:
-                return transient.mine(plan)
-        return PatternAwareEngine(
-            graph, plan, collect=collect,
-            batch_frontier=batch_frontier, profiler=profiler,
-        ).run()
+                return _engine_mine(graph, plan, transient.mine)
+        return _engine_mine(
+            graph, plan, lambda run: PatternAwareEngine(
+                graph, run, collect=collect,
+                batch_frontier=batch_frontier, profiler=profiler,
+            ).run(),
+        )
     if backend == "cmap":
         return CMapSoftwareEngine(graph, plan, collect=collect).run()
     if backend == "oblivious":
@@ -155,6 +164,14 @@ def _run(
     raise ConfigError(
         f"unknown backend {backend!r}; expected engine/cmap/oblivious/sim"
     )
+
+
+def _engine_mine(graph, plan, mine: Callable[[object], MiningResult]):
+    """Run ``plan`` through ``mine``; a k-MC decomposition runs its
+    chain plans through it."""
+    if isinstance(plan, MotifCountPlan):
+        return count_motifs(graph, plan, mine)
+    return mine(plan)
 
 
 def triangle_count(graph: CSRGraph, **options) -> Result:
@@ -188,10 +205,15 @@ def subgraph_list(
 
 def motif_count(graph: CSRGraph, k: int, **options) -> Result:
     """k-MC: count every k-vertex motif simultaneously (multi-pattern)."""
+    engine = options.get("backend", "engine") == "engine"
     return _run(
         graph,
         {"motif_k": k},
-        lambda: (compile_motifs(k), enumerate_motifs(k), True),
+        lambda: (
+            (engine and motif_count_plan(k)) or compile_motifs(k),
+            enumerate_motifs(k),
+            True,
+        ),
         **options,
     )
 

@@ -635,11 +635,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "motifs":
+        from .engine.motifs import count_motifs, motif_count_plan
+
         graph = _load(args)
         plan = compile_motifs(args.k)
-        result = PatternAwareEngine(
-            graph, plan, batch_frontier=args.batch_frontier
-        ).run()
+
+        def mine(run):
+            return PatternAwareEngine(
+                graph, run, batch_frontier=args.batch_frontier
+            ).run()
+
+        counting = motif_count_plan(args.k)
+        result = (
+            mine(plan) if counting is None
+            else count_motifs(graph, counting, mine)
+        )
         if args.emit_json:
             run_meta = {
                 "command": "motifs",

@@ -11,6 +11,7 @@ _EXPORTS = {
     "counters": ("OpCounters",),
     "explore": ("MiningResult", "PatternAwareEngine", "mine", "mine_multi"),
     "reference": ("ReferenceEngine",),
+    "motifs": ("MotifCountPlan", "count_motifs", "motif_count_plan"),
     "cmap_sw": ("CMapSoftwareEngine", "VectorCMap"),
     "oblivious": ("ObliviousEngine", "BudgetExceeded", "mine_oblivious"),
     "kernels": ("GALLOP_RATIO",),

@@ -168,7 +168,14 @@ class Pattern:
         lexicographically smallest ``(bits, label-vector)`` pair.  Two
         patterns are isomorphic iff their vertex counts and canonical
         forms agree.
+
+        A uniformly labeled clique skips the k! permutation search:
+        every permutation fixes it, so its form is the full bit mask
+        (with the label vector) — a 40-clique request keys in O(k²).
         """
+        if self.is_clique() and len(set(self._labels)) == 1:
+            bits = (1 << len(self._edges)) - 1
+            return (bits, self._labels) if self.is_labeled else bits
         if not self.is_labeled:
             return min(
                 self.adjacency_bits(perm)

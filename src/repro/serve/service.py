@@ -31,7 +31,11 @@ Zero-drift guarantee: a served request (cached or executed, any arrival
 order) returns counts and op counters bit-identical to a direct
 :class:`~repro.engine.explore.PatternAwareEngine` run with chunking
 off.  The ``serve-pool-2`` / ``serve-cached`` differential backends in
-:mod:`repro.verify` enforce this continuously.
+:mod:`repro.verify` enforce this continuously.  k-MC at k = 3 and 4
+runs by decomposition (:mod:`repro.engine.motifs`): the ``("motifs",
+k)`` plan key caches its :class:`~repro.engine.motifs.MotifCountPlan`,
+a miss mines only the chain plans on the pool, and the counters are
+theirs — the two serve backends are held to each other there.
 
 Observability flows through :mod:`repro.obs`: per-request latency
 histograms (``serve.request_ms`` with p50/p90/p99), live QPS, cache
@@ -59,6 +63,7 @@ from typing import (
 
 from ..compiler.compiler import compile_motifs, compile_pattern
 from ..engine.explore import MiningResult
+from ..engine.motifs import MotifCountPlan, count_motifs, motif_count_plan
 from ..engine.pool import MinerPool
 from ..errors import (
     ConfigError,
@@ -588,7 +593,9 @@ class MiningService:
         def compile_now() -> object:
             self.metrics.counter("serve.plan_cache.compiles").inc()
             if request.motif_k is not None:
-                return compile_motifs(request.motif_k)
+                return motif_count_plan(request.motif_k) or compile_motifs(
+                    request.motif_k
+                )
             return compile_pattern(
                 request.pattern,
                 induced=request.induced,
@@ -687,14 +694,19 @@ class MiningService:
                     request.split_degree,
                 )
 
+                def mine(run: object) -> MiningResult:
+                    return entry.pool.mine(
+                        run,
+                        split_degree=request.split_degree,
+                        timeout_s=self.request_timeout_s,
+                    )
+
                 def execute_now() -> MiningResult:
                     with rec.span("mine", cat="serve-mine"):
                         with entry.mine_lock:
-                            return entry.pool.mine(
-                                plan,
-                                split_degree=request.split_degree,
-                                timeout_s=self.request_timeout_s,
-                            )
+                            if isinstance(plan, MotifCountPlan):
+                                return count_motifs(entry.graph, plan, mine)
+                            return mine(plan)
 
                 if request.use_cache:
                     result, result_hit = self._results.get_or_compute(

@@ -17,7 +17,9 @@ tracer's) and with two trace workers.  The differential runner executes a
 count against the compiler-independent :mod:`~repro.verify.oracle`, and
 checks two drift invariants: the **zero-drift op-counter invariant**
 (with chunking off, each engine-side backend must report
-*bit-identical* :class:`~repro.engine.counters.OpCounters`) and the
+*bit-identical* :class:`~repro.engine.counters.OpCounters`; the served
+k-MC decomposition charges only its chain plans, so on those cases the
+two serve backends are held to each other) and the
 **bit-identical SimReport invariant** (the parallel simulator must
 produce the exact same cycles, per-PE stats and cache/NoC/DRAM
 counters as the in-process one).
@@ -47,6 +49,7 @@ from .oracle import oracle_count
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKENDS",
+    "SERVE_BACKENDS",
     "SIM_DRIFT_BACKENDS",
     "ZERO_DRIFT_BACKENDS",
     "DifferentialReport",
@@ -400,6 +403,29 @@ ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
 SIM_DRIFT_BACKENDS: Tuple[str, ...] = ("sim", "sim-parallel-2")
 
 
+#: The served backends.  A decomposable k-MC case (k = 3 or 4 on an
+#: undirected graph) is counted by :mod:`repro.engine.motifs`, whose
+#: counters are its chain plans', so there they are held to each other
+#: instead of to ``serial``.
+SERVE_BACKENDS: Tuple[str, ...] = ("serve-pool-2", "serve-cached")
+
+
+def _drift_groups(case: VerifyCase) -> List[Tuple[Tuple[str, ...], str]]:
+    """``(backends, mismatch kind)`` groups whose counters must agree."""
+    from ..engine.motifs import motif_count_plan
+
+    zero_drift = ZERO_DRIFT_BACKENDS
+    groups = [(SIM_DRIFT_BACKENDS, "sim-report-drift")]
+    if (
+        case.motif_k is not None
+        and not case.graph.directed
+        and motif_count_plan(case.motif_k) is not None
+    ):
+        zero_drift = tuple(b for b in zero_drift if b not in SERVE_BACKENDS)
+        groups.append((SERVE_BACKENDS, "counter-drift"))
+    return [(zero_drift, "counter-drift")] + groups
+
+
 def resolve_backends(
     backends: Union[None, Sequence[str], Mapping[str, Backend]],
 ) -> Dict[str, Backend]:
@@ -533,51 +559,25 @@ def run_case(
                 )
             )
 
-    # -- zero-drift op-counter invariant --------------------------------
-    drift_ref_name = next(
-        (b for b in ZERO_DRIFT_BACKENDS if b in counters), None
-    )
-    if drift_ref_name is not None:
-        ref = counters[drift_ref_name]
-        for backend_name in ZERO_DRIFT_BACKENDS:
+    # -- drift invariants: each group bit-identical to its first member --
+    for group, kind in _drift_groups(case):
+        ref_name = next((b for b in group if b in counters), None)
+        if ref_name is None:
+            continue
+        ref = counters[ref_name]
+        for backend_name in group:
             got = counters.get(backend_name)
             if got is None or got == ref:
                 continue
-            diff_keys = sorted(
-                k for k in ref if ref[k] != got.get(k)
-            )
+            diff_keys = sorted(k for k in ref if ref[k] != got.get(k))
             report.mismatches.append(
                 Mismatch(
                     name,
                     backend_name,
-                    "counter-drift",
+                    kind,
                     expected={k: ref[k] for k in diff_keys},
                     actual={k: got.get(k) for k in diff_keys},
-                    detail=f"drift vs {drift_ref_name} on {diff_keys}",
-                )
-            )
-
-    # -- bit-identical SimReport invariant ------------------------------
-    sim_ref_name = next(
-        (b for b in SIM_DRIFT_BACKENDS if b in counters), None
-    )
-    if sim_ref_name is not None:
-        ref = counters[sim_ref_name]
-        for backend_name in SIM_DRIFT_BACKENDS:
-            got = counters.get(backend_name)
-            if got is None or got == ref:
-                continue
-            diff_keys = sorted(
-                k for k in ref if ref[k] != got.get(k)
-            )
-            report.mismatches.append(
-                Mismatch(
-                    name,
-                    backend_name,
-                    "sim-report-drift",
-                    expected={k: ref[k] for k in diff_keys},
-                    actual={k: got.get(k) for k in diff_keys},
-                    detail=f"drift vs {sim_ref_name} on {diff_keys}",
+                    detail=f"drift vs {ref_name} on {diff_keys}",
                 )
             )
 

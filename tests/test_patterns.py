@@ -152,3 +152,31 @@ class TestLibrary:
         # Same shape, different labelling -> same canonical form.
         shifted = four_cycle().relabel([1, 2, 3, 0])
         assert shifted.canonical_form() == four_cycle().canonical_form()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("label", [None, 0, 3])
+    def test_clique_canonical_form_is_the_permutation_minimum(
+        self, n, label
+    ):
+        # The clique shortcut returns exactly what the k! search over
+        # vertex permutations returns, unlabeled and uniformly labeled.
+        import itertools
+
+        clique = Pattern(
+            n, itertools.combinations(range(n), 2),
+            labels=None if label is None else [label] * n,
+        )
+        perms = list(itertools.permutations(range(n)))
+        bits = min(clique.adjacency_bits(p) for p in perms)
+        expected = bits if label is None else min(
+            (clique.adjacency_bits(p), (label,) * n) for p in perms
+        )
+        assert clique.canonical_form() == expected
+
+    def test_mixed_label_clique_keeps_the_search(self):
+        mixed = k_clique(3).with_labels([0, 1, 1])
+        assert mixed.canonical_form() == (7, (0, 1, 1))
+        assert (
+            k_clique(3).with_labels([1, 0, 1]).canonical_form()
+            == mixed.canonical_form()
+        )

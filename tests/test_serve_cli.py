@@ -124,6 +124,20 @@ class TestHandleRequest:
         assert ok["ok"]
         assert service.stats()["active"] == 0
 
+    def test_large_clique_request_answers_promptly(self, service):
+        # The plan key's canonical form of a 40-clique is its full bit
+        # mask, not a search over 40! vertex permutations.
+        import time
+
+        started = time.perf_counter()
+        response = handle_request(
+            service, {"op": "mine", "graph": "er", "app": "k-CL", "k": 40}
+        )
+        assert response["ok"], response
+        assert response["counts"] == [0]
+        assert time.perf_counter() - started < 5.0
+        assert service.stats()["active"] == 0
+
     def test_overload_is_retryable(self, service):
         entry = service._graphs["er"]
         with entry.mine_lock:

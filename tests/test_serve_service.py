@@ -63,12 +63,15 @@ class TestZeroDrift:
         assert second.counters.as_dict() == first.counters.as_dict()
 
     def test_motifs_served(self, service):
+        # k-MC is served by decomposition: the MultiPlan's counts, and
+        # the counters the direct apps route charges (its chain plans').
         from repro.compiler import compile_motifs
 
-        base = mine_multi(ER, compile_motifs(3))
-        got = service.mine("er", app="k-MC", k=3)
-        assert got.counts == base.counts
-        assert got.counters.as_dict() == base.counters.as_dict()
+        for k in (3, 4):
+            got = service.mine("er", app="k-MC", k=k)
+            assert got.counts == mine_multi(ER, compile_motifs(k)).counts
+            direct = motif_count(ER, k)
+            assert got.counters.as_dict() == direct.counters.as_dict()
 
     def test_batch_frontier_service_bit_identical(self):
         with MiningService(workers=1, batch_frontier=True) as svc:

@@ -13,7 +13,9 @@ graph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -31,6 +33,8 @@ __all__ = [
 
 _INDEX_DTYPE = np.int64
 _VERTEX_DTYPE = np.int32
+#: One past the largest vertex id ``_VERTEX_DTYPE`` holds.
+_MAX_VERTICES = int(np.iinfo(_VERTEX_DTYPE).max) + 1
 
 #: Largest :meth:`CSRGraph.arc_map` a graph will build, in bytes (one
 #: ``bool`` per ordered vertex pair, so ``num_vertices <= 4096``).
@@ -103,19 +107,29 @@ class CSRGraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[Tuple[int, int]],
+        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
         *,
         num_vertices: int | None = None,
         directed: bool = False,
         name: str = "",
     ) -> "CSRGraph":
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from an ``(m, 2)`` integer array or an iterable
+        of (u, v) pairs.
 
         For undirected graphs each input edge is inserted in both
         directions.  Self loops and duplicate edges are silently dropped,
         matching the paper's preprocessed inputs (Table I caption).
+        Vertex ids must fit the int32 ``indices`` dtype; the check runs
+        before anything graph-sized is allocated.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, (np.ndarray, list, tuple)):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if num_vertices is not None and not 0 <= num_vertices <= _MAX_VERTICES:
+            raise GraphFormatError(
+                f"num_vertices={num_vertices} is out of range for "
+                f"{np.dtype(_VERTEX_DTYPE)} vertex ids"
+            )
         if pairs.size == 0:
             n = int(num_vertices or 0)
             return cls(
@@ -128,30 +142,36 @@ class CSRGraph:
             raise GraphFormatError("edges must be (u, v) pairs")
         if pairs.min() < 0:
             raise GraphFormatError("vertex ids must be non-negative")
-
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # drop self loops
-        if not directed:
-            pairs = np.concatenate([pairs, pairs[:, ::-1]])
-
-        n = int(num_vertices) if num_vertices is not None else int(pairs.max()) + 1
-        if pairs.size and pairs.max() >= n:
+        if pairs.max() >= _MAX_VERTICES:
             raise GraphFormatError(
-                f"edge endpoint {int(pairs.max())} out of range for "
-                f"{n} vertices"
+                f"vertex id {int(pairs.max())} does not fit "
+                f"{np.dtype(_VERTEX_DTYPE)}"
             )
 
-        # Sort by (src, dst) then deduplicate.
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        if len(pairs):
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-            pairs = pairs[keep]
+        src, dst = pairs[:, 0], pairs[:, 1]
+        loops = src == dst
+        if loops.any():
+            src, dst = src[~loops], dst[~loops]
+        top = int(max(src.max(), dst.max())) if len(src) else -1
+        n = int(num_vertices) if num_vertices is not None else top + 1
+        if top >= n:
+            raise GraphFormatError(
+                f"edge endpoint {top} out of range for {n} vertices"
+            )
 
-        counts = np.bincount(pairs[:, 0], minlength=n)
+        # One int64 key u*n+v per arc (ids < 2**31 keep it in range):
+        # sort, drop repeats, split back into rows and columns.
+        keys = src * n + dst
+        if not directed:
+            keys = np.concatenate([keys, dst * n + src])
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        rows = keys // n
         indptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
-        indices = pairs[:, 1].astype(_VERTEX_DTYPE)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = (keys - rows * n).astype(_VERTEX_DTYPE)
         return cls(indptr, indices, directed=directed, name=name, validate=False)
 
     @classmethod
@@ -591,21 +611,27 @@ def _validate_csr(indptr: np.ndarray, indices: np.ndarray, directed: bool) -> No
     n = len(indptr) - 1
     if len(indices) and (indices.min() < 0 or indices.max() >= n):
         raise GraphFormatError("neighbor ids out of range")
-    for v in range(n):
-        row = indices[indptr[v] : indptr[v + 1]]
-        if len(row) > 1 and np.any(np.diff(row) <= 0):
-            raise GraphFormatError(
-                f"neighbor list of vertex {v} is not strictly sorted"
-            )
-        if len(row) and np.any(row == v):
-            raise GraphFormatError(f"self loop at vertex {v}")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # The first vertex whose row steps down or repeats, or holds itself.
+    step = np.flatnonzero((np.diff(indices) <= 0) & (rows[1:] == rows[:-1]))
+    loop = np.flatnonzero(rows == indices)
+    unsorted = int(rows[step[0]]) if len(step) else n
+    looped = int(rows[loop[0]]) if len(loop) else n
+    if unsorted < n and unsorted <= looped:
+        raise GraphFormatError(
+            f"neighbor list of vertex {unsorted} is not strictly sorted"
+        )
+    if looped < n:
+        raise GraphFormatError(f"self loop at vertex {looped}")
     if not directed:
-        # Symmetry check: edge (u, v) implies (v, u).
-        src = np.repeat(np.arange(n), np.diff(indptr))
-        fwd = set(zip(src.tolist(), indices.tolist()))
-        for u, v in fwd:
-            if (v, u) not in fwd:
-                raise GraphFormatError(
-                    f"graph marked undirected but edge ({u}, {v}) has no "
-                    f"reverse"
-                )
+        # Symmetry: the sorted arc keys u*n+v must all reappear as v*n+u.
+        arcs = rows * n + indices
+        reverse = np.sort(indices.astype(np.int64) * n + rows)
+        at = np.minimum(np.searchsorted(reverse, arcs), len(arcs) - 1)
+        lonely = np.flatnonzero(reverse[at] != arcs)
+        if len(lonely):
+            u, v = divmod(int(arcs[lonely[0]]), n)
+            raise GraphFormatError(
+                f"graph marked undirected but edge ({u}, {v}) has no "
+                f"reverse"
+            )

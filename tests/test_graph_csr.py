@@ -70,24 +70,47 @@ class TestValidation:
     def test_unsorted_rows_rejected(self):
         indptr = np.array([0, 2, 3, 4])
         indices = np.array([2, 1, 0, 0])
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="vertex 0 is not strictly"):
             CSRGraph(indptr, indices, directed=True)
 
     def test_asymmetric_undirected_rejected(self):
         indptr = np.array([0, 1, 1])
         indices = np.array([1])
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match=r"edge \(0, 1\) has no"):
             CSRGraph(indptr, indices, directed=False)
 
     def test_bad_indptr_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="start at 0"):
             CSRGraph(np.array([1, 2]), np.array([0]), directed=True)
 
     def test_self_loop_in_csr_rejected(self):
         indptr = np.array([0, 1])
         indices = np.array([0])
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="self loop at vertex 0"):
             CSRGraph(indptr, indices, directed=True)
+
+    def test_errors_name_the_first_offender(self):
+        # rows: 0 -> [1], 1 -> [0, 2], 2 -> [2], 3 -> [1, 1]
+        indptr = np.array([0, 1, 3, 4, 6])
+        indices = np.array([1, 0, 2, 2, 1, 1])
+        with pytest.raises(GraphFormatError, match="self loop at vertex 2"):
+            CSRGraph(indptr, indices, directed=True)
+        # a repeat and a self loop in one row: sortedness is checked first
+        with pytest.raises(GraphFormatError, match="vertex 1 is not strictly"):
+            CSRGraph(np.array([0, 0, 3]), np.array([0, 1, 1]), directed=True)
+        # 0-1 and 2-3 are symmetric, 1->3 and 3->0 are not: the first
+        # lonely arc in (u, v) order is (1, 3)
+        indptr = np.array([0, 1, 3, 4, 6])
+        indices = np.array([1, 0, 3, 3, 0, 2])
+        with pytest.raises(GraphFormatError, match=r"edge \(1, 3\) has no"):
+            CSRGraph(indptr, indices, directed=False)
+
+    def test_valid_graphs_pass(self):
+        g = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        CSRGraph(g.indptr, g.indices)
+        dag = CSRGraph.from_edges([(0, 1), (1, 2)], directed=True)
+        CSRGraph(dag.indptr, dag.indices, directed=True)
+        CSRGraph(np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int32))
 
 
 class TestAccessors:

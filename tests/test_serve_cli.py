@@ -103,6 +103,19 @@ class TestHandleRequest:
             assert not response["ok"], payload
             assert response["kind"] == kind, payload
 
+    def test_register_rejects_oversized_vertex_ids(self, service, tmp_path):
+        # Before the int32 bound this request tried a 745 GiB allocation.
+        path = tmp_path / "huge.el"
+        path.write_text("0 1\n1 99999999999\n")
+        response = handle_request(
+            service, {"op": "register", "name": "huge", "path": str(path)}
+        )
+        assert not response["ok"]
+        assert response["kind"] == "GraphFormatError"
+        assert response["error"] == (
+            f"{path}:2: vertex id 99999999999 does not fit int32"
+        )
+
     def test_oversized_motif_request_fails_promptly(self, service):
         # k=9 would enumerate 2^36 edge subsets; the compiler refuses it
         # before any work, and neither the service thread nor the plan

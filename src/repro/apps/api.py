@@ -7,8 +7,9 @@
 
 Every app accepts a ``backend``:
 
-* ``"engine"`` — the pattern-aware software reference (GraphZero model);
-* ``"cmap"`` — the software vector-c-map engine;
+* ``"engine"`` — the pattern-aware software engine (GraphZero model;
+  its frontier walker reads the graph's arc map, the software vector
+  c-map of §II-C);
 * ``"oblivious"`` — the pattern-oblivious baseline (Gramer model);
 * ``"sim"`` — the FlexMiner cycle-level simulator (pass ``config``).
 
@@ -30,7 +31,8 @@ other backends — refuse an explicit ``False``).
 undirected graph by decomposition (:mod:`repro.engine.motifs`): the
 sparse motifs in closed form, only the 4-cycle and the 4-clique chain
 plans through the route's runner.  Counts are the ``MultiPlan``'s;
-counters are the chain plans' (none for k = 3).
+counters are the chain plans' (none for k = 3).  The decomposition
+cannot enumerate, so ``collect=True`` walks the merged ``MultiPlan``.
 
 ``service=`` goes one step further: pass a resident
 :class:`~repro.serve.MiningService` and the request routes through its
@@ -49,7 +51,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..compiler.compiler import compile_motifs, compile_pattern
-from ..engine.cmap_sw import CMapSoftwareEngine
 from ..engine.explore import MiningResult, PatternAwareEngine
 from ..engine.motifs import MotifCountPlan, count_motifs, motif_count_plan
 from ..engine.oblivious import ObliviousEngine
@@ -151,8 +152,6 @@ def _run(
                 batch_frontier=batch_frontier, profiler=profiler,
             ).run(),
         )
-    if backend == "cmap":
-        return CMapSoftwareEngine(graph, plan, collect=collect).run()
     if backend == "oblivious":
         return ObliviousEngine(graph, patterns, induced=induced).run(
             collect=collect
@@ -162,7 +161,7 @@ def _run(
             raise ConfigError("the simulator does not collect embeddings")
         return simulate(graph, plan, config, profiler=profiler)
     raise ConfigError(
-        f"unknown backend {backend!r}; expected engine/cmap/oblivious/sim"
+        f"unknown backend {backend!r}; expected engine/oblivious/sim"
     )
 
 
@@ -205,12 +204,16 @@ def subgraph_list(
 
 def motif_count(graph: CSRGraph, k: int, **options) -> Result:
     """k-MC: count every k-vertex motif simultaneously (multi-pattern)."""
-    engine = options.get("backend", "engine") == "engine"
+    # the decomposition counts without enumerating: collect walks the
+    # merged plan
+    decompose = options.get("backend", "engine") == "engine" and not (
+        options.get("collect", False)
+    )
     return _run(
         graph,
         {"motif_k": k},
         lambda: (
-            (engine and motif_count_plan(k)) or compile_motifs(k),
+            (decompose and motif_count_plan(k)) or compile_motifs(k),
             enumerate_motifs(k),
             True,
         ),

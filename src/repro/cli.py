@@ -51,17 +51,27 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(value: str) -> int:
-    """``--workers`` accepts an integer >= 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {value!r}"
-        )
-    return number
+def _int_at_least(low: int):
+    """argparse ``type=`` for an integer >= ``low``: counts
+    (``--workers``, ``--pes``, ``--cases``, ...) take 1, ``--cmap-kb``
+    (0 = no c-map) takes 0."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _split_degree_arg(value: str):
@@ -118,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="print a machine-readable run report instead of text",
         )
         if name == "sim":
-            p.add_argument("--pes", type=int, default=64)
-            p.add_argument("--cmap-kb", type=int, default=8)
+            p.add_argument("--pes", type=_positive_int, default=64)
+            p.add_argument("--cmap-kb", type=_non_negative_int, default=8)
             p.add_argument(
                 "--workers", type=_positive_int, default=1,
                 help="trace-phase worker processes; the report and the "
@@ -174,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="empirically validate an IR plan file"
     )
     validate_p.add_argument("ir_file", help="path to an IR text file")
-    validate_p.add_argument("--trials", type=int, default=20)
+    validate_p.add_argument("--trials", type=_positive_int, default=20)
 
     verify_p = sub.add_parser(
         "verify",
@@ -185,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="fuzzer RNG seed"
     )
     verify_p.add_argument(
-        "--cases", type=int, default=50, help="random cases to generate"
+        "--cases", type=_non_negative_int, default=50,
+        help="random cases to generate",
     )
     verify_p.add_argument(
         "--backends", default=None,
@@ -233,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit a flexminer.run/1 JSON report instead of text",
     )
-    check_p.add_argument("--pes", type=int, default=64)
+    check_p.add_argument("--pes", type=_positive_int, default=64)
     check_p.add_argument(
-        "--cmap-kb", type=int, default=8,
+        "--cmap-kb", type=_non_negative_int, default=8,
         help="c-map size the capacity checks assume",
     )
     check_p.add_argument(
@@ -244,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(they execute recursively) as diagnostics: FM170/FM171/FM175",
     )
     check_p.add_argument(
-        "--frontier-row-limit", type=int, default=None, metavar="ROWS",
+        "--frontier-row-limit", type=_positive_int, default=None,
+        metavar="ROWS",
         help="frontier row budget the FM173/FM174 obligations assume "
         "(default: the engine's built-in limit)",
     )

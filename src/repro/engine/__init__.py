@@ -1,4 +1,9 @@
-"""Software GPM engines: pattern-aware engine and its reference, c-map variant, oblivious baseline.
+"""Software GPM engines: pattern-aware, its reference, oblivious baseline.
+
+The pattern-aware engine's default path is the frontier walker, which
+answers every set operation after the first from
+:meth:`~repro.graph.csr.CSRGraph.arc_map` — the software vector c-map
+of the paper's §II-C.
 
 The surface is lazy (:mod:`repro._lazy`): a name's submodule is
 imported on first use, so mining never loads the pool or the other
@@ -12,12 +17,10 @@ _EXPORTS = {
     "explore": ("MiningResult", "PatternAwareEngine", "mine", "mine_multi"),
     "reference": ("ReferenceEngine",),
     "motifs": ("MotifCountPlan", "count_motifs", "motif_count_plan"),
-    "cmap_sw": ("CMapSoftwareEngine", "VectorCMap"),
     "oblivious": ("ObliviousEngine", "BudgetExceeded", "mine_oblivious"),
     "kernels": ("GALLOP_RATIO",),
     "parallel": ("filter_roots", "order_tasks"),
     "pool": ("MinerPool", "PoolWorkerError", "cost_model_split_degree"),
-    "verify": ("check_consistency", "count_all_ways"),
     "partitioned": (
         "PartitionedMiner",
         "PartitionStats",

@@ -1,12 +1,15 @@
 """Pattern-aware DFS mining engine (the GraphZero/AutoMine model).
 
-This is the functional reference for the whole repository: it executes a
-compiled :class:`~repro.compiler.plan.ExecutionPlan` (or multi-pattern
-:class:`~repro.compiler.plan.MultiPlan`) over a data graph exactly the way
-the paper's software baseline does — DFS with matching-order candidate
-generation via merge-based set operations, symmetry-order vid bounds, and
-frontier-list memoization — while counting every unit of algorithmic work
-in an :class:`~repro.engine.counters.OpCounters`.
+It executes a compiled :class:`~repro.compiler.plan.ExecutionPlan` (or
+multi-pattern :class:`~repro.compiler.plan.MultiPlan`) over a data graph
+the way the paper's software baseline does — DFS with matching-order
+candidate generation via merge-based set operations, symmetry-order vid
+bounds, and frontier-list memoization — while counting every unit of
+algorithmic work in an :class:`~repro.engine.counters.OpCounters`.  The
+default path is the frontier walker, whose arc-map lookups are the
+software vector c-map (§II-C); ``batch_frontier=False`` recurses.  The
+functional reference every path is checked against is
+:class:`~repro.engine.reference.ReferenceEngine`.
 
 The FlexMiner hardware simulator walks the same search tree (it must: the
 paper stresses the accelerator has "the same algorithmic efficiency as
@@ -275,8 +278,8 @@ class PatternAwareEngine:
         )
         # Level-synchronous frontier mode needs at least one interior
         # level; engines that override candidate generation (reference,
-        # c-map) must keep their per-embedding hooks, so they are routed
-        # to recursion.
+        # the simulator's trace PE) must keep their per-embedding hooks,
+        # so they are routed to recursion.
         self._frontier_ok = (
             batch_frontier
             and self.supports_leaf_counting
@@ -326,7 +329,7 @@ class PatternAwareEngine:
             self.run_roots(roots)
         self.counters.matches = sum(self._counts)
         self.metrics.absorb(self.counters.as_dict(), prefix="engine.")
-        if self.batch_frontier:
+        if self._frontier_ok:
             self.metrics.absorb(
                 self.frontier_stats(), prefix="engine.frontier."
             )
@@ -393,8 +396,8 @@ class PatternAwareEngine:
         next to the ``OpCounters`` model charge: elements the walker
         materialized (adjacency gathers + memo re-gathers) and elements
         the arc map answered instead.  Published as
-        ``engine.frontier.*`` gauges by :meth:`run` when frontier mode
-        is on."""
+        ``engine.frontier.*`` gauges by :meth:`run` when the walker
+        ran (frontier mode on a plan it can walk)."""
         return {
             "rows_expanded": self._frontier_rows,
             "bands": self._frontier_bands,
@@ -404,8 +407,8 @@ class PatternAwareEngine:
             "arc_probes": self._arc_probes,
         }
 
-    # Hooks for subclasses (the software c-map engine maintains its map
-    # here; the base engine does nothing).
+    # Hooks for subclasses (the simulator's trace PE records its
+    # events here; the base engine does nothing).
     def _on_descend(self, depth: int, emb: List[int]) -> None:
         pass
 
@@ -481,9 +484,10 @@ class PatternAwareEngine:
     # ------------------------------------------------------------------
     # Count-only leaf path
     # ------------------------------------------------------------------
-    #: Subclasses that override candidate generation (c-map queries,
-    #: hardware timing) need every leaf list materialized through their
-    #: own :meth:`_raw_candidates`; they turn this off.
+    #: Subclasses that override candidate generation (the reference's
+    #: generic set ops, the simulator's trace recording) need every leaf
+    #: list materialized through their own :meth:`_raw_candidates`;
+    #: they turn this off.
     supports_leaf_counting = True
 
     #: Minimum combined operand length before the leaf fast path uses the

@@ -227,7 +227,7 @@ def _worker_summary(
         "chunks_done": chunks_done,
         "spans": rec.spans if profile else None,
         "frontier": (
-            engine.frontier_stats() if engine.batch_frontier else None
+            engine.frontier_stats() if engine._frontier_ok else None
         ),
     }
     return summary

@@ -10,8 +10,7 @@ merge-model accounting with the production engine and nothing from
 leaves, no batched leaves, no frontier walker — so counts *and*
 :class:`~repro.engine.counters.OpCounters` that agree with it were not
 produced by a bug the fast paths share.  The differential matrix's
-``reference`` backend and :func:`repro.engine.verify.count_all_ways`
-run it.
+``reference`` backend (:mod:`repro.verify`) runs it.
 """
 
 from __future__ import annotations

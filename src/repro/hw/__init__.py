@@ -5,7 +5,6 @@ from .cache import CacheStats, SetAssocCache
 from .cmap import CMapStats, HardwareCMap, InsertOutcome
 from .dram import DramModel, DramStats
 from .noc import NocModel, NocStats
-from .fsm import ExtenderFSM, PEState
 from .mem import GraphLayout, MemorySystem
 from .pe import PEStats, ProcessingElement
 from .scheduler import Scheduler
@@ -32,8 +31,6 @@ __all__ = [
     "DramStats",
     "NocModel",
     "NocStats",
-    "ExtenderFSM",
-    "PEState",
     "GraphLayout",
     "MemorySystem",
     "PEStats",

@@ -1,8 +1,8 @@
 """Processing-element model (paper §IV, Fig. 8/10).
 
-A PE walks the subgraph search tree for its assigned tasks with the
-iterative extender FSM, charging cycles for each microarchitectural
-component:
+A PE walks the subgraph search tree for its assigned tasks in the DFS
+preorder of the iterative extender FSM (Fig. 10), charging cycles for
+each microarchitectural component:
 
 * **pruner** — one cycle per candidate for the vid-bound/injectivity
   scan;

@@ -26,7 +26,7 @@ SIM_CONFIG = FlexMinerConfig(num_pes=2)
 class TestBackendsAgree:
     def test_triangle_count_all_backends(self):
         reference = triangle_count(GRAPH).counts
-        for backend in ("cmap", "oblivious", "sim"):
+        for backend in ("oblivious", "sim"):
             result = triangle_count(
                 GRAPH, backend=backend, config=SIM_CONFIG
             )
@@ -34,7 +34,7 @@ class TestBackendsAgree:
 
     def test_clique_count_all_backends(self):
         reference = clique_count(GRAPH, 4).counts
-        for backend in ("cmap", "oblivious", "sim"):
+        for backend in ("oblivious", "sim"):
             assert (
                 clique_count(
                     GRAPH, 4, backend=backend, config=SIM_CONFIG
@@ -44,7 +44,7 @@ class TestBackendsAgree:
 
     def test_subgraph_list_all_backends(self):
         reference = subgraph_list(GRAPH, diamond()).counts
-        for backend in ("cmap", "oblivious", "sim"):
+        for backend in ("oblivious", "sim"):
             assert (
                 subgraph_list(
                     GRAPH, diamond(), backend=backend, config=SIM_CONFIG
@@ -54,7 +54,7 @@ class TestBackendsAgree:
 
     def test_motif_count_all_backends(self):
         reference = motif_count(GRAPH, 3).counts
-        for backend in ("cmap", "oblivious", "sim"):
+        for backend in ("oblivious", "sim"):
             assert (
                 motif_count(
                     GRAPH, 3, backend=backend, config=SIM_CONFIG
@@ -78,6 +78,17 @@ class TestSemantics:
     def test_subgraph_list_collect(self):
         result = subgraph_list(GRAPH, four_cycle(), collect=True)
         assert len(result.embeddings) == result.counts[0]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_motif_count_collect(self, k):
+        # k = 3, 4 count by decomposition, which cannot enumerate:
+        # collect walks the merged plan instead
+        graph = erdos_renyi(12, 0.4, seed=1)
+        result = motif_count(graph, k, collect=True)
+        assert result.embeddings is not None
+        assert len(result.embeddings) == sum(result.counts)
+        assert result.counts == motif_count(graph, k).counts
+        assert len(set(result.embeddings)) == len(result.embeddings)
 
     def test_result_types(self):
         assert isinstance(triangle_count(GRAPH), MiningResult)
@@ -140,7 +151,7 @@ class TestRunAppDispatch:
         want = triangle_count(GRAPH).counts
         sim = run_app(GRAPH, "TC", backend="sim", config=SIM_CONFIG)
         assert tuple(sim.counts) == want
-        assert run_app(GRAPH, "TC", backend="cmap").counts == want
+        assert run_app(GRAPH, "TC", backend="oblivious").counts == want
         with MinerPool(GRAPH, workers=1) as pool:
             assert run_app(GRAPH, "TC", pool=pool).counts == want
         with MiningService(workers=1) as svc:
@@ -149,6 +160,11 @@ class TestRunAppDispatch:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             triangle_count(GRAPH, backend="gpu")
+
+    def test_cmap_backend_retired(self):
+        # the walker's arc map is the software c-map: no backend of its own
+        with pytest.raises(ConfigError, match="engine/oblivious/sim"):
+            triangle_count(GRAPH, backend="cmap")
 
     def test_sim_cannot_collect(self):
         with pytest.raises(ConfigError):

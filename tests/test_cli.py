@@ -303,6 +303,19 @@ class TestVerify:
         assert payload["data"]["ok"] is True
         assert payload["data"]["fuzz"]["seed"] == 1
 
+    def test_zero_cases_replays_the_corpus_only(self, capsys):
+        from pathlib import Path
+
+        corpus = Path(__file__).parent / "corpus"
+        assert main(
+            ["verify", "--cases", "0", "--backends", "serial",
+             "--corpus", str(corpus)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "0 failed" in out
+        assert "fuzz: seed=0 0 case(s)" in out
+        assert "verify: OK" in out
+
     def test_bad_corpus_fails(self, tmp_path, capsys):
         import json as jsonlib
 
@@ -406,6 +419,28 @@ class TestArgumentBounds:
             main(["sim", "triangle", "--workers", "0"])
         assert exc.value.code == 2
         assert "integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["sim", "triangle", "--pes", "0"], ">= 1"),
+            (["check-plan", "triangle", "--pes", "0"], ">= 1"),
+            (["sim", "triangle", "--cmap-kb", "-1"], ">= 0"),
+            (["check-plan", "triangle", "--cmap-kb", "-1"], ">= 0"),
+            (
+                ["check-plan", "triangle", "--frontier-row-limit", "0"],
+                ">= 1",
+            ),
+            (["verify", "--cases", "-3"], ">= 0"),
+            (["validate", "plan.ir", "--trials", "0"], ">= 1"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_numeric_flag_out_of_range(self, argv, bound, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"expected an integer {bound}" in capsys.readouterr().err
 
     def test_serve_workers_below_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Tests for the pattern-aware engine, c-map engine, and oblivious baseline."""
+"""Tests for the pattern-aware engine and the oblivious baseline."""
 
 from math import comb
 
@@ -25,15 +25,14 @@ from repro.patterns import (
 from repro.compiler import compile_motifs, compile_pattern
 from repro.engine import (
     BudgetExceeded,
-    CMapSoftwareEngine,
     ObliviousEngine,
     PatternAwareEngine,
     ReferenceEngine,
-    check_consistency,
     mine,
     mine_multi,
     mine_oblivious,
 )
+from repro.verify import VerifyCase, run_case
 
 RANDOM = erdos_renyi(24, 0.3, seed=77)
 
@@ -74,6 +73,23 @@ class TestClosedForms:
         assert mine(g, compile_pattern(four_cycle())).counts[0] == 0
 
 
+#: The in-process engine paths: recursion, the count-only probe
+#: kernels, the reference engine, the memo ablation and the walker.
+IN_PROCESS_BACKENDS = (
+    "serial", "kernel-probe", "reference", "no-memo", "frontier-batch",
+)
+
+
+def assert_paths_agree(graph, pattern, *, induced=False):
+    """Every in-process path counts what the brute-force oracle does."""
+    report = run_case(
+        VerifyCase(graph, pattern=pattern, induced=induced),
+        backends=IN_PROCESS_BACKENDS,
+    )
+    assert report.ok, [str(m) for m in report.mismatches]
+    assert set(report.counts) == set(IN_PROCESS_BACKENDS)
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize(
         "pattern,induced",
@@ -90,12 +106,12 @@ class TestAgainstBruteForce:
         ids=lambda x: getattr(x, "name", str(x)),
     )
     def test_all_paths_agree(self, pattern, induced):
-        check_consistency(RANDOM, pattern, induced=induced)
+        assert_paths_agree(RANDOM, pattern, induced=induced)
 
     def test_star_graph_edge_cases(self):
         g = star_graph(6)
-        check_consistency(g, wedge(), induced=True)
-        check_consistency(g, triangle())
+        assert_paths_agree(g, wedge(), induced=True)
+        assert_paths_agree(g, triangle())
 
     def test_empty_graph(self):
         g = CSRGraph.from_edges([], num_vertices=10)
@@ -310,6 +326,20 @@ class TestBatchFrontier:
         assert snap["engine.frontier.elems_gathered"] > 0
         assert "engine.frontier.arc_probes" in snap
 
+    def test_no_frontier_gauges_without_a_walk(self):
+        # the gauges describe a walk: an engine routed to recursion, or a
+        # plan too shallow to walk, publishes none
+        from repro.obs import MetricsRegistry
+
+        for cls, k in ((ReferenceEngine, 4), (PatternAwareEngine, 2)):
+            registry = MetricsRegistry()
+            cls(RANDOM, compile_pattern(k_clique(k)), metrics=registry).run()
+            snap = registry.snapshot()
+            assert snap["engine.matches"] > 0, cls
+            assert not [
+                key for key in snap if key.startswith("engine.frontier.")
+            ], cls
+
     def test_multi_pattern_walks_the_plan_tree(self):
         # MultiPlans run through the same frontier walker as chains
         # (tests/test_frontier_walker.py holds the full parity matrix).
@@ -322,36 +352,6 @@ class TestBatchFrontier:
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
         assert engine.frontier_stats()["bands"] > 0
-
-
-class TestCMapSoftwareEngine:
-    def test_counts_match_base_engine(self):
-        for pattern in (four_cycle(), diamond(), tailed_triangle()):
-            plan = compile_pattern(pattern, use_orientation=False)
-            base = PatternAwareEngine(RANDOM, plan).run()
-            cm = CMapSoftwareEngine(RANDOM, plan).run()
-            assert base.counts == cm.counts
-
-    def test_cmap_stack_discipline(self):
-        plan = compile_pattern(four_cycle())
-        engine = CMapSoftwareEngine(RANDOM, plan)
-        engine.run()
-        # After a full run every inserted entry was removed.
-        assert engine.cmap.values.max() == 0
-        assert not engine._inserted
-
-    def test_read_ratio_high_for_four_cycle(self):
-        # §VII-C reports 86-98% read ratios for 4-cycle.
-        plan = compile_pattern(four_cycle())
-        engine = CMapSoftwareEngine(RANDOM, plan)
-        engine.run()
-        assert engine.cmap.read_ratio > 0.5
-
-    def test_multi_pattern_supported(self):
-        plan = compile_motifs(3)
-        base = mine_multi(RANDOM, plan)
-        cm = CMapSoftwareEngine(RANDOM, plan).run()
-        assert base.counts == cm.counts
 
 
 class TestOblivious:

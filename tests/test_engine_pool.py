@@ -467,7 +467,7 @@ class TestEntryPoints:
             assert got.counts == base.counts
             assert again.counts == base.counts
             with pytest.raises(ConfigError):
-                clique_count(ER, 4, backend="cmap", pool=pool)
+                clique_count(ER, 4, backend="oblivious", pool=pool)
             with pytest.raises(ConfigError):
                 subgraph_list(ER, triangle(), collect=True, pool=pool)
 

@@ -108,6 +108,16 @@ class TestTimingBehaviour:
         assert with_cmap.noc_requests < no.noc_requests
         assert with_cmap.cycles < no.cycles
 
+    def test_cmap_read_ratio_high_for_four_cycle(self):
+        # §VII-C reports 86-98% c-map read ratios for 4-cycle: each
+        # inserted neighbour list is queried many times.
+        report = simulate(
+            erdos_renyi(40, 0.25, seed=3),
+            compile_pattern(four_cycle()),
+            FlexMinerConfig(num_pes=2),
+        )
+        assert report.cmap_read_ratio > 0.5
+
     def test_cmap_overflow_falls_back(self):
         # A tiny c-map overflows on hubs; results stay correct and the
         # fall-back events are visible.

@@ -26,7 +26,6 @@ from repro.patterns import (
 )
 from repro.compiler import compile_multi, compile_pattern, emit_ir, parse_ir
 from repro.engine import (
-    CMapSoftwareEngine,
     ObliviousEngine,
     PatternAwareEngine,
     mine,
@@ -159,7 +158,6 @@ class TestLabeledMining:
         expected = brute_force_count(GRAPH, pattern, induced=False)
         plan = compile_pattern(pattern)
         assert mine(GRAPH, plan).counts[0] == expected
-        assert CMapSoftwareEngine(GRAPH, plan).run().counts[0] == expected
         assert (
             ObliviousEngine(GRAPH, [pattern]).run().counts[0] == expected
         )

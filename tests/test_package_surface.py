@@ -185,6 +185,30 @@ def test_one_simulator_model():
     assert "sim-fast" not in BACKENDS
 
 
+def test_one_software_cmap():
+    """The walker's arc map is the software vector c-map, and the
+    simulator's trace walk is Fig. 10's iteration order: the recursive
+    c-map engine, the extender FSM replica and the ``engine.verify``
+    helpers that ran them stay deleted (``tests/test_apps.py`` pins the
+    retired ``backend="cmap"``)."""
+    import importlib
+
+    from repro import engine, hw
+    from repro.apps import api
+
+    for module in (
+        "repro.engine.cmap_sw", "repro.hw.fsm", "repro.engine.verify",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    gone = {
+        "CMapSoftwareEngine", "VectorCMap", "ExtenderFSM", "PEState",
+        "count_all_ways", "check_consistency",
+    }
+    for module in (engine, hw, api):
+        assert not gone & (set(module.__all__) | set(vars(module))), module
+
+
 def test_walker_is_the_default():
     """One default, on every layer that threads the switch: the frontier
     walker.  Engines that override candidate generation still route
@@ -224,7 +248,7 @@ LAZY_PACKAGES = ("repro.engine", "repro.bench", "repro.compiler", "repro.graph")
 NOT_ON_THE_MINE_PATH = (
     "repro.hw", "repro.serve", "repro.apps", "repro.analysis",
     "repro.verify", "repro.engine.pool", "repro.engine.partitioned",
-    "repro.engine.cmap_sw", "repro.bench.harness", "repro.compiler.estimate",
+    "repro.bench.harness", "repro.compiler.estimate",
     "repro.graph.generators", "multiprocessing",
 )
 

@@ -276,6 +276,21 @@ class TestRootSliceTasks:
             if key.startswith("engine.frontier.")
         }
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_frontier_gauges_without_a_walk(self, workers):
+        # an edge plan has no interior level: the workers recurse, so
+        # the merged metrics carry no walker gauges
+        registry = MetricsRegistry()
+        got = pool_mine(
+            PL, compile_pattern(k_clique(2)), workers=workers,
+            metrics=registry,
+        )
+        assert got.counts == (PL.num_edges,)
+        assert not [
+            key for key in registry.snapshot()
+            if key.startswith("engine.frontier.")
+        ]
+
     def test_slices_are_contiguous_runs_of_the_issue_order(self):
         tasks = order_tasks(PL)
         with MinerPool(PL, workers=2) as pool:
@@ -413,7 +428,7 @@ class TestEntryPoints:
         got = clique_count(ER, 4, workers=2)
         assert got.counts == base.counts
         with pytest.raises(ConfigError):
-            clique_count(ER, 4, backend="cmap", workers=2)
+            clique_count(ER, 4, backend="oblivious", workers=2)
 
 
 # ----------------------------------------------------------------------

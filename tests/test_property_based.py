@@ -30,7 +30,6 @@ from repro.compiler import (
     symmetry_conditions,
 )
 from repro.engine import (
-    CMapSoftwareEngine,
     PatternAwareEngine,
     mine,
     mine_multi,
@@ -83,14 +82,6 @@ class TestMiningCorrectness:
         assert mine(graph, plan).counts[0] == brute_force_count(
             graph, pattern, induced=True
         )
-
-    @SETTINGS
-    @given(graph=small_graphs(), pattern=small_patterns())
-    def test_cmap_engine_agrees(self, graph, pattern):
-        plan = compile_pattern(pattern, use_orientation=False)
-        base = PatternAwareEngine(graph, plan).run().counts
-        with_cmap = CMapSoftwareEngine(graph, plan).run().counts
-        assert base == with_cmap
 
     @SETTINGS
     @given(graph=small_graphs(max_vertices=11), pattern=small_patterns())

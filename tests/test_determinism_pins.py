@@ -15,6 +15,13 @@ frontier walker and the recursive reference), plus the cycle-domain
 Chrome trace of two overflowing cells.  Any change to
 how the simulator walks, traces or replays a search tree must leave
 every one of them untouched.
+
+:class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
+payloads for five plans on every engine path (the walker with and
+without the arc map, the recursion with and without count-only leaf
+probes, the reference).  The differential matrix only checks that the
+paths agree with each other; these literals also catch a change to the
+merge-model charge made the same way on every path.
 """
 
 import hashlib
@@ -24,8 +31,10 @@ from collections import Counter
 import pytest
 
 from repro.compiler import compile_motifs, compile_pattern
+from repro.engine.explore import PatternAwareEngine
+from repro.engine.reference import ReferenceEngine
 from repro.errors import SimulationError
-from repro.graph import assign_random_labels, erdos_renyi
+from repro.graph import assign_random_labels, csr, erdos_renyi
 from repro.hw import FlexMinerConfig, simulate, walktrace
 from repro.hw.parallel_sim import _TracePE
 from repro.obs import Tracer
@@ -35,6 +44,7 @@ from repro.patterns import (
     diamond,
     four_cycle,
     k_clique,
+    tailed_triangle,
     triangle,
 )
 
@@ -262,3 +272,124 @@ class TestSimReportPins:
     @pytest.mark.parametrize("plan_name", sorted(SIM_TRACE_PINS))
     def test_cycle_domain_trace_pinned(self, plan_name):
         assert _sim_trace_pin(plan_name) == SIM_TRACE_PINS[plan_name]
+
+
+def _counter_plans():
+    """The mining-counter pins: name -> (graph, plan)."""
+    labeled_triangle = Pattern(
+        3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 1],
+        name="labeled-triangle",
+    )
+    return {
+        "4-CL": (GRAPH, compile_pattern(k_clique(4))),
+        "4-cycle": (GRAPH, compile_pattern(four_cycle())),
+        "tailed-triangle": (GRAPH, compile_pattern(tailed_triangle())),
+        "labeled-TC": (LABELED, compile_pattern(labeled_triangle)),
+        "3-MC": (GRAPH, compile_motifs(3)),
+    }
+
+
+COUNTER_PLANS = _counter_plans()
+
+
+def _mine_counters(path, graph, plan, monkeypatch):
+    """``OpCounters.as_dict()`` of one mining run down ``path``."""
+    if path == "keyed":
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+    if path == "count-probe":
+        monkeypatch.setattr(PatternAwareEngine, "leaf_count_min_work", 0)
+    if path == "reference":
+        engine = ReferenceEngine(graph, plan)
+    else:
+        engine = PatternAwareEngine(
+            graph, plan, batch_frontier=path in ("walker", "keyed")
+        )
+    return engine.run().counters.as_dict()
+
+
+#: plan -> the OpCounters every engine path must charge.
+COUNTER_PINS = {
+    "4-CL": {
+        "tasks": 40,
+        "set_intersections": 321,
+        "set_differences": 0,
+        "setop_iterations": 2051,
+        "adjacency_loads": 550,
+        "adjacency_bytes": 8064,
+        "candidates_checked": 337,
+        "frontier_hits": 132,
+        "frontier_misses": 0,
+        "subgraphs_enumerated": 0,
+        "isomorphism_tests": 0,
+        "matches": 16,
+    },
+    "4-cycle": {
+        "tasks": 40,
+        "set_intersections": 586,
+        "set_differences": 0,
+        "setop_iterations": 12082,
+        "adjacency_loads": 1401,
+        "adjacency_bytes": 57480,
+        "candidates_checked": 4169,
+        "frontier_hits": 0,
+        "frontier_misses": 0,
+        "subgraphs_enumerated": 0,
+        "isomorphism_tests": 0,
+        "matches": 919,
+    },
+    "tailed-triangle": {
+        "tasks": 40,
+        "set_intersections": 189,
+        "set_differences": 0,
+        "setop_iterations": 3866,
+        "adjacency_loads": 814,
+        "adjacency_bytes": 34508,
+        "candidates_checked": 5157,
+        "frontier_hits": 0,
+        "frontier_misses": 0,
+        "subgraphs_enumerated": 0,
+        "isomorphism_tests": 0,
+        "matches": 3591,
+    },
+    "labeled-TC": {
+        "tasks": 22,
+        "set_intersections": 91,
+        "set_differences": 0,
+        "setop_iterations": 1816,
+        "adjacency_loads": 204,
+        "adjacency_bytes": 8132,
+        "candidates_checked": 399,
+        "frontier_hits": 0,
+        "frontier_misses": 0,
+        "subgraphs_enumerated": 0,
+        "isomorphism_tests": 0,
+        "matches": 35,
+    },
+    "3-MC": {
+        "tasks": 40,
+        "set_intersections": 189,
+        "set_differences": 378,
+        "setop_iterations": 11598,
+        "adjacency_loads": 1214,
+        "adjacency_bytes": 49416,
+        "candidates_checked": 4226,
+        "frontier_hits": 0,
+        "frontier_misses": 0,
+        "subgraphs_enumerated": 0,
+        "isomorphism_tests": 0,
+        "matches": 1480,
+    },
+}
+
+
+class TestCounterPins:
+    """Literal mining counters, on every engine path."""
+
+    @pytest.mark.parametrize(
+        "path", ["walker", "keyed", "recursive", "count-probe", "reference"]
+    )
+    @pytest.mark.parametrize("plan_name", sorted(COUNTER_PINS))
+    def test_counters_pinned(self, plan_name, path, monkeypatch):
+        graph, plan = COUNTER_PLANS[plan_name]
+        got = _mine_counters(path, graph, plan, monkeypatch)
+        assert got == COUNTER_PINS[plan_name]

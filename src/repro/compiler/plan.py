@@ -65,6 +65,18 @@ class VertexStep:
     #: Derived in ``__post_init__`` (never pass it): the connected set
     #: spans every ancestor depth, so the injectivity filter is a no-op.
     covers_all_ancestors: bool = field(init=False, default=False)
+    #: Derived: the step's op chain as ordered ``(is_intersect, depth)``
+    #: set operations on the extender's adjacency list — ``connected``
+    #: intersections, then ``disconnected`` differences — and the same
+    #: chain on the memoized base list (the ``extra_*`` remainders).
+    #: The engines and both simulator tracers run these tuples (the
+    #: reference engine keeps its own copy, as the independent check).
+    ops: Tuple[Tuple[bool, int], ...] = field(
+        init=False, repr=False, default=()
+    )
+    memo_ops: Tuple[Tuple[bool, int], ...] = field(
+        init=False, repr=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -102,6 +114,13 @@ class VertexStep:
             "covers_all_ancestors",
             len(self.full_connected) == self.depth,
         )
+        for name, conn, disc in (
+            ("ops", self.connected, self.disconnected),
+            ("memo_ops", self.extra_connected, self.extra_disconnected),
+        ):
+            chain = tuple((True, d) for d in conn)
+            chain += tuple((False, d) for d in disc)
+            object.__setattr__(self, name, chain)
 
     @property
     def full_connected(self) -> Tuple[int, ...]:

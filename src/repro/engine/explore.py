@@ -525,25 +525,6 @@ class PatternAwareEngine:
             if step.upper_bounds
             else None
         )
-        if self.use_frontier_memo and step.base_step is not None:
-            self.counters.frontier_hits += 1
-            cands = self._raw_stack[step.base_step]
-            ops = [(True, d) for d in step.extra_connected] + [
-                (False, d) for d in step.extra_disconnected
-            ]
-        else:
-            if step.base_step is not None:
-                self.counters.frontier_misses += 1
-            cands = self._load_adjacency(emb[step.extender])
-            ops = [(True, d) for d in step.connected] + [
-                (False, d) for d in step.disconnected
-            ]
-        for is_intersect, d in ops[:-1]:
-            other = self._load_adjacency(emb[d])
-            if is_intersect:
-                cands = intersect(cands, other, self.counters)
-            else:
-                cands = difference(cands, other, self.counters)
         # Injectivity exclusions: embedding vertices below the bound that
         # the count kernels must subtract if they survive the op chain
         # (exactly what remove_values would have dropped).
@@ -552,10 +533,13 @@ class PatternAwareEngine:
             kept = emb if bound is None else [u for u in emb if u < bound]
             if kept:
                 forb = np.asarray(kept)
-        if ops:
-            is_intersect, d = ops[-1]
+        cands, ops = self._operands(step, emb)
+        last = len(ops) - 1
+        for i, (is_intersect, d) in enumerate(ops):
             other = self._load_adjacency(emb[d])
-            if len(cands) + len(other) >= self.leaf_count_min_work:
+            if i == last and (
+                len(cands) + len(other) >= self.leaf_count_min_work
+            ):
                 count_op = (
                     intersect_count if is_intersect else difference_count
                 )
@@ -564,12 +548,10 @@ class PatternAwareEngine:
                 )
                 self.counters.candidates_checked += raw_len
                 return count
-            # Tiny operands: materialize with the regular counted op and
-            # fall through to the shared epilogue.
-            if is_intersect:
-                cands = intersect(cands, other, self.counters)
-            else:
-                cands = difference(cands, other, self.counters)
+            # Tiny last operands materialize with the regular counted op
+            # and fall through to the shared epilogue.
+            op = intersect if is_intersect else difference
+            cands = op(cands, other, self.counters)
         self.counters.candidates_checked += len(cands)
         if bound is not None:
             cands = bound_below(cands, bound)
@@ -600,20 +582,14 @@ class PatternAwareEngine:
         if kind in ("memo", "memo-diff"):
             base = self._raw_stack[step.base_step]
             c.frontier_hits += n
-            c.adjacency_loads += n
-            c.adjacency_bytes += 4 * total
+            c.charge_adjacency(n, total)
         else:
             base = self._work_graph.neighbors(emb[fixed_idx])
             if step.base_step is not None:
                 c.frontier_misses += n
-            c.adjacency_loads += 2 * n
-            c.adjacency_bytes += 4 * (total + n * len(base))
+            c.charge_adjacency(2 * n, total + n * len(base))
         intersecting = kind in ("memo", "direct")
-        if intersecting:
-            c.set_intersections += n
-        else:
-            c.set_differences += n
-        c.setop_iterations += n * len(base) + total
+        c.charge_setops(intersecting, n * len(base), total, n)
         bounds = None
         if step.upper_bounds:
             fixed = [emb[b] for b in step.upper_bounds if b != d]
@@ -795,41 +771,22 @@ class PatternAwareEngine:
             self._extend(node.depth + 1, row)
 
     def _frontier_operands(self, step, emb, stores, origins):
-        """Shared head of the raw-candidate chain: the starting
-        segmented candidate arrays plus the remaining (kind, slot) ops,
-        with the same frontier-hit/miss and adjacency charges the
-        per-embedding path makes."""
+        """Batched :meth:`_operands`: the starting segmented candidate
+        arrays plus the step's op chain, with the same frontier-hit/miss
+        and adjacency charges the per-embedding path makes."""
         n = len(emb)
-        c = self.counters
         if self.use_frontier_memo and step.base_step is not None:
-            c.frontier_hits += n
+            self.counters.frontier_hits += n
             s_concat, s_offsets = stores[step.base_step]
             cands, offsets = kernels.gather_segments(
                 s_concat, s_offsets, origins[step.base_step]
             )
             self._elems_gathered += len(cands)
-            ops = [(True, d) for d in step.extra_connected] + [
-                (False, d) for d in step.extra_disconnected
-            ]
-        else:
-            if step.base_step is not None:
-                c.frontier_misses += n
-            cands, offsets = self._gather_adjacency(
-                emb[:, step.extender]
-            )
-            ops = [(True, d) for d in step.connected] + [
-                (False, d) for d in step.disconnected
-            ]
-        return cands, offsets, ops
-
-    def _charge_setops(self, rows, is_intersect, iterations) -> None:
-        """``rows`` per-row set operations costing ``iterations`` merge
-        steps in total (the sum of both operands' lengths)."""
-        if is_intersect:
-            self.counters.set_intersections += rows
-        else:
-            self.counters.set_differences += rows
-        self.counters.setop_iterations += iterations
+            return cands, offsets, step.memo_ops
+        if step.base_step is not None:
+            self.counters.frontier_misses += n
+        cands, offsets = self._gather_adjacency(emb[:, step.extender])
+        return cands, offsets, step.ops
 
     def _frontier_probe(self, emb, cands, lengths, is_intersect, d):
         """One set operation over the whole frontier as arc-map lookups:
@@ -842,10 +799,9 @@ class PatternAwareEngine:
         """
         column = emb[:, d]
         other_total = int(self._work_graph.degrees()[column].sum())
-        self.counters.adjacency_loads += len(emb)
-        self.counters.adjacency_bytes += 4 * other_total
-        self._charge_setops(
-            len(emb), is_intersect, len(cands) + other_total
+        self.counters.charge_adjacency(len(emb), other_total)
+        self.counters.charge_setops(
+            is_intersect, len(cands), other_total, len(emb)
         )
         self._arc_probes += len(cands)
         keys = np.repeat(column * self._frontier_keyspace, lengths)
@@ -862,9 +818,8 @@ class PatternAwareEngine:
                 emb, cands, np.diff(offsets), is_intersect, d
             )
             return kernels.compress_segments(cands, offsets, keep)
-        other, other_offsets = self._gather_adjacency(emb[:, d])
-        self._charge_setops(
-            len(emb), is_intersect, int(offsets[-1]) + int(other_offsets[-1])
+        other, other_offsets = self._gather_operand(
+            emb, offsets, is_intersect, d
         )
         op = (
             kernels.segmented_pair_intersect
@@ -944,11 +899,8 @@ class PatternAwareEngine:
         lengths = np.diff(offsets)
         if ops and self._arcs is None:
             is_intersect, d = ops[-1]
-            other, other_offsets = self._gather_adjacency(emb[:, d])
-            self._charge_setops(
-                len(emb),
-                is_intersect,
-                int(offsets[-1]) + int(other_offsets[-1]),
+            other, other_offsets = self._gather_operand(
+                emb, offsets, is_intersect, d
             )
             exclude_mask = (
                 None
@@ -982,12 +934,21 @@ class PatternAwareEngine:
             mask &= ~self._frontier_member_mask(step, emb, cands, lengths)
         return int(np.count_nonzero(mask))
 
+    def _gather_operand(self, emb, offsets, is_intersect, d):
+        """Past the arc map's size cap: gather ``N(emb[:, d])`` for a
+        set operation on the segments ``offsets`` delimit, charged as
+        ``len(emb)`` per-row counted merges."""
+        other, other_offsets = self._gather_adjacency(emb[:, d])
+        self.counters.charge_setops(
+            is_intersect, int(offsets[-1]), int(other_offsets[-1]), len(emb)
+        )
+        return other, other_offsets
+
     def _gather_adjacency(self, vertices: np.ndarray):
         """Batched :meth:`_load_adjacency`: one gather for a whole
         frontier column, charged per row."""
         concat, offsets = self._work_graph.gather_neighbors(vertices)
-        self.counters.adjacency_loads += len(vertices)
-        self.counters.adjacency_bytes += 4 * int(offsets[-1])
+        self.counters.charge_adjacency(len(vertices), int(offsets[-1]))
         self._elems_gathered += len(concat)
         return concat, offsets
 
@@ -1011,41 +972,32 @@ class PatternAwareEngine:
             return cands
         return remove_values(cands, emb)
 
+    def _operands(self, step: VertexStep, emb: Sequence[int]):
+        """Shared head of the recursive op chain: the memo hit (the base
+        list) or the extender's adjacency list (a miss when a base was
+        hinted), and the step's ops left to run on it."""
+        if self.use_frontier_memo and step.base_step is not None:
+            self.counters.frontier_hits += 1
+            return self._raw_stack[step.base_step], step.memo_ops
+        if step.base_step is not None:
+            self.counters.frontier_misses += 1
+        return self._load_adjacency(emb[step.extender]), step.ops
+
     def _raw_candidates(
         self, step: VertexStep, emb: Sequence[int]
     ) -> np.ndarray:
         """Unbounded candidate set: adj(extender) ∩ adj(connected...)
         minus adj(disconnected...), via frontier composition when hinted."""
-        if self.use_frontier_memo and step.base_step is not None:
-            self.counters.frontier_hits += 1
-            cands = self._raw_stack[step.base_step]
-            for d in step.extra_connected:
-                cands = intersect(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-            for d in step.extra_disconnected:
-                cands = difference(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-        else:
-            if step.base_step is not None:
-                self.counters.frontier_misses += 1
-            cands = self._load_adjacency(emb[step.extender])
-            for d in step.connected:
-                cands = intersect(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
-            for d in step.disconnected:
-                cands = difference(
-                    cands, self._load_adjacency(emb[d]), self.counters
-                )
+        cands, ops = self._operands(step, emb)
+        for is_intersect, d in ops:
+            op = intersect if is_intersect else difference
+            cands = op(cands, self._load_adjacency(emb[d]), self.counters)
         self._raw_stack[step.depth] = cands
         return cands
 
     def _load_adjacency(self, v: int) -> np.ndarray:
         nbrs = self._work_graph.neighbors(v)
-        self.counters.adjacency_loads += 1
-        self.counters.adjacency_bytes += 4 * len(nbrs)
+        self.counters.charge_adjacency(1, len(nbrs))
         return nbrs
 
 

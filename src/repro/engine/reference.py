@@ -5,12 +5,17 @@
 candidates the slow, obvious way: generic ``np.intersect1d`` /
 ``np.setdiff1d``, a per-element injectivity loop, and every leaf list
 materialized and measured with ``len``.  It shares the recursion and the
-merge-model accounting with the production engine and nothing from
+adjacency-read charge with the production engine and nothing from
 :mod:`repro.engine.kernels` — no size-adaptive kernels, no count-only
 leaves, no batched leaves, no frontier walker — so counts *and*
 :class:`~repro.engine.counters.OpCounters` that agree with it were not
-produced by a bug the fast paths share.  The differential matrix's
-``reference`` backend (:mod:`repro.verify`) runs it.
+produced by a bug the fast paths share.  For the same reason it keeps
+its own op chain (read off the step's constraint fields, not
+``VertexStep.ops``) and its own copy of the merge-model set-op charge
+(``len(a) + len(b)``, not ``OpCounters.charge_setops``): a change to
+either owner made the same way on every fast path still disagrees with
+it.  The differential matrix's ``reference`` backend
+(:mod:`repro.verify`) runs it.
 """
 
 from __future__ import annotations
@@ -19,20 +24,19 @@ import numpy as np
 
 from .counters import OpCounters
 from .explore import PatternAwareEngine
-from .setops import merge_iterations
 
 __all__ = ["ReferenceEngine"]
 
 
 def _intersect(a, b, counters: OpCounters):
     counters.set_intersections += 1
-    counters.setop_iterations += merge_iterations(len(a), len(b))
+    counters.setop_iterations += len(a) + len(b)
     return np.intersect1d(a, b, assume_unique=True)
 
 
 def _difference(a, b, counters: OpCounters):
     counters.set_differences += 1
-    counters.setop_iterations += merge_iterations(len(a), len(b))
+    counters.setop_iterations += len(a) + len(b)
     return np.setdiff1d(a, b, assume_unique=True)
 
 
@@ -54,7 +58,10 @@ class ReferenceEngine(PatternAwareEngine):
 
     Counts and counters must match the production engine bit for bit;
     ``batch_frontier`` is accepted and ignored (``supports_leaf_counting
-    = False`` routes every plan to the recursive walk).
+    = False`` routes every plan to the recursive walk).  The op chain and
+    the set-op charge below are deliberate second copies of
+    ``VertexStep.ops`` / ``memo_ops`` and the merge model in
+    :mod:`repro.engine.counters` (module docstring).
     """
 
     supports_leaf_counting = False

@@ -2,9 +2,10 @@
 
 These mirror the merge-based SIU/SDU algorithm (paper Fig. 9): both
 inputs are sorted id lists and the hardware executes one merge-loop
-iteration per cycle.  We model the iteration count as ``len(a) + len(b)``
-— the worst case of the merge loop — for *both* the CPU baseline and the
-accelerator, so speedup ratios are not skewed by the bound.
+iteration per cycle.  The charge is the merge model that
+:mod:`repro.engine.counters` owns (``merge_iterations``: ``len(a) +
+len(b)``), the same for the CPU baseline and the accelerator, so
+speedup ratios are not skewed by the bound.
 
 The actual set computation is delegated to the size-adaptive kernels in
 :mod:`repro.engine.kernels` (merge vs. galloping probe, picked per
@@ -31,13 +32,7 @@ __all__ = [
     "intersect_many",
     "bound_below",
     "remove_values",
-    "merge_iterations",
 ]
-
-
-def merge_iterations(len_a: int, len_b: int) -> int:
-    """Cycles the merge loop takes to combine two sorted lists."""
-    return len_a + len_b
 
 
 def intersect(
@@ -45,8 +40,7 @@ def intersect(
 ) -> np.ndarray:
     """Sorted intersection of two sorted unique id lists."""
     if counters is not None:
-        counters.set_intersections += 1
-        counters.setop_iterations += merge_iterations(len(a), len(b))
+        counters.charge_setops(True, len(a), len(b))
     return kernels.intersect_values(a, b)
 
 
@@ -55,8 +49,7 @@ def difference(
 ) -> np.ndarray:
     """Sorted difference a \\ b of two sorted unique id lists."""
     if counters is not None:
-        counters.set_differences += 1
-        counters.setop_iterations += merge_iterations(len(a), len(b))
+        counters.charge_setops(False, len(a), len(b))
     return kernels.difference_values(a, b)
 
 
@@ -76,8 +69,7 @@ def intersect_count(
     (already below the bound) are subtracted from the bounded count.
     """
     if counters is not None:
-        counters.set_intersections += 1
-        counters.setop_iterations += merge_iterations(len(a), len(b))
+        counters.charge_setops(True, len(a), len(b))
     return kernels.intersect_count_below(a, b, bound, exclude)
 
 
@@ -91,8 +83,7 @@ def difference_count(
 ) -> Tuple[int, int]:
     """Count-only difference: ``(|a \\ b|, filtered count below bound)``."""
     if counters is not None:
-        counters.set_differences += 1
-        counters.setop_iterations += merge_iterations(len(a), len(b))
+        counters.charge_setops(False, len(a), len(b))
     return kernels.difference_count_below(a, b, bound, exclude)
 
 

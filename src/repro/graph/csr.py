@@ -358,13 +358,6 @@ class CSRGraph:
         )
 
     # ------------------------------------------------------------------
-    # Memory layout metadata (used by the timing simulator)
-    # ------------------------------------------------------------------
-    def edgelist_bytes(self, v: int) -> int:
-        """Size of v's neighbor list in bytes (4-byte vertex ids)."""
-        return 4 * self.degree(v)
-
-    # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

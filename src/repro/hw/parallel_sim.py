@@ -44,7 +44,8 @@ import numpy as np
 from ..compiler.plan import VertexStep
 from ..engine.explore import PatternAwareEngine, _cut_bands
 from ..engine.parallel import Task
-from ..engine.setops import bound_below, difference, intersect, merge_iterations
+from ..engine.counters import merge_iterations
+from ..engine.setops import bound_below, difference, intersect
 from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
 from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER
@@ -160,67 +161,50 @@ class _TracePE(PatternAwareEngine):
         return values + [getattr(self.cmap.stats, f) for f in CMAP_STAT_FIELDS]
 
     # -- the walk --------------------------------------------------------
-    def _fetch(self, v: int) -> np.ndarray:
-        """A neighbor list: the functional read plus the touches of its
-        ``indptr`` pair and ``indices`` slice."""
-        nbrs = self._load_adjacency(v)  # functional read + op counters
+    def _touch_list(self, v: int, length: int) -> None:
+        """The touches of reading ``v``'s neighbor list: its ``indptr``
+        pair and ``indices`` slice."""
         start = int(self._work_graph.indptr[v])
         self._events += [
             (EV_TOUCH, *self._layout.indptr_range(v)),
-            (EV_TOUCH, *self._layout.indices_range(start, len(nbrs))),
+            (EV_TOUCH, *self._layout.indices_range(start, length)),
         ]
-        return nbrs
 
     def _raw_candidates(
         self, step: VertexStep, emb: Sequence[int]
     ) -> np.ndarray:
         events = self._events
+        cands, ops = self._operands(step, emb)
         if step.base_step is not None:
-            cands = self._raw_stack[step.base_step]
-            self.counters.frontier_hits += 1
             self.stats.frontier_reads += 1
             # Only memoized lists are in the table (plancheck FM140).
             if step.base_step in self._memoized:
                 events.append((EV_FREAD, step.base_step, 0))
-            conn, disc = step.extra_connected, step.extra_disconnected
         else:
-            cands = self._fetch(emb[step.extender])
-            conn, disc = step.connected, step.disconnected
+            self._touch_list(emb[step.extender], len(cands))
 
-        checks = conn + disc
-        if checks:
-            if self.cmap is not None and all(
-                self._covered.get(d, False) for d in checks
-            ):
-                cycles = self.cmap.query_batch(len(cands))
-                events.append((EV_QUERY, cycles, len(cands)))
-                self.stats.cmap_cycles += cycles
-                self.stats.cmap_resolved_checks += len(checks)
-                # Values come from the verified functional computation.
-                for d in conn:
-                    cands = intersect(
-                        cands, self._work_graph.neighbors(emb[d]), None
-                    )
-                for d in disc:
-                    cands = difference(
-                        cands, self._work_graph.neighbors(emb[d]), None
-                    )
-            else:
-                if self.cmap is not None:
-                    self.stats.cmap_fallbacks += 1
-                self.stats.siu_resolved_checks += len(checks)
-                for d in conn:
-                    other = self._fetch(emb[d])
-                    cycles = merge_iterations(len(cands), len(other))
-                    events.append((EV_SIU, cycles, 0))
-                    self.stats.setop_cycles += cycles
-                    cands = intersect(cands, other, self.counters)
-                for d in disc:
-                    other = self._fetch(emb[d])
-                    cycles = merge_iterations(len(cands), len(other))
-                    events.append((EV_SDU, cycles, 0))
-                    self.stats.setop_cycles += cycles
-                    cands = difference(cands, other, self.counters)
+        via_cmap = self.cmap is not None and all(
+            self._covered.get(d, False) for _, d in ops
+        )
+        if ops and via_cmap:
+            cycles = self.cmap.query_batch(len(cands))
+            events.append((EV_QUERY, cycles, len(cands)))
+            self.stats.cmap_cycles += cycles
+            self.stats.cmap_resolved_checks += len(ops)
+        elif ops:
+            if self.cmap is not None:
+                self.stats.cmap_fallbacks += 1
+            self.stats.siu_resolved_checks += len(ops)
+        for is_intersect, d in ops:
+            # The CPU model charges every op, whichever unit answers it.
+            other = self._load_adjacency(emb[d])
+            if not via_cmap:
+                self._touch_list(emb[d], len(other))
+                cycles = merge_iterations(len(cands), len(other))
+                events.append((EV_SIU if is_intersect else EV_SDU, cycles, 0))
+                self.stats.setop_cycles += cycles
+            op = intersect if is_intersect else difference
+            cands = op(cands, other, self.counters)
 
         # Pruner scan: one candidate per cycle for bound + injectivity.
         events.append((EV_BUSY, len(cands), 0))

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..engine.counters import merge_iterations
 from ..engine.explore import (
     _FRONTIER_BAND_ELEMS,
     PatternAwareEngine,
@@ -290,7 +291,9 @@ class WalkTracer(PatternAwareEngine):
             degrees = self._work_graph.degrees()
             for is_intersect, d in ops:
                 other = emb[:, d]
-                cycles = np.diff(offsets) + degrees[other]
+                cycles = merge_iterations(
+                    np.diff(offsets), degrees[other]
+                )
                 cols += self._fetch(other, degrees[other], siu)
                 cols.append(
                     (EV_SIU if is_intersect else EV_SDU, cycles, 0, siu)

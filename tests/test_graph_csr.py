@@ -138,10 +138,6 @@ class TestAccessors:
         with pytest.raises(ValueError):
             view[0] = 99
 
-    def test_edgelist_bytes(self):
-        g = square()
-        assert g.edgelist_bytes(0) == 8  # two neighbors, 4 bytes each
-
     def test_equality(self):
         assert square() == square()
         assert square() != CSRGraph.from_edges([(0, 1)])

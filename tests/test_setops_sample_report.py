@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.engine import OpCounters
+from repro.engine.counters import merge_iterations
 from repro.engine.setops import (
     bound_below,
     difference,
     intersect,
-    merge_iterations,
     remove_values,
 )
 from repro.graph import erdos_renyi, induced_subgraph, random_vertex_sample

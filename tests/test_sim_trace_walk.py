@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_motifs, compile_pattern
 from repro.engine import filter_roots, order_tasks
+from repro.engine.explore import PatternAwareEngine
 from repro.graph import (
     assign_random_labels,
     csr,
@@ -94,6 +95,51 @@ class TestCorpus:
         if not _simulable(plan, config):
             pytest.skip("task splitting needs a single-pattern plan")
         assert_same_trace(case.graph, plan, config)
+
+
+#: The OpCounters fields the merge model prices.
+MERGE_MODEL_FIELDS = (
+    "set_intersections",
+    "set_differences",
+    "setop_iterations",
+    "adjacency_loads",
+    "adjacency_bytes",
+)
+
+PLC = power_law_cluster(80, 4, 0.5, seed=3)
+COUNTER_CASES = [
+    (os.path.basename(path), case.graph, case.compile())
+    for path, case in load_corpus(CORPUS_DIR)
+] + [
+    ("plc-4-cycle", PLC, compile_pattern(four_cycle())),
+    ("plc-4-CL", PLC, compile_pattern(k_clique(4))),
+]
+
+
+class TestTracerCounters:
+    """Both tracers charge the CPU model's merge-model fields exactly as
+    the engine does, whichever unit (c-map or SIU/SDU) answers an op."""
+
+    @pytest.mark.parametrize(
+        "config_name", ["cmap-8k", "cmap-64B", "no-cmap"]
+    )
+    @pytest.mark.parametrize(
+        "graph,plan", [c[1:] for c in COUNTER_CASES],
+        ids=[c[0] for c in COUNTER_CASES],
+    )
+    def test_merge_model_fields_match_engine(
+        self, graph, plan, config_name
+    ):
+        config = CONFIGS[config_name]
+        want = PatternAwareEngine(graph, plan).run().counters
+        tasks = _task_order(graph, plan, config)
+        for tracer in (WalkTracer, _TracePE):
+            traced = tracer(graph, plan, config)
+            traced.trace(tasks)
+            for field in MERGE_MODEL_FIELDS:
+                assert getattr(traced.counters, field) == getattr(
+                    want, field
+                ), (tracer.__name__, field)
 
 
 GRAPH = erdos_renyi(40, 0.25, seed=9)

@@ -18,7 +18,8 @@ every one of them untouched.
 
 :class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
 payloads for five plans on every engine path (the walker with and
-without the arc map, the recursion with and without count-only leaf
+without the arc map, the walker with every row sent to its over-limit
+recursion fallback, the recursion with and without count-only leaf
 probes, the reference).  The differential matrix only checks that the
 paths agree with each other; these literals also catch a change to the
 merge-model charge made the same way on every path.
@@ -300,6 +301,13 @@ def _mine_counters(path, graph, plan, monkeypatch):
         monkeypatch.setattr(PatternAwareEngine, "leaf_count_min_work", 0)
     if path == "reference":
         engine = ReferenceEngine(graph, plan)
+    elif path == "row-fallback":
+        # A one-element band ceiling: every row whose expansion estimate
+        # exceeds 1 is finished by _frontier_recurse.
+        engine = PatternAwareEngine(graph, plan, frontier_row_limit=1)
+        counters = engine.run().counters.as_dict()
+        assert engine.frontier_stats()["fallbacks"] > 0
+        return counters
     else:
         engine = PatternAwareEngine(
             graph, plan, batch_frontier=path in ("walker", "keyed")
@@ -386,7 +394,11 @@ class TestCounterPins:
     """Literal mining counters, on every engine path."""
 
     @pytest.mark.parametrize(
-        "path", ["walker", "keyed", "recursive", "count-probe", "reference"]
+        "path",
+        [
+            "walker", "keyed", "row-fallback", "recursive", "count-probe",
+            "reference",
+        ],
     )
     @pytest.mark.parametrize("plan_name", sorted(COUNTER_PINS))
     def test_counters_pinned(self, plan_name, path, monkeypatch):

@@ -153,15 +153,6 @@ FM170 = register_code(
     "plans with no interior level (fewer than three vertices) run on "
     "the recursive path; the default batch_frontier=True does not apply",
 )
-FM171 = register_code(
-    "FM171", "leaf shape does not reduce to one varying operand",
-    "warning",
-    "the recursive engine's batched leaf kernel (_count_leaf_batch) "
-    "needs a single varying intersection or difference at the last "
-    "level; without it the recursive path counts leaves one parent "
-    "vertex at a time.  The level-synchronous walker is unaffected: "
-    "it counts every leaf through _frontier_count_leaf",
-)
 FM172 = register_code(
     "FM172", "frontier base references a depth with no level store",
     "error",
@@ -705,7 +696,7 @@ def _check_batch_frontier(
 
     Always attaches a ``data["batch_frontier"]`` proof section — the
     batch/recursive routing decision plus one entry per obligation.
-    The decision-grade diagnostics (FM170/FM171) only fire when the
+    The decision-grade diagnostic (FM170) only fires when the
     caller asks for them with ``batch_frontier=True`` (here the
     parameter means "report a plan the walker will not run", not
     "which engine runs"); the hard errors (FM172-FM174) fire whenever
@@ -726,39 +717,6 @@ def _check_batch_frontier(
         if batch_frontier:
             rep.add(FM170, reasons[-1], location="batch-frontier")
 
-    shape = plan.batch_leaf_shape()
-    if eligible:
-        if shape is None:
-            obligations.append(
-                {
-                    "code": FM171,
-                    "status": "fallback",
-                    "detail": "leaf shape does not reduce; the "
-                    "recursive path counts leaves per parent vertex",
-                }
-            )
-            if batch_frontier:
-                rep.add(
-                    FM171,
-                    "leaf ops are not a single varying "
-                    "intersection/difference; the recursive engine's "
-                    "batch leaf kernel does not apply",
-                    location=f"step {leaf_depth}",
-                )
-        else:
-            obligations.append(
-                {
-                    "code": FM171,
-                    "status": "proved",
-                    "detail": f"leaf shape {shape[0]}"
-                    + (
-                        f" (fixed slot {shape[1]})"
-                        if shape[1] is not None
-                        else ""
-                    ),
-                }
-            )
-
     path_ok, fm172, fm174 = _frontier_path_obligations(
         plan.steps, rep, graph=graph, limit=limit
     )
@@ -772,11 +730,6 @@ def _check_batch_frontier(
     rep.data["batch_frontier"] = {
         "eligible": eligible,
         "decision": decision,
-        "leaf_shape": (
-            {"kind": shape[0], "fixed_slot": shape[1]}
-            if shape is not None
-            else {"kind": None, "fixed_slot": None}
-        ),
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
         "reasons": reasons,
@@ -802,7 +755,7 @@ def check_plan(
     report's ``data`` and lets the FM17x pass prove the segment-key
     obligation.  ``frontier_row_limit`` overrides the engine-default
     row budget the FM17x proofs assume; ``batch_frontier=True`` asks
-    for the FM170/FM171 routing diagnostics (the proof section in
+    for the FM170 routing diagnostic (the proof section in
     ``data["batch_frontier"]`` is always attached).
     """
     name = plan.pattern.name or f"pattern<{plan.pattern.num_vertices}>"
@@ -912,7 +865,6 @@ def check_multi_plan(
         "decision": "batch"
         if eligible and legal and supports_leaf_counting
         else "recursive",
-        "leaf_shape": {"kind": None, "fixed_slot": None},
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
         "reasons": reasons,

@@ -22,9 +22,9 @@ through a transient multi-process :class:`~repro.engine.pool.MinerPool`
 over a shared-memory copy of the graph, or ``pool=`` — a resident
 ``MinerPool`` — to serve the request from already-forked workers (a
 caller answering many app requests creates the pool once and passes it
-to every call).  It runs the level-synchronous frontier walker;
-``batch_frontier=False`` selects per-embedding recursion, the reference
-path (routes that cannot honour the switch — ``service=``, ``pool=``,
+to every call).  It runs the level-synchronous frontier walker over
+the whole root set; ``batch_frontier=False`` walks one root at a time
+(routes that cannot honour the switch — ``service=``, ``pool=``,
 other backends — refuse an explicit ``False``).
 
 ``motif_count`` on the ``"engine"`` backend counts k = 3 and 4 on an

@@ -4,7 +4,7 @@ Examples::
 
     flexminer compile 4-cycle                 # print the execution-plan IR
     flexminer mine triangle --dataset Mi      # software mining
-    flexminer mine triangle --dataset Mi --no-batch-frontier   # recursive
+    flexminer mine triangle --dataset Mi --no-batch-frontier   # one root per walk
     flexminer mine 4-clique --dataset As --workers 4   # multi-process
     flexminer mine 4-clique --dataset As --workers 4 --split-degree auto
     flexminer sim diamond --dataset As --pes 20 --cmap-kb 8
@@ -85,10 +85,9 @@ def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:
         "--batch-frontier", action=argparse.BooleanOptionalAction,
         default=True,
         help="level-synchronous frontier expansion (the default): walk "
-        "the plan tree over row bands of the frontier with segmented "
-        "kernels; --no-batch-frontier runs one recursion per embedding "
-        "instead, the reference path (bit-identical counts and op "
-        "counters either way)",
+        "the plan tree over row bands of the whole root set with "
+        "segmented kernels; --no-batch-frontier walks one root at a "
+        "time instead (bit-identical counts and op counters either way)",
     )
 
 
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument(
         "--batch-frontier", action="store_true",
         help="report plans the default frontier walker cannot run "
-        "(they execute recursively) as diagnostics: FM170/FM171/FM175",
+        "(they execute recursively) as diagnostics: FM170/FM175",
     )
     check_p.add_argument(
         "--frontier-row-limit", type=_positive_int, default=None,
@@ -472,14 +471,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(rep.render())
                 proof = rep.data.get("batch_frontier")
                 if proof:
-                    shape = proof.get("leaf_shape") or {}
-                    shape_txt = (
-                        f"{shape['kind']}/slot{shape['fixed_slot']}"
-                        if shape.get("kind") is not None else "none"
-                    )
                     print(
                         f"  batch-frontier: decision={proof['decision']} "
-                        f"leaf={shape_txt} "
                         f"row-limit={proof['row_limit']}"
                     )
                     for ob in proof.get("obligations", []):

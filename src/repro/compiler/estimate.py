@@ -163,7 +163,7 @@ def measure_levels(
 
     class _Probe(PatternAwareEngine):
         # The probe measures by observing every level's candidate list,
-        # so the count-only leaf shortcut must stay off.
+        # so it must stay off the frontier walker.
         supports_leaf_counting = False
 
         def _filtered_candidates(

@@ -15,7 +15,7 @@ prefixes merged (paper §V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CompileError
 from ..patterns import Pattern
@@ -186,67 +186,6 @@ class ExecutionPlan:
 
     def step_at(self, depth: int) -> VertexStep:
         return self.steps[depth - 1]
-
-    def batch_leaf_shape(
-        self, use_frontier_memo: bool = True
-    ) -> Optional[Tuple[str, Optional[int]]]:
-        """Can the leaf level be counted a parent frontier at a time?
-
-        The recursive engine's batch-leaf kernel handles leaves whose
-        op chain reduces to one intersection with a *varying* operand —
-        the adjacency (or memo base) indexed by the parent-frontier
-        vertex at embedding slot ``leaf_depth - 1`` — everything else
-        fixed for the whole frontier.  Oriented clique plans have
-        exactly this shape at every leaf (TC: adj(v) ∩ adj(v0); k-CL:
-        memo base ∩ adj(v)).  Injectivity must be a provable no-op
-        (``covers_all_ancestors``) because the batch never materializes
-        candidates to exclude from.
-
-        Difference-only leaves (one varying *difference* instead of one
-        varying intersection) batch too: those steps never cover all
-        ancestors, so the injectivity exclusions are folded into the
-        count the same way ``difference_count_below``'s ``exclude``
-        argument does on the scalar path.
-
-        Returns ``("memo", None)``, ``("direct", fixed_emb_index)``,
-        ``("memo-diff", None)``, ``("diff-fixed", fixed_emb_index)``,
-        ``("diff-varying", fixed_emb_index)`` or ``None`` (the leaf is
-        counted one parent vertex at a time).  The engine and the
-        static plan checker both read the decision here.
-        """
-        leaf_depth = len(self.steps)
-        if leaf_depth < 2:
-            return None
-        step = self.steps[-1]
-        if step.label is not None:
-            return None
-        d = leaf_depth - 1
-        if use_frontier_memo and step.base_step is not None:
-            extra_c = tuple(step.extra_connected)
-            extra_d = tuple(step.extra_disconnected)
-            if extra_c == (d,) and not extra_d and step.covers_all_ancestors:
-                return ("memo", None)
-            if extra_d == (d,) and not extra_c:
-                return ("memo-diff", None)
-            return None
-        connected = tuple(step.connected)
-        disconnected = tuple(step.disconnected)
-        if not disconnected and step.covers_all_ancestors:
-            if (
-                step.extender == d
-                and len(connected) == 1
-                and connected[0] != d
-            ):
-                return ("direct", connected[0])
-            if step.extender != d and connected == (d,):
-                return ("direct", step.extender)
-            return None
-        if not connected and len(disconnected) == 1:
-            if step.extender != d and disconnected == (d,):
-                return ("diff-fixed", step.extender)
-            if step.extender == d and disconnected[0] != d:
-                return ("diff-varying", disconnected[0])
-        return None
 
     def without_cmap(self) -> "ExecutionPlan":
         """Variant with c-map memoization disabled (no-cmap baseline)."""

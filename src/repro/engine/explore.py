@@ -7,8 +7,8 @@ candidate generation via merge-based set operations, symmetry-order vid
 bounds, and frontier-list memoization — while counting every unit of
 algorithmic work in an :class:`~repro.engine.counters.OpCounters`.  The
 default path is the frontier walker, whose arc-map lookups are the
-software vector c-map (§II-C); ``batch_frontier=False`` recurses.  The
-functional reference every path is checked against is
+software vector c-map (§II-C); ``batch_frontier=False`` walks one root
+at a time.  The functional reference every path is checked against is
 :class:`~repro.engine.reference.ReferenceEngine`.
 
 The FlexMiner hardware simulator walks the same search tree (it must: the
@@ -30,14 +30,7 @@ from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from . import kernels
 from .counters import OpCounters
-from .setops import (
-    bound_below,
-    difference,
-    difference_count,
-    intersect,
-    intersect_count,
-    remove_values,
-)
+from .setops import bound_below, difference, intersect, remove_values
 
 __all__ = [
     "MiningResult",
@@ -49,12 +42,22 @@ __all__ = [
 
 
 def _root_array(graph, roots: Optional[Iterable[int]]) -> np.ndarray:
-    """``roots`` (``None`` = every vertex) as an int64 vector."""
+    """``roots`` (``None`` = every vertex) as an int64 vector; a root
+    outside ``[0, num_vertices)`` raises :class:`ValueError`."""
+    n = graph.num_vertices
     if roots is None:
-        return np.arange(graph.num_vertices, dtype=np.int64)
+        return np.arange(n, dtype=np.int64)
     if not isinstance(roots, (np.ndarray, range)):
         roots = list(roots)  # generators have no length for asarray
-    return np.asarray(roots, dtype=np.int64)
+    root_arr = np.asarray(roots, dtype=np.int64)
+    if len(root_arr):
+        lo, hi = int(root_arr.min()), int(root_arr.max())
+        if lo < 0 or hi >= n:
+            bad = lo if lo < 0 else hi
+            raise ValueError(
+                f"root {bad} is not a vertex id (num_vertices={n})"
+            )
+    return root_arr
 
 
 def filter_roots(graph, plan, roots: Optional[Iterable[int]] = None):
@@ -181,15 +184,10 @@ class PatternAwareEngine:
         :meth:`~repro.graph.CSRGraph.arc_map` (the software c-map),
         on larger ones a second gather and a keyed binary search (the
         overflow -> SIU/SDU fallback) — chosen by graph size alone,
-        with identical charges.  Off runs one DFS
-        recursion per partial embedding — the reference path (and the
-        one subclasses with ``supports_leaf_counting = False`` always
-        take); leaves are counted without being materialized whenever
-        no caller needs the values (:meth:`_leaf_countable`), a whole
-        parent frontier per kernel call when
-        :meth:`ExecutionPlan.batch_leaf_shape` allows.  Counts and
-        counters are bit-identical in both modes: every batched charge
-        is a closed-form sum over rows.
+        with identical charges.  Off walks one root at a time (the
+        :meth:`run_task` loop).  Counts and counters are bit-identical
+        in both modes: every batched charge is a closed-form sum over
+        rows.
     frontier_row_limit:
         Per-band memory ceiling for ``batch_frontier``: bands never
         exceed this many estimated elements (nor the engine's smaller
@@ -273,18 +271,11 @@ class PatternAwareEngine:
         # DFS hot-loop caches (single-pattern plans only).
         self._leaf_depth = None if self._multi else plan.num_levels - 1
         self._steps = None if self._multi else plan.steps
-        self._batch_leaf = (
-            None if self._multi else plan.batch_leaf_shape(use_frontier_memo)
-        )
-        # Level-synchronous frontier mode needs at least one interior
-        # level; engines that override candidate generation (reference,
-        # the simulator's trace PE) must keep their per-embedding hooks,
-        # so they are routed to recursion.
-        self._frontier_ok = (
-            batch_frontier
-            and self.supports_leaf_counting
-            and depth_limit >= 2
-        )
+        # The walker needs at least one interior level; engines that
+        # override candidate generation (reference, the simulator's
+        # trace PE) must keep their per-embedding hooks, so they are
+        # routed to recursion.
+        self._frontier_ok = self.supports_leaf_counting and depth_limit >= 2
         self._tree = plan.root if self._multi else _chain_tree(plan)
         self._frontier_keyspace = max(1, self._work_graph.num_vertices)
         self._frontier_rows = 0
@@ -343,19 +334,19 @@ class PatternAwareEngine:
         """Process the search subtrees of a *set* of roots as one unit.
 
         The task shape of :meth:`run`, the in-process runner and pool
-        workers.  In frontier mode the set seeds a single
+        workers.  With ``batch_frontier`` the set seeds a single
         ``(n_roots, 1)`` matrix so the walker cuts full-sized bands
-        across roots (the G2Miner formulation) instead of walking one
-        tiny frontier per root; charges are closed-form sums over
-        frontier rows, so counts and counters are bit-identical to the
-        root-at-a-time :meth:`run_task` loop recursion engines run.
+        across roots (the G2Miner formulation); otherwise, and on
+        engines the walker cannot run, it loops :meth:`run_task` one
+        root at a time.  Charges are closed-form sums over frontier
+        rows, so counts and counters are bit-identical either way.
         """
         if self._chunk is not None:
             # _frontier_child slices depth 1 by the chunk, which only
             # means something under a single root.
             raise ValueError("a root set cannot run under a task chunk")
         root_arr = _root_array(self._work_graph, roots)
-        if not self._frontier_ok:
+        if not (self.batch_frontier and self._frontier_ok):
             for v0 in root_arr.tolist():
                 self.run_task(v0)
         elif len(root_arr):
@@ -420,13 +411,6 @@ class PatternAwareEngine:
     # ------------------------------------------------------------------
     def _extend(self, depth: int, emb: List[int]) -> None:
         step = self._steps[depth - 1]
-        if (
-            depth == self._leaf_depth
-            and self._leaf_countable(step)
-            and not (depth == 1 and self._chunk is not None)
-        ):
-            self._counts[0] += self._count_leaf(step, emb)
-            return
         cands = self._filtered_candidates(step, emb)
         if depth == 1 and self._chunk is not None:
             index, total = self._chunk
@@ -437,14 +421,6 @@ class PatternAwareEngine:
                 self._embeddings.extend(
                     tuple(emb) + (int(v),) for v in cands
                 )
-            return
-        if (
-            depth + 1 == self._leaf_depth
-            and self._batch_leaf is not None
-            and len(cands)
-            and self._leaf_countable(self._steps[depth])
-        ):
-            self._counts[0] += self._count_leaf_batch(emb, cands)
             return
         for v in cands:
             emb.append(int(v))
@@ -458,13 +434,6 @@ class PatternAwareEngine:
     # ------------------------------------------------------------------
     def _extend_node(self, node: PlanNode, emb: List[int]) -> None:
         for child in node.children:
-            if child.pattern_index is not None and self._leaf_countable(
-                child.step
-            ):
-                self._counts[child.pattern_index] += self._count_leaf(
-                    child.step, emb
-                )
-                continue
             cands = self._filtered_candidates(child.step, emb)
             if child.pattern_index is not None:
                 self._counts[child.pattern_index] += len(cands)
@@ -481,183 +450,20 @@ class PatternAwareEngine:
                 self._on_backtrack(depth, emb)
                 emb.pop()
 
-    # ------------------------------------------------------------------
-    # Count-only leaf path
-    # ------------------------------------------------------------------
     #: Subclasses that override candidate generation (the reference's
     #: generic set ops, the simulator's trace recording) need every leaf
     #: list materialized through their own :meth:`_raw_candidates`;
-    #: they turn this off.
+    #: they turn this off, which keeps them off the walker.
     supports_leaf_counting = True
 
-    #: Minimum combined operand length before the leaf fast path uses the
-    #: count-only probe kernels.  Below it, materializing with the merge
-    #: kernel is as fast (numpy call overhead dominates at adjacency
-    #: lengths of a few dozen) — the probe only pays on hub-sized lists.
-    #: Counters and counts are bit-identical on both sides of the
-    #: threshold; tests set 0 to force the probe path.
-    leaf_count_min_work = 48
-
     def _leaf_countable(self, step: VertexStep) -> bool:
-        """A leaf level can skip materialization unless the caller needs
-        embeddings or the step carries a label filter (label lookups need
-        the candidate values)."""
-        return (
-            self.supports_leaf_counting
-            and not self.collect
-            and step.label is None
-        )
-
-    def _count_leaf(self, step: VertexStep, emb: Sequence[int]) -> int:
-        """Count the filtered candidates of a leaf step without
-        materializing them.
-
-        Mirrors :meth:`_filtered_candidates` /:meth:`_raw_candidates`
-        exactly on the counter side: the op chain, operand lengths, and
-        frontier/adjacency accounting are identical — only the *last*
-        set operation switches to a count-only kernel, and the symmetry
-        bound plus embedding-injectivity filters are folded into that
-        count (the bound is a sorted-prefix cut; the embedding is at
-        most ``k - 1`` binary searches).
-        """
-        bound = (
-            min(emb[b] for b in step.upper_bounds)
-            if step.upper_bounds
-            else None
-        )
-        # Injectivity exclusions: embedding vertices below the bound that
-        # the count kernels must subtract if they survive the op chain
-        # (exactly what remove_values would have dropped).
-        forb = None
-        if not step.covers_all_ancestors:
-            kept = emb if bound is None else [u for u in emb if u < bound]
-            if kept:
-                forb = np.asarray(kept)
-        cands, ops = self._operands(step, emb)
-        last = len(ops) - 1
-        for i, (is_intersect, d) in enumerate(ops):
-            other = self._load_adjacency(emb[d])
-            if i == last and (
-                len(cands) + len(other) >= self.leaf_count_min_work
-            ):
-                count_op = (
-                    intersect_count if is_intersect else difference_count
-                )
-                raw_len, count = count_op(
-                    cands, other, self.counters, bound=bound, exclude=forb
-                )
-                self.counters.candidates_checked += raw_len
-                return count
-            # Tiny last operands materialize with the regular counted op
-            # and fall through to the shared epilogue.
-            op = intersect if is_intersect else difference
-            cands = op(cands, other, self.counters)
-        self.counters.candidates_checked += len(cands)
-        if bound is not None:
-            cands = bound_below(cands, bound)
-        count = len(cands)
-        if forb is not None and count:
-            count -= int(np.count_nonzero(kernels.members_mask(forb, cands)))
-        return count
+        """A walker leaf level can skip materialization unless the
+        caller needs embeddings or the step carries a label filter
+        (label lookups need the candidate values)."""
+        return not self.collect and step.label is None
 
     # ------------------------------------------------------------------
-    # Batch frontier leaf (one vectorized kernel per parent frontier)
-    # ------------------------------------------------------------------
-    def _count_leaf_batch(self, emb: Sequence[int], cands: np.ndarray) -> int:
-        """Count every leaf under the current frontier in one kernel call.
-
-        Semantically identical to looping ``_count_leaf`` over ``cands``;
-        the counter charges are the closed-form sum of what the serial
-        loop would have charged per candidate (the merge model bills
-        operand lengths, which the segment offsets provide in bulk), so
-        counts *and* counters are bit-identical to the per-vertex path.
-        """
-        step = self._steps[self._leaf_depth - 1]
-        kind, fixed_idx = self._batch_leaf
-        d = self._leaf_depth - 1
-        n = len(cands)
-        concat, offsets = self._work_graph.gather_neighbors(cands)
-        total = int(offsets[-1])
-        c = self.counters
-        if kind in ("memo", "memo-diff"):
-            base = self._raw_stack[step.base_step]
-            c.frontier_hits += n
-            c.charge_adjacency(n, total)
-        else:
-            base = self._work_graph.neighbors(emb[fixed_idx])
-            if step.base_step is not None:
-                c.frontier_misses += n
-            c.charge_adjacency(2 * n, total + n * len(base))
-        intersecting = kind in ("memo", "direct")
-        c.charge_setops(intersecting, n * len(base), total, n)
-        bounds = None
-        if step.upper_bounds:
-            fixed = [emb[b] for b in step.upper_bounds if b != d]
-            if d in step.upper_bounds:
-                bounds = np.minimum(cands, min(fixed)) if fixed else cands
-            else:
-                bounds = min(fixed)
-        if intersecting:
-            raw, below = kernels.segmented_intersect_count(
-                base, concat, offsets, bounds
-            )
-        else:
-            # "memo-diff"/"diff-fixed" keep the fixed base as the
-            # minuend (base \ adj(v)); "diff-varying" subtracts the
-            # fixed base from each candidate's adjacency.
-            raw, below = kernels.segmented_difference_count(
-                base,
-                concat,
-                offsets,
-                bounds,
-                swap=kind in ("memo-diff", "diff-fixed"),
-            )
-        c.candidates_checked += int(raw.sum())
-        count = int(below.sum())
-        if not step.covers_all_ancestors and count:
-            count -= self._batch_leaf_excluded(
-                kind, emb, cands, base, concat, offsets, bounds
-            )
-        return count
-
-    def _batch_leaf_excluded(
-        self, kind, emb, cands, base, concat, offsets, bounds
-    ) -> int:
-        """Injectivity exclusions for the batched difference leaves.
-
-        Mirrors the per-candidate ``exclude`` subtraction of
-        ``difference_count_below``: an embedding vertex — including the
-        just-placed candidate itself — is subtracted once per row where
-        it survives the difference and sits below that row's bound.
-        """
-        swap = kind in ("memo-diff", "diff-fixed")
-        excluded = np.zeros(len(cands), dtype=np.int64)
-        if swap:
-            # The candidate vertex: v never neighbors itself, so for
-            # base \ adj(v) it survives exactly when v ∈ base.
-            in_result = kernels.members_mask(cands, base)
-            if bounds is not None:
-                in_result = in_result & (cands < bounds)
-            excluded += in_result
-        for u in emb:
-            u = int(u)
-            if swap:
-                if not kernels.contains(base, u):
-                    continue
-                hits = ~(
-                    kernels.segment_sums(concat == u, offsets) > 0
-                )
-            else:
-                if kernels.contains(base, u):
-                    continue
-                hits = kernels.segment_sums(concat == u, offsets) > 0
-            if bounds is not None:
-                hits = hits & (u < np.asarray(bounds))
-            excluded += hits
-        return int(excluded.sum())
-
-    # ------------------------------------------------------------------
-    # Level-synchronous frontier execution (batch_frontier=True)
+    # Level-synchronous frontier execution (the walker)
     # ------------------------------------------------------------------
     def _mine_frontier(self, roots: np.ndarray) -> None:
         """Walk the whole plan tree from a column of root vertices (a
@@ -705,7 +511,7 @@ class PatternAwareEngine:
         walks on."""
         step, index = child.step, child.pattern_index
         if index is not None and self._leaf_countable(step):
-            self._counts[index] += self._frontier_count_leaf(
+            self._counts[index] += self._frontier_leaf_count(
                 step, emb, stores, origins
             )
             return
@@ -879,10 +685,10 @@ class PatternAwareEngine:
                 mask |= cands == np.repeat(emb[:, j], lengths)
         return mask
 
-    def _frontier_count_leaf(self, step, emb, stores, origins) -> int:
-        """Batched :meth:`_count_leaf`: the whole leaf level counted in
-        one pass, with per-row symmetry bounds and injectivity
-        exclusions folded into the segmented count kernel."""
+    def _frontier_leaf_count(self, step, emb, stores, origins) -> int:
+        """A leaf level counted in one pass without materializing it,
+        with per-row symmetry bounds and injectivity exclusions folded
+        into the segmented count kernel."""
         c = self.counters
         bounds = (
             np.min(emb[:, list(step.upper_bounds)], axis=1)

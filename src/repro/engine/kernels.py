@@ -24,9 +24,8 @@ Kernels
 the operand lengths alone: gallop when the larger side is at least
 :data:`GALLOP_RATIO` times the smaller, merge otherwise.
 
-Count-only variants (:func:`intersect_count`, :func:`difference_count`)
-never materialize the output; the engine uses them at the last plan
-level, where the result is only ever counted.
+Count-only variants (:func:`intersect_count_below`, the
+``segmented_*_count`` kernels) never materialize the output.
 
 The row-wise ``segmented_pair_*`` kernels (both operands vary per row,
 keyed ``row * keyspace + value``) are the frontier walker's *large
@@ -45,12 +44,8 @@ import numpy as np
 __all__ = [
     "GALLOP_RATIO",
     "compress_segments",
-    "contains",
-    "difference_count",
-    "difference_count_below",
     "difference_values",
     "gather_segments",
-    "intersect_count",
     "intersect_count_below",
     "intersect_multi",
     "intersect_values",
@@ -58,7 +53,6 @@ __all__ = [
     "segment_ids",
     "segment_sums",
     "segmented_difference",
-    "segmented_difference_count",
     "segmented_intersect",
     "segmented_intersect_count",
     "segmented_pair_count_below",
@@ -202,29 +196,6 @@ def intersect_count_below(
     return raw, below
 
 
-def difference_count_below(
-    a: np.ndarray,
-    b: np.ndarray,
-    bound: Optional[int] = None,
-    exclude: Optional[np.ndarray] = None,
-) -> Tuple[int, int]:
-    """``(|a \\ b|, |{v ∈ a \\ b : v < bound, v ∉ exclude}|)``."""
-    if len(a) == 0:
-        return 0, 0
-    if len(b) == 0:
-        keep = np.ones(len(a), dtype=bool)
-    else:
-        keep = ~_probe_mask(a, b)
-    raw = int(np.count_nonzero(keep))
-    if bound is None:
-        below = raw
-    else:
-        below = int(np.count_nonzero(keep[: int(a.searchsorted(bound))]))
-    if exclude is not None and below:
-        below -= _excluded_hits(a, keep, exclude)
-    return raw, below
-
-
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment sums of a flat (typically boolean) element array.
 
@@ -320,61 +291,6 @@ def segmented_intersect_count(
         return raw, raw.copy()
     below_mask = hit & (concat < _per_element_bounds(bounds, offsets))
     return raw, segment_sums(below_mask, offsets)
-
-
-def segmented_difference_count(
-    base: np.ndarray,
-    concat: np.ndarray,
-    offsets: np.ndarray,
-    bounds=None,
-    *,
-    swap: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment difference counts against one fixed sorted ``base``.
-
-    ``swap=False`` counts ``seg \\ base`` per segment; ``swap=True``
-    counts ``base \\ seg`` (fixed minuend, varying subtrahend — the
-    difference-only leaf shape).  Either way a single membership probe
-    of ``concat`` against ``base`` settles both directions, because
-    ``|x \\ y| = |x| - |x ∩ y|``; bounded counts subtract the bounded
-    intersection from the bounded minuend the same way.  ``bounds`` as
-    in :func:`segmented_intersect_count`.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    nseg = len(offsets) - 1
-    lengths = offsets[1:] - offsets[:-1]
-    if swap and len(base) == 0:
-        zeros = np.zeros(nseg, dtype=np.int64)
-        return zeros, zeros.copy()
-    hit = (
-        _probe_mask(concat, base)
-        if len(concat) and len(base)
-        else np.zeros(len(concat), dtype=bool)
-    )
-    inter_raw = segment_sums(hit, offsets)
-    if bounds is None:
-        inter_below = inter_raw
-    else:
-        below_mask = hit & (concat < _per_element_bounds(bounds, offsets))
-        inter_below = segment_sums(below_mask, offsets)
-    if swap:
-        raw = len(base) - inter_raw
-        if bounds is None:
-            minuend_below = np.full(nseg, len(base), dtype=np.int64)
-        else:
-            minuend_below = base.searchsorted(bounds).astype(np.int64)
-            if minuend_below.ndim == 0:
-                minuend_below = np.full(
-                    nseg, int(minuend_below), dtype=np.int64
-                )
-        return raw, minuend_below - inter_below
-    raw = lengths - inter_raw
-    if bounds is None:
-        return raw, raw.copy()
-    elem_below = segment_sums(
-        concat < _per_element_bounds(bounds, offsets), offsets
-    )
-    return raw, elem_below - inter_below
 
 
 def segmented_intersect(
@@ -505,19 +421,3 @@ def segmented_pair_count_below(
     if exclude_mask is not None:
         below_mask = below_mask & ~exclude_mask
     return raw, segment_sums(below_mask, a_offsets)
-
-
-def intersect_count(a: np.ndarray, b: np.ndarray) -> int:
-    """``|a ∩ b|`` without materializing the intersection."""
-    return intersect_count_below(a, b)[0]
-
-
-def difference_count(a: np.ndarray, b: np.ndarray) -> int:
-    """``|a \\ b|`` without materializing the difference."""
-    return difference_count_below(a, b)[0]
-
-
-def contains(values: np.ndarray, v: int) -> bool:
-    """Binary-search membership test on a sorted array."""
-    pos = int(values.searchsorted(v))
-    return pos < len(values) and int(values[pos]) == v

@@ -272,7 +272,8 @@ class MinerPool:
     batch_frontier:
         Execution mode of every worker engine, for every request (see
         :class:`~repro.engine.explore.PatternAwareEngine`): the frontier
-        walker by default, ``False`` for the recursive reference path.
+        walker over each root slice by default, ``False`` to walk one
+        root at a time.
     tracer / metrics / profiler:
         Parent-side observability; workers run untraced and their
         op-counter totals are merged into the parent registry
@@ -568,8 +569,8 @@ class MinerPool:
         order, cut by cumulative root degree (the walker's own root
         estimate), about four per worker.  Under the walker none is
         smaller than one band, so a tiny graph degrades to a single
-        slice rather than to per-root overhead; recursion has no lanes
-        to fill and keeps its parallelism."""
+        slice rather than to per-root overhead; one-root walks have no
+        lanes to fill and keep their parallelism."""
         slices = [[task] for task in tasks if task[1] is not None]
         whole = [task for task in tasks if task[1] is None]
         degs = work_graph.degrees()[[root for root, _ in whole]]

@@ -7,7 +7,7 @@ candidates the slow, obvious way: generic ``np.intersect1d`` /
 materialized and measured with ``len``.  It shares the recursion and the
 adjacency-read charge with the production engine and nothing from
 :mod:`repro.engine.kernels` — no size-adaptive kernels, no count-only
-leaves, no batched leaves, no frontier walker — so counts *and*
+leaves, no frontier walker — so counts *and*
 :class:`~repro.engine.counters.OpCounters` that agree with it were not
 produced by a bug the fast paths share.  For the same reason it keeps
 its own op chain (read off the step's constraint fields, not

@@ -17,7 +17,7 @@ counter side.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .counters import OpCounters
 __all__ = [
     "intersect",
     "difference",
-    "intersect_count",
-    "difference_count",
     "intersect_many",
     "bound_below",
     "remove_values",
@@ -51,40 +49,6 @@ def difference(
     if counters is not None:
         counters.charge_setops(False, len(a), len(b))
     return kernels.difference_values(a, b)
-
-
-def intersect_count(
-    a: np.ndarray,
-    b: np.ndarray,
-    counters: OpCounters | None = None,
-    *,
-    bound: Optional[int] = None,
-    exclude: Optional[np.ndarray] = None,
-) -> Tuple[int, int]:
-    """Count-only intersection: ``(|a ∩ b|, filtered count below bound)``.
-
-    Charged to the counters exactly like :func:`intersect` — the merge
-    model bills operand lengths, not output size — so the engine's leaf
-    fast path leaves every counter bit-identical.  ``exclude`` ids
-    (already below the bound) are subtracted from the bounded count.
-    """
-    if counters is not None:
-        counters.charge_setops(True, len(a), len(b))
-    return kernels.intersect_count_below(a, b, bound, exclude)
-
-
-def difference_count(
-    a: np.ndarray,
-    b: np.ndarray,
-    counters: OpCounters | None = None,
-    *,
-    bound: Optional[int] = None,
-    exclude: Optional[np.ndarray] = None,
-) -> Tuple[int, int]:
-    """Count-only difference: ``(|a \\ b|, filtered count below bound)``."""
-    if counters is not None:
-        counters.charge_setops(False, len(a), len(b))
-    return kernels.difference_count_below(a, b, bound, exclude)
 
 
 def intersect_many(

@@ -115,7 +115,7 @@ class _TracePE(PatternAwareEngine):
     """
 
     # Every candidate list must flow through the c-map/SIU charges
-    # below; the base engine's count-only leaf shortcut would skip it.
+    # below; the frontier walker would skip them, so this stays off it.
     supports_leaf_counting = False
 
     def __init__(self, graph, plan, config: FlexMinerConfig) -> None:

@@ -361,8 +361,8 @@ class MiningService:
     batch_frontier:
         Execution mode of every pool's engines (the config
         fingerprint): the frontier walker by default — a miss runs one
-        walk over the request's whole root set — ``False`` for the
-        recursive reference path.
+        walk over the request's whole root set — ``False`` to walk one
+        root at a time.
     metrics:
         A :class:`~repro.obs.MetricsRegistry`; defaults to a private
         enabled registry so :meth:`stats` always has data.

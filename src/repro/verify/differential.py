@@ -1,9 +1,10 @@
 """Differential runner: one case, every backend, structured mismatches.
 
 The repository produces a pattern count six independent ways — serial
-:class:`~repro.engine.explore.PatternAwareEngine` (plain recursion,
-probe kernels forced on, frontier memo off, and the level-synchronous
-``batch_frontier`` walker, the default), the materialize-everything
+:class:`~repro.engine.explore.PatternAwareEngine` (the walker one root
+at a time, with every row sent to its over-limit recursion fallback,
+with frontier memo off, and over whole root sets with
+``batch_frontier``, the default), the materialize-everything
 :class:`~repro.engine.reference.ReferenceEngine`, the persistent
 :class:`~repro.engine.pool.MinerPool` (each plan mined twice through
 one resident pool, so resident-worker state is exercised), the
@@ -194,20 +195,14 @@ class DifferentialReport:
 # ----------------------------------------------------------------------
 # Backend matrix
 # ----------------------------------------------------------------------
-def _engine(
-    engine: str = "PatternAwareEngine", *, probe: bool = False, **options
-) -> Backend:
+def _engine(engine: str = "PatternAwareEngine", **options) -> Backend:
     """One serial run of a :mod:`repro.engine` class; ``options`` are
-    its keywords, ``probe`` forces the count-only probe kernels below
-    their size threshold."""
+    its keywords."""
 
     def run(case: VerifyCase, plan):
         from .. import engine as engines
 
-        miner = getattr(engines, engine)(case.graph, plan, **options)
-        if probe:
-            miner.leaf_count_min_work = 0
-        result = miner.run()
+        result = getattr(engines, engine)(case.graph, plan, **options).run()
         return result.counts, result.counters
 
     return run
@@ -220,8 +215,8 @@ def _pool(workers: int, *, batch_frontier: bool) -> Backend:
     repeat answer is bit-identical to the first (a stale per-request
     reset inside a resident worker would show up only on the second
     request) before the usual oracle/zero-drift comparisons.
-    ``batch_frontier`` picks what the resident workers run: root
-    slices through the level-synchronous walker, or the recursive path.
+    ``batch_frontier`` picks how the resident workers walk a root
+    slice: as one root set, or one root at a time.
     """
 
     def run(case: VerifyCase, plan):
@@ -353,7 +348,9 @@ def _sim_parallel(workers: int) -> Backend:
 #: The full backend matrix, in reporting order: one backend per
 #: distinct failure mode.  Retired names and the survivor that owns
 #: what they checked: ``materialize`` and ``legacy`` -> ``reference``
-#: (every leaf materialized, no kernels); ``parallel-1`` ->
+#: (every leaf materialized, no kernels); the kernel probe backend
+#: (the recursion's count-only leaf kernels, deleted with them) ->
+#: ``row-fallback``, which owns what recursion remains; ``parallel-1`` ->
 #: ``serve-cached`` (in-process ``run_tasks_in_process``);
 #: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
 #: workers, shared-memory graph, worker-id-order merge);
@@ -367,8 +364,9 @@ def _sim_parallel(workers: int) -> Backend:
 #: user gets" (today: the frontier walker over root slices).
 BACKENDS: Dict[str, Backend] = {
     "serial": _engine(batch_frontier=False),
-    # the probe kernels live on the recursive leaf path
-    "kernel-probe": _engine(probe=True, batch_frontier=False),
+    # every row over the one-element band limit is finished by the
+    # recursion (_frontier_recurse), the last recursion mining runs
+    "row-fallback": _engine(frontier_row_limit=1),
     "reference": _engine("ReferenceEngine"),
     # different op chain, same counts (outside the zero-drift set)
     "no-memo": _engine(use_frontier_memo=False, batch_frontier=False),
@@ -389,7 +387,7 @@ DEFAULT_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
 #: so it is excluded; the simulator backends have their own drift set.
 ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
     "serial",
-    "kernel-probe",
+    "row-fallback",
     "reference",
     "frontier-batch",
     "pool-2",

@@ -388,9 +388,7 @@ class TestBatchFrontierProofs:
         proof = self._proof(rep)
         assert proof["eligible"] is True
         assert proof["decision"] == "batch"
-        assert proof["leaf_shape"] == {"kind": "direct", "fixed_slot": 0}
         statuses = {o["code"]: o["status"] for o in proof["obligations"]}
-        assert statuses["FM171"] == "proved"
         assert statuses["FM172"] == "proved"
         assert statuses["FM173"] == "proved"
         assert statuses["FM174"] == "unverified"  # needs a graph
@@ -417,16 +415,6 @@ class TestBatchFrontierProofs:
         assert rep.codes() == ("FM170",)
         assert rep.ok  # info: the engine falls back, it does not break
         assert self._proof(rep)["decision"] == "recursive"
-
-    def test_fm171_leaf_shape_fallback(self):
-        plan = compile_pattern(four_cycle(), induced=True)
-        assert check_plan(plan).codes() == ()
-        rep = check_plan(plan, batch_frontier=True)
-        assert rep.codes() == ("FM171",)
-        assert rep.ok  # warning: per-vertex leaves, still batch-legal
-        proof = self._proof(rep)
-        assert proof["decision"] == "batch"
-        assert proof["leaf_shape"]["kind"] is None
 
     def test_fm172_base_step_without_level_store(self):
         plan = compile_pattern(diamond())
@@ -561,12 +549,12 @@ class TestBatchFrontierProofs:
 class TestBatchFrontierFallbackParity:
     """FM17x-flagged plans must *fall back*, not drift: running them
     with batch_frontier=True has to be bit-identical to the recursive
-    path (counts and op counters)."""
+    reference engine (counts and op counters)."""
 
     def _parity(self, plan, graph, **engine_kwargs):
-        from repro.engine import PatternAwareEngine
+        from repro.engine import PatternAwareEngine, ReferenceEngine
 
-        base = PatternAwareEngine(graph, plan).run()
+        base = ReferenceEngine(graph, plan).run()
         batch = PatternAwareEngine(
             graph, plan, batch_frontier=True, **engine_kwargs
         ).run()
@@ -579,7 +567,7 @@ class TestBatchFrontierFallbackParity:
 
         self._parity(compile_pattern(edge()), erdos_renyi(40, 0.2, seed=2))
 
-    def test_fm171_fallback_leaf_identical(self):
+    def test_difference_leaf_identical(self):
         from repro.graph import erdos_renyi
 
         self._parity(
@@ -599,9 +587,9 @@ class TestBatchFrontierFallbackParity:
         )
 
     def test_fuzzed_flagged_plans_fall_back_identically(self):
-        # Randomized sweep across the library: every plan the proof
-        # routes recursive (or flags for fallback) under the opt-in
-        # stays bit-identical when actually run with batch_frontier.
+        # Sweep across the library: every plan, the ones the proof
+        # routes recursive under the opt-in included, stays
+        # bit-identical when actually run with batch_frontier.
         from repro.graph import erdos_renyi
         from repro.patterns import PATTERN_NAMES, from_name
 
@@ -611,8 +599,6 @@ class TestBatchFrontierFallbackParity:
             for induced in (False, True):
                 plan = compile_pattern(from_name(name), induced=induced)
                 rep = check_plan(plan, batch_frontier=True)
-                if not rep.findings:
-                    continue
-                flagged += 1
+                flagged += bool(rep.findings)
                 self._parity(plan, graph)
-        assert flagged >= 3  # the sweep actually exercised fallbacks
+        assert flagged == 2  # the edge, induced or not: FM170

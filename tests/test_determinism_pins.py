@@ -18,9 +18,8 @@ every one of them untouched.
 
 :class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
 payloads for five plans on every engine path (the walker with and
-without the arc map, the walker with every row sent to its over-limit
-recursion fallback, the recursion with and without count-only leaf
-probes, the reference).  The differential matrix only checks that the
+without the arc map, one root at a time, with every row sent to its
+over-limit recursion fallback, the reference).  The differential matrix only checks that the
 paths agree with each other; these literals also catch a change to the
 merge-model charge made the same way on every path.
 """
@@ -297,8 +296,6 @@ def _mine_counters(path, graph, plan, monkeypatch):
     """``OpCounters.as_dict()`` of one mining run down ``path``."""
     if path == "keyed":
         monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
-    if path == "count-probe":
-        monkeypatch.setattr(PatternAwareEngine, "leaf_count_min_work", 0)
     if path == "reference":
         engine = ReferenceEngine(graph, plan)
     elif path == "row-fallback":
@@ -396,8 +393,7 @@ class TestCounterPins:
     @pytest.mark.parametrize(
         "path",
         [
-            "walker", "keyed", "row-fallback", "recursive", "count-probe",
-            "reference",
+            "walker", "keyed", "one-root", "row-fallback", "reference",
         ],
     )
     @pytest.mark.parametrize("plan_name", sorted(COUNTER_PINS))

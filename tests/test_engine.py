@@ -73,10 +73,10 @@ class TestClosedForms:
         assert mine(g, compile_pattern(four_cycle())).counts[0] == 0
 
 
-#: The in-process engine paths: recursion, the count-only probe
-#: kernels, the reference engine, the memo ablation and the walker.
+#: The in-process engine paths: one-root walks, the over-limit row
+#: fallback, the reference engine, the memo ablation and root-set walks.
 IN_PROCESS_BACKENDS = (
-    "serial", "kernel-probe", "reference", "no-memo", "frontier-batch",
+    "serial", "row-fallback", "reference", "no-memo", "frontier-batch",
 )
 
 
@@ -207,8 +207,9 @@ class TestFrontierMemoization:
 
 
 class TestBatchLeaves:
-    """The batched leaf path is a pure value/counter drop-in: it must
-    match the reference engine, which materializes every leaf."""
+    """The walker's count-only leaves are a pure value/counter drop-in:
+    they must match the reference engine, which materializes every
+    leaf."""
 
     PATTERNS = [
         triangle(),
@@ -233,16 +234,6 @@ class TestBatchLeaves:
         ).run()
         assert batched.counts == looped.counts
         assert batched.counters == looped.counters
-
-    def test_batch_path_engages_on_cliques(self):
-        # Sanity that the parametrized parity above actually exercises
-        # the batch kernel: a clique leaf fits the single-intersection
-        # shape, so the batched run must take it (same counters, but
-        # the engine records a batch shape).
-        plan = compile_pattern(k_clique(4))
-        engine = PatternAwareEngine(RANDOM, plan)
-        assert engine._batch_leaf is not None
-        engine.run()
 
     def test_closed_form_counts_survive_batching(self):
         g = complete_graph(9)
@@ -352,6 +343,58 @@ class TestBatchFrontier:
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
         assert engine.frontier_stats()["bands"] > 0
+
+
+class TestRootRange:
+    """A root id outside ``[0, num_vertices)`` is a ``ValueError`` naming
+    the id, on every path that takes a root set."""
+
+    PLAN = compile_pattern(k_clique(4))
+
+    def _paths(self):
+        from repro.engine import MinerPool
+        from repro.hw import FlexMinerConfig, simulate
+
+        def pooled(roots):
+            with MinerPool(RANDOM, workers=1) as pool:
+                pool.mine(self.PLAN, roots=roots)
+
+        return {
+            "walker": lambda r: PatternAwareEngine(RANDOM, self.PLAN).run(r),
+            "one-root": lambda r: PatternAwareEngine(
+                RANDOM, self.PLAN, batch_frontier=False
+            ).run(r),
+            "reference": lambda r: ReferenceEngine(RANDOM, self.PLAN).run(r),
+            "pool": pooled,
+            "sim": lambda r: simulate(
+                RANDOM, self.PLAN, FlexMinerConfig.small(), roots=r
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "path", ["walker", "one-root", "reference", "pool", "sim"]
+    )
+    @pytest.mark.parametrize("bad", [-1, 24, 999])
+    def test_out_of_range_root_raises(self, path, bad):
+        run = self._paths()[path]
+        with pytest.raises(ValueError, match=rf"root {bad} .*num_vertices=24"):
+            run([0, bad, 3])
+
+    def test_labeled_root_filter_checks_first(self):
+        from repro.engine import filter_roots
+        from repro.graph import assign_random_labels
+        from repro.patterns import Pattern
+
+        labeled = assign_random_labels(RANDOM, 2, seed=1)
+        plan = compile_pattern(
+            Pattern(3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 1])
+        )
+        with pytest.raises(ValueError, match="root -1"):
+            filter_roots(labeled, plan, [-1])
+
+    def test_in_range_roots_still_run(self):
+        got = PatternAwareEngine(RANDOM, self.PLAN).run([0, 23])
+        assert got.counters.tasks == 2
 
 
 class TestOblivious:

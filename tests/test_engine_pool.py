@@ -21,6 +21,7 @@ from repro.engine import (
     MinerPool,
     PatternAwareEngine,
     PoolWorkerError,
+    ReferenceEngine,
     cost_model_split_degree,
     mine_multi,
     order_tasks,
@@ -36,8 +37,8 @@ PL = power_law_cluster(200, 3, 0.4, seed=9, name="pl")
 
 
 def serial(graph, plan, **kw):
-    """The recursive reference every pool answer is held to."""
-    return PatternAwareEngine(graph, plan, batch_frontier=False, **kw).run()
+    """The reference every pool answer is held to."""
+    return ReferenceEngine(graph, plan, **kw).run()
 
 
 class SteppedClock:

@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from repro.engine import kernels
 from repro.engine.kernels import (
     GALLOP_RATIO,
-    contains,
-    difference_count,
-    difference_count_below,
     difference_values,
-    intersect_count,
     intersect_count_below,
     intersect_multi,
     intersect_values,
@@ -87,47 +83,28 @@ def test_value_kernels_match_numpy(name, a, b):
 
 
 @pytest.mark.parametrize("a,b", CASES)
-def test_count_kernels_match_values(a, b):
-    a, b = arr(a), arr(b)
-    assert intersect_count(a, b) == len(
-        np.intersect1d(a, b, assume_unique=True)
-    )
-    assert difference_count(a, b) == len(
-        np.setdiff1d(a, b, assume_unique=True)
-    )
-
-
-@pytest.mark.parametrize("a,b", CASES)
 @pytest.mark.parametrize("bound", [None, 0, 2, 50, 1000])
 def test_bounded_counts(a, b, bound):
     a, b = arr(a), arr(b)
     inter = np.intersect1d(a, b, assume_unique=True)
-    diff = np.setdiff1d(a, b, assume_unique=True)
     cut = (lambda x: x) if bound is None else (lambda x: x[x < bound])
     assert intersect_count_below(a, b, bound=bound) == (
         len(inter), len(cut(inter))
-    )
-    assert difference_count_below(a, b, bound=bound) == (
-        len(diff), len(cut(diff))
     )
 
 
 @pytest.mark.parametrize("a,b", CASES)
 def test_counts_with_exclusions(a, b):
     """``exclude`` subtracts exactly the excluded ids present in the
-    (bounded) result — the engine's injectivity fold."""
+    (bounded) result."""
     a, b = arr(a), arr(b)
     inter = np.intersect1d(a, b, assume_unique=True)
-    diff = np.setdiff1d(a, b, assume_unique=True)
     bound = 1000  # everything in CASES is below this
     for exclude in ([0], [2, 99], [5, 500], list(range(5))):
         forb = np.asarray(exclude)
         want_i = len([v for v in inter if v not in exclude])
-        want_d = len([v for v in diff if v not in exclude])
         assert intersect_count_below(a, b, bound=bound, exclude=forb)[1] \
             == want_i
-        assert difference_count_below(a, b, bound=bound, exclude=forb)[1] \
-            == want_d
 
 
 def test_members_mask_boundaries():
@@ -138,14 +115,6 @@ def test_members_mask_boundaries():
         [False, True, False, True, False],
     )
     assert not members_mask(np.asarray([1, 2]), arr([])).any()
-
-
-def test_contains():
-    values = arr([2, 4, 6])
-    assert contains(values, 4)
-    assert not contains(values, 5)
-    assert not contains(values, 7)   # past the end
-    assert not contains(arr([]), 1)
 
 
 #: Operand families steering the dispatcher inside ``intersect_multi``:
@@ -207,16 +176,13 @@ def test_property_count_kernels(a, b, bound, exclude):
         exclude = {v for v in exclude if v < bound}
     forb = np.asarray(sorted(exclude)) if exclude else None
     inter = set(np.intersect1d(a, b, assume_unique=True).tolist())
-    diff = set(np.setdiff1d(a, b, assume_unique=True).tolist())
 
     def bounded(result):
         kept = result if bound is None else {v for v in result if v < bound}
         return len(kept - exclude)
 
     raw_i, below_i = intersect_count_below(a, b, bound=bound, exclude=forb)
-    raw_d, below_d = difference_count_below(a, b, bound=bound, exclude=forb)
     assert (raw_i, below_i) == (len(inter), bounded(inter))
-    assert (raw_d, below_d) == (len(diff), bounded(diff))
 
 
 @settings(max_examples=40, deadline=None)

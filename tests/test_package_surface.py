@@ -240,6 +240,43 @@ def test_walker_is_the_default():
     assert not tracer._frontier_ok
 
 
+def test_one_way_to_run_a_task():
+    """``batch_frontier=False`` walks one root at a time: the recursion's
+    own leaf counters, the plan-shape oracle that picked them, its lint
+    code, its kernels and its differential backend stay deleted."""
+    from repro.analysis.diagnostics import CATALOG
+    from repro.compiler import compile_pattern
+    from repro.compiler.plan import ExecutionPlan
+    from repro.engine import PatternAwareEngine, kernels, setops
+    from repro.graph import erdos_renyi
+    from repro.patterns import four_clique
+    from repro.verify import BACKENDS
+
+    for name in (
+        "_count_leaf", "_count_leaf_batch", "_batch_leaf_excluded",
+        "leaf_count_min_work",
+    ):
+        assert not hasattr(PatternAwareEngine, name), name
+    assert not hasattr(ExecutionPlan, "batch_leaf_shape")
+    assert "FM171" not in CATALOG
+    assert "kernel-probe" not in BACKENDS
+    for module, names in (
+        (setops, {"intersect_count", "difference_count"}),
+        (kernels, {
+            "segmented_difference_count", "contains", "intersect_count",
+            "difference_count", "difference_count_below",
+        }),
+    ):
+        assert not names & (set(module.__all__) | set(vars(module))), module
+    engine = PatternAwareEngine(
+        erdos_renyi(40, 0.3, seed=2), compile_pattern(four_clique()),
+        batch_frontier=False,
+    )
+    engine.run()
+    assert engine.frontier_stats()["bands"] > 0
+    assert not hasattr(engine, "_batch_leaf")
+
+
 LAZY_PACKAGES = ("repro.engine", "repro.bench", "repro.compiler", "repro.graph")
 
 #: What a cold ``flexminer mine`` / ``motifs`` must not load: the

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.compiler import compile_motifs, compile_pattern
-from repro.engine import MinerPool, PatternAwareEngine, order_tasks
+from repro.engine import (
+    MinerPool,
+    PatternAwareEngine,
+    ReferenceEngine,
+    order_tasks,
+)
 from repro.engine import pool as pool_module
 from repro.graph import (
     CSRGraph,
@@ -47,8 +52,8 @@ PATTERNS = [triangle(), four_cycle(), diamond(), k_clique(4), house()]
 
 
 def serial(graph, plan, **kw):
-    """The recursive reference every pool answer is held to."""
-    return PatternAwareEngine(graph, plan, batch_frontier=False, **kw).run()
+    """The reference every pool answer is held to."""
+    return ReferenceEngine(graph, plan, **kw).run()
 
 
 def pool_mine(graph, plan, *, roots=None, split_degree=None, **kw):

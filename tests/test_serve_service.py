@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import clique_count, motif_count, run_app, subgraph_list
 from repro.compiler import compile_pattern
-from repro.engine import PatternAwareEngine, mine_multi
+from repro.engine import ReferenceEngine, mine_multi
 from repro.errors import (
     ConfigError,
     GraphNotRegistered,
@@ -30,8 +30,8 @@ PL = power_law_cluster(150, 3, 0.4, seed=5, name="pl")
 
 
 def serial(graph, plan):
-    """The recursive reference every served answer is held to."""
-    return PatternAwareEngine(graph, plan, batch_frontier=False).run()
+    """The reference every served answer is held to."""
+    return ReferenceEngine(graph, plan).run()
 
 
 @pytest.fixture

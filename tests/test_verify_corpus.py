@@ -141,30 +141,19 @@ class TestCorpusReplay:
         """Every corpus graph fits the arc map, so the full-matrix
         replay only proves the lookup path; this one sends the default
         walker down the gather + keyed-search path it takes past the
-        map's size cap, against the same recursive reference."""
+        map's size cap, one root at a time and over root sets, against
+        the reference engine."""
         from repro.graph import csr
 
         monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
         replayed = replay_corpus(
-            CORPUS_DIR, backends=("serial", "frontier-batch")
+            CORPUS_DIR, backends=("reference", "serial", "frontier-batch")
         )
         assert replayed
         for path, report in replayed:
             assert report.ok, (
                 f"{path}: " + "; ".join(str(m) for m in report.mismatches)
             )
-
-    def test_kernel_leaf_parity_case_is_meaningful(self):
-        """The frozen negative result must keep exercising what it
-        claims: adjacency lists past the count-only threshold."""
-        from repro.engine import PatternAwareEngine
-
-        case = load_case(
-            os.path.join(CORPUS_DIR, "kernel_leaf_parity.json")
-        )
-        topo = getattr(case.graph, "graph", case.graph)
-        assert topo.max_degree() > PatternAwareEngine.leaf_count_min_work
-        assert case.check_oracle is False  # oracle pinned at promotion
 
     def test_corrupted_expectation_is_caught(self, tmp_path):
         """End-to-end: a corpus case whose expectation is wrong fails

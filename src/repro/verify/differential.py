@@ -365,7 +365,7 @@ def _sim_parallel(workers: int) -> Backend:
 BACKENDS: Dict[str, Backend] = {
     "serial": _engine(batch_frontier=False),
     # every row over the one-element band limit is finished by the
-    # recursion (_frontier_recurse), the last recursion mining runs
+    # over-limit row recursion (_frontier_recurse)
     "row-fallback": _engine(frontier_row_limit=1),
     "reference": _engine("ReferenceEngine"),
     # different op chain, same counts (outside the zero-drift set)

@@ -19,9 +19,10 @@ every one of them untouched.
 :class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
 payloads for five plans on every engine path (the walker with and
 without the arc map, one root at a time, with every row sent to its
-over-limit recursion fallback, the reference).  The differential matrix only checks that the
-paths agree with each other; these literals also catch a change to the
-merge-model charge made the same way on every path.
+over-limit recursion fallback, the reference).  The differential
+matrix only checks that the paths agree with each other; these
+literals also catch a change to the merge-model charge made the same
+way on every path.
 """
 
 import hashlib

@@ -83,6 +83,28 @@ def test_value_kernels_match_numpy(name, a, b):
 
 
 @pytest.mark.parametrize("a,b", CASES)
+def test_count_kernels_match_values(a, b):
+    """Every count-only kernel agrees with the length of the value
+    kernel's result: the scalar intersection, the segmented intersection
+    on a single segment and the row-wise kernel on a single row, in both
+    its intersect and difference modes."""
+    a, b = arr(a), arr(b)
+    n_inter = len(intersect_values(a, b))
+    n_diff = len(difference_values(a, b))
+    assert intersect_count_below(a, b) == (n_inter, n_inter)
+    one = np.asarray([0, len(a)], dtype=np.int64)
+    raw, below = kernels.segmented_intersect_count(b, a, one)
+    assert (raw.tolist(), below.tolist()) == ([n_inter], [n_inter])
+    b_one = np.asarray([0, len(b)], dtype=np.int64)
+    keyspace = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    for intersect, want in ((True, n_inter), (False, n_diff)):
+        raw, below = kernels.segmented_pair_count_below(
+            a, one, b, b_one, keyspace=keyspace, intersect=intersect
+        )
+        assert (raw.tolist(), below.tolist()) == ([want], [want])
+
+
+@pytest.mark.parametrize("a,b", CASES)
 @pytest.mark.parametrize("bound", [None, 0, 2, 50, 1000])
 def test_bounded_counts(a, b, bound):
     a, b = arr(a), arr(b)

@@ -5,7 +5,7 @@ The passes share one diagnostics core:
 * :mod:`repro.analysis.plancheck` proves execution-plan invariants
   (connectivity, symmetry soundness/completeness against the
   automorphism group, injectivity-skip and hint legality, and the
-  FM17x batch-frontier legality proofs) before a plan ever runs —
+  FM17x frontier-walker obligations) before a plan ever runs —
   ``flexminer check-plan``;
 * :mod:`repro.analysis.fmlint` enforces the determinism conventions the
   bit-identical parallel/simulator guarantees rest on — ``flexminer

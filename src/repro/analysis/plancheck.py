@@ -147,12 +147,7 @@ FM153 = register_code(
     "the config disables the c-map; hints are dead weight",
 )
 
-# -- FM17x: batch-frontier (level-synchronous) legality ----------------
-FM170 = register_code(
-    "FM170", "plan is ineligible for batch-frontier execution", "info",
-    "plans with no interior level (fewer than three vertices) run on "
-    "the recursive path; the default batch_frontier=True does not apply",
-)
+# -- FM17x: frontier-walker (level-synchronous) legality ---------------
 FM172 = register_code(
     "FM172", "frontier base references a depth with no level store",
     "error",
@@ -164,9 +159,9 @@ FM173 = register_code(
     "FM173", "frontier row limit cannot admit a band",
     "error",
     "frontier_row_limit must be a positive integer: it caps the "
-    "estimated size of a frontier band, and only a single row whose "
-    "own estimate exceeds it takes the bit-identical recursion "
-    "fallback; a non-positive limit sends every row there",
+    "estimated size of a frontier band, and a single row whose own "
+    "estimate exceeds it runs as a one-row band; the engine rejects a "
+    "non-positive limit with ValueError",
 )
 FM174 = register_code(
     "FM174", "frontier row limit overflows the segment key space",
@@ -176,14 +171,6 @@ FM174 = register_code(
     "int64; keep frontier_row_limit * num_vertices below 2**63.  Under "
     "the cap the walker indexes the arc map instead, and those keys "
     "are bounded by num_vertices**2 <= the cap",
-)
-FM175 = register_code(
-    "FM175", "multi-pattern plan is forced onto the recursive path",
-    "info",
-    "the frontier walker runs multi-pattern trees, but engines that "
-    "override candidate generation (supports_leaf_counting = False: "
-    "c-map, reference) keep their per-embedding hooks; on those the "
-    "tree executes recursively, default batch_frontier=True included",
 )
 
 # -- FM16x: multi-plan trees -------------------------------------------
@@ -607,10 +594,10 @@ def _frontier_path_obligations(
     graph: "Optional[CSRGraph]",
     limit: int,
     path: str = "",
-) -> Tuple[bool, Dict[str, object], Dict[str, object]]:
+) -> Tuple[Dict[str, object], Dict[str, object]]:
     """FM172 + FM174 for one root-to-leaf chain of steps (a whole
     single-pattern plan, or one path of a multi-pattern tree; ``path``
-    prefixes locations and details).  Returns ``(legal, fm172, fm174)``.
+    prefixes locations and details).  Returns ``(fm172, fm174)``.
     """
     # the walker keeps a candidate store per interior depth >= 1 on the
     # current path: a base_step of 0 (the root) can never be composed
@@ -653,19 +640,19 @@ def _frontier_path_obligations(
             f"2**{_SEGMENT_KEY_BITS}"
         )
     fm174 = {"code": FM174, "status": status, "detail": path + detail}
-    return not bad_bases and status != "violated", fm172, fm174
+    return fm172, fm174
 
 
 def _frontier_limit_obligation(
     rep: AnalysisReport, graph: "Optional[CSRGraph]", limit: int
 ) -> Dict[str, object]:
     """FM173: the row limit must admit a band; with a graph, also say
-    whether the per-row recursion fallback is reachable on it."""
+    whether a one-row band over the limit is reachable on it."""
     if limit < 1:
         rep.add(
             FM173,
-            f"frontier_row_limit={limit} can never admit a band; every "
-            "row would take the fallback before mining anything",
+            f"frontier_row_limit={limit} can never admit a band; the "
+            "engine rejects it",
             location="batch-frontier",
         )
         return {"code": FM173, "status": "violated", "detail": f"limit {limit}"}
@@ -675,8 +662,8 @@ def _frontier_limit_obligation(
         # (itself a subset of an adjacency list): max degree bounds both
         top = graph.max_degree()
         detail += (
-            f"; a single row can exceed it (max degree {top}), so the "
-            "per-row fallback is reachable"
+            f"; a single row can exceed it (max degree {top}), so "
+            "one-row bands are reachable"
             if top > limit
             else f"; no row can exceed it (max degree {top}): bands only"
         )
@@ -689,51 +676,25 @@ def _check_batch_frontier(
     *,
     graph: "Optional[CSRGraph]" = None,
     frontier_row_limit: Optional[int] = None,
-    batch_frontier: bool = False,
 ) -> None:
-    """FM17x: prove (or refute) legality of ``batch_frontier=True``,
-    the engine's default mode.
+    """FM17x: prove (or refute) the frontier walker's obligations on
+    ``plan``.
 
-    Always attaches a ``data["batch_frontier"]`` proof section — the
-    batch/recursive routing decision plus one entry per obligation.
-    The decision-grade diagnostic (FM170) only fires when the
-    caller asks for them with ``batch_frontier=True`` (here the
-    parameter means "report a plan the walker will not run", not
-    "which engine runs"); the hard errors (FM172-FM174) fire whenever
-    the obligation is outright violated, because those plans crash or
-    drift on the default engine.
+    Always attaches a ``data["batch_frontier"]`` proof section: the row
+    limit and one entry per obligation.  The errors (FM172-FM174) fire
+    whenever an obligation is outright violated, because those plans
+    crash or drift on the walker.
     """
-    leaf_depth = len(plan.steps)
     limit = _resolve_row_limit(frontier_row_limit)
-    obligations: List[Dict[str, object]] = []
-    reasons: List[str] = []
-
-    eligible = leaf_depth >= 2
-    if not eligible:
-        reasons.append(
-            f"pattern has {plan.num_levels} level(s); the batch engine "
-            "needs a leaf depth of at least 2"
-        )
-        if batch_frontier:
-            rep.add(FM170, reasons[-1], location="batch-frontier")
-
-    path_ok, fm172, fm174 = _frontier_path_obligations(
+    fm172, fm174 = _frontier_path_obligations(
         plan.steps, rep, graph=graph, limit=limit
     )
-    obligations += [
-        fm172, _frontier_limit_obligation(rep, graph, limit), fm174
-    ]
-
-    decision = "batch" if eligible and path_ok and limit >= 1 else "recursive"
-    if decision == "recursive" and eligible:
-        reasons.append("an FM17x obligation is violated")
     rep.data["batch_frontier"] = {
-        "eligible": eligible,
-        "decision": decision,
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
-        "reasons": reasons,
-        "obligations": obligations,
+        "obligations": [
+            fm172, _frontier_limit_obligation(rep, graph, limit), fm174
+        ],
     }
 
 
@@ -743,7 +704,6 @@ def check_plan(
     config: "Optional[FlexMinerConfig]" = None,
     graph: "Optional[CSRGraph]" = None,
     frontier_row_limit: Optional[int] = None,
-    batch_frontier: bool = False,
 ) -> AnalysisReport:
     """Statically verify an execution plan; returns an
     :class:`~repro.analysis.diagnostics.AnalysisReport` whose truthiness
@@ -754,9 +714,7 @@ def check_plan(
     estimates from :func:`repro.compiler.estimate.estimate_plan` to the
     report's ``data`` and lets the FM17x pass prove the segment-key
     obligation.  ``frontier_row_limit`` overrides the engine-default
-    row budget the FM17x proofs assume; ``batch_frontier=True`` asks
-    for the FM170 routing diagnostic (the proof section in
-    ``data["batch_frontier"]`` is always attached).
+    row budget the FM17x proofs assume.
     """
     name = plan.pattern.name or f"pattern<{plan.pattern.num_vertices}>"
     rep = AnalysisReport(subject=f"plan:{name}")
@@ -770,11 +728,7 @@ def check_plan(
     _check_frontier_hints(plan, rep)
     _check_cmap_hints(plan, rep, config)
     _check_batch_frontier(
-        plan,
-        rep,
-        graph=graph,
-        frontier_row_limit=frontier_row_limit,
-        batch_frontier=batch_frontier,
+        plan, rep, graph=graph, frontier_row_limit=frontier_row_limit
     )
     if graph is not None:
         from ..compiler.estimate import estimate_plan
@@ -811,8 +765,6 @@ def check_multi_plan(
     *,
     graph: "Optional[CSRGraph]" = None,
     frontier_row_limit: Optional[int] = None,
-    batch_frontier: bool = False,
-    supports_leaf_counting: bool = True,
 ) -> AnalysisReport:
     """Structural checks for a multi-pattern dependency tree.
 
@@ -823,51 +775,19 @@ def check_multi_plan(
     never descends past them).  The FM17x proof section mirrors
     :func:`check_plan`'s: the frontier walker runs the tree, so every
     root-to-leaf path carries its own FM172/FM174 obligation next to
-    the shared FM173 one.  ``supports_leaf_counting`` is the engine
-    class attribute of the same name: engines that turn it off route
-    trees recursively, which ``batch_frontier=True`` surfaces as an
-    FM175 info diagnostic.
+    the shared FM173 one.
     """
     rep = AnalysisReport(subject=f"multiplan:{plan.num_patterns}-patterns")
     limit = _resolve_row_limit(frontier_row_limit)
-    eligible = plan.max_depth() >= 2
-    reasons: List[str] = []
-    if not eligible:
-        reasons.append("the tree has no interior level")
-        if batch_frontier:
-            rep.add(FM170, reasons[-1], location="batch-frontier")
     obligations = [_frontier_limit_obligation(rep, graph, limit)]
-    legal = limit >= 1
     for index, steps in _tree_paths(plan.root):
-        path_ok, fm172, fm174 = _frontier_path_obligations(
+        obligations += _frontier_path_obligations(
             steps, rep, graph=graph, limit=limit,
             path=f"pattern {index}: ",
         )
-        legal = legal and path_ok
-        obligations += [fm172, fm174]
-    if eligible and not legal:
-        reasons.append("an FM17x obligation is violated")
-    if not supports_leaf_counting:
-        reasons.append(
-            "the engine overrides candidate generation "
-            "(supports_leaf_counting = False)"
-        )
-        if batch_frontier:
-            rep.add(
-                FM175,
-                f"{plan.num_patterns}-pattern tree executes recursively "
-                "on this engine; the default batch_frontier=True does "
-                "not apply",
-                location="batch-frontier",
-            )
     rep.data["batch_frontier"] = {
-        "eligible": eligible,
-        "decision": "batch"
-        if eligible and legal and supports_leaf_counting
-        else "recursive",
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
-        "reasons": reasons,
         "obligations": obligations,
     }
     seen: Dict[int, int] = {}

@@ -249,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="c-map size the capacity checks assume",
     )
     check_p.add_argument(
-        "--batch-frontier", action="store_true",
-        help="report plans the default frontier walker cannot run "
-        "(they execute recursively) as diagnostics: FM170/FM175",
-    )
-    check_p.add_argument(
         "--frontier-row-limit", type=_positive_int, default=None,
         metavar="ROWS",
         help="frontier row budget the FM173/FM174 obligations assume "
@@ -430,10 +425,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return 2
                 plan = compile_pattern(pattern, induced=args.induced)
             reports.append(check_plan(
-                plan,
-                config=config,
+                plan, config=config,
                 frontier_row_limit=args.frontier_row_limit,
-                batch_frontier=args.batch_frontier,
             ))
         if args.corpus:
             from .verify import load_corpus
@@ -449,14 +442,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     rep = check_multi_plan(
                         compiled,
                         frontier_row_limit=args.frontier_row_limit,
-                        batch_frontier=args.batch_frontier,
                     )
                 else:
                     rep = check_plan(
                         compiled,
                         config=config,
                         frontier_row_limit=args.frontier_row_limit,
-                        batch_frontier=args.batch_frontier,
                     )
                 rep.subject = f"{path} ({rep.subject})"
                 reports.append(rep)
@@ -472,8 +463,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 proof = rep.data.get("batch_frontier")
                 if proof:
                     print(
-                        f"  batch-frontier: decision={proof['decision']} "
-                        f"row-limit={proof['row_limit']}"
+                        f"  batch-frontier: row-limit={proof['row_limit']}"
                     )
                     for ob in proof.get("obligations", []):
                         print(

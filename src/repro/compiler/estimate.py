@@ -145,7 +145,7 @@ def measure_levels(
     seed: int = 0,
 ) -> List[LevelEstimate]:
     """Exact (or root-sampled) per-level tree sizes, for validation."""
-    from ..engine.explore import PatternAwareEngine
+    from ..engine.reference import RecursiveEngine
 
     roots: Sequence[int]
     scale = 1.0
@@ -161,11 +161,8 @@ def measure_levels(
     counts = [0.0] * plan.num_levels
     scans = [0.0] * plan.num_levels
 
-    class _Probe(PatternAwareEngine):
-        # The probe measures by observing every level's candidate list,
-        # so it must stay off the frontier walker.
-        supports_leaf_counting = False
-
+    class _Probe(RecursiveEngine):
+        # The probe measures by observing every level's candidate list.
         def _filtered_candidates(
             self, step: VertexStep, emb: Sequence[int]
         ) -> np.ndarray:

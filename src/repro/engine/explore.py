@@ -8,8 +8,10 @@ bounds, and frontier-list memoization — while counting every unit of
 algorithmic work in an :class:`~repro.engine.counters.OpCounters`.  The
 default path is the frontier walker, whose arc-map lookups are the
 software vector c-map (§II-C); ``batch_frontier=False`` walks one root
-at a time.  The functional reference every path is checked against is
-:class:`~repro.engine.reference.ReferenceEngine`.
+at a time.  The per-embedding recursion lives in
+:mod:`repro.engine.reference`: the functional reference every path is
+checked against, and the recursive probes of the estimator and the
+simulator's reference tracer.
 
 The FlexMiner hardware simulator walks the same search tree (it must: the
 paper stresses the accelerator has "the same algorithmic efficiency as
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
 from . import kernels
 from .counters import OpCounters
-from .setops import bound_below, difference, intersect, remove_values
 
 __all__ = [
     "MiningResult",
@@ -189,12 +190,13 @@ class PatternAwareEngine:
         in both modes: every batched charge is a closed-form sum over
         rows.
     frontier_row_limit:
-        Per-band memory ceiling for ``batch_frontier``: bands never
-        exceed this many estimated elements (nor the engine's smaller
-        built-in band size).  Only a *single* frontier row whose own
-        expansion estimate (extender degree / memoized segment length)
-        exceeds it is finished by plain recursion; that fallback is
-        charge-identical, so it only trades speed for memory.
+        Per-band memory ceiling, at least 1: bands never exceed this
+        many estimated elements (nor the engine's smaller built-in
+        band size) unless a *single* row's own expansion estimate
+        (extender degree / memoized segment length) does; that row
+        runs as a one-row band, and its child level is cut into bands
+        again.  Banding is charge-identical, so the limit only trades
+        speed for memory.
     tracer:
         Optional :class:`repro.obs.Tracer`; ``run()`` wraps the mining
         phase in a wall-clock span.  Defaults to the no-op tracer.
@@ -227,6 +229,11 @@ class PatternAwareEngine:
         self.collect = collect
         self.use_frontier_memo = use_frontier_memo
         self.batch_frontier = batch_frontier
+        if frontier_row_limit < 1:
+            raise ValueError(
+                f"frontier_row_limit={frontier_row_limit} can never admit "
+                "a band; it must be at least 1"
+            )
         self.frontier_row_limit = frontier_row_limit
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -259,23 +266,12 @@ class PatternAwareEngine:
         self._num_patterns = plan.num_patterns if self._multi else 1
         self._counts = [0] * self._num_patterns
         self._embeddings: List[Tuple[int, ...]] = []
-        # Frontier-list table: raw candidate list per depth on the
-        # current DFS path (the operand of base-step composition, §V-C).
-        depth_limit = (
+        #: One slot per depth: the level stores base-step composition
+        #: reads (the frontier-list table, §V-C).
+        self._slots = 1 + (
             plan.max_depth() if self._multi else plan.num_levels - 1
         )
-        self._raw_stack: List[Optional[np.ndarray]] = [None] * (
-            depth_limit + 1
-        )
         self._chunk: Optional[Tuple[int, int]] = None
-        # DFS hot-loop caches (single-pattern plans only).
-        self._leaf_depth = None if self._multi else plan.num_levels - 1
-        self._steps = None if self._multi else plan.steps
-        # The walker needs at least one interior level; engines that
-        # override candidate generation (reference, the simulator's
-        # trace PE) must keep their per-embedding hooks, so they are
-        # routed to recursion.
-        self._frontier_ok = self.supports_leaf_counting and depth_limit >= 2
         self._tree = plan.root if self._multi else _chain_tree(plan)
         self._frontier_keyspace = max(1, self._work_graph.num_vertices)
         self._frontier_rows = 0
@@ -284,8 +280,8 @@ class PatternAwareEngine:
         self._frontier_bands = 0
         self._elems_gathered = 0
         self._arc_probes = 0
-        #: The work graph's arc map, fetched by the first frontier walk
-        #: (recursion never builds one); None past the size cap.
+        #: The work graph's arc map, fetched by the first frontier walk;
+        #: None past the size cap.
         self._arcs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -320,7 +316,7 @@ class PatternAwareEngine:
             self.run_roots(roots)
         self.counters.matches = sum(self._counts)
         self.metrics.absorb(self.counters.as_dict(), prefix="engine.")
-        if self._frontier_ok:
+        if self._frontier_bands:  # a walk ran
             self.metrics.absorb(
                 self.frontier_stats(), prefix="engine.frontier."
             )
@@ -336,17 +332,17 @@ class PatternAwareEngine:
         The task shape of :meth:`run`, the in-process runner and pool
         workers.  With ``batch_frontier`` the set seeds a single
         ``(n_roots, 1)`` matrix so the walker cuts full-sized bands
-        across roots (the G2Miner formulation); otherwise, and on
-        engines the walker cannot run, it loops :meth:`run_task` one
-        root at a time.  Charges are closed-form sums over frontier
-        rows, so counts and counters are bit-identical either way.
+        across roots (the G2Miner formulation); otherwise it loops
+        :meth:`run_task` one root at a time.  Charges are closed-form
+        sums over frontier rows, so counts and counters are
+        bit-identical either way.
         """
         if self._chunk is not None:
             # _frontier_child slices depth 1 by the chunk, which only
             # means something under a single root.
             raise ValueError("a root set cannot run under a task chunk")
         root_arr = _root_array(self._work_graph, roots)
-        if not (self.batch_frontier and self._frontier_ok):
+        if not self.batch_frontier:
             for v0 in root_arr.tolist():
                 self.run_task(v0)
         elif len(root_arr):
@@ -368,27 +364,18 @@ class PatternAwareEngine:
             raise ValueError("task chunking requires a single-pattern plan")
         self.counters.tasks += 1
         self._chunk = chunk
-        emb = [v0]
-        self._on_descend(0, emb)
-        if self._frontier_ok:
-            self._mine_frontier(np.array([v0], dtype=np.int64))
-        elif self._multi:
-            self._extend_node(self.plan.root, emb)
-        else:
-            self._extend(1, emb)
-        self._on_backtrack(0, emb)
+        self._mine_frontier(np.array([v0], dtype=np.int64))
         self._chunk = None
 
     def frontier_stats(self) -> Dict[str, int]:
-        """Batch-frontier telemetry: rows expanded across all interior
-        plan nodes, the number of row bands run, the widest *band*
-        (rows), how many single rows exceeded ``frontier_row_limit``
-        and took the recursion fallback — and the host's real traffic
+        """Walker telemetry: rows expanded across all interior plan
+        nodes, the number of row bands run, the widest *band* (rows),
+        how many single rows exceeded ``frontier_row_limit`` and ran as
+        one-row bands (``fallbacks``) — and the host's real traffic
         next to the ``OpCounters`` model charge: elements the walker
         materialized (adjacency gathers + memo re-gathers) and elements
         the arc map answered instead.  Published as
-        ``engine.frontier.*`` gauges by :meth:`run` when the walker
-        ran (frontier mode on a plan it can walk)."""
+        ``engine.frontier.*`` gauges by :meth:`run` once a band ran."""
         return {
             "rows_expanded": self._frontier_rows,
             "bands": self._frontier_bands,
@@ -398,69 +385,16 @@ class PatternAwareEngine:
             "arc_probes": self._arc_probes,
         }
 
-    # Hooks for subclasses (the simulator's trace PE records its
-    # events here; the base engine does nothing).
-    def _on_descend(self, depth: int, emb: List[int]) -> None:
-        pass
-
-    def _on_backtrack(self, depth: int, emb: List[int]) -> None:
-        pass
-
-    # ------------------------------------------------------------------
-    # Single-pattern chain walk
-    # ------------------------------------------------------------------
-    def _extend(self, depth: int, emb: List[int]) -> None:
-        step = self._steps[depth - 1]
-        cands = self._filtered_candidates(step, emb)
-        if depth == 1 and self._chunk is not None:
-            index, total = self._chunk
-            cands = np.array_split(cands, total)[index]
-        if depth == self._leaf_depth:
-            self._counts[0] += len(cands)
-            if self.collect:
-                self._embeddings.extend(
-                    tuple(emb) + (int(v),) for v in cands
-                )
-            return
-        for v in cands:
-            emb.append(int(v))
-            self._on_descend(depth, emb)
-            self._extend(depth + 1, emb)
-            self._on_backtrack(depth, emb)
-            emb.pop()
-
-    # ------------------------------------------------------------------
-    # Multi-pattern tree walk
-    # ------------------------------------------------------------------
-    def _extend_node(self, node: PlanNode, emb: List[int]) -> None:
-        for child in node.children:
-            cands = self._filtered_candidates(child.step, emb)
-            if child.pattern_index is not None:
-                self._counts[child.pattern_index] += len(cands)
-                if self.collect:
-                    self._embeddings.extend(
-                        tuple(emb) + (int(v),) for v in cands
-                    )
-                continue
-            depth = child.step.depth
-            for v in cands:
-                emb.append(int(v))
-                self._on_descend(depth, emb)
-                self._extend_node(child, emb)
-                self._on_backtrack(depth, emb)
-                emb.pop()
-
-    #: Subclasses that override candidate generation (the reference's
-    #: generic set ops, the simulator's trace recording) need every leaf
-    #: list materialized through their own :meth:`_raw_candidates`;
-    #: they turn this off, which keeps them off the walker.
-    supports_leaf_counting = True
-
     def _leaf_countable(self, step: VertexStep) -> bool:
         """A walker leaf level can skip materialization unless the
-        caller needs embeddings or the step carries a label filter
-        (label lookups need the candidate values)."""
-        return not self.collect and step.label is None
+        caller needs embeddings, the step carries a label filter
+        (label lookups need the candidate values) or a task chunk
+        slices it (a 2-vertex plan's leaf is depth 1)."""
+        return (
+            not self.collect
+            and step.label is None
+            and not (step.depth == 1 and self._chunk is not None)
+        )
 
     # ------------------------------------------------------------------
     # Level-synchronous frontier execution (the walker)
@@ -468,11 +402,9 @@ class PatternAwareEngine:
     def _mine_frontier(self, roots: np.ndarray) -> None:
         """Walk the whole plan tree from a column of root vertices (a
         root set for :meth:`run_roots`, one for a chunked task)."""
-        slots = len(self._raw_stack)
         self._arcs = self._work_graph.arc_map()
-        self._walk_frontier(
-            self._tree, roots[:, None], [None] * slots, [None] * slots
-        )
+        stores, origins = [None] * self._slots, [None] * self._slots
+        self._walk_frontier(self._tree, roots[:, None], stores, origins)
 
     def _walk_frontier(self, node: PlanNode, emb, stores, origins) -> None:
         """Run ``node``'s subtree over a frontier of partial embeddings.
@@ -483,22 +415,23 @@ class PatternAwareEngine:
         once per plan operation instead of once per embedding.  Raw
         candidate lists are kept per depth (``stores``) with a
         row→segment map (``origins``) so deeper steps' frontier-memo
-        composition reads the same arrays the recursive ``_raw_stack``
-        would have held.  The recursion is over *plan nodes*: rows are
-        cut into contiguous bands of bounded estimated size and each
-        band finishes its whole subtree before the next starts, so a
-        band is just ``emb[lo:hi]`` + ``origins[t][lo:hi]`` over the
-        shared stores.  Counts and counters are bit-identical to
-        :meth:`_extend` / :meth:`_extend_node` — every charge below is
-        the closed-form sum of the per-embedding charges.
+        composition reads the same arrays the recursion's frontier-list
+        table would have held.  The recursion here is over *plan
+        nodes*: rows are cut into contiguous bands of bounded estimated
+        size and each band finishes its whole subtree before the next
+        starts, so a band is just ``emb[lo:hi]`` + ``origins[t][lo:hi]``
+        over the shared stores.  A single row over
+        ``frontier_row_limit`` runs as a one-row band whose child level
+        is cut into bands in turn.  Counts and counters are
+        bit-identical to the per-embedding recursion
+        (:mod:`repro.engine.reference`) — every charge below is the
+        closed-form sum of the per-embedding charges.
         """
         estimates = self._frontier_estimates(node, emb, stores, origins)
         limit = self.frontier_row_limit
         for lo, hi in _cut_bands(estimates, min(_FRONTIER_BAND_ELEMS, limit)):
             if hi - lo == 1 and estimates[lo] > limit:
                 self._frontier_fallbacks += 1
-                self._frontier_recurse(node, emb, stores, origins, lo)
-                continue
             self._frontier_bands += 1
             self._frontier_peak = max(self._frontier_peak, hi - lo)
             band = [o if o is None else o[lo:hi] for o in origins]
@@ -546,7 +479,7 @@ class PatternAwareEngine:
         operand any child step starts from (memoized segment length or
         extender degree), at least 1 so a band never holds more rows
         than its element budget.  Pure index arithmetic — no counters
-        are charged, so banding and the fallback stay bit-identical."""
+        are charged, so banding stays bit-identical."""
         estimates = np.ones(len(emb), dtype=np.int64)
         for child in node.children:
             step = child.step
@@ -559,27 +492,10 @@ class PatternAwareEngine:
             np.maximum(estimates, size, out=estimates)
         return estimates
 
-    def _frontier_recurse(self, node, emb, stores, origins, r) -> None:
-        """Fallback: finish over-limit frontier row ``r`` with plain
-        recursion.
-
-        Reconstructs the row's ``_raw_stack`` slices from the stores so
-        frontier-memo composition below ``node`` behaves exactly as if
-        the whole path had been walked recursively."""
-        for t in range(1, node.depth + 1):
-            s_concat, s_offsets = stores[t]
-            i = int(origins[t][r])
-            self._raw_stack[t] = s_concat[s_offsets[i] : s_offsets[i + 1]]
-        row = [int(x) for x in emb[r]]
-        if self._multi:
-            self._extend_node(node, row)
-        else:
-            self._extend(node.depth + 1, row)
-
     def _frontier_operands(self, step, emb, stores, origins):
-        """Batched :meth:`_operands`: the starting segmented candidate
-        arrays plus the step's op chain, with the same frontier-hit/miss
-        and adjacency charges the per-embedding path makes."""
+        """The starting segmented candidate arrays plus the step's op
+        chain, with the same frontier-hit/miss and adjacency charges the
+        per-embedding recursion makes."""
         n = len(emb)
         if self.use_frontier_memo and step.base_step is not None:
             self.counters.frontier_hits += n
@@ -637,7 +553,7 @@ class PatternAwareEngine:
         )
 
     def _frontier_raw(self, step, emb, stores, origins):
-        """Batched :meth:`_raw_candidates`: one segmented op per plan
+        """A step's unbounded candidate sets: one segmented op per plan
         operation instead of one per embedding row."""
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
@@ -649,9 +565,8 @@ class PatternAwareEngine:
         return cands, offsets
 
     def _frontier_filter(self, step, emb, cands, offsets):
-        """Batched :meth:`_filtered_candidates`: bound cut, label
-        filter, and injectivity as per-element masks over the segmented
-        candidate array."""
+        """Bound cut, label filter, and injectivity as per-element masks
+        over the segmented candidate array."""
         self.counters.candidates_checked += len(cands)
         lengths = np.diff(offsets)
         mask = None
@@ -726,8 +641,8 @@ class PatternAwareEngine:
             c.candidates_checked += int(raw.sum())
             return int(below.sum())
         # The last op as an arc-map mask — or pure memo reuse, no ops
-        # left — then the recursive epilogue, batched: count under the
-        # bound/injectivity masks.
+        # left — then the per-embedding epilogue, batched: count under
+        # the bound/injectivity masks.
         if ops:
             mask = self._frontier_probe(emb, cands, lengths, *ops[-1])
             c.candidates_checked += int(np.count_nonzero(mask))
@@ -751,60 +666,11 @@ class PatternAwareEngine:
         return other, other_offsets
 
     def _gather_adjacency(self, vertices: np.ndarray):
-        """Batched :meth:`_load_adjacency`: one gather for a whole
-        frontier column, charged per row."""
+        """One gather for a whole frontier column, charged per row."""
         concat, offsets = self._work_graph.gather_neighbors(vertices)
         self.counters.charge_adjacency(len(vertices), int(offsets[-1]))
         self._elems_gathered += len(concat)
         return concat, offsets
-
-    # ------------------------------------------------------------------
-    # Candidate generation
-    # ------------------------------------------------------------------
-    def _filtered_candidates(
-        self, step: VertexStep, emb: Sequence[int]
-    ) -> np.ndarray:
-        cands = self._raw_candidates(step, emb)
-        self.counters.candidates_checked += len(cands)
-        if step.upper_bounds:
-            bound = min(emb[b] for b in step.upper_bounds)
-            cands = bound_below(cands, bound)
-        if step.label is not None:
-            cands = cands[self._labels[cands] == step.label]
-        if step.covers_all_ancestors:
-            # Every candidate neighbors every embedding vertex; since no
-            # vertex neighbors itself, the injectivity filter is a no-op
-            # (clique steps hit this on every level).
-            return cands
-        return remove_values(cands, emb)
-
-    def _operands(self, step: VertexStep, emb: Sequence[int]):
-        """Shared head of the recursive op chain: the memo hit (the base
-        list) or the extender's adjacency list (a miss when a base was
-        hinted), and the step's ops left to run on it."""
-        if self.use_frontier_memo and step.base_step is not None:
-            self.counters.frontier_hits += 1
-            return self._raw_stack[step.base_step], step.memo_ops
-        if step.base_step is not None:
-            self.counters.frontier_misses += 1
-        return self._load_adjacency(emb[step.extender]), step.ops
-
-    def _raw_candidates(
-        self, step: VertexStep, emb: Sequence[int]
-    ) -> np.ndarray:
-        """Unbounded candidate set: adj(extender) ∩ adj(connected...)
-        minus adj(disconnected...), via frontier composition when hinted."""
-        cands, ops = self._operands(step, emb)
-        for is_intersect, d in ops:
-            op = intersect if is_intersect else difference
-            cands = op(cands, self._load_adjacency(emb[d]), self.counters)
-        self._raw_stack[step.depth] = cands
-        return cands
-
-    def _load_adjacency(self, v: int) -> np.ndarray:
-        nbrs = self._work_graph.neighbors(v)
-        self.counters.charge_adjacency(1, len(nbrs))
-        return nbrs
 
 
 def mine(

@@ -37,7 +37,7 @@ overflow -> SIU/SDU fallback — they run exactly as before.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,13 +47,10 @@ __all__ = [
     "difference_values",
     "gather_segments",
     "intersect_count_below",
-    "intersect_multi",
     "intersect_values",
     "members_mask",
     "segment_ids",
     "segment_sums",
-    "segmented_difference",
-    "segmented_intersect",
     "segmented_intersect_count",
     "segmented_pair_count_below",
     "segmented_pair_difference",
@@ -126,24 +123,6 @@ def difference_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if _gallop_wins(min(len(a), len(b)), max(len(a), len(b))):
         return _gallop_values(a, b, False)
     return _merge_values(a, b, False)
-
-
-def intersect_multi(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Intersection of several sorted unique arrays, smallest operand first.
-
-    Starting from the smallest operand keeps every intermediate result
-    no larger than it, so each later probe is cheap; an empty
-    intermediate short-circuits the rest.
-    """
-    if not arrays:
-        raise ValueError("intersect_multi needs at least one array")
-    ordered = sorted(arrays, key=len)
-    out = ordered[0]
-    for other in ordered[1:]:
-        if len(out) == 0:
-            return out
-        out = intersect_values(out, other)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -293,36 +272,6 @@ def segmented_intersect_count(
     return raw, segment_sums(below_mask, offsets)
 
 
-def segmented_intersect(
-    base: np.ndarray, concat: np.ndarray, offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialize ``seg ∩ base`` for every segment.
-
-    Returns ``(values, out_offsets)`` in the same segmented layout as
-    the input: segment ``i`` of the result is
-    ``values[out_offsets[i]:out_offsets[i+1]]``, sorted.  One membership
-    probe + one boolean compress for the whole frontier.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if len(concat) == 0 or len(base) == 0:
-        return concat[:0], np.zeros(len(offsets), dtype=np.int64)
-    hit = _probe_mask(concat, base)
-    return compress_segments(concat, offsets, hit)
-
-
-def segmented_difference(
-    base: np.ndarray, concat: np.ndarray, offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialize ``seg \\ base`` for every segment (layout as above)."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if len(concat) == 0:
-        return concat[:0], np.zeros(len(offsets), dtype=np.int64)
-    if len(base) == 0:
-        return concat.copy(), offsets.copy()
-    keep = ~_probe_mask(concat, base)
-    return compress_segments(concat, offsets, keep)
-
-
 def _pair_hit(
     a_concat: np.ndarray,
     a_offsets: np.ndarray,
@@ -352,8 +301,8 @@ def segmented_pair_intersect(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise ``a_i ∩ b_i`` of two segmented arrays (both varying).
 
-    The level-expansion kernel: unlike :func:`segmented_intersect`, both
-    operands differ per row.  Returns ``(values, out_offsets)``.
+    The level-expansion kernel: both operands differ per row.  Returns
+    ``(values, out_offsets)``.
     """
     a_offsets = np.asarray(a_offsets, dtype=np.int64)
     if len(a_concat) == 0 or len(b_concat) == 0:

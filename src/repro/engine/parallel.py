@@ -178,8 +178,9 @@ def publish_worker_metrics(
                 f"engine.parallel.worker_{key}", worker=worker_id
             ).set(summary[key])
     metrics.absorb(counters.as_dict(), prefix="engine.")
+    # Like PatternAwareEngine.run: the gauges describe a walk that ran.
     frontier = [
-        s["frontier"] for _w, s in summaries if s.get("frontier")
+        s["frontier"] for _w, s in summaries if s["frontier"]["bands"]
     ]
     if frontier:
         # Every frontier_stats() key is a per-worker total, except the
@@ -226,8 +227,6 @@ def _worker_summary(
         "tasks_done": tasks_done,
         "chunks_done": chunks_done,
         "spans": rec.spans if profile else None,
-        "frontier": (
-            engine.frontier_stats() if engine._frontier_ok else None
-        ),
+        "frontier": engine.frontier_stats(),
     }
     return summary

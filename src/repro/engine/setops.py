@@ -17,8 +17,6 @@ counter side.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import kernels
@@ -27,7 +25,6 @@ from .counters import OpCounters
 __all__ = [
     "intersect",
     "difference",
-    "intersect_many",
     "bound_below",
     "remove_values",
 ]
@@ -49,27 +46,6 @@ def difference(
     if counters is not None:
         counters.charge_setops(False, len(a), len(b))
     return kernels.difference_values(a, b)
-
-
-def intersect_many(
-    arrays: Sequence[np.ndarray], counters: OpCounters | None = None
-) -> np.ndarray:
-    """Multi-way sorted intersection.
-
-    Without counters the kernel reorders operands smallest-first (the
-    cheapest evaluation order).  With counters the fold runs in the
-    given order so the charged iteration counts match a sequential
-    left-to-right execution — operand order changes intermediate
-    lengths, and the accounting must not depend on kernel choices.
-    """
-    if not len(arrays):
-        raise ValueError("intersect_many needs at least one array")
-    if counters is None:
-        return kernels.intersect_multi(arrays)
-    out = arrays[0]
-    for other in arrays[1:]:
-        out = intersect(out, other, counters)
-    return out
 
 
 def bound_below(values: np.ndarray, bound: int) -> np.ndarray:

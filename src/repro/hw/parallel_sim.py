@@ -42,9 +42,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..compiler.plan import VertexStep
-from ..engine.explore import PatternAwareEngine, _cut_bands
+from ..engine.explore import _cut_bands
 from ..engine.parallel import Task
 from ..engine.counters import merge_iterations
+from ..engine.reference import RecursiveEngine
 from ..engine.setops import bound_below, difference, intersect
 from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
 from ..graph.orientation import orient_by_degree
@@ -103,7 +104,7 @@ def slice_tasks(
     return [list(tasks[lo:hi]) for lo, hi in _cut_bands(sizes, budget)]
 
 
-class _TracePE(PatternAwareEngine):
+class _TracePE(RecursiveEngine):
     """The reference tracer: one recursion per embedding, appending the
     events each step charges.
 
@@ -113,10 +114,6 @@ class _TracePE(PatternAwareEngine):
     runs the task — is replay's.  :meth:`trace` is the interface the
     walker shares.
     """
-
-    # Every candidate list must flow through the c-map/SIU charges
-    # below; the frontier walker would skip them, so this stays off it.
-    supports_leaf_counting = False
 
     def __init__(self, graph, plan, config: FlexMinerConfig) -> None:
         super().__init__(graph, plan)

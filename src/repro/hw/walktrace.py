@@ -208,7 +208,7 @@ class WalkTracer(PatternAwareEngine):
         self._insert_filter = getattr(plan, "cmap_insert_filter", {})
         self._layout = GraphLayout(graph.num_vertices)
         #: The interior step at each depth of the path being walked.
-        self._path: List = [None] * len(self._raw_stack)
+        self._path: List = [None] * self._slots
 
     def trace(self, tasks: Sequence[Task]) -> ShardTrace:
         """The event streams, stat deltas and counts of ``tasks``."""
@@ -223,7 +223,7 @@ class WalkTracer(PatternAwareEngine):
             self._arcs = self._work_graph.arc_map()
             roots = np.array([root for root, _ in tasks], dtype=np.int64)
             rows = _Rows(np.arange(n), np.zeros(n, dtype=np.int64), {})
-            slots = len(self._raw_stack)
+            slots = self._slots
             events = self._subtree(
                 self._tree, roots[:, None], [None] * slots, [None] * slots,
                 rows,

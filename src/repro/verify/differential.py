@@ -2,9 +2,9 @@
 
 The repository produces a pattern count six independent ways — serial
 :class:`~repro.engine.explore.PatternAwareEngine` (the walker one root
-at a time, with every row sent to its over-limit recursion fallback,
-with frontier memo off, and over whole root sets with
-``batch_frontier``, the default), the materialize-everything
+at a time, with every row run as a one-row band, with frontier memo
+off, and over whole root sets with ``batch_frontier``, the default),
+the materialize-everything
 :class:`~repro.engine.reference.ReferenceEngine`, the persistent
 :class:`~repro.engine.pool.MinerPool` (each plan mined twice through
 one resident pool, so resident-worker state is exercised), the
@@ -349,8 +349,9 @@ def _sim_parallel(workers: int) -> Backend:
 #: distinct failure mode.  Retired names and the survivor that owns
 #: what they checked: ``materialize`` and ``legacy`` -> ``reference``
 #: (every leaf materialized, no kernels); the kernel probe backend
-#: (the recursion's count-only leaf kernels, deleted with them) ->
-#: ``row-fallback``, which owns what recursion remains; ``parallel-1`` ->
+#: (the recursion's count-only leaf kernels, deleted with them) and
+#: the row fallback backend (the over-limit row recursion, deleted with
+#: it) -> ``one-row-bands``; ``parallel-1`` ->
 #: ``serve-cached`` (in-process ``run_tasks_in_process``);
 #: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
 #: workers, shared-memory graph, worker-id-order merge);
@@ -364,9 +365,8 @@ def _sim_parallel(workers: int) -> Backend:
 #: user gets" (today: the frontier walker over root slices).
 BACKENDS: Dict[str, Backend] = {
     "serial": _engine(batch_frontier=False),
-    # every row over the one-element band limit is finished by the
-    # over-limit row recursion (_frontier_recurse)
-    "row-fallback": _engine(frontier_row_limit=1),
+    # every row over the one-element band limit runs as a one-row band
+    "one-row-bands": _engine(frontier_row_limit=1),
     "reference": _engine("ReferenceEngine"),
     # different op chain, same counts (outside the zero-drift set)
     "no-memo": _engine(use_frontier_memo=False, batch_frontier=False),
@@ -387,7 +387,7 @@ DEFAULT_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
 #: so it is excluded; the simulator backends have their own drift set.
 ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
     "serial",
-    "row-fallback",
+    "one-row-bands",
     "reference",
     "frontier-batch",
     "pool-2",

@@ -133,7 +133,7 @@ class TestSarif:
         rep = AnalysisReport(subject="s")
         rep.add("FM300", "e", location="a/b.py:1")
         rep.add("FM303", "w", location="a/b.py:2")  # warning severity
-        rep.add("FM170", "i")  # info severity, no physical location
+        rep.add("FM174", "i", severity="info")  # no physical location
         log = to_sarif(rep)
         levels = [r["level"] for r in log["runs"][0]["results"]]
         assert levels == ["error", "warning", "note"]

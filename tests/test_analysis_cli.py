@@ -10,6 +10,8 @@ Pins the exit-code contract both commands share:
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.compiler import compile_pattern, emit_ir
 from repro.patterns import four_cycle
@@ -24,6 +26,20 @@ class TestCheckPlan:
         assert "plan:triangle" in out
         assert "clean" in out
         assert "2 plan(s), 0 error(s)" in out
+
+    def test_obligations_printed_without_routing(self, capsys):
+        # Every plan walks, the edge included: the proof block lists the
+        # walker's obligations and no batch/recursive decision, and the
+        # opt-in that reported routing is gone.
+        assert main(["check-plan", "edge"]) == 0
+        out = capsys.readouterr().out
+        assert "batch-frontier: row-limit=" in out
+        for code in ("FM172", "FM173", "FM174"):
+            assert f"    {code} " in out, code
+        assert "decision=" not in out
+        with pytest.raises(SystemExit) as exc:
+            main(["check-plan", "edge", "--batch-frontier"])
+        assert exc.value.code == 2
 
     def test_ir_file_target(self, tmp_path, capsys):
         ir = tmp_path / "plan.ir"

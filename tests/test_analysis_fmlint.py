@@ -293,8 +293,8 @@ class TestElementwiseLoops:
         assert codes(src, path=self.KERNELS) == ["FM208"]
 
     def test_loop_over_sequence_of_arrays_passes(self):
-        # intersect_multi's loop over a *list of arrays* is per-array,
-        # not per-element; only plain ndarray annotations are policed.
+        # A loop over a *list of arrays* is per-array, not
+        # per-element; only plain ndarray annotations are policed.
         src = """
         import numpy as np
         from typing import Sequence

@@ -375,7 +375,7 @@ class TestStaticDynamicInvariant:
 
 
 # ----------------------------------------------------------------------
-# FM17x: batch-frontier legality proofs
+# FM17x: the frontier walker's obligations
 # ----------------------------------------------------------------------
 class TestBatchFrontierProofs:
     def _proof(self, rep):
@@ -386,8 +386,8 @@ class TestBatchFrontierProofs:
     def test_proof_section_always_attached(self):
         rep = check_plan(compile_pattern(triangle()))
         proof = self._proof(rep)
-        assert proof["eligible"] is True
-        assert proof["decision"] == "batch"
+        # no routing fields: every plan walks
+        assert not {"eligible", "decision", "reasons"} & set(proof)
         statuses = {o["code"]: o["status"] for o in proof["obligations"]}
         assert statuses["FM172"] == "proved"
         assert statuses["FM173"] == "proved"
@@ -405,16 +405,15 @@ class TestBatchFrontierProofs:
         }
         assert statuses["FM174"] == "proved"
 
-    def test_fm170_two_vertex_plan_ineligible(self):
+    def test_two_vertex_plan_proved(self):
+        # An edge plan walks as one level: the walker's obligations hold
+        # and nothing is reported.
         from repro.patterns import edge
 
-        plan = compile_pattern(edge())
-        # silent without the opt-in (the recursive path is the default)
-        assert check_plan(plan).codes() == ()
-        rep = check_plan(plan, batch_frontier=True)
-        assert rep.codes() == ("FM170",)
-        assert rep.ok  # info: the engine falls back, it does not break
-        assert self._proof(rep)["decision"] == "recursive"
+        rep = check_plan(compile_pattern(edge()))
+        assert rep.codes() == ()
+        statuses = {o["status"] for o in self._proof(rep)["obligations"]}
+        assert statuses == {"proved", "unverified"}
 
     def test_fm172_base_step_without_level_store(self):
         plan = compile_pattern(diamond())
@@ -440,6 +439,22 @@ class TestBatchFrontierProofs:
         assert rep.codes() == ("FM173",)
         assert not rep.ok
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_fm173_runtime_twin(self, limit):
+        # What FM173 proves statically, the engine enforces at
+        # construction: a limit below 1 never reaches a walk.
+        from repro.engine import PatternAwareEngine
+        from repro.graph import erdos_renyi
+
+        plan = compile_pattern(k_clique(4))
+        assert check_plan(plan, frontier_row_limit=limit).codes() == (
+            "FM173",
+        )
+        with pytest.raises(ValueError, match="frontier_row_limit"):
+            PatternAwareEngine(
+                erdos_renyi(40, 0.3, seed=2), plan, frontier_row_limit=limit
+            )
+
     def test_fm174_segment_key_overflow(self):
         from repro.graph import erdos_renyi
 
@@ -450,22 +465,6 @@ class TestBatchFrontierProofs:
         )
         assert rep.codes() == ("FM174",)
         assert not rep.ok
-
-    def test_fm175_multi_pattern_forced_recursive(self):
-        # The frontier walker runs trees; FM175 is left for engines
-        # that really route them recursively (hooked candidate
-        # generation, supports_leaf_counting = False).
-        plan = compile_motifs(3)
-        assert check_multi_plan(plan).codes() == ()
-        rep = check_multi_plan(plan, batch_frontier=True)
-        assert rep.codes() == ()
-        assert rep.data["batch_frontier"]["decision"] == "batch"
-        rep = check_multi_plan(
-            plan, batch_frontier=True, supports_leaf_counting=False
-        )
-        assert rep.codes() == ("FM175",)
-        assert rep.ok
-        assert rep.data["batch_frontier"]["decision"] == "recursive"
 
     def test_multi_plan_obligations_per_path(self):
         from repro.graph import erdos_renyi
@@ -484,12 +483,11 @@ class TestBatchFrontierProofs:
             plan, graph=graph, frontier_row_limit=2 ** 62
         )
         assert set(rep.codes()) == {"FM174"} and not rep.ok
-        assert rep.data["batch_frontier"]["decision"] == "recursive"
         assert check_multi_plan(plan, frontier_row_limit=0).codes() == (
             "FM173",
         )
 
-    def test_fm173_reports_single_row_fallback_reachability(self):
+    def test_fm173_reports_one_row_band_reachability(self):
         from repro.graph import erdos_renyi
 
         graph = erdos_renyi(40, 0.2, seed=1)
@@ -504,52 +502,15 @@ class TestBatchFrontierProofs:
                 if o["code"] == "FM173"
             )
 
-        assert "fallback is reachable" in detail(graph.max_degree() - 1)
+        assert "one-row bands are reachable" in detail(
+            graph.max_degree() - 1
+        )
         assert "bands only" in detail(graph.max_degree())
 
-    def test_decisions_match_engine_routing(self):
-        # The proof's batch/recursive decision must agree with what the
-        # engine actually does under batch_frontier=True.
-        from repro.engine.explore import PatternAwareEngine
-        from repro.graph import erdos_renyi
-        from repro.patterns import edge
-
-        graph = erdos_renyi(30, 0.2, seed=7)
-
-        def routed(plan, cls=PatternAwareEngine):
-            engine = cls(graph, plan, batch_frontier=True)
-            return "batch" if engine._frontier_ok else "recursive"
-
-        for pattern, induced in [
-            (triangle(), False),
-            (four_cycle(), True),
-            (edge(), False),
-            (k_clique(4), False),
-        ]:
-            plan = compile_pattern(pattern, induced=induced)
-            rep = check_plan(plan, batch_frontier=True)
-            decision = rep.data["batch_frontier"]["decision"]
-            assert decision == routed(plan), pattern
-
-        class Hooked(PatternAwareEngine):
-            supports_leaf_counting = False
-
-        for k in (3, 4):
-            plan = compile_motifs(k)
-            for cls in (PatternAwareEngine, Hooked):
-                rep = check_multi_plan(
-                    plan,
-                    batch_frontier=True,
-                    supports_leaf_counting=cls.supports_leaf_counting,
-                )
-                decision = rep.data["batch_frontier"]["decision"]
-                assert decision == routed(plan, cls), (k, cls)
-
-
 class TestBatchFrontierFallbackParity:
-    """FM17x-flagged plans must *fall back*, not drift: running them
-    with batch_frontier=True has to be bit-identical to the recursive
-    reference engine (counts and op counters)."""
+    """Shallow plans, one-row bands and every library plan walk without
+    drift: bit-identical to the recursive reference engine (counts and
+    op counters)."""
 
     def _parity(self, plan, graph, **engine_kwargs):
         from repro.engine import PatternAwareEngine, ReferenceEngine
@@ -561,7 +522,7 @@ class TestBatchFrontierFallbackParity:
         assert batch.counts == base.counts
         assert batch.counters.as_dict() == base.counters.as_dict()
 
-    def test_fm170_ineligible_plan_identical(self):
+    def test_edge_plan_identical(self):
         from repro.graph import erdos_renyi
         from repro.patterns import edge
 
@@ -576,8 +537,8 @@ class TestBatchFrontierFallbackParity:
         )
 
     def test_fm173_tiny_row_limit_identical(self):
-        # A row limit the estimate says will engage the fallback: the
-        # engine must chunk, not diverge.
+        # A row limit the estimate says some rows exceed: they run as
+        # one-row bands, and the walk must not diverge.
         from repro.graph import erdos_renyi
 
         self._parity(
@@ -586,19 +547,15 @@ class TestBatchFrontierFallbackParity:
             frontier_row_limit=4,
         )
 
-    def test_fuzzed_flagged_plans_fall_back_identically(self):
-        # Sweep across the library: every plan, the ones the proof
-        # routes recursive under the opt-in included, stays
-        # bit-identical when actually run with batch_frontier.
+    def test_library_plans_identical(self):
+        # Sweep across the library: every plan proves clean and stays
+        # bit-identical when actually walked.
         from repro.graph import erdos_renyi
         from repro.patterns import PATTERN_NAMES, from_name
 
         graph = erdos_renyi(36, 0.18, seed=11)
-        flagged = 0
         for name in PATTERN_NAMES:
             for induced in (False, True):
                 plan = compile_pattern(from_name(name), induced=induced)
-                rep = check_plan(plan, batch_frontier=True)
-                flagged += bool(rep.findings)
+                assert check_plan(plan).codes() == (), (name, induced)
                 self._parity(plan, graph)
-        assert flagged == 2  # the edge, induced or not: FM170

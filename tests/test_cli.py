@@ -293,7 +293,7 @@ class TestVerify:
         report_path = tmp_path / "verify.json"
         assert main(
             ["verify", "--seed", "1", "--cases", "2",
-             "--backends", "serial,row-fallback",
+             "--backends", "serial,one-row-bands",
              "--corpus", str(corpus), "--report", str(report_path)]
         ) == 0
         out = capsys.readouterr().out

@@ -18,8 +18,8 @@ every one of them untouched.
 
 :class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
 payloads for five plans on every engine path (the walker with and
-without the arc map, one root at a time, with every row sent to its
-over-limit recursion fallback, the reference).  The differential
+without the arc map, one root at a time, with every row run as a
+one-row band, the reference).  The differential
 matrix only checks that the paths agree with each other; these
 literals also catch a change to the merge-model charge made the same
 way on every path.
@@ -299,9 +299,9 @@ def _mine_counters(path, graph, plan, monkeypatch):
         monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
     if path == "reference":
         engine = ReferenceEngine(graph, plan)
-    elif path == "row-fallback":
+    elif path == "one-row-bands":
         # A one-element band ceiling: every row whose expansion estimate
-        # exceeds 1 is finished by _frontier_recurse.
+        # exceeds 1 runs as a one-row band.
         engine = PatternAwareEngine(graph, plan, frontier_row_limit=1)
         counters = engine.run().counters.as_dict()
         assert engine.frontier_stats()["fallbacks"] > 0
@@ -394,7 +394,7 @@ class TestCounterPins:
     @pytest.mark.parametrize(
         "path",
         [
-            "walker", "keyed", "one-root", "row-fallback", "reference",
+            "walker", "keyed", "one-root", "one-row-bands", "reference",
         ],
     )
     @pytest.mark.parametrize("plan_name", sorted(COUNTER_PINS))

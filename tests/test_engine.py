@@ -73,10 +73,10 @@ class TestClosedForms:
         assert mine(g, compile_pattern(four_cycle())).counts[0] == 0
 
 
-#: The in-process engine paths: one-root walks, the over-limit row
-#: fallback, the reference engine, the memo ablation and root-set walks.
+#: The in-process engine paths: one-root walks, one-row bands, the
+#: reference engine, the memo ablation and root-set walks.
 IN_PROCESS_BACKENDS = (
-    "serial", "row-fallback", "reference", "no-memo", "frontier-batch",
+    "serial", "one-row-bands", "reference", "no-memo", "frontier-batch",
 )
 
 
@@ -286,16 +286,16 @@ class TestBatchFrontier:
         assert frontier.embeddings == recursive.embeddings
 
     def test_row_limit_fallback_bit_identical(self):
-        # A row limit below any real frontier width forces the
-        # recursion fallback, which must stay charge-identical (the
-        # budget check is pure index arithmetic, so no double charges).
+        # A row limit below any real frontier width runs rows as
+        # one-row bands, which must stay charge-identical (the budget
+        # check is pure index arithmetic, so no double charges).
         plan = compile_pattern(k_clique(4))
         engine = PatternAwareEngine(
             RANDOM, plan, batch_frontier=True, frontier_row_limit=4
         )
         got = engine.run()
         assert engine.frontier_stats()["fallbacks"] > 0
-        ref = PatternAwareEngine(RANDOM, plan, batch_frontier=False).run()
+        ref = ReferenceEngine(RANDOM, plan).run()
         assert got.counts == ref.counts
         assert got.counters == ref.counters
 
@@ -318,18 +318,26 @@ class TestBatchFrontier:
         assert "engine.frontier.arc_probes" in snap
 
     def test_no_frontier_gauges_without_a_walk(self):
-        # the gauges describe a walk: an engine routed to recursion, or a
-        # plan too shallow to walk, publishes none
+        # the gauges describe a walk: the recursive reference, or a
+        # walker given no roots, publishes none; an edge plan walks as
+        # one level
         from repro.obs import MetricsRegistry
 
-        for cls, k in ((ReferenceEngine, 4), (PatternAwareEngine, 2)):
+        for cls, k, roots, walked in (
+            (ReferenceEngine, 4, None, False),
+            (ReferenceEngine, 2, None, False),
+            (PatternAwareEngine, 2, None, True),
+            (PatternAwareEngine, 4, [], False),
+        ):
             registry = MetricsRegistry()
-            cls(RANDOM, compile_pattern(k_clique(k)), metrics=registry).run()
+            cls(
+                RANDOM, compile_pattern(k_clique(k)), metrics=registry
+            ).run(roots)
             snap = registry.snapshot()
-            assert snap["engine.matches"] > 0, cls
-            assert not [
+            assert (snap["engine.matches"] > 0) == (roots is None), cls
+            assert bool([
                 key for key in snap if key.startswith("engine.frontier.")
-            ], cls
+            ]) == walked, (cls, k)
 
     def test_multi_pattern_walks_the_plan_tree(self):
         # MultiPlans run through the same frontier walker as chains

@@ -2,8 +2,9 @@
 
 ``batch_frontier=True`` must stay a pure value/counter drop-in for the
 recursive engine wherever the band boundaries fall, whichever tree depth
-the single-row fallback engages at, and however a task is chunked — and
-banding must actually bound the memory a wide level materializes.
+a one-row band over the row limit sits at, and however a task is
+chunked — and banding must actually bound the memory a wide level
+materializes.
 """
 
 import sys
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_motifs, compile_pattern
-from repro.engine import PatternAwareEngine
+from repro.engine import PatternAwareEngine, ReferenceEngine
 from repro.engine import explore
+from repro.engine.reference import RecursiveEngine
 from repro.graph import (
     assign_random_labels, csr, erdos_renyi, orient_by_degree,
     power_law_cluster, rmat,
@@ -27,8 +29,8 @@ from repro.patterns import (
 )
 from repro.verify import BACKENDS, VerifyCase
 
-#: Mixed degrees (3..12): a row limit of 6 lets some rows through and
-#: sends others to the fallback at every interior tree depth.
+#: Mixed degrees (3..12): a row limit of 6 lets some rows share bands
+#: and runs others as one-row bands at every interior tree depth.
 SKEWED = power_law_cluster(48, 3, 0.5, seed=5)
 FALLBACK_LIMIT = 6
 
@@ -49,9 +51,9 @@ def assert_same(got, ref):
         assert sorted(got.embeddings) == sorted(ref.embeddings)
 
 
-def recursive(plan) -> PatternAwareEngine:
+def recursive(plan) -> ReferenceEngine:
     """The reference every walker result is held to."""
-    return PatternAwareEngine(SKEWED, plan, batch_frontier=False)
+    return ReferenceEngine(SKEWED, plan)
 
 
 class TestMultiPlanParity:
@@ -64,36 +66,37 @@ class TestMultiPlanParity:
     def test_matches_recursive_engine(self, k, memo, limit, collect):
         plan = compile_motifs(k)
         options = dict(use_frontier_memo=memo, collect=collect)
-        ref = PatternAwareEngine(
-            SKEWED, plan, batch_frontier=False, **options
-        ).run()
+        ref = ReferenceEngine(SKEWED, plan, **options).run()
         if limit is not None:
             options["frontier_row_limit"] = limit
         engine = PatternAwareEngine(
             SKEWED, plan, batch_frontier=True, **options
         )
-        fallback_depths = set()
-        recurse = engine._frontier_recurse
+        over_limit_depths = set()
+        walk = engine._walk_frontier
 
-        def spy(node, *args):
-            fallback_depths.add(node.depth)
-            recurse(node, *args)
+        def spy(node, emb, stores, origins):
+            estimates = engine._frontier_estimates(node, emb, stores, origins)
+            if limit is not None and (estimates > limit).any():
+                over_limit_depths.add(node.depth)
+            walk(node, emb, stores, origins)
 
-        engine._frontier_recurse = spy
+        engine._walk_frontier = spy
         assert_same(engine.run(), ref)
         stats = engine.frontier_stats()
         assert stats["bands"] > 0 and stats["rows_expanded"] > 0
         if limit is None:
             assert stats["fallbacks"] == 0
         else:
-            # the fallback engaged below every interior tree depth
-            assert fallback_depths == set(range(k - 1))
+            # one-row bands ran below every interior tree depth
+            assert stats["fallbacks"] > 0
+            assert over_limit_depths == set(range(k - 1))
 
     def test_hooked_engines_still_route_trees_recursively(self):
-        # Engines that override candidate generation keep their
-        # per-embedding hooks: the walker must not run for them.
-        class Hooked(PatternAwareEngine):
-            supports_leaf_counting = False
+        # Engines that override candidate generation subclass the
+        # recursion and keep their per-embedding hooks: no walk runs.
+        class Hooked(RecursiveEngine):
+            pass
 
         plan = compile_motifs(3)
         engine = Hooked(SKEWED, plan, batch_frontier=True)
@@ -130,6 +133,56 @@ class TestBandBoundaries:
         whole = recursive(plan)
         whole.run_task(hub)
         assert batch.counts == whole.counts  # chunks tile the task
+
+
+class TestOneRowBands:
+    @pytest.mark.parametrize("keyed", [False, True], ids=["mapped", "keyed"])
+    @pytest.mark.parametrize("name", ["4-cycle", "3-MC"])
+    def test_over_limit_rows_band_their_children(
+        self, monkeypatch, keyed, name
+    ):
+        # Every SKEWED degree exceeds the limit, so every interior row
+        # runs as a one-row band; its child level is cut into bands of
+        # at most `limit` rows again instead of being walked whole.
+        if keyed:
+            monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        limit = 2
+        plan = PLANS[name]()
+        engine = PatternAwareEngine(SKEWED, plan, frontier_row_limit=limit)
+        assert_same(engine.run(), recursive(plan).run())
+        stats = engine.frontier_stats()
+        assert stats["fallbacks"] > 0
+        assert 0 < stats["peak_width"] <= limit
+        assert stats["bands"] >= stats["fallbacks"]
+
+
+class TestEdgePlans:
+    """A 2-vertex plan walks as one level: depth 1 is its leaf, so a
+    task chunk must slice the leaf instead of letting the count-only
+    path count the whole list once per chunk."""
+
+    GRAPH = power_law_cluster(80, 4, 0.5, seed=3)
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["edge", "labeled"])
+    def test_chunks_tile_the_task(self, labeled):
+        graph, pattern = self.GRAPH, k_clique(2)
+        if labeled:
+            graph = assign_random_labels(graph, 2, seed=3)
+            pattern = Pattern(2, [(0, 1)], labels=[0, 1])
+        plan = compile_pattern(pattern)
+        whole = PatternAwareEngine(graph, plan).run()
+        assert whole.counters == ReferenceEngine(graph, plan).run().counters
+        assert whole.counts[0] > 0
+        chunked = PatternAwareEngine(graph, plan)
+        ref = ReferenceEngine(graph, plan)
+        roots = explore.filter_roots(graph, plan, range(graph.num_vertices))
+        for root in roots:
+            for index in range(3):
+                chunked.run_task(int(root), chunk=(index, 3))
+                ref.run_task(int(root), chunk=(index, 3))
+        assert chunked.counts == ref.counts == whole.counts
+        assert chunked.counters == ref.counters
+        assert chunked.frontier_stats()["bands"] > 0
 
 
 class TestRootSets:

@@ -17,7 +17,6 @@ from repro.engine.kernels import (
     GALLOP_RATIO,
     difference_values,
     intersect_count_below,
-    intersect_multi,
     intersect_values,
     members_mask,
 )
@@ -137,30 +136,6 @@ def test_members_mask_boundaries():
         [False, True, False, True, False],
     )
     assert not members_mask(np.asarray([1, 2]), arr([])).any()
-
-
-#: Operand families steering the dispatcher inside ``intersect_multi``:
-#: comparable lengths keep every pairwise step on the merge branch, a
-#: 3-element seed against long lists keeps it on the gallop branch, and
-#: the mix crosses the ``GALLOP_RATIO`` threshold mid-chain.
-MULTI_OPERANDS = {
-    "merge": [range(0, 60, k) for k in (1, 2, 3, 4)],
-    "gallop": [[0, 12, 24]] + [range(0, 600, k) for k in (1, 2, 3)],
-    "adaptive": [range(0, 600, k) for k in (1, 2, 3)] + [range(0, 60, 4)],
-}
-
-
-@pytest.mark.parametrize("name", STRATEGIES)
-def test_intersect_multi_smallest_first(name):
-    arrays = [arr(values) for values in MULTI_OPERANDS[name]]
-    want = arrays[0]
-    for other in arrays[1:]:
-        want = np.intersect1d(want, other, assume_unique=True)
-    np.testing.assert_array_equal(intersect_multi(arrays), want)
-    # An empty operand short-circuits to empty.
-    assert len(intersect_multi(arrays + [arr([])])) == 0
-    with pytest.raises(ValueError):
-        intersect_multi([])
 
 
 # ----------------------------------------------------------------------
@@ -297,39 +272,13 @@ def test_property_segmented_intersect(segments, base, scalar_bound):
 
 
 # ----------------------------------------------------------------------
-# Materializing segmented kernels vs per-segment value kernels
+# Row-wise segmented kernels vs per-segment value kernels
 # ----------------------------------------------------------------------
 def _segments_of(concat, offsets):
     return [
         concat[offsets[i]:offsets[i + 1]]
         for i in range(len(offsets) - 1)
     ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    segments=st.lists(
-        st.lists(st.integers(min_value=0, max_value=60), max_size=12),
-        max_size=8,
-    ),
-    base=st.sets(st.integers(min_value=0, max_value=60), max_size=20),
-)
-def test_property_segmented_materialize_fixed_base(segments, base):
-    """segmented_intersect/difference == per-segment value kernels."""
-    base = arr(base)
-    concat, offsets = seg_case(segments)
-    for seg_kernel, ref in (
-        (kernels.segmented_intersect, intersect_values),
-        (kernels.segmented_difference, difference_values),
-    ):
-        got_concat, got_offsets = seg_kernel(base, concat, offsets)
-        assert len(got_offsets) == len(offsets)
-        assert got_offsets[-1] == len(got_concat)
-        want = [ref(seg, base) for seg in _segments_of(concat, offsets)]
-        for got, ref_seg in zip(
-            _segments_of(got_concat, got_offsets), want
-        ):
-            np.testing.assert_array_equal(got, ref_seg)
 
 
 pair_segments = st.lists(

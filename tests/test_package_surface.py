@@ -211,8 +211,8 @@ def test_one_software_cmap():
 
 def test_walker_is_the_default():
     """One default, on every layer that threads the switch: the frontier
-    walker.  Engines that override candidate generation still route
-    themselves to recursion."""
+    walker.  Engines that override candidate generation subclass the
+    recursion in :mod:`repro.engine.reference` instead."""
     import inspect
 
     from repro.apps import run_app
@@ -221,6 +221,7 @@ def test_walker_is_the_default():
     from repro.engine.parallel import run_tasks_in_process
     from repro.graph import erdos_renyi
     from repro.hw import FlexMinerConfig
+    from repro.engine.reference import RecursiveEngine
     from repro.hw.parallel_sim import _TracePE
     from repro.patterns import four_clique
     from repro.serve import MiningService
@@ -237,34 +238,59 @@ def test_walker_is_the_default():
     engine.run()
     assert engine.frontier_stats()["bands"] > 0
     tracer = _TracePE(graph, plan, FlexMinerConfig(num_pes=1))
-    assert not tracer._frontier_ok
+    assert isinstance(tracer, RecursiveEngine)
 
 
 def test_one_way_to_run_a_task():
     """``batch_frontier=False`` walks one root at a time: the recursion's
     own leaf counters, the plan-shape oracle that picked them, its lint
-    code, its kernels and its differential backend stay deleted."""
+    code, its kernels and its differential backend stay deleted.  The
+    walker is the walker only: the recursion lives once, in
+    :mod:`repro.engine.reference`; shallow plans and over-limit rows
+    walk, so the routing switch, the row fallback, their plancheck codes
+    and the dead set-op kernels stay deleted too."""
+    import inspect
+
+    from repro.analysis import check_multi_plan, check_plan
     from repro.analysis.diagnostics import CATALOG
     from repro.compiler import compile_pattern
     from repro.compiler.plan import ExecutionPlan
     from repro.engine import PatternAwareEngine, kernels, setops
+    from repro.engine.reference import RecursiveEngine
     from repro.graph import erdos_renyi
     from repro.patterns import four_clique
     from repro.verify import BACKENDS
 
-    for name in (
+    recursion = (
+        "_extend", "_extend_node", "_filtered_candidates", "_operands",
+        "_raw_candidates", "_load_adjacency", "_on_descend",
+        "_on_backtrack",
+    )
+    for name in recursion:
+        assert name in vars(RecursiveEngine), name
+    for name in recursion + (
         "_count_leaf", "_count_leaf_batch", "_batch_leaf_excluded",
-        "leaf_count_min_work",
+        "leaf_count_min_work", "_frontier_recurse", "_frontier_ok",
+        "supports_leaf_counting",
     ):
         assert not hasattr(PatternAwareEngine, name), name
     assert not hasattr(ExecutionPlan, "batch_leaf_shape")
-    assert "FM171" not in CATALOG
-    assert "kernel-probe" not in BACKENDS
+    for code in ("FM170", "FM171", "FM175"):
+        assert code not in CATALOG, code
+    for func in (check_plan, check_multi_plan):
+        params = inspect.signature(func).parameters
+        assert "batch_frontier" not in params, func
+        assert "supports_leaf_counting" not in params, func
+    for name in ("kernel-probe", "row-fallback"):
+        assert name not in BACKENDS, name
+    assert "one-row-bands" in BACKENDS
     for module, names in (
-        (setops, {"intersect_count", "difference_count"}),
+        (setops, {"intersect_count", "difference_count", "intersect_many"}),
         (kernels, {
             "segmented_difference_count", "contains", "intersect_count",
             "difference_count", "difference_count_below",
+            "intersect_multi", "segmented_intersect",
+            "segmented_difference",
         }),
     ):
         assert not names & (set(module.__all__) | set(vars(module))), module
@@ -275,6 +301,7 @@ def test_one_way_to_run_a_task():
     engine.run()
     assert engine.frontier_stats()["bands"] > 0
     assert not hasattr(engine, "_batch_leaf")
+    assert not hasattr(engine, "_raw_stack")
 
 
 LAZY_PACKAGES = ("repro.engine", "repro.bench", "repro.compiler", "repro.graph")
@@ -286,7 +313,8 @@ NOT_ON_THE_MINE_PATH = (
     "repro.hw", "repro.serve", "repro.apps", "repro.analysis",
     "repro.verify", "repro.engine.pool", "repro.engine.partitioned",
     "repro.bench.harness", "repro.compiler.estimate",
-    "repro.graph.generators", "multiprocessing",
+    "repro.graph.generators", "repro.engine.reference",
+    "repro.engine.setops", "multiprocessing",
 )
 
 

@@ -283,18 +283,21 @@ class TestRootSliceTasks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_frontier_gauges_without_a_walk(self, workers):
-        # an edge plan has no interior level: the workers recurse, so
-        # the merged metrics carry no walker gauges
-        registry = MetricsRegistry()
-        got = pool_mine(
-            PL, compile_pattern(k_clique(2)), workers=workers,
-            metrics=registry,
-        )
-        assert got.counts == (PL.num_edges,)
-        assert not [
-            key for key in registry.snapshot()
-            if key.startswith("engine.frontier.")
-        ]
+        # an edge plan walks as one level, so its merged metrics carry
+        # the walker gauges; an empty root set walks nothing and
+        # publishes none
+        for roots, walked in ((None, True), ([], False)):
+            registry = MetricsRegistry()
+            got = pool_mine(
+                PL, compile_pattern(k_clique(2)), roots=roots,
+                workers=workers, metrics=registry,
+            )
+            assert got.counts == ((PL.num_edges,) if walked else (0,))
+            snap = registry.snapshot()
+            assert (snap.get("engine.frontier.bands", 0) > 0) == walked
+            assert bool([
+                key for key in snap if key.startswith("engine.frontier.")
+            ]) == walked
 
     def test_slices_are_contiguous_runs_of_the_issue_order(self):
         tasks = order_tasks(PL)

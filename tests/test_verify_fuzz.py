@@ -141,11 +141,11 @@ class TestFuzzLoop:
         report = fuzz(
             seed=1,
             cases=10,
-            backends=("serial", "reference", "row-fallback"),
+            backends=("serial", "reference", "one-row-bands"),
         )
         assert report.ok
         assert report.cases_run == 10
-        assert report.backends == ("serial", "reference", "row-fallback")
+        assert report.backends == ("serial", "reference", "one-row-bands")
         assert report.as_dict()["ok"] is True
 
     def test_deterministic_verdicts(self):

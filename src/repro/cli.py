@@ -816,6 +816,16 @@ def _freeze_profile(prof, profile: bool):
         return None, None
     payload = prof.as_dict()
     text = prof.timeline() + "\n\n" + prof.table()
+    replays = [p.args for p in prof.phases() if p.name == "replay"]
+    touches = sum(args.get("touches", 0) for args in replays)
+    if touches:
+        missed = sum(args["missed_touches"] for args in replays)
+        text += (
+            f"\nreplay: {sum(args['events'] for args in replays)} events, "
+            f"{touches} touches, {missed} missed "
+            f"({100.0 * missed / touches:.1f}%), "
+            f"{sum(args['lines_fetched'] for args in replays)} lines fetched"
+        )
     return payload, text
 
 

@@ -6,16 +6,17 @@ means we simply model each level independently).  Only line presence and
 LRU state are tracked — the simulator routes data values separately — so
 one model serves reads, writes and frontier-list spills.
 
-:meth:`SetAssocCache.access_line` is the per-line reference; the range
-and line-batch walks the PEs and the L2 use make exactly its state
-transitions, one line at a time, with the per-line call overhead hoisted
-out of the loop (``tests/test_property_hw.py`` checks them against it).
+:meth:`SetAssocCache.access_line` is the per-line reference.  The two
+hot walks — a PE's replay pass over its private cache and the memory
+system's miss batches over the L2 — inline exactly its state
+transitions, one line at a time (``tests/test_property_hw.py`` holds
+both to it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 from ..errors import ConfigError
 
@@ -66,7 +67,10 @@ class SetAssocCache:
         self.assoc = assoc
         self.num_sets = max(num_lines // assoc, 1)
         self.stats = CacheStats()
-        # Per-set mapping line_tag -> last-use tick (true LRU).
+        # Per-set mapping line_tag -> last-use tick (true LRU).  Every
+        # access (re-)inserts its line, so a set's first key is its
+        # least recently used line: the inlined walks evict it, the
+        # reference below finds it by tick.
         self._sets: List[Dict[int, int]] = [
             {} for _ in range(self.num_sets)
         ]
@@ -82,6 +86,7 @@ class SetAssocCache:
         index = line % self.num_sets
         ways = self._sets[index]
         if line in ways:
+            del ways[line]
             ways[line] = self._tick
             self.stats.hits += 1
             return True
@@ -92,93 +97,6 @@ class SetAssocCache:
             self.stats.evictions += 1
         ways[line] = self._tick
         return False
-
-    def access_range(self, base: int, size: int) -> Tuple[int, List[int]]:
-        """Touch every line of a byte range, in address order.
-
-        Returns ``(hits, missed_lines)`` so the caller can forward the
-        misses to the next memory level.  The same hits, misses,
-        evictions, LRU ticks and missed-line order as one
-        :meth:`access_line` per line, with the per-line dispatch
-        overhead hoisted out of the loop.
-        """
-        if size <= 0:
-            return 0, []
-        first = base // self.line_bytes
-        last = (base + size - 1) // self.line_bytes
-        if first == last:
-            # Single-line ranges dominate the touch stream; skip the
-            # loop setup entirely.
-            tick = self._tick + 1
-            self._tick = tick
-            ways = self._sets[first % self.num_sets]
-            if first in ways:
-                ways[first] = tick
-                self.stats.hits += 1
-                return 1, []
-            self.stats.misses += 1
-            if len(ways) >= self.assoc:
-                del ways[min(ways, key=ways.get)]
-                self.stats.evictions += 1
-            ways[first] = tick
-            return 0, [first]
-        tick = self._tick
-        sets = self._sets
-        num_sets = self.num_sets
-        assoc = self.assoc
-        hits = 0
-        evictions = 0
-        missed: List[int] = []
-        append = missed.append
-        for line in range(first, last + 1):
-            tick += 1
-            ways = sets[line % num_sets]
-            if line in ways:
-                ways[line] = tick
-                hits += 1
-            else:
-                if len(ways) >= assoc:
-                    del ways[min(ways, key=ways.get)]
-                    evictions += 1
-                ways[line] = tick
-                append(line)
-        self._tick = tick
-        self.stats.hits += hits
-        self.stats.misses += last - first + 1 - hits
-        self.stats.evictions += evictions
-        return hits, missed
-
-    def access_lines_batch(self, lines: Iterable[int]) -> List[bool]:
-        """Touch an explicit line sequence; per-line hit flags in order.
-
-        Same state transitions as calling :meth:`access_line` per line.
-        """
-        tick = self._tick
-        sets = self._sets
-        num_sets = self.num_sets
-        assoc = self.assoc
-        hits = 0
-        evictions = 0
-        flags: List[bool] = []
-        append = flags.append
-        for line in lines:
-            tick += 1
-            ways = sets[line % num_sets]
-            if line in ways:
-                ways[line] = tick
-                hits += 1
-                append(True)
-            else:
-                if len(ways) >= assoc:
-                    del ways[min(ways, key=ways.get)]
-                    evictions += 1
-                ways[line] = tick
-                append(False)
-        self._tick = tick
-        self.stats.hits += hits
-        self.stats.misses += len(flags) - hits
-        self.stats.evictions += evictions
-        return flags
 
     def contains(self, line: int) -> bool:
         return line in self._sets[line % self.num_sets]

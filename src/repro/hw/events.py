@@ -29,6 +29,7 @@ __all__ = [
     "EV_SIU",
     "EV_TOUCH",
     "PE_STAT_FIELDS",
+    "ReplayColumns",
     "STAT_FIELDS",
     "ShardTrace",
     "insert_arg",
@@ -156,14 +157,58 @@ class ShardTrace:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def task(self, i: int):
-        """Task i's ``(codes, arg_a, arg_b)`` lists, stat deltas and
-        count deltas, decoded for replay."""
-        lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
-        return (
-            self.codes[lo:hi].tolist(),
-            self.arg_a[lo:hi].tolist(),
-            self.arg_b[lo:hi].tolist(),
-            self.stats[i].tolist(),
-            self.counts[i].tolist(),
+class ReplayColumns:
+    """One :class:`ShardTrace` decoded for replay, once per slice.
+
+    A stream splits into *memory events* (``EV_TOUCH`` / ``EV_FWRITE``
+    / ``EV_FREAD``, the only ones whose outcome depends on the replaying
+    PE's state) and *busy events* (every code from ``EV_BUSY`` on).
+    Per memory event ``k``: ``kinds[k]``; ``col_a[k]`` / ``col_b[k]``,
+    a touch's first cache line and its line count less one (``-1`` for
+    an empty touch), an event's raw ``(a, b)`` otherwise; and
+    ``mem_busy[k]``, the number of busy events before it in its task.
+    ``busy`` holds the busy cycles in stream order.  Task ``i`` owns
+    memory events ``[mem_lo[i], mem_lo[i + 1])`` and busy events
+    ``[busy_lo[i], busy_lo[i + 1])``; row ``i`` of ``totals`` is its
+    busy-cycle sum, :data:`STAT_FIELDS` deltas and match counts, the
+    integers a PE settles once per slice.  ``busy_codes`` /
+    ``busy_args`` are decoded only for ``spans`` (a cycle-domain tracer
+    is attached).
+    """
+
+    __slots__ = (
+        "kinds", "col_a", "col_b", "mem_busy", "mem_lo", "busy",
+        "busy_lo", "totals", "busy_codes", "busy_args",
+    )
+
+    def __init__(self, shard: ShardTrace, line_bytes: int, spans: bool):
+        codes = shard.codes
+        is_busy = codes >= EV_BUSY
+        mem_pos = np.flatnonzero(~is_busy)
+        kinds = codes[mem_pos]
+        col_a = shard.arg_a[mem_pos]
+        col_b = shard.arg_b[mem_pos]
+        touch = kinds == EV_TOUCH
+        first = col_a // line_bytes
+        span = np.where(
+            col_b > 0, (col_a + col_b - 1) // line_bytes - first, -1
         )
+        mem_lo = np.searchsorted(mem_pos, shard.bounds)
+        busy_lo = shard.bounds - mem_lo
+        busy = shard.arg_a[is_busy]
+        cum = np.concatenate(([0], np.cumsum(busy)))
+        self.kinds = kinds.tolist()
+        self.col_a = np.where(touch, first, col_a).tolist()
+        self.col_b = np.where(touch, span, col_b).tolist()
+        self.mem_busy = (
+            mem_pos - np.arange(len(mem_pos))
+            - np.repeat(busy_lo[:-1], np.diff(mem_lo))
+        ).tolist()
+        self.mem_lo = mem_lo.tolist()
+        self.busy = busy.tolist()
+        self.busy_lo = busy_lo.tolist()
+        self.totals = np.column_stack((
+            cum[busy_lo[1:]] - cum[busy_lo[:-1]], shard.stats, shard.counts,
+        ))
+        self.busy_codes = codes[is_busy].tolist() if spans else None
+        self.busy_args = shard.arg_b[is_busy].tolist() if spans else None

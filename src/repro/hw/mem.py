@@ -73,6 +73,12 @@ class MemorySystem:
         )
         self.dram = DramModel(config)
         self.noc = NocModel(config)
+        # fetch_lines_batch's constants: a line request's unqueued NoC
+        # round trip, the ejection backlog one request adds, and the
+        # first line of the frontier spill space.
+        self._noc_base = self.noc.base_latency(config.line_bytes)
+        self._noc_drain = 1.0 / self.noc.ejection_ports
+        self._frontier_line = FRONTIER_BASE // config.line_bytes
         # Observability: sampled L2 counter track (attach_tracer).
         self._trace = None
         self._sample_every = 0
@@ -97,8 +103,8 @@ class MemorySystem:
         Each line costs a NoC round trip plus the L2 hit latency; an L2
         miss adds the DRAM access (frontier spill addresses always hit in
         L2 by construction — they were written there, never to DRAM).
-        This is the per-line reference, and what :meth:`fetch_lines_batch`
-        runs for short batches.
+        This is the per-line reference :meth:`fetch_lines_batch` is held
+        to.
         """
         if not lines:
             return 0.0
@@ -124,39 +130,90 @@ class MemorySystem:
     def fetch_lines_batch(
         self, pe_id: int, lines: List[int], now: float
     ) -> float:
-        """Batch form of :meth:`fetch_lines`: what a PE's misses go
-        through.
+        """What a PE's misses go through: :meth:`fetch_lines` in one
+        loop, with the NoC's leaky bucket and the L2's LRU transitions
+        inlined.
 
-        The NoC latencies for the whole batch are computed in one pass
-        and the L2 lookups in another; because the NoC bucket, the L2
-        LRU state and the DRAM models are mutually independent, every
-        per-line latency — and every counter — is bit-identical to
-        :meth:`fetch_lines`.
+        The NoC bucket, the L2 LRU state and the DRAM model are mutually
+        independent, and each sees its lines in batch order with the
+        same float operations, so every latency and every counter is
+        bit-identical to :meth:`fetch_lines`.  A batch of four or more
+        lines makes its DRAM fills after all of its NoC requests: that
+        only orders a traced run's ``noc`` and ``dram`` counter samples.
         """
         count = len(lines)
-        if count < 4:
-            # Short batches: the hoisting overhead of the batch path
-            # exceeds the per-line dispatch it saves.
-            return self.fetch_lines(pe_id, lines, now)
-        line_bytes = self.config.line_bytes
-        gap = self.ISSUE_GAP
-        noc_latency = self.noc.batch_latency(
-            pe_id, line_bytes, now, gap, count
-        )
-        hit_flags = self.l2.access_lines_batch(lines)
+        if not count:
+            return 0.0
+        noc = self.noc
+        noc_stats = noc.stats
+        per_pe = noc_stats.requests_per_pe
+        per_pe[pe_id] = per_pe.get(pe_id, 0) + count
+        noc_stats.response_bytes += self.config.line_bytes * count
+        base, drain = self._noc_base, self._noc_drain
+        noc_trace = noc._trace
+        backlog = noc._backlog
+        last_seen = noc._last_seen
+        queue_cycles = noc_stats.queue_cycles
+        requests = noc_stats.requests
+        l2 = self.l2
+        sets, num_sets, assoc = l2._sets, l2.num_sets, l2.assoc
+        tick = l2._tick
+        hits = evictions = 0
         l2_hit_cycles = self.config.l2_hit_cycles
-        frontier_line = FRONTIER_BASE // line_bytes
-        dram_access = self.dram.access
+        frontier_line = self._frontier_line
+        fills = [] if count >= 4 else None
         finish = now
-        for i in range(count):
-            issue = now + i * gap
-            latency = noc_latency[i] + l2_hit_cycles
-            if not hit_flags[i] and lines[i] < frontier_line:
-                latency += dram_access(lines[i], issue + latency)
-            finish = max(finish, issue + latency)
+        for i, line in enumerate(lines):
+            issue = now + i * self.ISSUE_GAP
+            requests += 1
+            elapsed = issue - last_seen
+            if elapsed > 0:
+                backlog = max(0.0, backlog - elapsed)
+                last_seen = issue
+            queue_delay = backlog
+            backlog += drain
+            queue_cycles += queue_delay
+            if noc_trace is not None and requests % noc._sample_every == 0:
+                # The sample reads the state the per-request path has.
+                noc._backlog = backlog
+                noc_stats.requests = requests
+                noc_stats.queue_cycles = queue_cycles
+                noc._emit_sample(issue)
+            latency = base + queue_delay + l2_hit_cycles
+            tick += 1
+            ways = sets[line % num_sets]
+            if line in ways:
+                del ways[line]
+                ways[line] = tick
+                hits += 1
+            else:
+                if len(ways) >= assoc:
+                    del ways[next(iter(ways))]
+                    evictions += 1
+                ways[line] = tick
+                if line < frontier_line:
+                    if fills is not None:
+                        fills.append((i, line, latency))
+                        continue
+                    latency += self.dram.access(line, issue + latency)
+            if issue + latency > finish:
+                finish = issue + latency
+        noc._backlog = backlog
+        noc._last_seen = last_seen
+        noc_stats.requests = requests
+        noc_stats.queue_cycles = queue_cycles
+        l2._tick = tick
+        l2.stats.hits += hits
+        l2.stats.misses += count - hits
+        l2.stats.evictions += evictions
+        for i, line, latency in fills or ():
+            issue = now + i * self.ISSUE_GAP
+            latency += self.dram.access(line, issue + latency)
+            if issue + latency > finish:
+                finish = issue + latency
         if (
             self._trace is not None
-            and self.l2.stats.accesses % self._sample_every == 0
+            and l2.stats.accesses % self._sample_every == 0
         ):
             self._emit_l2_sample(now)
         return finish - now

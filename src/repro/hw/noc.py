@@ -96,12 +96,17 @@ class NocModel:
         ):
             self._emit_sample(now)
 
+        return self.base_latency(payload_bytes) + queue_delay
+
+    def base_latency(self, payload_bytes: int):
+        """Round-trip cycles of one request before queueing: the hops
+        both ways plus the response's flits."""
         flits = max(
             1,
             math.ceil(payload_bytes / self.config.noc.link_bytes_per_flit),
         )
         one_way = self.avg_hops * self.config.noc.hop_latency_cycles
-        return 2 * one_way + flits + queue_delay
+        return 2 * one_way + flits
 
     def _emit_sample(self, now: float) -> None:
         from ..obs.trace import SIM_PID
@@ -116,61 +121,3 @@ class NocModel:
             },
             pid=SIM_PID,
         )
-
-    def batch_latency(
-        self,
-        pe_id: int,
-        payload_bytes: int,
-        now: float,
-        gap: float,
-        count: int,
-    ) -> list:
-        """Round-trip latencies for ``count`` back-to-back requests.
-
-        Request i is issued at ``now + i * gap``.  The leaky bucket is a
-        sequential recurrence, so the loop stays scalar — but with the
-        per-request dispatch overhead hoisted, and the identical float
-        operation order, results are bit-identical to ``count`` calls to
-        :meth:`request_latency`.
-        """
-        stats = self.stats
-        per_pe = stats.requests_per_pe
-        per_pe[pe_id] = per_pe.get(pe_id, 0) + count
-        stats.response_bytes += payload_bytes * count
-        flits = max(
-            1,
-            math.ceil(payload_bytes / self.config.noc.link_bytes_per_flit),
-        )
-        base = 2 * (self.avg_hops * self.config.noc.hop_latency_cycles) + flits
-        ports = self.ejection_ports
-        trace = self._trace
-        every = self._sample_every
-        backlog = self._backlog
-        last_seen = self._last_seen
-        queue_cycles = stats.queue_cycles
-        requests = stats.requests
-        out = []
-        append = out.append
-        for i in range(count):
-            issue = now + i * gap
-            requests += 1
-            elapsed = issue - last_seen
-            if elapsed > 0:
-                backlog = max(0.0, backlog - elapsed)
-                last_seen = issue
-            queue_delay = backlog
-            backlog += 1.0 / ports
-            queue_cycles += queue_delay
-            if trace is not None and requests % every == 0:
-                # Flush state so the sample reads the same values the
-                # per-request path would have seen.
-                self._backlog = backlog
-                stats.requests = requests
-                stats.queue_cycles = queue_cycles
-                self._emit_sample(issue)
-            append(base + queue_delay)
-        self._backlog = backlog
-        self._last_seen = last_seen
-        stats.requests = requests
-        stats.queue_cycles = queue_cycles
-        return out

@@ -18,11 +18,14 @@ global task order).  Every simulation splits them:
    addresses.  :class:`_TracePE`, one recursion per embedding, is the
    reference the walker's streams are checked against.
 
-2. **Replay** — the streams drive the real scheduler heap, per-PE
-   private caches / frontier allocators and the shared memory system
-   through :class:`~repro.hw.pe.ProcessingElement`, which applies every
-   charge in task order — and, when a cycle-domain tracer is attached,
-   emits the task, stall, c-map, SIU/SDU and overflow events.
+2. **Replay** — each slice's shard is decoded once
+   (:class:`~repro.hw.events.ReplayColumns`) and drives the real
+   scheduler heap, per-PE private caches / frontier allocators and the
+   shared memory system through
+   :class:`~repro.hw.pe.ProcessingElement`, which replays a task in one
+   pass over its memory events, in task order — and, when a
+   cycle-domain tracer is attached, emits the task, stall, c-map,
+   SIU/SDU and overflow events from the same pass.
 
 The task order is cut into root slices (:func:`slice_tasks`).
 In-process each slice is replayed as soon as it is traced, so memory is
@@ -65,6 +68,7 @@ from .events import (
     EV_SIU,
     EV_TOUCH,
     PE_STAT_FIELDS,
+    ReplayColumns,
     ShardTrace,
     insert_arg,
     overflow_arg,
@@ -360,11 +364,12 @@ class TraceReplay:
         self.graph = graph
         self.plan = plan
         self.config = config
+        self.memsys = memsys
         self._oriented = getattr(plan, "oriented", False)
         #: The graph the plan walks: the cached oriented DAG or ``graph``.
         self.work_graph = orient_by_degree(graph) if self._oriented else graph
-        #: The replay feed: task -> (its slice's shard, index).
-        self._traces: Dict[Task, Tuple[ShardTrace, int]] = {}
+        #: The replay feed: task -> (its slice's decoded columns, index).
+        self._traces: Dict[Task, Tuple[ReplayColumns, int]] = {}
         self.pes = [
             ProcessingElement(i, config, memsys, num_patterns, self._traces)
             for i in range(config.num_pes)
@@ -402,8 +407,10 @@ class TraceReplay:
         for tasks in slices:
             with profiler.phase("trace", tasks=len(tasks)):
                 shard = _trace_slice(tracer, tasks, rec)
-            with profiler.phase("replay", tasks=len(tasks)):
-                self._replay([(tasks, shard)])
+            with profiler.phase("replay", tasks=len(tasks)) as args:
+                self.replay(
+                    [(tasks, shard)], args if profiler.enabled else None
+                )
         return rec.spans
 
     def _in_processes(self, slices, workers: int, profiler) -> list:
@@ -419,17 +426,61 @@ class TraceReplay:
                     shared.spec, self.plan, self.config, slices, workers,
                     profiler=profiler,
                 )
-        with profiler.phase("replay", slices=len(slices)):
-            self._replay([
-                (tasks, results[s % workers][0][s // workers])
-                for s, tasks in enumerate(slices)
-            ])
+        with profiler.phase("replay", slices=len(slices)) as args:
+            self.replay(
+                [
+                    (tasks, results[s % workers][0][s // workers])
+                    for s, tasks in enumerate(slices)
+                ],
+                args if profiler.enabled else None,
+            )
         return [spans for _shards, spans in results]
 
-    def _replay(self, traced) -> None:
-        """Dispatch traced ``(tasks, shard)`` slices, in order."""
+    def replay(self, traced, counts: Optional[dict] = None) -> None:
+        """Replay traced ``(tasks, shard)`` slices, in order.
+
+        Each slice is decoded once, dispatched task by task through the
+        scheduler, settled on every PE and dropped, so replay holds one
+        decoded slice at a time.  ``counts`` (the profiler's ``replay``
+        phase args), when given, receives the replayed ``events``, the
+        private-cache reads of at least a byte (``touches``), the reads
+        that missed (``missed_touches``) and the lines they fetched
+        (``lines_fetched``: one NoC request each).
+        """
+        spans = any(pe._trace is not None for pe in self.pes)
+        line_bytes = self.config.line_bytes
+        if counts is not None:
+            noc = self.memsys.noc.stats
+            requests = noc.requests
+            missed = sum(pe.missed_touches for pe in self.pes)
+            events = touches = 0
         for tasks, shard in traced:
+            cols = ReplayColumns(shard, line_bytes, spans)
             for index, task in enumerate(tasks):
-                self._traces[task] = (shard, index)
-        self.scheduler.run(task for tasks, _ in traced for task in tasks)
-        self._traces.clear()
+                self._traces[task] = (cols, index)
+            self.scheduler.run(tasks)
+            self._traces.clear()
+            # One grouped sum settles every PE that ran a task.
+            ran = [pe for pe in self.pes if pe.ran]
+            sizes = [len(pe.ran) for pe in ran]
+            rows = np.add.reduceat(
+                cols.totals[[i for pe in ran for i in pe.ran]],
+                np.cumsum([0] + sizes[:-1]),
+            )
+            for pe, row in zip(ran, rows.tolist()):
+                pe.settle(row)
+            if counts is not None:
+                events += len(shard.codes)
+                touches += int(np.count_nonzero(
+                    ((shard.codes == EV_TOUCH) & (shard.arg_b > 0))
+                    | (shard.codes == EV_FREAD)
+                ))
+        if counts is not None:
+            counts.update(
+                events=events,
+                touches=touches,
+                missed_touches=(
+                    sum(pe.missed_touches for pe in self.pes) - missed
+                ),
+                lines_fetched=noc.requests - requests,
+            )

@@ -271,10 +271,12 @@ class PhaseProfiler:
         Phases nest; only depth-0 phases count toward wall-time
         coverage, so wrapping a traced sub-step never double-books.
         Mirrored into the tracer as an ordinary host ``phase`` span.
+        Yields the phase's args: what the body adds to them is recorded
+        too (the tracer span keeps the args given at entry).
         """
         traced = self.tracer.enabled
         if not self.enabled and not traced:
-            yield
+            yield args
             return
         if traced:
             self.tracer.begin(
@@ -282,7 +284,7 @@ class PhaseProfiler:
             )
         if not self.enabled:
             try:
-                yield
+                yield args
             finally:
                 self.tracer.end(name, self.tracer.now_us(), cat="phase")
             return
@@ -291,7 +293,7 @@ class PhaseProfiler:
         start = time.perf_counter()
         cpu_start = time.process_time()
         try:
-            yield
+            yield args
         finally:
             wall = time.perf_counter() - start
             cpu = time.process_time() - cpu_start

@@ -1,5 +1,6 @@
 """Tests for the flexminer command-line interface."""
 
+import re
 import pytest
 
 from repro.cli import build_parser, main
@@ -237,6 +238,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "cycles" in out
         assert "% wall" in out
+        assert re.search(r"replay: \d+ events, \d+ touches, \d+ missed", out)
         assert trace.exists()
 
     def test_profile_emit_json_carries_payload(self, tmp_path, capsys):

@@ -33,17 +33,6 @@ class TestCache:
         assert not cache.contains(s)
         assert cache.stats.evictions == 1
 
-    def test_access_range_line_granularity(self):
-        cache = SetAssocCache(1024, 4, 64)
-        hits, missed = cache.access_range(0, 130)  # covers 3 lines
-        assert hits == 0 and len(missed) == 3
-        hits, missed = cache.access_range(0, 130)
-        assert hits == 3 and not missed
-
-    def test_empty_range(self):
-        cache = SetAssocCache(1024, 4, 64)
-        assert cache.access_range(0, 0) == (0, [])
-
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             SetAssocCache(64, 4, 64)

@@ -5,6 +5,7 @@ import pytest
 from repro.compiler import compile_pattern
 from repro.graph import complete_graph, erdos_renyi
 from repro.hw import FlexMinerAccelerator, FlexMinerConfig
+from repro.hw.events import EV_BUSY, EV_TOUCH, STAT_FIELDS, ShardTrace
 from repro.patterns import diamond, four_cycle, k_clique, triangle
 
 GRAPH = erdos_renyi(40, 0.3, seed=8)
@@ -120,21 +121,48 @@ class TestFrontierTable:
         assert pe._frontier_ptr >= pe._frontier_base
 
 
-class TestOverlapCredit:
-    def test_compute_hides_memory_latency(self):
-        # With an enormous overlap credit the fetch is fully hidden.
+def replay_task(accel, events, root=0):
+    """Replay one hand-made task stream on ``accel``'s PEs."""
+    shard = ShardTrace.from_streams(
+        [(events, [0] * len(STAT_FIELDS), [0])], num_patterns=1
+    )
+    accel._pipeline.replay([([(root, None)], shard)])
+
+
+class TestReplayPass:
+    def test_touch_reads_every_line_of_its_range(self):
+        accel = one_pe_accel(compile_pattern(triangle()))
+        private = accel.pes[0].private
+        replay_task(accel, [(EV_TOUCH, 0, 130)])  # covers 3 lines
+        assert (private.stats.hits, private.stats.misses) == (0, 3)
+        replay_task(accel, [(EV_TOUCH, 0, 130)], root=1)
+        assert (private.stats.hits, private.stats.misses) == (3, 3)
+
+    def test_empty_touch_reads_nothing(self):
         accel = one_pe_accel(compile_pattern(triangle()))
         pe = accel.pes[0]
-        pe._overlap_credit = 10 ** 9
-        before = pe.time
-        pe._touch(0x4000_0000, 256)
-        assert pe.time == before  # no stall charged
+        replay_task(accel, [(EV_TOUCH, 0, 0)])
+        assert pe.private.stats.accesses == 0
+        assert pe.private._tick == 0
+        assert pe.time == accel.config.dispatch_cycles
+
+
+class TestOverlapCredit:
+    def test_compute_hides_memory_latency(self):
+        # Enough compute before the fetch hides it entirely.
+        accel = one_pe_accel(compile_pattern(triangle()))
+        pe = accel.pes[0]
+        replay_task(
+            accel, [(EV_BUSY, 10 ** 9, 0), (EV_TOUCH, 0x4000_0000, 256)]
+        )
+        assert pe.private.stats.misses == 4
+        assert pe.time == accel.config.dispatch_cycles + 10 ** 9  # no stall
+        assert pe.stats.stall_cycles == 0.0
         assert pe._overlap_credit == 0.0  # credit consumed
 
     def test_cold_fetch_without_credit_stalls(self):
-        accel = one_pe_accel(compile_pattern(triangle()))
+        accel = one_pe_accel(compile_pattern(triangle()), dispatch_cycles=0)
         pe = accel.pes[0]
-        pe._overlap_credit = 0.0
-        before = pe.time
-        pe._touch(0x5000_0000, 256)
-        assert pe.time > before
+        replay_task(accel, [(EV_TOUCH, 0x5000_0000, 256)])
+        assert pe.stats.stall_cycles > 0
+        assert pe.time == pe.stats.stall_cycles

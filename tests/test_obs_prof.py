@@ -423,3 +423,28 @@ class TestPhaseAttributionWiring:
         )
         names = {p.name for p in prof.phases()}
         assert {"setup", "trace", "replay", "merge"} <= names
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "plan", [PLAN, CLIQUE_PLAN], ids=["triangle", "4-clique"]
+    )
+    def test_replay_args_count_the_misses(self, plan, workers):
+        prof = PhaseProfiler()
+        report = simulate_parallel(
+            ER, plan, FlexMinerConfig(num_pes=4),
+            workers=workers, profiler=prof,
+        )
+        replays = [p.args for p in prof.phases() if p.name == "replay"]
+        total = {
+            key: sum(args[key] for args in replays)
+            for key in ("events", "touches", "missed_touches", "lines_fetched")
+        }
+        # One NoC request per fetched line; every other private miss is
+        # a frontier write-allocate, which the triangle plan never makes.
+        assert total["lines_fetched"] == report.noc_requests
+        assert 0 < total["missed_touches"] <= total["lines_fetched"]
+        assert total["lines_fetched"] <= report.private_misses
+        if plan is PLAN:
+            assert total["lines_fetched"] == report.private_misses
+        assert total["missed_touches"] < total["touches"] < total["events"]
+

@@ -135,23 +135,34 @@ def test_single_measurement_surface(capsys):
 
 
 def test_single_owner_surface():
-    """One owner per cross-stack invariant: the PE the scheduler
-    dispatches to owns the timing hooks (the reference tracer records
-    events and has none), the scheduler issues the pool's task list,
-    the root-label filter and the oriented DAG exist once, and no
-    internal signature takes a ``work_graph`` to dodge a re-orientation
-    any more."""
+    """One owner per cross-stack invariant: replay is one pass per task
+    on the PE the scheduler dispatches to (no per-event charge hooks on
+    it, none on the reference tracer, which records events), the
+    scheduler issues the pool's task list, the root-label filter and
+    the oriented DAG exist once, and no internal signature takes a
+    ``work_graph`` to dodge a re-orientation any more."""
     import inspect
 
     from repro import engine
     from repro.engine.parallel import run_tasks_in_process
     from repro.graph import assign_degree_labels, cycle_graph, orient_by_degree
-    from repro.hw import ProcessingElement, Scheduler, accelerator
-    from repro.hw.parallel_sim import _TracePE
+    from repro.hw import (
+        NocModel, ProcessingElement, Scheduler, SetAssocCache, accelerator,
+    )
+    from repro.hw.events import ShardTrace
+    from repro.hw.parallel_sim import TraceReplay, _TracePE
 
+    assert "replay" in vars(TraceReplay)
+    assert {"execute_task", "settle"} <= set(vars(ProcessingElement))
     for hook in ("_charge_busy", "_charge", "_touch", "_write_frontier"):
-        assert hook in vars(ProcessingElement), hook
+        assert not hasattr(ProcessingElement, hook), hook
         assert not hasattr(_TracePE, hook), hook
+    assert not hasattr(TraceReplay, "_replay")
+    assert not hasattr(ShardTrace, "task")
+    # The replay pass and the miss batch inline the cache and NoC walks.
+    for gone in ("access_range", "access_lines_batch"):
+        assert not hasattr(SetAssocCache, gone), gone
+    assert not hasattr(NocModel, "batch_latency")
     assert Scheduler.order_tasks is engine.order_tasks
     assert not hasattr(accelerator, "filter_roots")
     for graph in (cycle_graph(6), assign_degree_labels(cycle_graph(6))):

@@ -14,7 +14,8 @@ call when observability is off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Union
+from collections.abc import Mapping
+from typing import Dict, Iterator, Optional, Union
 
 __all__ = [
     "Counter",

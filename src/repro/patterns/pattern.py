@@ -8,6 +8,7 @@ automorphism group is found by checking all k! permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -17,6 +18,10 @@ __all__ = ["Pattern"]
 
 Edge = Tuple[int, int]
 Permutation = Tuple[int, ...]
+
+#: Bound of the canonical-form memo: room for every relabeling (5! =
+#: 120) of about 34 five-vertex patterns.
+CANONICAL_MEMO_ENTRIES = 4096
 
 
 class Pattern:
@@ -169,6 +174,16 @@ class Pattern:
         patterns are isomorphic iff their vertex counts and canonical
         forms agree.
 
+        The form is a pure function of ``(num_vertices, edges,
+        labels)``, so it is memoised on that triple in a bounded
+        module-level LRU (:data:`CANONICAL_MEMO_ENTRIES`): a served
+        stream re-keys the same relabeled patterns over and over.
+        """
+        return _canonical_form(self._n, self._edges, self._labels)
+
+    def _search_canonical_form(self):
+        """The permutation search behind :meth:`canonical_form`.
+
         A uniformly labeled clique skips the k! permutation search:
         every permutation fixes it, so its form is the full bit mask
         (with the label vector) — a 40-clique request keys in O(k²).
@@ -317,3 +332,15 @@ class Pattern:
     def __repr__(self) -> str:
         label = f" {self._name!r}" if self._name else ""
         return f"Pattern({self._n} vertices, {self.num_edges} edges{label})"
+
+
+@functools.lru_cache(maxsize=CANONICAL_MEMO_ENTRIES)
+def _canonical_form(
+    num_vertices: int,
+    edges: Tuple[Edge, ...],
+    labels: Tuple[Optional[int], ...],
+):
+    """Memoised :meth:`Pattern.canonical_form` of a literal pattern."""
+    return Pattern(
+        num_vertices, edges, labels=labels
+    )._search_canonical_form()

@@ -138,6 +138,44 @@ class TestMetrics:
         snap = reg.snapshot()
         assert snap == {"sim.cycles": 10, "sim.cache.hits": 3}
 
+    def test_absorb_leaf_kinds(self):
+        # bool leaves become 0/1, int and float leaves pass through,
+        # nested mappings of any Mapping type recurse with a dotted
+        # prefix, and sequences and strings are skipped.
+        from types import MappingProxyType
+
+        reg = MetricsRegistry()
+        reg.absorb(
+            {
+                "on": True,
+                "off": False,
+                "n": 7,
+                "ratio": 0.25,
+                "inner": MappingProxyType(
+                    {"deep": {"x": 2.5, "flag": True}, "seq": (1, 2)}
+                ),
+                "rows": [3, 4],
+                "tag": "skip",
+            },
+            prefix="p.",
+            lane=1,
+        )
+        assert reg.snapshot() == {
+            "p.on{lane=1}": 1,
+            "p.off{lane=1}": 0,
+            "p.n{lane=1}": 7,
+            "p.ratio{lane=1}": 0.25,
+            "p.inner.deep.x{lane=1}": 2.5,
+            "p.inner.deep.flag{lane=1}": 1,
+        }
+        assert all(
+            reg.as_dict()[key]["kind"] == "gauge" for key in reg
+        )
+        before = reg.snapshot()
+        reg.absorb({"n": 9, "inner": {"deep": {"x": 2.5}}}, prefix="p.",
+                   lane=1)
+        assert reg.diff(before) == {"p.n{lane=1}": 2}
+
     def test_disabled_registry_is_inert(self):
         reg = MetricsRegistry(enabled=False)
         c = reg.counter("c")

@@ -180,3 +180,43 @@ class TestLibrary:
             k_clique(3).with_labels([1, 0, 1]).canonical_form()
             == mixed.canonical_form()
         )
+
+
+class TestCanonicalMemo:
+    """canonical_form() is memoised on (num_vertices, edges, labels)."""
+
+    def test_relabeled_isomorphs_share_a_form(self):
+        import itertools
+
+        base = tailed_triangle()
+        forms = {
+            base.relabel(perm).canonical_form()
+            for perm in itertools.permutations(range(4))
+        }
+        assert forms == {base._search_canonical_form()}
+
+    def test_labeled_and_unlabeled_twins_stay_apart(self):
+        plain = four_cycle()
+        labeled = plain.with_labels([0, 0, 0, 0])
+        assert plain.edges == labeled.edges
+        assert plain.canonical_form() != labeled.canonical_form()
+        assert labeled.canonical_form() == (
+            labeled._search_canonical_form()
+        )
+        wildcard = plain.with_labels([None, 0, None, None])
+        assert wildcard.canonical_form() not in (
+            plain.canonical_form(), labeled.canonical_form()
+        )
+
+    def test_memo_never_grows_past_its_bound(self):
+        from repro.patterns import pattern as pattern_mod
+
+        memo = pattern_mod._canonical_form
+        bound = pattern_mod.CANONICAL_MEMO_ENTRIES
+        assert memo.cache_info().maxsize == bound
+        # distinct literal triples: one edge, a fresh label each time
+        for label in range(bound + 50):
+            form = Pattern(2, [(0, 1)], labels=[label, 0]).canonical_form()
+            assert form == (1, (0, label))
+            assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().currsize == bound

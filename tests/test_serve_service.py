@@ -346,6 +346,24 @@ class TestResourceLifecycle:
         assert not service._graphs["er"].pool.closed
         assert service.mine("er", app="TC").counts
 
+    def test_unknown_graph_message_reads_the_registry_under_its_lock(
+        self, service
+    ):
+        # Regression: the "known: ..." list iterated the registry after
+        # releasing its lock, so a concurrent (un)registration could
+        # raise "dictionary changed size during iteration" instead of
+        # GraphNotRegistered.
+        lock = service._registry_lock
+
+        class _LockCheckedDict(dict):
+            def __iter__(self):
+                assert lock.locked(), "registry iterated without its lock"
+                return super().__iter__()
+
+        service._graphs = _LockCheckedDict(service._graphs)
+        with pytest.raises(GraphNotRegistered, match=r"known: er\)"):
+            service.graph_epoch("nope")
+
     def test_missing_graph_leases_nothing(self, service):
         # Regression (FM302): leases must balance on every path through
         # the request pipeline, including lookup failures.

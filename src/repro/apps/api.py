@@ -107,8 +107,8 @@ def _run(
             )
         if not batch_frontier:
             raise ConfigError(
-                "service= fixes engine options at construction; build "
-                "the MiningService with batch_frontier=False instead"
+                "service= always runs the default frontier walker; "
+                "drop service= to walk one root at a time"
             )
         if collect:
             raise ConfigError(

@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-register a suite dataset (repeatable); bare DATASET "
         "registers under its own name",
     )
-    _add_batch_frontier_flag(serve_p)
     serve_p.add_argument(
         "--stats-report", metavar="FILE",
         help="write a final flexminer.run/1 service report on exit "
@@ -835,7 +834,6 @@ def _serve(args) -> int:
         max_active=args.max_active,
         result_cache=not args.no_result_cache,
         request_timeout_s=args.timeout,
-        batch_frontier=args.batch_frontier,
     )
     try:
         for spec in args.register:

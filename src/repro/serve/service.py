@@ -12,23 +12,22 @@ costs once:
   name bumps its *epoch* and invalidates every memoized result for it;
 * **plans compile once ever** — the compiled-plan cache is keyed by the
   pattern's *canonical form* (isomorphic requests share one plan — the
-  count is isomorphism-invariant), the vertex-induced flag, any explicit
-  matching order, and the service's engine-config fingerprint; a
-  single-flight guard means concurrent first requests still compile
-  exactly once, which :meth:`compiles` exposes for tests to pin;
+  count is isomorphism-invariant), the vertex-induced flag and any
+  explicit matching order; a single-flight guard means concurrent first
+  requests still compile exactly once, which :meth:`compiles` exposes
+  for tests to pin;
 * **results memoize** — the result cache is keyed by (graph name,
   graph *epoch*, plan key, split degree), so a repeated request is
   answered from memory, bit-identical (counts *and*
   :class:`~repro.engine.counters.OpCounters`) to the first execution,
   and re-registration invalidates exactly the right entries;
-* **admission control** — at most ``max_active`` requests are in
-  flight; request ``max_active + 1`` is rejected immediately with
-  :class:`~repro.errors.ServiceOverloaded` (backpressure the caller can
-  act on, CMinerAPI-style active-task accounting) instead of queueing
-  without bound;
-* **no hop for a waiting caller** — :meth:`MiningService.request` runs
-  on its caller's thread (the caller blocks either way); only
-  :meth:`MiningService.submit` goes to the executor threads.
+* **one call per request** — :meth:`MiningService.request` runs on its
+  caller's thread; the service starts no threads and keeps no queue;
+* **admission control** — at most ``max_active`` requests (caller
+  threads) are in flight; request ``max_active + 1`` is rejected
+  immediately with :class:`~repro.errors.ServiceOverloaded`
+  (backpressure the caller can act on, CMinerAPI-style active-task
+  accounting).
 
 Zero-drift guarantee: a served request (cached or executed, any arrival
 order) returns counts and op counters bit-identical to a direct
@@ -42,7 +41,7 @@ theirs — the two serve backends are held to each other there.
 
 Observability flows through :mod:`repro.obs`: per-request latency
 histograms (``serve.request_ms`` with p50/p90/p99), live QPS, cache
-hit/miss counters, queue-depth and active-peak gauges — surfaced by the
+hit/miss counters, active and active-peak gauges — surfaced by the
 ``stats`` op of ``flexminer serve`` and renderable with
 ``flexminer stats``.
 """
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -74,7 +72,7 @@ from ..errors import (
     ServiceClosed,
     ServiceOverloaded,
 )
-from ..obs import LaneRecorder, MetricsRegistry, make_report
+from ..obs import MetricsRegistry, make_report
 from ..patterns import Pattern, k_clique
 
 __all__ = [
@@ -349,24 +347,16 @@ class MiningService:
         ``1`` runs every mine in-process (exact serial parity, no
         fork) — the right default for correctness-first callers.
     max_active:
-        Admission limit: requests in flight (queued + running) beyond
-        this are rejected with :class:`ServiceOverloaded`.
+        Admission limit: requests in flight (one per caller thread)
+        beyond this are rejected with :class:`ServiceOverloaded`.
     threads:
-        Executor threads running requests given to :meth:`submit`;
-        those admitted beyond this wait in the executor queue (visible as
-        ``serve.queue_depth``).  :meth:`request` runs on the caller's
-        thread and never queues.
+        Has no effect: every request runs on its caller's thread.
     result_cache / result_cache_entries:
         Toggle / bound the result memo cache.
     request_timeout_s:
         Per-request bound on waiting for pool workers; a wedged worker
         surfaces as :class:`~repro.engine.pool.PoolWorkerError`
         (``reason="timeout"``) instead of a hang.
-    batch_frontier:
-        Execution mode of every pool's engines (the config
-        fingerprint): the frontier walker by default — a miss runs one
-        walk over the request's whole root set — ``False`` to walk one
-        root at a time.
     metrics:
         A :class:`~repro.obs.MetricsRegistry`; defaults to a private
         enabled registry so :meth:`stats` always has data.
@@ -383,7 +373,6 @@ class MiningService:
         result_cache: bool = True,
         result_cache_entries: int = 1024,
         request_timeout_s: Optional[float] = None,
-        batch_frontier: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -391,12 +380,9 @@ class MiningService:
             raise ConfigError("workers must be >= 1")
         if max_active < 1:
             raise ConfigError("max_active must be >= 1")
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         self.workers = int(workers)
         self.max_active = int(max_active)
         self.request_timeout_s = request_timeout_s
-        self.batch_frontier = batch_frontier
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock if clock is not None else time.perf_counter
         self._plans = _SingleFlightCache()
@@ -410,16 +396,12 @@ class MiningService:
         self._admit_lock = threading.Condition(threading.Lock())
         self._active = 0
         self._active_peak = 0
-        self._queued = 0
         self._completed = 0
         self._rejected = 0
         self._next_request_id = 0
         self._anon_count = 0
         self._closed = False
         self._t0 = self._clock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-serve"
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -435,30 +417,25 @@ class MiningService:
         return self._closed
 
     def close(self) -> None:
-        """Drain running requests, close every pool, reject new work."""
+        """Reject new work, wait for in-flight requests, close every pool."""
         with self._admit_lock:
             if self._closed:
                 return
             self._closed = True
-        try:
-            self._executor.shutdown(wait=True)
-            with self._admit_lock:  # requests on their callers' threads
-                self._admit_lock.wait_for(lambda: self._active == 0)
-        finally:
-            # Pools must retire even if the executor teardown raises,
-            # and one failing pool must not strand the rest (FM301):
-            # capture the first error, keep closing, re-raise.
-            with self._registry_lock:
-                entries, self._graphs = list(self._graphs.values()), {}
-            failure: Optional[BaseException] = None
-            for entry in entries:
-                try:
-                    entry.pool.close()
-                except BaseException as exc:
-                    if failure is None:
-                        failure = exc
-            if failure is not None:
-                raise failure
+            self._admit_lock.wait_for(lambda: self._active == 0)
+        # One failing pool must not strand the rest (FM301): capture the
+        # first error, keep closing, re-raise.
+        with self._registry_lock:
+            entries, self._graphs = list(self._graphs.values()), {}
+        failure: Optional[BaseException] = None
+        for entry in entries:
+            try:
+                entry.pool.close()
+            except BaseException as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------
     # Graph registry
@@ -474,12 +451,7 @@ class MiningService:
         """
         if self._closed:
             raise ServiceClosed("cannot register on a closed service")
-        pool = MinerPool(
-            graph,
-            workers=self.workers,
-            metrics=self.metrics,
-            batch_frontier=self.batch_frontier,
-        )
+        pool = MinerPool(graph, workers=self.workers, metrics=self.metrics)
         try:
             with self._registry_lock:
                 old = self._graphs.get(name)
@@ -578,10 +550,6 @@ class MiningService:
     # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
-    def config_fingerprint(self) -> Tuple[object, ...]:
-        """Engine-option fingerprint baked into every cache key."""
-        return (("batch_frontier", self.batch_frontier),)
-
     @property
     def compiles(self) -> int:
         """Compiler invocations so far (== distinct plan keys served)."""
@@ -599,7 +567,7 @@ class MiningService:
             request.motif_k,
             induced=request.induced,
             matching_order=request.matching_order,
-        ) + self.config_fingerprint()
+        )
 
         def compile_now() -> object:
             self.metrics.counter("serve.plan_cache.compiles").inc()
@@ -622,34 +590,11 @@ class MiningService:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, request: MineRequest) -> "Future[MineResponse]":
-        """Admit a request (or reject with backpressure) and enqueue it.
-
-        Admission happens *here*, synchronously: the caller knows
-        immediately whether the request is in flight.  The returned
-        future resolves to a :class:`MineResponse` (or raises the
-        execution error).
-        """
-        request = request.resolve()
-        request_id = self._admit(queued=True)
-        try:
-            return self._executor.submit(self._run_one, request, request_id)
-        except BaseException:
-            # the worker will never run _run_one's bookkeeping; roll the
-            # admission back or the slot leaks forever
-            self._dequeue()
-            self._retire(completed=False)
-            raise
-
     def request(self, request: MineRequest) -> MineResponse:
-        """Serve a request on the caller's thread and return its response.
-
-        Admission, caching and per-graph serialization are those of
-        :meth:`submit`; only the executor hop is skipped, since the
-        caller waits for the answer either way.
-        """
+        """Admit a request (or reject it with backpressure) and serve it
+        on the caller's thread."""
         request = request.resolve()
-        request_id = self._admit(queued=False)
+        request_id = self._admit()
         try:
             return self._execute(request, request_id)
         finally:
@@ -663,18 +608,7 @@ class MiningService:
         """Apps-API passthrough: serve against a graph *object*."""
         return self.mine(self.ensure_graph(graph), **kwargs)
 
-    def _run_one(
-        self, request: MineRequest, request_id: int
-    ) -> MineResponse:
-        self._dequeue()
-        try:
-            return self._execute(request, request_id)
-        finally:
-            self._retire()
-
-    # Admission bookkeeping: every route takes a slot with _admit and
-    # gives it back with _retire; only the executor route queues.
-    def _admit(self, *, queued: bool) -> int:
+    def _admit(self) -> int:
         """Take an admission slot (or raise); returns the request id."""
         with self._admit_lock:
             if self._closed:
@@ -689,81 +623,63 @@ class MiningService:
             self._next_request_id += 1
             self.metrics.gauge("serve.active").set(self._active)
             self.metrics.gauge("serve.active_peak").set(self._active_peak)
-            if queued:
-                self._queued += 1
-                self.metrics.gauge("serve.queue_depth").set(self._queued)
         return request_id
 
-    def _dequeue(self) -> None:
-        """A queued request leaves the executor queue."""
-        with self._admit_lock:
-            self._queued -= 1
-            self.metrics.gauge("serve.queue_depth").set(self._queued)
-
-    def _retire(self, *, completed: bool = True) -> None:
-        """Give an admission slot back; ``completed=False`` undoes an
-        admission whose request never ran."""
+    def _retire(self) -> None:
+        """Give an admission slot back."""
         with self._admit_lock:
             self._active -= 1
+            self._completed += 1
             self.metrics.gauge("serve.active").set(self._active)
-            if completed:
-                self._completed += 1
-                self.metrics.counter("serve.requests").inc()
-                elapsed = self._clock() - self._t0
-                if elapsed > 0:
-                    self.metrics.gauge("serve.qps").set(
-                        self._completed / elapsed
-                    )
+            self.metrics.counter("serve.requests").inc()
+            elapsed = self._clock() - self._t0
+            if elapsed > 0:
+                self.metrics.gauge("serve.qps").set(self._completed / elapsed)
             if self._closed and self._active == 0:
-                self._admit_lock.notify_all()  # close() is draining
+                self._admit_lock.notify_all()  # close() is waiting
 
     def _execute(
         self, request: MineRequest, request_id: int
     ) -> MineResponse:
-        rec = LaneRecorder(clock=self._clock)
-        with rec.span("request", cat="serve-request"):
-            plan, plan_key, plan_hit = self.plan_for(request)
-            entry = self._leased_entry(request.graph)
-            try:
-                result_key = (
-                    entry.name,
-                    entry.epoch,
-                    plan_key,
-                    request.split_degree,
+        started = self._clock()
+        plan, plan_key, plan_hit = self.plan_for(request)
+        entry = self._leased_entry(request.graph)
+        try:
+            result_key = (
+                entry.name,
+                entry.epoch,
+                plan_key,
+                request.split_degree,
+            )
+
+            def mine(run: object) -> MiningResult:
+                return entry.pool.mine(
+                    run,
+                    split_degree=request.split_degree,
+                    timeout_s=self.request_timeout_s,
                 )
 
-                def mine(run: object) -> MiningResult:
-                    return entry.pool.mine(
-                        run,
-                        split_degree=request.split_degree,
-                        timeout_s=self.request_timeout_s,
-                    )
+            def execute_now() -> MiningResult:
+                with entry.mine_lock:
+                    if isinstance(plan, MotifCountPlan):
+                        return count_motifs(entry.graph, plan, mine)
+                    return mine(plan)
 
-                def execute_now() -> MiningResult:
-                    with rec.span("mine", cat="serve-mine"):
-                        with entry.mine_lock:
-                            if isinstance(plan, MotifCountPlan):
-                                return count_motifs(entry.graph, plan, mine)
-                            return mine(plan)
-
-                if request.use_cache:
-                    result, result_hit = self._results.get_or_compute(
-                        result_key, execute_now
-                    )
-                else:
-                    result, result_hit = execute_now(), False
-                    self.metrics.counter(
-                        "serve.result_cache.bypassed"
-                    ).inc()
-                if request.use_cache:
-                    self.metrics.counter(
-                        "serve.result_cache.hits"
-                        if result_hit
-                        else "serve.result_cache.misses"
-                    ).inc()
-            finally:
-                entry.pool.release()
-        latency_s = rec.total("serve-request")
+            if request.use_cache:
+                result, result_hit = self._results.get_or_compute(
+                    result_key, execute_now
+                )
+                self.metrics.counter(
+                    "serve.result_cache.hits"
+                    if result_hit
+                    else "serve.result_cache.misses"
+                ).inc()
+            else:
+                result, result_hit = execute_now(), False
+                self.metrics.counter("serve.result_cache.bypassed").inc()
+        finally:
+            entry.pool.release()
+        latency_s = self._clock() - started
         self.metrics.histogram("serve.request_ms").observe(
             latency_s * 1e3
         )
@@ -787,7 +703,7 @@ class MiningService:
     # ------------------------------------------------------------------
     @property
     def active_tasks(self) -> int:
-        """Requests currently admitted (queued + running)."""
+        """Requests currently in flight."""
         with self._admit_lock:
             return self._active
 
@@ -824,7 +740,7 @@ class MiningService:
         }
 
     def stats(self) -> Dict[str, object]:
-        """Live service snapshot: queues, caches, graphs, latency."""
+        """Live service snapshot: admission, caches, graphs, latency."""
         with self._registry_lock:
             graphs = {
                 name: {
@@ -843,7 +759,6 @@ class MiningService:
                 "max_active": self.max_active,
                 "active": self._active,
                 "active_peak": self._active_peak,
-                "queue_depth": self._queued,
                 "completed": completed,
                 "rejected": self._rejected,
             }

@@ -144,7 +144,8 @@ class TestRunAppDispatch:
             with pytest.raises(ConfigError):
                 triangle_count(GRAPH, pool=pool, batch_frontier=False)
         with MiningService(workers=1) as svc:
-            with pytest.raises(ConfigError):
+            # the service has no mode to switch: the message says so
+            with pytest.raises(ConfigError, match="drop service="):
                 triangle_count(GRAPH, service=svc, batch_frontier=False)
 
     def test_default_mode_is_accepted_on_every_route(self):

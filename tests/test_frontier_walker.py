@@ -343,8 +343,9 @@ class TestArcMapAndKeyedPaths:
             assert stats["arc_probes"] == 0 and stats["elems_gathered"] > 0
 
     def test_threads_race_the_lazy_build(self):
-        # The service's threads=2 executor can mine one fresh graph from
-        # several threads at once; whichever map each sees is complete.
+        # Caller threads (run_app from several threads, with no service
+        # in between) can mine one fresh graph at once; whichever map
+        # each sees is complete.
         graph = rmat(8, 8, seed=4)
         plan = PLANS["4-CL"]()
         ref = PatternAwareEngine(graph, plan, batch_frontier=False).run()

@@ -83,7 +83,8 @@ class TestPublicSurface:
 def test_execution_mode_surface():
     """One switch: ``batch_frontier`` is the only execution-mode keyword
     that crosses a layer; the memo ablation and the row budget stay on
-    the engine, and the pool is the only process backend.  Every other
+    the engine, the pool is the only process backend, and the service
+    has no mode at all (it always runs the default).  Every other
     constructor keyword is listed here as *not* selecting how a plan
     executes, so a new knob has to be classified to get past this pin."""
     import inspect
@@ -105,7 +106,7 @@ def test_execution_mode_surface():
         "use_frontier_memo", "batch_frontier", "frontier_row_limit",
     }
     assert mode_keywords(engine.MinerPool) == {"batch_frontier"}
-    assert mode_keywords(MiningService) == {"batch_frontier"}
+    assert mode_keywords(MiningService) == set()
     assert not {"ParallelMiner", "mine_parallel"} & set(engine.__all__)
     assert not hasattr(engine.kernels, "set_strategy")
 
@@ -235,11 +236,9 @@ def test_walker_is_the_default():
     from repro.engine.reference import RecursiveEngine
     from repro.hw.parallel_sim import _TracePE
     from repro.patterns import four_clique
-    from repro.serve import MiningService
 
     for func in (
-        PatternAwareEngine, MinerPool, MiningService,
-        run_tasks_in_process, run_app,
+        PatternAwareEngine, MinerPool, run_tasks_in_process, run_app,
     ):
         parameter = inspect.signature(func).parameters["batch_frontier"]
         assert parameter.default is True, func

@@ -8,6 +8,8 @@ register, a request stream with repeats, stats — through stdin.
 
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -152,17 +154,26 @@ class TestHandleRequest:
         assert service.stats()["active"] == 0
 
     def test_overload_is_retryable(self, service):
-        entry = service._graphs["er"]
-        with entry.mine_lock:
-            futures = [
-                service.submit(MineRequest(graph="er", app="TC"))
-                for _ in range(service.max_active)
-            ]
+        # Fill every admission slot with a client thread parked behind
+        # the graph's mine lock.
+        request = MineRequest(graph="er", app="TC")
+        clients = [
+            threading.Thread(target=service.request, args=(request,))
+            for _ in range(service.max_active)
+        ]
+        with service._graphs["er"].mine_lock:
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 30.0
+            while service.active_tasks < service.max_active:
+                assert time.monotonic() < deadline, "clients not admitted"
+                time.sleep(0.001)
             response = handle_request(
                 service, {"op": "mine", "graph": "er", "app": "TC"}
             )
-        for future in futures:
-            future.result()
+        for client in clients:
+            client.join(30.0)
+        assert service.active_tasks == 0
         assert not response["ok"]
         assert response["retry"] is True
         assert response["kind"] == "ServiceOverloaded"
@@ -236,6 +247,12 @@ class TestServeCLI:
             ["serve", "--register", "tiny=Mi"],
         )
         assert responses[0]["ok"]
+
+    def test_cli_serve_has_no_mode_flag(self, capsys):
+        # the service always runs the default walker
+        with pytest.raises(SystemExit):
+            main(["serve", "--batch-frontier"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_no_result_cache(self, monkeypatch, capsys):
         responses = self._drive(

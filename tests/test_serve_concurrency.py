@@ -10,8 +10,9 @@ graphs and three patterns.  The assertions are exact, not statistical:
   ``requests - distinct_patterns``;
 * admission control never let more than ``max_active`` requests in
   flight, and overloads surfaced as rejections, never hangs;
-* ``request()`` and ``submit()`` cache hits run on the caller's thread:
-  they return while every executor thread is parked.
+* every request runs on its caller's thread: client threads parked
+  behind one graph's mine lock hold admission slots and leases, and a
+  request for another graph still returns.
 """
 
 import sys
@@ -24,7 +25,6 @@ from repro.compiler import compile_pattern
 from repro.engine import PatternAwareEngine
 from repro.errors import ServiceClosed, ServiceOverloaded
 from repro.graph import erdos_renyi, power_law_cluster
-from repro.obs import MetricsRegistry
 from repro.serve import MineRequest, MiningService
 from repro.patterns import four_cycle, k_clique, triangle
 
@@ -74,6 +74,36 @@ def _call_within(timeout_s: float, fn, *args):
     return outcome[0]
 
 
+def _park_clients(svc, graph, count):
+    """Start ``count`` client threads that each call ``request()`` for
+    TC on ``graph``; return once all are admitted.  The caller holds the
+    graph's mine lock, so they stay in flight until it lets go."""
+    responses = []
+    target = svc.active_tasks + count
+    threads = [
+        threading.Thread(
+            target=lambda: responses.append(
+                svc.request(MineRequest(graph=graph, app="TC"))
+            ),
+            daemon=True,
+        )
+        for _ in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    _wait_until(lambda: svc.active_tasks == target)
+    return threads, responses
+
+
+def _joined(threads, responses):
+    """Join parked clients; every one of them must have been served."""
+    for thread in threads:
+        thread.join(30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(responses) == len(threads)
+    return responses
+
+
 def _same_as_baseline(response, cell) -> bool:
     base = BASELINE[cell]
     return (
@@ -97,9 +127,7 @@ class TestInterleavedRequests:
     def test_results_independent_of_arrival_order(self, threads):
         repeat = 4
         schedule = _cells(repeat)
-        with MiningService(
-            workers=1, max_active=len(schedule), threads=threads
-        ) as svc:
+        with MiningService(workers=1, max_active=len(schedule)) as svc:
             for name, graph in GRAPHS.items():
                 svc.register_graph(name, graph)
             barrier = threading.Barrier(threads)
@@ -155,7 +183,7 @@ class TestInterleavedRequests:
     def test_single_flight_compiles_under_concurrent_first_requests(self):
         # 8 threads race the very first request for the same pattern:
         # one leader compiles, everyone else waits for that plan.
-        with MiningService(workers=1, max_active=16, threads=8) as svc:
+        with MiningService(workers=1, max_active=16) as svc:
             svc.register_graph("er", GRAPHS["er"])
             barrier = threading.Barrier(8)
             responses = []
@@ -188,87 +216,38 @@ class TestInterleavedRequests:
 
     def test_admission_bound_is_enforced_under_load(self):
         max_active = 3
-        with MiningService(
-            workers=1, max_active=max_active, threads=2
-        ) as svc:
-            svc.register_graph("er", GRAPHS["er"])
-            entry = svc._graphs["er"]
-            admitted = []
-            with entry.mine_lock:  # park every admitted request
-                for _ in range(max_active):
-                    admitted.append(
-                        svc.submit(MineRequest(graph="er", app="TC"))
-                    )
-                rejected = 0
-                for _ in range(5):
-                    try:
-                        svc.submit(MineRequest(graph="er", app="TC"))
-                    except ServiceOverloaded:
-                        rejected += 1
-                assert rejected == 5
-                assert svc.active_tasks == max_active
-            for future in admitted:
-                future.result()
-            assert svc.active_peak == max_active
-            assert svc.requests_rejected == 5
-            # Rejections cleared: the service takes traffic again.
-            assert svc.mine("er", app="TC").counts
-
-
-class TestCallerThreadRoute:
-    """A waiting caller is served on its own thread: no executor hop."""
-
-    def test_request_returns_while_the_only_executor_thread_is_parked(
-        self,
-    ):
-        with MiningService(workers=1, threads=1, max_active=4) as svc:
+        with MiningService(workers=1, max_active=max_active) as svc:
             for name, graph in GRAPHS.items():
                 svc.register_graph(name, graph)
-            with svc._graphs["er"].mine_lock:
-                parked = svc.submit(MineRequest(graph="er", app="TC"))
-                # the executor thread took the miss and waits on the lock
-                _wait_until(lambda: svc.stats()["queue_depth"] == 0)
+            with svc._graphs["er"].mine_lock:  # park every admitted miss
+                first = _park_clients(svc, "er", max_active - 1)
+                # a request for another graph passes the parked misses
                 response = _call_within(
                     30.0,
                     svc.request,
                     MineRequest(graph="pl", pattern=k_clique(4)),
                 )
                 assert _same_as_baseline(response, ("pl", "4-clique"))
-                assert not parked.done()
-            assert _same_as_baseline(parked.result(), ("er", "triangle"))
+                last = _park_clients(svc, "er", 1)
+                rejected = 0
+                for _ in range(5):
+                    try:
+                        svc.request(MineRequest(graph="er", app="TC"))
+                    except ServiceOverloaded:
+                        rejected += 1
+                assert rejected == 5
+                assert svc.active_tasks == max_active
+            for response in _joined(*first) + _joined(*last):
+                assert _same_as_baseline(response, ("er", "triangle"))
+            assert svc.active_peak == max_active
+            assert svc.requests_rejected == 5
             assert svc.active_tasks == 0
+            # Rejections cleared: the service takes traffic again.
+            assert svc.mine("er", app="TC").counts
 
-    def test_request_is_rejected_when_submits_fill_every_slot(self):
-        registry = MetricsRegistry()
-        with MiningService(
-            workers=1, threads=1, max_active=2, metrics=registry
-        ) as svc:
-            svc.register_graph("er", GRAPHS["er"])
-            with svc._graphs["er"].mine_lock:
-                parked = [
-                    svc.submit(MineRequest(graph="er", app="TC"))
-                    for _ in range(2)
-                ]
-                with pytest.raises(ServiceOverloaded) as exc:
-                    svc.request(MineRequest(graph="er", app="TC"))
-                assert (exc.value.active, exc.value.max_active) == (2, 2)
-                assert svc.requests_rejected == 1
-                assert registry.snapshot()["serve.rejected"] == 1
-            for future in parked:
-                assert _same_as_baseline(future.result(), ("er", "triangle"))
-            stats = svc.stats()
-            assert (stats["active"], stats["queue_depth"]) == (0, 0)
-            assert stats["completed"] == 2
 
-    def test_submit_miss_parked_behind_the_mine_lock_is_not_done(self):
-        with MiningService(workers=1, threads=1) as svc:
-            svc.register_graph("er", GRAPHS["er"])
-            with svc._graphs["er"].mine_lock:
-                miss = svc.submit(MineRequest(graph="er", app="TC"))
-                _wait_until(lambda: svc.stats()["queue_depth"] == 0)
-                assert not miss.done()  # on the executor, behind the lock
-            assert _same_as_baseline(miss.result(), ("er", "triangle"))
-            assert svc.active_tasks == 0
+class TestCallerThreadRoute:
+    """A request is served on its caller's thread: no executor hop."""
 
     def test_close_drains_an_inline_request_that_holds_a_lease(self):
         svc = MiningService(workers=1)
@@ -301,17 +280,15 @@ class TestCallerThreadRoute:
 
     def test_caller_threads_keep_admission_exact_under_stress(self):
         # More client threads than cores, a short switch interval, and
-        # both routes at once (request() and submit(), each with hits
-        # and forced misses): a lost update to the admission
-        # counters or a pool lease would leave a slot or lease behind.
+        # hits and forced misses at once: a lost update to the
+        # admission counters or a pool lease would leave a slot or
+        # lease behind.
         clients, rounds = 6, 12
         cells = [(g, p) for g in GRAPHS for p in PATTERNS]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with MiningService(
-                workers=1, threads=2, max_active=clients * 2
-            ) as svc:
+            with MiningService(workers=1, max_active=clients * 2) as svc:
                 for name, graph in GRAPHS.items():
                     svc.register_graph(name, graph)
                 pools = [entry.pool for entry in svc._graphs.values()]
@@ -328,11 +305,7 @@ class TestCallerThreadRoute:
                                 pattern=PATTERNS[cell[1]],
                                 use_cache=(i % 4 != 0),
                             )
-                            if i % 2:
-                                response = svc.submit(request).result(60)
-                            else:
-                                response = svc.request(request)
-                            served.append((cell, response))
+                            served.append((cell, svc.request(request)))
                     except Exception as exc:  # pragma: no cover
                         errors.append(exc)
 
@@ -350,7 +323,7 @@ class TestCallerThreadRoute:
                 for cell, response in served:
                     assert _same_as_baseline(response, cell)
                 stats = svc.stats()
-                assert (stats["active"], stats["queue_depth"]) == (0, 0)
+                assert stats["active"] == 0
                 assert stats["rejected"] == 0
                 assert stats["completed"] == clients * rounds
                 assert stats["active_peak"] <= clients

@@ -5,15 +5,18 @@ cached or result-cached, in any arrival order — returns counts and op
 counters bit-identical to a direct serial engine run; the compiler runs
 exactly once per canonical pattern per service lifetime; graph
 re-registration invalidates exactly that graph's memoized results; and
-admission control rejects (never queues unboundedly, never hangs) past
+admission control rejects (never queues, never hangs) past
 ``max_active``.
 """
+
+import threading
+import time
 
 import pytest
 
 from repro.apps import clique_count, motif_count, run_app, subgraph_list
 from repro.compiler import compile_pattern
-from repro.engine import ReferenceEngine, mine_multi
+from repro.engine import PatternAwareEngine, ReferenceEngine, mine_multi
 from repro.errors import (
     ConfigError,
     GraphNotRegistered,
@@ -32,6 +35,39 @@ PL = power_law_cluster(150, 3, 0.4, seed=5, name="pl")
 def serial(graph, plan):
     """The reference every served answer is held to."""
     return ReferenceEngine(graph, plan).run()
+
+
+def park_clients(svc, graph, count):
+    """Start ``count`` client threads that each call ``request()`` for
+    TC on ``graph``; return once all are admitted.  The caller holds the
+    graph's mine lock, so they stay in flight until it lets go."""
+    responses = []
+    target = svc.active_tasks + count
+    threads = [
+        threading.Thread(
+            target=lambda: responses.append(
+                svc.request(MineRequest(graph=graph, app="TC"))
+            ),
+            daemon=True,
+        )
+        for _ in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 30.0
+    while svc.active_tasks != target:
+        assert time.monotonic() < deadline, "clients were never admitted"
+        time.sleep(0.001)
+    return threads, responses
+
+
+def joined(threads, responses):
+    """Join parked clients; every one of them must have been served."""
+    for thread in threads:
+        thread.join(30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(responses) == len(threads)
+    return responses
 
 
 @pytest.fixture
@@ -73,13 +109,17 @@ class TestZeroDrift:
             direct = motif_count(ER, k)
             assert got.counters.as_dict() == direct.counters.as_dict()
 
-    def test_batch_frontier_service_bit_identical(self):
-        with MiningService(workers=1, batch_frontier=True) as svc:
-            svc.register_graph("er", ER)
-            base = serial(ER, compile_pattern(k_clique(4)))
-            got = svc.mine("er", pattern=k_clique(4))
-            assert got.counts == base.counts
-            assert got.counters.as_dict() == base.counters.as_dict()
+    def test_batch_frontier_service_bit_identical(self, service):
+        # The service has no mode: it always runs the frontier walker,
+        # so a served 4-clique matches a direct walker run and the
+        # serial reference, counts and counters alike.
+        plan = compile_pattern(k_clique(4))
+        walker = PatternAwareEngine(ER, plan, batch_frontier=True).run()
+        base = serial(ER, plan)
+        got = service.mine("er", pattern=k_clique(4))
+        for direct in (walker, base):
+            assert got.counts == direct.counts
+            assert got.counters.as_dict() == direct.counters.as_dict()
 
     def test_cached_counters_are_private_copies(self, service):
         first = service.mine("er", app="TC")
@@ -219,23 +259,20 @@ class TestResultCache:
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_overload_rejected_with_backpressure(self):
-        with MiningService(workers=1, max_active=2, threads=1) as svc:
+        with MiningService(workers=1, max_active=2) as svc:
             svc.register_graph("er", ER)
             # Hold the graph's mine lock so admitted requests park.
-            entry = svc._graphs["er"]
-            with entry.mine_lock:
-                futures = [
-                    svc.submit(MineRequest(graph="er", app="TC"))
-                    for _ in range(2)
-                ]
+            with svc._graphs["er"].mine_lock:
+                parked = park_clients(svc, "er", 2)
                 with pytest.raises(ServiceOverloaded) as exc:
-                    svc.submit(MineRequest(graph="er", app="TC"))
+                    svc.request(MineRequest(graph="er", app="TC"))
                 assert exc.value.active == 2
                 assert exc.value.max_active == 2
                 assert svc.active_tasks == 2
-            for future in futures:
-                assert future.result().counts  # drains after release
+            for response in joined(*parked):
+                assert response.counts  # served after release
             assert svc.requests_rejected == 1
+            assert svc.metrics.snapshot()["serve.rejected"] == 1
             assert svc.active_tasks == 0
 
     def test_closed_service_rejects_everything(self):
@@ -244,28 +281,81 @@ class TestAdmission:
         svc.close()
         assert svc.closed
         with pytest.raises(ServiceClosed):
-            svc.submit(MineRequest(graph="er", app="TC"))
+            svc.request(MineRequest(graph="er", app="TC"))
         with pytest.raises(ServiceClosed):
             svc.register_graph("pl", PL)
         svc.close()  # idempotent
 
-    def test_submit_rolls_back_admission_on_executor_failure(
+    def test_failed_request_leaves_no_slot_lease_or_result(
         self, service, monkeypatch
     ):
-        # Regression: if the executor rejects the task after admission,
-        # the active/queued counters must roll back or the slot leaks
-        # until the service dies of phantom backpressure.
-        real_submit = service._executor.submit
+        # A mine that raises must give back its admission slot and its
+        # pool lease and memoize nothing, so the next request for the
+        # same key executes and is exact.
+        pool = service._graphs["er"].pool
+        real_mine = pool.mine
+        failures = [RuntimeError("mine boom")]
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("executor boom")
+        def mine_failing_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_mine(*args, **kwargs)
 
-        monkeypatch.setattr(service._executor, "submit", boom)
-        with pytest.raises(RuntimeError, match="executor boom"):
-            service.submit(MineRequest(graph="er", app="TC"))
+        monkeypatch.setattr(pool, "mine", mine_failing_once)
+        with pytest.raises(RuntimeError, match="mine boom"):
+            service.mine("er", app="TC")
         assert service.active_tasks == 0
-        monkeypatch.setattr(service._executor, "submit", real_submit)
-        assert service.mine("er", app="TC").counts  # slot not leaked
+        assert pool.leases == 0
+        assert service.cache_stats()["result"]["size"] == 0
+        got = service.mine("er", app="TC")
+        assert not got.result_cache_hit
+        base = PatternAwareEngine(ER, compile_pattern(triangle())).run()
+        assert got.counts == base.counts
+        assert got.counters.as_dict() == base.counters.as_dict()
+
+    def test_failed_compile_leaves_no_slot_lease_or_plan(
+        self, service, monkeypatch
+    ):
+        # A compile that raises happens after admission and before the
+        # lease: the slot comes back, no lease is taken, the plan cache
+        # keeps no entry, and the next request compiles and is exact.
+        import repro.serve.service as service_module
+
+        real_compile = service_module.compile_pattern
+        failures = [RuntimeError("compile boom")]
+
+        def compile_failing_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(
+            service_module, "compile_pattern", compile_failing_once
+        )
+        pool = service._graphs["er"].pool
+        with pytest.raises(RuntimeError, match="compile boom"):
+            service.mine("er", app="TC")
+        assert service.active_tasks == 0
+        assert pool.leases == 0
+        assert service.cache_stats()["plan"]["size"] == 0
+        got = service.mine("er", app="TC")
+        assert not got.plan_cache_hit
+        assert service.compiles == 2  # the failed leader, then the retry
+        base = PatternAwareEngine(ER, compile_pattern(triangle())).run()
+        assert got.counts == base.counts
+        assert got.counters.as_dict() == base.counters.as_dict()
+
+    def test_missing_graph_gives_back_its_slot(self):
+        # The graph lookup runs after admission: with one slot, repeated
+        # lookups of an unknown graph must not use it up.
+        with MiningService(workers=1, max_active=1) as svc:
+            svc.register_graph("er", ER)
+            for _ in range(3):
+                with pytest.raises(GraphNotRegistered):
+                    svc.mine("nope", app="TC")
+                assert svc.active_tasks == 0
+            assert svc.mine("er", app="TC").counts
+            assert svc.requests_rejected == 0
 
     def test_request_validation(self, service):
         with pytest.raises(ConfigError):
@@ -282,8 +372,15 @@ class TestAdmission:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MiningService(max_active=0)
-        with pytest.raises(ConfigError):
-            MiningService(threads=0)
+        # threads= has no effect: the service starts no thread of its
+        # own, so register, request and close leave the count alone.
+        before = threading.active_count()
+        svc = MiningService(workers=1, threads=2)
+        svc.register_graph("er", ER)
+        assert svc.mine("er", app="TC").counts
+        assert threading.active_count() == before
+        svc.close()
+        assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------------
@@ -404,6 +501,20 @@ class TestObservability:
         assert stats["caches"]["plan"]["compiles"] == 1
         assert stats["latency_ms"]["count"] == 1
 
+    def test_no_executor_surface(self):
+        # One route: no submit(), no queue gauge, no queue_depth key.
+        registry = MetricsRegistry()
+        with MiningService(workers=1, metrics=registry) as svc:
+            svc.register_graph("er", ER)
+            svc.mine("er", app="TC")
+            assert not hasattr(svc, "submit")
+            stats = svc.stats()
+        assert "queue_depth" not in stats
+        assert stats["completed"] == 1
+        # (the pool's own engine.parallel.* queue metrics stay)
+        assert "serve.queue_depth" not in registry.snapshot()
+        assert "serve.requests" in registry.snapshot()
+
     def test_stats_report_envelope(self, service):
         service.mine("er", app="TC")
         report = service.stats_report(source="test")
@@ -413,7 +524,7 @@ class TestObservability:
         assert "metrics" in report["data"]
 
     def test_fake_clock_latency_arithmetic(self):
-        # Two clock reads per request span: latency == one step.
+        # Two clock reads per request: latency == one step.
         reads = iter(range(1000))
 
         def clock():
@@ -422,9 +533,9 @@ class TestObservability:
         with MiningService(workers=1, clock=clock) as svc:
             svc.register_graph("er", ER)
             response = svc.mine("er", app="TC")
-        # request span: 2 mine-span reads nested inside 2 request
-        # reads, each read advancing 1.0 -> latency exactly 3.0.
-        assert response.latency_s == 3.0
+        # nothing else reads the clock between the request's start and
+        # end reads, each read advancing 1.0 -> latency exactly 1.0.
+        assert response.latency_s == 1.0
 
 
 # ----------------------------------------------------------------------

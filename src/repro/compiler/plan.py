@@ -184,9 +184,6 @@ class ExecutionPlan:
     def num_levels(self) -> int:
         return self.pattern.num_vertices
 
-    def step_at(self, depth: int) -> VertexStep:
-        return self.steps[depth - 1]
-
     def without_cmap(self) -> "ExecutionPlan":
         """Variant with c-map memoization disabled (no-cmap baseline)."""
         return replace(self, cmap_insert_depths=(), cmap_insert_filter={})

@@ -79,8 +79,9 @@ class OpCounters:
 
     def merge(self, other: "OpCounters") -> None:
         """Accumulate another counter set into this one."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        fields = self.__dict__
+        for name, value in other.__dict__.items():
+            fields[name] += value
 
     def __iadd__(self, other: "OpCounters") -> "OpCounters":
         """``counters += engine.counters`` — field-wise accumulation."""
@@ -93,18 +94,16 @@ class OpCounters:
         Engines and the metrics registry delta-compare snapshots with
         ``after.diff(before).as_dict()`` instead of hand-written loops.
         """
-        out = OpCounters()
-        for name in self.__dataclass_fields__:
-            setattr(out, name, getattr(self, name) - getattr(baseline, name))
-        return out
+        base = baseline.__dict__
+        return OpCounters(
+            **{name: now - base[name] for name, now in self.__dict__.items()}
+        )
 
     def copy(self) -> "OpCounters":
         """Independent snapshot (the operand ``diff`` compares against)."""
-        out = OpCounters()
-        out.merge(self)
+        out = object.__new__(OpCounters)
+        out.__dict__.update(self.__dict__)
         return out
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            name: getattr(self, name) for name in self.__dataclass_fields__
-        }
+        return dict(self.__dict__)

@@ -1,4 +1,4 @@
-"""The task vocabulary, in-process execution and worker telemetry.
+"""The task vocabulary, the unit a pool worker runs, and worker telemetry.
 
 The FlexMiner hardware mines one root-vertex task per PE with dynamic
 dispatch (paper §IV).  :class:`~repro.engine.pool.MinerPool` is the
@@ -16,10 +16,10 @@ processes:
   slice of the task list: its unchunked roots as one root-set walk
   (wide enough to fill the frontier walker's lanes), its chunk tasks
   one at a time;
-* **the in-process runner** (:func:`run_tasks_in_process`) — the
-  ``workers=1`` body of the pool and of every served request: the
-  whole task list as one slice;
-* the summary / gauge schema workers report through.
+* the summary / gauge schema forked workers report through.
+
+A ``workers=1`` pool needs none of this but the task order: it mines a
+request as one :meth:`PatternAwareEngine.run` in-process.
 
 Determinism: per-worker results are merged sorted by worker id, and all
 :class:`~repro.engine.counters.OpCounters` fields are additive, so the
@@ -45,7 +45,6 @@ __all__ = [
     "order_tasks",
     "publish_worker_metrics",
     "run_task_slice",
-    "run_tasks_in_process",
 ]
 
 #: One unit of work: (root vertex, optional (index, pieces) chunk).
@@ -111,34 +110,6 @@ def run_task_slice(
             with rec.span(task_label(root, chunk), cat="task"):
                 engine.run_task(root, chunk=chunk)
     return len(roots), len(tasks) - len(roots)
-
-
-def run_tasks_in_process(
-    graph,
-    plan,
-    tasks: Sequence[Task],
-    *,
-    batch_frontier: bool = True,
-    profile: bool = False,
-):
-    """Run a task list in-process; returns one ``(0, summary)`` pair.
-
-    The ``workers=1`` body of the pool: the whole ordered list is one
-    slice (the walker cuts its own bands; pre-slicing only adds walks),
-    no processes, exact parity with a plain engine run.
-    """
-    rec = LaneRecorder()
-    with rec.span("attach-shm"):
-        engine = PatternAwareEngine(
-            graph, plan, batch_frontier=batch_frontier
-        )
-    tasks_done, chunks_done = run_task_slice(engine, rec, tasks)
-    return (
-        0,
-        _worker_summary(
-            engine, rec, tasks_done, chunks_done, profile=profile
-        ),
-    )
 
 
 def publish_worker_metrics(
@@ -211,7 +182,7 @@ def _worker_summary(
     *,
     profile: bool,
 ) -> Dict[str, object]:
-    """Shared summary payload of one worker (or the in-process runner).
+    """Summary payload of one forked worker.
 
     All timing flows through the lane recorder (fmlint FM206): busy is
     the sum of the per-task ``task`` spans, queue wait the sum of the

@@ -96,11 +96,6 @@ class PartitionStats:
     halo_edges: int
     matches: int
 
-    @property
-    def halo_fraction(self) -> float:
-        """Halo size relative to roots (expansion factor)."""
-        return self.halo_vertices / max(self.num_roots, 1)
-
 
 class PartitionedMiner:
     """Mine a single-pattern plan partition by partition."""

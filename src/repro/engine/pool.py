@@ -33,8 +33,10 @@ stream has length one.
   :class:`~repro.engine.counters.OpCounters` bit-identical to a serial
   run).
 
-``workers=1`` never forks: requests run in-process through the same
-task order, which is the exact-parity debugging configuration.  The
+``workers=1`` never forks: a request is one in-process
+:meth:`PatternAwareEngine.run <repro.engine.explore.PatternAwareEngine.run>`
+over its whole root set, which is the exact-parity configuration and
+the body of every ``workers=1`` served request.  The
 pool is also the *only* place in ``repro.engine`` allowed to construct
 worker processes (fmlint FM207 polices this); the context it forks them
 from is :func:`repro.graph.worker_context`, the transport's.
@@ -69,7 +71,6 @@ from .parallel import (
     order_tasks,
     publish_worker_metrics,
     run_task_slice,
-    run_tasks_in_process,
 )
 
 __all__ = [
@@ -268,20 +269,22 @@ class MinerPool:
         shared with workers through POSIX shared memory exactly once.
     workers:
         Worker process count (default ``os.cpu_count()``).  ``1`` runs
-        every request in-process — no fork, exact serial parity.
+        every request in-process as one engine walk — no fork, exact
+        serial parity.
     batch_frontier:
         Execution mode of every worker engine, for every request (see
         :class:`~repro.engine.explore.PatternAwareEngine`): the frontier
         walker over each root slice by default, ``False`` to walk one
         root at a time.
     tracer / metrics / profiler:
-        Parent-side observability; workers run untraced and their
-        op-counter totals are merged into the parent registry
-        (``engine.parallel.*`` per-worker gauges plus ``engine.pool.*``).
+        Parent-side observability; forked workers run untraced and
+        their op-counter totals are merged into the parent registry
+        (``engine.parallel.*`` per-worker gauges plus ``engine.pool.*``);
+        in-process, the engine publishes its own ``engine.*`` gauges.
         With an enabled :class:`repro.obs.PhaseProfiler`, workers ship
         their span streams back and each mine emits one wall-clock lane
-        per worker plus a coordinator lane, with setup/mine/merge phase
-        attribution.  Never changes counts or counters (tested
+        per worker plus a coordinator lane, with setup/mine(/merge)
+        phase attribution.  Never changes counts or counters (tested
         zero-drift).
 
     Requests are served strictly one at a time; the pool is not
@@ -611,6 +614,8 @@ class MinerPool:
             split_degree = self.auto_split_degree(plan)
         if split_degree is not None and multi:
             raise ValueError("task chunking requires a single-pattern plan")
+        if self.workers == 1:
+            return self._mine_in_process(plan, roots, split_degree)
         with self.profiler.phase("setup", workers=self.workers):
             tasks = order_tasks(
                 self._work_graph(plan),
@@ -649,6 +654,44 @@ class MinerPool:
             self._publish_pool_gauges()
         return MiningResult(counts=tuple(counts), counters=counters)
 
+    def _mine_in_process(
+        self, plan, roots: Optional[Sequence[int]], split_degree
+    ) -> MiningResult:
+        """The ``workers=1`` body: one :meth:`PatternAwareEngine.run`.
+
+        The engine walks the whole root set at once (it cuts its own
+        bands) and publishes the ``engine.*`` / ``engine.frontier.*``
+        gauges itself.  The degree-descending task list is built only
+        where it changes something — ``split_degree`` chunk tasks, and a
+        profiled run, whose one worker lane names its walk as a slice of
+        the issue order — and then runs as one forked worker would run
+        it, ahead of a ``run`` over no further roots.
+        """
+        prof = self.profiler
+        work_graph = self._work_graph(plan)
+        engine = PatternAwareEngine(
+            self.graph, plan, work_graph=work_graph,
+            batch_frontier=self.batch_frontier, metrics=self.metrics,
+        )
+        tasks: List[Task] = []
+        if split_degree is not None or prof.enabled:
+            with prof.phase("setup", workers=1), prof.lane_span("order-tasks"):
+                tasks = order_tasks(
+                    work_graph,
+                    filter_roots(self.graph, plan, roots),
+                    split_degree=split_degree,
+                )
+            roots = []
+        rec = LaneRecorder()
+        with self.tracer.span("mine-parallel", cat="phase", workers=1):
+            with prof.phase("mine"):
+                run_task_slice(engine, rec, tasks)
+                result = engine.run(roots)
+        prof.init_lanes(1)
+        prof.add_lane(0, rec.spans)
+        self._requests += 1
+        return result
+
     def run_tasks(
         self,
         plan,
@@ -656,24 +699,17 @@ class MinerPool:
         *,
         timeout_s: Optional[float] = None,
     ) -> List[Tuple]:
-        """Low-level entry: run explicit tasks, return worker summaries.
+        """Low-level entry: run explicit tasks on the forked workers,
+        return their summaries.
 
         :meth:`mine` minus task ordering and the merge; callers merge
         the ``(worker_id, summary)`` pairs themselves.  ``timeout_s``
-        has :meth:`mine`'s semantics (and is ignored by the in-process
-        ``workers=1`` path, which cannot wedge on a queue).
+        has :meth:`mine`'s semantics.  A ``workers=1`` pool forks
+        nothing and mines only through :meth:`mine`.
         """
         self._check_open()
         if self.workers == 1:
-            return [
-                run_tasks_in_process(
-                    self.graph,
-                    plan,
-                    tasks,
-                    batch_frontier=self.batch_frontier,
-                    profile=self.profiler.enabled,
-                )
-            ]
+            raise ValueError("run_tasks needs forked workers (workers >= 2)")
         self._start()
         work_graph = self._work_graph(plan)
         work_spec = (

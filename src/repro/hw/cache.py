@@ -77,9 +77,6 @@ class SetAssocCache:
         self._tick = 0
 
     # ------------------------------------------------------------------
-    def line_of(self, addr: int) -> int:
-        return addr // self.line_bytes
-
     def access_line(self, line: int) -> bool:
         """Touch one line; returns True on hit (allocates on miss)."""
         self._tick += 1

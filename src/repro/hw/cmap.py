@@ -135,10 +135,6 @@ class HardwareCMap:
     def occupancy(self) -> int:
         return len(self._table) if self.exact else self._occupancy
 
-    @property
-    def load_factor(self) -> float:
-        return self.occupancy / self.capacity
-
     def fits(self, incoming: int) -> bool:
         """Dynamic footprint check before fetching the neighbor list.
 

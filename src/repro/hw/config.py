@@ -118,10 +118,6 @@ class FlexMinerConfig:
     def cmap_entries(self) -> int:
         return self.cmap_bytes // self.cmap_entry_bytes
 
-    @property
-    def cycles_per_ns(self) -> float:
-        return self.pe_freq_ghz
-
     def ns_to_cycles(self, ns: float) -> float:
         return ns * self.pe_freq_ghz
 

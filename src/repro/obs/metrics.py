@@ -242,12 +242,14 @@ class MetricsRegistry:
         if not self.enabled:
             return
         for name, value in values.items():
-            if isinstance(value, Mapping):
+            # Numbers first: the ``Mapping`` ABC check is the slow test,
+            # and every engine run absorbs its counters here.
+            if isinstance(value, (int, float)):
+                self._get(Gauge, prefix + name, labels).set(
+                    int(value) if isinstance(value, bool) else value
+                )
+            elif isinstance(value, Mapping):
                 self.absorb(value, prefix=f"{prefix}{name}.", **labels)
-            elif isinstance(value, bool):
-                self.gauge(f"{prefix}{name}", **labels).set(int(value))
-            elif isinstance(value, (int, float)):
-                self.gauge(f"{prefix}{name}", **labels).set(value)
 
     # ------------------------------------------------------------------
     # Export
@@ -287,9 +289,6 @@ class MetricsRegistry:
             if b != a:
                 out[key] = b - a
         return out
-
-    def clear(self) -> None:
-        self._instruments.clear()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._instruments)

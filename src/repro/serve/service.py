@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -126,35 +126,20 @@ class MineRequest:
                     "pattern/motif_k"
                 )
         if self.app == "TC":
-            return self._replace(app=None, pattern=k_clique(3))
+            return replace(self, app=None, pattern=k_clique(3))
         if self.app == "k-CL":
-            return self._replace(app=None, pattern=k_clique(self.k))
+            return replace(self, app=None, pattern=k_clique(self.k))
         if self.app == "SL":
             if self.pattern is None:
                 raise ConfigError("SL needs a pattern")
-            return self._replace(app=None)
+            return replace(self, app=None)
         if self.app == "k-MC":
-            return self._replace(
-                app=None, pattern=None, motif_k=self.k, induced=True
+            return replace(
+                self, app=None, pattern=None, motif_k=self.k, induced=True
             )
         raise ConfigError(
             f"unknown app {self.app!r}; expected TC/k-CL/SL/k-MC"
         )
-
-    def _replace(self, **changes: Any) -> "MineRequest":
-        fields = {
-            "graph": self.graph,
-            "app": self.app,
-            "pattern": self.pattern,
-            "k": self.k,
-            "motif_k": self.motif_k,
-            "induced": self.induced,
-            "matching_order": self.matching_order,
-            "split_degree": self.split_degree,
-            "use_cache": self.use_cache,
-        }
-        fields.update(changes)
-        return MineRequest(**fields)
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,7 @@ class MineResponse:
     graph: str
     epoch: int
     counts: Tuple[int, ...]
-    counters: object  #: OpCounters (a private copy; mutate freely)
+    counters: object  #: OpCounters (the caller's own; mutate freely)
     latency_s: float
     plan_cache_hit: bool
     result_cache_hit: bool
@@ -384,6 +369,27 @@ class MiningService:
         self.max_active = int(max_active)
         self.request_timeout_s = request_timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The serve.* instruments, bound once: the registry memoises by
+        # key, so each is the object a lookup by name would return.
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._n_requests = counter("serve.requests")
+        self._n_failed = counter("serve.failed")
+        self._n_rejected = counter("serve.rejected")
+        self._n_registrations = counter("serve.graph_registrations")
+        self._n_compiles = counter("serve.plan_cache.compiles")
+        #: (miss, hit) counters of each cache, indexed by ``was_hit``.
+        self._n_plan, self._n_result = (
+            (counter(f"serve.{cache}.misses"), counter(f"serve.{cache}.hits"))
+            for cache in ("plan_cache", "result_cache")
+        )
+        self._n_bypassed = counter("serve.result_cache.bypassed")
+        self._n_invalidated = counter("serve.result_cache.invalidated")
+        self._g_active = gauge("serve.active")
+        self._g_active_peak = gauge("serve.active_peak")
+        self._g_qps = gauge("serve.qps")
+        self._g_result_size = gauge("serve.result_cache.size")
+        self._g_graphs = gauge("serve.graphs")
+        self._h_latency = self.metrics.histogram("serve.request_ms")
         self._clock = clock if clock is not None else time.perf_counter
         self._plans = _SingleFlightCache()
         self._results = _SingleFlightCache(
@@ -397,6 +403,7 @@ class MiningService:
         self._active = 0
         self._active_peak = 0
         self._completed = 0
+        self._failed = 0
         self._rejected = 0
         self._next_request_id = 0
         self._anon_count = 0
@@ -467,7 +474,7 @@ class MiningService:
                 self.invalidate_graph(name)
             finally:
                 old.pool.close()
-        self.metrics.counter("serve.graph_registrations").inc()
+        self._n_registrations.inc()
         self._publish_gauges()
         return epoch
 
@@ -487,9 +494,7 @@ class MiningService:
             lambda key: isinstance(key, tuple) and key and key[0] == name
         )
         if dropped:
-            self.metrics.counter("serve.result_cache.invalidated").inc(
-                dropped
-            )
+            self._n_invalidated.inc(dropped)
         return dropped
 
     def graphs(self) -> List[str]:
@@ -570,7 +575,7 @@ class MiningService:
         )
 
         def compile_now() -> object:
-            self.metrics.counter("serve.plan_cache.compiles").inc()
+            self._n_compiles.inc()
             if request.motif_k is not None:
                 return motif_count_plan(request.motif_k) or compile_motifs(
                     request.motif_k
@@ -582,9 +587,7 @@ class MiningService:
             )
 
         plan, hit = self._plans.get_or_compute(key, compile_now)
-        self.metrics.counter(
-            "serve.plan_cache.hits" if hit else "serve.plan_cache.misses"
-        ).inc()
+        self._n_plan[hit].inc()
         return plan, key, hit
 
     # ------------------------------------------------------------------
@@ -596,9 +599,12 @@ class MiningService:
         request = request.resolve()
         request_id = self._admit()
         try:
-            return self._execute(request, request_id)
-        finally:
-            self._retire()
+            response = self._execute(request, request_id)
+        except BaseException:
+            self._retire(failed=True)
+            raise
+        self._retire(failed=False)
+        return response
 
     def mine(self, graph: str, **kwargs: Any) -> MineResponse:
         """Convenience: build a :class:`MineRequest` and serve it."""
@@ -615,26 +621,31 @@ class MiningService:
                 raise ServiceClosed("service is closed")
             if self._active >= self.max_active:
                 self._rejected += 1
-                self.metrics.counter("serve.rejected").inc()
+                self._n_rejected.inc()
                 raise ServiceOverloaded(self._active, self.max_active)
             self._active += 1
             self._active_peak = max(self._active_peak, self._active)
             request_id = self._next_request_id
             self._next_request_id += 1
-            self.metrics.gauge("serve.active").set(self._active)
-            self.metrics.gauge("serve.active_peak").set(self._active_peak)
+            self._g_active.set(self._active)
+            self._g_active_peak.set(self._active_peak)
         return request_id
 
-    def _retire(self) -> None:
-        """Give an admission slot back."""
+    def _retire(self, *, failed: bool) -> None:
+        """Give an admission slot back, counting the request as completed
+        or, if it raised, as failed (``qps`` counts completed only)."""
         with self._admit_lock:
             self._active -= 1
-            self._completed += 1
-            self.metrics.gauge("serve.active").set(self._active)
-            self.metrics.counter("serve.requests").inc()
-            elapsed = self._clock() - self._t0
-            if elapsed > 0:
-                self.metrics.gauge("serve.qps").set(self._completed / elapsed)
+            self._g_active.set(self._active)
+            if failed:
+                self._failed += 1
+                self._n_failed.inc()
+            else:
+                self._completed += 1
+                self._n_requests.inc()
+                elapsed = self._clock() - self._t0
+                if elapsed > 0:
+                    self._g_qps.set(self._completed / elapsed)
             if self._closed and self._active == 0:
                 self._admit_lock.notify_all()  # close() is waiting
 
@@ -669,30 +680,27 @@ class MiningService:
                 result, result_hit = self._results.get_or_compute(
                     result_key, execute_now
                 )
-                self.metrics.counter(
-                    "serve.result_cache.hits"
-                    if result_hit
-                    else "serve.result_cache.misses"
-                ).inc()
+                self._n_result[result_hit].inc()
             else:
                 result, result_hit = execute_now(), False
-                self.metrics.counter("serve.result_cache.bypassed").inc()
+                self._n_bypassed.inc()
         finally:
             entry.pool.release()
         latency_s = self._clock() - started
-        self.metrics.histogram("serve.request_ms").observe(
-            latency_s * 1e3
-        )
-        self.metrics.gauge("serve.result_cache.size").set(
-            len(self._results)
-        )
+        self._h_latency.observe(latency_s * 1e3)
+        self._g_result_size.set(len(self._results))
+        counters = result.counters
+        if request.use_cache and self._results.enabled:
+            # A result the cache may hold: its counters must stay
+            # immutable, so the caller gets a private copy.  A forced
+            # result is fresh and never cached.
+            counters = counters.copy()
         return MineResponse(
             request_id=request_id,
             graph=entry.name,
             epoch=entry.epoch,
             counts=tuple(result.counts),
-            # Private copy: cached counters must stay immutable.
-            counters=result.counters.copy(),
+            counters=counters,
             latency_s=latency_s,
             plan_cache_hit=plan_hit,
             result_cache_hit=result_hit,
@@ -749,7 +757,7 @@ class MiningService:
                 }
                 for name, entry in sorted(self._graphs.items())
             }
-        latency = self.metrics.histogram("serve.request_ms").get()
+        latency = self._h_latency.get()
         elapsed = self._clock() - self._t0
         with self._admit_lock:
             completed = self._completed
@@ -760,6 +768,7 @@ class MiningService:
                 "active": self._active,
                 "active_peak": self._active_peak,
                 "completed": completed,
+                "failed": self._failed,
                 "rejected": self._rejected,
             }
         snapshot.update(
@@ -781,4 +790,4 @@ class MiningService:
     def _publish_gauges(self) -> None:
         with self._registry_lock:
             count = len(self._graphs)
-        self.metrics.gauge("serve.graphs").set(count)
+        self._g_graphs.set(count)

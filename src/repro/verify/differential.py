@@ -352,7 +352,7 @@ def _sim_parallel(workers: int) -> Backend:
 #: (the recursion's count-only leaf kernels, deleted with them) and
 #: the row fallback backend (the over-limit row recursion, deleted with
 #: it) -> ``one-row-bands``; ``parallel-1`` ->
-#: ``serve-cached`` (in-process ``run_tasks_in_process``);
+#: ``serve-cached`` (the in-process ``workers=1`` pool);
 #: ``parallel-2``/``parallel-4``/``pool-4`` -> ``pool-2`` (forked
 #: workers, shared-memory graph, worker-id-order merge);
 #: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``; the

@@ -28,9 +28,23 @@ from repro.engine import (
 )
 from repro.engine import pool as pool_module
 from repro.engine.pool import MIN_SPLIT_DEGREE
-from repro.graph import erdos_renyi, path_graph, power_law_cluster
+from repro.engine.motifs import count_motifs, motif_count_plan
+from repro.graph import (
+    assign_degree_labels,
+    erdos_renyi,
+    orient_by_degree,
+    path_graph,
+    power_law_cluster,
+)
 from repro.obs import MetricsRegistry
-from repro.patterns import four_cycle, k_clique, triangle
+from repro.patterns import (
+    PATTERN_NAMES,
+    four_cycle,
+    from_name,
+    k_clique,
+    triangle,
+    wedge,
+)
 
 ER = erdos_renyi(150, 0.06, seed=7, name="er")
 PL = power_law_cluster(200, 3, 0.4, seed=9, name="pl")
@@ -143,6 +157,106 @@ class TestStreamParity:
         with MinerPool(PL, workers=2) as pool:
             got = pool.mine(plan, split_degree="auto")
         assert got.counts == serial(PL, plan).counts
+
+
+# ----------------------------------------------------------------------
+# The in-process route: workers=1 is one PatternAwareEngine.run
+# ----------------------------------------------------------------------
+LABELED_PL = assign_degree_labels(PL)
+
+#: Counters of chunked in-process mines, recorded before the workers=1
+#: body became one engine call (it then ran the task list as a single
+#: worker slice); chunking must inflate them exactly so still.
+CHUNKED_PINS = {
+    ("4-cycle", 4): dict(
+        tasks=359, set_intersections=592, setop_iterations=20657,
+        adjacency_loads=2137, adjacency_bytes=111496,
+        candidates_checked=8934, frontier_hits=0, matches=855,
+    ),
+    ("diamond", 3): dict(
+        tasks=481, set_intersections=641, setop_iterations=12038,
+        adjacency_loads=1763, adjacency_bytes=66032,
+        candidates_checked=5218, frontier_hits=315, matches=59,
+    ),
+}
+
+
+def _one_pool_mine(graph, plan, **kw):
+    with MinerPool(graph, workers=1) as pool:
+        return pool.mine(plan, **kw)
+
+
+class TestInProcessRoute:
+    @pytest.mark.parametrize("name", PATTERN_NAMES)
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_pattern_library_equals_engine_run(self, name, induced):
+        plan = compile_pattern(from_name(name), induced=induced)
+        for roots in (None, range(0, PL.num_vertices, 3), [5, 0, 17]):
+            want = PatternAwareEngine(PL, plan).run(roots)
+            got = _one_pool_mine(PL, plan, roots=roots)
+            assert got.counts == want.counts
+            assert got.counters.as_dict() == want.counters.as_dict()
+
+    @pytest.mark.parametrize("labels", [(1, 1, 2), (0, 1, 1), (2, 2, 2)])
+    def test_labeled_plans_equal_engine_run(self, labels):
+        for pattern in (triangle(), wedge()):
+            plan = compile_pattern(pattern.with_labels(list(labels)))
+            for roots in (None, range(40)):
+                want = PatternAwareEngine(LABELED_PL, plan).run(roots)
+                got = _one_pool_mine(LABELED_PL, plan, roots=roots)
+                assert got.counts == want.counts
+                assert got.counters.as_dict() == want.counters.as_dict()
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_motif_chain_plans_equal_engine_run(self, k):
+        plan = motif_count_plan(k)
+        with MinerPool(ER, workers=1) as pool:
+            for chain in plan.chains:
+                want = PatternAwareEngine(ER, chain).run()
+                got = pool.mine(chain)
+                assert got.counts == want.counts
+                assert got.counters.as_dict() == want.counters.as_dict()
+            got = count_motifs(ER, plan, pool.mine)
+        want = count_motifs(
+            ER, plan, lambda chain: PatternAwareEngine(ER, chain).run()
+        )
+        assert got.counts == want.counts
+        assert got.counters.as_dict() == want.counters.as_dict()
+
+    @pytest.mark.parametrize(
+        "graph,name,split", [(PL, "4-cycle", 4), (ER, "diamond", 3)]
+    )
+    def test_chunked_counters_inflate_as_pinned(self, graph, name, split):
+        plan = compile_pattern(from_name(name))
+        got = _one_pool_mine(graph, plan, split_degree=split)
+        pinned = CHUNKED_PINS[(name, split)]
+        assert {key: got.counters.as_dict()[key] for key in pinned} == pinned
+        assert got.counts == (pinned["matches"],)
+        assert got.counters.tasks == len(
+            order_tasks(orient_by_degree(graph) if plan.oriented else graph,
+                        split_degree=split)
+        )
+
+    def test_publishes_the_engine_gauges_only(self):
+        registry = MetricsRegistry()
+        plan = compile_pattern(k_clique(4))
+        with MinerPool(PL, workers=1, metrics=registry) as pool:
+            got = pool.mine(plan)
+            assert pool.requests_served == 1
+        snap = registry.snapshot()
+        assert snap["engine.matches"] == got.counts[0]
+        assert snap["engine.setop_iterations"] == got.counters.setop_iterations
+        assert snap["engine.frontier.bands"] > 0
+        assert not [
+            key for key in snap
+            if key.startswith(("engine.parallel.", "engine.pool."))
+        ]
+
+    def test_run_tasks_needs_forked_workers(self):
+        with MinerPool(ER, workers=1) as pool:
+            with pytest.raises(ValueError, match="forked workers"):
+                pool.run_tasks(compile_pattern(triangle()), order_tasks(ER))
+            assert pool.health()["resident_workers"] == 0
 
 
 # ----------------------------------------------------------------------

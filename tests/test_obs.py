@@ -187,14 +187,14 @@ class TestMetrics:
         assert reg.snapshot() == {}
         assert NULL_REGISTRY.enabled is False
 
-    def test_clear_and_len(self):
+    def test_len_and_iter(self):
         reg = MetricsRegistry()
         reg.counter("a")
         reg.gauge("b")
         assert len(reg) == 2
         assert sorted(reg) == ["a", "b"]
-        reg.clear()
-        assert len(reg) == 0
+        # no clear(): a bound handle stays the registry's instrument
+        assert not hasattr(reg, "clear")
 
 
 class TestTracer:

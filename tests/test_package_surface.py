@@ -145,7 +145,6 @@ def test_single_owner_surface():
     import inspect
 
     from repro import engine
-    from repro.engine.parallel import run_tasks_in_process
     from repro.graph import assign_degree_labels, cycle_graph, orient_by_degree
     from repro.hw import (
         NocModel, ProcessingElement, Scheduler, SetAssocCache, accelerator,
@@ -168,10 +167,13 @@ def test_single_owner_surface():
     assert not hasattr(accelerator, "filter_roots")
     for graph in (cycle_graph(6), assign_degree_labels(cycle_graph(6))):
         assert orient_by_degree(graph) is orient_by_degree(graph)
-    for func in (
-        ProcessingElement.__init__, _TracePE.__init__, run_tasks_in_process
-    ):
+    for func in (ProcessingElement.__init__, _TracePE.__init__):
         assert "work_graph" not in inspect.signature(func).parameters
+    # a workers=1 pool mine is one PatternAwareEngine.run: no second
+    # in-process runner beside it
+    from repro.engine import parallel
+
+    assert not hasattr(parallel, "run_tasks_in_process")
 
 
 def test_one_simulator_model():
@@ -230,16 +232,13 @@ def test_walker_is_the_default():
     from repro.apps import run_app
     from repro.compiler import compile_pattern
     from repro.engine import MinerPool, PatternAwareEngine
-    from repro.engine.parallel import run_tasks_in_process
     from repro.graph import erdos_renyi
     from repro.hw import FlexMinerConfig
     from repro.engine.reference import RecursiveEngine
     from repro.hw.parallel_sim import _TracePE
     from repro.patterns import four_clique
 
-    for func in (
-        PatternAwareEngine, MinerPool, run_tasks_in_process, run_app,
-    ):
+    for func in (PatternAwareEngine, MinerPool, run_app):
         parameter = inspect.signature(func).parameters["batch_frontier"]
         assert parameter.default is True, func
     graph = erdos_renyi(40, 0.3, seed=2)

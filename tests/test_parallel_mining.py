@@ -305,9 +305,6 @@ class TestRootSliceTasks:
             slices = pool._slice_tasks(PL, tasks)
         assert len(slices) > 2
         assert [task for part in slices for task in part] == tasks
-        with MinerPool(PL, workers=1) as pool:  # in-process: no slicing
-            (_, summary), = pool.run_tasks(SLICE_CASES["diamond"][1], tasks)
-        assert summary["tasks_done"] == len(tasks)
 
     def test_graph_smaller_than_one_band_is_one_slice(self, monkeypatch):
         monkeypatch.undo()  # the real floor

@@ -127,6 +127,11 @@ class TestZeroDrift:
         second = service.mine("er", app="TC")
         assert second.result_cache_hit
         assert second.counters.matches != -1
+        # a forced result is fresh (handed out uncopied) and never cached
+        forced = service.mine("er", app="TC", use_cache=False)
+        assert forced.counters == second.counters
+        forced.counters.matches = -1
+        assert service.mine("er", app="TC").counters == second.counters
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +312,40 @@ class TestAdmission:
         assert service.active_tasks == 0
         assert pool.leases == 0
         assert service.cache_stats()["result"]["size"] == 0
+        # a failure is counted apart: not completed, not in serve.requests
+        stats = service.stats()
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+        snap = service.metrics.snapshot()
+        assert (snap["serve.requests"], snap["serve.failed"]) == (0, 1)
+        assert snap["serve.request_ms"]["count"] == 0
         got = service.mine("er", app="TC")
+        assert not got.result_cache_hit
+        base = PatternAwareEngine(ER, compile_pattern(triangle())).run()
+        assert got.counts == base.counts
+        assert got.counters.as_dict() == base.counters.as_dict()
+        stats = service.stats()
+        assert (stats["completed"], stats["failed"]) == (1, 1)
+        assert service.metrics.snapshot()["serve.requests"] == 1
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_walker_failure_leaves_no_slot_lease_or_result(
+        self, service, monkeypatch, use_cache
+    ):
+        # workers=1 mines by one PatternAwareEngine.run on the caller's
+        # thread: a fault inside the walk unwinds through the same lease.
+        def run_failing(self, roots=None):
+            raise RuntimeError("walk boom")
+
+        monkeypatch.setattr(PatternAwareEngine, "run", run_failing)
+        pool = service._graphs["er"].pool
+        with pytest.raises(RuntimeError, match="walk boom"):
+            service.mine("er", app="TC", use_cache=use_cache)
+        assert pool.leases == 0
+        assert service.active_tasks == 0
+        assert service.cache_stats()["result"]["size"] == 0
+        assert service.stats()["failed"] == 1
+        monkeypatch.undo()
+        got = service.mine("er", app="TC", use_cache=use_cache)
         assert not got.result_cache_hit
         base = PatternAwareEngine(ER, compile_pattern(triangle())).run()
         assert got.counts == base.counts
@@ -511,7 +549,7 @@ class TestObservability:
             stats = svc.stats()
         assert "queue_depth" not in stats
         assert stats["completed"] == 1
-        # (the pool's own engine.parallel.* queue metrics stay)
+        # (a forked pool's own engine.parallel.* queue metrics stay)
         assert "serve.queue_depth" not in registry.snapshot()
         assert "serve.requests" in registry.snapshot()
 

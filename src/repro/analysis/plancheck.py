@@ -632,7 +632,7 @@ def _frontier_path_obligations(
                 FM174,
                 f"frontier_row_limit={limit} times keyspace "
                 f"{keyspace} overflows the int64 segment keys",
-                location=f"{path}batch-frontier",
+                location=f"{path}walker",
             )
         status = "violated" if overflow else "proved"
         detail = (
@@ -653,7 +653,7 @@ def _frontier_limit_obligation(
             FM173,
             f"frontier_row_limit={limit} can never admit a band; the "
             "engine rejects it",
-            location="batch-frontier",
+            location="walker",
         )
         return {"code": FM173, "status": "violated", "detail": f"limit {limit}"}
     detail = f"row limit {limit} caps each band"
@@ -670,7 +670,7 @@ def _frontier_limit_obligation(
     return {"code": FM173, "status": "proved", "detail": detail}
 
 
-def _check_batch_frontier(
+def _check_walker(
     plan: ExecutionPlan,
     rep: AnalysisReport,
     *,
@@ -680,7 +680,7 @@ def _check_batch_frontier(
     """FM17x: prove (or refute) the frontier walker's obligations on
     ``plan``.
 
-    Always attaches a ``data["batch_frontier"]`` proof section: the row
+    Always attaches a ``data["walker"]`` proof section: the row
     limit and one entry per obligation.  The errors (FM172-FM174) fire
     whenever an obligation is outright violated, because those plans
     crash or drift on the walker.
@@ -689,7 +689,7 @@ def _check_batch_frontier(
     fm172, fm174 = _frontier_path_obligations(
         plan.steps, rep, graph=graph, limit=limit
     )
-    rep.data["batch_frontier"] = {
+    rep.data["walker"] = {
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
         "obligations": [
@@ -727,7 +727,7 @@ def check_plan(
     _check_injectivity(plan, rep)
     _check_frontier_hints(plan, rep)
     _check_cmap_hints(plan, rep, config)
-    _check_batch_frontier(
+    _check_walker(
         plan, rep, graph=graph, frontier_row_limit=frontier_row_limit
     )
     if graph is not None:
@@ -785,7 +785,7 @@ def check_multi_plan(
             steps, rep, graph=graph, limit=limit,
             path=f"pattern {index}: ",
         )
-    rep.data["batch_frontier"] = {
+    rep.data["walker"] = {
         "row_limit": limit,
         "row_limit_default": frontier_row_limit is None,
         "obligations": obligations,

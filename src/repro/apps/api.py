@@ -23,9 +23,7 @@ over a shared-memory copy of the graph, or ``pool=`` — a resident
 ``MinerPool`` — to serve the request from already-forked workers (a
 caller answering many app requests creates the pool once and passes it
 to every call).  It runs the level-synchronous frontier walker over
-the whole root set; ``batch_frontier=False`` walks one root at a time
-(routes that cannot honour the switch — ``service=``, ``pool=``,
-other backends — refuse an explicit ``False``).
+the whole root set.
 
 ``motif_count`` on the ``"engine"`` backend counts k = 3 and 4 on an
 undirected graph by decomposition (:mod:`repro.engine.motifs`): the
@@ -42,7 +40,7 @@ identical to the direct engine — see ``docs/serving.md``.
 
 Every app takes the same keyword options, spelled once on :func:`_run`:
 ``backend="engine"``, ``config=None``, ``workers=1``, ``pool=None``,
-``service=None``, ``batch_frontier=True``, ``profiler=None``
+``service=None``, ``profiler=None``
 (:func:`subgraph_list` adds ``collect=False``).
 """
 
@@ -85,7 +83,6 @@ def _run(
     workers: int = 1,
     pool=None,
     service=None,
-    batch_frontier: bool = True,
     profiler=None,
 ) -> Result:
     """Route one app call.
@@ -105,11 +102,6 @@ def _run(
             raise ConfigError(
                 "service= owns its worker pools; drop workers=/pool="
             )
-        if not batch_frontier:
-            raise ConfigError(
-                "service= always runs the default frontier walker; "
-                "drop service= to walk one root at a time"
-            )
         if collect:
             raise ConfigError(
                 "the mining service does not collect embeddings"
@@ -123,33 +115,20 @@ def _run(
             "workers > 1 (and pool=) require the 'engine' backend (the "
             "worker pool runs PatternAwareEngine workers)"
         )
-    if not batch_frontier and backend != "engine":
-        raise ConfigError(
-            "batch_frontier=False requires the 'engine' backend (the "
-            "execution-mode switch is a PatternAwareEngine feature)"
-        )
     plan, patterns, induced = build()
     if backend == "engine":
         if (pool is not None or workers > 1) and collect:
             raise ConfigError("the worker pool does not collect embeddings")
         if pool is not None:
-            if not batch_frontier:
-                raise ConfigError(
-                    "a resident pool fixes engine options at "
-                    "construction; build the MinerPool with "
-                    "batch_frontier=False instead"
-                )
             return _engine_mine(graph, plan, pool.mine)
         if workers > 1:
             with MinerPool(
-                graph, workers=workers, batch_frontier=batch_frontier,
-                profiler=profiler,
+                graph, workers=workers, profiler=profiler
             ) as transient:
                 return _engine_mine(graph, plan, transient.mine)
         return _engine_mine(
             graph, plan, lambda run: PatternAwareEngine(
-                graph, run, collect=collect,
-                batch_frontier=batch_frontier, profiler=profiler,
+                graph, run, collect=collect, profiler=profiler
             ).run(),
         )
     if backend == "oblivious":
@@ -232,11 +211,12 @@ def run_app(
 ) -> Result:
     """Dispatch by app name: 'TC', 'k-CL', 'SL' or 'k-MC'.
 
-    ``batch_frontier`` and ``options`` are the shared keyword options
-    (``backend``, ``config``, ``workers``, ``pool``, ``service``,
-    ``profiler``) — see the module docstring.
+    ``options`` are the shared keyword options (``backend``, ``config``,
+    ``workers``, ``pool``, ``service``, ``profiler``) — see the module
+    docstring.
+
+    ``batch_frontier`` is accepted and ignored; ROADMAP item 1a deletes it.
     """
-    options["batch_frontier"] = batch_frontier
     if app == "TC":
         return triangle_count(graph, **options)
     if app == "k-CL":

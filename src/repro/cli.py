@@ -4,7 +4,6 @@ Examples::
 
     flexminer compile 4-cycle                 # print the execution-plan IR
     flexminer mine triangle --dataset Mi      # software mining
-    flexminer mine triangle --dataset Mi --no-batch-frontier   # one root per walk
     flexminer mine 4-clique --dataset As --workers 4   # multi-process
     flexminer mine 4-clique --dataset As --workers 4 --split-degree auto
     flexminer sim diamond --dataset As --pes 20 --cmap-kb 8
@@ -80,17 +79,6 @@ def _split_degree_arg(value: str):
     return "auto" if value == "auto" else _positive_int(value)
 
 
-def _add_batch_frontier_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--batch-frontier", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="level-synchronous frontier expansion (the default): walk "
-        "the plan tree over row bands of the whole root set with "
-        "segmented kernels; --no-batch-frontier walks one root at a "
-        "time instead (bit-identical counts and op counters either way)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexminer",
@@ -148,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(wall-clock option; merged op counters are inflated); "
                 "'auto' asks the pool's cost model",
             )
-            _add_batch_frontier_flag(p)
 
     motifs_p = sub.add_parser("motifs", help="k-motif counting")
     # The sizes a k-MC plan exists for: k=1 has no edges to compile and
@@ -162,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-json", action="store_true",
         help="print a machine-readable run report instead of text",
     )
-    _add_batch_frontier_flag(motifs_p)
 
     sub.add_parser("datasets", help="print Table I for the suite")
 
@@ -454,11 +440,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             for rep in reports:
                 print(rep.render())
-                proof = rep.data.get("batch_frontier")
+                proof = rep.data.get("walker")
                 if proof:
-                    print(
-                        f"  batch-frontier: row-limit={proof['row_limit']}"
-                    )
+                    print(f"  walker: row-limit={proof['row_limit']}")
                     for ob in proof.get("obligations", []):
                         print(
                             f"    {ob['code']} {ob['status']}: "
@@ -630,9 +614,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         plan = compile_motifs(args.k)
 
         def mine(run):
-            return PatternAwareEngine(
-                graph, run, batch_frontier=args.batch_frontier
-            ).run()
+            return PatternAwareEngine(graph, run).run()
 
         counting = motif_count_plan(args.k)
         result = (
@@ -645,7 +627,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "k": args.k,
                 "dataset": None if args.graph else args.dataset,
                 "graph_file": args.graph,
-                "batch_frontier": args.batch_frontier,
                 "version": __version__,
             }
             print(json.dumps(
@@ -713,7 +694,6 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
 
         run_meta["workers"] = args.workers
         split_degree = args.split_degree
-        batch_frontier = run_meta["batch_frontier"] = args.batch_frontier
         if profile or args.workers > 1 or split_degree is not None:
             # Profiling always routes through the pool so the trace
             # carries worker lanes at any worker count (workers=1 runs
@@ -722,8 +702,7 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
 
             with prof.phase("setup", workers=args.workers):
                 pool = MinerPool(
-                    graph, workers=args.workers,
-                    batch_frontier=batch_frontier, tracer=tracer,
+                    graph, workers=args.workers, tracer=tracer,
                     profiler=prof,
                 )
             with pool:
@@ -734,8 +713,7 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
         else:
             with prof.phase("setup"):
                 engine = PatternAwareEngine(
-                    graph, plan, batch_frontier=batch_frontier,
-                    tracer=tracer, profiler=prof,
+                    graph, plan, tracer=tracer, profiler=prof
                 )
             result = engine.run()
         seconds = cpu_time_seconds(result.counters)

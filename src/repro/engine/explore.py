@@ -6,9 +6,9 @@ the way the paper's software baseline does — DFS with matching-order
 candidate generation via merge-based set operations, symmetry-order vid
 bounds, and frontier-list memoization — while counting every unit of
 algorithmic work in an :class:`~repro.engine.counters.OpCounters`.  The
-default path is the frontier walker, whose arc-map lookups are the
-software vector c-map (§II-C); ``batch_frontier=False`` walks one root
-at a time.  The per-embedding recursion lives in
+engine is the frontier walker, whose arc-map lookups are the software
+vector c-map (§II-C), over a whole root set at once.  The per-embedding
+recursion lives in
 :mod:`repro.engine.reference`: the functional reference every path is
 checked against, and the recursive probes of the estimator and the
 simulator's reference tracer.
@@ -156,6 +156,20 @@ class MiningResult:
 class PatternAwareEngine:
     """Execute an execution plan over a data graph.
 
+    The engine walks the plan tree (a chain for one pattern, the merged
+    dependency tree for a ``MultiPlan``) level-synchronously over the
+    whole root set: ``(n_emb, d)`` embedding matrices plus segmented
+    candidate arrays, one segmented kernel per plan operation (the
+    G2Miner formulation), cut into row bands of bounded estimated size,
+    each band's subtree run to completion before the next, so memory
+    stays bounded however wide a level is.  Only a step's first operand
+    is gathered; every further set operation is a lookup in the work
+    graph's :meth:`~repro.graph.CSRGraph.arc_map` (the software c-map)
+    on graphs of up to 4096 vertices, a second gather and a keyed binary
+    search past that (the overflow -> SIU/SDU fallback), with identical
+    charges.  Every charge is a closed-form sum over rows, so counts and
+    counters do not depend on the banding.
+
     Parameters
     ----------
     graph:
@@ -169,26 +183,6 @@ class PatternAwareEngine:
         Honor the plan's frontier-memoization hints.  Disabled for the
         ablation bench; the paper keeps it always on "for a fair
         comparison with GraphZero".
-    batch_frontier:
-        The execution-mode switch.  On (the default) walks the plan
-        tree (a chain for one pattern, the merged
-        dependency tree for a ``MultiPlan``) level-synchronously over
-        ``(n_emb, d)`` embedding matrices plus segmented candidate
-        arrays, one segmented kernel per plan operation (the
-        data-parallel G2Miner formulation).  The frontier is cut into
-        contiguous row bands of bounded estimated size and each band's
-        subtree runs to completion before the next — breadth-first
-        inside a band, depth-first across bands — so memory stays
-        bounded however wide a level is.  Only a step's first operand
-        is gathered: on graphs of up to 4096 vertices every further
-        set operation is a lookup in the work graph's
-        :meth:`~repro.graph.CSRGraph.arc_map` (the software c-map),
-        on larger ones a second gather and a keyed binary search (the
-        overflow -> SIU/SDU fallback) — chosen by graph size alone,
-        with identical charges.  Off walks one root at a time (the
-        :meth:`run_task` loop).  Counts and counters are bit-identical
-        in both modes: every batched charge is a closed-form sum over
-        rows.
     frontier_row_limit:
         Per-band memory ceiling, at least 1: bands never exceed this
         many estimated elements (nor the engine's smaller built-in
@@ -208,6 +202,8 @@ class PatternAwareEngine:
         Optional :class:`repro.obs.PhaseProfiler`; when enabled it takes
         over the mine-phase span (attributing wall/CPU/RSS) instead of
         the plain tracer span.  Never changes counts or counters.
+    batch_frontier:
+        Accepted and ignored; ROADMAP item 1a deletes it.
     """
 
     def __init__(
@@ -228,7 +224,6 @@ class PatternAwareEngine:
         self.plan = plan
         self.collect = collect
         self.use_frontier_memo = use_frontier_memo
-        self.batch_frontier = batch_frontier
         if frontier_row_limit < 1:
             raise ValueError(
                 f"frontier_row_limit={frontier_row_limit} can never admit "
@@ -329,23 +324,16 @@ class PatternAwareEngine:
     def run_roots(self, roots: Optional[Iterable[int]] = None) -> None:
         """Process the search subtrees of a *set* of roots as one unit.
 
-        The task shape of :meth:`run`, the in-process runner and pool
-        workers.  With ``batch_frontier`` the set seeds a single
-        ``(n_roots, 1)`` matrix so the walker cuts full-sized bands
-        across roots (the G2Miner formulation); otherwise it loops
-        :meth:`run_task` one root at a time.  Charges are closed-form
-        sums over frontier rows, so counts and counters are
-        bit-identical either way.
+        The task shape of :meth:`run` and pool workers: the set seeds a
+        single ``(n_roots, 1)`` matrix, so the walker cuts full-sized
+        bands across roots (the G2Miner formulation).
         """
         if self._chunk is not None:
             # _frontier_child slices depth 1 by the chunk, which only
             # means something under a single root.
             raise ValueError("a root set cannot run under a task chunk")
         root_arr = _root_array(self._work_graph, roots)
-        if not self.batch_frontier:
-            for v0 in root_arr.tolist():
-                self.run_task(v0)
-        elif len(root_arr):
+        if len(root_arr):
             self.counters.tasks += len(root_arr)
             self._mine_frontier(root_arr)
 

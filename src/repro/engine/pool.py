@@ -224,7 +224,7 @@ def _pool_worker(
             if kind == "ping":
                 result_queue.put(("pong", message[1], worker_id, None))
                 continue
-            _, req_id, plan, work_spec, batch_frontier, profile = message
+            _, req_id, plan, work_spec, profile = message
             rec = LaneRecorder()
             with rec.span("attach-shm"):
                 if work_spec is not None and dag is None:
@@ -232,7 +232,6 @@ def _pool_worker(
                 engine = PatternAwareEngine(
                     graph, plan,
                     work_graph=None if work_spec is None else dag,
-                    batch_frontier=batch_frontier,
                 )
             tasks_done = 0
             chunks_done = 0
@@ -271,11 +270,6 @@ class MinerPool:
         Worker process count (default ``os.cpu_count()``).  ``1`` runs
         every request in-process as one engine walk — no fork, exact
         serial parity.
-    batch_frontier:
-        Execution mode of every worker engine, for every request (see
-        :class:`~repro.engine.explore.PatternAwareEngine`): the frontier
-        walker over each root slice by default, ``False`` to walk one
-        root at a time.
     tracer / metrics / profiler:
         Parent-side observability; forked workers run untraced and
         their op-counter totals are merged into the parent registry
@@ -286,6 +280,8 @@ class MinerPool:
         per worker plus a coordinator lane, with setup/mine(/merge)
         phase attribution.  Never changes counts or counters (tested
         zero-drift).
+    batch_frontier:
+        Accepted and ignored; ROADMAP item 1a deletes it.
 
     Requests are served strictly one at a time; the pool is not
     thread-safe.  Use as a context manager or call :meth:`close` —
@@ -316,7 +312,6 @@ class MinerPool:
         #: pin the arithmetic with a fake stepped clock; None = the
         #: LaneRecorder default, ``time.perf_counter``).
         self._calibration_clock = calibration_clock
-        self.batch_frontier = batch_frontier
         self._topology = (
             graph.graph if isinstance(graph, LabeledGraph) else graph
         )
@@ -570,17 +565,16 @@ class MinerPool:
         """The queue items of one request: every chunk task on its own,
         then the unchunked roots as contiguous slices of the issue
         order, cut by cumulative root degree (the walker's own root
-        estimate), about four per worker.  Under the walker none is
-        smaller than one band, so a tiny graph degrades to a single
-        slice rather than to per-root overhead; one-root walks have no
-        lanes to fill and keep their parallelism."""
+        estimate), about four per worker.  None is smaller than one
+        band, so a tiny graph degrades to a single slice rather than to
+        per-root overhead."""
         slices = [[task] for task in tasks if task[1] is not None]
         whole = [task for task in tasks if task[1] is None]
         degs = work_graph.degrees()[[root for root, _ in whole]]
         share = -(-int(degs.sum()) // (_SLICES_PER_WORKER * self.workers))
-        floor = _FRONTIER_BAND_ELEMS if self.batch_frontier else 1
         slices.extend(
-            whole[lo:hi] for lo, hi in _cut_bands(degs, max(floor, share))
+            whole[lo:hi]
+            for lo, hi in _cut_bands(degs, max(_FRONTIER_BAND_ELEMS, share))
         )
         return slices
 
@@ -670,8 +664,7 @@ class MinerPool:
         prof = self.profiler
         work_graph = self._work_graph(plan)
         engine = PatternAwareEngine(
-            self.graph, plan, work_graph=work_graph,
-            batch_frontier=self.batch_frontier, metrics=self.metrics,
+            self.graph, plan, work_graph=work_graph, metrics=self.metrics
         )
         tasks: List[Task] = []
         if split_degree is not None or prof.enabled:
@@ -726,7 +719,6 @@ class MinerPool:
                     req_id,
                     plan,
                     work_spec,
-                    self.batch_frontier,
                     self.profiler.enabled,
                 )
             )

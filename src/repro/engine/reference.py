@@ -43,8 +43,8 @@ __all__ = ["RecursiveEngine", "ReferenceEngine"]
 class RecursiveEngine(PatternAwareEngine):
     """One recursion per embedding over a plan chain or tree.
 
-    Takes the walker's constructor and :meth:`run`; ``batch_frontier``
-    and ``frontier_row_limit`` are accepted and ignored.  Subclasses
+    Takes the walker's constructor and :meth:`run`;
+    ``frontier_row_limit`` is accepted and ignored.  Subclasses
     override candidate generation (:meth:`_raw_candidates`,
     :meth:`_filtered_candidates`) and the :meth:`_on_descend` /
     :meth:`_on_backtrack` hooks.

@@ -238,7 +238,6 @@ class _SingleFlightCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.computes = 0
         self.evictions = 0
         self._lock = threading.Lock()
         self._done: Dict[object, object] = {}
@@ -251,7 +250,6 @@ class _SingleFlightCache:
         if not self.enabled:
             with self._lock:
                 self.misses += 1
-                self.computes += 1
             return compute_fn(), False
         while True:
             with self._lock:
@@ -263,7 +261,6 @@ class _SingleFlightCache:
                     event = threading.Event()
                     self._inflight[key] = event
                     self.misses += 1
-                    self.computes += 1
                     leader = True
                 else:
                     leader = False
@@ -558,7 +555,7 @@ class MiningService:
     @property
     def compiles(self) -> int:
         """Compiler invocations so far (== distinct plan keys served)."""
-        return self._plans.computes
+        return self._plans.misses
 
     def plan_for(
         self, request: MineRequest
@@ -736,7 +733,7 @@ class MiningService:
             "plan": {
                 "hits": self._plans.hits,
                 "misses": self._plans.misses,
-                "compiles": self._plans.computes,
+                "compiles": self._plans.misses,
                 "size": len(self._plans),
             },
             "result": {

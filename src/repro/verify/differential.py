@@ -1,10 +1,9 @@
 """Differential runner: one case, every backend, structured mismatches.
 
 The repository produces a pattern count six independent ways — serial
-:class:`~repro.engine.explore.PatternAwareEngine` (the walker one root
-at a time, with every row run as a one-row band, with frontier memo
-off, and over whole root sets with ``batch_frontier``, the default),
-the materialize-everything
+:class:`~repro.engine.explore.PatternAwareEngine` (the walker over the
+whole root set, with every row run as a one-row band, and with frontier
+memo off), the materialize-everything
 :class:`~repro.engine.reference.ReferenceEngine`, the persistent
 :class:`~repro.engine.pool.MinerPool` (each plan mined twice through
 one resident pool, so resident-worker state is exercised), the
@@ -208,23 +207,19 @@ def _engine(engine: str = "PatternAwareEngine", **options) -> Backend:
     return run
 
 
-def _pool(workers: int, *, batch_frontier: bool) -> Backend:
+def _pool(workers: int) -> Backend:
     """The persistent pool, exercised as a request *stream*.
 
     Mines the same plan twice through one resident pool and insists the
     repeat answer is bit-identical to the first (a stale per-request
     reset inside a resident worker would show up only on the second
     request) before the usual oracle/zero-drift comparisons.
-    ``batch_frontier`` picks how the resident workers walk a root
-    slice: as one root set, or one root at a time.
     """
 
     def run(case: VerifyCase, plan):
         from ..engine.pool import MinerPool
 
-        with MinerPool(
-            case.graph, workers=workers, batch_frontier=batch_frontier
-        ) as pool:
+        with MinerPool(case.graph, workers=workers) as pool:
             first = pool.mine(plan)
             second = pool.mine(plan)
         if (
@@ -358,22 +353,17 @@ def _sim_parallel(workers: int) -> Backend:
 #: ``sim-parallel-1``/``sim-parallel-4`` -> ``sim-parallel-2``; the
 #: ``-fast`` twin of ``sim`` (walker trace, batched timing kernels) ->
 #: ``sim``, which now runs that default simulation and checks its trace
-#: against the recursive reference tracer's.
-#: Every engine and pool backend spells its execution mode out, so no
-#: name changes meaning with the engine default; ``serve-pool-2`` and
-#: ``serve-cached`` ride the service default and thereby own "what a
-#: user gets" (today: the frontier walker over root slices).
+#: against the recursive reference tracer's; ``frontier-batch`` ->
+#: ``serial`` and ``pool-2-batch`` -> ``pool-2`` (the same root-set walk
+#: since the one-root walk was deleted).
 BACKENDS: Dict[str, Backend] = {
-    "serial": _engine(batch_frontier=False),
+    "serial": _engine(),
     # every row over the one-element band limit runs as a one-row band
     "one-row-bands": _engine(frontier_row_limit=1),
     "reference": _engine("ReferenceEngine"),
     # different op chain, same counts (outside the zero-drift set)
-    "no-memo": _engine(use_frontier_memo=False, batch_frontier=False),
-    # closed-form batched charges must equal the per-embedding ones
-    "frontier-batch": _engine(batch_frontier=True),
-    "pool-2": _pool(2, batch_frontier=False),
-    "pool-2-batch": _pool(2, batch_frontier=True),
+    "no-memo": _engine(use_frontier_memo=False),
+    "pool-2": _pool(2),
     "serve-pool-2": _serve(2, cached=False),
     "serve-cached": _serve(1, cached=True),
     "sim": _sim,
@@ -389,9 +379,7 @@ ZERO_DRIFT_BACKENDS: Tuple[str, ...] = (
     "serial",
     "one-row-bands",
     "reference",
-    "frontier-batch",
     "pool-2",
-    "pool-2-batch",
     "serve-pool-2",
     "serve-cached",
 )

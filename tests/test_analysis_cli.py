@@ -33,7 +33,7 @@ class TestCheckPlan:
         # opt-in that reported routing is gone.
         assert main(["check-plan", "edge"]) == 0
         out = capsys.readouterr().out
-        assert "batch-frontier: row-limit=" in out
+        assert "  walker: row-limit=" in out
         for code in ("FM172", "FM173", "FM174"):
             assert f"    {code} " in out, code
         assert "decision=" not in out

@@ -377,9 +377,9 @@ class TestStaticDynamicInvariant:
 # ----------------------------------------------------------------------
 # FM17x: the frontier walker's obligations
 # ----------------------------------------------------------------------
-class TestBatchFrontierProofs:
+class TestWalkerProofs:
     def _proof(self, rep):
-        proof = rep.data.get("batch_frontier")
+        proof = rep.data.get("walker")
         assert proof is not None, "proof section must always be attached"
         return proof
 
@@ -516,9 +516,7 @@ class TestBatchFrontierFallbackParity:
         from repro.engine import PatternAwareEngine, ReferenceEngine
 
         base = ReferenceEngine(graph, plan).run()
-        batch = PatternAwareEngine(
-            graph, plan, batch_frontier=True, **engine_kwargs
-        ).run()
+        batch = PatternAwareEngine(graph, plan, **engine_kwargs).run()
         assert batch.counts == base.counts
         assert batch.counters.as_dict() == base.counters.as_dict()
 

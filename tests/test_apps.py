@@ -123,40 +123,34 @@ class TestRunAppDispatch:
         with pytest.raises(ConfigError):
             run_app(GRAPH, "SL")
 
-    def test_batch_frontier_bit_identical(self):
-        base = clique_count(GRAPH, 4, batch_frontier=False)
-        for got in (
-            clique_count(GRAPH, 4),
-            clique_count(GRAPH, 4, batch_frontier=True),
-        ):
+    def test_run_app_ignores_batch_frontier(self):
+        # run_app accepts the retired mode keyword and ignores it; the
+        # app functions no longer take it
+        base = clique_count(GRAPH, 4)
+        for flag in (True, False):
+            got = run_app(GRAPH, "k-CL", k=4, batch_frontier=flag)
             assert got.counts == base.counts
             assert got.counters.as_dict() == base.counters.as_dict()
+        with pytest.raises(TypeError, match="batch_frontier"):
+            clique_count(GRAPH, 4, batch_frontier=False)
 
-    def test_batch_frontier_requires_engine_backend(self):
-        # the switch is an engine feature: routes that cannot honour it
-        # refuse the non-default value, which is now the explicit False
-        with pytest.raises(ConfigError):
-            triangle_count(
-                GRAPH, backend="sim", config=SIM_CONFIG,
-                batch_frontier=False,
-            )
-        with MinerPool(GRAPH, workers=1) as pool:
-            with pytest.raises(ConfigError):
-                triangle_count(GRAPH, pool=pool, batch_frontier=False)
-        with MiningService(workers=1) as svc:
-            # the service has no mode to switch: the message says so
-            with pytest.raises(ConfigError, match="drop service="):
-                triangle_count(GRAPH, service=svc, batch_frontier=False)
-
-    def test_default_mode_is_accepted_on_every_route(self):
+    @pytest.mark.parametrize("flag", [None, False])
+    def test_every_route_accepts_the_ignored_keyword(self, flag):
+        options = {} if flag is None else {"batch_frontier": flag}
         want = triangle_count(GRAPH).counts
-        sim = run_app(GRAPH, "TC", backend="sim", config=SIM_CONFIG)
+        sim = run_app(
+            GRAPH, "TC", backend="sim", config=SIM_CONFIG, **options
+        )
         assert tuple(sim.counts) == want
-        assert run_app(GRAPH, "TC", backend="oblivious").counts == want
+        assert run_app(
+            GRAPH, "TC", backend="oblivious", **options
+        ).counts == want
         with MinerPool(GRAPH, workers=1) as pool:
-            assert run_app(GRAPH, "TC", pool=pool).counts == want
+            assert run_app(GRAPH, "TC", pool=pool, **options).counts == want
         with MiningService(workers=1) as svc:
-            assert run_app(GRAPH, "TC", service=svc).counts == want
+            assert run_app(
+                GRAPH, "TC", service=svc, **options
+            ).counts == want
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

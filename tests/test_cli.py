@@ -108,8 +108,9 @@ class TestMineParallel:
         assert report["meta"]["workers"] == 2
 
 
-class TestReportsNameTheMode:
-    """``meta.batch_frontier`` always records which engine ran."""
+class TestNoModeFlag:
+    """``mine``, ``profile mine`` and ``motifs`` have one engine: no
+    ``--[no-]batch-frontier`` flag and no ``meta.batch_frontier``."""
 
     CASES = {
         "mine": ["mine", "4-clique", "--dataset", "As"],
@@ -118,26 +119,20 @@ class TestReportsNameTheMode:
     }
 
     @pytest.mark.parametrize("verb", list(CASES))
-    def test_meta_records_the_mode(self, verb, tmp_path, capsys):
+    def test_mode_flag_is_gone(self, verb, tmp_path, capsys):
         import json as jsonlib
 
         argv = self.CASES[verb] + ["--emit-json"]
         if verb == "profile-mine":
             argv += ["--trace", str(tmp_path / "t.json")]
-        payloads = {}
-        for flag, want in (
-            (None, True),
-            ("--batch-frontier", True),  # old command lines keep working
-            ("--no-batch-frontier", False),
-        ):
-            assert main(argv + ([flag] if flag else [])) == 0
-            report = jsonlib.loads(capsys.readouterr().out)
-            assert report["meta"]["batch_frontier"] is want
-            payloads[flag] = (
-                report["data"]["counts"], report["data"]["counters"]
-            )
-        assert payloads[None] == payloads["--batch-frontier"]
-        assert payloads[None] == payloads["--no-batch-frontier"]
+        assert main(argv) == 0
+        report = jsonlib.loads(capsys.readouterr().out)
+        assert "batch_frontier" not in report["meta"]
+        assert report["data"]["counts"]
+        for flag in ("--batch-frontier", "--no-batch-frontier"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag])
+            assert exc.value.code == 2
 
 
 class TestSimParallel:

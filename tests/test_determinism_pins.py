@@ -18,8 +18,8 @@ every one of them untouched.
 
 :class:`TestCounterPins` pins whole mining ``OpCounters.as_dict()``
 payloads for five plans on every engine path (the walker with and
-without the arc map, one root at a time, with every row run as a
-one-row band, the reference).  The differential
+without the arc map, one ``run_task`` per root, with every row run as
+a one-row band, the reference).  The differential
 matrix only checks that the paths agree with each other; these
 literals also catch a change to the merge-model charge made the same
 way on every path.
@@ -32,7 +32,7 @@ from collections import Counter
 import pytest
 
 from repro.compiler import compile_motifs, compile_pattern
-from repro.engine.explore import PatternAwareEngine
+from repro.engine.explore import PatternAwareEngine, filter_roots
 from repro.engine.reference import ReferenceEngine
 from repro.errors import SimulationError
 from repro.graph import assign_random_labels, csr, erdos_renyi
@@ -306,10 +306,15 @@ def _mine_counters(path, graph, plan, monkeypatch):
         counters = engine.run().counters.as_dict()
         assert engine.frontier_stats()["fallbacks"] > 0
         return counters
+    elif path == "one-root":
+        # one single-root walk per root: the task shape of a simulator PE
+        engine = PatternAwareEngine(graph, plan)
+        for root in filter_roots(graph, plan, range(graph.num_vertices)):
+            engine.run_task(int(root))
+        engine.counters.matches = sum(engine.counts)
+        return engine.counters.as_dict()
     else:
-        engine = PatternAwareEngine(
-            graph, plan, batch_frontier=path in ("walker", "keyed")
-        )
+        engine = PatternAwareEngine(graph, plan)
     return engine.run().counters.as_dict()
 
 

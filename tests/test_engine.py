@@ -73,11 +73,9 @@ class TestClosedForms:
         assert mine(g, compile_pattern(four_cycle())).counts[0] == 0
 
 
-#: The in-process engine paths: one-root walks, one-row bands, the
-#: reference engine, the memo ablation and root-set walks.
-IN_PROCESS_BACKENDS = (
-    "serial", "one-row-bands", "reference", "no-memo", "frontier-batch",
-)
+#: The in-process engine paths: root-set walks, one-row bands, the
+#: reference engine and the memo ablation.
+IN_PROCESS_BACKENDS = ("serial", "one-row-bands", "reference", "no-memo")
 
 
 def assert_paths_agree(graph, pattern, *, induced=False):
@@ -243,7 +241,8 @@ class TestBatchLeaves:
 
 
 class TestBatchFrontier:
-    """Level-synchronous frontier mode is a pure value/counter drop-in."""
+    """The level-synchronous frontier walk over a whole root set is a
+    pure value/counter drop-in for the recursive reference."""
 
     PATTERNS = [
         triangle(),
@@ -267,22 +266,18 @@ class TestBatchFrontier:
     ):
         plan = compile_pattern(pattern, induced=induced)
         frontier = PatternAwareEngine(
-            RANDOM, plan, use_frontier_memo=memo, batch_frontier=True
+            RANDOM, plan, use_frontier_memo=memo
         ).run()
-        recursive = PatternAwareEngine(
-            RANDOM, plan, use_frontier_memo=memo, batch_frontier=False
+        recursive = ReferenceEngine(
+            RANDOM, plan, use_frontier_memo=memo
         ).run()
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
 
     def test_collect_order_identical(self):
         plan = compile_pattern(triangle())
-        frontier = PatternAwareEngine(
-            RANDOM, plan, collect=True, batch_frontier=True
-        ).run()
-        recursive = PatternAwareEngine(
-            RANDOM, plan, collect=True, batch_frontier=False
-        ).run()
+        frontier = PatternAwareEngine(RANDOM, plan, collect=True).run()
+        recursive = ReferenceEngine(RANDOM, plan, collect=True).run()
         assert frontier.embeddings == recursive.embeddings
 
     def test_row_limit_fallback_bit_identical(self):
@@ -290,9 +285,7 @@ class TestBatchFrontier:
         # one-row bands, which must stay charge-identical (the budget
         # check is pure index arithmetic, so no double charges).
         plan = compile_pattern(k_clique(4))
-        engine = PatternAwareEngine(
-            RANDOM, plan, batch_frontier=True, frontier_row_limit=4
-        )
+        engine = PatternAwareEngine(RANDOM, plan, frontier_row_limit=4)
         got = engine.run()
         assert engine.frontier_stats()["fallbacks"] > 0
         ref = ReferenceEngine(RANDOM, plan).run()
@@ -304,9 +297,7 @@ class TestBatchFrontier:
 
         registry = MetricsRegistry()
         plan = compile_pattern(k_clique(4))
-        PatternAwareEngine(
-            RANDOM, plan, batch_frontier=True, metrics=registry
-        ).run()
+        PatternAwareEngine(RANDOM, plan, metrics=registry).run()
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
         assert snap["engine.frontier.bands"] > 0
@@ -343,14 +334,42 @@ class TestBatchFrontier:
         # MultiPlans run through the same frontier walker as chains
         # (tests/test_frontier_walker.py holds the full parity matrix).
         plan = compile_motifs(3)
-        engine = PatternAwareEngine(RANDOM, plan, batch_frontier=True)
+        engine = PatternAwareEngine(RANDOM, plan)
         frontier = engine.run()
-        recursive = PatternAwareEngine(
-            RANDOM, plan, batch_frontier=False
-        ).run()
+        recursive = ReferenceEngine(RANDOM, plan).run()
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
         assert engine.frontier_stats()["bands"] > 0
+
+
+class TestIgnoredModeKeyword:
+    """``batch_frontier`` is accepted and ignored: ``False`` walks the
+    root set as one, cut into the same bands and slices as the
+    default."""
+
+    def test_engine_walks_the_root_set_at_once(self):
+        plan = compile_pattern(k_clique(4))
+        stats = {}
+        for flag in (True, False):
+            engine = PatternAwareEngine(RANDOM, plan, batch_frontier=flag)
+            engine.run()
+            stats[flag] = engine.frontier_stats()
+        # a band spans several roots
+        assert stats[True]["peak_width"] > 1
+        for key in ("bands", "peak_width"):
+            assert stats[False][key] == stats[True][key], key
+
+    def test_pool_cuts_the_same_slices(self):
+        from repro.engine import MinerPool, order_tasks
+
+        tasks = order_tasks(RANDOM)
+        slices = {}
+        for flag in (True, False):
+            with MinerPool(RANDOM, workers=2, batch_frontier=flag) as pool:
+                slices[flag] = pool._slice_tasks(RANDOM, tasks)
+        # a graph this small is one root slice, not one slice per root
+        assert slices[True] == [tasks]
+        assert slices[False] == slices[True]
 
 
 class TestRootRange:
@@ -369,7 +388,8 @@ class TestRootRange:
 
         return {
             "walker": lambda r: PatternAwareEngine(RANDOM, self.PLAN).run(r),
-            "one-root": lambda r: PatternAwareEngine(
+            # the ignored keyword must not skip the root check
+            "ignored-keyword": lambda r: PatternAwareEngine(
                 RANDOM, self.PLAN, batch_frontier=False
             ).run(r),
             "reference": lambda r: ReferenceEngine(RANDOM, self.PLAN).run(r),
@@ -380,7 +400,7 @@ class TestRootRange:
         }
 
     @pytest.mark.parametrize(
-        "path", ["walker", "one-root", "reference", "pool", "sim"]
+        "path", ["walker", "ignored-keyword", "reference", "pool", "sim"]
     )
     @pytest.mark.parametrize("bad", [-1, 24, 999])
     def test_out_of_range_root_raises(self, path, bad):

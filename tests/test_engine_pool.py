@@ -100,16 +100,6 @@ class TestStreamParity:
         assert got.counts == base.counts
         assert got.counters == base.counters
 
-    def test_batch_frontier_stream_bit_identical(self):
-        plan = compile_pattern(k_clique(4))
-        base = serial(PL, plan)
-        with MinerPool(PL, workers=2, batch_frontier=True) as pool:
-            first = pool.mine(plan)
-            second = pool.mine(plan)
-        for got in (first, second):
-            assert got.counts == base.counts
-            assert got.counters == base.counters
-
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_root_slice_stream_bit_identical(self, monkeypatch, workers):
         # Resident workers serve chain, tree and chunked requests back

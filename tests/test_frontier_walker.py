@@ -1,7 +1,7 @@
 """The banded frontier walker: one path for chains and MultiPlan trees.
 
-``batch_frontier=True`` must stay a pure value/counter drop-in for the
-recursive engine wherever the band boundaries fall, whichever tree depth
+The walker must stay a pure value/counter drop-in for the recursive
+reference engine wherever the band boundaries fall, whichever tree depth
 a one-row band over the row limit sits at, and however a task is
 chunked — and banding must actually bound the memory a wide level
 materializes.
@@ -69,9 +69,7 @@ class TestMultiPlanParity:
         ref = ReferenceEngine(SKEWED, plan, **options).run()
         if limit is not None:
             options["frontier_row_limit"] = limit
-        engine = PatternAwareEngine(
-            SKEWED, plan, batch_frontier=True, **options
-        )
+        engine = PatternAwareEngine(SKEWED, plan, **options)
         over_limit_depths = set()
         walk = engine._walk_frontier
 
@@ -99,7 +97,7 @@ class TestMultiPlanParity:
             pass
 
         plan = compile_motifs(3)
-        engine = Hooked(SKEWED, plan, batch_frontier=True)
+        engine = Hooked(SKEWED, plan)
         assert_same(engine.run(), recursive(plan).run())
         assert engine.frontier_stats()["bands"] == 0
 
@@ -110,7 +108,7 @@ class TestBandBoundaries:
     def test_whole_graph_bit_identical(self, monkeypatch, band, name):
         monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", band)
         plan = PLANS[name]()
-        engine = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
+        engine = PatternAwareEngine(SKEWED, plan)
         assert_same(engine.run(), recursive(plan).run())
         assert engine.frontier_stats()["fallbacks"] == 0
         if band == 2 ** 30:
@@ -123,7 +121,7 @@ class TestBandBoundaries:
         monkeypatch.setattr(explore, "_FRONTIER_BAND_ELEMS", band)
         plan = PLANS[name]()
         hub = int(np.argmax(SKEWED.degrees()))
-        batch = PatternAwareEngine(SKEWED, plan, batch_frontier=True)
+        batch = PatternAwareEngine(SKEWED, plan)
         ref = recursive(plan)
         for index in range(3):
             batch.run_task(hub, chunk=(index, 3))
@@ -239,9 +237,7 @@ class TestBoundedMemory:
 
     def peak(self):
         graph = rmat(10, 16, seed=1)
-        engine = PatternAwareEngine(
-            graph, compile_pattern(k_clique(4)), batch_frontier=True
-        )
+        engine = PatternAwareEngine(graph, compile_pattern(k_clique(4)))
         tracemalloc.start()
         try:
             engine.run()
@@ -290,9 +286,7 @@ class TestArcMapAndKeyedPaths:
     def test_same_results_less_gathering(self, monkeypatch, name):
         graph, make_plan, options = ARC_CASES[name]
         plan = make_plan()
-        ref = PatternAwareEngine(
-            graph, plan, batch_frontier=False, **options
-        ).run()
+        ref = ReferenceEngine(graph, plan, **options).run()
         mapped = PatternAwareEngine(graph, plan, **options)
         mapped_result = mapped.run()
         monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
@@ -337,7 +331,7 @@ class TestArcMapAndKeyedPaths:
         for name in ("TC", "4-cycle"):
             plan = PLANS[name]()
             engine = PatternAwareEngine(graph, plan)
-            ref = PatternAwareEngine(graph, plan, batch_frontier=False)
+            ref = ReferenceEngine(graph, plan)
             assert_same(engine.run(), ref.run())
             stats = engine.frontier_stats()
             assert stats["arc_probes"] == 0 and stats["elems_gathered"] > 0
@@ -348,7 +342,7 @@ class TestArcMapAndKeyedPaths:
         # each sees is complete.
         graph = rmat(8, 8, seed=4)
         plan = PLANS["4-CL"]()
-        ref = PatternAwareEngine(graph, plan, batch_frontier=False).run()
+        ref = ReferenceEngine(graph, plan).run()
         workers = 4  # more than the host's cores
         barrier = threading.Barrier(workers, timeout=30)
         results = [None] * workers
@@ -380,12 +374,12 @@ class TestArcMapAndKeyedPaths:
 
 
 class TestPoolStream:
-    def test_pool_2_batch_motif_request_twice(self):
+    def test_pool_2_motif_request_twice(self):
         # The backend mines the same plan twice through one resident
         # pool and raises on any drift between the two answers.
         case = VerifyCase(graph=SKEWED, motif_k=3)
         plan = case.compile()
-        counts, counters = BACKENDS["pool-2-batch"](case, plan)
+        counts, counters = BACKENDS["pool-2"](case, plan)
         ref = recursive(plan).run()
         assert tuple(counts) == ref.counts
         assert counters.as_dict() == ref.counters.as_dict()

@@ -14,7 +14,7 @@ import pytest
 from repro.apps import motif_count
 from repro.cli import main
 from repro.compiler import compile_motifs
-from repro.engine import MinerPool, PatternAwareEngine
+from repro.engine import MinerPool, PatternAwareEngine, ReferenceEngine
 from repro.engine.motifs import (
     _degrees,
     count_motifs,
@@ -125,11 +125,9 @@ class TestCounts:
     @pytest.mark.parametrize("k", [3, 4])
     def test_decomposed_equals_multiplan_and_oracle(self, name, k):
         graph = GRAPHS[name]
-        expected = merged(graph, k, batch_frontier=False).counts
+        expected = merged(graph, k).counts
         assert expected == oracle(graph, k)
-        for batch_frontier in (True, False):
-            got = motif_count(graph, k, batch_frontier=batch_frontier)
-            assert got.counts == expected, batch_frontier
+        assert motif_count(graph, k).counts == expected
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_counters_are_the_chain_plans(self, k):
@@ -145,9 +143,12 @@ class TestCounts:
         got = result.counters.as_dict()
         assert got == {key: want.get(key, 0) for key in got}
 
-    def test_both_modes_charge_the_same(self):
+    def test_chain_plans_charge_like_the_reference(self):
         walker = motif_count(PLC, 4)
-        recursive = motif_count(PLC, 4, batch_frontier=False)
+        recursive = count_motifs(
+            PLC, motif_count_plan(4),
+            lambda run: ReferenceEngine(PLC, run).run(),
+        )
         assert walker.counts == recursive.counts
         assert walker.counters.as_dict() == recursive.counters.as_dict()
 

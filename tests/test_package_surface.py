@@ -81,10 +81,10 @@ class TestPublicSurface:
 
 
 def test_execution_mode_surface():
-    """One switch: ``batch_frontier`` is the only execution-mode keyword
-    that crosses a layer; the memo ablation and the row budget stay on
-    the engine, the pool is the only process backend, and the service
-    has no mode at all (it always runs the default).  Every other
+    """No execution-mode keyword crosses a layer: the memo ablation and
+    the row budget stay on the engine, the pool is the only process
+    backend, and the service has no mode at all (``batch_frontier`` is
+    accepted and ignored: test_ignored_mode_keyword_on_three_signatures).  Every other
     constructor keyword is listed here as *not* selecting how a plan
     executes, so a new knob has to be classified to get past this pin."""
     import inspect
@@ -96,16 +96,16 @@ def test_execution_mode_surface():
         "self", "graph", "plan", "collect", "work_graph", "workers",
         "calibration_clock", "tracer", "metrics", "profiler",
         "max_active", "threads", "result_cache", "result_cache_entries",
-        "request_timeout_s", "clock",
+        "request_timeout_s", "clock", "batch_frontier",
     }
 
     def mode_keywords(cls):
         return set(inspect.signature(cls.__init__).parameters) - not_modes
 
     assert mode_keywords(engine.PatternAwareEngine) == {
-        "use_frontier_memo", "batch_frontier", "frontier_row_limit",
+        "use_frontier_memo", "frontier_row_limit",
     }
-    assert mode_keywords(engine.MinerPool) == {"batch_frontier"}
+    assert mode_keywords(engine.MinerPool) == set()
     assert mode_keywords(MiningService) == set()
     assert not {"ParallelMiner", "mine_parallel"} & set(engine.__all__)
     assert not hasattr(engine.kernels, "set_strategy")
@@ -223,24 +223,60 @@ def test_one_software_cmap():
         assert not gone & (set(module.__all__) | set(vars(module))), module
 
 
-def test_walker_is_the_default():
-    """One default, on every layer that threads the switch: the frontier
-    walker.  Engines that override candidate generation subclass the
-    recursion in :mod:`repro.engine.reference` instead."""
+def test_ignored_mode_keyword_on_three_signatures():
+    """``batch_frontier`` survives, accepted and ignored, on exactly the
+    three signatures the benchmark still passes it to, each saying so
+    in its docstring; no other callable in ``repro`` takes it."""
+    import importlib
     import inspect
+    import pkgutil
 
-    from repro.apps import run_app
+    import repro
+
+    carriers = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if isinstance(obj, type):
+                members = {
+                    f"{name}.{attr}": value
+                    for attr, value in vars(obj).items()
+                    if callable(value)
+                }
+            for qualname, func in members.items():
+                try:
+                    params = inspect.signature(func).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "batch_frontier" in params:
+                    carriers.add(f"{module.__name__}.{qualname}")
+                    assert params["batch_frontier"].default is True
+                    doc = inspect.getdoc(
+                        obj if isinstance(obj, type) else func
+                    )
+                    assert "accepted and ignored" in doc.lower(), qualname
+    assert carriers == {
+        "repro.apps.api.run_app",
+        "repro.engine.explore.PatternAwareEngine.__init__",
+        "repro.engine.pool.MinerPool.__init__",
+    }
+
+
+def test_walker_is_the_default():
+    """One engine on every layer: the frontier walker.  Engines that
+    override candidate generation subclass the recursion in
+    :mod:`repro.engine.reference` instead."""
     from repro.compiler import compile_pattern
-    from repro.engine import MinerPool, PatternAwareEngine
+    from repro.engine import PatternAwareEngine
     from repro.graph import erdos_renyi
     from repro.hw import FlexMinerConfig
     from repro.engine.reference import RecursiveEngine
     from repro.hw.parallel_sim import _TracePE
     from repro.patterns import four_clique
 
-    for func in (PatternAwareEngine, MinerPool, run_app):
-        parameter = inspect.signature(func).parameters["batch_frontier"]
-        assert parameter.default is True, func
     graph = erdos_renyi(40, 0.3, seed=2)
     plan = compile_pattern(four_clique())
     engine = PatternAwareEngine(graph, plan)
@@ -251,9 +287,10 @@ def test_walker_is_the_default():
 
 
 def test_one_way_to_run_a_task():
-    """``batch_frontier=False`` walks one root at a time: the recursion's
-    own leaf counters, the plan-shape oracle that picked them, its lint
-    code, its kernels and its differential backend stay deleted.  The
+    """The walker walks whole root sets, with no one-root mode and no
+    mode-pair backends; the recursion's own leaf counters, the
+    plan-shape oracle that picked them, its lint code, its kernels and
+    its differential backend stay deleted.  The
     walker is the walker only: the recursion lives once, in
     :mod:`repro.engine.reference`; shallow plans and over-limit rows
     walk, so the routing switch, the row fallback, their plancheck codes
@@ -290,7 +327,9 @@ def test_one_way_to_run_a_task():
         params = inspect.signature(func).parameters
         assert "batch_frontier" not in params, func
         assert "supports_leaf_counting" not in params, func
-    for name in ("kernel-probe", "row-fallback"):
+    for name in (
+        "kernel-probe", "row-fallback", "frontier-batch", "pool-2-batch",
+    ):
         assert name not in BACKENDS, name
     assert "one-row-bands" in BACKENDS
     for module, names in (
@@ -304,8 +343,7 @@ def test_one_way_to_run_a_task():
     ):
         assert not names & (set(module.__all__) | set(vars(module))), module
     engine = PatternAwareEngine(
-        erdos_renyi(40, 0.3, seed=2), compile_pattern(four_clique()),
-        batch_frontier=False,
+        erdos_renyi(40, 0.3, seed=2), compile_pattern(four_clique())
     )
     engine.run()
     assert engine.frontier_stats()["bands"] > 0

@@ -189,11 +189,14 @@ class TestParity:
         assert got.counts == base.counts
         assert got.counters.tasks > base.counters.tasks
 
+    @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_batch_frontier_counts_and_counters(self, workers):
+    def test_batch_frontier_counts_and_counters(self, workers, flag):
+        # The pool accepts and ignores ``batch_frontier``: either value
+        # mines the serial counts and counters at every worker count.
         plan = compile_pattern(k_clique(4))
         base = serial(PL, plan)
-        got = pool_mine(PL, plan, workers=workers, batch_frontier=True)
+        got = pool_mine(PL, plan, workers=workers, batch_frontier=flag)
         assert got.counts == base.counts
         assert got.counters.as_dict() == base.counters.as_dict()
 
@@ -311,18 +314,13 @@ class TestRootSliceTasks:
         tasks = order_tasks(PL)
         with MinerPool(PL, workers=4) as pool:
             assert pool._slice_tasks(PL, tasks) == [tasks]
-        # recursion has no lanes to fill: it keeps its parallelism
-        with MinerPool(PL, workers=4, batch_frontier=False) as pool:
-            assert len(pool._slice_tasks(PL, tasks)) > 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unsorted_root_subset(self, workers):
         graph, plan = SLICE_CASES["diamond"]
         roots = [150, 3, 77, 12, 199, 4, 180, 41, 9, 120]
         want = PatternAwareEngine(graph, plan).run(roots=roots)
-        ref = PatternAwareEngine(graph, plan, batch_frontier=False).run(
-            roots=roots
-        )
+        ref = ReferenceEngine(graph, plan).run(roots=roots)
         got = pool_mine(graph, plan, workers=workers, roots=roots)
         assert got.counts == want.counts == ref.counts
         assert got.counters.as_dict() == want.counters.as_dict()
@@ -390,9 +388,7 @@ class TestObservability:
     def test_frontier_gauges_aggregated(self):
         registry = MetricsRegistry()
         plan = compile_pattern(triangle())
-        pool_mine(
-            ER, plan, workers=2, batch_frontier=True, metrics=registry
-        )
+        pool_mine(ER, plan, workers=2, metrics=registry)
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
         assert snap["engine.frontier.bands"] > 0

@@ -109,12 +109,12 @@ class TestZeroDrift:
             direct = motif_count(ER, k)
             assert got.counters.as_dict() == direct.counters.as_dict()
 
-    def test_batch_frontier_service_bit_identical(self, service):
+    def test_walker_service_bit_identical(self, service):
         # The service has no mode: it always runs the frontier walker,
         # so a served 4-clique matches a direct walker run and the
         # serial reference, counts and counters alike.
         plan = compile_pattern(k_clique(4))
-        walker = PatternAwareEngine(ER, plan, batch_frontier=True).run()
+        walker = PatternAwareEngine(ER, plan).run()
         base = serial(ER, plan)
         got = service.mine("er", pattern=k_clique(4))
         for direct in (walker, base):
@@ -147,6 +147,22 @@ class TestPlanCache:
         stats = service.cache_stats()["plan"]
         assert stats["misses"] == 3
         assert stats["hits"] == 6
+
+    def test_compiles_is_the_miss_count(self, service):
+        # one counter: N distinct plans served M times each compile N
+        # times, and compiles / misses / the metric all read it
+        patterns = [triangle(), k_clique(4), four_cycle(), k_clique(5)]
+        repeats = 3
+        for _ in range(repeats):
+            for pattern in patterns:
+                service.mine("er", pattern=pattern)
+        n = len(patterns)
+        stats = service.cache_stats()["plan"]
+        assert service.compiles == stats["misses"] == stats["compiles"] == n
+        assert stats["hits"] == n * (repeats - 1)
+        snap = service.metrics.snapshot()
+        assert snap["serve.plan_cache.compiles"] == n
+        assert not hasattr(service._plans, "computes")
 
     def test_isomorphic_patterns_share_one_plan(self, service):
         # The same 4-cycle under two different vertex numberings: one

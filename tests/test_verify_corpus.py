@@ -141,13 +141,13 @@ class TestCorpusReplay:
         """Every corpus graph fits the arc map, so the full-matrix
         replay only proves the lookup path; this one sends the default
         walker down the gather + keyed-search path it takes past the
-        map's size cap, one root at a time and over root sets, against
+        map's size cap, over root sets and as one-row bands, against
         the reference engine."""
         from repro.graph import csr
 
         monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
         replayed = replay_corpus(
-            CORPUS_DIR, backends=("reference", "serial", "frontier-batch")
+            CORPUS_DIR, backends=("reference", "serial", "one-row-bands")
         )
         assert replayed
         for path, report in replayed:

@@ -793,7 +793,9 @@ def _freeze_profile(prof, profile: bool):
     if touches:
         missed = sum(args["missed_touches"] for args in replays)
         text += (
-            f"\nreplay: {sum(args['events'] for args in replays)} events, "
+            f"\nreplay: {sum(args['events'] for args in replays)} events "
+            f"in {sum(args['slices'] for args in replays)} slices "
+            f"(largest {max(args['largest_slice'] for args in replays)}), "
             f"{touches} touches, {missed} missed "
             f"({100.0 * missed / touches:.1f}%), "
             f"{sum(args['lines_fetched'] for args in replays)} lines fetched"

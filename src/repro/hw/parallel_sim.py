@@ -27,18 +27,25 @@ global task order).  Every simulation splits them:
    cycle-domain tracer is attached, emits the task, stall, c-map,
    SIU/SDU and overflow events from the same pass.
 
-The task order is cut into root slices (:func:`slice_tasks`).
-In-process each slice is replayed as soon as it is traced, so memory is
-bounded by a slice; with ``workers > 1`` slice ``s`` is traced by
-worker process ``s % workers``, which attaches the graph — labels and
-oriented DAG included — through :class:`~repro.graph.SharedCSRBuffers`.
-Either way replay runs in task order, so the report is bit-identical
-at any worker count.  :class:`TraceReplay` is the pipeline every
-simulation runs (:class:`repro.hw.FlexMinerAccelerator` holds one).
+The task order is cut into contiguous root slices.  In-process each
+slice is replayed as soon as it is traced, so memory is bounded by a
+slice, and slices are sized by the events they hold: the first takes
+a root budget in summed squared root degrees, and each next budget is
+set from the events per unit of squared degree the last slice traced,
+aiming at :data:`_SLICE_EVENTS` events and at most doubling from one
+slice to the next.  With ``workers > 1`` the cut is fixed up front
+(:func:`slice_tasks`) and slice ``s`` is traced by worker process
+``s % workers``, which attaches the graph — labels and oriented DAG
+included — through :class:`~repro.graph.SharedCSRBuffers`.  Either way
+replay runs in task order and a slice boundary only regroups exact
+integer settles, so the report is bit-identical at any worker count
+and any cut.  :class:`TraceReplay` is the pipeline every simulation
+runs (:class:`repro.hw.FlexMinerAccelerator` holds one).
 """
 
 from __future__ import annotations
 
+import queue
 import traceback
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -79,16 +86,32 @@ from .scheduler import Scheduler
 
 __all__ = ["TraceReplay", "slice_tasks"]
 
-#: Root-slice budget, in summed squared root degrees of the work graph
-#: (a task's trace grows with its first two levels; hubs dominate).
-_SLICE_WORK = 1 << 13
+#: The first slice's root budget, in summed squared root degrees of the
+#: work graph (a task's trace grows with its first two levels; hubs
+#: dominate), and the trace workers' slice budget.
+_FIRST_SLICE_BUDGET = 1 << 13
+#: Events an in-process slice aims to trace; replay holds one decoded
+#: slice at a time, so this bounds its columns.
+_SLICE_EVENTS = 1 << 14
+
+
+def _task_work(work_graph, tasks: Sequence[Task]) -> np.ndarray:
+    """Each task's squared root degree (a chunk task counts its share
+    of its root's)."""
+    roots = np.array([root for root, _ in tasks], dtype=np.int64)
+    pieces = np.array(
+        [1 if chunk is None else chunk[1] for _, chunk in tasks]
+    )
+    degrees = work_graph.degrees()[roots]
+    return (1 + degrees // pieces) * (1 + degrees)
 
 
 def slice_tasks(
     work_graph, tasks: Sequence[Task], workers: int = 1
 ) -> List[List[Task]]:
-    """Cut the task order into contiguous root slices of bounded summed
-    squared root degree (a chunk task counts its share of its root's).
+    """The trace workers' cut: contiguous root slices of at most
+    ``_FIRST_SLICE_BUDGET`` summed squared root degree, fixed before any
+    slice is traced.
 
     Trace workers get at least two slices each where the task count
     allows, so every worker has work and the schedule's head (the hubs)
@@ -96,16 +119,33 @@ def slice_tasks(
     """
     if not tasks:
         return []
-    roots = np.array([root for root, _ in tasks], dtype=np.int64)
-    pieces = np.array(
-        [1 if chunk is None else chunk[1] for _, chunk in tasks]
-    )
-    degrees = work_graph.degrees()[roots]
-    sizes = (1 + degrees // pieces) * (1 + degrees)
-    budget = _SLICE_WORK
+    sizes = _task_work(work_graph, tasks)
+    budget = _FIRST_SLICE_BUDGET
     if workers > 1:
         budget = min(budget, -(-int(sizes.sum()) // (2 * workers)))
     return [list(tasks[lo:hi]) for lo, hi in _cut_bands(sizes, budget)]
+
+
+def _event_slices(work_graph, tasks: Sequence[Task], trace):
+    """Cut ``tasks`` into contiguous slices as ``trace`` traces them;
+    yields each ``(slice, shard)``.
+
+    The first slice takes ``_FIRST_SLICE_BUDGET`` summed squared root
+    degrees; each next budget aims the last slice's events per unit of
+    squared degree at ``_SLICE_EVENTS`` events, at most doubling.  A
+    slice always holds at least one task.
+    """
+    csum = np.cumsum(_task_work(work_graph, tasks), dtype=np.int64)
+    lo, done, budget = 0, 0, _FIRST_SLICE_BUDGET
+    while lo < len(tasks):
+        hi = int(np.searchsorted(csum, done + budget, side="right"))
+        hi = max(hi, lo + 1)
+        chunk = list(tasks[lo:hi])
+        shard = trace(chunk)
+        yield chunk, shard
+        work, events = int(csum[hi - 1]) - done, max(len(shard.codes), 1)
+        budget = min(2 * budget, max(1, _SLICE_EVENTS * work // events))
+        lo, done = hi, int(csum[hi - 1])
 
 
 class _TracePE(RecursiveEngine):
@@ -316,18 +356,24 @@ def _trace_in_processes(
 
         with profiler.lane_span("drain-results"):
             while len(results) < len(procs):
+                # A worker's report reaches the pipe before it exits, so
+                # one that had exited before an empty poll sent none.
+                exited = [
+                    (w, p.exitcode) for w, p in enumerate(procs)
+                    if w not in results and p.exitcode is not None
+                ]
                 try:
                     kind, worker_id, payload = result_queue.get(
                         timeout=1.0
                     )
-                except Exception:
-                    dead = [
-                        p for p in procs if p.exitcode not in (0, None)
-                    ]
-                    if dead:  # pragma: no cover - hard crash path
+                except queue.Empty:
+                    if exited:
                         raise RuntimeError(
-                            f"{len(dead)} sim trace worker(s) died with "
-                            f"exit codes {[p.exitcode for p in dead]}"
+                            "sim trace worker(s) exited without a "
+                            "result: " + ", ".join(
+                                f"{w} (exit code {code})"
+                                for w, code in exited
+                            )
                         )
                     continue
                 if kind == "error":
@@ -383,9 +429,12 @@ class TraceReplay:
         processes first; an enabled ``profiler`` gets the trace and
         replay phases and one wall-clock lane per tracing process.
         """
-        slices = slice_tasks(self.work_graph, tasks, workers)
-        if workers == 1 or len(slices) < 2:
-            lanes = [self._in_process(slices, profiler)]
+        slices = (
+            slice_tasks(self.work_graph, tasks, workers) if workers > 1
+            else []
+        )
+        if len(slices) < 2:
+            lanes = [self._in_process(tasks, profiler)]
         else:
             lanes = self._in_processes(slices, workers, profiler)
         if profiler.enabled:
@@ -394,9 +443,10 @@ class TraceReplay:
                 profiler.add_lane(worker_id, spans)
         return max(pe.time for pe in self.pes)
 
-    def _in_process(self, slices, profiler) -> list:
-        """Trace each slice and replay it straight away; returns the
-        lane's recorded spans."""
+    def _in_process(self, tasks, profiler) -> list:
+        """Trace each slice and replay it straight away, cutting the
+        next slice by the events the last one held; returns the lane's
+        recorded spans."""
         # Imported on first use: every CLI verb imports repro.hw, and
         # only a simulation needs the walker compiled.
         from .walktrace import WalkTracer
@@ -404,19 +454,25 @@ class TraceReplay:
         rec = LaneRecorder()
         with rec.span("attach-shm"):
             tracer = WalkTracer(self.graph, self.plan, self.config)
-        for tasks in slices:
-            with profiler.phase("trace", tasks=len(tasks)):
-                shard = _trace_slice(tracer, tasks, rec)
-            with profiler.phase("replay", tasks=len(tasks)) as args:
+
+        def trace(chunk):
+            with profiler.phase("trace", tasks=len(chunk)) as args:
+                shard = _trace_slice(tracer, chunk, rec)
+                if profiler.enabled:
+                    args["events"] = len(shard.codes)
+            return shard
+
+        for chunk, shard in _event_slices(self.work_graph, tasks, trace):
+            with profiler.phase("replay", tasks=len(chunk)) as args:
                 self.replay(
-                    [(tasks, shard)], args if profiler.enabled else None
+                    [(chunk, shard)], args if profiler.enabled else None
                 )
         return rec.spans
 
     def _in_processes(self, slices, workers: int, profiler) -> list:
         """Trace the slices in ``workers`` processes, then replay them
         in task order; returns each worker's recorded spans."""
-        with profiler.phase("trace", slices=len(slices)):
+        with profiler.phase("trace", slices=len(slices)) as args:
             # Segments outlive the workers and never the call: leaving
             # the block closes and unlinks every one of them (FM301).
             with SharedCSRBuffers(self.graph) as shared:
@@ -425,6 +481,11 @@ class TraceReplay:
                 results = _trace_in_processes(
                     shared.spec, self.plan, self.config, slices, workers,
                     profiler=profiler,
+                )
+            if profiler.enabled:
+                args["events"] = sum(
+                    len(shard.codes) for shards, _ in results
+                    for shard in shards
                 )
         with profiler.phase("replay", slices=len(slices)) as args:
             self.replay(
@@ -443,9 +504,10 @@ class TraceReplay:
         scheduler, settled on every PE and dropped, so replay holds one
         decoded slice at a time.  ``counts`` (the profiler's ``replay``
         phase args), when given, receives the replayed ``events``, the
-        private-cache reads of at least a byte (``touches``), the reads
-        that missed (``missed_touches``) and the lines they fetched
-        (``lines_fetched``: one NoC request each).
+        ``slices`` and the events of the largest (``largest_slice``),
+        the private-cache reads of at least a byte (``touches``), the
+        reads that missed (``missed_touches``) and the lines they
+        fetched (``lines_fetched``: one NoC request each).
         """
         spans = any(pe._trace is not None for pe in self.pes)
         line_bytes = self.config.line_bytes
@@ -453,7 +515,7 @@ class TraceReplay:
             noc = self.memsys.noc.stats
             requests = noc.requests
             missed = sum(pe.missed_touches for pe in self.pes)
-            events = touches = 0
+            events = touches = largest = 0
         for tasks, shard in traced:
             cols = ReplayColumns(shard, line_bytes, spans)
             for index, task in enumerate(tasks):
@@ -471,6 +533,7 @@ class TraceReplay:
                 pe.settle(row)
             if counts is not None:
                 events += len(shard.codes)
+                largest = max(largest, len(shard.codes))
                 touches += int(np.count_nonzero(
                     ((shard.codes == EV_TOUCH) & (shard.arg_b > 0))
                     | (shard.codes == EV_FREAD)
@@ -478,6 +541,8 @@ class TraceReplay:
         if counts is not None:
             counts.update(
                 events=events,
+                slices=len(traced),
+                largest_slice=largest,
                 touches=touches,
                 missed_touches=(
                     sum(pe.missed_touches for pe in self.pes) - missed

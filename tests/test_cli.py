@@ -233,8 +233,37 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "cycles" in out
         assert "% wall" in out
-        assert re.search(r"replay: \d+ events, \d+ touches, \d+ missed", out)
+        assert re.search(
+            r"replay: \d+ events in \d+ slices \(largest \d+\), "
+            r"\d+ touches, \d+ missed",
+            out,
+        )
         assert trace.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_profile_sim_shows_the_slice_cut(self, tmp_path, capsys,
+                                             workers):
+        import json as jsonlib
+
+        args = ["profile", "sim", "4-clique", "--dataset", "As",
+                "--pes", "2", "--workers", workers,
+                "--trace", str(tmp_path / "t.json")]
+        assert main(args + ["--emit-json"]) == 0
+        phases = jsonlib.loads(capsys.readouterr().out)["data"]["profile"][
+            "phases"
+        ]
+        traced = [p["args"]["events"] for p in phases if p["name"] == "trace"]
+        replays = [p["args"] for p in phases if p["name"] == "replay"]
+        events = sum(r["events"] for r in replays)
+        slices = sum(r["slices"] for r in replays)
+        largest = max(r["largest_slice"] for r in replays)
+        assert sum(traced) == events
+        assert slices >= 1 and events / slices <= largest <= events
+        assert main(args) == 0
+        assert (
+            f"replay: {events} events in {slices} slices (largest {largest})"
+            in capsys.readouterr().out
+        )
 
     def test_profile_emit_json_carries_payload(self, tmp_path, capsys):
         import json as jsonlib

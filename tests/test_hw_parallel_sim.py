@@ -3,16 +3,27 @@
 The contract under test is strict: for any worker count, the returned
 ``SimReport`` must be *bit-identical* (full ``as_dict`` equality —
 cycles, per-PE stats, cache/NoC/DRAM counters, derived rates) to the
-serial simulator on the same inputs.
+serial simulator on the same inputs.  The same holds for any slice
+cut: a slice boundary only regroups exact integer settles.
 """
+
+import multiprocessing
+import os
+import threading
 
 import pytest
 
 from repro.compiler import compile_motifs, compile_pattern
+from repro.engine.parallel import filter_roots, order_tasks
 from repro.errors import SimulationError
-from repro.graph import erdos_renyi, load_dataset, star_graph
-from repro.hw import FlexMinerConfig, simulate, simulate_parallel
-from repro.obs import MetricsRegistry
+from repro.graph import (
+    csr, erdos_renyi, load_dataset, orient_by_degree, rmat, star_graph,
+)
+from repro.hw import (
+    FlexMinerAccelerator, FlexMinerConfig, parallel_sim, simulate,
+    simulate_parallel,
+)
+from repro.obs import MetricsRegistry, PhaseProfiler
 from repro.patterns import diamond, four_cycle, k_clique, triangle
 
 GRAPH = erdos_renyi(48, 0.25, seed=13)
@@ -102,3 +113,116 @@ class TestValidationAndMetrics:
         snap = metrics.snapshot()
         assert snap["sim.parallel.workers"] == 2
         assert snap["sim.parallel.tasks"] == report.tasks
+
+
+def _sim_state(graph, plan, config):
+    """The report, each PE's clock, LRU contents in order and frontier
+    pointer, and each replayed slice's ``(tasks, events)``."""
+    prof = PhaseProfiler()
+    accel = FlexMinerAccelerator(graph, plan, config, profiler=prof)
+    report = accel.run().as_dict()
+    pes = [
+        (
+            pe.time,
+            [list(ways.items()) for ways in pe.private._sets],
+            pe._frontier_ptr,
+        )
+        for pe in accel.pes
+    ]
+    slices = [
+        (p.args["tasks"], p.args["events"])
+        for p in prof.phases() if p.name == "replay"
+    ]
+    return report, pes, slices
+
+
+CUT_CASES = {
+    "rmat-4-cycle": (
+        rmat(7, 8, seed=5), compile_pattern(four_cycle()), CONFIG,
+    ),
+    "3-MC": (erdos_renyi(120, 0.08, seed=3), compile_motifs(3), CONFIG),
+    "task-split": (
+        rmat(7, 8, seed=5),
+        compile_pattern(four_cycle()),
+        FlexMinerConfig(num_pes=4, task_split_degree=8),
+    ),
+}
+
+
+class TestSliceCut:
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_cut_never_changes_a_report(self, case, monkeypatch):
+        graph, plan, config = CUT_CASES[case]
+        default = parallel_sim._SLICE_EVENTS
+        runs = {}
+        for target in (1, default, 1 << 30):
+            monkeypatch.setattr(parallel_sim, "_SLICE_EVENTS", target)
+            runs[target] = _sim_state(graph, plan, config)
+        report, pes, _ = runs[default]
+        for other_report, other_pes, _ in runs.values():
+            assert other_report == report
+            assert other_pes == pes
+        # the patched target moved the cut
+        assert len(runs[1][2]) > len(runs[default][2])
+
+    def test_flat_graph_cuts_fewer_bounded_slices(self):
+        # Many cheap roots: the squared-degree rule cuts a slice every
+        # few thousand events; the event target packs them.
+        graph = erdos_renyi(4000, 3 / 4000, seed=1)
+        plan = compile_pattern(triangle())
+        report, _, slices = _sim_state(graph, plan, CONFIG)
+        work_graph = orient_by_degree(graph)
+        tasks = order_tasks(work_graph, filter_roots(graph, plan, None))
+        assert sum(n for n, _ in slices) == len(tasks) == report["tasks"]
+        assert len(slices) < len(parallel_sim.slice_tasks(work_graph, tasks))
+        for n, events in slices:
+            assert n == 1 or events <= 2 * parallel_sim._SLICE_EVENTS
+
+
+def _silent_worker(*args):
+    """A trace worker that exits 0 without reporting."""
+
+
+def _crashing_worker(*args):
+    """A trace worker that dies without reporting."""
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched worker reaches the child only under fork",
+)
+class TestTraceWorkerExit:
+    @pytest.mark.parametrize(
+        "worker, code", [(_silent_worker, 0), (_crashing_worker, 3)],
+        ids=["exit-0", "exit-3"],
+    )
+    def test_exit_without_result_raises(self, worker, code, monkeypatch):
+        created = []
+        real = csr.share_array
+
+        def recording(arr):
+            shm, spec = real(arr)
+            created.append(spec["shm"])
+            return shm, spec
+
+        monkeypatch.setattr(csr, "share_array", recording)
+        monkeypatch.setattr(parallel_sim, "_trace_worker", worker)
+        plan = compile_pattern(triangle())
+        raised = []
+
+        def call():
+            try:
+                simulate_parallel(GRAPH, plan, CONFIG, workers=2)
+            except Exception as exc:  # handed to the test thread
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the parent waits on a dead worker"
+        assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
+        assert f"(exit code {code})" in str(raised[0])
+        assert created
+        assert not set(created) & set(os.listdir("/dev/shm"))
+        assert not multiprocessing.active_children()

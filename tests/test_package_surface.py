@@ -179,7 +179,8 @@ def test_single_owner_surface():
 def test_one_simulator_model():
     """One simulator model: no timing-kernel or exact-c-map switch on
     the config, no tracer rule, one replay PE and one reference tracer
-    that is an engine, not a PE, and no second in-process sim backend."""
+    that is an engine, not a PE, no second in-process sim backend and
+    no squared-degree slice budget."""
     import dataclasses
     import inspect
 
@@ -193,8 +194,12 @@ def test_one_simulator_model():
     with pytest.raises(TypeError):
         FlexMinerConfig(timing_kernels=False)
     assert "kernels" not in inspect.signature(HardwareCMap).parameters
-    for name in ("tracer_for", "_ReplayPE", "PETiming"):
+    for name in ("tracer_for", "_ReplayPE", "PETiming", "_SLICE_WORK"):
         assert not hasattr(parallel_sim, name), name
+    # in-process slices are sized by the events they trace: one module
+    # constant, no flag or config field
+    assert isinstance(parallel_sim._SLICE_EVENTS, int)
+    assert not {"slice_events", "slice_work"} & fields
     assert not issubclass(parallel_sim._TracePE, ProcessingElement)
     assert "sim-fast" not in BACKENDS
 

@@ -33,7 +33,6 @@ from . import __version__
 from .compiler.compiler import compile_motifs, compile_pattern
 from .engine.explore import PatternAwareEngine
 from .obs import (
-    NULL_TRACER,
     PhaseProfiler,
     Tracer,
     diff_reports,
@@ -673,8 +672,10 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
     trace_path = getattr(args, "trace", None)
     if profile and trace_path is None:
         trace_path = "profile_trace.json"
-    tracer = Tracer() if trace_path else NULL_TRACER
-    prof = PhaseProfiler(tracer=tracer, enabled=profile)
+    # The run's one observability handle: it carries the trace.
+    prof = PhaseProfiler(
+        tracer=Tracer() if trace_path else None, enabled=profile
+    )
     with prof.phase("load-graph"):
         graph = _load(args)
     with prof.phase("compile", pattern=args.pattern):
@@ -701,10 +702,7 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
             from .engine.pool import MinerPool
 
             with prof.phase("setup", workers=args.workers):
-                pool = MinerPool(
-                    graph, workers=args.workers, tracer=tracer,
-                    profiler=prof,
-                )
+                pool = MinerPool(graph, workers=args.workers, profiler=prof)
             with pool:
                 result = pool.mine(plan, split_degree=split_degree)
                 # The calibrated constant the cost model prices chunks
@@ -712,14 +710,12 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
                 run_meta["dispatch_overhead_s"] = pool.dispatch_overhead_s
         else:
             with prof.phase("setup"):
-                engine = PatternAwareEngine(
-                    graph, plan, tracer=tracer, profiler=prof
-                )
+                engine = PatternAwareEngine(graph, plan, profiler=prof)
             result = engine.run()
         seconds = cpu_time_seconds(result.counters)
         profile_payload, profile_text = _freeze_profile(prof, profile)
         if trace_path:
-            tracer.write(trace_path)
+            prof.tracer.write(trace_path)
             print(f"trace written to {trace_path}", file=sys.stderr)
         if args.emit_json:
             payload = dict(result.as_dict(), model_seconds=seconds)
@@ -749,16 +745,13 @@ def _mine_or_sim(args, *, profile: bool = False) -> int:
         if workers > 1:
             run_meta["workers"] = workers
             report = simulate_parallel(
-                graph, plan, config, workers=workers, tracer=tracer,
-                profiler=prof,
+                graph, plan, config, workers=workers, profiler=prof
             )
         else:
-            report = simulate(
-                graph, plan, config, tracer=tracer, profiler=prof
-            )
+            report = simulate(graph, plan, config, profiler=prof)
         profile_payload, profile_text = _freeze_profile(prof, profile)
         if trace_path:
-            tracer.write(trace_path)
+            prof.tracer.write(trace_path)
             print(f"trace written to {trace_path}", file=sys.stderr)
         if args.emit_json:
             payload = report.as_dict()

@@ -31,7 +31,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..patterns import Pattern
 from .matching_order import enumerate_matching_orders
-from .plan import ExecutionPlan, VertexStep
+from .plan import ExecutionPlan
 
 __all__ = [
     "GraphProfile",
@@ -144,8 +144,13 @@ def measure_levels(
     sample_roots: Optional[int] = None,
     seed: int = 0,
 ) -> List[LevelEstimate]:
-    """Exact (or root-sampled) per-level tree sizes, for validation."""
-    from ..engine.reference import RecursiveEngine
+    """Exact (or root-sampled) per-level tree sizes, for validation.
+
+    Read off the frontier walker's per-depth tally
+    (:meth:`~repro.engine.explore.PatternAwareEngine.level_stats`), so
+    the estimate is checked against the engine users run.
+    """
+    from ..engine.explore import PatternAwareEngine
 
     roots: Sequence[int]
     scale = 1.0
@@ -158,27 +163,15 @@ def measure_levels(
     else:
         roots = list(graph.vertices())
 
-    counts = [0.0] * plan.num_levels
-    scans = [0.0] * plan.num_levels
-
-    class _Probe(RecursiveEngine):
-        # The probe measures by observing every level's candidate list.
-        def _filtered_candidates(
-            self, step: VertexStep, emb: Sequence[int]
-        ) -> np.ndarray:
-            cands = super()._filtered_candidates(step, emb)
-            counts[step.depth] += len(cands)
-            scans[step.depth] += len(self._raw_stack[step.depth])
-            return cands
-
-    probe = _Probe(graph, plan)
-    probe.run(roots=roots)
-    counts[0] = len(roots)
+    engine = PatternAwareEngine(graph, plan)
+    engine.run(roots)
+    levels = engine.level_stats()
+    levels[0] = (len(roots), 0)
     return [
         LevelEstimate(
-            depth=d, nodes=counts[d] * scale, candidates_scanned=scans[d] * scale
+            depth=d, nodes=rows * scale, candidates_scanned=checked * scale
         )
-        for d in range(plan.num_levels)
+        for d, (rows, checked) in enumerate(levels)
     ]
 
 

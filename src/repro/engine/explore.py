@@ -8,10 +8,9 @@ bounds, and frontier-list memoization — while counting every unit of
 algorithmic work in an :class:`~repro.engine.counters.OpCounters`.  The
 engine is the frontier walker, whose arc-map lookups are the software
 vector c-map (§II-C), over a whole root set at once.  The per-embedding
-recursion lives in
-:mod:`repro.engine.reference`: the functional reference every path is
-checked against, and the recursive probes of the estimator and the
-simulator's reference tracer.
+recursion lives in :mod:`repro.engine.reference`: the functional
+reference every path is checked against, and the simulator's reference
+tracer.
 
 The FlexMiner hardware simulator walks the same search tree (it must: the
 paper stresses the accelerator has "the same algorithmic efficiency as
@@ -29,7 +28,7 @@ import numpy as np
 from ..compiler.plan import ExecutionPlan, MultiPlan, PlanNode, VertexStep
 from ..graph.csr import CSRGraph
 from ..graph.orientation import orient_by_degree
-from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
+from ..obs import NULL_PROFILER
 from . import kernels
 from .counters import OpCounters
 
@@ -191,17 +190,12 @@ class PatternAwareEngine:
         runs as a one-row band, and its child level is cut into bands
         again.  Banding is charge-identical, so the limit only trades
         speed for memory.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; ``run()`` wraps the mining
-        phase in a wall-clock span.  Defaults to the no-op tracer.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`; ``run()`` publishes
-        the final op-counter state under ``engine.*`` gauges.  Defaults
-        to the no-op registry.
     profiler:
-        Optional :class:`repro.obs.PhaseProfiler`; when enabled it takes
-        over the mine-phase span (attributing wall/CPU/RSS) instead of
-        the plain tracer span.  Never changes counts or counters.
+        Optional :class:`repro.obs.PhaseProfiler`, the run's one
+        observability handle: ``run()`` is its ``mine`` phase, traced
+        into ``profiler.tracer`` (``PhaseProfiler(tracer=T,
+        enabled=False)`` traces without attributing).  Never changes
+        counts or counters.
     batch_frontier:
         Accepted and ignored; ROADMAP item 1a deletes it.
     """
@@ -216,8 +210,6 @@ class PatternAwareEngine:
         batch_frontier: bool = True,
         frontier_row_limit: int = 1 << 22,
         work_graph: Optional[CSRGraph] = None,
-        tracer=None,
-        metrics=None,
         profiler=None,
     ) -> None:
         self.graph = graph
@@ -230,8 +222,6 @@ class PatternAwareEngine:
                 "a band; it must be at least 1"
             )
         self.frontier_row_limit = frontier_row_limit
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.counters = OpCounters()
         self._multi = isinstance(plan, MultiPlan)
@@ -270,6 +260,9 @@ class PatternAwareEngine:
         self._tree = plan.root if self._multi else _chain_tree(plan)
         self._frontier_keyspace = max(1, self._work_graph.num_vertices)
         self._frontier_rows = 0
+        #: Per depth: rows kept after the filter and candidates checked.
+        self._level_rows = [0] * self._slots
+        self._level_checked = [0] * self._slots
         self._frontier_peak = 0
         self._frontier_fallbacks = 0
         self._frontier_bands = 0
@@ -295,26 +288,11 @@ class PatternAwareEngine:
     def run(self, roots: Optional[Iterable[int]] = None) -> MiningResult:
         """Mine the whole graph (or the given root vertices only)."""
         roots = filter_roots(self.graph, self.plan, roots)
-        # The profiler's phase mirrors into its own tracer, so exactly
-        # one "mine" span lands in the trace either way.
-        if self.profiler.enabled:
-            span = self.profiler.phase(
-                "mine", engine=type(self).__name__,
-                patterns=self._num_patterns,
-            )
-        else:
-            span = self.tracer.span(
-                "mine", cat="phase", engine=type(self).__name__,
-                patterns=self._num_patterns,
-            )
-        with span:
+        with self.profiler.phase(
+            "mine", engine=type(self).__name__, patterns=self._num_patterns
+        ):
             self.run_roots(roots)
         self.counters.matches = sum(self._counts)
-        self.metrics.absorb(self.counters.as_dict(), prefix="engine.")
-        if self._frontier_bands:  # a walk ran
-            self.metrics.absorb(
-                self.frontier_stats(), prefix="engine.frontier."
-            )
         return MiningResult(
             counts=tuple(self._counts),
             counters=self.counters,
@@ -362,8 +340,8 @@ class PatternAwareEngine:
         one-row bands (``fallbacks``) — and the host's real traffic
         next to the ``OpCounters`` model charge: elements the walker
         materialized (adjacency gathers + memo re-gathers) and elements
-        the arc map answered instead.  Published as
-        ``engine.frontier.*`` gauges by :meth:`run` once a band ran."""
+        the arc map answered instead.  A pool publishes them as
+        ``engine.frontier.*`` gauges once a band ran."""
         return {
             "rows_expanded": self._frontier_rows,
             "bands": self._frontier_bands,
@@ -372,6 +350,12 @@ class PatternAwareEngine:
             "elems_gathered": self._elems_gathered,
             "arc_probes": self._arc_probes,
         }
+
+    def level_stats(self) -> List[Tuple[int, int]]:
+        """Per depth (the index; 0, the roots, reads zeros): the rows
+        kept after the filter (a count-only leaf's count) and the
+        ``candidates_checked`` charged there."""
+        return list(zip(self._level_rows, self._level_checked))
 
     def _leaf_countable(self, step: VertexStep) -> bool:
         """A walker leaf level can skip materialization unless the
@@ -431,22 +415,26 @@ class PatternAwareEngine:
         pattern's count, an interior step builds the child frontier and
         walks on."""
         step, index = child.step, child.pattern_index
+        checked = self.counters.candidates_checked
         if index is not None and self._leaf_countable(step):
-            self._counts[index] += self._frontier_leaf_count(
-                step, emb, stores, origins
-            )
-            return
-        raw = self._frontier_raw(step, emb, stores, origins)
-        f_concat, f_offsets = self._frontier_filter(step, emb, *raw)
-        if step.depth == 1 and self._chunk is not None:
-            part, total = self._chunk
-            f_concat = np.array_split(f_concat, total)[part]
-            f_offsets = np.array([0, len(f_concat)], dtype=np.int64)
-        if index is None:
-            self._frontier_rows += len(f_concat)
+            kept = self._frontier_leaf_count(step, emb, stores, origins)
         else:
-            self._counts[index] += len(f_concat)
-        if len(f_concat) == 0 or (index is not None and not self.collect):
+            raw = self._frontier_raw(step, emb, stores, origins)
+            f_concat, f_offsets = self._frontier_filter(step, emb, *raw)
+            if step.depth == 1 and self._chunk is not None:
+                part, total = self._chunk
+                f_concat = np.array_split(f_concat, total)[part]
+                f_offsets = np.array([0, len(f_concat)], dtype=np.int64)
+            kept = len(f_concat)
+        self._level_rows[step.depth] += kept
+        self._level_checked[step.depth] += (
+            self.counters.candidates_checked - checked
+        )
+        if index is None:
+            self._frontier_rows += kept
+        else:
+            self._counts[index] += kept
+        if kept == 0 or (index is not None and not self.collect):
             return
         parent = np.repeat(
             np.arange(len(emb), dtype=np.int64), np.diff(f_offsets)

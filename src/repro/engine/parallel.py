@@ -16,10 +16,11 @@ processes:
   slice of the task list: its unchunked roots as one root-set walk
   (wide enough to fill the frontier walker's lanes), its chunk tasks
   one at a time;
-* the summary / gauge schema forked workers report through.
+* the summary / gauge schema both pool bodies report through.
 
-A ``workers=1`` pool needs none of this but the task order: it mines a
-request as one :meth:`PatternAwareEngine.run` in-process.
+A ``workers=1`` pool needs none of this but the task order and the
+gauge schema: it mines a request as one :meth:`PatternAwareEngine.run`
+in-process.
 
 Determinism: per-worker results are merged sorted by worker id, and all
 :class:`~repro.engine.counters.OpCounters` fields are additive, so the
@@ -43,6 +44,7 @@ from .explore import PatternAwareEngine, _root_array, filter_roots
 __all__ = [
     "filter_roots",
     "order_tasks",
+    "publish_engine_gauges",
     "publish_worker_metrics",
     "run_task_slice",
 ]
@@ -148,20 +150,29 @@ def publish_worker_metrics(
             metrics.gauge(
                 f"engine.parallel.worker_{key}", worker=worker_id
             ).set(summary[key])
+    publish_engine_gauges(
+        metrics, counters, [summary["frontier"] for _w, summary in summaries]
+    )
+
+
+def publish_engine_gauges(
+    metrics, counters: OpCounters, frontier: Sequence[Dict[str, int]]
+) -> None:
+    """The ``engine.*`` / ``engine.frontier.*`` gauge schema, one owner
+    for both pool bodies: the merged op counters, and the walkers'
+    :meth:`~PatternAwareEngine.frontier_stats` merged — only when a
+    walk ran."""
     metrics.absorb(counters.as_dict(), prefix="engine.")
-    # Like PatternAwareEngine.run: the gauges describe a walk that ran.
-    frontier = [
-        s["frontier"] for _w, s in summaries if s["frontier"]["bands"]
-    ]
-    if frontier:
-        # Every frontier_stats() key is a per-worker total, except the
+    ran = [stats for stats in frontier if stats["bands"]]
+    if ran:
+        # Every frontier_stats() key is a per-walker total, except the
         # widest band: a new stat merges here without being listed.
         metrics.absorb(
             {
                 key: (max if key == "peak_width" else sum)(
-                    f[key] for f in frontier
+                    f[key] for f in ran
                 )
-                for key in frontier[0]
+                for key in ran[0]
             },
             prefix="engine.frontier.",
         )

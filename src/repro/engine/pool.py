@@ -55,7 +55,7 @@ from ..compiler.plan import MultiPlan
 from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
 from ..graph.labels import LabeledGraph
 from ..graph.orientation import orient_by_degree
-from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
+from ..obs import NULL_PROFILER, NULL_REGISTRY
 from ..obs.prof import LaneRecorder
 from .counters import OpCounters
 from .explore import (
@@ -69,6 +69,7 @@ from .parallel import (
     _worker_summary,
     filter_roots,
     order_tasks,
+    publish_engine_gauges,
     publish_worker_metrics,
     run_task_slice,
 )
@@ -270,15 +271,17 @@ class MinerPool:
         Worker process count (default ``os.cpu_count()``).  ``1`` runs
         every request in-process as one engine walk — no fork, exact
         serial parity.
-    tracer / metrics / profiler:
-        Parent-side observability; forked workers run untraced and
-        their op-counter totals are merged into the parent registry
-        (``engine.parallel.*`` per-worker gauges plus ``engine.pool.*``);
-        in-process, the engine publishes its own ``engine.*`` gauges.
-        With an enabled :class:`repro.obs.PhaseProfiler`, workers ship
-        their span streams back and each mine emits one wall-clock lane
-        per worker plus a coordinator lane, with setup/mine(/merge)
-        phase attribution.  Never changes counts or counters (tested
+    metrics / profiler:
+        Parent-side observability.  Every mine publishes ``engine.*`` /
+        ``engine.frontier.*`` gauges
+        (:func:`~repro.engine.parallel.publish_engine_gauges`); a forked
+        mine adds the per-worker ``engine.parallel.*`` gauges and
+        ``engine.pool.*``.  The profiler is the one trace
+        handle: each mine is its ``mine`` phase (``workers=`` in the
+        args), traced into ``profiler.tracer``; enabled, it also
+        attributes setup/mine(/merge) and gets one wall-clock lane per
+        worker plus a coordinator lane from the span streams workers
+        ship back.  Never changes counts or counters (tested
         zero-drift).
     batch_frontier:
         Accepted and ignored; ROADMAP item 1a deletes it.
@@ -294,7 +297,6 @@ class MinerPool:
         *,
         workers: Optional[int] = None,
         batch_frontier: bool = True,
-        tracer=None,
         metrics=None,
         profiler=None,
         calibration_clock=None,
@@ -305,7 +307,6 @@ class MinerPool:
             raise ValueError("workers must be >= 1")
         self.graph = graph
         self.workers = int(workers)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Injectable monotonic clock for dispatch calibration (tests
@@ -617,14 +618,10 @@ class MinerPool:
                 split_degree=split_degree,
             )
         chunk_units = sum(1 for _, chunk in tasks if chunk is not None)
-        with self.tracer.span(
-            "mine-parallel", cat="phase", workers=self.workers,
-            tasks=len(tasks),
+        with self.profiler.phase(
+            "mine", workers=self.workers, tasks=len(tasks)
         ):
-            with self.profiler.phase("mine", tasks=len(tasks)):
-                summaries = self.run_tasks(
-                    plan, tasks, timeout_s=timeout_s
-                )
+            summaries = self.run_tasks(plan, tasks, timeout_s=timeout_s)
         with self.profiler.phase("merge"):
             summaries.sort(key=lambda item: item[0])
             counts = [0] * (plan.num_patterns if multi else 1)
@@ -654,8 +651,7 @@ class MinerPool:
         """The ``workers=1`` body: one :meth:`PatternAwareEngine.run`.
 
         The engine walks the whole root set at once (it cuts its own
-        bands) and publishes the ``engine.*`` / ``engine.frontier.*``
-        gauges itself.  The degree-descending task list is built only
+        bands).  The degree-descending task list is built only
         where it changes something — ``split_degree`` chunk tasks, and a
         profiled run, whose one worker lane names its walk as a slice of
         the issue order — and then runs as one forked worker would run
@@ -663,9 +659,7 @@ class MinerPool:
         """
         prof = self.profiler
         work_graph = self._work_graph(plan)
-        engine = PatternAwareEngine(
-            self.graph, plan, work_graph=work_graph, metrics=self.metrics
-        )
+        engine = PatternAwareEngine(self.graph, plan, work_graph=work_graph)
         tasks: List[Task] = []
         if split_degree is not None or prof.enabled:
             with prof.phase("setup", workers=1), prof.lane_span("order-tasks"):
@@ -676,13 +670,15 @@ class MinerPool:
                 )
             roots = []
         rec = LaneRecorder()
-        with self.tracer.span("mine-parallel", cat="phase", workers=1):
-            with prof.phase("mine"):
-                run_task_slice(engine, rec, tasks)
-                result = engine.run(roots)
+        with prof.phase("mine", workers=1):
+            run_task_slice(engine, rec, tasks)
+            result = engine.run(roots)
         prof.init_lanes(1)
         prof.add_lane(0, rec.spans)
         self._requests += 1
+        publish_engine_gauges(
+            self.metrics, result.counters, [engine.frontier_stats()]
+        )
         return result
 
     def run_tasks(

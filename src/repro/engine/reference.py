@@ -3,13 +3,14 @@
 :class:`RecursiveEngine` walks the search tree one embedding at a time:
 DFS with matching-order candidate generation, symmetry-order vid
 bounds and a frontier-list table, every leaf list materialized.  It is
-the only recursion in the package and the base of every engine that
-must observe each candidate list: :class:`ReferenceEngine`, the
-simulator's reference tracer (:class:`repro.hw.parallel_sim._TracePE`)
-and the estimator's probe (:func:`repro.compiler.estimate.measure_levels`).
-The production engine, :class:`~repro.engine.explore.PatternAwareEngine`,
-is the frontier walker; counts and
-:class:`~repro.engine.counters.OpCounters` agree bit for bit.
+the only recursion in the package and the base of the two engines that
+must observe each candidate list: :class:`ReferenceEngine` and the
+simulator's reference tracer (:class:`repro.hw.parallel_sim._TracePE`).
+The estimator (:func:`repro.compiler.estimate.measure_levels`) reads
+the walker's own per-depth tally instead.  The production engine,
+:class:`~repro.engine.explore.PatternAwareEngine`, is the frontier
+walker; counts and :class:`~repro.engine.counters.OpCounters` agree
+bit for bit.
 
 :class:`ReferenceEngine` generates candidates the slow, obvious way:
 generic ``np.intersect1d`` / ``np.setdiff1d``, a per-element injectivity

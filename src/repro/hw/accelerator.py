@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from ..compiler.plan import ExecutionPlan, MultiPlan
 from ..errors import SimulationError
 from ..graph.csr import CSRGraph
-from ..obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
+from ..obs import NULL_PROFILER, NULL_REGISTRY
 from ..obs.trace import SIM_PID
 from .config import FlexMinerConfig
 from .mem import MemorySystem
@@ -105,14 +105,17 @@ def build_report(
 class FlexMinerAccelerator:
     """A configured FlexMiner instance bound to one graph and plan.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) records the simulation in
-    Chrome trace-event form: one trace thread per PE with task/stall/
-    set-op/c-map intervals in the cycle domain, plus sampled NoC/DRAM/L2
-    counter tracks.  ``metrics`` (a :class:`repro.obs.MetricsRegistry`)
-    receives the final report under ``sim.*`` gauges.  ``profiler`` (a
-    :class:`repro.obs.PhaseProfiler`) attributes the wall-clock cost of
-    the setup, simulate (trace / replay / merge) phases.  All default to
-    no-ops; enabling them never changes counts, cycles or counters.
+    ``profiler`` (a :class:`repro.obs.PhaseProfiler`) is the one
+    observability handle of a run.  Its tracer records the simulation in
+    Chrome trace-event form: the host ``simulate`` phase (with setup /
+    trace / replay / merge inside it) on pid 0, and on pid 1 one trace
+    thread per PE with task/stall/set-op/c-map intervals in the cycle
+    domain, plus sampled NoC/DRAM/L2 counter tracks.  Enabled, it also
+    attributes each phase's wall-clock cost; ``PhaseProfiler(tracer=T,
+    enabled=False)`` traces without attributing.  ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) receives the final report under
+    ``sim.*`` gauges.  Both default to no-ops; enabling them never
+    changes counts, cycles or counters.
     """
 
     def __init__(
@@ -121,7 +124,6 @@ class FlexMinerAccelerator:
         plan,
         config: Optional[FlexMinerConfig] = None,
         *,
-        tracer=None,
         metrics=None,
         profiler=None,
     ) -> None:
@@ -130,7 +132,6 @@ class FlexMinerAccelerator:
         self.graph = graph
         self.plan = plan
         self.config = config or FlexMinerConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.profiler = (
             profiler if profiler is not None else NULL_PROFILER
@@ -145,18 +146,19 @@ class FlexMinerAccelerator:
             )
             self.pes = self._pipeline.pes
             self.scheduler = self._pipeline.scheduler
-        if self.tracer.enabled:
+        tracer = self.profiler.tracer  # also the cycle-domain tracer
+        if tracer.enabled:
             for pe in self.pes:
-                pe._trace = self.tracer
-            self.memsys.attach_tracer(self.tracer)
-            self.tracer.process_name(
+                pe._trace = tracer
+            self.memsys.attach_tracer(tracer)
+            tracer.process_name(
                 "FlexMiner accelerator (ts = PE cycles)", pid=SIM_PID
             )
             for pe in self.pes:
-                self.tracer.thread_name(
+                tracer.thread_name(
                     f"PE {pe.pe_id}", pid=SIM_PID, tid=pe.pe_id
                 )
-            self.tracer.thread_name(
+            tracer.thread_name(
                 "scheduler", pid=SIM_PID, tid=self.config.num_pes
             )
 
@@ -181,23 +183,16 @@ class FlexMinerAccelerator:
             filter_roots(self.graph, self.plan, roots),
             split_degree=split,
         )
-        # One "simulate" span either way: the profiler's phase mirrors
-        # into its own tracer when it is enabled.
-        if self.profiler.enabled:
-            span = self.profiler.phase(
-                "simulate", tasks=len(tasks), workers=workers
-            )
-        else:
-            span = self.tracer.span("simulate", cat="phase")
-        with span:
+        with self.profiler.phase(
+            "simulate", tasks=len(tasks), workers=workers
+        ):
             makespan = self._pipeline.run(tasks, workers, self.profiler)
             with self.profiler.phase("merge"):
-                if self.tracer.enabled:
-                    self.tracer.complete(
-                        "run", 0.0, makespan,
-                        pid=SIM_PID, tid=self.config.num_pes, cat="phase",
-                        args={"tasks": self.scheduler.tasks_dispatched},
-                    )
+                self.profiler.tracer.complete(
+                    "run", 0.0, makespan,
+                    pid=SIM_PID, tid=self.config.num_pes, cat="phase",
+                    args={"tasks": self.scheduler.tasks_dispatched},
+                )
                 report = build_report(
                     self.pes, self.memsys, self.config,
                     self.num_patterns, makespan,
@@ -212,19 +207,17 @@ def simulate(
     config: Optional[FlexMinerConfig] = None,
     *,
     roots: Optional[Iterable[int]] = None,
-    tracer=None,
     metrics=None,
     profiler=None,
 ) -> SimReport:
     """Build an accelerator and run one simulation.
 
-    ``tracer``/``metrics``/``profiler`` are optional observability
-    sinks (see :class:`FlexMinerAccelerator`); they never affect
-    simulated results.
+    ``metrics``/``profiler`` are optional observability sinks (see
+    :class:`FlexMinerAccelerator`); they never affect simulated
+    results.
     """
     accel = FlexMinerAccelerator(
-        graph, plan, config, tracer=tracer, metrics=metrics,
-        profiler=profiler,
+        graph, plan, config, metrics=metrics, profiler=profiler
     )
     return accel.run(roots)
 
@@ -236,26 +229,24 @@ def simulate_parallel(
     *,
     workers: int = 1,
     roots: Optional[Iterable[int]] = None,
-    tracer=None,
     metrics=None,
     profiler=None,
 ) -> SimReport:
     """:func:`simulate` with the trace half spread over ``workers``
     processes.
 
-    The returned :class:`SimReport` — and the cycle-domain trace a
-    ``tracer`` records — is bit-identical to :func:`simulate` with the
-    same arguments, for any worker count: replay always runs in task
-    order in this process.  An enabled ``profiler`` attributes the
-    setup / trace / replay / merge phases and, if it carries a tracer,
-    emits one wall-clock lane per trace worker.
+    The returned :class:`SimReport` — and the cycle-domain trace the
+    ``profiler``'s tracer records — is bit-identical to :func:`simulate`
+    with the same arguments, for any worker count: replay always runs
+    in task order in this process.  An enabled ``profiler`` attributes
+    the setup / trace / replay / merge phases and, if it carries a
+    tracer, emits one wall-clock lane per trace worker.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     metrics = metrics if metrics is not None else NULL_REGISTRY
     accel = FlexMinerAccelerator(
-        graph, plan, config, tracer=tracer, metrics=metrics,
-        profiler=profiler,
+        graph, plan, config, metrics=metrics, profiler=profiler
     )
     report = accel._simulate(roots, workers)
     metrics.gauge("sim.parallel.workers").set(workers)

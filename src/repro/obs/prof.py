@@ -1,7 +1,7 @@
 """Cross-process profiling: phase attribution and worker trace lanes.
 
 ``repro.obs.trace`` stops at the process boundary — the parent's tracer
-sees a single opaque ``mine-parallel`` span while the interesting time
+sees a single opaque ``mine`` phase while the interesting time
 (shared-memory attach, queue waits, per-task mining, counter merges)
 happens inside worker processes.  This module closes that gap with two
 cooperating pieces:
@@ -230,9 +230,10 @@ class PhaseProfiler:
         :data:`WORKERS_PID`, so one Chrome trace carries phases, lanes
         and — for the simulator — the cycle domain side by side.
     enabled:
-        ``False`` keeps tracer spans flowing (so ``--trace`` works
-        unchanged) but records no phases; pair with ``NULL_TRACER`` for
-        a fully free profiler, or use :data:`NULL_PROFILER`.
+        ``False`` keeps tracer spans flowing but records no phases: the
+        trace-only handle for the engine, the pool and the simulator,
+        which take a profiler and no tracer.  Use
+        :data:`NULL_PROFILER` for a fully free profiler.
     """
 
     def __init__(self, *, tracer=None, enabled: bool = True) -> None:

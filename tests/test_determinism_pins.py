@@ -38,7 +38,7 @@ from repro.errors import SimulationError
 from repro.graph import assign_random_labels, csr, erdos_renyi
 from repro.hw import FlexMinerConfig, simulate, walktrace
 from repro.hw.parallel_sim import _TracePE
-from repro.obs import Tracer
+from repro.obs import PhaseProfiler, Tracer
 from repro.obs.trace import HOST_PID
 from repro.patterns import (
     Pattern,
@@ -160,7 +160,10 @@ def _sim_trace_pin(plan_name="3-MC", config_name="cmap-64B"):
     spans are left out, they are not deterministic."""
     graph, plan = PIN_PLANS[plan_name]
     tracer = Tracer()
-    simulate(graph, plan, PIN_CONFIGS[config_name], tracer=tracer)
+    simulate(
+        graph, plan, PIN_CONFIGS[config_name],
+        profiler=PhaseProfiler(tracer=tracer, enabled=False),
+    )
     events = [e for e in tracer.events() if e.get("pid") != HOST_PID]
     names = Counter(e["name"].split(" ")[0] for e in events)
     return _digest(events), dict(sorted(names.items()))

@@ -293,11 +293,14 @@ class TestBatchFrontier:
         assert got.counters == ref.counters
 
     def test_frontier_gauges_published(self):
+        # a pool publishes its walker's frontier_stats() as gauges
+        from repro.engine import MinerPool
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
         plan = compile_pattern(k_clique(4))
-        PatternAwareEngine(RANDOM, plan, metrics=registry).run()
+        with MinerPool(RANDOM, workers=1, metrics=registry) as pool:
+            pool.mine(plan)
         snap = registry.snapshot()
         assert snap["engine.frontier.rows_expanded"] > 0
         assert snap["engine.frontier.bands"] > 0
@@ -309,26 +312,25 @@ class TestBatchFrontier:
         assert "engine.frontier.arc_probes" in snap
 
     def test_no_frontier_gauges_without_a_walk(self):
-        # the gauges describe a walk: the recursive reference, or a
-        # walker given no roots, publishes none; an edge plan walks as
+        # the gauges describe a walk: the recursive reference runs none,
+        # a pool given no roots publishes none; an edge plan walks as
         # one level
+        from repro.engine import MinerPool
         from repro.obs import MetricsRegistry
 
-        for cls, k, roots, walked in (
-            (ReferenceEngine, 4, None, False),
-            (ReferenceEngine, 2, None, False),
-            (PatternAwareEngine, 2, None, True),
-            (PatternAwareEngine, 4, [], False),
-        ):
+        for k in (4, 2):
+            engine = ReferenceEngine(RANDOM, compile_pattern(k_clique(k)))
+            assert engine.run().counters.matches > 0
+            assert engine.frontier_stats()["bands"] == 0
+        for k, roots, walked in ((2, None, True), (4, [], False)):
             registry = MetricsRegistry()
-            cls(
-                RANDOM, compile_pattern(k_clique(k)), metrics=registry
-            ).run(roots)
+            with MinerPool(RANDOM, workers=1, metrics=registry) as pool:
+                pool.mine(compile_pattern(k_clique(k)), roots=roots)
             snap = registry.snapshot()
-            assert (snap["engine.matches"] > 0) == (roots is None), cls
+            assert (snap["engine.matches"] > 0) == (roots is None), k
             assert bool([
                 key for key in snap if key.startswith("engine.frontier.")
-            ]) == walked, (cls, k)
+            ]) == walked, k
 
     def test_multi_pattern_walks_the_plan_tree(self):
         # MultiPlans run through the same frontier walker as chains

@@ -1,9 +1,18 @@
 """Tests for cardinality estimation and data-aware order selection."""
 
+import numpy as np
 import pytest
 
-from repro.graph import complete_graph, grid_graph, rmat
-from repro.patterns import diamond, four_cycle, k_clique, triangle, wedge
+from repro.graph import CSRGraph, complete_graph, csr, grid_graph, rmat
+from repro.patterns import (
+    PATTERN_NAMES,
+    diamond,
+    four_cycle,
+    from_name,
+    k_clique,
+    triangle,
+    wedge,
+)
 from repro.compiler import (
     GraphProfile,
     choose_matching_order_for_graph,
@@ -13,8 +22,29 @@ from repro.compiler import (
     measure_levels,
 )
 from repro.engine import PatternAwareEngine
+from repro.engine.reference import RecursiveEngine
 
 GRAPH = rmat(9, 6.0, seed=47)
+SMALL = rmat(7, 6.0, seed=5)
+
+
+def _probe_levels(plan, graph, roots=None):
+    """Per depth ``(nodes, scanned)`` as the recursion sees it: every
+    level's filtered list and its raw candidate list, one embedding at
+    a time (the probe ``measure_levels`` ran before the walker kept a
+    tally)."""
+    nodes = [0] * plan.num_levels
+    scans = [0] * plan.num_levels
+
+    class Probe(RecursiveEngine):
+        def _filtered_candidates(self, step, emb):
+            cands = super()._filtered_candidates(step, emb)
+            nodes[step.depth] += len(cands)
+            scans[step.depth] += len(self._raw_stack[step.depth])
+            return cands
+
+    Probe(graph, plan).run(roots)
+    return list(zip(nodes, scans))
 
 
 class TestGraphProfile:
@@ -95,6 +125,58 @@ class TestMeasureLevels:
         plan = compile_pattern(k_clique(4))
         measured = measure_levels(plan, GRAPH)
         assert all(lv.candidates_scanned >= 0 for lv in measured)
+
+
+class TestWalkerLevelTally:
+    """The walker's per-depth tally is the recursion's view of the tree:
+    count-only leaves, materialized leaves and one-row bands alike."""
+
+    @pytest.mark.parametrize("name", PATTERN_NAMES)
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"frontier_row_limit": 1}, {"collect": True}],
+        ids=["count-only-leaf", "one-row-bands", "materialized-leaf"],
+    )
+    def test_tally_equals_the_recursive_probe(self, name, options):
+        plan = compile_pattern(from_name(name))
+        engine = PatternAwareEngine(SMALL, plan, **options)
+        engine.run()
+        assert engine.level_stats()[1:] == _probe_levels(plan, SMALL)[1:]
+        assert engine.level_stats()[0] == (0, 0)
+
+    def test_tally_past_the_arc_map_cap(self, monkeypatch):
+        monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        graph = CSRGraph(SMALL.indptr, SMALL.indices, validate=False)
+        for name in ("4-cycle", "house", "4-clique"):
+            plan = compile_pattern(from_name(name))
+            engine = PatternAwareEngine(graph, plan)
+            engine.run()
+            assert engine.frontier_stats()["arc_probes"] == 0
+            assert engine.level_stats()[1:] == _probe_levels(plan, graph)[1:]
+
+    @pytest.mark.parametrize("sample_roots", [None, 40])
+    def test_measure_levels_reads_the_tally(self, sample_roots):
+        plan = compile_pattern(four_cycle())
+        measured = measure_levels(
+            plan, SMALL, sample_roots=sample_roots, seed=1
+        )
+        roots = (
+            None
+            if sample_roots is None
+            else np.random.default_rng(1).choice(
+                SMALL.num_vertices, size=sample_roots, replace=False
+            ).tolist()
+        )
+        scale = SMALL.num_vertices / (sample_roots or SMALL.num_vertices)
+        probe = _probe_levels(plan, SMALL, roots)
+        assert [lv.nodes for lv in measured[1:]] == [
+            n * scale for n, _ in probe[1:]
+        ]
+        assert [lv.candidates_scanned for lv in measured[1:]] == [
+            s * scale for _, s in probe[1:]
+        ]
+        roots_run = sample_roots or SMALL.num_vertices
+        assert measured[0].nodes == roots_run * scale
 
 
 class TestDataAwareOrderSelection:

@@ -13,7 +13,7 @@ from repro.compiler import compile_pattern
 from repro.engine import OpCounters, PatternAwareEngine
 from repro.graph import load_dataset
 from repro.hw import FlexMinerConfig, SimReport, simulate
-from repro.obs import MetricsRegistry, Tracer, validate_trace
+from repro.obs import MetricsRegistry, PhaseProfiler, Tracer, validate_trace
 from repro.obs.trace import SIM_PID
 from repro.patterns import four_cycle, triangle
 
@@ -103,8 +103,10 @@ class TestNoDrift:
         plain = simulate(graph, plan, config)
         tracer = Tracer()
         metrics = MetricsRegistry()
-        traced = simulate(graph, plan, config, tracer=tracer,
-                          metrics=metrics)
+        traced = simulate(
+            graph, plan, config, metrics=metrics,
+            profiler=PhaseProfiler(tracer=tracer, enabled=False),
+        )
         assert traced.as_dict() == plain.as_dict()
         assert traced.counts == plain.counts
         assert traced.cycles == plain.cycles
@@ -130,7 +132,10 @@ class TestNoDrift:
             if not walker:
                 monkeypatch.setattr(walktrace, "WalkTracer", _TracePE)
             tracer = Tracer()
-            reports[walker] = simulate(graph, plan, config, tracer=tracer)
+            reports[walker] = simulate(
+                graph, plan, config,
+                profiler=PhaseProfiler(tracer=tracer, enabled=False),
+            )
             events[walker] = [
                 (e["ts"], e["args"])
                 for e in tracer.events()
@@ -143,12 +148,11 @@ class TestNoDrift:
     def test_engine_identical_with_and_without_tracer(self, graph, plan):
         plain = PatternAwareEngine(graph, plan).run()
         tracer = Tracer()
-        metrics = MetricsRegistry()
         traced = PatternAwareEngine(
-            graph, plan, tracer=tracer, metrics=metrics
+            graph, plan, profiler=PhaseProfiler(tracer=tracer, enabled=False)
         ).run()
         assert traced.as_dict() == plain.as_dict()
-        assert metrics.snapshot()["engine.matches"] == plain.counts[0]
+        assert traced.counters.matches == plain.counts[0]
         names = {e["name"] for e in tracer.events()}
         assert "mine" in names
 
@@ -161,7 +165,8 @@ class TestNoDrift:
         tracer = Tracer()
         metrics = MetricsRegistry()
         with MinerPool(
-            graph, workers=2, tracer=tracer, metrics=metrics
+            graph, workers=2, metrics=metrics,
+            profiler=PhaseProfiler(tracer=tracer, enabled=False),
         ) as pool:
             observed = pool.mine(plan)
         with MinerPool(graph, workers=2) as pool:
@@ -172,14 +177,15 @@ class TestNoDrift:
         assert snap["engine.parallel.workers"] == 2
         assert snap["engine.matches"] == plain.counts[0]
         names = {e["name"] for e in tracer.events()}
-        assert "mine-parallel" in names
+        assert "mine" in names
 
 
 class TestSimTrace:
     def test_trace_structure(self, graph, plan):
         tracer = Tracer()
         report = simulate(
-            graph, plan, FlexMinerConfig(num_pes=4), tracer=tracer
+            graph, plan, FlexMinerConfig(num_pes=4),
+            profiler=PhaseProfiler(tracer=tracer, enabled=False),
         )
         trace = json.loads(tracer.to_json())
         assert validate_trace(trace) == []

@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.compiler import compile_pattern
-from repro.engine import MinerPool, order_tasks
+from repro.engine import MinerPool, PatternAwareEngine, order_tasks
 from repro.engine import pool as pool_module
 from repro.graph import erdos_renyi, orient_by_degree
 from repro.hw import FlexMinerConfig, simulate, simulate_parallel
@@ -29,6 +29,7 @@ from repro.obs import (
     trace_event_set,
     validate_trace,
 )
+from repro.obs.trace import HOST_PID, SIM_PID
 from repro.obs.prof import (
     LaneRecorder,
     NullProfiler,
@@ -281,9 +282,7 @@ def _mine_trace(workers, plan=PLAN):
     """Normalized task-event set of one profiled parallel mine."""
     tracer = Tracer()
     prof = PhaseProfiler(tracer=tracer)
-    with MinerPool(
-        ER, workers=workers, tracer=tracer, profiler=prof
-    ) as pool:
+    with MinerPool(ER, workers=workers, profiler=prof) as pool:
         result = pool.mine(plan)
     return result, tracer.to_dict()
 
@@ -351,7 +350,13 @@ class TestMergedTraceDeterminism:
             )
             trace = tracer.to_dict()
             assert validate_trace(trace) == []
-            spans = trace_event_set(trace, cats=("task",))
+            # the worker lanes only: the PEs' cycle-domain task spans
+            # (pid 1) land in the same tracer
+            lanes = [
+                e for e in trace["traceEvents"]
+                if e.get("pid") == WORKERS_PID
+            ]
+            spans = trace_event_set(lanes, cats=("task",))
             slice_counts.append(len(spans))
             named = []
             for key in spans:
@@ -373,9 +378,7 @@ class TestZeroDrift:
             plain = pool.mine(CLIQUE_PLAN)
         tracer = Tracer()
         prof = PhaseProfiler(tracer=tracer)
-        with MinerPool(
-            ER, workers=workers, tracer=tracer, profiler=prof
-        ) as pool:
+        with MinerPool(ER, workers=workers, profiler=prof) as pool:
             profiled = pool.mine(CLIQUE_PLAN)
         assert profiled.counts == plain.counts
         assert profiled.counters.as_dict() == plain.counters.as_dict()
@@ -448,3 +451,61 @@ class TestPhaseAttributionWiring:
             assert total["lines_fetched"] == report.private_misses
         assert total["missed_touches"] < total["touches"] < total["events"]
 
+
+def _pool_mine(workers, prof):
+    with MinerPool(ER, workers=workers, profiler=prof) as pool:
+        return pool.mine(PLAN)
+
+
+class TestOneHostSpan:
+    """The profiler is a run's one observability handle: whether it
+    attributes phases or only traces, its tracer holds exactly one host
+    ``mine`` / ``simulate`` span, and the simulator's cycle domain lands
+    in that same tracer unchanged."""
+
+    CASES = {
+        "engine": ("mine", lambda prof: PatternAwareEngine(
+            ER, PLAN, profiler=prof
+        ).run()),
+        "pool-1": ("mine", lambda prof: _pool_mine(1, prof)),
+        "pool-2": ("mine", lambda prof: _pool_mine(2, prof)),
+        "simulate": ("simulate", lambda prof: simulate(
+            ER, PLAN, FlexMinerConfig(num_pes=4), profiler=prof
+        )),
+        "simulate-parallel-2": ("simulate", lambda prof: simulate_parallel(
+            ER, PLAN, FlexMinerConfig(num_pes=4), workers=2, profiler=prof
+        )),
+    }
+
+    @staticmethod
+    def _cycle_domain(tracer):
+        return [e for e in tracer.events() if e.get("pid") == SIM_PID]
+
+    @pytest.mark.parametrize(
+        "enabled", [True, False], ids=["profiled", "traced"]
+    )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exactly_one_host_phase(self, case, enabled):
+        name, run = self.CASES[case]
+        tracer = Tracer()
+        prof = PhaseProfiler(tracer=tracer, enabled=enabled)
+        run(prof)
+        trace = tracer.to_dict()
+        assert validate_trace(trace) == []
+        opened = [
+            e["name"] for e in trace["traceEvents"]
+            if e.get("pid") == HOST_PID and e["ph"] == "B"
+            and e["cat"] == "phase"
+        ]
+        assert opened.count(name) == 1, opened
+        assert "mine-parallel" not in opened
+        recorded = [p.name for p in prof.phases()]
+        assert recorded.count(name) == (1 if enabled else 0)
+        if name == "simulate":
+            plain = Tracer()
+            simulate(
+                ER, PLAN, FlexMinerConfig(num_pes=4),
+                profiler=PhaseProfiler(tracer=plain, enabled=False),
+            )
+            assert self._cycle_domain(tracer) == self._cycle_domain(plain)
+            assert self._cycle_domain(plain)

@@ -94,7 +94,7 @@ def test_execution_mode_surface():
 
     not_modes = {
         "self", "graph", "plan", "collect", "work_graph", "workers",
-        "calibration_clock", "tracer", "metrics", "profiler",
+        "calibration_clock", "metrics", "profiler",
         "max_active", "threads", "result_cache", "result_cache_entries",
         "request_timeout_s", "clock", "batch_frontier",
     }
@@ -226,6 +226,29 @@ def test_one_software_cmap():
     }
     for module in (engine, hw, api):
         assert not gone & (set(module.__all__) | set(vars(module))), module
+
+
+def test_one_observability_handle():
+    """The profiler is a run's one observability handle: no ``tracer=``
+    beside it on the engine, the pool or the simulator (its tracer is
+    ``profiler.tracer``), and the engine publishes no gauges — both
+    pool bodies publish the ``engine.*`` schema through one helper."""
+    import inspect
+
+    from repro.engine import MinerPool, PatternAwareEngine, parallel
+    from repro.hw import FlexMinerAccelerator, simulate, simulate_parallel
+
+    for func in (
+        PatternAwareEngine.__init__, MinerPool.__init__,
+        FlexMinerAccelerator.__init__, simulate, simulate_parallel,
+    ):
+        params = inspect.signature(func).parameters
+        assert "tracer" not in params, func.__qualname__
+        assert "profiler" in params, func.__qualname__
+    assert "metrics" not in inspect.signature(
+        PatternAwareEngine.__init__
+    ).parameters
+    assert callable(parallel.publish_engine_gauges)
 
 
 def test_ignored_mode_keyword_on_three_signatures():

@@ -395,13 +395,16 @@ class TestObservability:
         assert snap["engine.frontier.peak_width"] > 0
 
     def test_tracer_span(self):
-        from repro.obs import Tracer
+        from repro.obs import PhaseProfiler, Tracer
 
         tracer = Tracer()
         plan = compile_pattern(triangle())
-        pool_mine(ER, plan, workers=1, tracer=tracer)
+        pool_mine(
+            ER, plan, workers=1,
+            profiler=PhaseProfiler(tracer=tracer, enabled=False),
+        )
         names = [e["name"] for e in tracer.events()]
-        assert "mine-parallel" in names
+        assert "mine" in names
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,11 @@ conventions nothing enforced until now:
   through ``repro.obs`` (LaneRecorder / PhaseProfiler / Tracer) so the
   profile is the single source of wall-clock truth;
 * **FM207** — no ``multiprocessing`` ``Process``/``Pool`` construction
-  in ``engine/`` outside :mod:`repro.engine.pool`: per-request process
-  spawning is exactly the overhead the persistent pool exists to
-  amortize, so all worker lifecycles live in one audited module.
+  in ``engine/`` or ``hw/`` outside :mod:`repro.engine.pool`:
+  per-request process spawning is exactly the overhead the persistent
+  pool exists to amortize, so all worker lifecycles — the mining
+  workers and the simulator's trace workers — live in one audited
+  module.
 * **FM208** — no per-element Python ``for`` loops over ndarray contents
   inside :mod:`repro.engine.kernels` hot functions: the kernels module
   exists to keep set algebra vectorized, and an interpreter-speed loop
@@ -99,8 +101,9 @@ FM207 = register_code(
     "FM207", "worker process constructed outside repro.engine.pool",
     "error",
     "route worker lifecycles through repro.engine.pool (a resident or "
-    "transient MinerPool); Process/Pool spawns elsewhere escape its "
-    "structured failure handling and shared-memory teardown",
+    "transient MinerPool, running a job such as the simulator's trace "
+    "job); Process/Pool spawns elsewhere escape its structured failure "
+    "handling and shared-memory teardown",
 )
 
 FM208 = register_code(
@@ -394,7 +397,8 @@ _PROCESS_CTORS = {"Process", "Pool"}
 def _check_process_construction(
     ctx: LintContext,
 ) -> Iterator[Tuple[int, str]]:
-    """FM207: Process/Pool construction in engine/ outside the pool.
+    """FM207: Process/Pool construction in engine/ or hw/ outside the
+    pool.
 
     :mod:`repro.engine.pool` is the one sanctioned home for worker
     lifecycles (the ``paths`` scope cannot express exclusions, so the
@@ -557,7 +561,9 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     LintRule(FM204, _check_shared_memory),
     LintRule(FM205, _check_wallclock, paths=("hw/",)),
     LintRule(FM206, _check_direct_timing, paths=("engine/", "hw/")),
-    LintRule(FM207, _check_process_construction, paths=("engine/",)),
+    LintRule(
+        FM207, _check_process_construction, paths=("engine/", "hw/")
+    ),
     LintRule(
         FM208, _check_elementwise_loops, paths=("engine/kernels.py",)
     ),

@@ -15,7 +15,8 @@ processes:
 * **the unit a worker runs** (:func:`run_task_slice`) — a contiguous
   slice of the task list: its unchunked roots as one root-set walk
   (wide enough to fill the frontier walker's lanes), its chunk tasks
-  one at a time;
+  one at a time; :class:`MineJob` is a mine request as a forked
+  worker serves it;
 * the summary / gauge schema both pool bodies report through.
 
 A ``workers=1`` pool needs none of this but the task order and the
@@ -42,6 +43,7 @@ from .counters import OpCounters
 from .explore import PatternAwareEngine, _root_array, filter_roots
 
 __all__ = [
+    "MineJob",
     "filter_roots",
     "order_tasks",
     "publish_engine_gauges",
@@ -126,17 +128,17 @@ def publish_worker_metrics(
 ) -> None:
     """Worker lanes, gauges and queue-wait distribution (merge side).
 
-    Emits the ``engine.parallel.*`` gauge family and, when profiling is
-    enabled, one wall-clock lane per worker.
+    Emits the ``engine.parallel.*`` gauge family and, when the
+    profiler traces, one wall-clock lane per worker (its spans only
+    when profiling is enabled).
     """
-    if profiler.enabled:
-        profiler.init_lanes(len(summaries))
-        for worker_id, summary in summaries:
-            profiler.add_lane(worker_id, summary.get("spans"))
-            for wait_s in _span_durations(summary.get("spans"), "queue-wait"):
-                metrics.histogram(
-                    "engine.parallel.queue_wait_us"
-                ).observe(wait_s * 1e6)
+    profiler.init_lanes(len(summaries))
+    for worker_id, summary in summaries:
+        profiler.add_lane(worker_id, summary["spans"])
+        for wait_s in _span_durations(summary["spans"], "queue-wait"):
+            metrics.histogram(
+                "engine.parallel.queue_wait_us"
+            ).observe(wait_s * 1e6)
     metrics.gauge("engine.parallel.workers").set(workers)
     metrics.gauge("engine.parallel.queue_depth").set(num_tasks)
     metrics.gauge("engine.parallel.chunk_units").set(chunk_units)
@@ -185,30 +187,42 @@ def _span_durations(spans, cat: str) -> List[float]:
     ]
 
 
-def _worker_summary(
-    engine: PatternAwareEngine,
-    rec: LaneRecorder,
-    tasks_done: int,
-    chunks_done: int,
-    *,
-    profile: bool,
-) -> Dict[str, object]:
-    """Summary payload of one forked worker.
+class MineJob:
+    """A mine request as a forked pool worker runs it.
 
-    All timing flows through the lane recorder (fmlint FM206): busy is
-    the sum of the per-task ``task`` spans, queue wait the sum of the
-    ``queue-wait`` spans.  The raw span stream crosses the pipe only
-    when profiling is on — keys present either way, so the merge path
-    is identical and profiling cannot drift results.
+    A pool worker serves one request shape: a job, the queue items it
+    pulls and the result it reports (the simulator's trace request is
+    the other job).  This one builds an engine over ``plan``, runs each
+    item — a slice of the task list — through :func:`run_task_slice`
+    and reports the worker's summary.  All timing flows through the
+    lane recorder (fmlint FM206): busy is the sum of the ``task``
+    spans, queue wait the sum of the ``queue-wait`` spans.  The raw
+    span stream crosses the pipe only when profiling is on — keys
+    present either way, so the merge path is identical and profiling
+    cannot drift results.
     """
-    summary: Dict[str, object] = {
-        "counts": list(engine.counts),
-        "counters": engine.counters,
-        "busy_seconds": rec.total("task"),
-        "queue_wait_seconds": rec.total("queue-wait"),
-        "tasks_done": tasks_done,
-        "chunks_done": chunks_done,
-        "spans": rec.spans if profile else None,
-        "frontier": engine.frontier_stats(),
-    }
-    return summary
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+
+    def start(self, graph) -> None:
+        self._engine = PatternAwareEngine(graph, self.plan)
+        self._roots = self._chunks = 0
+
+    def run(self, rec: LaneRecorder, tasks: Sequence[Task]) -> None:
+        roots, chunks = run_task_slice(self._engine, rec, tasks)
+        self._roots += roots
+        self._chunks += chunks
+
+    def result(self, rec: LaneRecorder, profile: bool) -> Dict[str, object]:
+        engine = self._engine
+        return {
+            "counts": list(engine.counts),
+            "counters": engine.counters,
+            "busy_seconds": rec.total("task"),
+            "queue_wait_seconds": rec.total("queue-wait"),
+            "tasks_done": self._roots,
+            "chunks_done": self._chunks,
+            "spans": rec.spans if profile else None,
+            "frontier": engine.frontier_stats(),
+        }

@@ -13,13 +13,16 @@ stream has length one.
   everything exported — CSR, labels and, from the first oriented
   request on, the degree-oriented DAG — and its whole lifecycle
   (atomic creation, complete teardown); the pool only holds it;
-* **lightweight request protocol** — per request only the compiled plan
-  and the (root, chunk) task ids of
-  :func:`~repro.engine.parallel.order_tasks` cross the queues — the
-  unchunked roots as a few contiguous slices per worker, cut by
-  cumulative root degree, so each queue item is wide enough to fill
-  the frontier walker's lanes — plus one result summary per worker on
-  the way back; cooperative shutdown via per-worker control messages;
+* **lightweight request protocol** — a request is a job the workers
+  run over the queue items they pull.  Per mine request only the
+  compiled plan (a :class:`~repro.engine.parallel.MineJob`) and the
+  (root, chunk) task ids of :func:`~repro.engine.parallel.order_tasks`
+  cross the queues — the unchunked roots as a few contiguous slices
+  per worker, cut by cumulative root degree, so each queue item is
+  wide enough to fill the frontier walker's lanes — plus one result
+  summary per worker on the way back.  The simulator's trace half is
+  the other job (:mod:`repro.hw.parallel_sim`): the same loop traces
+  root slices.  Cooperative shutdown via per-worker control messages;
 * **measured dispatch overhead** — the pool calibrates a per-task
   round-trip cost with ping messages (timed through
   :class:`repro.obs.prof.LaneRecorder` — engine code never reads the
@@ -37,9 +40,10 @@ stream has length one.
 :meth:`PatternAwareEngine.run <repro.engine.explore.PatternAwareEngine.run>`
 over its whole root set, which is the exact-parity configuration and
 the body of every ``workers=1`` served request.  The
-pool is also the *only* place in ``repro.engine`` allowed to construct
-worker processes (fmlint FM207 polices this); the context it forks them
-from is :func:`repro.graph.worker_context`, the transport's.
+pool is also the *only* place in ``repro.engine`` and ``repro.hw``
+allowed to construct worker processes (fmlint FM207 polices this); the
+context it forks them from is :func:`repro.graph.worker_context`, the
+transport's.
 """
 
 from __future__ import annotations
@@ -52,7 +56,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.estimate import GraphProfile, estimate_plan
 from ..compiler.plan import MultiPlan
-from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
+from ..graph.csr import (
+    SharedCSRBuffers,
+    attach_oriented,
+    attach_shared_csr,
+    worker_context,
+)
 from ..graph.labels import LabeledGraph
 from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER, NULL_REGISTRY
@@ -65,8 +74,8 @@ from .explore import (
     _cut_bands,
 )
 from .parallel import (
+    MineJob,
     Task,
-    _worker_summary,
     filter_roots,
     order_tasks,
     publish_engine_gauges,
@@ -201,22 +210,24 @@ def _pool_worker(
     task_queue,
     result_queue,
 ) -> None:
-    """Worker main loop: attach once, then serve mine/ping requests.
+    """Worker main loop: attach once, then serve job/ping requests.
 
     The topology (and labels) attach exactly once, before the first
     request, and the graph's one oriented DAG on the first request that
     names it, so a stream of same-shaped requests touches no
-    graph-sized data after the first.  Queue items are slices of the
-    task list (:func:`~repro.engine.parallel.run_task_slice`); one
-    ``None`` sentinel per worker ends each request's drain; a
-    ``("stop",)`` control message ends the worker.  Any exception is
-    reported as a structured ``("error", ...)`` result and kills the
-    worker — the parent turns it into :class:`PoolWorkerError`.
+    graph-sized data after the first.  A request is a job — a
+    :class:`~repro.engine.parallel.MineJob` or the simulator's trace
+    job — that the worker starts over the attached graph, feeds every
+    queue item it pulls and asks for its result; one ``None`` sentinel
+    per worker ends each request's drain; a ``("stop",)`` control
+    message ends the worker.  Any exception is reported as a structured
+    ``("error", ...)`` result and kills the worker — the parent turns
+    it into :class:`PoolWorkerError`.
     """
     req_id = None
     try:
         graph = attach_shared_csr(graph_spec)
-        dag = None
+        oriented = False
         while True:
             message = ctrl_queue.get()
             kind = message[0]
@@ -225,34 +236,21 @@ def _pool_worker(
             if kind == "ping":
                 result_queue.put(("pong", message[1], worker_id, None))
                 continue
-            _, req_id, plan, work_spec, profile = message
+            _, req_id, job, dag_spec, profile = message
             rec = LaneRecorder()
             with rec.span("attach-shm"):
-                if work_spec is not None and dag is None:
-                    dag = attach_shared_csr(work_spec)
-                engine = PatternAwareEngine(
-                    graph, plan,
-                    work_graph=None if work_spec is None else dag,
-                )
-            tasks_done = 0
-            chunks_done = 0
+                if dag_spec is not None and not oriented:
+                    attach_oriented(graph, dag_spec)
+                    oriented = True
+                job.start(graph)
             while True:
                 with rec.span("queue-wait", cat="queue-wait"):
-                    tasks = task_queue.get()
-                if tasks is None:
+                    item = task_queue.get()
+                if item is None:
                     break
-                roots, chunks = run_task_slice(engine, rec, tasks)
-                tasks_done += roots
-                chunks_done += chunks
+                job.run(rec, item)
             result_queue.put(
-                (
-                    "done",
-                    req_id,
-                    worker_id,
-                    _worker_summary(
-                        engine, rec, tasks_done, chunks_done, profile=profile
-                    ),
-                )
+                ("done", req_id, worker_id, job.result(rec, profile))
             )
             req_id = None
     except BaseException:  # pragma: no cover - exercised via error tests
@@ -611,9 +609,10 @@ class MinerPool:
             raise ValueError("task chunking requires a single-pattern plan")
         if self.workers == 1:
             return self._mine_in_process(plan, roots, split_degree)
+        work_graph = self._work_graph(plan)
         with self.profiler.phase("setup", workers=self.workers):
             tasks = order_tasks(
-                self._work_graph(plan),
+                work_graph,
                 filter_roots(self.graph, plan, roots),
                 split_degree=split_degree,
             )
@@ -621,7 +620,11 @@ class MinerPool:
         with self.profiler.phase(
             "mine", workers=self.workers, tasks=len(tasks)
         ):
-            summaries = self.run_tasks(plan, tasks, timeout_s=timeout_s)
+            summaries = self.run_tasks(
+                MineJob(plan),
+                self._slice_tasks(work_graph, tasks),
+                timeout_s=timeout_s,
+            )
         with self.profiler.phase("merge"):
             summaries.sort(key=lambda item: item[0])
             counts = [0] * (plan.num_patterns if multi else 1)
@@ -683,44 +686,38 @@ class MinerPool:
 
     def run_tasks(
         self,
-        plan,
-        tasks: Sequence[Task],
+        job,
+        items: Sequence,
         *,
         timeout_s: Optional[float] = None,
     ) -> List[Tuple]:
-        """Low-level entry: run explicit tasks on the forked workers,
-        return their summaries.
+        """Low-level entry: serve one request on the forked workers.
 
-        :meth:`mine` minus task ordering and the merge; callers merge
-        the ``(worker_id, summary)`` pairs themselves.  ``timeout_s``
-        has :meth:`mine`'s semantics.  A ``workers=1`` pool forks
-        nothing and mines only through :meth:`mine`.
+        Every worker starts ``job`` (a
+        :class:`~repro.engine.parallel.MineJob`, or any picklable object
+        with its ``plan`` and ``start`` / ``run`` / ``result`` methods),
+        runs it over the queue ``items`` it pulls and reports its
+        result; returns the ``(worker_id, result)`` pairs in arrival
+        order.  ``timeout_s`` has :meth:`mine`'s semantics.  A
+        ``workers=1`` pool forks nothing and mines only through
+        :meth:`mine`.
         """
         self._check_open()
         if self.workers == 1:
             raise ValueError("run_tasks needs forked workers (workers >= 2)")
         self._start()
-        work_graph = self._work_graph(plan)
-        work_spec = (
+        dag_spec = (
             None
-            if work_graph is self._topology
+            if self._work_graph(job.plan) is self._topology
             else self._shared.share_oriented()
         )
         req_id = self._next_req
         self._next_req += 1
         for ctrl in self._ctrl:
-            ctrl.put(
-                (
-                    "mine",
-                    req_id,
-                    plan,
-                    work_spec,
-                    self.profiler.enabled,
-                )
-            )
+            ctrl.put(("run", req_id, job, dag_spec, self.profiler.enabled))
         with self.profiler.lane_span("enqueue-tasks"):
-            for tasks_slice in self._slice_tasks(work_graph, tasks):
-                self._task_queue.put(tasks_slice)
+            for item in items:
+                self._task_queue.put(item)
             for _ in self._procs:
                 self._task_queue.put(None)
         with self.profiler.lane_span("drain-results"):
@@ -743,18 +740,22 @@ class MinerPool:
         out: List[Tuple] = []
         waited_s = 0.0
         while len(out) < expected:
+            # A worker's report reaches the pipe before it exits, so one
+            # that had exited, with any code, before an empty poll and
+            # has not reported sent none.
+            reported = {worker_id for worker_id, _ in out}
+            dead = [
+                (i, proc.exitcode)
+                for i, proc in enumerate(self._procs)
+                if i not in reported and proc.exitcode is not None
+            ]
             try:
                 message = self._result_queue.get(timeout=_DRAIN_POLL_S)
             except queue_module.Empty:
-                dead = [
-                    (i, proc)
-                    for i, proc in enumerate(self._procs)
-                    if proc.exitcode not in (0, None)
-                ]
                 if dead:
                     self._broken = True
                     ids = [i for i, _ in dead]
-                    codes = [proc.exitcode for _, proc in dead]
+                    codes = [code for _, code in dead]
                     raise PoolWorkerError(
                         ids[0] if len(ids) == 1 else ids,
                         "died",

@@ -586,12 +586,19 @@ def attach_shared_csr(spec: Dict[str, object]):
     )
     graph._shm = tuple(handles)
     if "oriented" in spec:
-        graph._oriented = attach_shared_csr(spec["oriented"])  # type: ignore[arg-type]
+        attach_oriented(graph, spec["oriented"])  # type: ignore[arg-type]
     if "labels" not in arrays:
         return graph
     from .labels import LabeledGraph
 
     return LabeledGraph(graph, arrays["labels"])
+
+
+def attach_oriented(graph, spec: Dict[str, object]) -> None:
+    """Map the DAG :meth:`SharedCSRBuffers.share_oriented` exported as
+    ``graph``'s cached degree-oriented DAG, so
+    :func:`~repro.graph.orient_by_degree` answers it from shared memory."""
+    getattr(graph, "graph", graph)._oriented = attach_shared_csr(spec)
 
 
 def _validate_csr(indptr: np.ndarray, indices: np.ndarray, directed: bool) -> None:

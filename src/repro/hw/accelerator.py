@@ -7,7 +7,7 @@ DRAM model, and drives the dynamic scheduler through the one simulator
 path, trace → replay (:mod:`repro.hw.parallel_sim`).  ``simulate`` is
 the one-call convenience wrapper used by the apps and benches;
 ``simulate_parallel`` is the same run with the trace half spread over
-worker processes.
+the workers of a transient :class:`~repro.engine.MinerPool`.
 """
 
 from __future__ import annotations
@@ -232,8 +232,10 @@ def simulate_parallel(
     metrics=None,
     profiler=None,
 ) -> SimReport:
-    """:func:`simulate` with the trace half spread over ``workers``
-    processes.
+    """:func:`simulate` with the trace half spread over the ``workers``
+    processes of a transient :class:`~repro.engine.MinerPool`, as
+    ``run_app(workers=N)`` mines on one: a worker that fails or exits
+    without a result raises its :class:`~repro.engine.PoolWorkerError`.
 
     The returned :class:`SimReport` — and the cycle-domain trace the
     ``profiler``'s tracer records — is bit-identical to :func:`simulate`

@@ -34,19 +34,19 @@ a root budget in summed squared root degrees, and each next budget is
 set from the events per unit of squared degree the last slice traced,
 aiming at :data:`_SLICE_EVENTS` events and at most doubling from one
 slice to the next.  With ``workers > 1`` the cut is fixed up front
-(:func:`slice_tasks`) and slice ``s`` is traced by worker process
-``s % workers``, which attaches the graph — labels and oriented DAG
-included — through :class:`~repro.graph.SharedCSRBuffers`.  Either way
-replay runs in task order and a slice boundary only regroups exact
-integer settles, so the report is bit-identical at any worker count
-and any cut.  :class:`TraceReplay` is the pipeline every simulation
-runs (:class:`repro.hw.FlexMinerAccelerator` holds one).
+(:func:`slice_tasks`) and the slices are traced on a transient
+:class:`~repro.engine.MinerPool` — the repository's one process pool,
+whose workers already hold the shared graph, labels and oriented DAG
+— as a trace job: each worker pulls ``(slice index, tasks)`` items
+from the pool's task queue and ships back its shards by slice index.
+Either way replay runs in task order and a slice boundary only
+regroups exact integer settles, so the report is bit-identical at any
+worker count and any cut.  :class:`TraceReplay` is the pipeline every
+simulation runs (:class:`repro.hw.FlexMinerAccelerator` holds one).
 """
 
 from __future__ import annotations
 
-import queue
-import traceback
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -57,9 +57,7 @@ from ..engine.parallel import Task
 from ..engine.counters import merge_iterations
 from ..engine.reference import RecursiveEngine
 from ..engine.setops import bound_below, difference, intersect
-from ..graph.csr import SharedCSRBuffers, attach_shared_csr, worker_context
 from ..graph.orientation import orient_by_degree
-from ..obs import NULL_PROFILER
 from ..obs.prof import LaneRecorder, slice_label
 from .cmap import HardwareCMap
 from .config import FlexMinerConfig
@@ -297,98 +295,30 @@ def _trace_slice(tracer, tasks: Sequence[Task], rec: LaneRecorder):
         return tracer.trace(tasks)
 
 
-def _trace_worker(
-    worker_id: int,
-    spec,
-    plan,
-    config: FlexMinerConfig,
-    slices: Sequence[Sequence[Task]],
-    result_queue,
-) -> None:
-    """Worker main: attach the shared graph, trace the slices, report
-    the shards and the recorded span stream."""
-    try:
+class _TraceJob:
+    """The trace half of a simulation as a pool request
+    (:meth:`repro.engine.MinerPool.run_tasks`): each worker builds a
+    :class:`~repro.hw.walktrace.WalkTracer` over the graph it attached
+    — its oriented DAG included — and traces the ``(slice index,
+    tasks)`` items it pulls; its result is ``{slice index: shard}`` and
+    its lane spans (when profiling)."""
+
+    def __init__(self, plan, config: FlexMinerConfig) -> None:
+        self.plan = plan
+        self.config = config
+
+    def start(self, graph) -> None:
         from .walktrace import WalkTracer
 
-        rec = LaneRecorder()
-        with rec.span("attach-shm"):
-            tracer = WalkTracer(attach_shared_csr(spec), plan, config)
-        shards = [_trace_slice(tracer, tasks, rec) for tasks in slices]
-        result_queue.put(("done", worker_id, (shards, rec.spans)))
-    except BaseException:  # pragma: no cover - exercised via error path
-        result_queue.put(("error", worker_id, traceback.format_exc()))
+        self._tracer = WalkTracer(graph, self.plan, self.config)
+        self._shards: Dict[int, ShardTrace] = {}
 
+    def run(self, rec: LaneRecorder, item) -> None:
+        index, tasks = item
+        self._shards[index] = _trace_slice(self._tracer, tasks, rec)
 
-def _trace_in_processes(
-    spec,
-    plan,
-    config: FlexMinerConfig,
-    slices: Sequence[Sequence[Task]],
-    workers: int,
-    profiler=NULL_PROFILER,
-) -> List[Tuple[List[ShardTrace], list]]:
-    """Trace slice ``s`` on worker ``s % workers``; returns each
-    worker's ``(shards, spans)`` by worker id.
-
-    ``spec`` names the shared graph the workers attach.
-    """
-    ctx = worker_context()
-    results: Dict[int, Tuple[List[ShardTrace], list]] = {}
-    procs = []
-    try:
-        result_queue = ctx.Queue()
-        with profiler.lane_span("spawn-workers"):
-            for worker_id in range(workers):
-                proc = ctx.Process(
-                    target=_trace_worker,
-                    args=(
-                        worker_id,
-                        spec,
-                        plan,
-                        config,
-                        list(slices[worker_id::workers]),
-                        result_queue,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                procs.append(proc)
-
-        with profiler.lane_span("drain-results"):
-            while len(results) < len(procs):
-                # A worker's report reaches the pipe before it exits, so
-                # one that had exited before an empty poll sent none.
-                exited = [
-                    (w, p.exitcode) for w, p in enumerate(procs)
-                    if w not in results and p.exitcode is not None
-                ]
-                try:
-                    kind, worker_id, payload = result_queue.get(
-                        timeout=1.0
-                    )
-                except queue.Empty:
-                    if exited:
-                        raise RuntimeError(
-                            "sim trace worker(s) exited without a "
-                            "result: " + ", ".join(
-                                f"{w} (exit code {code})"
-                                for w, code in exited
-                            )
-                        )
-                    continue
-                if kind == "error":
-                    raise RuntimeError(
-                        f"sim trace worker {worker_id} failed:\n{payload}"
-                    )
-                results[worker_id] = payload
-            for proc in procs:
-                proc.join()
-    finally:
-        for proc in procs:
-            if proc.is_alive():  # pragma: no cover - error cleanup
-                proc.terminate()
-                proc.join()
-    return [results[w] for w in range(workers)]
+    def result(self, rec: LaneRecorder, profile: bool):
+        return self._shards, rec.spans if profile else None
 
 
 class TraceReplay:
@@ -411,9 +341,11 @@ class TraceReplay:
         self.plan = plan
         self.config = config
         self.memsys = memsys
-        self._oriented = getattr(plan, "oriented", False)
         #: The graph the plan walks: the cached oriented DAG or ``graph``.
-        self.work_graph = orient_by_degree(graph) if self._oriented else graph
+        self.work_graph = (
+            orient_by_degree(graph) if getattr(plan, "oriented", False)
+            else graph
+        )
         #: The replay feed: task -> (its slice's decoded columns, index).
         self._traces: Dict[Task, Tuple[ReplayColumns, int]] = {}
         self.pes = [
@@ -425,19 +357,23 @@ class TraceReplay:
     def run(self, tasks: Sequence[Task], workers: int, profiler) -> float:
         """Trace and replay ``tasks`` in order; returns the makespan.
 
-        With ``workers > 1`` the slices are traced in that many worker
-        processes first; an enabled ``profiler`` gets the trace and
-        replay phases and one wall-clock lane per tracing process.
+        With ``workers > 1`` the slices are traced on a transient pool
+        of that many worker processes first.  An enabled ``profiler``
+        gets the trace and replay phases and one wall-clock lane per
+        tracing process.  A trace-only one gets the pool's lanes, named,
+        beside its coordinator rail, and no lane for an in-process run,
+        which has no rail (its trace stays the host and cycle domains).
         """
         slices = (
             slice_tasks(self.work_graph, tasks, workers) if workers > 1
             else []
         )
         if len(slices) < 2:
-            lanes = [self._in_process(tasks, profiler)]
+            spans = self._in_process(tasks, profiler)
+            lanes = [spans] if profiler.enabled else []
         else:
             lanes = self._in_processes(slices, workers, profiler)
-        if profiler.enabled:
+        if lanes:
             profiler.init_lanes(len(lanes))
             for worker_id, spans in enumerate(lanes):
                 profiler.add_lane(worker_id, spans)
@@ -470,32 +406,36 @@ class TraceReplay:
         return rec.spans
 
     def _in_processes(self, slices, workers: int, profiler) -> list:
-        """Trace the slices in ``workers`` processes, then replay them
-        in task order; returns each worker's recorded spans."""
+        """Trace the slices on a transient pool of ``workers``, then
+        replay them in task order; returns each worker's lane spans."""
+        # Imported on first use, as the walker is: only a forked
+        # simulation needs the pool.  The walker is imported before the
+        # pool forks, so its workers inherit it instead of each
+        # importing it in their attach-shm span.
+        from ..engine.pool import MinerPool
+        from . import walktrace  # noqa: F401
+
         with profiler.phase("trace", slices=len(slices)) as args:
-            # Segments outlive the workers and never the call: leaving
-            # the block closes and unlinks every one of them (FM301).
-            with SharedCSRBuffers(self.graph) as shared:
-                if self._oriented:
-                    shared.share_oriented()
-                results = _trace_in_processes(
-                    shared.spec, self.plan, self.config, slices, workers,
-                    profiler=profiler,
-                )
+            with MinerPool(
+                self.graph, workers=workers, profiler=profiler
+            ) as pool:
+                results = sorted(pool.run_tasks(
+                    _TraceJob(self.plan, self.config),
+                    list(enumerate(slices)),
+                ), key=lambda result: result[0])
+            shards: Dict[int, ShardTrace] = {}
+            for _worker_id, (traced, _spans) in results:
+                shards.update(traced)
             if profiler.enabled:
                 args["events"] = sum(
-                    len(shard.codes) for shards, _ in results
-                    for shard in shards
+                    len(shard.codes) for shard in shards.values()
                 )
         with profiler.phase("replay", slices=len(slices)) as args:
             self.replay(
-                [
-                    (tasks, results[s % workers][0][s // workers])
-                    for s, tasks in enumerate(slices)
-                ],
+                [(tasks, shards[s]) for s, tasks in enumerate(slices)],
                 args if profiler.enabled else None,
             )
-        return [spans for _shards, spans in results]
+        return [spans for _worker_id, (_traced, spans) in results]
 
     def replay(self, traced, counts: Optional[dict] = None) -> None:
         """Replay traced ``(tasks, shard)`` slices, in order.

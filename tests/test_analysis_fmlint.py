@@ -234,10 +234,10 @@ class TestProcessConstruction:
         assert codes(src, path=self.POOL) == []
         assert codes(src, path=ENGINE) == ["FM207"]
 
-    def test_rule_scoped_to_engine(self):
+    def test_rule_scoped_to_engine_and_hw(self):
         src = "p = ctx.Process(target=f)\n"
         assert codes(src, path=OTHER) == []
-        assert codes(src, path="src/repro/hw/parallel_sim.py") == []
+        assert codes(src, path="src/repro/hw/parallel_sim.py") == ["FM207"]
 
     def test_line_disable(self):
         src = "p = ctx.Process(target=f)  # fmlint: disable=FM207\n"

@@ -9,8 +9,10 @@ close() is idempotent, shared-memory segments are unlinked on shutdown
 split degree.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 from multiprocessing import shared_memory
 
 import pytest
@@ -27,10 +29,12 @@ from repro.engine import (
     order_tasks,
 )
 from repro.engine import pool as pool_module
+from repro.engine.parallel import MineJob
 from repro.engine.pool import MIN_SPLIT_DEGREE
 from repro.engine.motifs import count_motifs, motif_count_plan
 from repro.graph import (
     assign_degree_labels,
+    csr,
     erdos_renyi,
     orient_by_degree,
     path_graph,
@@ -245,7 +249,9 @@ class TestInProcessRoute:
     def test_run_tasks_needs_forked_workers(self):
         with MinerPool(ER, workers=1) as pool:
             with pytest.raises(ValueError, match="forked workers"):
-                pool.run_tasks(compile_pattern(triangle()), order_tasks(ER))
+                pool.run_tasks(
+                    MineJob(compile_pattern(triangle())), [order_tasks(ER)]
+                )
             assert pool.health()["resident_workers"] == 0
 
 
@@ -451,13 +457,50 @@ class TestLifecycle:
                     pass
             pool.close()
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker main reaches the child only under fork",
+    )
+    def test_worker_exit_zero_raises(self, monkeypatch):
+        # A worker main that returns mid-request exits 0 without a
+        # result: the parent must raise, not wait on it forever.
+        created = []
+        real = csr.share_array
+
+        def recording(arr):
+            shm, spec = real(arr)
+            created.append(spec["shm"])
+            return shm, spec
+
+        monkeypatch.setattr(csr, "share_array", recording)
+        monkeypatch.setattr(pool_module, "_pool_worker", lambda *args: None)
+        raised = []
+
+        def call():
+            try:
+                with MinerPool(ER, workers=2) as pool:
+                    pool.mine(compile_pattern(triangle()))
+            except Exception as exc:  # handed to the test thread
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the parent waits on a dead worker"
+        assert len(raised) == 1 and isinstance(raised[0], PoolWorkerError)
+        assert raised[0].reason == "died"
+        assert "exit codes [0" in raised[0].detail
+        assert created
+        assert not set(created) & set(os.listdir("/dev/shm"))
+        assert not multiprocessing.active_children()
+
     def test_worker_exception_surfaces_with_traceback(self):
         pool = MinerPool(ER, workers=2)
         try:
             # A poisoned plan crosses the queue fine and crashes in the
             # worker while it builds its engine.
             with pytest.raises(PoolWorkerError, match="failed") as exc:
-                pool.run_tasks(None, order_tasks(ER))
+                pool.run_tasks(MineJob(None), [order_tasks(ER)])
             assert exc.value.reason == "failed"
             assert "Traceback" in exc.value.detail
             assert pool.broken

@@ -9,11 +9,13 @@ cut: a slice boundary only regroups exact integer settles.
 
 import multiprocessing
 import os
+import re
 import threading
 
 import pytest
 
 from repro.compiler import compile_motifs, compile_pattern
+from repro.engine import PoolWorkerError
 from repro.engine.parallel import filter_roots, order_tasks
 from repro.errors import SimulationError
 from repro.graph import (
@@ -179,25 +181,17 @@ class TestSliceCut:
             assert n == 1 or events <= 2 * parallel_sim._SLICE_EVENTS
 
 
-def _silent_worker(*args):
-    """A trace worker that exits 0 without reporting."""
-
-
-def _crashing_worker(*args):
-    """A trace worker that dies without reporting."""
-    os._exit(3)
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the patched worker reaches the child only under fork",
+    reason="the patched trace job reaches the child only under fork",
 )
 class TestTraceWorkerExit:
-    @pytest.mark.parametrize(
-        "worker, code", [(_silent_worker, 0), (_crashing_worker, 3)],
-        ids=["exit-0", "exit-3"],
-    )
-    def test_exit_without_result_raises(self, worker, code, monkeypatch):
+    """The trace half runs on MinerPool workers: a worker that exits
+    without a result, with any code, is the pool's structured error,
+    and the pool's teardown leaves no segment and no child behind."""
+
+    @pytest.mark.parametrize("code", [0, 3], ids=["exit-0", "exit-3"])
+    def test_exit_without_result_raises(self, code, monkeypatch):
         created = []
         real = csr.share_array
 
@@ -206,8 +200,11 @@ class TestTraceWorkerExit:
             created.append(spec["shm"])
             return shm, spec
 
+        def exiting_start(self, graph):
+            os._exit(code)
+
         monkeypatch.setattr(csr, "share_array", recording)
-        monkeypatch.setattr(parallel_sim, "_trace_worker", worker)
+        monkeypatch.setattr(parallel_sim._TraceJob, "start", exiting_start)
         plan = compile_pattern(triangle())
         raised = []
 
@@ -221,8 +218,11 @@ class TestTraceWorkerExit:
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive(), "the parent waits on a dead worker"
-        assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
-        assert f"(exit code {code})" in str(raised[0])
+        assert len(raised) == 1 and isinstance(raised[0], PoolWorkerError)
+        assert raised[0].reason == "died"
+        assert re.fullmatch(
+            rf"exit codes \[{code}(, {code})?\]", raised[0].detail
+        )
         assert created
         assert not set(created) & set(os.listdir("/dev/shm"))
         assert not multiprocessing.active_children()

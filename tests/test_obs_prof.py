@@ -509,3 +509,18 @@ class TestOneHostSpan:
             )
             assert self._cycle_domain(tracer) == self._cycle_domain(plain)
             assert self._cycle_domain(plain)
+
+    @pytest.mark.parametrize("case", ["pool-2", "simulate-parallel-2"])
+    def test_trace_only_lanes_are_named(self, case):
+        # A trace-only run writes the coordinator rail's pid-2 spans,
+        # and with them the pid-2 process and thread names.
+        tracer = Tracer()
+        self.CASES[case][1](PhaseProfiler(tracer=tracer, enabled=False))
+        lanes = [e for e in tracer.events() if e.get("pid") == WORKERS_PID]
+        spans = {e["name"] for e in lanes if e["ph"] == "X"}
+        assert {"spawn-workers", "drain-results"} <= spans
+        named = {
+            (e["name"], e.get("tid")) for e in lanes if e["ph"] == "M"
+        }
+        assert {("thread_name", tid) for tid in (0, 1, 2)} <= named
+        assert "process_name" in {name for name, _tid in named}

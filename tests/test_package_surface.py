@@ -194,7 +194,10 @@ def test_one_simulator_model():
     with pytest.raises(TypeError):
         FlexMinerConfig(timing_kernels=False)
     assert "kernels" not in inspect.signature(HardwareCMap).parameters
-    for name in ("tracer_for", "_ReplayPE", "PETiming", "_SLICE_WORK"):
+    for name in (
+        "tracer_for", "_ReplayPE", "PETiming", "_SLICE_WORK",
+        "_trace_worker", "_trace_in_processes",
+    ):
         assert not hasattr(parallel_sim, name), name
     # in-process slices are sized by the events they trace: one module
     # constant, no flag or config field

@@ -24,6 +24,7 @@ from repro.engine import (
     order_tasks,
 )
 from repro.engine import pool as pool_module
+from repro.engine.parallel import MineJob
 from repro.graph import (
     CSRGraph,
     LabeledGraph,
@@ -365,7 +366,7 @@ class TestValidation:
         with MinerPool(ER, workers=2) as pool:
             # poison: workers crash building the engine on a None plan
             with pytest.raises(RuntimeError, match="worker"):
-                pool.run_tasks(None, order_tasks(ER))
+                pool.run_tasks(MineJob(None), [order_tasks(ER)])
 
 
 class TestObservability:

@@ -12,10 +12,10 @@ import time
 from repro.bench import get_harness
 from repro.compiler import compile_motifs, compile_pattern
 from repro.engine import (
-    PartitionedMiner,
     PatternAwareEngine,
     mine,
     mine_multi,
+    mine_partitioned,
 )
 from repro.graph import assign_random_labels, load_dataset
 from repro.hw import (
@@ -70,10 +70,9 @@ def test_ext_partitioned_mining(benchmark, save_artifact):
         whole = mine(graph, plan).counts[0]
         rows = {}
         for parts in (4, 16, 64):
-            miner = PartitionedMiner(graph, plan, parts)
-            result = miner.run()
+            result, halo_edges = mine_partitioned(graph, plan, parts)
             assert result.counts[0] == whole
-            rows[parts] = miner.max_working_set_edges()
+            rows[parts] = max(halo_edges)
         return whole, rows
 
     total, rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -24,7 +24,7 @@ conventions nothing enforced until now:
   through ``repro.obs`` (LaneRecorder / PhaseProfiler / Tracer) so the
   profile is the single source of wall-clock truth;
 * **FM207** — no ``multiprocessing`` ``Process``/``Pool`` construction
-  in ``engine/`` or ``hw/`` outside :mod:`repro.engine.pool`:
+  anywhere in the package outside :mod:`repro.engine.pool`:
   per-request process spawning is exactly the overhead the persistent
   pool exists to amortize, so all worker lifecycles — the mining
   workers and the simulator's trace workers — live in one audited
@@ -397,12 +397,10 @@ _PROCESS_CTORS = {"Process", "Pool"}
 def _check_process_construction(
     ctx: LintContext,
 ) -> Iterator[Tuple[int, str]]:
-    """FM207: Process/Pool construction in engine/ or hw/ outside the
-    pool.
+    """FM207: Process/Pool construction anywhere outside the pool.
 
     :mod:`repro.engine.pool` is the one sanctioned home for worker
-    lifecycles (the ``paths`` scope cannot express exclusions, so the
-    carve-out lives here).
+    lifecycles, and the rule's one exemption.
     """
     posix = ctx.path.replace(os.sep, "/")
     if posix.endswith("engine/pool.py"):
@@ -561,9 +559,7 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     LintRule(FM204, _check_shared_memory),
     LintRule(FM205, _check_wallclock, paths=("hw/",)),
     LintRule(FM206, _check_direct_timing, paths=("engine/", "hw/")),
-    LintRule(
-        FM207, _check_process_construction, paths=("engine/", "hw/")
-    ),
+    LintRule(FM207, _check_process_construction),
     LintRule(
         FM208, _check_elementwise_loops, paths=("engine/kernels.py",)
     ),

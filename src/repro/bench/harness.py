@@ -2,7 +2,8 @@
 
 One process-wide :class:`Harness` memoizes simulator and CPU-model runs
 so figures that share cells (Fig. 14 and Fig. 16, for instance) pay for
-each simulation once.  The per-figure dataset selections follow the
+each simulation once.  A fresh cell is one serial :func:`repro.hw.simulate`
+call in the calling process.  The per-figure dataset selections follow the
 paper's x-axes exactly (e.g. 5-CL only on As and Pa).
 
 Set the ``REPRO_BENCH_QUICK`` environment variable to restrict every
@@ -26,7 +27,6 @@ from ..graph.datasets import load_dataset
 from ..hw import FlexMinerConfig, SimReport, simulate
 from ..obs import (
     MetricsRegistry,
-    NULL_PROFILER,
     get_logger,
     make_report,
     write_report,
@@ -95,29 +95,6 @@ _QUICK_ENV = "REPRO_BENCH_QUICK"
 _TELEMETRY_ENV = "REPRO_BENCH_TELEMETRY"
 
 
-def _sim_cell_config(app: str, num_pes: int, cmap_bytes: int) -> FlexMinerConfig:
-    """The per-cell simulator configuration the harness always uses."""
-    split = None if app == "3-MC" else Harness.TASK_SPLIT_DEGREE
-    return FlexMinerConfig(
-        num_pes=num_pes,
-        cmap_bytes=cmap_bytes,
-        task_split_degree=split,
-    )
-
-
-def _sim_cell_worker(key: Tuple) -> Tuple[Tuple, Dict[str, object]]:
-    """Pool worker: run one harness cell with the serial simulator.
-
-    Cells are mutually independent simulations, so running them in
-    separate processes is bit-identical to running them one by one —
-    the report crosses back as its ``as_dict`` payload.
-    """
-    app, dataset, num_pes, cmap_bytes = key
-    config = _sim_cell_config(app, num_pes, cmap_bytes)
-    report = simulate(load_dataset(dataset), _plan(app), config)
-    return key, report.as_dict()
-
-
 def quick_mode() -> bool:
     return bool(os.environ.get(_QUICK_ENV))
 
@@ -137,9 +114,6 @@ class Harness:
     ``REPRO_BENCH_TELEMETRY`` environment variable) makes every fresh
     simulation write a per-cell JSON report, with
     :meth:`write_summary` producing the ``BENCH_summary.json`` roll-up.
-    ``profiler`` (a :class:`repro.obs.PhaseProfiler`) attributes plan
-    compilation, graph loads and fresh cell runs to phases; it is
-    forwarded into the simulator and never changes any report.
     """
 
     def __init__(
@@ -148,11 +122,9 @@ class Harness:
         *,
         metrics: Optional[MetricsRegistry] = None,
         telemetry_dir: Optional[str] = None,
-        profiler=None,
     ) -> None:
         self.cpu_config = cpu_config or CpuModelConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         if telemetry_dir is None:
             telemetry_dir = os.environ.get(_TELEMETRY_ENV) or None
         self.telemetry_dir = telemetry_dir
@@ -164,13 +136,11 @@ class Harness:
 
     def plan(self, app: str):
         if app not in self._plans:
-            with self.profiler.phase("compile", app=app):
-                self._plans[app] = _plan(app)
+            self._plans[app] = _plan(app)
         return self._plans[app]
 
     def graph(self, dataset: str) -> CSRGraph:
-        with self.profiler.phase("load-graph", dataset=dataset):
-            return load_dataset(dataset)
+        return load_dataset(dataset)
 
     #: Depth-1 slice size for straggler-task splitting.  The paper's
     #: full-size inputs provide millions of tasks per figure cell; the
@@ -187,40 +157,30 @@ class Harness:
         *,
         num_pes: int = 64,
         cmap_bytes: int = 8 * 1024,
-        parallel: Optional[int] = None,
     ) -> SimReport:
-        """Simulate one cell (memoized).
-
-        ``parallel`` spreads the trace phase of a fresh simulation over
-        that many worker processes
-        (:func:`repro.hw.simulate_parallel`); the report —
-        and therefore the memo cache — is bit-identical either way, so
-        the cache key ignores it.
-        """
+        """Simulate one cell (memoized)."""
         key = (app, dataset, num_pes, cmap_bytes)
         if key not in self._sim_cache:
-            config = _sim_cell_config(app, num_pes, cmap_bytes)
+            config = FlexMinerConfig(
+                num_pes=num_pes,
+                cmap_bytes=cmap_bytes,
+                task_split_degree=(
+                    None if app == "3-MC" else self.TASK_SPLIT_DEGREE
+                ),
+            )
             log.debug(
                 "sim cell %s/%s pes=%d cmap=%dB", app, dataset,
                 num_pes, cmap_bytes,
             )
             self.metrics.counter("bench.sim_runs").inc()
             start = time.perf_counter()
-            if parallel is not None and parallel > 1:
-                from ..hw import simulate_parallel
-
-                report = simulate_parallel(
-                    self.graph(dataset), self.plan(app), config,
-                    workers=parallel, profiler=self.profiler,
-                )
-            else:
-                with self.profiler.phase(
-                    "simulate", app=app, dataset=dataset
-                ):
-                    report = simulate(
-                        self.graph(dataset), self.plan(app), config
-                    )
-            self._account_sim_wall(time.perf_counter() - start, cells=1)
+            report = simulate(self.graph(dataset), self.plan(app), config)
+            self._sim_wall_s += time.perf_counter() - start
+            self._sim_cells += 1
+            self.metrics.gauge("sim.wall_s").set(self._sim_wall_s)
+            self.metrics.gauge("sim.cells_per_s").set(
+                self._sim_cells / self._sim_wall_s
+            )
             self.metrics.histogram("bench.sim_cycles").observe(report.cycles)
             self._sim_cache[key] = report
             if self.telemetry_dir:
@@ -228,65 +188,6 @@ class Harness:
         else:
             self.metrics.counter("bench.sim_cache_hits").inc()
         return self._sim_cache[key]
-
-    def sim_many(
-        self,
-        cells: List[Tuple[str, str, int, int]],
-        *,
-        workers: Optional[int] = None,
-    ) -> Dict[Tuple, SimReport]:
-        """Simulate many (app, dataset, num_pes, cmap_bytes) cells.
-
-        Fresh cells run in a process pool (cells are independent
-        simulations, so the per-cell reports are bit-identical to
-        serial ``sim()`` calls) and land in the same memo cache.
-        Returns the full key→report mapping for the requested cells.
-        """
-        fresh = [
-            key for key in dict.fromkeys(tuple(c) for c in cells)
-            if key not in self._sim_cache
-        ]
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if fresh:
-            start = time.perf_counter()
-            if workers > 1 and len(fresh) > 1:
-                import multiprocessing as mp
-
-                try:
-                    ctx = mp.get_context("fork")
-                except ValueError:  # pragma: no cover - non-POSIX
-                    ctx = mp.get_context("spawn")
-                with ctx.Pool(min(workers, len(fresh))) as pool:
-                    results = pool.map(_sim_cell_worker, fresh)
-            else:
-                results = [_sim_cell_worker(key) for key in fresh]
-            self._account_sim_wall(
-                time.perf_counter() - start, cells=len(fresh)
-            )
-            for key, payload in results:
-                report = SimReport.from_dict(payload)
-                self.metrics.counter("bench.sim_runs").inc()
-                self.metrics.histogram(
-                    "bench.sim_cycles"
-                ).observe(report.cycles)
-                self._sim_cache[key] = report
-                if self.telemetry_dir:
-                    self._write_cell(key, report)
-        for key in cells:
-            if tuple(key) in self._sim_cache:
-                self.metrics.counter("bench.sim_cache_hits").inc()
-        return {tuple(c): self._sim_cache[tuple(c)] for c in cells}
-
-    def _account_sim_wall(self, seconds: float, *, cells: int) -> None:
-        """Track simulator wall-clock in the ``sim.*`` gauges."""
-        self._sim_wall_s += seconds
-        self._sim_cells += cells
-        self.metrics.gauge("sim.wall_s").set(self._sim_wall_s)
-        if self._sim_wall_s > 0:
-            self.metrics.gauge("sim.cells_per_s").set(
-                self._sim_cells / self._sim_wall_s
-            )
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -21,13 +21,7 @@ _EXPORTS = {
     "kernels": ("GALLOP_RATIO",),
     "parallel": ("filter_roots", "order_tasks"),
     "pool": ("MinerPool", "PoolWorkerError", "cost_model_split_degree"),
-    "partitioned": (
-        "PartitionedMiner",
-        "PartitionStats",
-        "halo_ball",
-        "mine_partitioned",
-        "partition_vertices",
-    ),
+    "partitioned": ("mine_partitioned",),
 }
 
 __all__, __getattr__ = lazy_surface(__name__, _EXPORTS)

@@ -209,7 +209,6 @@ class PatternAwareEngine:
         use_frontier_memo: bool = True,
         batch_frontier: bool = True,
         frontier_row_limit: int = 1 << 22,
-        work_graph: Optional[CSRGraph] = None,
         profiler=None,
     ) -> None:
         self.graph = graph
@@ -226,13 +225,12 @@ class PatternAwareEngine:
         self.counters = OpCounters()
         self._multi = isinstance(plan, MultiPlan)
         oriented = (not self._multi) and plan.oriented
-        if work_graph is not None:
-            # A work graph the caller already holds: the DAG a pool
-            # worker attached from shared memory, a halo subgraph cut
-            # out of an already oriented graph.
-            self._work_graph = work_graph
-        else:
-            self._work_graph = orient_by_degree(graph) if oriented else graph
+        # The graph the plan walks: the cached DAG for oriented plans,
+        # else the bare topology (a LabeledGraph's, without delegation).
+        self._work_graph = (
+            orient_by_degree(graph) if oriented
+            else getattr(graph, "graph", graph)
+        )
         # Labeled mining: label constraints come from the plan; data
         # labels (if any) from the graph.  Orientation preserves vertex
         # ids, so one label array serves both graphs.

@@ -661,13 +661,12 @@ class MinerPool:
         it, ahead of a ``run`` over no further roots.
         """
         prof = self.profiler
-        work_graph = self._work_graph(plan)
-        engine = PatternAwareEngine(self.graph, plan, work_graph=work_graph)
+        engine = PatternAwareEngine(self.graph, plan)
         tasks: List[Task] = []
         if split_degree is not None or prof.enabled:
             with prof.phase("setup", workers=1), prof.lane_span("order-tasks"):
                 tasks = order_tasks(
-                    work_graph,
+                    self._work_graph(plan),
                     filter_roots(self.graph, plan, roots),
                     split_degree=split_degree,
                 )

@@ -388,7 +388,7 @@ class TraceReplay:
         from .walktrace import WalkTracer
 
         rec = LaneRecorder()
-        with rec.span("attach-shm"):
+        with rec.span("build-tracer"):
             tracer = WalkTracer(self.graph, self.plan, self.config)
 
         def trace(chunk):

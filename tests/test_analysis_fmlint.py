@@ -234,10 +234,13 @@ class TestProcessConstruction:
         assert codes(src, path=self.POOL) == []
         assert codes(src, path=ENGINE) == ["FM207"]
 
-    def test_rule_scoped_to_engine_and_hw(self):
+    def test_rule_covers_the_whole_package(self):
         src = "p = ctx.Process(target=f)\n"
-        assert codes(src, path=OTHER) == []
-        assert codes(src, path="src/repro/hw/parallel_sim.py") == ["FM207"]
+        for path in (
+            OTHER, "src/repro/hw/parallel_sim.py",
+            "src/repro/bench/harness.py",
+        ):
+            assert codes(src, path=path) == ["FM207"], path
 
     def test_line_disable(self):
         src = "p = ctx.Process(target=f)  # fmlint: disable=FM207\n"

@@ -6,6 +6,7 @@ from repro.compiler import compile_pattern
 from repro.engine import OpCounters
 from repro.graph import erdos_renyi
 from repro.patterns import diamond, k_clique, triangle
+from repro.hw import FlexMinerConfig, simulate
 from repro.bench import (
     CpuModelConfig,
     GramerModelConfig,
@@ -116,36 +117,20 @@ class TestHarness:
         harness = Harness()
         assert harness.plan("TC") is harness.plan("TC")
 
-    def test_sim_parallel_is_bit_identical_and_shares_cache(self):
-        serial = Harness().sim("TC", "As", num_pes=4, cmap_bytes=0)
+    def test_sim_cell_is_one_serial_simulate(self):
+        # A fresh cell is one simulate() call with the harness's cell
+        # configuration: task splitting for every app but 3-MC.
         harness = Harness()
-        parallel = harness.sim(
-            "TC", "As", num_pes=4, cmap_bytes=0, parallel=2
-        )
-        assert parallel.as_dict() == serial.as_dict()
-        # Bit-identical, so the cache key ignores the parallel knob.
-        assert harness.sim("TC", "As", num_pes=4, cmap_bytes=0) is parallel
-
-    def test_sim_many_matches_per_cell_sim(self):
-        cells = [
-            ("TC", "As", 4, 0),
-            ("4-CL", "As", 4, 0),
-            ("TC", "As", 4, 0),  # duplicate: one run, same object
-        ]
-        harness = Harness()
-        reports = harness.sim_many(cells, workers=2)
-        assert set(reports) == {("TC", "As", 4, 0), ("4-CL", "As", 4, 0)}
-        fresh = Harness()
-        for key, report in reports.items():
-            app, dataset, num_pes, cmap_bytes = key
-            expected = fresh.sim(
-                app, dataset, num_pes=num_pes, cmap_bytes=cmap_bytes
+        for app in ("TC", "3-MC"):
+            split = None if app == "3-MC" else Harness.TASK_SPLIT_DEGREE
+            config = FlexMinerConfig(
+                num_pes=4, cmap_bytes=0, task_split_degree=split
             )
-            assert report.as_dict() == expected.as_dict()
-        # Pool results land in the memo cache.
-        assert harness.sim("TC", "As", num_pes=4, cmap_bytes=0) is (
-            reports[("TC", "As", 4, 0)]
-        )
+            expected = simulate(
+                harness.graph("As"), harness.plan(app), config
+            )
+            report = harness.sim(app, "As", num_pes=4, cmap_bytes=0)
+            assert report.as_dict() == expected.as_dict(), app
 
     def test_sim_wall_clock_gauges(self):
         harness = Harness()

@@ -194,6 +194,16 @@ class TestLabeledMining:
             == mine(BASE, compile_pattern(triangle())).counts[0]
         )
 
+    def test_unoriented_pattern_on_labeled_graph(self):
+        # An unoriented plan walks the bare topology under the labels:
+        # same counts and the same operation counters as on BASE.
+        plan = compile_pattern(wedge(), use_orientation=False)
+        assert not plan.oriented
+        on_labeled = PatternAwareEngine(GRAPH, plan).run()
+        on_base = PatternAwareEngine(BASE, plan).run()
+        assert on_labeled.counts == on_base.counts
+        assert on_labeled.counters.as_dict() == on_base.counters.as_dict()
+
     def test_root_label_skips_tasks(self):
         pattern = labeled_triangle(0, 0, 0)
         engine = PatternAwareEngine(GRAPH, compile_pattern(pattern))

@@ -427,6 +427,31 @@ class TestPhaseAttributionWiring:
         names = {p.name for p in prof.phases()}
         assert {"setup", "trace", "replay", "merge"} <= names
 
+    def test_sim_lane_spans_name_what_the_lane_did(self):
+        # Only a forked trace worker attaches the graph's shared memory;
+        # the in-process lane builds its tracer in place.
+        config = FlexMinerConfig(num_pes=4)
+        runs = {
+            "in-process": lambda prof: simulate(
+                ER, PLAN, config, profiler=prof
+            ),
+            "workers-2": lambda prof: simulate_parallel(
+                ER, PLAN, config, workers=2, profiler=prof
+            ),
+        }
+        names = {}
+        for case, run in runs.items():
+            tracer = Tracer()
+            run(PhaseProfiler(tracer=tracer))
+            names[case] = {
+                e["name"] for e in tracer.events()
+                if e.get("pid") == WORKERS_PID and e["ph"] == "X"
+                and e.get("tid") != 0
+            }
+        assert "build-tracer" in names["in-process"]
+        assert "attach-shm" not in names["in-process"]
+        assert "attach-shm" in names["workers-2"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "plan", [PLAN, CLIQUE_PLAN], ids=["triangle", "4-clique"]

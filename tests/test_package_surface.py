@@ -93,7 +93,7 @@ def test_execution_mode_surface():
     from repro.serve import MiningService
 
     not_modes = {
-        "self", "graph", "plan", "collect", "work_graph", "workers",
+        "self", "graph", "plan", "collect", "workers",
         "calibration_clock", "metrics", "profiler",
         "max_active", "threads", "result_cache", "result_cache_entries",
         "request_timeout_s", "clock", "batch_frontier",
@@ -252,6 +252,36 @@ def test_one_observability_handle():
         PatternAwareEngine.__init__
     ).parameters
     assert callable(parallel.publish_engine_gauges)
+
+
+def test_callerless_routes_stay_deleted():
+    """Partitioned mining is one walk per halo, the bench harness
+    simulates one way (a serial memo over cells, no process pool of its
+    own), and the engine derives its work graph: the second routes
+    those replaced stay deleted."""
+    import inspect
+
+    from repro import engine
+    from repro.bench import Harness, harness
+    from repro.engine import partitioned
+
+    for name in (
+        "PartitionedMiner", "PartitionStats", "partition_vertices",
+        "halo_ball",
+    ):
+        assert not hasattr(partitioned, name), name
+        assert name not in engine.__all__, name
+    for name in ("sim_many", "_sim_cell_worker", "_sim_cell_config"):
+        assert not hasattr(Harness, name), name
+        assert not hasattr(harness, name), name
+
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert "work_graph" not in params(engine.PatternAwareEngine.__init__)
+    assert "profiler" not in params(Harness.__init__)
+    assert "parallel" not in params(Harness.sim)
+    assert params(engine.mine_partitioned) == ["graph", "plan", "num_parts"]
 
 
 def test_ignored_mode_keyword_on_three_signatures():

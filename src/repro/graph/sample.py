@@ -26,19 +26,19 @@ def induced_subgraph(
     vid-comparison constraints (symmetry orders) remain valid inside the
     subgraph.  Directedness is preserved.
     """
-    keep = sorted(set(int(v) for v in vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u in keep
-        for v in graph.neighbors(u)
-        if int(v) in index and (graph.directed or u < int(v))
-    ]
-    return CSRGraph.from_edges(
-        edges,
-        num_vertices=len(keep),
+    keep = np.unique(np.asarray(vertices, dtype=np.int64))
+    neighbors, offsets = graph.gather_neighbors(keep)
+    inside = np.isin(neighbors, keep)
+    # Row i keeps the in-set arcs among neighbors[offsets[i]:offsets[i+1]];
+    # a sorted, loop-free (and, undirected, symmetric) CSR stays so.
+    kept = np.zeros(len(neighbors) + 1, dtype=np.int64)
+    np.cumsum(inside, out=kept[1:])
+    return CSRGraph(
+        kept[offsets],
+        np.searchsorted(keep, neighbors[inside]),
         directed=graph.directed,
         name=name or (graph.name + "-sub" if graph.name else "sub"),
+        validate=False,
     )
 
 

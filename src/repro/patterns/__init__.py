@@ -23,6 +23,7 @@ from .isomorphism import (
     brute_force_count,
     brute_force_embeddings,
     classify_motif,
+    connected_vertex_sets,
     find_isomorphism,
     matches_on_vertex_set,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "classify_motif",
     "brute_force_count",
     "brute_force_embeddings",
+    "connected_vertex_sets",
     "matches_on_vertex_set",
     "NUM_MOTIFS",
     "enumerate_motifs",

@@ -1,10 +1,12 @@
-"""Graph/subgraph isomorphism utilities.
+"""Graph/subgraph isomorphism utilities and the one ESU enumerator.
 
-Two distinct consumers:
+Three consumers:
 
-* the **pattern-oblivious baseline** (paper §III, Gramer-style) must test
-  every enumerated k-vertex subgraph against the query pattern — exactly
-  the cost pattern-aware systems avoid;
+* the **pattern-oblivious baseline** (paper §III, Gramer-style) and the
+  **verification oracle** both enumerate every connected k-vertex set
+  with :func:`connected_vertex_sets` and classify each one with
+  :func:`matches_on_vertex_set` — exactly the cost pattern-aware
+  systems avoid;
 * **k-motif counting** must classify each vertex-induced subgraph into its
   motif class.
 
@@ -15,7 +17,7 @@ variant with degree pruning.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .pattern import Pattern
 
@@ -25,6 +27,7 @@ __all__ = [
     "classify_motif",
     "brute_force_count",
     "brute_force_embeddings",
+    "connected_vertex_sets",
     "matches_on_vertex_set",
 ]
 
@@ -95,7 +98,7 @@ def classify_motif(
 
     Uses canonical forms so repeated classification against the same motif
     list is cheap (the caller should cache motif canonical forms if it is
-    on a hot path; the oblivious engine does).
+    on a hot path).
     """
     key = (subject.num_vertices, subject.canonical_form())
     for i, motif in enumerate(motifs):
@@ -143,6 +146,62 @@ def brute_force_embeddings(graph, pattern: Pattern, *, induced: bool):
     return sorted(matches)
 
 
+# ----------------------------------------------------------------------
+# Connected vertex sets (ESU) and their classification
+# ----------------------------------------------------------------------
+def connected_vertex_sets(graph, k: int) -> Iterator[Tuple[int, ...]]:
+    """Yield every connected k-vertex subset of ``graph`` exactly once.
+
+    ESU (Wernicke 2006): grow each subset from its minimum vertex
+    ``root``, extending only with vertices ``> root`` drawn from the
+    exclusive neighborhood of the newest member.  The enumeration order
+    is deterministic; each subset is yielded as a sorted tuple.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        for v in graph.vertices():
+            yield (v,)
+        return
+    for root in graph.vertices():
+        ext = [int(u) for u in graph.neighbors(root) if int(u) > root]
+        if ext:
+            nbh = {root, *ext}
+            yield from _esu_extend(graph, [root], ext, nbh, root, k)
+
+
+def _esu_extend(
+    graph,
+    sub: List[int],
+    ext: List[int],
+    nbh: set,
+    root: int,
+    k: int,
+) -> Iterator[Tuple[int, ...]]:
+    """Recursive ESU step.
+
+    ``nbh`` is the invariant ``sub ∪ N(sub)`` restricted to vertices
+    ``> root`` (plus ``root`` itself): a vertex already in ``nbh`` was
+    reachable at an earlier branch, so re-adding it would duplicate the
+    subset.
+    """
+    if len(sub) + 1 == k:
+        for w in ext:
+            yield tuple(sorted(sub + [w]))
+        return
+    ext = list(ext)
+    while ext:
+        w = ext.pop()
+        excl = [
+            int(u)
+            for u in graph.neighbors(w)
+            if int(u) > root and int(u) not in nbh
+        ]
+        yield from _esu_extend(
+            graph, sub + [w], ext + excl, nbh | {w, *excl}, root, k
+        )
+
+
 def matches_on_vertex_set(
     graph,
     pattern: Pattern,
@@ -158,10 +217,11 @@ def matches_on_vertex_set(
     automorphism group) per distinct match, as in
     :func:`brute_force_embeddings`; injectivity over ``combo`` means
     distinct vertex sets contribute disjoint match classes, so summing
-    over vertex sets is exact.  The verification oracle calls this on
-    *connected* vertex sets only — a connected pattern's image is always
-    connected — which is what makes it cheaper than the all-combinations
-    brute force.
+    over vertex sets is exact.  The verification oracle and the
+    pattern-oblivious baseline call this on *connected* vertex sets only
+    (:func:`connected_vertex_sets`) — a connected pattern's image is
+    always connected — which is what makes it cheaper than the
+    all-combinations brute force.
     """
     k = pattern.num_vertices
     sub = _induced_pattern(graph, combo)

@@ -6,77 +6,36 @@ would prove nothing.  The oracle breaks that dependency: it counts
 matches straight from the :mod:`repro.patterns` isomorphism machinery,
 never touching matching orders, symmetry conditions, or set-op kernels.
 
-Enumeration uses ESU (Wernicke's algorithm): every *connected* k-vertex
-set is visited exactly once, and each set is classified with
-:func:`repro.patterns.matches_on_vertex_set`.  A connected pattern's
-image under any (injective) homomorphism is connected, so restricting to
-connected vertex sets loses nothing while cutting the
-``C(n, k)``-combinations cost of the plain brute force — the oracle
-stays usable on the few-hundred-vertex graphs the fuzzer generates.
-Disconnected patterns (which the compiler rejects anyway) fall back to
-the all-combinations enumerator.
+Enumeration uses the repository's one ESU (Wernicke's algorithm),
+:func:`repro.patterns.isomorphism.connected_vertex_sets`: every
+*connected* k-vertex set is visited exactly once, and each set is
+classified with :func:`repro.patterns.matches_on_vertex_set`.  A
+connected pattern's image under any (injective) homomorphism is
+connected, so restricting to connected vertex sets loses nothing while
+cutting the ``C(n, k)``-combinations cost of the plain brute force — the
+oracle stays usable on the few-hundred-vertex graphs the fuzzer
+generates.  Disconnected patterns (which the compiler rejects anyway)
+fall back to the all-combinations enumerator.
+
+The pattern-oblivious baseline (:mod:`repro.engine.oblivious`) walks the
+same ESU and applies the same per-set rule through a memo over subgraph
+shapes, which leaves its modelled one isomorphism test per subgraph
+alone; the oracle classifies every set afresh, so it stays the plain
+reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
-from ..patterns import Pattern, brute_force_embeddings, matches_on_vertex_set
+from ..patterns import (
+    Pattern,
+    brute_force_embeddings,
+    connected_vertex_sets,
+    matches_on_vertex_set,
+)
 
 __all__ = ["connected_vertex_sets", "oracle_count", "oracle_embeddings"]
-
-
-def connected_vertex_sets(graph, k: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every connected k-vertex subset of ``graph`` exactly once.
-
-    ESU (Wernicke 2006): grow each subset from its minimum vertex
-    ``root``, extending only with vertices ``> root`` drawn from the
-    exclusive neighborhood of the newest member.  The enumeration order
-    is deterministic; each subset is yielded as a sorted tuple.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        for v in graph.vertices():
-            yield (v,)
-        return
-    for root in graph.vertices():
-        ext = [int(u) for u in graph.neighbors(root) if int(u) > root]
-        if ext:
-            nbh = {root, *ext}
-            yield from _esu_extend(graph, [root], ext, nbh, root, k)
-
-
-def _esu_extend(
-    graph,
-    sub: List[int],
-    ext: List[int],
-    nbh: set,
-    root: int,
-    k: int,
-) -> Iterator[Tuple[int, ...]]:
-    """Recursive ESU step.
-
-    ``nbh`` is the invariant ``sub ∪ N(sub)`` restricted to vertices
-    ``> root`` (plus ``root`` itself): a vertex already in ``nbh`` was
-    reachable at an earlier branch, so re-adding it would duplicate the
-    subset.
-    """
-    if len(sub) + 1 == k:
-        for w in ext:
-            yield tuple(sorted(sub + [w]))
-        return
-    ext = list(ext)
-    while ext:
-        w = ext.pop()
-        excl = [
-            int(u)
-            for u in graph.neighbors(w)
-            if int(u) > root and int(u) not in nbh
-        ]
-        yield from _esu_extend(
-            graph, sub + [w], ext + excl, nbh | {w, *excl}, root, k
-        )
 
 
 def oracle_embeddings(

@@ -2,10 +2,13 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from repro.graph import (
     CSRGraph,
+    LabeledGraph,
+    assign_random_labels,
     complete_graph,
     cycle_graph,
     erdos_renyi,
@@ -14,10 +17,18 @@ from repro.graph import (
     star_graph,
 )
 from repro.patterns import (
+    Pattern,
     brute_force_count,
+    connected_vertex_sets,
+    cycle,
     diamond,
+    edge,
+    enumerate_motifs,
     four_cycle,
+    house,
     k_clique,
+    matches_on_vertex_set,
+    path,
     tailed_triangle,
     triangle,
     wedge,
@@ -32,7 +43,13 @@ from repro.engine import (
     mine_multi,
     mine_oblivious,
 )
-from repro.verify import VerifyCase, run_case
+from repro.verify import (
+    GRAPH_FAMILIES,
+    VerifyCase,
+    oracle_count,
+    random_graph,
+    run_case,
+)
 
 RANDOM = erdos_renyi(24, 0.3, seed=77)
 
@@ -446,8 +463,16 @@ class TestOblivious:
         assert obl.counters.isomorphism_tests > 0
 
     def test_budget_enforced(self):
+        # Raised at subgraph max_subgraphs + 1, before its isomorphism
+        # test, and not at max_subgraphs.
+        total = len(list(connected_vertex_sets(RANDOM, 3)))
+        exact = mine_oblivious(RANDOM, triangle(), max_subgraphs=total)
+        assert exact.counters.subgraphs_enumerated == total
+        engine = ObliviousEngine(RANDOM, [triangle()], max_subgraphs=5)
         with pytest.raises(BudgetExceeded):
-            mine_oblivious(RANDOM, triangle(), max_subgraphs=5)
+            engine.run()
+        assert engine.counters.subgraphs_enumerated == 6
+        assert engine.counters.isomorphism_tests == 5
 
     def test_mixed_sizes_rejected(self):
         from repro.errors import ReproError
@@ -461,6 +486,86 @@ class TestOblivious:
         result = obl.run()
         expected = sum(comb(g.degree(v), 2) for v in g.vertices())
         assert result.counts[0] == expected
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", GRAPH_FAMILIES)
+    def test_twin_of_the_oracle(self, family, k):
+        """One classifier for every semantics: induced and edge-induced,
+        unlabeled, exact-labeled and wildcard patterns, all counted in
+        one run per pattern set and checked against the oracle."""
+        rng = np.random.default_rng(17 * GRAPH_FAMILIES.index(family) + k)
+        graph = assign_random_labels(random_graph(rng, family), 2, seed=k)
+        for patterns in _oblivious_pattern_sets(k):
+            for induced in (False, True):
+                got = ObliviousEngine(graph, patterns, induced=induced).run()
+                assert got.counts == tuple(
+                    oracle_count(graph, p, induced=induced) for p in patterns
+                ), (patterns, induced)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_counters_pinned_to_the_esu(self, k):
+        # The memo is host-side: the Gramer model still pays one
+        # isomorphism test per enumerated subgraph.
+        result = ObliviousEngine(RANDOM, _oblivious_pattern_sets(k)[0]).run()
+        c = result.counters
+        enumerated = len(list(connected_vertex_sets(RANDOM, k)))
+        assert c.subgraphs_enumerated == c.isomorphism_tests == enumerated
+        assert c.tasks == RANDOM.num_vertices
+        assert c.matches == sum(result.counts)
+
+    def test_labels_are_part_of_the_shape(self):
+        # Two triangles with one edge bitmask and different labels: the
+        # labeled pattern matches only the second, which a memo keyed by
+        # edges alone would answer from the first.
+        topology = CSRGraph.from_edges(
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        )
+        graph = LabeledGraph(topology, np.array([0, 0, 0, 0, 1, 2]))
+        pattern = triangle().with_labels([0, 1, 2])
+        for induced in (False, True):
+            result = ObliviousEngine(graph, [pattern], induced=induced).run(
+                collect=True
+            )
+            assert result.counts == (1,)
+            assert result.embeddings == [(3, 4, 5)]
+
+    def test_collect_repeats_each_set_per_match_class(self):
+        patterns = [four_cycle(), diamond()]
+        result = ObliviousEngine(RANDOM, patterns).run(collect=True)
+        expected = [
+            combo
+            for combo in connected_vertex_sets(RANDOM, 4)
+            for p in patterns
+            for _ in matches_on_vertex_set(RANDOM, p, combo, induced=False)
+        ]
+        assert result.embeddings == expected
+        assert len(expected) == sum(result.counts)
+        # A K4 holds three 4-cycles and six diamonds: nine entries each.
+        k5 = ObliviousEngine(complete_graph(5), patterns).run(collect=True)
+        assert k5.embeddings == [
+            combo
+            for combo in connected_vertex_sets(complete_graph(5), 4)
+            for _ in range(9)
+        ]
+        assert ObliviousEngine(RANDOM, patterns).run().embeddings is None
+
+
+def _oblivious_pattern_sets(k):
+    """Unlabeled, exact-labeled and wildcard pattern sets of size k."""
+    if k == 1:
+        base = [Pattern(1, [])]
+    elif k == 2:
+        base = [edge()]
+    elif k == 5:
+        base = [path(5), cycle(5), house(), k_clique(5)]
+    else:
+        base = list(enumerate_motifs(k))
+    return [
+        base,
+        [p.with_labels([v % 2 for v in range(k)]) for p in base],
+        [p.with_labels([0] + [None] * (k - 1)) for p in base],
+    ]
 
 
 class TestCounters:

@@ -426,19 +426,10 @@ NOT_ON_THE_MINE_PATH = (
 )
 
 
-def _cli_modules(argv):
-    """``sys.modules`` after ``python -m repro.cli *argv`` in a fresh
-    interpreter."""
-    script = (
-        "import contextlib, io, json, runpy, sys\n"
-        "sys.argv = ['flexminer'] + json.loads(sys.argv[1])\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        "        runpy.run_module('repro.cli', run_name='__main__')\n"
-        "    except SystemExit as exc:\n"
-        "        assert not exc.code, exc.code\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+def _fresh_modules(body, *argv):
+    """``sys.modules`` after running ``body`` (with ``sys.argv[1:]`` set
+    to ``argv``) in a fresh interpreter."""
+    script = body + "print(json.dumps(sorted(sys.modules)))\n"
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
@@ -447,11 +438,26 @@ def _cli_modules(argv):
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv)],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout))
+
+
+def _cli_modules(argv):
+    """``sys.modules`` after ``python -m repro.cli *argv`` in a fresh
+    interpreter."""
+    return _fresh_modules(
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = ['flexminer'] + json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('repro.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n",
+        json.dumps(argv),
+    )
 
 
 def test_mine_imports_only_what_it_mines(tmp_path):
@@ -471,6 +477,37 @@ def test_mine_imports_only_what_it_mines(tmp_path):
         ["mine", "triangle", "--graph", str(graph), "--workers", "2"]
     )
     assert "repro.engine.pool" in pooled
+
+
+def test_one_esu():
+    """The oracle's ESU is the repository's one enumerator of connected
+    vertex sets: the oblivious baseline walks it without loading the
+    verification package, and keeps no enumerator or classifier of its
+    own."""
+    import repro.verify
+    from repro.engine import oblivious
+    from repro.graph import cycle_graph
+    from repro.patterns import isomorphism, triangle
+
+    loaded = _fresh_modules("import json, sys\nimport repro.apps\n")
+    assert "repro.engine.oblivious" in loaded
+    assert not {m for m in loaded if m.startswith("repro.verify")}
+    assert (
+        repro.verify.connected_vertex_sets
+        is isomorphism.connected_vertex_sets
+    )
+    assert oblivious.connected_vertex_sets is isomorphism.connected_vertex_sets
+    engine = oblivious.ObliviousEngine(cycle_graph(5), [triangle()])
+    for name in (
+        "_extend", "_classify", "_match_classes", "_canon", "_wildcards",
+        "_pattern_edge_counts", "_adj",
+    ):
+        assert not hasattr(engine, name), name
+        assert not hasattr(oblivious, name), name
+    with open(oblivious.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    assert not re.search(r"def (_extend|_match_classes|_canon)\b", source)
+    assert "Pattern(" not in source
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -11,7 +11,13 @@ from repro.engine.setops import (
     intersect,
     remove_values,
 )
-from repro.graph import erdos_renyi, induced_subgraph, random_vertex_sample
+from repro.graph import (
+    CSRGraph,
+    erdos_renyi,
+    induced_subgraph,
+    orient_by_degree,
+    random_vertex_sample,
+)
 from repro.hw.report import SimReport
 
 
@@ -54,7 +60,53 @@ class TestSetOps:
         assert remove_values(np.array([], dtype=np.int64), [1]).tolist() == []
 
 
+def per_edge_induced_subgraph(graph, vertices, *, name=""):
+    """The per-edge builder ``induced_subgraph`` replaced: the parity
+    oracle for its numpy mask-and-renumber build."""
+    keep = sorted(set(int(v) for v in vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (index[u], index[int(v)])
+        for u in keep
+        for v in graph.neighbors(u)
+        if int(v) in index and (graph.directed or u < int(v))
+    ]
+    return CSRGraph.from_edges(
+        edges,
+        num_vertices=len(keep),
+        directed=graph.directed,
+        name=name or (graph.name + "-sub" if graph.name else "sub"),
+    )
+
+
 class TestSampling:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [0, 1, 2, 3, 4],
+            [17, 3, 29, 3, 8, 17, 0, 22],  # unsorted, duplicated
+            list(range(30)),
+            [5],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("name", ["", "halo"])
+    def test_induced_subgraph_matches_per_edge_build(
+        self, directed, vertices, name
+    ):
+        base = erdos_renyi(30, 0.3, seed=2)
+        g = orient_by_degree(base) if directed else base
+        got = induced_subgraph(g, vertices, name=name)
+        want = per_edge_induced_subgraph(g, vertices, name=name)
+        assert got.num_vertices == want.num_vertices
+        assert got.directed == want.directed == directed
+        assert got.name == want.name
+        for field in ("indptr", "indices"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+
     def test_induced_subgraph_preserves_edges(self):
         g = erdos_renyi(30, 0.3, seed=2)
         sub = induced_subgraph(g, [0, 1, 2, 3, 4])

@@ -126,6 +126,15 @@ def _cut_bands(estimates: np.ndarray, target: int) -> List[Tuple[int, int]]:
     return bands
 
 
+def _child_rows(emb: np.ndarray, parent: np.ndarray, newest) -> np.ndarray:
+    """Row ``i`` is ``emb[parent[i]]`` extended by ``newest[i]``, filled
+    in place (a ``take(out=)`` into the strided block measured slower)."""
+    rows = np.empty((len(parent), emb.shape[1] + 1), dtype=np.int64)
+    rows[:, :-1] = emb.take(parent, axis=0)
+    rows[:, -1] = newest
+    return rows
+
+
 @dataclass
 class MiningResult:
     """Outcome of a mining run."""
@@ -434,12 +443,8 @@ class PatternAwareEngine:
             self._counts[index] += kept
         if kept == 0 or (index is not None and not self.collect):
             return
-        parent = np.repeat(
-            np.arange(len(emb), dtype=np.int64), np.diff(f_offsets)
-        )
-        rows = np.concatenate(
-            [emb[parent], f_concat[:, None].astype(np.int64)], axis=1
-        )
+        parent = kernels.segment_ids(f_offsets)
+        rows = _child_rows(emb, parent, f_concat)
         if index is not None:
             self._embeddings.extend(map(tuple, rows.tolist()))
             return
@@ -502,7 +507,7 @@ class PatternAwareEngine:
         self._arc_probes += len(cands)
         keys = np.repeat(column * self._frontier_keyspace, lengths)
         keys += cands
-        hit = self._arcs[keys]
+        hit = self._arcs.take(keys)
         return hit if is_intersect else np.logical_not(hit, out=hit)
 
     def _frontier_fold(self, emb, cands, offsets, is_intersect, d):
@@ -542,36 +547,41 @@ class PatternAwareEngine:
         """Bound cut, label filter, and injectivity as per-element masks
         over the segmented candidate array."""
         self.counters.candidates_checked += len(cands)
-        lengths = np.diff(offsets)
         mask = None
-        if step.upper_bounds:
-            bounds = np.min(emb[:, list(step.upper_bounds)], axis=1)
-            mask = cands < np.repeat(bounds, lengths)
         if step.label is not None:
-            label_ok = self._labels[cands] == step.label
-            mask = label_ok if mask is None else mask & label_ok
-        if not step.covers_all_ancestors:
-            keep = self._frontier_member_mask(step, emb, cands, lengths)
-            np.logical_not(keep, out=keep)
-            mask = keep if mask is None else mask & keep
+            mask = self._labels[cands] == step.label
+        mask = self._frontier_cut(step, emb, cands, np.diff(offsets), mask)
         if mask is None:
             return cands, offsets
         return kernels.compress_segments(cands, offsets, mask)
 
-    def _frontier_member_mask(self, step, emb, cands, lengths) -> np.ndarray:
-        """Per-element mask: candidate equals one of its own row's
-        embedding vertices (the injectivity exclusions).
+    def _frontier_cut(self, step, emb, cands, lengths, mask):
+        """``mask`` (``None``: all) ANDed in place with the symmetry
+        bound (below every upper-bound column) and the injectivity
+        exclusions (unequal to the row's ancestors).
 
         Only ancestors the step does *not* connect to can match: a
         surviving candidate neighbors every depth in
         ``step.full_connected`` and no vertex neighbors itself, so the
-        mask is exact on the step's survivors — all any caller keeps.
+        cut is exact on the step's survivors — all any caller keeps.
+        No upper-bound ancestor can match a candidate below it either.
+        Comparands are spread in the candidates' dtype: a mixed-dtype
+        compare casts every element (3-4x slower).
         """
-        mask = np.zeros(len(cands), dtype=bool)
-        connected = step.full_connected
-        for j in range(emb.shape[1]):
-            if j not in connected:
-                mask |= cands == np.repeat(emb[:, j], lengths)
+        ub, columns = step.upper_bounds, []
+        if ub:
+            columns.append((np.less, np.min(emb[:, list(ub)], axis=1)
+                            if len(ub) > 1 else emb[:, ub[0]]))
+        if not step.covers_all_ancestors:
+            skip = set(step.full_connected).union(ub)
+            columns += [
+                (np.not_equal, emb[:, j])
+                for j in range(emb.shape[1]) if j not in skip
+            ]
+        for compare, column in columns:
+            spread = column.astype(cands.dtype, copy=False).repeat(lengths)
+            hit = compare(cands, spread)
+            mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
         return mask
 
     def _frontier_leaf_count(self, step, emb, stores, origins) -> int:
@@ -579,11 +589,6 @@ class PatternAwareEngine:
         with per-row symmetry bounds and injectivity exclusions folded
         into the segmented count kernel."""
         c = self.counters
-        bounds = (
-            np.min(emb[:, list(step.upper_bounds)], axis=1)
-            if step.upper_bounds
-            else None
-        )
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
         )
@@ -597,11 +602,7 @@ class PatternAwareEngine:
             other, other_offsets = self._gather_operand(
                 emb, offsets, is_intersect, d
             )
-            exclude_mask = (
-                None
-                if step.covers_all_ancestors
-                else self._frontier_member_mask(step, emb, cands, lengths)
-            )
+            keep = self._frontier_cut(step, emb, cands, lengths, None)
             raw, below = kernels.segmented_pair_count_below(
                 cands,
                 offsets,
@@ -609,25 +610,21 @@ class PatternAwareEngine:
                 other_offsets,
                 keyspace=self._frontier_keyspace,
                 intersect=is_intersect,
-                bounds=bounds,
-                exclude_mask=exclude_mask,
+                exclude_mask=None if keep is None else ~keep,
             )
             c.candidates_checked += int(raw.sum())
             return int(below.sum())
         # The last op as an arc-map mask — or pure memo reuse, no ops
         # left — then the per-embedding epilogue, batched: count under
         # the bound/injectivity masks.
+        mask = None
         if ops:
             mask = self._frontier_probe(emb, cands, lengths, *ops[-1])
             c.candidates_checked += int(np.count_nonzero(mask))
         else:
-            mask = np.ones(len(cands), dtype=bool)
             c.candidates_checked += len(cands)
-        if bounds is not None:
-            mask &= cands < np.repeat(bounds, lengths)
-        if not step.covers_all_ancestors:
-            mask &= ~self._frontier_member_mask(step, emb, cands, lengths)
-        return int(np.count_nonzero(mask))
+        mask = self._frontier_cut(step, emb, cands, lengths, mask)
+        return len(cands) if mask is None else int(np.count_nonzero(mask))
 
     def _gather_operand(self, emb, offsets, is_intersect, d):
         """Past the arc map's size cap: gather ``N(emb[:, d])`` for a

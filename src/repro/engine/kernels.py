@@ -41,6 +41,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..graph.csr import expand_segments
+
 __all__ = [
     "GALLOP_RATIO",
     "compress_segments",
@@ -195,9 +197,13 @@ def compress_segments(
     concat: np.ndarray, offsets: np.ndarray, keep: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Keep the ``keep``-masked elements of a segmented array: the
-    surviving values and their new offsets (segments may empty out)."""
-    csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-    return concat[keep], csum[offsets]
+    surviving values and their new offsets (segments may empty out).
+    ``compress`` measured as fast as a boolean index or faster on every
+    caller's masks (docs/performance.md)."""
+    csum = np.empty(len(keep) + 1, dtype=np.int64)
+    csum[0] = 0
+    np.cumsum(keep, out=csum[1:])
+    return concat.compress(keep), csum[offsets]
 
 
 def gather_segments(
@@ -212,19 +218,11 @@ def gather_segments(
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     take = np.asarray(take, dtype=np.int64)
-    starts = offsets[take]
-    lengths = offsets[take + 1] - starts
-    out_offsets = np.zeros(len(take) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    if total == 0:
-        return concat[:0], out_offsets
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_offsets[:-1], lengths)
-        + np.repeat(starts, lengths)
+    starts = offsets.take(take)
+    positions, out_offsets = expand_segments(
+        starts, offsets[1:].take(take) - starts
     )
-    return concat[positions], out_offsets
+    return concat.take(positions), out_offsets
 
 
 def _per_element_bounds(bounds, offsets: np.ndarray):
@@ -248,12 +246,13 @@ def segmented_intersect_count(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-segment ``(|seg ∩ base|, |{v ∈ seg ∩ base : v < bound}|)``.
 
-    The batch-frontier kernel: ``concat`` holds many sorted segments
-    back to back (segment ``i`` is ``concat[offsets[i]:offsets[i+1]]``,
-    typically a whole frontier's worth of adjacency slices gathered in
-    one shot) and every segment is intersected with the same sorted
-    ``base`` by a single membership probe.  Per-segment totals fall out
-    of one cumulative sum — no Python-level loop over the frontier.
+    ``concat`` holds many sorted segments back to back (segment ``i``
+    is ``concat[offsets[i]:offsets[i+1]]``) and every segment is
+    intersected with the same sorted ``base`` by a single membership
+    probe; per-segment totals fall out of one cumulative sum.  No
+    engine path calls it (the walker probes the arc map, or past its
+    cap runs the ``segmented_pair_*`` kernels): its callers are the
+    benchmark's kernel layer probe and the kernel tests.
 
     ``bounds`` is ``None`` (no vid bound), a scalar (one bound for every
     segment) or an array with one bound per segment.  Returns int64

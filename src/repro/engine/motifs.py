@@ -157,7 +157,8 @@ def _degrees(graph) -> _Degrees:
     arcs = graph.arc_map()
     if arcs is not None:
         rows = np.repeat(high * n, np.diff(offsets))
-        c = segment_sums(arcs[rows + concat], offsets)
+        rows += concat
+        c = segment_sums(arcs.take(rows), offsets)
     else:
         other, other_offsets = graph.gather_neighbors(high)
         c, _ = segmented_pair_count_below(

@@ -27,6 +27,7 @@ __all__ = [
     "SharedCSRBuffers",
     "attach_array",
     "attach_shared_csr",
+    "expand_segments",
     "share_array",
     "worker_context",
 ]
@@ -42,6 +43,35 @@ _MAX_VERTICES = int(np.iinfo(_VERTEX_DTYPE).max) + 1
 #: neighbor lists — the software shape of the paper's c-map overflow
 #: -> SIU/SDU fallback, selected by graph size alone.
 ARC_MAP_MAX_BYTES = 1 << 24
+
+#: The shared read-only ``0, 1, 2, ...`` ramp of :func:`expand_segments`,
+#: at most ``_RAMP_MAX`` long: the walker's band budget (a band's
+#: gathers fit), 128 KB.  It grows only by replacement, so a thread
+#: holding the old one still reads a valid array.
+_RAMP_MAX = 1 << 14
+_ramp = np.arange(0, dtype=np.int64)
+
+
+def expand_segments(starts, lengths) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    segment laid end to end (never a view of the ramp), and offsets.
+
+    Two passes over the elements: one ``repeat`` of each segment's
+    shift, one add of the shared ramp."""
+    global _ramp
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    total = int(offsets[-1])
+    ramp = _ramp
+    if total > len(ramp):
+        ramp = np.arange(max(total, min(2 * total, _RAMP_MAX)))
+        if total <= _RAMP_MAX:
+            ramp.flags.writeable = False
+            _ramp = ramp
+    positions = (np.asarray(starts) - offsets[:-1]).repeat(lengths)
+    positions += ramp[:total]
+    return positions, offsets
 
 
 class CSRGraph:
@@ -288,27 +318,16 @@ class CSRGraph:
 
         Returns ``(concat, offsets)`` where the neighbor list of
         ``vertices[i]`` is ``concat[offsets[i]:offsets[i+1]]``.  The
-        gather is fully vectorized (one fancy-index over ``indices``),
-        which is what the engine's batch-frontier leaf kernel feeds to
-        :func:`repro.engine.kernels.segmented_intersect_count` — a whole
-        frontier of adjacency slices in one call instead of one
-        ``neighbors()`` view per Python-loop iteration.
+        gather is one :func:`expand_segments` and one ``take`` over
+        ``indices``; it loads the walkers' unmemoized first operands
+        (and past the arc map's cap their other operands), the trace
+        walker's c-map inserts and the k-MC codegree pass's lists.
         """
         verts = np.asarray(vertices, dtype=np.int64)
-        starts = self._indptr[verts]
-        lengths = self._indptr[verts + 1] - starts
-        offsets = np.zeros(len(verts) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return self._indices[:0], offsets
-        # positions[k] walks each segment: segment start + local offset.
-        positions = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets[:-1], lengths)
-            + np.repeat(starts, lengths)
+        positions, offsets = expand_segments(
+            self._indptr[verts], self.degrees()[verts]
         )
-        return self._indices[positions], offsets
+        return self._indices.take(positions), offsets
 
     def has_edge(self, u: int, v: int) -> bool:
         """Connectivity test via binary search on u's sorted neighbor list."""

@@ -44,6 +44,7 @@ from ..engine.counters import merge_iterations
 from ..engine.explore import (
     _FRONTIER_BAND_ELEMS,
     PatternAwareEngine,
+    _child_rows,
     _cut_bands,
 )
 from ..engine.kernels import (
@@ -53,6 +54,7 @@ from ..engine.kernels import (
     segment_sums,
 )
 from ..engine.parallel import Task
+from ..graph.csr import expand_segments
 from .cmap import HardwareCMap
 from .config import FlexMinerConfig
 from .events import (
@@ -148,10 +150,9 @@ class _Events:
         args = np.empty((2, len(codes)), dtype=np.int64)
         start = offsets[:-1].copy()
         for part, length in zip(full, lengths):
-            at = np.repeat(start - part.offsets[:-1], length)
-            at += np.arange(len(part.codes))
+            at = expand_segments(start, length)[0]
             codes[at] = part.codes
-            args[:, at] = part.args
+            args[0, at], args[1, at] = part.args  # 2-D scatter: ~2x slower
             start += length
         return cls(codes, args, offsets)
 
@@ -319,14 +320,14 @@ class WalkTracer(PatternAwareEngine):
             return events
         if len(f_concat) == 0:
             return events
-        parent = np.repeat(np.arange(n, dtype=np.int64), np.diff(f_offsets))
+        parent = segment_ids(f_offsets)
         below = [o if o is None else o[parent] for o in origins]
         below[step.depth] = parent
         stores[step.depth] = (cands, offsets)
         self._path[step.depth] = step
         spawned = self._subtree(
             child,
-            np.concatenate([emb[parent], f_concat[:, None]], axis=1),
+            _child_rows(emb, parent, f_concat),
             stores, below, rows.take(parent),
         )
         return _Events.interleave([events, spawned.grouped(f_offsets)])
@@ -455,13 +456,12 @@ class WalkTracer(PatternAwareEngine):
         part, pieces = self._chunks[rows.task].T
         if (pieces == 1).all():
             return values, offsets
-        size = np.diff(offsets)
-        quotient, remainder = np.divmod(size, pieces)
+        quotient, remainder = np.divmod(np.diff(offsets), pieces)
         lo = part * quotient + np.minimum(part, remainder)
-        hi = lo + quotient + (part < remainder)
-        pos = np.arange(len(values)) - np.repeat(offsets[:-1], size)
-        keep = (pos >= np.repeat(lo, size)) & (pos < np.repeat(hi, size))
-        return compress_segments(values, offsets, keep)
+        at, kept = expand_segments(
+            offsets[:-1] + lo, quotient + (part < remainder)
+        )
+        return values.take(at), kept
 
     def _tally(self, rows, mask, **fields) -> None:
         """Add per-row stat contributions (where ``mask``) to the

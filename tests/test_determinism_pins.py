@@ -22,7 +22,10 @@ without the arc map, one ``run_task`` per root, with every row run as
 a one-row band, the reference).  The differential
 matrix only checks that the paths agree with each other; these
 literals also catch a change to the merge-model charge made the same
-way on every path.
+way on every path.  ``FRONTIER_STATS_PINS`` pins the walker's host
+traffic for the same plans (``frontier_stats()`` with and without the
+arc map): a kernel rewrite that changes the banding or the elements
+gathered and probed fails there even when every charge holds.
 """
 
 import hashlib
@@ -410,3 +413,45 @@ class TestCounterPins:
         graph, plan = COUNTER_PLANS[plan_name]
         got = _mine_counters(path, graph, plan, monkeypatch)
         assert got == COUNTER_PINS[plan_name]
+
+
+def _stats(rows, bands, peak, gathered, probes):
+    return {
+        "rows_expanded": rows,
+        "bands": bands,
+        "peak_width": peak,
+        "fallbacks": 0,
+        "elems_gathered": gathered,
+        "arc_probes": probes,
+    }
+
+
+#: (plan, path) -> the walker's frontier_stats() after one run().
+FRONTIER_STATS_PINS = {
+    ("4-CL", "walker"): _stats(321, 3, 189, 983, 794),
+    ("4-CL", "keyed"): _stats(321, 3, 189, 2240, 0),
+    ("4-cycle", "walker"): _stats(775, 3, 586, 7999, 5711),
+    ("4-cycle", "keyed"): _stats(775, 3, 586, 14370, 0),
+    ("tailed-triangle", "walker"): _stats(585, 3, 396, 6717, 1956),
+    ("tailed-triangle", "keyed"): _stats(585, 3, 396, 8627, 0),
+    ("labeled-TC", "walker"): _stats(91, 2, 91, 1081, 864),
+    ("labeled-TC", "keyed"): _stats(91, 2, 91, 2033, 0),
+    ("3-MC", "walker"): _stats(567, 3, 378, 6578, 5822),
+    ("3-MC", "keyed"): _stats(567, 3, 378, 12354, 0),
+}
+
+
+class TestFrontierStatsPins:
+    """Literal walker host traffic, with and without the arc map."""
+
+    @pytest.mark.parametrize(
+        "plan_name,path", sorted(FRONTIER_STATS_PINS), ids=lambda x: str(x)
+    )
+    def test_frontier_stats_pinned(self, plan_name, path, monkeypatch):
+        if path == "keyed":
+            monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", 0)
+        graph, plan = COUNTER_PLANS[plan_name]
+        engine = PatternAwareEngine(graph, plan)
+        engine.run()
+        got = engine.frontier_stats()
+        assert got == FRONTIER_STATS_PINS[plan_name, path]

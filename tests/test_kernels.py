@@ -20,6 +20,9 @@ from repro.engine.kernels import (
     intersect_values,
     members_mask,
 )
+from repro.graph import csr
+from repro.graph.csr import expand_segments
+from repro.hw.walktrace import _Events
 
 #: name -> (intersect, difference): each private branch forced on every
 #: input, plus the dispatcher that picks between them by operand size.
@@ -402,3 +405,203 @@ def test_gather_neighbors_matches_per_vertex_views():
             np.testing.assert_array_equal(
                 concat[offsets[i]:offsets[i + 1]], g.neighbors(v)
             )
+
+
+# ----------------------------------------------------------------------
+# Segment expansion, gathers, compaction: per-segment slice references
+# ----------------------------------------------------------------------
+#: Segments as lists of small ints: empty segments, a zero total (every
+#: segment empty, or none at all) and single elements all appear.
+segment_lists = st.lists(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=9),
+    max_size=10,
+)
+
+
+def _flat(segments, dtype=np.int64):
+    concat = np.array([v for s in segments for v in s], dtype=dtype)
+    offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in segments], out=offsets[1:])
+    return concat, offsets
+
+
+def _assert_segments(concat, offsets, want):
+    assert offsets[0] == 0 and offsets[-1] == len(concat)
+    assert [s.tolist() for s in _segments_of(concat, offsets)] == [
+        list(w) for w in want
+    ]
+
+
+@pytest.fixture
+def small_ramp(monkeypatch):
+    """A 16-element ramp cap, starting from an empty shared ramp."""
+    monkeypatch.setattr(csr, "_RAMP_MAX", 16)
+    monkeypatch.setattr(csr, "_ramp", np.arange(0, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=50),
+            st.integers(min_value=0, max_value=12),
+        ),
+        max_size=10,
+    ),
+    as_type=st.sampled_from(["int64", "int32", "list"]),
+)
+def test_property_expand_segments(spans, as_type):
+    starts = [s for s, _ in spans]
+    lengths = [n for _, n in spans]
+    if as_type != "list":
+        starts = np.asarray(starts, dtype=as_type)
+        lengths = np.asarray(lengths, dtype=as_type)
+    positions, offsets = expand_segments(starts, lengths)
+    _assert_segments(
+        positions, offsets, [range(s, s + n) for s, n in spans]
+    )
+
+
+@pytest.mark.parametrize("totals", [[3, 9, 40, 16, 17, 2, 64, 5]])
+def test_expand_segments_ramp_growth_past_cap(small_ramp, totals):
+    """The shared ramp grows by replacement up to its cap; longer
+    expansions build their own, and the ramp never grows past it."""
+    for total in totals:
+        held = csr._ramp
+        positions, offsets = expand_segments([7, 100], [total, 1])
+        _assert_segments(
+            positions, offsets, [range(7, 7 + total), [100]]
+        )
+        assert len(csr._ramp) <= 16
+        assert not csr._ramp.flags.writeable
+        # a ramp handed out earlier is replaced, never written
+        np.testing.assert_array_equal(held, np.arange(len(held)))
+    assert len(csr._ramp) == 16
+
+
+@pytest.mark.parametrize("total", [0, 5, 16, 30])
+def test_expand_segments_never_aliases_the_ramp(small_ramp, total):
+    first, _ = expand_segments([0], [total])
+    assert not np.shares_memory(first, csr._ramp)
+    first += 1000
+    again, _ = expand_segments([0], [total])
+    np.testing.assert_array_equal(again, np.arange(total))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(min_value=0, max_value=79), max_size=12),
+    as_type=st.sampled_from(["int64", "int32", "list"]),
+)
+def test_property_gather_neighbors(picks, as_type):
+    """Repeated and out-of-order vertices, isolated ones (empty
+    segments) and an empty pick list (zero total)."""
+    g = _GATHER_GRAPH
+    verts = picks if as_type == "list" else np.asarray(picks, dtype=as_type)
+    concat, offsets = g.gather_neighbors(verts)
+    _assert_segments(concat, offsets, [g.neighbors(v) for v in picks])
+    assert concat.dtype == g.indices.dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=segment_lists,
+    picks=st.lists(st.integers(min_value=0, max_value=99), max_size=12),
+    as_type=st.sampled_from(["int64", "int32", "list"]),
+)
+def test_property_gather_segments(segments, picks, as_type):
+    concat, offsets = _flat(segments, np.int32)
+    take = [p % len(segments) for p in picks] if segments else []
+    if as_type != "list":
+        take = np.asarray(take, dtype=as_type)
+    got, got_offsets = kernels.gather_segments(concat, offsets, take)
+    _assert_segments(got, got_offsets, [segments[t] for t in take])
+    assert got.dtype == concat.dtype
+    # the output owns its values: writing it leaves the input and a
+    # second gather untouched
+    got += 1
+    again, _ = kernels.gather_segments(concat, offsets, take)
+    _assert_segments(again, got_offsets, [segments[t] for t in take])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=segment_lists,
+    fill=st.sampled_from(["random", "none", "all"]),
+    data=st.data(),
+)
+def test_property_compress_segments(segments, fill, data):
+    concat, offsets = _flat(segments)
+    if fill == "random":
+        keep = np.array(
+            data.draw(st.lists(
+                st.booleans(), min_size=len(concat), max_size=len(concat)
+            )),
+            dtype=bool,
+        )
+    else:
+        keep = np.full(len(concat), fill == "all")
+    got, got_offsets = kernels.compress_segments(concat, offsets, keep)
+    want = [
+        seg[k].tolist()
+        for seg, k in zip(
+            _segments_of(concat, offsets), _segments_of(keep, offsets)
+        )
+    ]
+    _assert_segments(got, got_offsets, want)
+
+
+def _events(rows, code):
+    """Per-row event streams: row ``i`` holds ``rows[i]`` events with
+    code ``code`` and arguments ``(value, -value)``."""
+    values = np.array([v for r in rows for v in r], dtype=np.int64)
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return _Events(
+        np.full(len(values), code, dtype=np.int8),
+        np.stack([values, -values]).reshape(2, -1),
+        offsets,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nrows=st.integers(min_value=0, max_value=6),
+    data=st.data(),
+)
+def test_property_events_interleave(nrows, data):
+    """Row ``i`` of the result is row ``i`` of every part in order,
+    with empty parts, empty rows and all-empty inputs."""
+    parts_rows = data.draw(st.lists(
+        st.lists(
+            st.lists(st.integers(0, 99), max_size=4),
+            min_size=nrows, max_size=nrows,
+        ),
+        min_size=1, max_size=4,
+    ))
+    parts = [_events(rows, code) for code, rows in enumerate(parts_rows)]
+    got = _Events.interleave(parts)
+    want_codes, want_values = [], []
+    for i in range(nrows):
+        want_codes.append([])
+        want_values.append([])
+        for code, rows in enumerate(parts_rows):
+            want_codes[-1] += [code] * len(rows[i])
+            want_values[-1] += rows[i]
+    _assert_segments(got.codes.astype(np.int64), got.offsets, want_codes)
+    _assert_segments(got.args[0], got.offsets, want_values)
+    np.testing.assert_array_equal(got.args[1], -got.args[0])
+
+
+def _gather_graph():
+    from repro.graph import power_law_cluster
+
+    g = power_law_cluster(60, 2, 0.4, seed=4)
+    # vertices 60..79 are isolated: empty neighbor segments
+    concat, offsets = g.gather_neighbors(np.arange(60))
+    return csr.CSRGraph(
+        np.concatenate([offsets, np.full(20, offsets[-1])]), concat
+    )
+
+
+_GATHER_GRAPH = _gather_graph()

@@ -100,25 +100,45 @@ def choose_matching_order(pattern: Pattern) -> Tuple[int, ...]:
     Primary key: prefix-density score (denser prefixes prune more).
     Ties break by symmetry-bound tightness (earlier, tighter bounds
     shrink the tree further), then by the permutation itself so the
-    result is stable across runs.
+    result is stable across runs.  That is ``max`` over
+    :func:`enumerate_matching_orders`, found without scoring every
+    order: only the densest prefixes of each length grow (exact: any
+    connected prefix extends to a full connected order), and tightness
+    is scored once per automorphism class (an automorphism keeps the
+    depth-space conditions; the class's smallest order stands in).
     """
     if pattern.is_clique():
         # Every order of a clique is equivalent (full symmetry); skip
         # the k! enumeration that large k-CL patterns would otherwise
         # trigger.
         return tuple(pattern.vertices())
-    orders = enumerate_matching_orders(pattern)
-    best_density = max(score_matching_order(pattern, o) for o in orders)
-    finalists = [
-        o for o in orders if score_matching_order(pattern, o) == best_density
-    ]
-    return max(
-        finalists,
-        key=lambda order: (
-            _bound_tightness(pattern, order),
-            tuple(-v for v in order),
-        ),
-    )
+    if not pattern.is_connected():
+        raise CompileError("pattern must be connected")
+    # (prefix, edges inside it), in lexicographic prefix order; every
+    # kept prefix has the same (maximal) score vector so far.
+    prefixes = [((v,), 0) for v in pattern.vertices()]
+    for _ in range(1, pattern.num_vertices):
+        grown = []
+        for prefix, edges in prefixes:
+            placed = set(prefix)
+            for v in pattern.vertices():
+                gain = 0 if v in placed else len(pattern.neighbors(v) & placed)
+                if gain:
+                    grown.append((prefix + (v,), edges + gain))
+        densest = max(edges for _, edges in grown)
+        prefixes = [(p, e) for p, e in grown if e == densest]
+    autos = pattern.automorphisms()
+    seen: set = set()
+    best: Tuple[int, ...] = ()
+    best_key: Tuple[int, ...] = ()
+    for order, _ in prefixes:
+        if order in seen:
+            continue
+        seen.update(tuple(perm[v] for v in order) for perm in autos)
+        key = _bound_tightness(pattern, order)
+        if not best or key > best_key:
+            best, best_key = order, key
+    return best
 
 
 def connected_ancestors(

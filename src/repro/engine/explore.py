@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..compiler.plan import ExecutionPlan, MultiPlan, PlanNode, VertexStep
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, expand_segments
 from ..graph.orientation import orient_by_degree
 from ..obs import NULL_PROFILER
 from . import kernels
@@ -126,6 +126,22 @@ def _cut_bands(estimates: np.ndarray, target: int) -> List[Tuple[int, int]]:
     return bands
 
 
+def _bound_column(step: VertexStep, emb: np.ndarray) -> np.ndarray:
+    """Per row, the smallest upper-bound ancestor: the step's vid bound."""
+    ub = step.upper_bounds
+    return np.min(emb[:, list(ub)], axis=1) if len(ub) > 1 else emb[:, ub[0]]
+
+
+def _excluded(step: VertexStep, width: int) -> List[int]:
+    """Ancestor depths a step's survivors could equal: not the connected
+    ones (no vertex neighbors itself), nor the bounds (none lies below
+    itself)."""
+    if step.covers_all_ancestors:
+        return []
+    skip = set(step.full_connected).union(step.upper_bounds)
+    return [j for j in range(width) if j not in skip]
+
+
 def _child_rows(emb: np.ndarray, parent: np.ndarray, newest) -> np.ndarray:
     """Row ``i`` is ``emb[parent[i]]`` extended by ``newest[i]``, filled
     in place (a ``take(out=)`` into the strided block measured slower)."""
@@ -175,8 +191,11 @@ class PatternAwareEngine:
     graph's :meth:`~repro.graph.CSRGraph.arc_map` (the software c-map)
     on graphs of up to 4096 vertices, a second gather and a keyed binary
     search past that (the overflow -> SIU/SDU fallback), with identical
-    charges.  Every charge is a closed-form sum over rows, so counts and
-    counters do not depend on the banding.
+    charges.  A step with no set operation gathers only each row's
+    prefix below its bound, and nothing at a count-only leaf: a rank in
+    :meth:`~repro.graph.CSRGraph.arc_keys` (the pruner's bound cut).
+    Every charge is a closed-form sum over rows, so counts and counters
+    do not depend on the banding.
 
     Parameters
     ----------
@@ -427,7 +446,9 @@ class PatternAwareEngine:
             kept = self._frontier_leaf_count(step, emb, stores, origins)
         else:
             raw = self._frontier_raw(step, emb, stores, origins)
-            f_concat, f_offsets = self._frontier_filter(step, emb, *raw)
+            f_concat, f_offsets = self._frontier_filter(
+                step, emb, *raw, ranked=self._ranked(step)
+            )
             if step.depth == 1 and self._chunk is not None:
                 part, total = self._chunk
                 f_concat = np.array_split(f_concat, total)[part]
@@ -516,7 +537,7 @@ class PatternAwareEngine:
         or past the map's size cap a gather + keyed binary search."""
         if self._arcs is not None:
             keep = self._frontier_probe(
-                emb, cands, np.diff(offsets), is_intersect, d
+                emb, cands, offsets[1:] - offsets[:-1], is_intersect, d
             )
             return kernels.compress_segments(cands, offsets, keep)
         other, other_offsets = self._gather_operand(
@@ -533,7 +554,14 @@ class PatternAwareEngine:
 
     def _frontier_raw(self, step, emb, stores, origins):
         """A step's unbounded candidate sets: one segmented op per plan
-        operation instead of one per embedding row."""
+        operation instead of one per embedding row.  A ranked step's are
+        each row's prefix of ``N(v_e)`` below the bound, the only
+        elements gathered (never a memo base, so no store is cut)."""
+        if self._ranked(step):
+            starts, ranks, _ = self._frontier_ranks(step, emb)
+            positions, offsets = expand_segments(starts, ranks)
+            self._elems_gathered += len(positions)
+            return self._work_graph.indices.take(positions), offsets
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
         )
@@ -543,52 +571,95 @@ class PatternAwareEngine:
             )
         return cands, offsets
 
-    def _frontier_filter(self, step, emb, cands, offsets):
+    def _frontier_filter(self, step, emb, cands, offsets, *, ranked=False):
         """Bound cut, label filter, and injectivity as per-element masks
-        over the segmented candidate array."""
-        self.counters.candidates_checked += len(cands)
+        over the segmented candidate array (a ``ranked`` prefix is
+        charged and cut at the bound already)."""
+        if not ranked:
+            self.counters.candidates_checked += len(cands)
         mask = None
         if step.label is not None:
             mask = self._labels[cands] == step.label
-        mask = self._frontier_cut(step, emb, cands, np.diff(offsets), mask)
+        mask = self._frontier_cut(
+            step, emb, cands, offsets[1:] - offsets[:-1], mask,
+            bounded=not ranked,
+        )
         if mask is None:
             return cands, offsets
         return kernels.compress_segments(cands, offsets, mask)
 
-    def _frontier_cut(self, step, emb, cands, lengths, mask):
+    def _frontier_cut(self, step, emb, cands, lengths, mask, bounded=True):
         """``mask`` (``None``: all) ANDed in place with the symmetry
-        bound (below every upper-bound column) and the injectivity
-        exclusions (unequal to the row's ancestors).
-
-        Only ancestors the step does *not* connect to can match: a
-        surviving candidate neighbors every depth in
-        ``step.full_connected`` and no vertex neighbors itself, so the
-        cut is exact on the step's survivors — all any caller keeps.
-        No upper-bound ancestor can match a candidate below it either.
-        Comparands are spread in the candidates' dtype: a mixed-dtype
-        compare casts every element (3-4x slower).
+        bound (below every upper-bound column, unless not ``bounded``)
+        and the injectivity exclusions (unequal to the :func:`_excluded`
+        ancestors), exact on the step's survivors — all any caller
+        keeps.  Comparands are spread in the candidates' dtype: a
+        mixed-dtype compare casts every element (3-4x slower).
         """
-        ub, columns = step.upper_bounds, []
-        if ub:
-            columns.append((np.less, np.min(emb[:, list(ub)], axis=1)
-                            if len(ub) > 1 else emb[:, ub[0]]))
-        if not step.covers_all_ancestors:
-            skip = set(step.full_connected).union(ub)
-            columns += [
-                (np.not_equal, emb[:, j])
-                for j in range(emb.shape[1]) if j not in skip
-            ]
+        columns = []
+        if step.upper_bounds and bounded:
+            columns.append((np.less, _bound_column(step, emb)))
+        columns += [
+            (np.not_equal, emb[:, j]) for j in _excluded(step, emb.shape[1])
+        ]
         for compare, column in columns:
             spread = column.astype(cands.dtype, copy=False).repeat(lengths)
             hit = compare(cands, spread)
             mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
         return mask
 
+    def _ranked(self, step: VertexStep) -> bool:
+        """The step reads ``N(v_e)`` and runs no set operation on it, so
+        each row's survivors lie in the prefix below its bound: a rank,
+        one binary search in :meth:`~repro.graph.CSRGraph.arc_keys`."""
+        return not (
+            step.ops
+            or step.memoize_frontier
+            or (self.use_frontier_memo and step.base_step is not None)
+        )
+
+    def _frontier_ranks(self, step, emb):
+        """Per row of a ranked step: where ``N(v_e)`` starts in
+        ``indices``, how many of its elements lie below the bound (the
+        degree when unbounded) and the bound column (``None``).  Charged
+        as the whole lists: adjacency reads, checks and memo misses."""
+        graph, ext = self._work_graph, emb[:, step.extender]
+        starts, degrees = graph.indptr[ext], graph.degrees()[ext]
+        total = int(degrees.sum())
+        self.counters.charge_adjacency(len(emb), total)
+        self.counters.candidates_checked += total
+        if step.base_step is not None:
+            self.counters.frontier_misses += len(emb)
+        if not step.upper_bounds:
+            return starts, degrees, None
+        bound = _bound_column(step, emb)
+        keys = ext * self._frontier_keyspace + bound
+        return starts, graph.arc_keys().searchsorted(keys) - starts, bound
+
     def _frontier_leaf_count(self, step, emb, stores, origins) -> int:
-        """A leaf level counted in one pass without materializing it,
-        with per-row symmetry bounds and injectivity exclusions folded
-        into the segmented count kernel."""
+        """A leaf level counted in one pass without materializing it.
+
+        A ranked leaf gathers nothing: per row, the rank of the bound in
+        ``N(v_e)`` (the degree when unbounded) less each excluded
+        ancestor in ``N(v_e)`` below the bound (an arc-map load, or a
+        keyed search past the cap).  Any other leaf folds its last set
+        operation, the per-row symmetry bounds and the injectivity
+        exclusions into one segmented count."""
         c = self.counters
+        if self._ranked(step):
+            _, ranks, bound = self._frontier_ranks(step, emb)
+            count = int(ranks.sum())
+            row = emb[:, step.extender] * self._frontier_keyspace
+            for j in _excluded(step, emb.shape[1]):
+                keys = row + emb[:, j]
+                hit = (
+                    kernels.members_mask(keys, self._work_graph.arc_keys())
+                    if self._arcs is None else self._arcs.take(keys)
+                )
+                if bound is not None:
+                    hit &= emb[:, j] < bound
+                count -= int(np.count_nonzero(hit))
+            return count
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
         )
@@ -596,7 +667,7 @@ class PatternAwareEngine:
             cands, offsets = self._frontier_fold(
                 emb, cands, offsets, is_intersect, d
             )
-        lengths = np.diff(offsets)
+        lengths = offsets[1:] - offsets[:-1]
         if ops and self._arcs is None:
             is_intersect, d = ops[-1]
             other, other_offsets = self._gather_operand(
@@ -615,8 +686,8 @@ class PatternAwareEngine:
             c.candidates_checked += int(raw.sum())
             return int(below.sum())
         # The last op as an arc-map mask — or pure memo reuse, no ops
-        # left — then the per-embedding epilogue, batched: count under
-        # the bound/injectivity masks.
+        # left (a ranked leaf never gets here) — then the per-embedding
+        # epilogue, batched: count under the bound/injectivity masks.
         mask = None
         if ops:
             mask = self._frontier_probe(emb, cands, lengths, *ops[-1])

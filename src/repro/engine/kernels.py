@@ -189,7 +189,7 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def segment_ids(offsets: np.ndarray) -> np.ndarray:
     """Segment index of every element of a segmented array."""
-    lengths = np.diff(offsets)
+    lengths = offsets[1:] - offsets[:-1]
     return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
 
 
@@ -229,13 +229,12 @@ def _per_element_bounds(bounds, offsets: np.ndarray):
     """Expand per-segment bounds to one comparand per element.
 
     A scalar bound broadcasts as-is; an array of one bound per segment
-    is repeated across each segment's elements.  Both the counting and
-    the materializing segmented kernels compare through this single
-    helper, so the scalar and vector cases share one code path.
+    is repeated across each segment's elements, so the scalar and
+    vector cases of :func:`segmented_intersect_count` share one compare.
     """
     if np.ndim(bounds) == 0:
         return bounds
-    return np.repeat(np.asarray(bounds), np.diff(offsets))
+    return np.repeat(np.asarray(bounds), offsets[1:] - offsets[:-1])
 
 
 def segmented_intersect_count(
@@ -335,20 +334,18 @@ def segmented_pair_count_below(
     *,
     keyspace: int,
     intersect: bool = True,
-    bounds=None,
     exclude_mask: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise multi-way count: set op + bound + exclusion in one pass.
+    """Row-wise multi-way count: set op + exclusion in one pass.
 
-    Per row ``i`` this computes ``(|r_i|, |{v ∈ r_i : v < bound_i,
-    not excluded}|)`` where ``r_i`` is ``a_i ∩ b_i`` (``intersect=True``)
-    or ``a_i \\ b_i`` — the count-only leaf of the frontier engine, with
-    the symmetry bound and the injectivity exclusions folded into the
-    same masked reduction instead of a second pass.  ``bounds`` is
-    ``None``/scalar/per-row as in :func:`segmented_intersect_count`;
-    ``exclude_mask`` is a per-element boolean over ``a_concat`` marking
-    values that must not count toward the bounded total (the caller
-    marks its row's embedding vertices).
+    Per row ``i`` this computes ``(|r_i|, |{v ∈ r_i : not excluded}|)``
+    where ``r_i`` is ``a_i ∩ b_i`` (``intersect=True``) or ``a_i \\
+    b_i`` — the keyed count-only leaf of the frontier engine, with the
+    symmetry bound and the injectivity exclusions folded into the same
+    masked reduction instead of a second pass.  ``exclude_mask`` is a
+    per-element boolean over ``a_concat`` marking values that must not
+    count toward the second total (the walker marks candidates at or
+    above the row's bound and equal to its ancestors).
     """
     a_offsets = np.asarray(a_offsets, dtype=np.int64)
     nseg = len(a_offsets) - 1
@@ -361,11 +358,6 @@ def segmented_pair_count_below(
         hit = _pair_hit(a_concat, a_offsets, b_concat, b_offsets, keyspace)
     result = hit if intersect else ~hit
     raw = segment_sums(result, a_offsets)
-    below_mask = result
-    if bounds is not None:
-        below_mask = below_mask & (
-            a_concat < _per_element_bounds(bounds, a_offsets)
-        )
-    if exclude_mask is not None:
-        below_mask = below_mask & ~exclude_mask
-    return raw, segment_sums(below_mask, a_offsets)
+    if exclude_mask is None:
+        return raw, raw.copy()
+    return raw, segment_sums(result & ~exclude_mask, a_offsets)

@@ -156,7 +156,7 @@ def _degrees(graph) -> _Degrees:
     concat, offsets = graph.gather_neighbors(low)
     arcs = graph.arc_map()
     if arcs is not None:
-        rows = np.repeat(high * n, np.diff(offsets))
+        rows = np.repeat(high * n, offsets[1:] - offsets[:-1])
         rows += concat
         c = segment_sums(arcs.take(rows), offsets)
     else:

@@ -100,7 +100,7 @@ class CSRGraph:
 
     __slots__ = (
         "_indptr", "_indices", "_directed", "_name", "_degrees",
-        "_arc_map", "_oriented", "_shm",
+        "_arc_map", "_arc_keys", "_oriented", "_shm",
     )
 
     def __init__(
@@ -124,6 +124,7 @@ class CSRGraph:
         self._name = name
         self._degrees: Optional[np.ndarray] = None
         self._arc_map: Optional[np.ndarray] = None
+        self._arc_keys: Optional[np.ndarray] = None
         #: Degree-oriented DAG of this graph, filled in by
         #: :func:`repro.graph.orient_by_degree` on first use.
         self._oriented: Optional["CSRGraph"] = None
@@ -291,11 +292,26 @@ class CSRGraph:
             # Build into a local, freeze, then publish with a single
             # assignment: racing threads each see None or a finished map.
             arcs = np.zeros(n * n, dtype=bool)
-            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            arcs[rows * n + self._indices] = True
+            arcs[self.arc_keys()] = True
             arcs.flags.writeable = False
             self._arc_map = arcs
         return self._arc_map
+
+    def arc_keys(self) -> np.ndarray:
+        """Sorted int64 key ``u * n + v`` of every arc, in ``indices``
+        order (``n`` = ``num_vertices``; int32 ids keep keys in range),
+        cached and read-only like :meth:`arc_map`.  The rank of ``b`` in
+        ``N(u)`` is ``arc_keys().searchsorted(u * n + b) - indptr[u]``:
+        one binary search per row instead of a gather of the list.  Not
+        exported to shared memory; each process builds its own.
+        """
+        if self._arc_keys is None:
+            n = self.num_vertices
+            keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.degrees())
+            keys += self._indices
+            keys.flags.writeable = False
+            self._arc_keys = keys
+        return self._arc_keys
 
     def max_degree(self) -> int:
         if self.num_vertices == 0:

@@ -202,7 +202,7 @@ class ReplayColumns:
         self.col_b = np.where(touch, span, col_b).tolist()
         self.mem_busy = (
             mem_pos - np.arange(len(mem_pos))
-            - np.repeat(busy_lo[:-1], np.diff(mem_lo))
+            - np.repeat(busy_lo[:-1], mem_lo[1:] - mem_lo[:-1])
         ).tolist()
         self.mem_lo = mem_lo.tolist()
         self.busy = busy.tolist()

@@ -143,7 +143,7 @@ class _Events:
         full = [p for p in parts if len(p.codes)]
         if len(full) <= 1:
             return full[0] if full else parts[0]
-        lengths = [np.diff(p.offsets) for p in full]
+        lengths = [p.offsets[1:] - p.offsets[:-1] for p in full]
         offsets = np.zeros(len(lengths[0]) + 1, dtype=np.int64)
         np.cumsum(np.sum(lengths, axis=0), out=offsets[1:])
         codes = np.empty(int(offsets[-1]), dtype=np.int8)
@@ -266,7 +266,7 @@ class WalkTracer(PatternAwareEngine):
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
         )
-        width = np.diff(offsets)
+        width = offsets[1:] - offsets[:-1]
         cols: List = []
         if step.base_step is not None:
             if self._path[step.base_step].memoize_frontier:
@@ -293,7 +293,7 @@ class WalkTracer(PatternAwareEngine):
             for is_intersect, d in ops:
                 other = emb[:, d]
                 cycles = merge_iterations(
-                    np.diff(offsets), degrees[other]
+                    offsets[1:] - offsets[:-1], degrees[other]
                 )
                 cols += self._fetch(other, degrees[other], siu)
                 cols.append(
@@ -303,7 +303,7 @@ class WalkTracer(PatternAwareEngine):
                 cands, offsets = self._frontier_fold(
                     emb, cands, offsets, is_intersect, d
                 )
-        raw = np.diff(offsets)
+        raw = offsets[1:] - offsets[:-1]
         cols.append((EV_BUSY, raw, 0, None))
         self._tally(rows, None, pruner_cycles=raw)
         if step.memoize_frontier:
@@ -316,7 +316,8 @@ class WalkTracer(PatternAwareEngine):
         if step.depth == 1:
             f_concat, f_offsets = self._chunked(f_concat, f_offsets, rows)
         if index is not None:
-            np.add.at(self._task_counts[index], rows.task, np.diff(f_offsets))
+            kept = f_offsets[1:] - f_offsets[:-1]
+            np.add.at(self._task_counts[index], rows.task, kept)
             return events
         if len(f_concat) == 0:
             return events
@@ -346,7 +347,7 @@ class WalkTracer(PatternAwareEngine):
         vertex = emb[:, depth]
         ids, offsets = self._work_graph.gather_neighbors(vertex)
         ids, offsets = self._insert_filtered(emb, depth, ids, offsets)
-        size = np.diff(offsets)
+        size = offsets[1:] - offsets[:-1]
         if depth >= cmap.value_bits:
             accepted = np.zeros(n, dtype=bool)
         else:
@@ -402,7 +403,7 @@ class WalkTracer(PatternAwareEngine):
         flt = self._insert_filter.get(depth)
         if flt is None:
             return (ids, offsets) if mask is None else (None, mask)
-        below = ids < np.repeat(emb[:, flt], np.diff(offsets))
+        below = ids < np.repeat(emb[:, flt], offsets[1:] - offsets[:-1])
         if mask is not None:
             return None, mask & below
         return compress_segments(ids, offsets, below)
@@ -418,7 +419,7 @@ class WalkTracer(PatternAwareEngine):
 
     def _adjacent(self, column, values, offsets) -> np.ndarray:
         """Per element: ``values`` (row segments) ∈ N(column[row])."""
-        lengths = np.diff(offsets)
+        lengths = offsets[1:] - offsets[:-1]
         if self._arcs is not None:
             keys = np.repeat(column * self._frontier_keyspace, lengths)
             return self._arcs[keys + values]
@@ -456,7 +457,7 @@ class WalkTracer(PatternAwareEngine):
         part, pieces = self._chunks[rows.task].T
         if (pieces == 1).all():
             return values, offsets
-        quotient, remainder = np.divmod(np.diff(offsets), pieces)
+        quotient, remainder = np.divmod(offsets[1:] - offsets[:-1], pieces)
         lo = part * quotient + np.minimum(part, remainder)
         at, kept = expand_segments(
             offsets[:-1] + lo, quotient + (part < remainder)

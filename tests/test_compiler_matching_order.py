@@ -1,6 +1,7 @@
 """Tests for matching-order enumeration and selection (paper §II-B, Fig. 5)."""
 
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.errors import CompileError
 from repro.patterns import (
     Pattern,
     diamond,
+    enumerate_motifs,
     four_cycle,
     k_clique,
     path,
@@ -21,6 +23,7 @@ from repro.compiler import (
     enumerate_matching_orders,
     score_matching_order,
 )
+from repro.compiler.matching_order import _bound_tightness
 
 
 class TestEnumeration:
@@ -89,3 +92,36 @@ class TestConnectedAncestors:
         p = wedge()  # edges (0,1),(1,2); center is 1
         ca = connected_ancestors(p, (1, 2, 0))
         assert ca == [(), (0,), (0,)]
+
+
+def _exhaustive_choice(p):
+    """The rule scored over every connected order: ``max`` by (density,
+    bound tightness, smallest permutation)."""
+    if p.is_clique():
+        return tuple(p.vertices())
+    orders = enumerate_matching_orders(p)
+    best = max(score_matching_order(p, o) for o in orders)
+    finalists = [o for o in orders if score_matching_order(p, o) == best]
+    return max(
+        finalists,
+        key=lambda o: (_bound_tightness(p, o), tuple(-v for v in o)),
+    )
+
+
+def _relabelings(k):
+    """Every motif on ``k`` vertices under the identity and three seeded
+    vertex relabelings, unlabeled and with alternating vertex labels."""
+    rng = random.Random(k)
+    for motif in enumerate_motifs(k):
+        perms = [list(range(k))] + [rng.sample(range(k), k) for _ in range(3)]
+        for perm in perms:
+            p = motif.relabel(perm)
+            yield p
+            yield p.with_labels([v % 2 for v in range(k)])
+
+
+class TestChoiceIsExhaustive:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_pruned_search_equals_scoring_every_order(self, k):
+        for p in _relabelings(k):
+            assert choose_matching_order(p) == _exhaustive_choice(p), p

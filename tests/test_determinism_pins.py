@@ -430,14 +430,14 @@ def _stats(rows, bands, peak, gathered, probes):
 FRONTIER_STATS_PINS = {
     ("4-CL", "walker"): _stats(321, 3, 189, 983, 794),
     ("4-CL", "keyed"): _stats(321, 3, 189, 2240, 0),
-    ("4-cycle", "walker"): _stats(775, 3, 586, 7999, 5711),
-    ("4-cycle", "keyed"): _stats(775, 3, 586, 14370, 0),
-    ("tailed-triangle", "walker"): _stats(585, 3, 396, 6717, 1956),
-    ("tailed-triangle", "keyed"): _stats(585, 3, 396, 8627, 0),
+    ("4-cycle", "walker"): _stats(775, 3, 586, 6486, 5711),
+    ("4-cycle", "keyed"): _stats(775, 3, 586, 12857, 0),
+    ("tailed-triangle", "walker"): _stats(585, 3, 396, 2145, 1956),
+    ("tailed-triangle", "keyed"): _stats(585, 3, 396, 4055, 0),
     ("labeled-TC", "walker"): _stats(91, 2, 91, 1081, 864),
     ("labeled-TC", "keyed"): _stats(91, 2, 91, 2033, 0),
-    ("3-MC", "walker"): _stats(567, 3, 378, 6578, 5822),
-    ("3-MC", "keyed"): _stats(567, 3, 378, 12354, 0),
+    ("3-MC", "walker"): _stats(567, 3, 378, 6389, 5822),
+    ("3-MC", "keyed"): _stats(567, 3, 378, 12165, 0),
 }
 
 

@@ -25,6 +25,7 @@ from repro.patterns import (
     edge,
     enumerate_motifs,
     four_cycle,
+    from_name,
     house,
     k_clique,
     matches_on_vertex_set,
@@ -359,6 +360,31 @@ class TestBatchFrontier:
         assert frontier.counts == recursive.counts
         assert frontier.counters == recursive.counters
         assert engine.frontier_stats()["bands"] > 0
+
+
+class TestArcMapRoutes:
+    """Up to the arc map's size cap the walker answers set operations
+    and ancestor lookups from ``CSRGraph.arc_map()``; past it (cap 0
+    here) it gathers and binary-searches.  Same counts and
+    ``OpCounters`` on As either way, and each run took its own route."""
+
+    @pytest.mark.parametrize(
+        "name", ["4-clique", "4-cycle", "tailed-triangle", "wedge"]
+    )
+    def test_both_routes_charge_alike(self, name, monkeypatch):
+        from repro.graph import csr, load_dataset
+
+        plan, runs = compile_pattern(from_name(name)), []
+        for cap in (csr.ARC_MAP_MAX_BYTES, 0):
+            monkeypatch.setattr(csr, "ARC_MAP_MAX_BYTES", cap)
+            engine = PatternAwareEngine(load_dataset("As"), plan)
+            result = engine.run()
+            if name in ("4-clique", "4-cycle"):
+                probes = engine.frontier_stats()["arc_probes"]
+                assert (probes > 0) == (cap > 0), (cap, probes)
+            runs.append((result.counts, result.counters.as_dict()))
+        assert runs[0] == runs[1]
+        assert sum(runs[0][0]) > 0
 
 
 class TestIgnoredModeKeyword:

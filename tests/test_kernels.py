@@ -326,7 +326,9 @@ def test_property_segmented_pair_kernels(pairs):
 def test_property_segmented_pair_count_below(
     pairs, scalar_bound, exclude
 ):
-    """The folded count == count the materialized result by hand."""
+    """The folded count == count the materialized result by hand.  The
+    bound is folded into ``exclude_mask``, the way the walker's keyed
+    leaf folds its symmetry bound."""
     a_concat, a_offsets = seg_case([p[0] for p in pairs])
     b_concat, b_offsets = seg_case([p[1] for p in pairs])
     # Exclude every third element of a_concat (an arbitrary but
@@ -334,6 +336,11 @@ def test_property_segmented_pair_count_below(
     exclude_mask = (
         (np.arange(len(a_concat)) % 3 == 0) if exclude else None
     )
+    folded = exclude_mask
+    if scalar_bound is not None:
+        folded = a_concat >= scalar_bound
+        if exclude_mask is not None:
+            folded |= exclude_mask
     for intersect in (True, False):
         raw, below = kernels.segmented_pair_count_below(
             a_concat,
@@ -342,8 +349,7 @@ def test_property_segmented_pair_count_below(
             b_offsets,
             keyspace=61,
             intersect=intersect,
-            bounds=scalar_bound,
-            exclude_mask=exclude_mask,
+            exclude_mask=folded,
         )
         mat_concat, mat_offsets = (
             kernels.segmented_pair_intersect

@@ -142,6 +142,14 @@ def _excluded(step: VertexStep, width: int) -> List[int]:
     return [j for j in range(width) if j not in skip]
 
 
+def _packable(step: VertexStep) -> bool:
+    """A count-only leaf whose survivors need no per-element cut: every
+    ancestor is connected (so every op is an intersection, and so is
+    every op of its memo base) and no bound applies.  Only the size of
+    its set is wanted: the oriented k-clique leaves."""
+    return step.covers_all_ancestors and not step.upper_bounds
+
+
 def _child_rows(emb: np.ndarray, parent: np.ndarray, newest) -> np.ndarray:
     """Row ``i`` is ``emb[parent[i]]`` extended by ``newest[i]``, filled
     in place (a ``take(out=)`` into the strided block measured slower)."""
@@ -194,8 +202,14 @@ class PatternAwareEngine:
     charges.  A step with no set operation gathers only each row's
     prefix below its bound, and nothing at a count-only leaf: a rank in
     :meth:`~repro.graph.CSRGraph.arc_keys` (the pruner's bound cut).
-    Every charge is a closed-form sum over rows, so counts and counters
-    do not depend on the banding.
+    A count-only leaf with every ancestor connected and no bound (the
+    oriented k-clique leaves) needs only its set's size: under the cap
+    it ANDs and popcounts :meth:`~repro.graph.CSRGraph.arc_rows` (its
+    memo base's packed twin, then one row per op) where
+    :func:`kernels.packed_rows_win` says the words cost less than the
+    ids the gather path moves.  Every charge is a closed-form sum over
+    rows, so counts and counters do not depend on the banding or on
+    that choice.
 
     Parameters
     ----------
@@ -297,6 +311,9 @@ class PatternAwareEngine:
         #: The work graph's arc map, fetched by the first frontier walk;
         #: None past the size cap.
         self._arcs: Optional[np.ndarray] = None
+        #: Its packed rows (``arc_rows()``), fetched the first time a
+        #: packable leaf chooses them; None until then.
+        self._rows: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -469,7 +486,8 @@ class PatternAwareEngine:
         if index is not None:
             self._embeddings.extend(map(tuple, rows.tolist()))
             return
-        stores[step.depth] = raw
+        twin = self._packed_twin(child, emb, raw, f_offsets)
+        stores[step.depth] = (*raw, twin)
         below = [o if o is None else o[parent] for o in origins]
         below[step.depth] = parent
         self._walk_frontier(child, rows, stores, below)
@@ -499,7 +517,7 @@ class PatternAwareEngine:
         n = len(emb)
         if self.use_frontier_memo and step.base_step is not None:
             self.counters.frontier_hits += n
-            s_concat, s_offsets = stores[step.base_step]
+            s_concat, s_offsets = stores[step.base_step][:2]
             cands, offsets = kernels.gather_segments(
                 s_concat, s_offsets, origins[step.base_step]
             )
@@ -519,17 +537,22 @@ class PatternAwareEngine:
         operand lengths come from ``degrees()`` — but no neighbor list
         is gathered: the paper's c-map lookup in place of the SIU/SDU.
         """
-        column = emb[:, d]
-        other_total = int(self._work_graph.degrees()[column].sum())
-        self.counters.charge_adjacency(len(emb), other_total)
-        self.counters.charge_setops(
-            is_intersect, len(cands), other_total, len(emb)
-        )
+        column = self._charge_lookup(emb, len(cands), is_intersect, d)
         self._arc_probes += len(cands)
         keys = np.repeat(column * self._frontier_keyspace, lengths)
         keys += cands
         hit = self._arcs.take(keys)
         return hit if is_intersect else np.logical_not(hit, out=hit)
+
+    def _charge_lookup(self, emb, size, is_intersect, d) -> np.ndarray:
+        """Charge ``len(emb)`` counted merges of ``size`` candidates in
+        all against ``N(emb[:, d])`` (lengths from ``degrees()``), the
+        one price of an arc-map probe and a packed AND; the column."""
+        column = emb[:, d]
+        other_total = int(self._work_graph.degrees()[column].sum())
+        self.counters.charge_adjacency(len(emb), other_total)
+        self.counters.charge_setops(is_intersect, size, other_total, len(emb))
+        return column
 
     def _frontier_fold(self, emb, cands, offsets, is_intersect, d):
         """One segmented set operation over the whole frontier, charged
@@ -660,6 +683,8 @@ class PatternAwareEngine:
                     hit &= emb[:, j] < bound
                 count -= int(np.count_nonzero(hit))
             return count
+        if self._packed_leaf(step, emb, stores):
+            return self._frontier_popcount(step, emb, stores, origins)
         cands, offsets, ops = self._frontier_operands(
             step, emb, stores, origins
         )
@@ -696,6 +721,85 @@ class PatternAwareEngine:
             c.candidates_checked += len(cands)
         mask = self._frontier_cut(step, emb, cands, lengths, mask)
         return len(cands) if mask is None else int(np.count_nonzero(mask))
+
+    def _packed_leaf(self, step, emb, stores) -> bool:
+        """Whether a count-only leaf ANDs packed rows instead: it is
+        :func:`_packable`, and its memo base carries a packed twin or,
+        reading ``N(v_e)``, the band's degrees outweigh the words."""
+        if not _packable(step):
+            return False
+        if self.use_frontier_memo and step.base_step is not None:
+            return stores[step.base_step][2] is not None
+        degrees = self._work_graph.degrees()[emb[:, step.extender]]
+        return self._packed_rows_win(len(emb), int(degrees.sum()))
+
+    def _packed_rows_win(self, rows: int, elements: int) -> bool:
+        """Under the arc-map cap, whether reading ``rows`` packed rows
+        beats moving ``elements`` ids (:func:`kernels.packed_rows_win`);
+        fetches :meth:`~repro.graph.CSRGraph.arc_rows` when it does."""
+        if self._arcs is None:
+            return False
+        width = -(-self._work_graph.num_vertices // 64)
+        if not kernels.packed_rows_win(rows * width, elements):
+            return False
+        if self._rows is None:
+            self._rows = self._work_graph.arc_rows()
+        return True
+
+    def _packed_twin(self, node, emb, raw, kept_offsets):
+        """The packed twin of a memo store: per segment, its set as one
+        :meth:`~repro.graph.CSRGraph.arc_rows` row (the AND of the
+        step's op chain), or ``None``.  Built only when a packable
+        count-only leaf child reads this store and the words it and its
+        leaf rows read beat the memo elements those rows would re-gather
+        and probe."""
+        step = node.step
+        if not self.use_frontier_memo or not any(
+            c.pattern_index is not None
+            and c.step.base_step == step.depth
+            and self._leaf_countable(c.step)
+            and _packable(c.step)
+            for c in node.children
+        ):
+            return None
+        offsets = raw[1]
+        kept = kept_offsets[1:] - kept_offsets[:-1]
+        moved = int(np.dot(kept, offsets[1:] - offsets[:-1]))
+        if not self._packed_rows_win(int(kept_offsets[-1]) + len(emb), moved):
+            return None
+        twin = self._rows.take(emb[:, step.extender], axis=0)
+        for _, d in step.ops:
+            np.bitwise_and(twin, self._rows.take(emb[:, d], axis=0), out=twin)
+        return twin
+
+    def _frontier_popcount(self, step, emb, stores, origins) -> int:
+        """A packed leaf: per row, ``popcount(row(v_e) & row(v_d) ...)``
+        over :meth:`~repro.graph.CSRGraph.arc_rows`, starting from its
+        memo base's packed twin when it reads one.  Nothing is gathered
+        or probed, and the charges are the gather path's: the start
+        length from memo offsets or degrees, each op's operand total
+        from ``degrees()`` and the size before each later op, and the
+        count itself as candidates checked, from a popcount."""
+        n, c = len(emb), self.counters
+        if self.use_frontier_memo and step.base_step is not None:
+            c.frontier_hits += n
+            _, s_offsets, twin = stores[step.base_step]
+            take = origins[step.base_step]
+            size = int((s_offsets[take + 1] - s_offsets[take]).sum())
+            acc, ops = twin.take(take, axis=0), step.memo_ops
+        else:
+            if step.base_step is not None:
+                c.frontier_misses += n
+            column = emb[:, step.extender]
+            size = int(self._work_graph.degrees()[column].sum())
+            c.charge_adjacency(n, size)
+            acc, ops = self._rows.take(column, axis=0), step.ops
+        for is_intersect, d in ops:
+            column = self._charge_lookup(emb, size, is_intersect, d)
+            np.bitwise_and(acc, self._rows.take(column, axis=0), out=acc)
+            size = int(np.bitwise_count(acc).sum(dtype=np.int64))
+        c.candidates_checked += size
+        return size
 
     def _gather_operand(self, emb, offsets, is_intersect, d):
         """Past the arc map's size cap: gather ``N(emb[:, d])`` for a

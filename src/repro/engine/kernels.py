@@ -51,6 +51,7 @@ __all__ = [
     "intersect_count_below",
     "intersect_values",
     "members_mask",
+    "packed_rows_win",
     "segment_ids",
     "segment_sums",
     "segmented_intersect_count",
@@ -175,6 +176,22 @@ def intersect_count_below(
     if exclude is not None and below:
         below -= _excluded_hits(small, hit, exclude)
     return raw, below
+
+
+#: Ids a gather-and-probe moves in the time one packed adjacency word is
+#: read, ANDed and popcounted (measured; docs/performance.md, "Packed
+#: rows for intersection-only counts").
+PACKED_WORD_ELEMS = 0.3
+
+
+def packed_rows_win(words: int, elements: int) -> bool:
+    """Whether an intersection-only count should AND packed adjacency
+    rows (:meth:`~repro.graph.CSRGraph.arc_rows`): reading ``words``
+    packed words costs less than moving ``elements`` ids through the
+    gather path (a gather and an arc-map probe, or a segment re-gather,
+    per element).  The one rule of the walker's packed leaves and the
+    k-MC codegree pass."""
+    return words * PACKED_WORD_ELEMS < elements
 
 
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

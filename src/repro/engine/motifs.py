@@ -44,7 +44,11 @@ from ..patterns import (
 )
 from .counters import OpCounters
 from .explore import MiningResult
-from .kernels import segment_sums, segmented_pair_count_below
+from .kernels import (
+    packed_rows_win,
+    segment_sums,
+    segmented_pair_count_below,
+)
 
 __all__ = ["MotifCountPlan", "count_motifs", "motif_count_plan"]
 
@@ -140,10 +144,14 @@ def motif_count_plan(k: int) -> Optional[MotifCountPlan]:
 def _degrees(graph) -> _Degrees:
     """Degrees plus every undirected edge's codegree.
 
-    Each edge gathers the neighbour list of its lower-degree endpoint
-    and probes the other endpoint's :meth:`~repro.graph.CSRGraph.arc_map`
-    row; past the map's size cap it gathers both lists and intersects
-    them with the keyed row-wise kernel.
+    Each edge's codegree is ``popcount(row(u) & row(v))`` over
+    :meth:`~repro.graph.CSRGraph.arc_rows` where that reads fewer words
+    than the gather path moves ids (:func:`kernels.packed_rows_win`).
+    Otherwise each edge gathers the neighbour list of its lower-degree
+    endpoint and probes the other endpoint's
+    :meth:`~repro.graph.CSRGraph.arc_map` row; past the map's size cap
+    it gathers both lists and intersects them with the keyed row-wise
+    kernel.
     """
     n = graph.num_vertices
     d = graph.degrees().astype(np.int64)
@@ -153,12 +161,20 @@ def _degrees(graph) -> _Degrees:
     u, v = src[keep], dst[keep]
     swap = d[u] > d[v]
     low, high = np.where(swap, v, u), np.where(swap, u, v)
+    rows = None
+    if packed_rows_win(len(low) * -(-n // 64), int(d[low].sum())):
+        rows = graph.arc_rows()  # None past the arc map's cap
+    if rows is not None:
+        both = rows.take(u, axis=0)
+        np.bitwise_and(both, rows.take(v, axis=0), out=both)
+        c = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+        return _Degrees(d, d[u], d[v], c)
     concat, offsets = graph.gather_neighbors(low)
     arcs = graph.arc_map()
     if arcs is not None:
-        rows = np.repeat(high * n, offsets[1:] - offsets[:-1])
-        rows += concat
-        c = segment_sums(arcs.take(rows), offsets)
+        keys = np.repeat(high * n, offsets[1:] - offsets[:-1])
+        keys += concat
+        c = segment_sums(arcs.take(keys), offsets)
     else:
         other, other_offsets = graph.gather_neighbors(high)
         c, _ = segmented_pair_count_below(

@@ -166,18 +166,15 @@ def publish_engine_gauges(
     walk ran."""
     metrics.absorb(counters.as_dict(), prefix="engine.")
     ran = [stats for stats in frontier if stats["bands"]]
-    if ran:
+    if len(ran) > 1:
         # Every frontier_stats() key is a per-walker total, except the
         # widest band: a new stat merges here without being listed.
-        metrics.absorb(
-            {
-                key: (max if key == "peak_width" else sum)(
-                    f[key] for f in ran
-                )
-                for key in ran[0]
-            },
-            prefix="engine.frontier.",
-        )
+        ran = [{
+            key: (max if key == "peak_width" else sum)(f[key] for f in ran)
+            for key in ran[0]
+        }]
+    if ran:
+        metrics.absorb(ran[0], prefix="engine.frontier.")
 
 
 def _span_durations(spans, cat: str) -> List[float]:

@@ -192,6 +192,9 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: Dict[str, object] = {}
+        #: ``absorb`` prefix (with its labels) -> leaf name -> gauge, so
+        #: a repeated bundle skips the key build and registry lookup.
+        self._absorbed: Dict[str, Dict[str, Gauge]] = {}
 
     # ------------------------------------------------------------------
     # Instrument minting
@@ -241,13 +244,16 @@ class MetricsRegistry:
         """
         if not self.enabled:
             return
+        gauges = self._absorbed.setdefault(metric_key(prefix, labels), {})
         for name, value in values.items():
             # Numbers first: the ``Mapping`` ABC check is the slow test,
             # and every engine run absorbs its counters here.
             if isinstance(value, (int, float)):
-                self._get(Gauge, prefix + name, labels).set(
-                    int(value) if isinstance(value, bool) else value
-                )
+                gauge = gauges.get(name)
+                if gauge is None:
+                    gauge = self._get(Gauge, prefix + name, labels)
+                    gauges[name] = gauge
+                gauge.set(int(value) if isinstance(value, bool) else value)
             elif isinstance(value, Mapping):
                 self.absorb(value, prefix=f"{prefix}{name}.", **labels)
 

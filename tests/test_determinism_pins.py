@@ -428,7 +428,7 @@ def _stats(rows, bands, peak, gathered, probes):
 
 #: (plan, path) -> the walker's frontier_stats() after one run().
 FRONTIER_STATS_PINS = {
-    ("4-CL", "walker"): _stats(321, 3, 189, 983, 794),
+    ("4-CL", "walker"): _stats(321, 3, 189, 759, 570),
     ("4-CL", "keyed"): _stats(321, 3, 189, 2240, 0),
     ("4-cycle", "walker"): _stats(775, 3, 586, 6486, 5711),
     ("4-cycle", "keyed"): _stats(775, 3, 586, 12857, 0),

@@ -138,6 +138,31 @@ class TestMetrics:
         snap = reg.snapshot()
         assert snap == {"sim.cycles": 10, "sim.cache.hits": 3}
 
+    def test_absorb_repeats_like_per_leaf_gauges(self):
+        # The cached gauges of a repeated bundle are the registry's own:
+        # snapshot() and as_dict() read exactly what one gauge().set()
+        # per leaf would have written, bundle after bundle.
+        fast, slow = MetricsRegistry(), MetricsRegistry()
+        for step in range(3):
+            bundle = {
+                "hits": step, "on": step == 1, "ratio": step / 4,
+                "inner": {"deep": 10 + step}, "tag": "skip",
+            }
+            fast.absorb(bundle, prefix="engine.")
+            fast.absorb(bundle, prefix="lane.", lane=step)
+            for name, value in (
+                ("hits", step), ("on", int(step == 1)),
+                ("ratio", step / 4), ("inner.deep", 10 + step),
+            ):
+                slow.gauge("engine." + name).set(value)
+                slow.gauge("lane." + name, lane=step).set(value)
+            assert fast.snapshot() == slow.snapshot()
+            assert fast.as_dict() == slow.as_dict()
+        assert fast.gauge("engine.hits").get() == 2
+        fast.counter("engine.taken").inc()
+        with pytest.raises(TypeError):
+            fast.absorb({"taken": 1}, prefix="engine.")
+
     def test_absorb_leaf_kinds(self):
         # bool leaves become 0/1, int and float leaves pass through,
         # nested mappings of any Mapping type recurse with a dotted

@@ -231,6 +231,41 @@ def test_one_software_cmap():
         assert not gone & (set(module.__all__) | set(vars(module))), module
 
 
+#: The only sources that may call ``arc_map(`` or ``arc_rows(``: the
+#: graph package that builds them, the frontier walkers (the engine's and
+#: the simulator's trace walker built on it) and the k-MC codegree pass.
+_ARC_MAP_READERS = re.compile(
+    r"graph/.*|engine/(explore|motifs)\.py|hw/walktrace\.py"
+)
+
+
+def _arc_map_callers(root):
+    """Sources under ``root`` (paths relative to it, ``/``-separated)
+    that call ``arc_map(`` or ``arc_rows(``."""
+    calls = re.compile(r"\barc_(map|rows)\(")
+    found = []
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as f:
+                    if calls.search(f.read()):
+                        found.append(
+                            os.path.relpath(path, root).replace(os.sep, "/")
+                        )
+    return sorted(found)
+
+
+def test_arc_maps_stay_the_walkers():
+    """The arc map and its packed rows are n*n structures: recursion,
+    replay and the service must not grow a dependency on them."""
+    callers = _arc_map_callers(os.path.dirname(repro.__file__))
+    assert "engine/explore.py" in callers  # the scan sees the walker
+    assert [
+        path for path in callers if not _ARC_MAP_READERS.fullmatch(path)
+    ] == []
+
+
 def test_one_observability_handle():
     """The profiler is a run's one observability handle: no ``tracer=``
     beside it on the engine, the pool or the simulator (its tracer is

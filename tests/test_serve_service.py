@@ -545,6 +545,36 @@ class TestObservability:
         assert "p99" in snap["serve.request_ms"]
         assert snap["serve.graphs"] == 1
 
+    def test_engine_gauges_describe_the_last_forced_request(self):
+        # Each forced request overwrites the engine.* gauges with its
+        # counters and engine.frontier.* with its one walker's stats;
+        # stats_report() dumps that snapshot.
+        registry = MetricsRegistry()
+        with MiningService(workers=1, metrics=registry) as svc:
+            svc.register_graph("er", ER)
+            for pattern, app, k in (
+                (triangle(), "TC", None), (k_clique(4), "k-CL", 4),
+                (triangle(), "TC", None),
+            ):
+                walker = PatternAwareEngine(ER, compile_pattern(pattern))
+                want = walker.run().counters.as_dict()
+                response = svc.mine("er", app=app, k=k, use_cache=False)
+                assert response.counters.as_dict() == want
+                snap = registry.snapshot()
+                engine = {
+                    key: value for key, value in snap.items()
+                    if key.startswith("engine.")
+                }
+                assert engine == {
+                    **{f"engine.{k}": v for k, v in want.items()},
+                    **{
+                        f"engine.frontier.{k}": v
+                        for k, v in walker.frontier_stats().items()
+                    },
+                }
+                report = svc.stats_report()
+                assert report["data"]["metrics"] == snap
+
     def test_stats_snapshot(self, service):
         service.mine("er", app="TC")
         stats = service.stats()

@@ -428,7 +428,8 @@ class PatternAwareEngine:
         matrix; each child step gathers every row's operand adjacency
         lists into one segmented array and runs the segmented kernels
         once per plan operation instead of once per embedding.  Raw
-        candidate lists are kept per depth (``stores``) with a
+        candidate lists are kept per depth (``stores``: concat, offsets
+        and, for a packed leaf's memo base, a packed twin) with a
         row→segment map (``origins``) so deeper steps' frontier-memo
         composition reads the same arrays the recursion's frontier-list
         table would have held.  The recursion here is over *plan

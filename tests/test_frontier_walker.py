@@ -378,6 +378,10 @@ class TestArcMapAndKeyedPaths:
         dag_map = orient_by_degree(graph).arc_map()
         assert not dag_map.flags.writeable
         assert int(dag_map.sum()) == graph.num_edges
+        # the 4-CL leaves here pack, so the threads raced the rows too
+        dag_rows = orient_by_degree(graph)._arc_rows
+        assert dag_rows is not None and not dag_rows.flags.writeable
+        assert int(np.bitwise_count(dag_rows).sum()) == graph.num_edges
 
 
 class TestPoolStream:
